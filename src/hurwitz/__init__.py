@@ -54,7 +54,6 @@ from .opcalc import (
 )
 from .separation import (
     SeparationSolution,
-    assemble_G,
     axis_solution,
     build_h,
     coefficients,

@@ -73,10 +73,8 @@ def _cmd_verify(args) -> int:
             raise ConfigInvalid(f"unknown config keys {sorted(unknown)}")
     if "cases" in settings:
         settings["cases"] = tuple(settings["cases"])
-    cfg = SuiteConfig(**settings)
-    cfg = SuiteConfig(
-        **{**settings, "seed": _resolve_seed(args.seed, cfg.seed)}
-    )
+    seed = _resolve_seed(args.seed, settings.get("seed", SuiteConfig.seed))
+    cfg = SuiteConfig(**{**settings, "seed": seed})
     report = run_suite(cfg)
     for line in report.summary_lines():
         print(line)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,8 @@ __all__ = [
     "xi_laplacian",
     "fiber_phase_gradients",
     "apply_T",
+    "AngleField",
+    "point_memo",
     "apply_euler_op",
     "commutator_residual",
     "casimir_residual",
@@ -240,6 +243,60 @@ def _q3(phi):
 EULER_OPS = {"T1": _t1, "T2": _t2, "T3": _t3, "Q1": _q1, "Q2": _q2, "Q3": _q3}
 
 
+class AngleField:
+    """A field over the angle chart that evaluates each distinct input once.
+
+    Values are memoized by the exact angles, first derivatives by
+    (angles, axis, step, order), and generator images (``applied``) by
+    (generator, step, order).  Operators applied at one point therefore
+    share their stencils, while every stored number comes from the same
+    arithmetic as an unmemoized evaluation.  The memo lives as long as the
+    object: create one per residual evaluation.
+    """
+
+    __slots__ = ("_field", "_values", "_derivs", "_images")
+
+    def __init__(self, field: Callable[[EulerAngles], complex]):
+        self._field = field
+        self._values: dict = {}
+        self._derivs: dict = {}
+        self._images: dict = {}
+
+    # keys hold the angles as a plain tuple: hashing it is cheaper than
+    # hashing the dataclass, and it compares equal on exactly the same angles
+    def __call__(self, phi: EulerAngles) -> complex:
+        key = (phi.phi1, phi.phi2, phi.phi3)
+        val = self._values.get(key)
+        if val is None:
+            val = self._values[key] = self._field(phi)
+        return val
+
+    def derivative(self, phi: EulerAngles, k: int, d: DiffStrategy) -> complex:
+        """First derivative along angle k (0-based) at phi."""
+        key = (phi.phi1, phi.phi2, phi.phi3, k, d.step, d.order)
+        der = self._derivs.get(key)
+        if der is None:
+            der = self._derivs[key] = first_derivative(
+                lambda t: self(phi.shifted(k, t)), d.step, d.order
+            )
+        return der
+
+    def applied(self, which: str, d: DiffStrategy) -> "AngleField":
+        """The field ``which`` applied to this one, itself memoized."""
+        key = (which, d.step, d.order)
+        img = self._images.get(key)
+        if img is None:
+            img = self._images[key] = AngleField(
+                lambda p: apply_euler_op(which, self, p, d)
+            )
+        return img
+
+
+def _angle_field(field: Callable[[EulerAngles], complex]) -> AngleField:
+    """``field`` itself if it is already memoized, else a fresh wrapper."""
+    return field if isinstance(field, AngleField) else AngleField(field)
+
+
 def apply_euler_op(
     which: str,
     field: Callable[[EulerAngles], complex],
@@ -247,18 +304,20 @@ def apply_euler_op(
     d: DiffStrategy,
     pole_eps: float = 1e-8,
 ) -> complex:
-    """Apply one generator to a field over the angle chart at a point."""
+    """Apply one generator to a field over the angle chart at a point.
+
+    Pass an :class:`AngleField` to share derivatives with other generators
+    applied to the same field.
+    """
     if abs(math.sin(phi.phi3)) < pole_eps:
         raise PolarSingularity(f"sin(phi3) below {pole_eps:g}")
+    field = _angle_field(field)
     coeffs = EULER_OPS[which](phi)
     out = 0.0 + 0.0j
     for k, c in enumerate(coeffs):
         if c == 0.0:
             continue
-        der = first_derivative(
-            lambda t: field(phi.shifted(k, t)), d.step, d.order
-        )
-        out += c * der
+        out += c * field.derivative(phi, k, d)
     return out
 
 
@@ -276,17 +335,13 @@ def commutator_residual(
     itself should vanish.  The nested level reuses ``step2``.
     """
     dn = d.nested()
-
-    def ab(x: EulerAngles) -> complex:
-        return apply_euler_op(a, lambda p: apply_euler_op(b, field, p, dn), x, dn)
-
-    def ba(x: EulerAngles) -> complex:
-        return apply_euler_op(b, lambda p: apply_euler_op(a, field, p, dn), x, dn)
-
-    val = ab(phi) - ba(phi)
+    base = _angle_field(field)
+    val = apply_euler_op(a, base.applied(b, dn), phi, dn) - apply_euler_op(
+        b, base.applied(a, dn), phi, dn
+    )
     coef, name = expected
     if name is not None:
-        val -= coef * apply_euler_op(name, field, phi, dn)
+        val -= coef * apply_euler_op(name, base, phi, dn)
     return abs(val)
 
 
@@ -295,11 +350,10 @@ def casimir_residual(
 ) -> float:
     """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at a point."""
     dn = d.nested()
+    base = _angle_field(field)
 
     def sq(which: str) -> complex:
-        return apply_euler_op(
-            which, lambda p: apply_euler_op(which, field, p, dn), phi, dn
-        )
+        return apply_euler_op(which, base.applied(which, dn), phi, dn)
 
     t2 = sum(sq(f"T{k}") for k in (1, 2, 3))
     q2 = sum(sq(f"Q{k}") for k in (1, 2, 3))
@@ -388,12 +442,8 @@ def identity_residual(
 
     if which == "momentum_equivalence":
         A = a_field_closed(pt, case).A
-        qf = np.array(
-            [
-                apply_euler_op(f"Q{k + 1}", lambda p: field(pt.x, p), phi, d)
-                for k in range(3)
-            ]
-        )
+        at_x = AngleField(lambda p: field(pt.x, p))
+        qf = np.array([apply_euler_op(f"Q{k + 1}", at_x, phi, d) for k in range(3)])
         xgrad = np.array([_x_gradient(field, pt.x, phi, lam, d) for lam in range(5)])
         lhs = -1j * xgrad + A @ qf
         dh, da = wirtinger_gradients(g, xi, d)
@@ -402,43 +452,56 @@ def identity_residual(
 
     if which == "laplacian_split":
         dn = d.nested()
-        A = a_field_closed(pt, case).A
+        potential = point_memo(
+            lambda x: a_field_closed(RPoint(x, float(np.linalg.norm(x))), case).A
+        )
 
         def p_apply(lam: int, fld, x, ph) -> complex:
+            # fld maps a base point to its (memoized) angle field
             e = np.zeros(5)
             e[lam] = 1.0
-            der = first_derivative(lambda t: fld(x + t * e, ph), dn.step, dn.order)
-            Ax = a_field_closed(RPoint(x, float(np.linalg.norm(x))), case).A
+            der = first_derivative(lambda t: fld(x + t * e)(ph), dn.step, dn.order)
+            Ax = potential(x)
             q = sum(
-                Ax[lam, k]
-                * apply_euler_op(f"Q{k + 1}", lambda p: fld(x, p), ph, dn)
+                Ax[lam, k] * apply_euler_op(f"Q{k + 1}", fld(x), ph, dn)
                 for k in range(3)
             )
             return -1j * der + q
 
+        base = _slices(field)
         p_sq = sum(
-            p_apply(lam, lambda x, ph, _l=lam: p_apply(_l, field, x, ph), pt.x, phi)
+            p_apply(lam, _slices(partial(p_apply, lam, base)), pt.x, phi)
             for lam in range(5)
         )
-
-        def q_sq(fld, x, ph) -> complex:
-            return sum(
-                apply_euler_op(
-                    f"Q{k}",
-                    lambda p: apply_euler_op(
-                        f"Q{k}", lambda pp: fld(x, pp), p, dn
-                    ),
-                    ph,
-                    dn,
-                )
-                for k in (1, 2, 3)
-            )
-
-        lhs = pt.r * p_sq + q_sq(field, pt.x, phi) / pt.r
+        at_x = base(pt.x)
+        q_sq = sum(
+            apply_euler_op(f"Q{k}", at_x.applied(f"Q{k}", dn), phi, dn)
+            for k in (1, 2, 3)
+        )
+        lhs = pt.r * p_sq + q_sq / pt.r
         rhs = -xi_laplacian(g, xi, d)
         return _rel_max(lhs, rhs)
 
     raise ValueError(f"unknown identity {which!r}")
+
+
+def point_memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """``fn`` over base points, evaluated once per exact point (its bytes)."""
+    memo: dict = {}
+
+    def at(x: np.ndarray):
+        key = x.tobytes()
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = fn(x)
+        return val
+
+    return at
+
+
+def _slices(field_xphi) -> Callable[[np.ndarray], AngleField]:
+    """x -> the angle field field_xphi(x, .), memoized per exact base point."""
+    return point_memo(lambda x: AngleField(lambda p: field_xphi(x, p)))
 
 
 def _rel_max(lhs, rhs) -> float:

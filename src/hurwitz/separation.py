@@ -19,6 +19,7 @@ kept as an independent oracle.  J is capped at 3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,10 +29,12 @@ import numpy as np
 from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
+    AngleField,
     DiffStrategy,
     OscillatorParams,
     apply_euler_op,
     first_derivative,
+    point_memo,
 )
 from .transform import AngleCase, EulerAngles, RPoint
 
@@ -48,7 +51,6 @@ __all__ = [
     "det_bisection_roots",
     "coefficients",
     "axis_solution",
-    "assemble_G",
     "resolve_branch",
     "effective_terms",
     "consistency_residual",
@@ -65,8 +67,9 @@ def _check_spin(J: int, *qs: int) -> None:
             raise ValueError(f"index {q} out of range for J={J}")
 
 
-def wigner_d(J: int, q: int, p: int, beta: float) -> float:
-    """Small rotation-matrix element d^J_{q,p}(beta) (real convention)."""
+@functools.lru_cache(maxsize=None)
+def _d_terms(J: int, q: int, p: int) -> tuple[float, tuple]:
+    """Prefactor and (coef, a, b) terms of d^J_{q,p}: sum coef c^a s^b."""
     _check_spin(J, q, p)
     pref = math.sqrt(
         math.factorial(J + q)
@@ -74,8 +77,7 @@ def wigner_d(J: int, q: int, p: int, beta: float) -> float:
         * math.factorial(J + p)
         * math.factorial(J - p)
     )
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    total = 0.0
+    terms = []
     for k in range(max(0, p - q), min(J + p, J - q) + 1):
         denom = (
             math.factorial(J + p - k)
@@ -83,38 +85,34 @@ def wigner_d(J: int, q: int, p: int, beta: float) -> float:
             * math.factorial(q - p + k)
             * math.factorial(J - q - k)
         )
-        total += ((-1.0) ** (q - p + k) / denom) * c ** (
-            2 * J + p - q - 2 * k
-        ) * s ** (q - p + 2 * k)
+        terms.append(
+            ((-1.0) ** (q - p + k) / denom, 2 * J + p - q - 2 * k, q - p + 2 * k)
+        )
+    return pref, tuple(terms)
+
+
+def wigner_d(J: int, q: int, p: int, beta: float) -> float:
+    """Small rotation-matrix element d^J_{q,p}(beta) (real convention)."""
+    pref, terms = _d_terms(J, q, p)
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    total = 0.0
+    for coef, a, b in terms:
+        total += coef * c**a * s**b
     return pref * total
 
 
 def wigner_d_prime(J: int, q: int, p: int, beta: float) -> float:
     """Analytic d/dbeta of the small rotation-matrix element."""
-    _check_spin(J, q, p)
-    pref = math.sqrt(
-        math.factorial(J + q)
-        * math.factorial(J - q)
-        * math.factorial(J + p)
-        * math.factorial(J - p)
-    )
+    pref, terms = _d_terms(J, q, p)
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     total = 0.0
-    for k in range(max(0, p - q), min(J + p, J - q) + 1):
-        denom = (
-            math.factorial(J + p - k)
-            * math.factorial(k)
-            * math.factorial(q - p + k)
-            * math.factorial(J - q - k)
-        )
-        a = 2 * J + p - q - 2 * k
-        b = q - p + 2 * k
+    for coef, a, b in terms:
         term = 0.0
         if a > 0:
             term -= 0.5 * a * c ** (a - 1) * s ** (b + 1)
         if b > 0:
             term += 0.5 * b * c ** (a + 1) * s ** (b - 1)
-        total += ((-1.0) ** (q - p + k) / denom) * term
+        total += coef * term
     return pref * total
 
 
@@ -311,19 +309,6 @@ def axis_solution(
     return SeparationSolution(J, lam, roots, root, g)
 
 
-def assemble_G(
-    J: int,
-    p: int,
-    A: np.ndarray,
-    lam: int,
-    branch,
-    phi: EulerAngles,
-) -> complex:
-    """The angular factor sum_q g_q phi^J_{q,p} for one axis and branch."""
-    sol = axis_solution(J, A, lam, branch)
-    return g_eval(sol, p, phi)
-
-
 def g_eval(sol: SeparationSolution, p: int, phi: EulerAngles) -> complex:
     g = sol.g if sol.g.ndim == 1 else sol.g[:, 0]
     return sum(
@@ -395,10 +380,19 @@ def consistency_residual(
         )
         for _ in range(n_angles)
     ]
-    psi0 = test_psi(xv)
     coulomb = params.Z / r0 + params.E
+    # psi and the closed potential at each displaced base point, shared by
+    # the five axes; d psi along the axis is shared per axis
+    psi = point_memo(test_psi)
+    potential = point_memo(lambda y: a_field_closed(y, case).A)
 
-    worst = 0.0
+    # the basis elements phi^J_{q,p} at one angle, shared by the five axes
+    basis = AngleField(
+        lambda ang: [wigner(J, i - J, p, ang) for i in range(2 * J + 1)]
+    )
+
+    psi0 = psi(xv)
+    residuals = []
     for lam in range(5):
         e = np.zeros(5)
         e[lam] = 1.0
@@ -406,53 +400,43 @@ def consistency_residual(
         g = coefficients(J, col, -a_vec[lam])
         if g.ndim == 2:
             g = _fix_phase(g[:, 0].copy())
-
-        def G(ph: EulerAngles) -> complex:
-            return sum(g[i] * wigner(J, i - J, p, ph) for i in range(2 * J + 1))
+        dpsi = point_memo(
+            lambda y: first_derivative(
+                lambda t: psi(y + t * e), dn.step, dn.order
+            )
+        )
 
         def a_at(y: np.ndarray) -> float:
             # the branch eigenvalue re-evaluated at a displaced base point
-            return sel(J, lam) * float(
-                np.linalg.norm(a_field_closed(y, case).A[lam])
-            )
-
-        def inner(y: np.ndarray, ph: EulerAngles) -> complex:
-            dpsi = first_derivative(
-                lambda t: test_psi(y + t * e), dn.step, dn.order
-            )
-            Ay = a_field_closed(y, case).A
-            q = sum(
-                Ay[lam, k] * apply_euler_op(f"Q{k + 1}", G, ph, dn)
-                for k in range(3)
-            )
-            return -1j * dpsi * G(ph) + test_psi(y) * q
+            return sel(J, lam) * float(np.linalg.norm(potential(y)[lam]))
 
         def chi(y: np.ndarray) -> complex:
-            dpsi = first_derivative(
-                lambda t: test_psi(y + t * e), dn.step, dn.order
-            )
-            return -1j * dpsi - a_at(y) * test_psi(y)
+            return -1j * dpsi(y) - a_at(y) * psi(y)
 
         dchi = first_derivative(lambda t: chi(xv + t * e), dn.step, dn.order)
         reduced = -1j * dchi - a_at(xv) * chi(xv)
 
         for ph in angles:
+            # the angle memos serve one (axis, angle) pair; nothing repeats
+            # across pairs, so they are dropped after it
+            G = AngleField(lambda ang: sum(gi * b for gi, b in zip(g, basis(ang))))
+            QG = [G.applied(f"Q{k + 1}", dn) for k in range(3)]
+
+            def inner(y: np.ndarray, ang: EulerAngles) -> complex:
+                Ay = potential(y)
+                q = sum(Ay[lam, k] * QG[k](ang) for k in range(3))
+                return -1j * dpsi(y) * G(ang) + psi(y) * q
+
+            inner_x = AngleField(lambda ang: inner(xv, ang))
             outer_d = first_derivative(
                 lambda t: inner(xv + t * e, ph), dn.step, dn.order
             )
             outer = -1j * outer_d + sum(
-                A0[lam, k]
-                * apply_euler_op(f"Q{k + 1}", lambda pp: inner(xv, pp), ph, dn)
+                A0[lam, k] * apply_euler_op(f"Q{k + 1}", inner_x, ph, dn)
                 for k in range(3)
             )
             qsq = sum(
-                apply_euler_op(
-                    f"Q{k}",
-                    lambda pr: apply_euler_op(f"Q{k}", G, pr, dn),
-                    ph,
-                    dn,
-                )
-                for k in (1, 2, 3)
+                apply_euler_op(f"Q{k + 1}", QG[k], ph, dn) for k in range(3)
             )
             g0 = G(ph)
             # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
@@ -460,5 +444,7 @@ def consistency_residual(
             # is exactly "transformed operator minus reduced operator"
             lhs = 0.5 * outer + (qsq / (2.0 * r0 * r0) - coulomb * g0) * psi0 / 5.0
             rhs = g0 * (0.5 * reduced + (centrifugal - coulomb) * psi0 / 5.0)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            residuals.append(abs(lhs - rhs))
+    # np.max keeps a NaN residual (the builtin max would drop it after a
+    # finite one) and picks the same float as max on finite values
+    return float(np.max(residuals, initial=0.0))

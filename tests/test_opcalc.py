@@ -5,12 +5,15 @@ import pytest
 
 from hurwitz.errors import PolarSingularity
 from hurwitz.opcalc import (
+    EULER_OPS,
+    AngleField,
     DiffStrategy,
     OscillatorParams,
     apply_euler_op,
     apply_T,
     casimir_residual,
     commutator_residual,
+    first_derivative,
     identity_residual,
     oscillator_apply,
     radial_duality_residual,
@@ -132,6 +135,66 @@ def test_shared_casimir_on_basis_elements():
     for J, q, p in ((1, 1, 0), (2, -1, 2), (1, 0, -1)):
         f = lambda ph: wigner(J, q, p, ph)
         assert casimir_residual(f, random_angles(), D3) < 1e-4
+
+
+# --- memoized angle fields -------------------------------------------------------
+
+GENERATORS = ("T1", "T2", "T3", "Q1", "Q2", "Q3")
+
+
+def counting_field():
+    calls = [0]
+    f = trig_field()
+
+    def g(phi):
+        calls[0] += 1
+        return f(phi)
+
+    return g, calls
+
+
+def test_shared_field_matches_unshared_stencils_exactly():
+    for _ in range(5):
+        f = trig_field()
+        phi = random_angles()
+        shared = AngleField(f)
+        for which in GENERATORS:
+            # reference: one fresh stencil per nonzero coefficient
+            want = 0.0 + 0.0j
+            for k, c in enumerate(EULER_OPS[which](phi)):
+                if c != 0.0:
+                    want += c * first_derivative(
+                        lambda t: f(phi.shifted(k, t)), D3.step, D3.order
+                    )
+            assert apply_euler_op(which, shared, phi, D3) == want
+            assert apply_euler_op(which, f, phi, D3) == want
+
+
+def test_right_generators_share_three_derivatives():
+    f, calls = counting_field()
+    phi = random_angles()
+    for which in ("Q1", "Q2", "Q3"):
+        apply_euler_op(which, f, phi, D3)
+    assert calls[0] == 28
+    f, calls = counting_field()
+    shared = AngleField(f)
+    for which in ("Q1", "Q2", "Q3"):
+        apply_euler_op(which, shared, phi, D3)
+    assert calls[0] == 12
+    for which in ("T1", "T2", "T3"):
+        apply_euler_op(which, shared, phi, D3)
+    assert calls[0] == 12
+
+
+def test_casimir_evaluation_count():
+    # dyadic angles and step keep every shifted stencil point exact, so the
+    # count is the number of distinct points two nested stencils reach:
+    # 3 axis pairs x 16 off-axis points + 3 axes x 8 on-axis points + centre
+    f, calls = counting_field()
+    phi = EulerAngles(0.75, 2.125, 1.25)
+    h = 2.0**-10
+    casimir_residual(f, phi, DiffStrategy(step=h, step2=h))
+    assert calls[0] == 73
 
 
 # --- cross-picture identities ---------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hurwitz.gauge import a_field_closed
+from hurwitz.harness import SuiteConfig, _result
 from hurwitz.opcalc import DiffStrategy, apply_euler_op
 from hurwitz.separation import (
     axis_solution,
@@ -82,6 +83,60 @@ def test_small_d_derivative_matches_differencing():
             b = rng.uniform(0.2, math.pi - 0.2)
             fd = (wigner_d(J, q, p, b + 1e-6) - wigner_d(J, q, p, b - 1e-6)) / 2e-6
             assert wigner_d_prime(J, q, p, b) == pytest.approx(fd, abs=1e-8)
+
+
+def _factorial_terms(J, q, p):
+    # the closed factorial sum, spelled out term by term
+    f = math.factorial
+    pref = math.sqrt(f(J + q) * f(J - q) * f(J + p) * f(J - p))
+    terms = []
+    for k in range(max(0, p - q), min(J + p, J - q) + 1):
+        denom = f(J + p - k) * f(k) * f(q - p + k) * f(J - q - k)
+        terms.append(((-1.0) ** (q - p + k) / denom, 2 * J + p - q - 2 * k, q - p + 2 * k))
+    return pref, terms
+
+
+def _d_reference(J, q, p, beta):
+    pref, terms = _factorial_terms(J, q, p)
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    total = 0.0
+    for coef, a, b in terms:
+        total += coef * c ** a * s ** b
+    return pref * total
+
+
+def _d_prime_reference(J, q, p, beta):
+    pref, terms = _factorial_terms(J, q, p)
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    total = 0.0
+    for coef, a, b in terms:
+        term = 0.0
+        if a > 0:
+            term -= 0.5 * a * c ** (a - 1) * s ** (b + 1)
+        if b > 0:
+            term += 0.5 * b * c ** (a + 1) * s ** (b - 1)
+        total += coef * term
+    return pref * total
+
+
+def test_small_d_table_matches_factorial_formula_exactly():
+    betas = np.linspace(0.0, math.pi, 40)
+    for J in range(4):
+        for q in range(-J, J + 1):
+            for p in range(-J, J + 1):
+                for b in betas:
+                    b = float(b)
+                    assert wigner_d(J, q, p, b) == _d_reference(J, q, p, b)
+                    assert wigner_d_prime(J, q, p, b) == _d_prime_reference(J, q, p, b)
+
+
+def test_small_d_rejects_bad_spins_on_every_call():
+    for _ in range(2):
+        for args in ((4, 0, 0), (1, 2, 0), (1, 0, -2), (-1, 0, 0)):
+            with pytest.raises(ValueError):
+                wigner_d(*args, 0.5)
+            with pytest.raises(ValueError):
+                wigner_d_prime(*args, 0.5)
 
 
 def test_eigenrelations_by_differencing():
@@ -351,3 +406,14 @@ def test_consistency_shrinks_under_refinement():
         for h in (0.04, 0.02)
     ]
     assert res[1] < 0.5 * res[0]
+
+
+def test_consistency_nan_field_fails():
+    # a NaN residual must survive the worst-of and fail the check
+    x = random_x()
+    res = consistency_residual(
+        1, 0, lambda y: float("nan"), x, CASE_A, "alternating", D, n_angles=2
+    )
+    assert math.isnan(res)
+    rec = _result(SuiteConfig(), "separation_consistency_J1", "-", 1, res, 1e-3)
+    assert not rec.passed
