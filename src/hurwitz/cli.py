@@ -65,14 +65,14 @@ def _cmd_verify(args) -> int:
     if args.config:
         with open(args.config) as fh:
             settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise ConfigInvalid("config must be a JSON object of suite settings")
         unknown = set(settings) - {
             "seed", "samples", "fd_step", "tolerances", "cases", "J_max",
             "exclusion_eps",
         }
         if unknown:
             raise ConfigInvalid(f"unknown config keys {sorted(unknown)}")
-    if "cases" in settings:
-        settings["cases"] = tuple(settings["cases"])
     seed = _resolve_seed(args.seed, settings.get("seed", SuiteConfig.seed))
     cfg = SuiteConfig(**{**settings, "seed": seed})
     report = run_suite(cfg)

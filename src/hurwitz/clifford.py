@@ -40,8 +40,7 @@ class GammaSet:
     ``gamma`` has shape (5, 4, 4) and is 0-indexed: ``gamma[k-1]`` is the
     k-th generator of the 1-based notation used in docstrings.
     ``gamma_tilde_origin`` records how the companion matrix was chosen
-    ("direct" for i*g1*g3, or "search:<spec>" if the exhaustive candidate
-    search had to override it).
+    ("direct": the construction i*g1*g3).
     """
 
     gamma: np.ndarray
@@ -60,9 +59,9 @@ def _pauli() -> np.ndarray:
 def build_gamma() -> GammaSet:
     """Construct the generator set from the Pauli/beta block forms.
 
-    The companion matrix i*g1*g3 is adopted only after the contraction
-    identity is checked; if it failed, the exhaustive candidate search
-    would pick the residual-zero choice instead (and record that).
+    The companion matrix is i*g1*g3.  The construction is exact; the
+    suite's contraction-identity check guards it, and
+    :func:`gamma_tilde_search` serves as the independent oracle.
     """
     pauli = _pauli()
     zero = np.zeros((2, 2), dtype=complex)
@@ -77,21 +76,7 @@ def build_gamma() -> GammaSet:
     gammas.append(beta)
     gamma = np.stack(gammas)
 
-    tilde = 1j * gamma[0] @ gamma[2]
-    origin = "direct"
-    if fierz_residual(GammaSet(gamma, tilde, pauli)) > 1e-12:
-        # The direct construction should be exact; fall back to the search
-        # only if it is not, and keep the provenance visible.
-        candidates = gamma_tilde_search(GammaSet(gamma, tilde, pauli))
-        a, b, sign, res = candidates[0]
-        if res > 1e-12:
-            raise RuntimeError(
-                "no antisymmetric companion candidate satisfies the "
-                f"contraction identity (best residual {res:.3e})"
-            )
-        tilde = sign * 1j * gamma[a] @ gamma[b]
-        origin = f"search:{'+' if sign > 0 else '-'}i*g{a + 1}*g{b + 1}"
-    return GammaSet(gamma, tilde, pauli, origin)
+    return GammaSet(gamma, 1j * gamma[0] @ gamma[2], pauli)
 
 
 def clifford_residual(g: GammaSet) -> float:

@@ -139,8 +139,8 @@ def a_tilde(xi, case: AngleCase, d: DiffStrategy) -> np.ndarray:
     D, Dbar = fiber_phase_gradients(xi, case, d)
     v = np.einsum("lst,t->ls", GAMMA.gamma, xi)
     vals = 0.5 * (v @ D.T + np.conj(v) @ Dbar.T) / float(np.real(xi @ xi.conj()))
-    # realness holds up to truncation, which grows like step^order
-    imag_tol = max(1e-10, 100.0 * d.step**d.order)
+    # realness holds up to truncation, which grows like step^4
+    imag_tol = max(1e-10, 100.0 * d.step**4)
     if np.abs(vals.imag).max() > imag_tol:
         raise FloatingPointError(
             f"coupling matrix has imaginary residue {np.abs(vals.imag).max():.3e}"

@@ -70,14 +70,11 @@ class DiffStrategy:
     """
 
     step: float = 1e-5
-    order: int = 4
     step2: float = 1e-4
 
     def __post_init__(self):
         if self.step <= 0.0 or self.step2 <= 0.0:
             raise ValueError("finite-difference steps must be positive")
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
 
     def nested(self) -> "DiffStrategy":
         return replace(self, step=self.step2)
@@ -98,19 +95,17 @@ class OscillatorParams:
         return cls(omega=omega, Z=2.0 * omega, E=-0.5 * omega * omega)
 
 
-def first_derivative(f: Callable[[float], complex], h: float, order: int) -> complex:
+def first_derivative(f: Callable[[float], complex], h: float) -> complex:
+    """Fourth-order central difference of f at 0 with step h."""
     # symmetric grouping keeps the stencil exact on constants
-    if order == 4:
-        return ((f(-2 * h) - f(2 * h)) + 8.0 * (f(h) - f(-h))) / (12.0 * h)
-    return (f(h) - f(-h)) / (2.0 * h)
+    return ((f(-2 * h) - f(2 * h)) + 8.0 * (f(h) - f(-h))) / (12.0 * h)
 
 
-def second_derivative(f: Callable[[float], complex], h: float, order: int) -> complex:
-    if order == 4:
-        return (
-            -(f(-2 * h) + f(2 * h)) + 16.0 * (f(-h) + f(h)) - 30.0 * f(0.0)
-        ) / (12.0 * h * h)
-    return ((f(-h) + f(h)) - 2.0 * f(0.0)) / (h * h)
+def second_derivative(f: Callable[[float], complex], h: float) -> complex:
+    """Fourth-order central second difference of f at 0 with step h."""
+    return (
+        -(f(-2 * h) + f(2 * h)) + 16.0 * (f(-h) + f(h)) - 30.0 * f(0.0)
+    ) / (12.0 * h * h)
 
 
 def wirtinger_gradients(
@@ -123,8 +118,8 @@ def wirtinger_gradients(
     for s in range(4):
         e = np.zeros(4, dtype=complex)
         e[s] = 1.0
-        g_re = first_derivative(lambda t: field(xi + t * e), d.step, d.order)
-        g_im = first_derivative(lambda t: field(xi + 1j * t * e), d.step, d.order)
+        g_re = first_derivative(lambda t: field(xi + t * e), d.step)
+        g_im = first_derivative(lambda t: field(xi + 1j * t * e), d.step)
         dholo[s] = 0.5 * (g_re - 1j * g_im)
         danti[s] = 0.5 * (g_re + 1j * g_im)
     return dholo, danti
@@ -139,8 +134,8 @@ def xi_laplacian(
     for s in range(4):
         e = np.zeros(4, dtype=complex)
         e[s] = 1.0
-        total += second_derivative(lambda t: field(xi + t * e), d.step2, d.order)
-        total += second_derivative(lambda t: field(xi + 1j * t * e), d.step2, d.order)
+        total += second_derivative(lambda t: field(xi + t * e), d.step2)
+        total += second_derivative(lambda t: field(xi + 1j * t * e), d.step2)
     return 0.25 * total
 
 
@@ -247,8 +242,8 @@ class AngleField:
     """A field over the angle chart that evaluates each distinct input once.
 
     Values are memoized by the exact angles, first derivatives by
-    (angles, axis, step, order), and generator images (``applied``) by
-    (generator, step, order).  Operators applied at one point therefore
+    (angles, axis, step), and generator images (``applied``) by
+    (generator, step).  Operators applied at one point therefore
     share their stencils, while every stored number comes from the same
     arithmetic as an unmemoized evaluation.  The memo lives as long as the
     object: create one per residual evaluation.
@@ -273,17 +268,17 @@ class AngleField:
 
     def derivative(self, phi: EulerAngles, k: int, d: DiffStrategy) -> complex:
         """First derivative along angle k (0-based) at phi."""
-        key = (phi.phi1, phi.phi2, phi.phi3, k, d.step, d.order)
+        key = (phi.phi1, phi.phi2, phi.phi3, k, d.step)
         der = self._derivs.get(key)
         if der is None:
             der = self._derivs[key] = first_derivative(
-                lambda t: self(phi.shifted(k, t)), d.step, d.order
+                lambda t: self(phi.shifted(k, t)), d.step
             )
         return der
 
     def applied(self, which: str, d: DiffStrategy) -> "AngleField":
         """The field ``which`` applied to this one, itself memoized."""
-        key = (which, d.step, d.order)
+        key = (which, d.step)
         img = self._images.get(key)
         if img is None:
             img = self._images[key] = AngleField(
@@ -381,11 +376,11 @@ def pullback(
 def _x_gradient(field, x, phi, lam, d: DiffStrategy) -> complex:
     e = np.zeros(5)
     e[lam] = 1.0
-    return first_derivative(lambda t: field(x + t * e, phi), d.step, d.order)
+    return first_derivative(lambda t: field(x + t * e, phi), d.step)
 
 
 def _phi_gradient(field, x, phi, k, d: DiffStrategy) -> complex:
-    return first_derivative(lambda t: field(x, phi.shifted(k, t)), d.step, d.order)
+    return first_derivative(lambda t: field(x, phi.shifted(k, t)), d.step)
 
 
 def _big_d(xi, dh, da):
@@ -460,7 +455,7 @@ def identity_residual(
             # fld maps a base point to its (memoized) angle field
             e = np.zeros(5)
             e[lam] = 1.0
-            der = first_derivative(lambda t: fld(x + t * e)(ph), dn.step, dn.order)
+            der = first_derivative(lambda t: fld(x + t * e)(ph), dn.step)
             Ax = potential(x)
             q = sum(
                 Ax[lam, k] * apply_euler_op(f"Q{k + 1}", fld(x), ph, dn)
@@ -541,7 +536,7 @@ def radial_duality_residual(
     for lam in range(5):
         e = np.zeros(5)
         e[lam] = 1.0
-        lap += second_derivative(lambda t: psi(x + t * e), d.step2, d.order)
+        lap += second_derivative(lambda t: psi(x + t * e), d.step2)
     r = float(np.linalg.norm(x))
     val = -0.5 * lap - (p.Z / r) * psi(x)
     return abs(val - p.E * psi(x)) / psi(x)

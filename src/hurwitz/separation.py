@@ -402,7 +402,7 @@ def consistency_residual(
             g = _fix_phase(g[:, 0].copy())
         dpsi = point_memo(
             lambda y: first_derivative(
-                lambda t: psi(y + t * e), dn.step, dn.order
+                lambda t: psi(y + t * e), dn.step
             )
         )
 
@@ -413,7 +413,7 @@ def consistency_residual(
         def chi(y: np.ndarray) -> complex:
             return -1j * dpsi(y) - a_at(y) * psi(y)
 
-        dchi = first_derivative(lambda t: chi(xv + t * e), dn.step, dn.order)
+        dchi = first_derivative(lambda t: chi(xv + t * e), dn.step)
         reduced = -1j * dchi - a_at(xv) * chi(xv)
 
         for ph in angles:
@@ -429,7 +429,7 @@ def consistency_residual(
 
             inner_x = AngleField(lambda ang: inner(xv, ang))
             outer_d = first_derivative(
-                lambda t: inner(xv + t * e, ph), dn.step, dn.order
+                lambda t: inner(xv + t * e, ph), dn.step
             )
             outer = -1j * outer_d + sum(
                 A0[lam, k] * apply_euler_op(f"Q{k + 1}", inner_x, ph, dn)

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from hurwitz import harness, opcalc
 from hurwitz.cli import main
 from hurwitz.errors import ConfigInvalid, SingularAxis
 from hurwitz.harness import (
@@ -26,6 +28,17 @@ def test_config_validation():
         SuiteConfig(cases=("A", "C")).validate()
     with pytest.raises(ConfigInvalid):
         SuiteConfig(fd_step=-1.0).validate()
+    # no draw can clear an exclusion of 1/sqrt(2) or more
+    for eps in (0.9, 1.0 / math.sqrt(2.0), math.nan):
+        with pytest.raises(ConfigInvalid):
+            SuiteConfig(exclusion_eps=eps).validate()
+    for bad in (
+        {"samples": "10"}, {"seed": 1.5}, {"J_max": True}, {"fd_step": "1e-5"},
+        {"cases": "AB"}, {"tolerances": ["norm_identity"]},
+        {"tolerances": {"norm_identity": None}},
+    ):
+        with pytest.raises(ConfigInvalid):
+            SuiteConfig(**bad).validate()
 
 
 def test_run_suite_subset_passes():
@@ -47,6 +60,110 @@ def test_run_suite_zero_tolerance_forces_failure():
         line.startswith("FAIL") and "norm_identity" in line
         for line in rep.summary_lines()
     )
+
+
+REGISTRY_IDS = [
+    "clifford_structure", "clifford_anticommutation", "fierz_identity",
+    "companion_commutation_table", "norm_identity", "quadratic_homogeneity",
+    "octet_convention", "fiber_roundtrip_A", "section_identity_A",
+    "fiber_roundtrip_B", "section_identity_B", "rotor_closure_T",
+    "rotor_closure_Q", "rotor_cross_commutation", "casimir_equality",
+    "phase_constraint_A", "phase_constraint_A_offsets", "derivative_split_A",
+    "momentum_equivalence_A", "laplacian_split_A", "phase_constraint_B",
+    "phase_constraint_B_offsets", "derivative_split_B",
+    "momentum_equivalence_B", "laplacian_split_B", "fd_convergence_order",
+    "gauge_properties_A", "gauge_closed_vs_numeric_A",
+    "frame_x_independence_A", "gauge_angle_independence_A",
+    "gauge_properties_B", "gauge_closed_vs_numeric_B",
+    "frame_x_independence_B", "gauge_angle_independence_B",
+    "gauge_reflection_map", "spectrum_structure", "bisection_cross_check",
+    "alternating_branch_caseA", "wigner_ladder", "wigner_eigenrelations",
+    "null_vector_residual", "angular_factor_eigen_A", "angular_factor_eigen_B",
+    "oscillator_gaussian", "radial_duality", "separation_consistency_J0",
+    "separation_consistency_J1", "consistency_refinement",
+]
+
+
+def test_registry_order_is_pinned():
+    # each check is seeded by its position, so a reordering reseeds the suite
+    assert [cid for cid, *_ in harness._registry(SuiteConfig())] == REGISTRY_IDS
+
+
+def _nan_on_call(real, k):
+    """``real`` with the result of its k-th call (1-based) turned into NaN."""
+    calls = [0]
+
+    def fake(*args, **kwargs):
+        calls[0] += 1
+        out = real(*args, **kwargs)
+        return out * math.nan if calls[0] == k else out
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "module, name, k, check, kwargs",
+    [
+        # three commutators per sample: call 4 is the second sample's first
+        (opcalc, "commutator_residual", 4, harness.check_rotor_closure,
+         {"family": "T"}),
+        # one draw per sample: a NaN point makes the second sample's residual NaN
+        (harness, "sample_xi", 2, harness.check_homogeneity, {}),
+    ],
+    ids=["finite_difference", "algebraic"],
+)
+def test_nan_residual_after_the_first_sample_fails(
+    monkeypatch, module, name, k, check, kwargs
+):
+    monkeypatch.setattr(module, name, _nan_on_call(getattr(module, name), k))
+    r = check(SuiteConfig(), np.random.default_rng(3), **kwargs)
+    assert r.passed is False
+    assert math.isnan(r.max_residual)
+
+
+def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
+    real = harness.sample_x
+    calls = [0]
+
+    def sample_x(*args, **kwargs):
+        # every fourth draw lands on the x5 axis, which the check skips
+        calls[0] += 1
+        x = real(*args, **kwargs)
+        return np.array([0.0, 0.0, 0.0, 0.0, 1.0]) if calls[0] % 4 == 0 else x
+
+    monkeypatch.setattr(harness, "sample_x", sample_x)
+    r = harness.check_gauge_reflection(SuiteConfig(), np.random.default_rng(5))
+    assert calls[0] == 200
+    assert r.n_samples == 150 and r.passed
+
+
+class _BoundedRng:
+    """A generator that raises once it has served ``limit`` draws, so a
+    sampler that never gives up fails the test instead of hanging it."""
+
+    def __init__(self, rng, limit=100_000):
+        self._rng = rng
+        self._left = limit
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            self._left -= 1
+            if self._left < 0:
+                raise RuntimeError("the sampler did not give up")
+            return method(*args, **kwargs)
+
+        return draw
+
+
+@pytest.mark.parametrize(
+    "sampler, eps", [(harness.sample_xi, 0.9), (harness.sample_x, 2.5)]
+)
+def test_samplers_give_up_on_an_infeasible_exclusion(sampler, eps):
+    rng = _BoundedRng(np.random.default_rng(0))
+    with pytest.raises(ConfigInvalid):
+        sampler(rng, harness.CASE_A, eps)
 
 
 def test_conventions_are_recorded():
@@ -212,4 +329,50 @@ def test_cli_verify_rejects_bad_config(tmp_path):
     cfg_file.write_text(json.dumps({"samples": -5}))
     assert main(["verify", "--config", str(cfg_file)]) == 2
     cfg_file.write_text(json.dumps({"bogus_key": 1}))
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"samples": "10"},
+        {"cases": 5},
+        {"tolerances": {"norm_identity": None}},
+        {"exclusion_eps": 0.9},
+        [1, 2],
+        5,
+    ],
+    ids=["samples_str", "cases_int", "tolerance_null", "infeasible_eps",
+         "array", "number"],
+)
+def test_cli_verify_rejects_config_before_sampling(
+    tmp_path, monkeypatch, capsys, settings
+):
+    # rejection must come before the first draw: an infeasible exclusion
+    # would otherwise loop in the sampler, which this stub turns into a failure
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a bad config reached the sampler")
+
+    monkeypatch.setattr(harness, "sample_xi", no_draw)
+    monkeypatch.setattr(harness, "sample_x", no_draw)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(settings))
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if not isinstance(settings, dict):
+        assert "JSON object" in err
+
+
+def test_cli_verify_gives_up_on_a_nearly_infeasible_exclusion(
+    tmp_path, monkeypatch
+):
+    # valid, but below one accepted draw in 1e5: the sampler's cap ends the run
+    real = harness.sample_xi
+    monkeypatch.setattr(
+        harness, "sample_xi",
+        lambda rng, *args, **kwargs: real(_BoundedRng(rng), *args, **kwargs),
+    )
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"exclusion_eps": 0.705}))
     assert main(["verify", "--config", str(cfg_file)]) == 2

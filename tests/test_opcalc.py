@@ -164,7 +164,7 @@ def test_shared_field_matches_unshared_stencils_exactly():
             for k, c in enumerate(EULER_OPS[which](phi)):
                 if c != 0.0:
                     want += c * first_derivative(
-                        lambda t: f(phi.shifted(k, t)), D3.step, D3.order
+                        lambda t: f(phi.shifted(k, t)), D3.step
                     )
             assert apply_euler_op(which, shared, phi, D3) == want
             assert apply_euler_op(which, f, phi, D3) == want
@@ -337,7 +337,7 @@ def test_radial_duality_with_independent_laplacian_oracle():
         for lam in range(5):
             e = np.zeros(5)
             e[lam] = 1.0
-            lap5 += second_derivative(lambda t: psi(x + t * e), 1e-4, 4)
+            lap5 += second_derivative(lambda t: psi(x + t * e), 1e-4)
         analytic = (omega**2 - 4 * omega / r) * psi(x)
         assert abs(lap5 - analytic) / abs(analytic) < 1e-6
         assert radial_duality_residual(p, x, D) < 1e-6
