@@ -117,15 +117,14 @@ def gamma_tilde_search(g: GammaSet) -> list[tuple[int, int, int, float]]:
     return results
 
 
-def gamma_tilde_commutation_table(
-    g: GammaSet, tol: float = 1e-12
-) -> dict[int, str]:
+def gamma_tilde_commutation_table(g: GammaSet) -> dict[int, str]:
     """Classify [tilde, g_l] and {tilde, g_l} numerically for each l.
 
     Keys are 1-based generator indices; values are "commutes",
-    "anticommutes" or "neither".  Settles empirically whether the companion
-    matrix commutes with the whole set (it does not: it anticommutes with
-    the two generators it is built from).
+    "anticommutes" or "neither" (a relation holds when its max-abs entry is
+    below 1e-12).  Settles empirically whether the companion matrix
+    commutes with the whole set (it does not: it anticommutes with the two
+    generators it is built from).
     """
     table = {}
     for lam in range(5):
@@ -133,9 +132,9 @@ def gamma_tilde_commutation_table(
         dorp = g.gamma[lam] @ g.gamma_tilde
         comm = float(np.abs(prod - dorp).max())
         anti = float(np.abs(prod + dorp).max())
-        if comm < tol:
+        if comm < 1e-12:
             table[lam + 1] = "commutes"
-        elif anti < tol:
+        elif anti < 1e-12:
             table[lam + 1] = "anticommutes"
         else:
             table[lam + 1] = "neither"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,7 +31,6 @@ from .transform import (
     GAMMA,
     AngleCase,
     EulerAngles,
-    RPoint,
     extra_angles,
     forward,
     invariant_products,
@@ -49,7 +47,11 @@ __all__ = [
     "apply_T",
     "AngleField",
     "point_memo",
+    "slices",
     "apply_euler_op",
+    "casimir",
+    "coupled_q",
+    "momentum",
     "commutator_residual",
     "casimir_residual",
     "identity_residual",
@@ -297,15 +299,15 @@ def apply_euler_op(
     field: Callable[[EulerAngles], complex],
     phi: EulerAngles,
     d: DiffStrategy,
-    pole_eps: float = 1e-8,
 ) -> complex:
     """Apply one generator to a field over the angle chart at a point.
 
     Pass an :class:`AngleField` to share derivatives with other generators
-    applied to the same field.
+    applied to the same field.  Raises :class:`PolarSingularity` where
+    |sin(phi3)| < 1e-8.
     """
-    if abs(math.sin(phi.phi3)) < pole_eps:
-        raise PolarSingularity(f"sin(phi3) below {pole_eps:g}")
+    if abs(math.sin(phi.phi3)) < 1e-8:
+        raise PolarSingularity("sin(phi3) below 1e-08")
     field = _angle_field(field)
     coeffs = EULER_OPS[which](phi)
     out = 0.0 + 0.0j
@@ -314,6 +316,44 @@ def apply_euler_op(
             continue
         out += c * field.derivative(phi, k, d)
     return out
+
+
+def casimir(
+    family: str,
+    field: Callable[[EulerAngles], complex],
+    phi: EulerAngles,
+    d: DiffStrategy,
+) -> complex:
+    """(X1 X1 + X2 X2 + X3 X3) field at phi for the triple X = T or Q."""
+    field = _angle_field(field)
+    return sum(
+        apply_euler_op(which, field.applied(which, d), phi, d)
+        for which in (f"{family}1", f"{family}2", f"{family}3")
+    )
+
+
+def coupled_q(row, field: AngleField, phi: EulerAngles, d: DiffStrategy) -> complex:
+    """(row[0] Q1 + row[1] Q2 + row[2] Q3) field at phi, through field's images."""
+    return sum(row[k] * field.applied(f"Q{k + 1}", d)(phi) for k in range(3))
+
+
+def momentum(
+    lam: int,
+    slices: Callable[[np.ndarray], AngleField],
+    potential: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    phi: EulerAngles,
+    d: DiffStrategy,
+) -> complex:
+    """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (x, phi).
+
+    ``slices`` maps a base point y to the angle field f(y, .) (see
+    :func:`slices`) and ``potential`` a base point to its 5x3 potential.
+    """
+    e = np.zeros(5)
+    e[lam] = 1.0
+    der = first_derivative(lambda t: slices(x + t * e)(phi), d.step)
+    return -1j * der + coupled_q(potential(x)[lam], slices(x), phi, d)
 
 
 def commutator_residual(
@@ -346,13 +386,7 @@ def casimir_residual(
     """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at a point."""
     dn = d.nested()
     base = _angle_field(field)
-
-    def sq(which: str) -> complex:
-        return apply_euler_op(which, base.applied(which, dn), phi, dn)
-
-    t2 = sum(sq(f"T{k}") for k in (1, 2, 3))
-    q2 = sum(sq(f"Q{k}") for k in (1, 2, 3))
-    return abs(t2 - q2)
+    return abs(casimir("T", base, phi, dn) - casimir("Q", base, phi, dn))
 
 
 # --- identities linking the two pictures ------------------------------------
@@ -425,6 +459,7 @@ def identity_residual(
     pt = forward(xi)
     phi = extra_angles(xi, case)
     g = pullback(field, case)
+    potential = point_memo(lambda y: a_field_closed(y, case).A)
 
     if which == "derivative_split":
         dh, da = wirtinger_gradients(g, xi, d)
@@ -436,44 +471,26 @@ def identity_residual(
         return _rel_max(lhs, rhs)
 
     if which == "momentum_equivalence":
-        A = a_field_closed(pt, case).A
-        at_x = AngleField(lambda p: field(pt.x, p))
-        qf = np.array([apply_euler_op(f"Q{k + 1}", at_x, phi, d) for k in range(3)])
-        xgrad = np.array([_x_gradient(field, pt.x, phi, lam, d) for lam in range(5)])
-        lhs = -1j * xgrad + A @ qf
+        base = slices(field)
+        lhs = np.array(
+            [momentum(lam, base, potential, pt.x, phi, d) for lam in range(5)]
+        )
         dh, da = wirtinger_gradients(g, xi, d)
         rhs = (-1j / (2.0 * pt.r)) * _big_d(xi, dh, da)
         return _rel_max(lhs, rhs)
 
     if which == "laplacian_split":
         dn = d.nested()
-        potential = point_memo(
-            lambda x: a_field_closed(RPoint(x, float(np.linalg.norm(x))), case).A
-        )
+        base = slices(field)
 
-        def p_apply(lam: int, fld, x, ph) -> complex:
-            # fld maps a base point to its (memoized) angle field
-            e = np.zeros(5)
-            e[lam] = 1.0
-            der = first_derivative(lambda t: fld(x + t * e)(ph), dn.step)
-            Ax = potential(x)
-            q = sum(
-                Ax[lam, k] * apply_euler_op(f"Q{k + 1}", fld(x), ph, dn)
-                for k in range(3)
-            )
-            return -1j * der + q
+        def p_field(lam: int):
+            # P_lam f as a field over (x, angles), sliced for the outer P_lam
+            return slices(lambda y, ph: momentum(lam, base, potential, y, ph, dn))
 
-        base = _slices(field)
         p_sq = sum(
-            p_apply(lam, _slices(partial(p_apply, lam, base)), pt.x, phi)
-            for lam in range(5)
+            momentum(lam, p_field(lam), potential, pt.x, phi, dn) for lam in range(5)
         )
-        at_x = base(pt.x)
-        q_sq = sum(
-            apply_euler_op(f"Q{k}", at_x.applied(f"Q{k}", dn), phi, dn)
-            for k in (1, 2, 3)
-        )
-        lhs = pt.r * p_sq + q_sq / pt.r
+        lhs = pt.r * p_sq + casimir("Q", base(pt.x), phi, dn) / pt.r
         rhs = -xi_laplacian(g, xi, d)
         return _rel_max(lhs, rhs)
 
@@ -494,7 +511,7 @@ def point_memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], obj
     return at
 
 
-def _slices(field_xphi) -> Callable[[np.ndarray], AngleField]:
+def slices(field_xphi) -> Callable[[np.ndarray], AngleField]:
     """x -> the angle field field_xphi(x, .), memoized per exact base point."""
     return point_memo(lambda x: AngleField(lambda p: field_xphi(x, p)))
 

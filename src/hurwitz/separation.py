@@ -32,9 +32,12 @@ from .opcalc import (
     AngleField,
     DiffStrategy,
     OscillatorParams,
-    apply_euler_op,
+    casimir,
+    coupled_q,
     first_derivative,
+    momentum,
     point_memo,
+    slices,
 )
 from .transform import AngleCase, EulerAngles, RPoint
 
@@ -189,10 +192,9 @@ def separation_roots(J: int, col) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(h0))
 
 
-def det_bisection_roots(
-    J: int, col, grid: int = 4001, tol: float = 1e-13
-) -> np.ndarray:
-    """Independent root oracle: scan det h(a) on a grid and bisect.
+def det_bisection_roots(J: int, col) -> np.ndarray:
+    """Independent root oracle: scan det h(a) on a 4001-point grid and
+    bisect each sign change to a width of 1e-13.
 
     Stays clear of the eigenvalue route entirely (the determinant is
     evaluated by LU through numpy.linalg.det on each probe).  Intended for
@@ -202,19 +204,19 @@ def det_bisection_roots(
     a1, ap, am = col
     s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
     span = max(1.0, (J + 1.0) * s)
-    grid_a = np.linspace(-span, span, grid)
+    grid_a = np.linspace(-span, span, 4001)
     dets = np.array(
         [np.linalg.det(build_h(J, col, a)).real for a in grid_a]
     )
     roots = []
-    for i in range(grid - 1):
+    for i in range(len(grid_a) - 1):
         d0, d1 = dets[i], dets[i + 1]
         if d0 == 0.0:
             roots.append(grid_a[i])
             continue
         if d0 * d1 < 0.0:
             lo, hi, flo = grid_a[i], grid_a[i + 1], d0
-            while hi - lo > tol:
+            while hi - lo > 1e-13:
                 mid = 0.5 * (lo + hi)
                 fm = np.linalg.det(build_h(J, col, mid)).real
                 if fm == 0.0:
@@ -230,9 +232,7 @@ def det_bisection_roots(
     return np.array(sorted(roots))
 
 
-def coefficients(
-    J: int, col, a_root: float, degeneracy_tol: float = 1e-8
-) -> np.ndarray:
+def coefficients(J: int, col, a_root: float) -> np.ndarray:
     """Unit null vector of h(a_root), ordered q = -J .. J.
 
     For a simple root the vector is unique up to phase; the phase is fixed
@@ -243,10 +243,10 @@ def coefficients(
     """
     h0 = build_h(J, col, 0.0)
     evals, evecs = np.linalg.eigh(h0)
-    close = np.abs(evals - a_root) <= degeneracy_tol
+    close = np.abs(evals - a_root) <= 1e-8
     if not close.any():
         raise ValueError(
-            f"{a_root!r} is not a root within {degeneracy_tol:g} "
+            f"{a_root!r} is not a root within 1e-08 "
             f"(spectrum {np.sort(evals)})"
         )
     if close.sum() > 1:
@@ -282,11 +282,8 @@ def resolve_branch(branch) -> Callable[[int, int], int]:
 
     Strings: "alternating" is (-J, +J, -J, +J, 0) across the five axes
     (the sign pattern of the closed case-A eigenvalue display); "m=<k>"
-    picks the constant ladder index k (clipped into -J..J).  A callable is
-    passed through.
+    picks the constant ladder index k (clipped into -J..J).
     """
-    if callable(branch):
-        return branch
     if branch == "alternating":
         return lambda J, lam: [-J, J, -J, J, 0][lam]
     if isinstance(branch, str) and branch.startswith("m="):
@@ -347,9 +344,7 @@ def consistency_residual(
     case: AngleCase,
     branch,
     d: DiffStrategy,
-    params=None,
     n_angles: int = 4,
-    angle_seed: int = 7,
 ) -> float:
     """Operator-level check that the angle separation succeeded.
 
@@ -359,19 +354,17 @@ def consistency_residual(
     operator carries the per-axis eigenvalue with the sign of the printed
     reduced equation, (-i d_lam - a_lam)^2.  The angular factor for each
     axis is the null vector for the root -a_lam, which makes every term
-    vanish identically; the returned max over axes and sampled angles is
-    pure finite-difference error and shrinks under step refinement.
+    vanish identically; the returned max over axes and ``n_angles`` angles
+    (drawn from a fixed seed) is pure finite-difference error and shrinks
+    under step refinement.  The oscillator constants are those of omega = 1.
     """
     _check_spin(J, p)
-    if params is None:
-        params = OscillatorParams.from_omega(1.0)
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
     r0 = float(np.linalg.norm(xv))
     a_vec, centrifugal = effective_terms(J, xv, case, branch)
-    A0 = a_field_closed(xv, case).A
     sel = resolve_branch(branch)
     dn = d.nested()
-    rng = np.random.default_rng(angle_seed)
+    rng = np.random.default_rng(7)
     angles = [
         EulerAngles(
             rng.uniform(0, 2 * math.pi),
@@ -380,11 +373,13 @@ def consistency_residual(
         )
         for _ in range(n_angles)
     ]
+    params = OscillatorParams.from_omega(1.0)
     coulomb = params.Z / r0 + params.E
     # psi and the closed potential at each displaced base point, shared by
     # the five axes; d psi along the axis is shared per axis
     psi = point_memo(test_psi)
     potential = point_memo(lambda y: a_field_closed(y, case).A)
+    A0 = potential(xv)
 
     # the basis elements phi^J_{q,p} at one angle, shared by the five axes
     basis = AngleField(
@@ -420,24 +415,13 @@ def consistency_residual(
             # the angle memos serve one (axis, angle) pair; nothing repeats
             # across pairs, so they are dropped after it
             G = AngleField(lambda ang: sum(gi * b for gi, b in zip(g, basis(ang))))
-            QG = [G.applied(f"Q{k + 1}", dn) for k in range(3)]
 
             def inner(y: np.ndarray, ang: EulerAngles) -> complex:
-                Ay = potential(y)
-                q = sum(Ay[lam, k] * QG[k](ang) for k in range(3))
+                q = coupled_q(potential(y)[lam], G, ang, dn)
                 return -1j * dpsi(y) * G(ang) + psi(y) * q
 
-            inner_x = AngleField(lambda ang: inner(xv, ang))
-            outer_d = first_derivative(
-                lambda t: inner(xv + t * e, ph), dn.step
-            )
-            outer = -1j * outer_d + sum(
-                A0[lam, k] * apply_euler_op(f"Q{k + 1}", inner_x, ph, dn)
-                for k in range(3)
-            )
-            qsq = sum(
-                apply_euler_op(f"Q{k + 1}", QG[k], ph, dn) for k in range(3)
-            )
+            outer = momentum(lam, slices(inner), potential, xv, ph, dn)
+            qsq = casimir("Q", G, ph, dn)
             g0 = G(ph)
             # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
             # terms rides along with each axis; summed over the five axes this

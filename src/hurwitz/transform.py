@@ -232,22 +232,20 @@ def _convention_candidates():
                         yield p12 + p34
 
 
-def resolve_convention(
-    samples: int = 1000, tol: float = 1e-12, seed: int = 20406
-) -> ConventionMap:
+def resolve_convention() -> ConventionMap:
     """Search pairings, axis permutations and signs identifying the forms.
 
     Probes each candidate pairing on two generic octets; the axis
     permutation and per-axis signs are then determined by matching rather
     than enumerated (equivalent to scanning perms x sign patterns).  The
-    surviving candidate is verified on ``samples`` random octets at ``tol``
-    and returned as the witness.  Raises :class:`NoConventionFound` with
-    the best near-miss if nothing passes.
+    surviving candidate is verified on 1000 random octets (fixed seed) at
+    1e-12 and returned as the witness.  Raises :class:`NoConventionFound`
+    with the best near-miss if nothing passes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20406)
     probes = rng.standard_normal((2, 8))
     target = np.stack([forward_octet(u).x for u in probes])
-    full = rng.standard_normal((samples, 8))
+    full = rng.standard_normal((1000, 8))
 
     best = (None, np.inf)
     orders = [(0, 1), (1, 0)]
@@ -284,7 +282,7 @@ def resolve_convention(
                         re_idx, im_idx, im_sign, comp_sign, perm, axsign
                     )
                     res = cand.residual(full)
-                    if res < tol:
+                    if res < 1e-12:
                         return cand
                     if res < best[1]:
                         best = (cand, res)
@@ -296,10 +294,13 @@ def resolve_convention(
     )
 
 
-def _match_axes(target: np.ndarray, y: np.ndarray, tol: float = 1e-9):
-    """Find a signed axis bijection with target[:, i] = s_i * y[:, perm_i]."""
+def _match_axes(target: np.ndarray, y: np.ndarray):
+    """Find a signed axis bijection with target[:, i] = s_i * y[:, perm_i].
+
+    Returns (perm, signs, 0.0), or (None, None, miss) with the closest
+    distance of the first unmatched axis, for diagnostics.
+    """
     perm, axsign, used = [], [], set()
-    worst = 0.0
     for i in range(5):
         hit = None
         for lam in range(5):
@@ -307,14 +308,13 @@ def _match_axes(target: np.ndarray, y: np.ndarray, tol: float = 1e-9):
                 continue
             dplus = float(np.abs(target[:, i] - y[:, lam]).max())
             dminus = float(np.abs(target[:, i] + y[:, lam]).max())
-            if dplus < tol:
+            if dplus < 1e-9:
                 hit = (lam, 1)
                 break
-            if dminus < tol:
+            if dminus < 1e-9:
                 hit = (lam, -1)
                 break
         if hit is None:
-            # Track how close this candidate came, for diagnostics.
             resid = min(
                 min(
                     float(np.abs(target[:, i] - s * y[:, lam]).max())
@@ -322,30 +322,28 @@ def _match_axes(target: np.ndarray, y: np.ndarray, tol: float = 1e-9):
                 )
                 for lam in range(5)
             )
-            return None, None, max(worst, resid)
+            return None, None, resid
         used.add(hit[0])
         perm.append(hit[0])
         axsign.append(hit[1])
-    return tuple(perm), tuple(axsign), worst
+    return tuple(perm), tuple(axsign), 0.0
 
 
-def extra_angles(
-    xi: Sequence[complex], case: AngleCase, eps: float = 1e-12
-) -> EulerAngles:
+def extra_angles(xi: Sequence[complex], case: AngleCase) -> EulerAngles:
     """Fiber angles of a point for the chosen case.
 
     phi1/phi2 are the sum/difference of the pair's phases folded into
     [0, 2pi); phi3 = atan2(2|a||b|, |a|^2 - |b|^2) lands in [0, pi].
     Offsets (functions of the invariant products) are added before the
     folding.  Raises :class:`DegenerateFiber` when either pair component
-    has modulus below ``eps`` (absolute).
+    has modulus at most 1e-12 (absolute).
     """
     xi = np.asarray(xi, dtype=complex)
     ia, ib = case.pair
     a, b = xi[ia], xi[ib]
-    if abs(a) <= eps or abs(b) <= eps:
+    if abs(a) <= 1e-12 or abs(b) <= 1e-12:
         raise DegenerateFiber(
-            f"case {case.tag}: |xi_{ia + 1}| or |xi_{ib + 1}| below {eps:g}"
+            f"case {case.tag}: |xi_{ia + 1}| or |xi_{ib + 1}| below 1e-12"
         )
     phi1 = np.angle(a) + np.angle(b)
     phi2 = np.angle(a) - np.angle(b)
@@ -364,13 +362,7 @@ def extra_angles(
     return EulerAngles(phi1 % TWO_PI, phi2 % TWO_PI, phi3)
 
 
-def fiber_section(
-    x,
-    phi: EulerAngles,
-    case: AngleCase,
-    eps: float = 1e-9,
-    verify_tol: float = 1e-10,
-) -> np.ndarray:
+def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
     """One point of the fiber over (x, phi) for the chosen case.
 
     The angle-carrying pair is rebuilt from r +/- x5 and the requested
@@ -379,9 +371,9 @@ def fiber_section(
     the angles; nothing is assumed.  Only the bare cases (no offsets) admit
     this closed-form section.
 
-    Raises :class:`SingularFiber` on the case's singular half-axis and
-    :class:`SectionFailed` if the a-posteriori residual exceeds
-    ``verify_tol`` (relative for the base point, absolute mod 2pi for the
+    Raises :class:`SingularFiber` within 1e-9 r of the case's singular
+    half-axis and :class:`SectionFailed` if the a-posteriori residual
+    exceeds 1e-10 (relative for the base point, absolute mod 2pi for the
     angles).
     """
     if case.offsets is not None:
@@ -390,9 +382,9 @@ def fiber_section(
     r = float(np.linalg.norm(xv))
     sigma = case.axis_sign
     rho = r + sigma * xv[4]
-    if r <= 0.0 or rho <= eps * r:
+    if r <= 0.0 or rho <= 1e-9 * r:
         raise SingularFiber(
-            f"case {case.tag}: point within {eps:g}*r of the singular half-axis"
+            f"case {case.tag}: point within 1e-09*r of the singular half-axis"
         )
     h = rho / 2.0
     mod_a = math.sqrt(h) * math.cos(phi.phi3 / 2.0)
@@ -415,7 +407,7 @@ def fiber_section(
         xi[1] = (a * np.conj(w2) + b * w1) / h
 
     back = forward(xi)
-    if np.abs(back.x - xv).max() > verify_tol * max(r, 1e-30):
+    if np.abs(back.x - xv).max() > 1e-10 * max(r, 1e-30):
         raise SectionFailed(
             f"base-point residual {np.abs(back.x - xv).max():.3e} at r={r:g}"
         )
@@ -431,6 +423,6 @@ def fiber_section(
         delta = abs(want - have)
         if period is not None:
             delta = min(delta % period, period - delta % period)
-        if delta > verify_tol:
+        if delta > 1e-10:
             raise SectionFailed(f"angle residual {delta:.3e}")
     return xi

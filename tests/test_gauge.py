@@ -10,7 +10,14 @@ from hurwitz.gauge import (
     b_functions,
 )
 from hurwitz.opcalc import DiffStrategy
-from hurwitz.transform import CASE_A, CASE_B, extra_angles, fiber_section, forward
+from hurwitz.transform import (
+    CASE_A,
+    CASE_B,
+    EulerAngles,
+    extra_angles,
+    fiber_section,
+    forward,
+)
 
 rng = np.random.default_rng(13)
 D = DiffStrategy()
@@ -40,7 +47,7 @@ def test_frame_values_at_quarter_turn():
     # first angle derivative of the second right generator is
     # cos(phi2)/sin(phi3) = 1
     xi = np.array([1.0, 1.0, 0.5, 0.0], dtype=complex)
-    b = b_functions(xi, CASE_A, D, check_x_independence=False)
+    b = b_functions(xi, CASE_A, D)
     assert np.allclose(b.bplus, [0.0, -1.0, 0.0], atol=1e-9)
     assert np.allclose(b.bminus, [0.0, 0.0, -1.0], atol=1e-9)
     parity = np.array([-1.0, -1.0, 1.0])
@@ -51,25 +58,21 @@ def test_frame_values_at_quarter_turn():
 def test_frame_depends_only_on_angles():
     xi = random_xi()
     phi = extra_angles(xi, CASE_A)
-    b1 = b_functions(xi, CASE_A, D, check_x_independence=False)
+    b1 = b_functions(xi, CASE_A, D)
     x2 = random_x()
     xi2 = fiber_section(x2, phi, CASE_A)
-    b2 = b_functions(xi2, CASE_A, D, check_x_independence=False)
+    b2 = b_functions(xi2, CASE_A, D)
     assert np.abs(b1.bplus - b2.bplus).max() < 1e-5
     assert np.abs(b1.bminus - b2.bminus).max() < 1e-5
 
 
-def test_frame_builtin_independence_check_passes():
-    b_functions(random_xi(), CASE_A, D)  # raises on violation
-
-
 def test_constant_offsets_do_not_change_frame():
     xi = random_xi()
-    plain = b_functions(xi, CASE_A, D, check_x_independence=False)
+    plain = b_functions(xi, CASE_A, D)
     shifted_case = CASE_A.with_offsets(
         (lambda m: 0.7, lambda m: -0.4, lambda m: 0.2)
     )
-    shifted = b_functions(xi, shifted_case, D, check_x_independence=False)
+    shifted = b_functions(xi, shifted_case, D)
     assert np.abs(plain.bplus - shifted.bplus).max() < 1e-9
     assert np.abs(plain.bminus - shifted.bminus).max() < 1e-9
 
@@ -106,8 +109,18 @@ def test_numeric_matches_closed(case):
 
 
 def test_numeric_potential_angle_independent():
+    # two fiber points over one base point carry the same potential
     xi = random_xi()
-    a_field_numeric(xi, CASE_A, D, check_phi_independence=True)
+    phi = extra_angles(xi, CASE_A)
+    phi2 = EulerAngles(
+        (phi.phi1 + 0.9) % (2 * np.pi),
+        (phi.phi2 + 1.3) % (2 * np.pi),
+        0.25 * np.pi + 0.5 * phi.phi3,
+    )
+    xi2 = fiber_section(forward(xi), phi2, CASE_A)
+    A1 = a_field_numeric(xi, CASE_A, D).A
+    A2 = a_field_numeric(xi2, CASE_A, D).A
+    assert np.abs(A1 - A2).max() < 1e-4
 
 
 def test_frame_determinant_guard():

@@ -35,7 +35,7 @@ def test_config_validation():
     for bad in (
         {"samples": "10"}, {"seed": 1.5}, {"J_max": True}, {"fd_step": "1e-5"},
         {"cases": "AB"}, {"tolerances": ["norm_identity"]},
-        {"tolerances": {"norm_identity": None}},
+        {"tolerances": {"norm_identity": None}}, {"cases": ("A", "A")},
     ):
         with pytest.raises(ConfigInvalid):
             SuiteConfig(**bad).validate()
@@ -274,6 +274,39 @@ def test_cli_fields_and_exit_codes(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fields", "--case", "A", "-n", "5", "--region", "shell:nan,1"],
+        ["fields", "--case", "B", "-n", "5", "--region", "box:-inf,1"],
+        ["fields", "--case", "A", "-n", "5", "--region", "point:1,0,0,nan,0.5"],
+        ["separate", "--j", "1", "--p", "7", "--case", "A",
+         "--point", "0.4,-0.7,0.2,0.5,0.3"],
+        ["separate", "--j", "2", "--p", "-3", "--case", "B",
+         "--point", "0.4,-0.7,0.2,0.5,0.3"],
+        ["separate", "--j", "1", "--p", "0", "--case", "A",
+         "--point", "0.4,inf,0.2,0.5,0.3"],
+    ],
+    ids=["shell_nan", "box_inf", "point_nan", "p_above_j", "p_below_minus_j",
+         "point_inf"],
+)
+def test_cli_rejects_bad_export_input(tmp_path, capsys, argv):
+    # an input error exits 2 with a message and writes no file; exit 1 is
+    # reserved for a failed check
+    out = tmp_path / "out.jsonl"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_export_functions_reject_non_finite_input(tmp_path):
+    with pytest.raises(ConfigInvalid):
+        fields_cmd("A", 5, str(tmp_path / "f.jsonl"), region="shell:nan,1")
+    with pytest.raises(ConfigInvalid):
+        separate_cmd(1, 0, "A", [0.4, math.nan, 0.2, 0.5, 0.3],
+                     str(tmp_path / "s.jsonl"))
+
+
 def test_cli_separate(tmp_path):
     out = tmp_path / "s.jsonl"
     code = main(
@@ -339,11 +372,12 @@ def test_cli_verify_rejects_bad_config(tmp_path):
         {"cases": 5},
         {"tolerances": {"norm_identity": None}},
         {"exclusion_eps": 0.9},
+        {"cases": ["A", "A"]},
         [1, 2],
         5,
     ],
     ids=["samples_str", "cases_int", "tolerance_null", "infeasible_eps",
-         "array", "number"],
+         "repeated_case", "array", "number"],
 )
 def test_cli_verify_rejects_config_before_sampling(
     tmp_path, monkeypatch, capsys, settings

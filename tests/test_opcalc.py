@@ -11,14 +11,19 @@ from hurwitz.opcalc import (
     OscillatorParams,
     apply_euler_op,
     apply_T,
+    casimir,
     casimir_residual,
     commutator_residual,
+    coupled_q,
     first_derivative,
     identity_residual,
+    momentum,
     oscillator_apply,
     radial_duality_residual,
+    slices,
     xi_laplacian,
 )
+from hurwitz.gauge import a_field_closed
 from hurwitz.separation import wigner
 from hurwitz.transform import CASE_A, CASE_B, EulerAngles
 
@@ -195,6 +200,51 @@ def test_casimir_evaluation_count():
     h = 2.0**-10
     casimir_residual(f, phi, DiffStrategy(step=h, step2=h))
     assert calls[0] == 73
+
+
+# --- the shared operators against hand-written stencil sums ---------------------
+
+def test_casimir_matches_nested_unshared_applications_exactly():
+    for _ in range(3):
+        f = trig_field()
+        phi = random_angles()
+        for family in ("T", "Q"):
+            # reference: each nested application on fresh, unshared wrappers
+            want = sum(
+                apply_euler_op(w, lambda p, w=w: apply_euler_op(w, f, p, D3), phi, D3)
+                for w in (f"{family}1", f"{family}2", f"{family}3")
+            )
+            assert casimir(family, f, phi, D3) == want
+            assert casimir(family, AngleField(f), phi, D3) == want
+
+
+def test_coupled_q_matches_unshared_applications_exactly():
+    for _ in range(3):
+        f = trig_field()
+        phi = random_angles()
+        row = rng.uniform(-1.0, 1.0, 3)
+        want = sum(
+            row[k] * apply_euler_op(f"Q{k + 1}", f, phi, D3) for k in range(3)
+        )
+        assert coupled_q(row, AngleField(f), phi, D3) == want
+
+
+def test_momentum_matches_hand_written_stencils_exactly():
+    x = np.array([0.4, -0.7, 0.2, 0.5, 0.3])
+    potential = lambda y: a_field_closed(y, CASE_A).A
+    phi = random_angles()
+    for f in (field_gaussian, field_poly):
+        base = slices(f)
+        for lam in range(5):
+            e = np.zeros(5)
+            e[lam] = 1.0
+            der = first_derivative(lambda t: f(x + t * e, phi), D.step)
+            q = sum(
+                potential(x)[lam, k]
+                * apply_euler_op(f"Q{k + 1}", lambda p: f(x, p), phi, D)
+                for k in range(3)
+            )
+            assert momentum(lam, base, potential, x, phi, D) == -1j * der + q
 
 
 # --- cross-picture identities ---------------------------------------------------
