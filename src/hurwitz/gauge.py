@@ -42,6 +42,7 @@ __all__ = [
     "a_tilde",
     "a_field_numeric",
     "a_field_closed",
+    "closed_form_singular",
 ]
 
 # Reflection conjugating case B into case A (applies to points and to the
@@ -64,11 +65,11 @@ class BFunctions:
 
 @dataclass(frozen=True)
 class GaugeField:
-    """The 5x3 potential at a point, with its case and a singularity flag."""
+    """The potential and its case: ``A`` is (5, 3) at one point, or
+    (m, 5, 3) over a stack of points from :func:`a_field_closed`."""
 
     A: np.ndarray
     case: AngleCase
-    singular: bool = False
 
 
 def b_functions(xi, case: AngleCase, d: DiffStrategy) -> BFunctions:
@@ -161,12 +162,43 @@ def _convert(at, pt, phi, case, d, frame_det_eps):
     return A
 
 
-_CLOSED_A = {
-    # numerator component patterns per generator index k, case A
-    0: ((1, 1.0), (0, -1.0), (3, -1.0), (2, 1.0)),
-    1: ((3, -1.0), (2, 1.0), (1, -1.0), (0, 1.0)),
-    2: ((2, 1.0), (3, 1.0), (0, -1.0), (1, -1.0)),
+# Closed-form numerators: entry (lam, k) of the potential is
+# sign * x[src] / (r (r + s x5)).  Index 5 is a zero coordinate padded onto
+# the point, which makes the x5 row.
+_CLOSED_SRC = np.array([[1, 3, 2], [0, 2, 3], [3, 1, 0], [2, 0, 1], [5, 5, 5]])
+_CLOSED_SIGN_A = np.array(
+    [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, 1.0, -1.0],
+     [1.0, 1.0, 1.0]]
+)
+# Case B reflects the point and the base index.  Sign flips are exact, so
+# their product is the one table it needs; its x5 row is -0.0.
+_CLOSED_SIGN = {
+    "A": _CLOSED_SIGN_A,
+    "B": CASE_B_REFLECTION[:, None]
+    * _CLOSED_SIGN_A
+    * np.append(CASE_B_REFLECTION, 1.0)[_CLOSED_SRC],
 }
+
+
+def _closed_scale(x, case: AngleCase):
+    """The point or stack padded with a zero sixth coordinate, r, the
+    denominator r + s x5, and where the closed form is undefined: at the
+    origin or within 1e-9 r of the case's singular half-axis."""
+    x = x.x if isinstance(x, RPoint) else x
+    xp = np.zeros(np.shape(x)[:-1] + (6,))
+    xp[..., :5] = x
+    # rows of unit stride: the stacked dot then rounds as the 1-D
+    # np.linalg.norm does (a column-major stack rounds differently)
+    xv = xp[..., :5]
+    r = np.sqrt(np.vecdot(xv, xv))
+    denom = r + case.axis_sign * xp[..., 4]
+    return xp, r, denom, denom <= 1e-9 * r
+
+
+def closed_form_singular(x, case: AngleCase) -> np.ndarray:
+    """Where :func:`a_field_closed` raises: a bool, or one per point of a
+    (m, 5) stack."""
+    return _closed_scale(x, case)[3]
 
 
 def a_field_closed(x, case: AngleCase) -> GaugeField:
@@ -176,22 +208,19 @@ def a_field_closed(x, case: AngleCase) -> GaugeField:
     ``CASE_B_REFLECTION`` and divides by r(r - x5).  Satisfies
     x . A_k = 0 and A_k . A_j = (r - s x5) / (r^2 (r + s x5)) delta_kj
     with s = +1 (case A) / -1 (case B).
+
+    ``x`` is one point (an :class:`RPoint` or a (5,) array), giving ``A`` of
+    shape (5, 3), or a (m, 5) stack, giving (m, 5, 3); each point's values
+    are those of its own single-point call.  Raises :class:`SingularAxis`
+    if any point is singular (see :func:`closed_form_singular`).
     """
-    xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
-    r = float(np.linalg.norm(xv))
-    if r <= 0.0:
-        raise SingularAxis("potential undefined at the origin")
-    denom = r + case.axis_sign * xv[4]
-    if denom <= 1e-9 * r:
+    xp, r, denom, singular = _closed_scale(x, case)
+    if np.count_nonzero(singular):
+        if np.count_nonzero(r <= 0.0):
+            raise SingularAxis("potential undefined at the origin")
         half = "negative" if case.tag == "A" else "positive"
         raise SingularAxis(
             f"case {case.tag} potential diverges on the {half} x5 half-axis"
         )
-    pv = xv if case.tag == "A" else CASE_B_REFLECTION * xv
-    A = np.zeros((5, 3))
-    for k, pattern in _CLOSED_A.items():
-        for lam, (src, sgn) in enumerate(pattern):
-            A[lam, k] = sgn * pv[src]
-    if case.tag == "B":
-        A = CASE_B_REFLECTION[:, None] * A
-    return GaugeField(A / (r * denom), case)
+    xp /= (r * denom)[..., None]
+    return GaugeField(_CLOSED_SIGN[case.tag] * xp.take(_CLOSED_SRC, axis=-1), case)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import clifford as cl
 from . import gauge, opcalc, separation, transform
-from .errors import ConfigInvalid, SingularAxis
+from .errors import ConfigInvalid
 from .opcalc import DiffStrategy, OscillatorParams
 from .transform import CASE_A, CASE_B, AngleCase, EulerAngles
 
@@ -289,9 +289,12 @@ def _result(
     cfg, check_id, case, n, value, default_tol, detail="", ratio=False
 ) -> CheckResult:
     """One report record.  A ``ratio`` value (a convergence ratio) passes
-    at or above its tolerance, any other value strictly below it."""
+    at or above its tolerance, any other value strictly below it.  A record
+    of no evaluated sample fails: it measured nothing."""
     tol = float(cfg.tolerances.get(check_id, default_tol))
     value = float(value)
+    if n == 0:
+        return CheckResult(check_id, case, 0, value, tol, False, "no sample evaluated")
     passed = value >= tol if ratio else value < tol
     return CheckResult(check_id, case, n, value, tol, passed, detail)
 
@@ -301,8 +304,8 @@ def _worst_of(cfg, check_id, case, residuals, default_tol, detail="") -> CheckRe
 
     ``residuals`` yields one item per evaluated sample: a scalar, a tuple
     or an array, reduced with ``np.max``.  ``n_samples`` counts the items
-    and the worst is the ``np.max`` over samples (0.0 when there are none),
-    so a NaN residual on any sample propagates and fails the check.
+    and the worst is the ``np.max`` over samples, so a NaN residual on any
+    sample propagates and fails the check; so does an empty ``residuals``.
     """
     per_sample = [np.max(r) for r in residuals]
     worst = np.max(per_sample, initial=0.0)
@@ -502,7 +505,7 @@ def check_gauge_properties(cfg, rng, case):
     n = 10 * cfg.samples
     pts = np.stack([sample_x(rng, case, cfg.exclusion_eps) for _ in range(n)])
     r = np.linalg.norm(pts, axis=1)
-    A = np.stack([gauge.a_field_closed(x, case).A for x in pts])
+    A = gauge.a_field_closed(pts, case).A
     trans = float(np.abs(np.einsum("nl,nlk->nk", pts, A)).max())
     gram = np.einsum("nlk,nlj->nkj", A, A)
     scale = (r - case.axis_sign * pts[:, 4]) / (
@@ -914,7 +917,13 @@ def _parse_region(region: str):
         if len(vals) != 5:
             raise ConfigInvalid("point region needs 5 coordinates")
         return ("point", np.array(vals))
+    if len(vals) != 2:
+        raise ConfigInvalid(f"{kind} region needs 2 bounds, got {region!r}")
     lo, hi = vals
+    if kind == "shell" and not 0.0 <= lo <= hi:
+        raise ConfigInvalid(f"shell radii must satisfy 0 <= RMIN <= RMAX, got {region!r}")
+    if lo > hi:
+        raise ConfigInvalid(f"box bounds must satisfy LO <= HI, got {region!r}")
     return (kind, lo, hi)
 
 
@@ -936,30 +945,28 @@ def fields_cmd(
     case = CASE_A if case_tag == "A" else CASE_B
     reg = _parse_region(region)
     rng = np.random.default_rng(seed)
-    records = []
-    skipped = 0
-    for _ in range(n):
+    pts = np.empty((n, 5))
+    for i in range(n):
         if reg[0] == "shell":
             v = rng.standard_normal(5)
-            x = v / np.linalg.norm(v) * rng.uniform(reg[1], reg[2])
+            pts[i] = v / np.linalg.norm(v) * rng.uniform(reg[1], reg[2])
         elif reg[0] == "box":
-            x = rng.uniform(reg[1], reg[2], size=5)
+            pts[i] = rng.uniform(reg[1], reg[2], size=5)
         else:
-            x = reg[1].copy()
-        try:
-            fld = gauge.a_field_closed(x, case)
-        except SingularAxis:
-            skipped += 1
-            continue
+            pts[i] = reg[1]
+    singular = gauge.closed_form_singular(pts, case)
+    pts = pts[~singular]
+    records = []
+    for x, A in zip(pts, gauge.a_field_closed(pts, case).A):
         r = float(np.linalg.norm(x))
-        trans = float(np.abs(x @ fld.A).max())
-        gram = fld.A.T @ fld.A
+        trans = float(np.abs(x @ A).max())
+        gram = A.T @ A
         scale = (r - case.axis_sign * x[4]) / (r * r * (r + case.axis_sign * x[4]))
         norm_res = float(np.abs(gram - scale * np.eye(3)).max())
         records.append(
             {
                 "x": [float(v) for v in x],
-                "A": [[float(a) for a in row] for row in fld.A],
+                "A": [[float(a) for a in row] for row in A],
                 "props": {
                     "transversality": trans,
                     "normalization_residual": norm_res,
@@ -971,7 +978,7 @@ def fields_cmd(
             "case": case_tag,
             "requested": n,
             "written": len(records),
-            "skipped": skipped,
+            "skipped": int(np.count_nonzero(singular)),
             "region": region,
             "seed": seed,
         }

@@ -157,9 +157,7 @@ def potential_columns(A: np.ndarray) -> list[tuple[float, complex, complex]]:
     return out
 
 
-def build_h(
-    J: int, col: tuple[float, complex, complex], a: float
-) -> np.ndarray:
+def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
     """The tridiagonal coupling matrix at spectral parameter a.
 
     Rows/columns are ordered q = -J .. J.  Only three diagonals are
@@ -168,17 +166,20 @@ def build_h(
         (h)_{k,k-1} = sqrt((2J+2-k)(k-1)) A+,
         (h)_{k,k}   = -a - (J+1-k) A1,
         (h)_{k,k+1} = sqrt(k(2J+1-k)) A-.
+
+    ``a`` is a float, giving one (2J+1, 2J+1) matrix, or a 1-D array,
+    giving a (len(a), 2J+1, 2J+1) stack with one matrix per value.
     """
     _check_spin(J)
     a1, ap, am = col
     n = 2 * J + 1
-    h = np.zeros((n, n), dtype=complex)
+    h = np.zeros(np.shape(a) + (n, n), dtype=complex)
     for k in range(1, n + 1):
-        h[k - 1, k - 1] = -a - (J + 1 - k) * a1
+        h[..., k - 1, k - 1] = -a - (J + 1 - k) * a1
         if k >= 2:
-            h[k - 1, k - 2] = math.sqrt((2 * J + 2 - k) * (k - 1)) * ap
+            h[..., k - 1, k - 2] = math.sqrt((2 * J + 2 - k) * (k - 1)) * ap
         if k <= n - 1:
-            h[k - 1, k] = math.sqrt(k * (2 * J + 1 - k)) * am
+            h[..., k - 1, k] = math.sqrt(k * (2 * J + 1 - k)) * am
     return h
 
 
@@ -197,7 +198,8 @@ def det_bisection_roots(J: int, col) -> np.ndarray:
     bisect each sign change to a width of 1e-13.
 
     Stays clear of the eigenvalue route entirely (the determinant is
-    evaluated by LU through numpy.linalg.det on each probe).  Intended for
+    evaluated by LU through numpy.linalg.det on each probe; the grid scan
+    factors its stack of matrices in one call).  Intended for
     columns with distinct roots; multiple roots collapse to one
     sign-change each.
     """
@@ -205,9 +207,7 @@ def det_bisection_roots(J: int, col) -> np.ndarray:
     s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
     span = max(1.0, (J + 1.0) * s)
     grid_a = np.linspace(-span, span, 4001)
-    dets = np.array(
-        [np.linalg.det(build_h(J, col, a)).real for a in grid_a]
-    )
+    dets = np.linalg.det(build_h(J, col, grid_a)).real
     roots = []
     for i in range(len(grid_a) - 1):
         d0, d1 = dets[i], dets[i + 1]

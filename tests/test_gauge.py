@@ -8,6 +8,7 @@ from hurwitz.gauge import (
     a_field_numeric,
     a_tilde,
     b_functions,
+    closed_form_singular,
 )
 from hurwitz.opcalc import DiffStrategy
 from hurwitz.transform import (
@@ -154,6 +155,57 @@ def test_closed_form_singular_half_axis():
         a_field_closed(np.array([0, 0, 0, 0, 1.0]), CASE_B)
     with pytest.raises(SingularAxis):
         a_field_closed(np.zeros(5), CASE_A)
+
+
+# Numerator (source coordinate, sign) per base axis lam, for each generator
+# index k, case A; the x5 row is zero.
+_CLOSED_PATTERNS = {
+    0: ((1, 1.0), (0, -1.0), (3, -1.0), (2, 1.0)),
+    1: ((3, -1.0), (2, 1.0), (1, -1.0), (0, 1.0)),
+    2: ((2, 1.0), (3, 1.0), (0, -1.0), (1, -1.0)),
+}
+
+
+def _closed_reference(x, case):
+    """The closed form one entry at a time, as a scalar loop."""
+    r = float(np.linalg.norm(x))
+    denom = r + case.axis_sign * x[4]
+    pv = x if case.tag == "A" else CASE_B_REFLECTION * x
+    A = np.zeros((5, 3))
+    for k, pattern in _CLOSED_PATTERNS.items():
+        for lam, (src, sgn) in enumerate(pattern):
+            A[lam, k] = sgn * pv[src]
+    if case.tag == "B":
+        A = CASE_B_REFLECTION[:, None] * A
+    return A / (r * denom)
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_closed_form_stack_matches_single_points(case):
+    pts = np.array([random_x(case) for _ in range(200)])
+    # coordinates on the axes, with both signs of zero, and the regular pole
+    pts[:50] = rng.choice([0.0, -0.0, 0.7, -1.3], size=(50, 5))
+    pts[50] = [0.0, -0.0, 0.0, -0.0, 2.0 * case.axis_sign]
+    pts = pts[~closed_form_singular(pts, case)]
+    stack = a_field_closed(pts, case).A
+    single = np.array([a_field_closed(x, case).A for x in pts])
+    loop = np.array([_closed_reference(x, case) for x in pts])
+    assert stack.shape == (len(pts), 5, 3)
+    for got in (stack, single):
+        assert np.array_equal(got, loop)
+        assert np.array_equal(np.signbit(got), np.signbit(loop))
+    # the x5 row is +0.0 for case A and -0.0 for case B
+    assert np.all(stack[:, 4] == 0.0)
+    assert np.all(np.signbit(stack[:, 4]) == (case.tag == "B"))
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_closed_form_stack_with_singular_point_raises(case):
+    pts = np.array([random_x(case) for _ in range(5)])
+    pts[3] = [0.0, 0.0, 0.0, 0.0, -1.5 * case.axis_sign]
+    assert closed_form_singular(pts, case).tolist() == [False] * 3 + [True, False]
+    with pytest.raises(SingularAxis):
+        a_field_closed(pts, case)
 
 
 def test_case_b_is_reflected_case_a():

@@ -9,6 +9,7 @@ import pytest
 from hurwitz import harness, opcalc
 from hurwitz.cli import main
 from hurwitz.errors import ConfigInvalid, SingularAxis
+from hurwitz.gauge import a_field_closed
 from hurwitz.harness import (
     SuiteConfig,
     fields_cmd,
@@ -137,6 +138,17 @@ def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
     assert r.n_samples == 150 and r.passed
 
 
+def test_check_that_evaluates_no_sample_fails():
+    # J_max = 0 leaves the spin >= 1 and spin >= 2 loops of these checks empty
+    rep = run_suite(SuiteConfig(J_max=0), only=["bisection", "angular_factor_eigen_A"])
+    ids = [c.check_id for c in rep.checks]
+    assert ids == ["bisection_cross_check", "angular_factor_eigen_A"]
+    for c in rep.checks:
+        assert c.n_samples == 0 and not c.passed
+        assert c.detail == "no sample evaluated"
+    assert not rep.passed
+
+
 class _BoundedRng:
     """A generator that raises once it has served ``limit`` draws, so a
     sampler that never gives up fails the test instead of hanging it."""
@@ -209,6 +221,58 @@ def test_fields_export_skips_singular_axis(tmp_path):
     out = tmp_path / "fields.jsonl"
     meta = fields_cmd("A", 3, str(out), region="point:0,0,0,0,-1.0", seed=1)
     assert meta["skipped"] == 3 and meta["written"] == 0
+
+
+def _fields_reference(case_tag, n, out_path, region, seed):
+    """fields_cmd as one closed-form call per point: the reference the
+    stacked export must match byte for byte."""
+    case = harness.CASE_A if case_tag == "A" else harness.CASE_B
+    reg = harness._parse_region(region)
+    rng = np.random.default_rng(seed)
+    records, skipped = [], 0
+    for _ in range(n):
+        if reg[0] == "shell":
+            v = rng.standard_normal(5)
+            x = v / np.linalg.norm(v) * rng.uniform(reg[1], reg[2])
+        elif reg[0] == "box":
+            x = rng.uniform(reg[1], reg[2], size=5)
+        else:
+            x = reg[1].copy()
+        try:
+            A = a_field_closed(x, case).A
+        except SingularAxis:
+            skipped += 1
+            continue
+        r = float(np.linalg.norm(x))
+        s = case.axis_sign
+        scale = (r - s * x[4]) / (r * r * (r + s * x[4]))
+        records.append({
+            "x": [float(v) for v in x],
+            "A": [[float(a) for a in row] for row in A],
+            "props": {
+                "transversality": float(np.abs(x @ A).max()),
+                "normalization_residual": float(np.abs(A.T @ A - scale * np.eye(3)).max()),
+            },
+        })
+    meta = {"meta": {"case": case_tag, "requested": n, "written": len(records),
+                     "skipped": skipped, "region": region, "seed": seed}}
+    with open(out_path, "w") as fh:
+        for rec in [meta, *records]:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+@pytest.mark.parametrize(
+    "region",
+    ["shell:0.5,2.0", "box:-2,2", "point:0.3,-0.2,0,-0.0,0.7",
+     "point:0,0,0,0,-1", "point:0,0,0,0,1", "shell:0,0"],
+    ids=["shell", "box", "point", "axis_minus", "axis_plus", "origin"],
+)
+def test_fields_export_matches_per_point_reference(tmp_path, case, region):
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    fields_cmd(case, 300, str(got), region=region, seed=11)
+    _fields_reference(case, 300, str(want), region, 11)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_fields_export_deterministic(tmp_path):
@@ -297,6 +361,23 @@ def test_cli_rejects_bad_export_input(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "region",
+    ["shell:-2,-1", "shell:-1,1", "shell:2,1", "box:2,-2", "shell:1", "box:1,2,3"],
+    ids=["shell_negative", "shell_straddles_zero", "shell_reversed",
+         "box_reversed", "shell_one_bound", "box_three_bounds"],
+)
+def test_cli_rejects_bad_region(tmp_path, capsys, region):
+    out = tmp_path / "out.jsonl"
+    argv = ["fields", "--case", "A", "-n", "3", f"--region={region}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and region in err
+    assert not out.exists()
+    with pytest.raises(ConfigInvalid):
+        fields_cmd("A", 3, str(out), region=region)
 
 
 def test_export_functions_reject_non_finite_input(tmp_path):

@@ -237,6 +237,31 @@ def test_roots_are_ladder_multiples_and_symmetric():
         assert np.abs(roots + roots[::-1]).max() < 1e-10
 
 
+@pytest.mark.parametrize("J", [0, 1, 2, 3])
+def test_build_h_stack_matches_per_a_loop(J):
+    col = random_column()
+    grid = np.linspace(-2.0, 2.0, 101)
+    stack = build_h(J, col, grid)
+    loop = np.array([build_h(J, col, a) for a in grid])
+    assert stack.shape == (101, 2 * J + 1, 2 * J + 1)
+    assert np.array_equal(stack, loop)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(stack)), np.signbit(part(loop)))
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 3])
+def test_stacked_det_matches_per_matrix_det(J):
+    # the full 4001-point scan grid of det_bisection_roots
+    col = random_column()
+    a1, ap, am = col
+    s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
+    span = max(1.0, (J + 1.0) * s)
+    grid = np.linspace(-span, span, 4001)
+    stacked = np.linalg.det(build_h(J, col, grid)).real
+    per_matrix = np.array([np.linalg.det(build_h(J, col, a)).real for a in grid])
+    assert np.array_equal(stacked, per_matrix)
+
+
 @pytest.mark.parametrize("J", [2, 3])
 def test_bisection_oracle_agrees_with_eigensolver(J):
     for _ in range(5):
