@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from numbers import Integral, Real
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,6 +47,14 @@ TWO_PI = 2.0 * math.pi
 # accepts most draws, so the cap is only reached near an infeasible one.
 MAX_DRAWS = 10_000
 
+# Records whose value is a convergence ratio: they pass at or above their
+# tolerance, every other record strictly below it.
+RATIO_CHECKS = frozenset({"fd_convergence_order", "consistency_refinement"})
+
+# Largest accepted ``samples``: the gauge property checks draw 10x this
+# many base points one at a time before they stack them.
+MAX_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -55,7 +63,7 @@ class SuiteConfig:
     ``samples`` scales the vectorized algebraic sweeps (the norm and gauge
     property checks run at 10x this count); the finite-difference checks
     run at the fixed per-check counts listed in their registrations.
-    ``tolerances`` overrides individual check tolerances by id.
+    ``tolerances`` overrides individual check tolerances by record id.
     """
 
     seed: int = 1729
@@ -74,15 +82,16 @@ class SuiteConfig:
                 raise ConfigInvalid(f"{f.name} must be {f.type}, got {value!r}")
         if self.seed < 0:
             raise ConfigInvalid("seed must be non-negative")
-        if self.samples <= 0:
-            raise ConfigInvalid("samples must be positive")
+        if not 0 < self.samples <= MAX_SAMPLES:
+            raise ConfigInvalid(f"samples must lie in 1..{MAX_SAMPLES}")
         if not 0.0 < self.fd_step < math.inf:
             raise ConfigInvalid("fd_step must be positive and finite")
         # min(|a|, |b|) <= |xi| / sqrt(2), so no draw clears a larger exclusion
         if not 0.0 < self.exclusion_eps < 1.0 / math.sqrt(2.0):
             raise ConfigInvalid("exclusion_eps must lie in (0, 1/sqrt(2))")
-        if not (0 <= self.J_max <= separation.J_CAP):
-            raise ConfigInvalid(f"J_max must lie in 0..{separation.J_CAP}")
+        # bisection_cross_check evaluates spins 2..J_max and nothing below
+        if not (2 <= self.J_max <= separation.J_CAP):
+            raise ConfigInvalid(f"J_max must lie in 2..{separation.J_CAP}")
         bad = [c for c in self.cases if c not in ("A", "B")]
         if bad:
             raise ConfigInvalid(f"unknown cases {bad}")
@@ -94,6 +103,16 @@ class SuiteConfig:
                if isinstance(v, bool) or not isinstance(v, Real)}
         if bad:
             raise ConfigInvalid(f"tolerances must be numbers, got {bad}")
+        # zero stays accepted: it forces a check to fail; the upper bound
+        # also rejects integers too large for a float
+        bad = {k: v for k, v in self.tolerances.items()
+               if not 0.0 <= v <= sys.float_info.max}
+        if bad:
+            raise ConfigInvalid(f"tolerances must be finite and non-negative, got {bad}")
+        known = {rid for row in _registry(self) for rid in _record_ids(row)}
+        unknown = sorted(set(self.tolerances) - known)
+        if unknown:
+            raise ConfigInvalid(f"tolerances name no record of this suite: {unknown}")
 
     def case_objs(self) -> list[AngleCase]:
         return [CASE_A if c == "A" else CASE_B for c in self.cases]
@@ -211,10 +230,12 @@ def _angle_poly(rng: np.random.Generator):
         )
         for _ in range(3)
     ]
+    amp, freq, phase = (np.array(column, dtype=float) for column in zip(*terms))
 
     def g(phi: EulerAngles) -> complex:
         v = phi.as_array()
-        return 1.0 + sum(c * math.cos(float(n @ v) + delta) for c, n, delta in terms)
+        arg = freq @ v.reshape(3, -1) + phase[:, None]
+        return 1.0 + (amp @ np.cos(arg)).reshape(v.shape[1:])
 
     return g
 
@@ -285,17 +306,15 @@ def resolved_conventions() -> dict:
 
 # --- individual checks ---------------------------------------------------------
 
-def _result(
-    cfg, check_id, case, n, value, default_tol, detail="", ratio=False
-) -> CheckResult:
-    """One report record.  A ``ratio`` value (a convergence ratio) passes
+def _result(cfg, check_id, case, n, value, default_tol, detail="") -> CheckResult:
+    """One report record.  A convergence ratio (:data:`RATIO_CHECKS`) passes
     at or above its tolerance, any other value strictly below it.  A record
     of no evaluated sample fails: it measured nothing."""
     tol = float(cfg.tolerances.get(check_id, default_tol))
     value = float(value)
     if n == 0:
         return CheckResult(check_id, case, 0, value, tol, False, "no sample evaluated")
-    passed = value >= tol if ratio else value < tol
+    passed = value >= tol if check_id in RATIO_CHECKS else value < tol
     return CheckResult(check_id, case, n, value, tol, passed, detail)
 
 
@@ -415,8 +434,7 @@ def _commutator_check(cfg, rng, check_id, relations):
     def residuals():
         d = cfg.strategy(1e-3)
         for _ in range(100):
-            # one memoized field per sample: the commutators share stencils
-            g = opcalc.AngleField(_angle_poly(rng))
+            g = _angle_poly(rng)
             phi = sample_angles(rng)
             yield [
                 opcalc.commutator_residual(a, b, expected, g, phi, d)
@@ -497,7 +515,6 @@ def check_fd_convergence(cfg, rng):
     return _result(
         cfg, "fd_convergence_order", "-", 3, np.min(ratios), 8.0,
         f"halving ratios {['%.1f' % r for r in ratios]} (order-4 stencils)",
-        ratio=True,
     )
 
 
@@ -686,9 +703,7 @@ def check_wigner_eigen(cfg, rng):
             for q in range(-J, J + 1):
                 for p in range(-J, J + 1):
                     for _ in range(3):
-                        f = opcalc.AngleField(
-                            lambda ph: separation.wigner(J, q, p, ph)
-                        )
+                        f = lambda ph: separation.wigner(J, q, p, ph)
                         phi = sample_angles(rng)
                         v = f(phi)
                         qsq = opcalc.casimir("Q", f, phi, d)
@@ -725,9 +740,7 @@ def check_angular_factor(cfg, rng, case):
                 for lam in range(5):
                     sol = separation.axis_solution(J, A, lam, "m=1")
                     for _ in range(2):
-                        G = opcalc.AngleField(
-                            lambda ph: separation.g_eval(sol, p, ph)
-                        )
+                        G = lambda ph: separation.g_eval(sol, p, ph)
                         phi = sample_angles(rng)
                         gv = G(phi)
                         a_g = opcalc.coupled_q(A[lam], G, phi, d)
@@ -779,8 +792,9 @@ def _radial_fields():
 def check_consistency(cfg, rng, J):
     def residuals():
         d = cfg.strategy()
+        cases = cfg.case_objs()
         for i in range(20):
-            case = CASE_A if i % 2 == 0 or "B" not in cfg.cases else CASE_B
+            case = cases[i % len(cases)]
             x = sample_x(rng, case, 0.15, rmin=0.9, rmax=2.0)
             psi = _radial_fields()[i % 2]
             yield separation.consistency_residual(
@@ -805,23 +819,25 @@ def check_consistency_refinement(cfg, rng):
     return _result(
         cfg, "consistency_refinement", "A", 2, res[0] / max(res[1], 1e-300), 2.0,
         f"residuals {res[0]:.2e} -> {res[1]:.2e} under step halving",
-        ratio=True,
     )
 
 
-def _registry(cfg: SuiteConfig) -> list[tuple[str, Callable, dict]]:
+def _registry(cfg: SuiteConfig) -> list[tuple]:
     """The suite in run order as (id, check, keyword arguments) rows.
 
-    Each check is seeded by its position here, so moving a row reseeds it
-    and every row after it.  A stem row of :func:`per_case` expands to one
-    row per configured case, with ``{}`` replaced by the case tag.
+    A row whose check writes records under other ids than the row id ends
+    with those record ids.  Each check is seeded by its position here, so
+    moving a row reseeds it and every row after it.  A stem row of
+    :func:`per_case` expands to one row per configured case, with ``{}``
+    replaced by the case tag in the row id and the record ids.
     """
 
     def per_case(*stems):
         return [
-            (stem.format(case.tag), check, {"case": case, **kwargs})
+            (stem.format(case.tag), check, {"case": case, **kwargs},
+             *[tuple(r.format(case.tag) for r in recs) for recs in records])
             for case in cfg.case_objs()
-            for stem, check, kwargs in stems
+            for stem, check, kwargs, *records in stems
         ]
 
     identities = ("derivative_split", "momentum_equivalence", "laplacian_split")
@@ -834,8 +850,8 @@ def _registry(cfg: SuiteConfig) -> list[tuple[str, Callable, dict]]:
         ("quadratic_homogeneity", check_homogeneity, {}),
         ("octet_convention", check_octet_convention, {}),
         *per_case(
-            ("fiber_roundtrip_{}", check_fiber_roundtrip, {}),
-            ("section_identity_{}", check_section_identity, {}),
+            ("fiber_roundtrip_{}", check_fiber_roundtrip, {}, ("fiber_roundtrip",)),
+            ("section_identity_{}", check_section_identity, {}, ("section_identity",)),
         ),
         ("rotor_closure_T", check_rotor_closure, {"family": "T"}),
         ("rotor_closure_Q", check_rotor_closure, {"family": "Q"}),
@@ -850,7 +866,8 @@ def _registry(cfg: SuiteConfig) -> list[tuple[str, Callable, dict]]:
         ),
         ("fd_convergence_order", check_fd_convergence, {}),
         *per_case(
-            ("gauge_properties_{}", check_gauge_properties, {}),
+            ("gauge_properties_{}", check_gauge_properties, {},
+             ("gauge_transversality_{}", "gauge_normalization_{}")),
             ("gauge_closed_vs_numeric_{}", check_gauge_closed_vs_numeric, {}),
             ("frame_x_independence_{}", check_frame_x_independence, {}),
             ("gauge_angle_independence_{}", check_gauge_angle_independence, {}),
@@ -871,6 +888,11 @@ def _registry(cfg: SuiteConfig) -> list[tuple[str, Callable, dict]]:
     ]
 
 
+def _record_ids(row: tuple) -> tuple:
+    """The ids of the records a registry row writes."""
+    return row[3] if len(row) > 3 else (row[0],)
+
+
 def run_suite(cfg: SuiteConfig, only: Optional[list] = None) -> Report:
     """Execute every registered invariant check and assemble the report.
 
@@ -881,7 +903,7 @@ def run_suite(cfg: SuiteConfig, only: Optional[list] = None) -> Report:
     """
     cfg.validate()
     checks: list[CheckResult] = []
-    for idx, (check_id, check, kwargs) in enumerate(_registry(cfg)):
+    for idx, (check_id, check, kwargs, *_) in enumerate(_registry(cfg)):
         if only is not None and not any(check_id.startswith(p) for p in only):
             continue
         rng = np.random.default_rng((cfg.seed, idx))

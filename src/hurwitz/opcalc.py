@@ -13,9 +13,14 @@ convention throughout:
 
 Fields over the angle chart are treated as functions on R^3 (finite
 differences displace angles without folding), so angle-periodic test
-fields are expected.  Phase-type fiber functions are differentiated via
-their unit-modulus exponentials, which keeps every stencil away from
-branch cuts.
+fields are expected.  They take :class:`EulerAngles` whose attributes are
+floats or arrays of one batch shape S and return values of shape T + S
+(T is empty for a scalar field).  An operator calls its field once on all
+of its stencil points: the 12 displaced copies of each angle give the
+three angle derivatives, and a coefficient table turns them into all six
+generator images; a nested pair of generators is one call on 144 copies.
+Phase-type fiber functions are differentiated via their unit-modulus
+exponentials, which keeps every stencil away from branch cuts.
 """
 
 from __future__ import annotations
@@ -45,13 +50,11 @@ __all__ = [
     "xi_laplacian",
     "fiber_phase_gradients",
     "apply_T",
-    "AngleField",
-    "point_memo",
-    "slices",
     "apply_euler_op",
     "casimir",
     "coupled_q",
     "momentum",
+    "on_points",
     "commutator_residual",
     "casimir_residual",
     "identity_residual",
@@ -205,93 +208,76 @@ def apply_T(
     raise ValueError("k must be 1, 2 or 3")
 
 
-def _t1(phi):
-    return (-1j, 0.0, 0.0)
+# Generator names in the row order of the coefficient table.
+EULER_OPS = ("T1", "T2", "T3", "Q1", "Q2", "Q3")
 
 
-def _t2(phi):
-    c1, s3 = math.cos(phi.phi1), math.sin(phi.phi3)
-    return (-1j * c1 * math.cos(phi.phi3) / s3, 1j * c1 / s3, -1j * math.sin(phi.phi1))
+def _coefficients(phi: EulerAngles) -> np.ndarray:
+    """Closed-form first-order coefficients of the six generators, (6, 3) + S.
 
-
-def _t3(phi):
-    s1, s3 = math.sin(phi.phi1), math.sin(phi.phi3)
-    return (-1j * s1 * math.cos(phi.phi3) / s3, 1j * s1 / s3, 1j * math.cos(phi.phi1))
-
-
-def _q1(phi):
-    return (0.0, -1j, 0.0)
-
-
-def _q2(phi):
-    c2, s3 = math.cos(phi.phi2), math.sin(phi.phi3)
-    return (-1j * c2 / s3, 1j * c2 * math.cos(phi.phi3) / s3, 1j * math.sin(phi.phi2))
-
-
-def _q3(phi):
-    s2, s3 = math.sin(phi.phi2), math.sin(phi.phi3)
-    return (-1j * s2 / s3, 1j * s2 * math.cos(phi.phi3) / s3, -1j * math.cos(phi.phi2))
-
-
-# Closed-form first-order coefficients of the six generators in the angle
-# chart.  The left triple (T*) is the image of the right triple (Q*) under
-# the involution phi1 <-> phi2, phi3 -> -phi3; both triples close with
-# structure constants +i eps and commute with each other (suite-verified).
-EULER_OPS = {"T1": _t1, "T2": _t2, "T3": _t3, "Q1": _q1, "Q2": _q2, "Q3": _q3}
-
-
-class AngleField:
-    """A field over the angle chart that evaluates each distinct input once.
-
-    Values are memoized by the exact angles, first derivatives by
-    (angles, axis, step), and generator images (``applied``) by
-    (generator, step).  Operators applied at one point therefore
-    share their stencils, while every stored number comes from the same
-    arithmetic as an unmemoized evaluation.  The memo lives as long as the
-    object: create one per residual evaluation.
+    Row g, column k holds r with X_g = sum_k i r d/dphi_k.  The left triple
+    (T*) is the image of the right triple (Q*) under the involution
+    phi1 <-> phi2, phi3 -> -phi3; both triples close with structure
+    constants +i eps and commute with each other (suite-verified).  Raises
+    :class:`PolarSingularity` where |sin(phi3)| < 1e-8 at any angle.
     """
-
-    __slots__ = ("_field", "_values", "_derivs", "_images")
-
-    def __init__(self, field: Callable[[EulerAngles], complex]):
-        self._field = field
-        self._values: dict = {}
-        self._derivs: dict = {}
-        self._images: dict = {}
-
-    # keys hold the angles as a plain tuple: hashing it is cheaper than
-    # hashing the dataclass, and it compares equal on exactly the same angles
-    def __call__(self, phi: EulerAngles) -> complex:
-        key = (phi.phi1, phi.phi2, phi.phi3)
-        val = self._values.get(key)
-        if val is None:
-            val = self._values[key] = self._field(phi)
-        return val
-
-    def derivative(self, phi: EulerAngles, k: int, d: DiffStrategy) -> complex:
-        """First derivative along angle k (0-based) at phi."""
-        key = (phi.phi1, phi.phi2, phi.phi3, k, d.step)
-        der = self._derivs.get(key)
-        if der is None:
-            der = self._derivs[key] = first_derivative(
-                lambda t: self(phi.shifted(k, t)), d.step
-            )
-        return der
-
-    def applied(self, which: str, d: DiffStrategy) -> "AngleField":
-        """The field ``which`` applied to this one, itself memoized."""
-        key = (which, d.step)
-        img = self._images.get(key)
-        if img is None:
-            img = self._images[key] = AngleField(
-                lambda p: apply_euler_op(which, self, p, d)
-            )
-        return img
+    v = phi.as_array()
+    (c1, c2, c3), (s1, s2, s3) = np.cos(v), np.sin(v)
+    if np.any(np.abs(s3) < 1e-8):
+        raise PolarSingularity("sin(phi3) below 1e-08")
+    out = np.zeros((6, 3) + s3.shape)
+    out[0, 0] = out[3, 1] = -1.0
+    out[1, 0], out[1, 1], out[1, 2] = -(c1 * c3) / s3, c1 / s3, -s1
+    out[2, 0], out[2, 1], out[2, 2] = -(s1 * c3) / s3, s1 / s3, c1
+    out[4, 0], out[4, 1], out[4, 2] = -c2 / s3, c2 * c3 / s3, s2
+    out[5, 0], out[5, 1], out[5, 2] = -s2 / s3, s2 * c3 / s3, -c2
+    return out
 
 
-def _angle_field(field: Callable[[EulerAngles], complex]) -> AngleField:
-    """``field`` itself if it is already memoized, else a fresh wrapper."""
-    return field if isinstance(field, AngleField) else AngleField(field)
+def _d1(fm2, fm1, fp1, fp2, h: float):
+    """:func:`first_derivative` on arrays of the values at -2h, -h, h, 2h
+    (the scalar function stays the independent reference)."""
+    return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h)
+
+
+# _SHIFTS[j, k, o]: displacement of angle j at stencil offset o along axis k
+_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_SHIFTS = np.eye(3)[:, :, None] * _OFFSETS
+_AXES = np.eye(5)
+
+
+def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
+    """d field / d phi_k for k = 1..3, (3,) + T + S, from one field call on
+    the 12 displaced copies of every angle of the batch."""
+    shifts = _SHIFTS * h
+    pts = EulerAngles(*(
+        np.add.outer(c, shifts[j]) for j, c in enumerate((phi.phi1, phi.phi2, phi.phi3))
+    ))
+    v = field(pts)
+    if np.ndim(v) == 0:  # a constant field
+        v = np.full(np.shape(pts.phi1), v)
+    return _last_first(_d1(v[..., 0], v[..., 1], v[..., 2], v[..., 3], h))
+
+
+def _last_first(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last axis moved to the front."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def _images(field, phi: EulerAngles, h: float) -> np.ndarray:
+    """All six generators applied to ``field`` at ``phi``, (6,) + T + S."""
+    coef = _coefficients(phi)
+    der = _angle_derivatives(field, phi, h)
+    nt = der.ndim - coef.ndim + 1
+    coef = coef.reshape(coef.shape[:2] + (1,) * nt + coef.shape[2:])
+    return 1j * (coef * der).sum(axis=1)
+
+
+def _nested(field, phi: EulerAngles, h: float) -> np.ndarray:
+    """X_a X_b field at ``phi`` for every generator pair, (6, 6) + T + S:
+    the outer stencil of the six inner images, one field call on 144 points
+    per angle."""
+    return _images(lambda ang: _images(field, ang, h), phi, h)
 
 
 def apply_euler_op(
@@ -300,22 +286,18 @@ def apply_euler_op(
     phi: EulerAngles,
     d: DiffStrategy,
 ) -> complex:
-    """Apply one generator to a field over the angle chart at a point.
+    """Apply one generator to a field over the angle chart at ``phi``.
 
-    Pass an :class:`AngleField` to share derivatives with other generators
-    applied to the same field.  Raises :class:`PolarSingularity` where
-    |sin(phi3)| < 1e-8.
+    ``phi`` may be a batch (array attributes of shape S); the field is then
+    called once on all of its stencil points and the result has shape
+    T + S.  Raises :class:`PolarSingularity` where |sin(phi3)| < 1e-8.
     """
-    if abs(math.sin(phi.phi3)) < 1e-8:
-        raise PolarSingularity("sin(phi3) below 1e-08")
-    field = _angle_field(field)
-    coeffs = EULER_OPS[which](phi)
-    out = 0.0 + 0.0j
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        out += c * field.derivative(phi, k, d)
-    return out
+    return _images(field, phi, d.step)[EULER_OPS.index(which)]
+
+
+def _casimir(nested: np.ndarray, family: str):
+    k = EULER_OPS.index(f"{family}1")
+    return nested[k, k] + nested[k + 1, k + 1] + nested[k + 2, k + 2]
 
 
 def casimir(
@@ -325,35 +307,66 @@ def casimir(
     d: DiffStrategy,
 ) -> complex:
     """(X1 X1 + X2 X2 + X3 X3) field at phi for the triple X = T or Q."""
-    field = _angle_field(field)
-    return sum(
-        apply_euler_op(which, field.applied(which, d), phi, d)
-        for which in (f"{family}1", f"{family}2", f"{family}3")
-    )
+    return _casimir(_nested(field, phi, d.step), family)
 
 
-def coupled_q(row, field: AngleField, phi: EulerAngles, d: DiffStrategy) -> complex:
-    """(row[0] Q1 + row[1] Q2 + row[2] Q3) field at phi, through field's images."""
-    return sum(row[k] * field.applied(f"Q{k + 1}", d)(phi) for k in range(3))
+def coupled_q(row, field, phi: EulerAngles, d: DiffStrategy):
+    """(row[0] Q1 + row[1] Q2 + row[2] Q3) field at phi.
+
+    ``row`` has shape R + (3,).  For a field of output T + S, R is () or T
+    (one row per leading index, e.g. per base point), giving T + S; for a
+    scalar field (T = ()) every row is applied to it, giving R + S.
+    """
+    q = _images(field, phi, d.step)[3:]
+    row = _last_first(np.asarray(row))
+    if q.ndim == 1 + np.ndim(phi.phi1):  # a scalar field shared by the rows
+        q = q.reshape((3,) + (1,) * (row.ndim - 1) + q.shape[1:])
+    row = row.reshape(row.shape + (1,) * (q.ndim - row.ndim))
+    return (row * q).sum(axis=0)
+
+
+def _x_derivative(fn, xs: np.ndarray, lam: int, h: float) -> np.ndarray:
+    """d fn / dx_lam at every row of ``xs`` (m, 5), from one call of ``fn``
+    on the stack of the 4 m displaced rows; ``fn`` maps (n, 5) to (n,) + ..."""
+    ys = xs[:, None, :] + np.multiply.outer(_OFFSETS * h, _AXES[lam])
+    v = np.asarray(fn(ys.reshape(-1, 5)))
+    v = v.reshape((len(xs), 4) + v.shape[1:])
+    return _d1(v[:, 0], v[:, 1], v[:, 2], v[:, 3], h)
 
 
 def momentum(
     lam: int,
-    slices: Callable[[np.ndarray], AngleField],
+    field: Callable[[np.ndarray, EulerAngles], np.ndarray],
     potential: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
+    xs: np.ndarray,
     phi: EulerAngles,
     d: DiffStrategy,
-) -> complex:
-    """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (x, phi).
+) -> np.ndarray:
+    """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
-    ``slices`` maps a base point y to the angle field f(y, .) (see
-    :func:`slices`) and ``potential`` a base point to its 5x3 potential.
+    ``xs`` is a stack of base points (m, 5).  ``field(ys, angles)`` maps a
+    stack of base points and an angle batch S to shape (m,) + S; it is
+    called once on the 4m displaced points and once on ``xs`` (over the
+    angle stencil).  ``potential(ys)`` gives the (m, 5, 3) potentials of a
+    stack and is called once, on ``xs``.  Returns (m,) + S.
     """
-    e = np.zeros(5)
-    e[lam] = 1.0
-    der = first_derivative(lambda t: slices(x + t * e)(phi), d.step)
-    return -1j * der + coupled_q(potential(x)[lam], slices(x), phi, d)
+    der = _x_derivative(lambda ys: field(ys, phi), xs, lam, d.step)
+    row = potential(xs)[:, lam]
+    return -1j * der + coupled_q(row, lambda ang: field(xs, ang), phi, d)
+
+
+def on_points(field_xphi) -> Callable[[np.ndarray, EulerAngles], np.ndarray]:
+    """A field f(x, angles) of one base point as a field over stacks of base
+    points (see :func:`momentum`): one call per point, each on the whole
+    angle batch."""
+
+    def at(xs: np.ndarray, ang: EulerAngles) -> np.ndarray:
+        out = np.empty((len(xs),) + np.shape(ang.phi1), dtype=complex)
+        for i, y in enumerate(xs):
+            out[i] = field_xphi(y, ang)
+        return out
+
+    return at
 
 
 def commutator_residual(
@@ -370,13 +383,12 @@ def commutator_residual(
     itself should vanish.  The nested level reuses ``step2``.
     """
     dn = d.nested()
-    base = _angle_field(field)
-    val = apply_euler_op(a, base.applied(b, dn), phi, dn) - apply_euler_op(
-        b, base.applied(a, dn), phi, dn
-    )
+    nested = _nested(field, phi, dn.step)
+    ia, ib = EULER_OPS.index(a), EULER_OPS.index(b)
+    val = nested[ia, ib] - nested[ib, ia]
     coef, name = expected
     if name is not None:
-        val -= coef * apply_euler_op(name, base, phi, dn)
+        val -= coef * apply_euler_op(name, field, phi, dn)
     return abs(val)
 
 
@@ -384,9 +396,8 @@ def casimir_residual(
     field: Callable[[EulerAngles], complex], phi: EulerAngles, d: DiffStrategy
 ) -> float:
     """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at a point."""
-    dn = d.nested()
-    base = _angle_field(field)
-    return abs(casimir("T", base, phi, dn) - casimir("Q", base, phi, dn))
+    nested = _nested(field, phi, d.nested().step)
+    return abs(_casimir(nested, "T") - _casimir(nested, "Q"))
 
 
 # --- identities linking the two pictures ------------------------------------
@@ -411,10 +422,6 @@ def _x_gradient(field, x, phi, lam, d: DiffStrategy) -> complex:
     e = np.zeros(5)
     e[lam] = 1.0
     return first_derivative(lambda t: field(x + t * e, phi), d.step)
-
-
-def _phi_gradient(field, x, phi, k, d: DiffStrategy) -> complex:
-    return first_derivative(lambda t: field(x, phi.shifted(k, t)), d.step)
 
 
 def _big_d(xi, dh, da):
@@ -459,21 +466,21 @@ def identity_residual(
     pt = forward(xi)
     phi = extra_angles(xi, case)
     g = pullback(field, case)
-    potential = point_memo(lambda y: a_field_closed(y, case).A)
+    potential = lambda ys: a_field_closed(ys, case).A
 
     if which == "derivative_split":
         dh, da = wirtinger_gradients(g, xi, d)
         lhs = 0.5 * _big_d(xi, dh, da)
         at = a_tilde(xi, case, d)
         xgrad = np.array([_x_gradient(field, pt.x, phi, lam, d) for lam in range(5)])
-        pgrad = np.array([_phi_gradient(field, pt.x, phi, k, d) for k in range(3)])
+        pgrad = _angle_derivatives(lambda ang: field(pt.x, ang), phi, d.step)
         rhs = pt.r * (xgrad + at @ pgrad)
         return _rel_max(lhs, rhs)
 
     if which == "momentum_equivalence":
-        base = slices(field)
+        f = on_points(field)
         lhs = np.array(
-            [momentum(lam, base, potential, pt.x, phi, d) for lam in range(5)]
+            [momentum(lam, f, potential, pt.x[None], phi, d)[0] for lam in range(5)]
         )
         dh, da = wirtinger_gradients(g, xi, d)
         rhs = (-1j / (2.0 * pt.r)) * _big_d(xi, dh, da)
@@ -481,39 +488,19 @@ def identity_residual(
 
     if which == "laplacian_split":
         dn = d.nested()
-        base = slices(field)
+        f = on_points(field)
 
-        def p_field(lam: int):
-            # P_lam f as a field over (x, angles), sliced for the outer P_lam
-            return slices(lambda y, ph: momentum(lam, base, potential, y, ph, dn))
+        def p_squared(lam: int) -> complex:
+            # the outer P_lam of P_lam f, itself a field over (x, angles)
+            inner = lambda ys, ang: momentum(lam, f, potential, ys, ang, dn)
+            return momentum(lam, inner, potential, pt.x[None], phi, dn)[0]
 
-        p_sq = sum(
-            momentum(lam, p_field(lam), potential, pt.x, phi, dn) for lam in range(5)
-        )
-        lhs = pt.r * p_sq + casimir("Q", base(pt.x), phi, dn) / pt.r
+        p_sq = sum(p_squared(lam) for lam in range(5))
+        lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
         rhs = -xi_laplacian(g, xi, d)
         return _rel_max(lhs, rhs)
 
     raise ValueError(f"unknown identity {which!r}")
-
-
-def point_memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """``fn`` over base points, evaluated once per exact point (its bytes)."""
-    memo: dict = {}
-
-    def at(x: np.ndarray):
-        key = x.tobytes()
-        val = memo.get(key)
-        if val is None:
-            val = memo[key] = fn(x)
-        return val
-
-    return at
-
-
-def slices(field_xphi) -> Callable[[np.ndarray], AngleField]:
-    """x -> the angle field field_xphi(x, .), memoized per exact base point."""
-    return point_memo(lambda x: AngleField(lambda p: field_xphi(x, p)))
 
 
 def _rel_max(lhs, rhs) -> float:

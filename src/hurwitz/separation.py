@@ -29,15 +29,12 @@ import numpy as np
 from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
-    AngleField,
     DiffStrategy,
     OscillatorParams,
     casimir,
     coupled_q,
     first_derivative,
     momentum,
-    point_memo,
-    slices,
 )
 from .transform import AngleCase, EulerAngles, RPoint
 
@@ -94,10 +91,16 @@ def _d_terms(J: int, q: int, p: int) -> tuple[float, tuple]:
     return pref, tuple(terms)
 
 
-def wigner_d(J: int, q: int, p: int, beta: float) -> float:
-    """Small rotation-matrix element d^J_{q,p}(beta) (real convention)."""
+def wigner_d(J: int, q: int, p: int, beta):
+    """Small rotation-matrix element d^J_{q,p}(beta) (real convention).
+
+    ``beta`` is a float or an array of angles (elementwise values).
+    """
     pref, terms = _d_terms(J, q, p)
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    if isinstance(beta, np.ndarray):
+        c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    else:
+        c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     total = 0.0
     for coef, a, b in terms:
         total += coef * c**a * s**b
@@ -120,7 +123,7 @@ def wigner_d_prime(J: int, q: int, p: int, beta: float) -> float:
 
 
 def wigner(J: int, q: int, p: int, phi: EulerAngles) -> complex:
-    """Angular basis element phi^J_{q,p} at the given angles."""
+    """Angular basis element phi^J_{q,p} at the given angles (or batch)."""
     return (
         np.exp(1j * q * phi.phi2)
         * wigner_d(J, q, p, phi.phi3)
@@ -365,28 +368,24 @@ def consistency_residual(
     sel = resolve_branch(branch)
     dn = d.nested()
     rng = np.random.default_rng(7)
-    angles = [
-        EulerAngles(
+    drawn = [
+        (
             rng.uniform(0, 2 * math.pi),
             rng.uniform(0, 2 * math.pi),
             rng.uniform(0.5, math.pi - 0.5),
         )
         for _ in range(n_angles)
     ]
+    angles = EulerAngles(*np.array(drawn).T)  # one batch of n_angles angles
     params = OscillatorParams.from_omega(1.0)
     coulomb = params.Z / r0 + params.E
-    # psi and the closed potential at each displaced base point, shared by
-    # the five axes; d psi along the axis is shared per axis
-    psi = point_memo(test_psi)
-    potential = point_memo(lambda y: a_field_closed(y, case).A)
+    potential = lambda ys: a_field_closed(ys, case).A
     A0 = potential(xv)
+    psi0 = test_psi(xv)
 
-    # the basis elements phi^J_{q,p} at one angle, shared by the five axes
-    basis = AngleField(
-        lambda ang: [wigner(J, i - J, p, ang) for i in range(2 * J + 1)]
-    )
+    def basis(ang: EulerAngles) -> np.ndarray:
+        return np.array([wigner(J, i - J, p, ang) for i in range(2 * J + 1)])
 
-    psi0 = psi(xv)
     residuals = []
     for lam in range(5):
         e = np.zeros(5)
@@ -395,40 +394,41 @@ def consistency_residual(
         g = coefficients(J, col, -a_vec[lam])
         if g.ndim == 2:
             g = _fix_phase(g[:, 0].copy())
-        dpsi = point_memo(
-            lambda y: first_derivative(
-                lambda t: psi(y + t * e), dn.step
-            )
-        )
 
+        def G(ang: EulerAngles) -> np.ndarray:
+            return sum(gi * b for gi, b in zip(g, basis(ang)))
+
+        def dpsi(y: np.ndarray) -> float:
+            return first_derivative(lambda t: test_psi(y + t * e), dn.step)
+
+        def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
+            # P_lam (Psi G) on a stack of base points; test_psi takes one
+            # base point, so each point is its own call
+            q = coupled_q(potential(ys)[:, lam], G, ang, dn)
+            psi = np.array([test_psi(y) for y in ys]).reshape((-1,) + (1,) * (q.ndim - 1))
+            return -1j * np.multiply.outer([dpsi(y) for y in ys], G(ang)) + psi * q
+
+        outer = momentum(lam, inner, potential, xv[None], angles, dn)[0]
+        qsq = casimir("Q", G, angles, dn)
+        g0 = G(angles)
+
+        # the reduced radial operator on Psi, by scalar stencils
         def a_at(y: np.ndarray) -> float:
             # the branch eigenvalue re-evaluated at a displaced base point
             return sel(J, lam) * float(np.linalg.norm(potential(y)[lam]))
 
         def chi(y: np.ndarray) -> complex:
-            return -1j * dpsi(y) - a_at(y) * psi(y)
+            return -1j * dpsi(y) - a_at(y) * test_psi(y)
 
         dchi = first_derivative(lambda t: chi(xv + t * e), dn.step)
         reduced = -1j * dchi - a_at(xv) * chi(xv)
 
-        for ph in angles:
-            # the angle memos serve one (axis, angle) pair; nothing repeats
-            # across pairs, so they are dropped after it
-            G = AngleField(lambda ang: sum(gi * b for gi, b in zip(g, basis(ang))))
-
-            def inner(y: np.ndarray, ang: EulerAngles) -> complex:
-                q = coupled_q(potential(y)[lam], G, ang, dn)
-                return -1j * dpsi(y) * G(ang) + psi(y) * q
-
-            outer = momentum(lam, slices(inner), potential, xv, ph, dn)
-            qsq = casimir("Q", G, ph, dn)
-            g0 = G(ph)
-            # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
-            # terms rides along with each axis; summed over the five axes this
-            # is exactly "transformed operator minus reduced operator"
-            lhs = 0.5 * outer + (qsq / (2.0 * r0 * r0) - coulomb * g0) * psi0 / 5.0
-            rhs = g0 * (0.5 * reduced + (centrifugal - coulomb) * psi0 / 5.0)
-            residuals.append(abs(lhs - rhs))
+        # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
+        # terms rides along with each axis; summed over the five axes this
+        # is exactly "transformed operator minus reduced operator"
+        lhs = 0.5 * outer + (qsq / (2.0 * r0 * r0) - coulomb * g0) * psi0 / 5.0
+        rhs = g0 * (0.5 * reduced + (centrifugal - coulomb) * psi0 / 5.0)
+        residuals.append(np.abs(lhs - rhs))
     # np.max keeps a NaN residual (the builtin max would drop it after a
     # finite one) and picks the same float as max on finite values
     return float(np.max(residuals, initial=0.0))

@@ -61,7 +61,11 @@ class RPoint:
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """Fiber coordinates: phi1, phi2 in [0, 2pi), phi3 in [0, pi]."""
+    """Fiber coordinates: phi1, phi2 in [0, 2pi), phi3 in [0, pi].
+
+    The three attributes are floats, or arrays of one shape for a batch of
+    angles (the finite-difference engine evaluates its stencils that way).
+    """
 
     phi1: float
     phi2: float
@@ -69,12 +73,6 @@ class EulerAngles:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.phi1, self.phi2, self.phi3])
-
-    def shifted(self, k: int, dt: float) -> "EulerAngles":
-        """New angles with component k (0-based) displaced by dt, unwrapped."""
-        vals = [self.phi1, self.phi2, self.phi3]
-        vals[k] += dt
-        return EulerAngles(*vals)
 
 
 OffsetTriple = tuple[

@@ -37,9 +37,48 @@ def test_config_validation():
         {"samples": "10"}, {"seed": 1.5}, {"J_max": True}, {"fd_step": "1e-5"},
         {"cases": "AB"}, {"tolerances": ["norm_identity"]},
         {"tolerances": {"norm_identity": None}}, {"cases": ("A", "A")},
+        {"tolerances": {"norm_identiy": 1e-30}},
+        {"tolerances": {"radial_duality": math.nan}},
+        {"tolerances": {"radial_duality": math.inf}},
+        {"tolerances": {"radial_duality": -1e-6}},
+        {"tolerances": {"radial_duality": 10**400}},
+        # registry ids that write their records under other ids
+        {"tolerances": {"gauge_properties_A": 1e-12}},
+        {"tolerances": {"fiber_roundtrip_A": 1e-10}},
+        # a record id of a case the config leaves out
+        {"cases": ("A",), "tolerances": {"laplacian_split_B": 1e-4}},
+        {"J_max": 0}, {"J_max": 1},
+        {"samples": harness.MAX_SAMPLES + 1},
     ):
         with pytest.raises(ConfigInvalid):
             SuiteConfig(**bad).validate()
+
+
+def test_config_accepts_record_ids_and_the_sample_cap():
+    SuiteConfig(
+        samples=harness.MAX_SAMPLES,
+        J_max=2,
+        tolerances={
+            "fiber_roundtrip": 1e-9, "section_identity": 1e-9,
+            "gauge_transversality_B": 1e-11, "gauge_normalization_A": 1e-11,
+            "separation_consistency_J1": 1e-2, "fd_convergence_order": 7.0,
+            "norm_identity": 0.0,
+        },
+    ).validate()
+
+
+def test_declared_record_ids_match_the_report():
+    cfg = SuiteConfig(samples=10)
+    rows = [r for r in harness._registry(cfg)
+            if r[0] in ("fiber_roundtrip_B", "section_identity_A", "gauge_properties_B",
+                        "norm_identity", "laplacian_split_A")]
+    declared = [rid for row in rows for rid in harness._record_ids(row)]
+    rep = run_suite(cfg, only=[r[0] for r in rows])
+    assert declared == [
+        "norm_identity", "section_identity", "fiber_roundtrip", "laplacian_split_A",
+        "gauge_transversality_B", "gauge_normalization_B",
+    ]
+    assert [c.check_id for c in rep.checks] == declared
 
 
 def test_run_suite_subset_passes():
@@ -122,6 +161,52 @@ def test_nan_residual_after_the_first_sample_fails(
     assert math.isnan(r.max_residual)
 
 
+def _nan_at_one_point(make_field, k):
+    """``make_field`` whose k-th field (1-based) turns one value of its
+    first stencil batch into NaN: a single stencil point of one sample."""
+    made = [0]
+
+    def make(*args, **kwargs):
+        field = make_field(*args, **kwargs)
+        made[0] += 1
+        if made[0] != k:
+            return field
+        hit = [False]
+
+        def poisoned(*fargs):
+            out = np.array(field(*fargs), dtype=complex)
+            if out.size > 1 and not hit[0]:
+                hit[0] = True
+                out.flat[out.size // 3] = math.nan
+            return out
+
+        return poisoned
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "name, check, kwargs",
+    [
+        ("_angle_poly", harness.check_rotor_closure, {"family": "Q"}),
+        ("_angle_poly", harness.check_casimir, {}),
+        ("_xphi_field", harness._identity_check,
+         {"case": harness.CASE_B, "which": "laplacian_split",
+          "check_id": "laplacian_split"}),
+        ("_xphi_field", harness._identity_check,
+         {"case": harness.CASE_A, "which": "momentum_equivalence",
+          "check_id": "momentum_equivalence"}),
+    ],
+    ids=["rotor_closure_Q", "casimir_equality", "laplacian_split_B",
+         "momentum_equivalence_A"],
+)
+def test_nan_at_one_stencil_point_fails_the_check(monkeypatch, name, check, kwargs):
+    monkeypatch.setattr(harness, name, _nan_at_one_point(getattr(harness, name), 2))
+    r = check(SuiteConfig(), np.random.default_rng(3), **kwargs)
+    assert r.passed is False
+    assert math.isnan(r.max_residual)
+
+
 def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
     real = harness.sample_x
     calls = [0]
@@ -139,14 +224,34 @@ def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
 
 
 def test_check_that_evaluates_no_sample_fails():
-    # J_max = 0 leaves the spin >= 1 and spin >= 2 loops of these checks empty
-    rep = run_suite(SuiteConfig(J_max=0), only=["bisection", "angular_factor_eigen_A"])
-    ids = [c.check_id for c in rep.checks]
+    # J_max = 0 leaves the spin >= 1 and spin >= 2 loops of these checks
+    # empty; validate() rejects it, so the checks are called directly
+    cfg = SuiteConfig(J_max=0)
+    rng = np.random.default_rng(0)
+    checks = [
+        harness.check_bisection_oracle(cfg, rng),
+        harness.check_angular_factor(cfg, rng, harness.CASE_A),
+    ]
+    ids = [c.check_id for c in checks]
     assert ids == ["bisection_cross_check", "angular_factor_eigen_A"]
-    for c in rep.checks:
+    for c in checks:
         assert c.n_samples == 0 and not c.passed
         assert c.detail == "no sample evaluated"
-    assert not rep.passed
+    assert not all(c.passed for c in checks)
+
+
+def test_consistency_check_draws_only_configured_cases(monkeypatch):
+    real = harness.sample_x
+    seen = []
+
+    def sample_x(rng, case, *args, **kwargs):
+        seen.append(case.tag)
+        return real(rng, case, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_x", sample_x)
+    r = harness.check_consistency(SuiteConfig(cases=("B",)), np.random.default_rng(4), J=0)
+    assert seen == ["B"] * 20
+    assert r.n_samples == 20 and r.passed
 
 
 class _BoundedRng:
@@ -454,11 +559,17 @@ def test_cli_verify_rejects_bad_config(tmp_path):
         {"tolerances": {"norm_identity": None}},
         {"exclusion_eps": 0.9},
         {"cases": ["A", "A"]},
+        {"tolerances": {"norm_identiy": 1e-30}},
+        {"tolerances": {"radial_duality": math.nan}},
+        {"tolerances": {"radial_duality": -1.0}},
+        {"J_max": 1},
+        {"samples": 10**9},
         [1, 2],
         5,
     ],
     ids=["samples_str", "cases_int", "tolerance_null", "infeasible_eps",
-         "repeated_case", "array", "number"],
+         "repeated_case", "tolerance_unknown_id", "tolerance_nan",
+         "tolerance_negative", "j_max_one", "samples_above_cap", "array", "number"],
 )
 def test_cli_verify_rejects_config_before_sampling(
     tmp_path, monkeypatch, capsys, settings

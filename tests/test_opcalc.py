@@ -5,8 +5,6 @@ import pytest
 
 from hurwitz.errors import PolarSingularity
 from hurwitz.opcalc import (
-    EULER_OPS,
-    AngleField,
     DiffStrategy,
     OscillatorParams,
     apply_euler_op,
@@ -18,9 +16,9 @@ from hurwitz.opcalc import (
     first_derivative,
     identity_residual,
     momentum,
+    on_points,
     oscillator_apply,
     radial_duality_residual,
-    slices,
     xi_laplacian,
 )
 from hurwitz.gauge import a_field_closed
@@ -55,7 +53,9 @@ def trig_field():
 
     def g(phi):
         v = phi.as_array()
-        return 1.0 + sum(c[j] * math.cos(float(n[j] @ v) + delta[j]) for j in range(3))
+        return 1.0 + sum(
+            c[j] * np.cos(np.tensordot(n[j], v, 1) + delta[j]) for j in range(3)
+        )
 
     return g
 
@@ -142,66 +142,6 @@ def test_shared_casimir_on_basis_elements():
         assert casimir_residual(f, random_angles(), D3) < 1e-4
 
 
-# --- memoized angle fields -------------------------------------------------------
-
-GENERATORS = ("T1", "T2", "T3", "Q1", "Q2", "Q3")
-
-
-def counting_field():
-    calls = [0]
-    f = trig_field()
-
-    def g(phi):
-        calls[0] += 1
-        return f(phi)
-
-    return g, calls
-
-
-def test_shared_field_matches_unshared_stencils_exactly():
-    for _ in range(5):
-        f = trig_field()
-        phi = random_angles()
-        shared = AngleField(f)
-        for which in GENERATORS:
-            # reference: one fresh stencil per nonzero coefficient
-            want = 0.0 + 0.0j
-            for k, c in enumerate(EULER_OPS[which](phi)):
-                if c != 0.0:
-                    want += c * first_derivative(
-                        lambda t: f(phi.shifted(k, t)), D3.step
-                    )
-            assert apply_euler_op(which, shared, phi, D3) == want
-            assert apply_euler_op(which, f, phi, D3) == want
-
-
-def test_right_generators_share_three_derivatives():
-    f, calls = counting_field()
-    phi = random_angles()
-    for which in ("Q1", "Q2", "Q3"):
-        apply_euler_op(which, f, phi, D3)
-    assert calls[0] == 28
-    f, calls = counting_field()
-    shared = AngleField(f)
-    for which in ("Q1", "Q2", "Q3"):
-        apply_euler_op(which, shared, phi, D3)
-    assert calls[0] == 12
-    for which in ("T1", "T2", "T3"):
-        apply_euler_op(which, shared, phi, D3)
-    assert calls[0] == 12
-
-
-def test_casimir_evaluation_count():
-    # dyadic angles and step keep every shifted stencil point exact, so the
-    # count is the number of distinct points two nested stencils reach:
-    # 3 axis pairs x 16 off-axis points + 3 axes x 8 on-axis points + centre
-    f, calls = counting_field()
-    phi = EulerAngles(0.75, 2.125, 1.25)
-    h = 2.0**-10
-    casimir_residual(f, phi, DiffStrategy(step=h, step2=h))
-    assert calls[0] == 73
-
-
 # --- the shared operators against hand-written stencil sums ---------------------
 
 def test_casimir_matches_nested_unshared_applications_exactly():
@@ -215,7 +155,6 @@ def test_casimir_matches_nested_unshared_applications_exactly():
                 for w in (f"{family}1", f"{family}2", f"{family}3")
             )
             assert casimir(family, f, phi, D3) == want
-            assert casimir(family, AngleField(f), phi, D3) == want
 
 
 def test_coupled_q_matches_unshared_applications_exactly():
@@ -226,7 +165,7 @@ def test_coupled_q_matches_unshared_applications_exactly():
         want = sum(
             row[k] * apply_euler_op(f"Q{k + 1}", f, phi, D3) for k in range(3)
         )
-        assert coupled_q(row, AngleField(f), phi, D3) == want
+        assert coupled_q(row, f, phi, D3) == want
 
 
 def test_momentum_matches_hand_written_stencils_exactly():
@@ -234,7 +173,6 @@ def test_momentum_matches_hand_written_stencils_exactly():
     potential = lambda y: a_field_closed(y, CASE_A).A
     phi = random_angles()
     for f in (field_gaussian, field_poly):
-        base = slices(f)
         for lam in range(5):
             e = np.zeros(5)
             e[lam] = 1.0
@@ -244,7 +182,134 @@ def test_momentum_matches_hand_written_stencils_exactly():
                 * apply_euler_op(f"Q{k + 1}", lambda p: f(x, p), phi, D)
                 for k in range(3)
             )
-            assert momentum(lam, base, potential, x, phi, D) == -1j * der + q
+            got = momentum(lam, on_points(f), potential, x[None], phi, D)
+            assert got.shape == (1,)
+            assert got[0] == -1j * der + q
+
+
+# --- the batched engine against scalar stencils ----------------------------------
+# The reference is the scalar route: one first_derivative per angle and
+# point, with the generator coefficients written out at scalar angles.
+# Nested stencils at step 1e-3 amplify roundoff by ~1e6, hence 1e-9 there.
+
+FIRST_ORDER_BOUND = 1e-11
+NESTED_BOUND = 1e-9
+GENERATORS = ("T1", "T2", "T3", "Q1", "Q2", "Q3")
+
+
+def _scalar_coefficients(phi, which):
+    c1, s1 = math.cos(phi.phi1), math.sin(phi.phi1)
+    c2, s2 = math.cos(phi.phi2), math.sin(phi.phi2)
+    c3, s3 = math.cos(phi.phi3), math.sin(phi.phi3)
+    return {
+        "T1": (-1j, 0.0, 0.0),
+        "T2": (-1j * c1 * c3 / s3, 1j * c1 / s3, -1j * s1),
+        "T3": (-1j * s1 * c3 / s3, 1j * s1 / s3, 1j * c1),
+        "Q1": (0.0, -1j, 0.0),
+        "Q2": (-1j * c2 / s3, 1j * c2 * c3 / s3, 1j * s2),
+        "Q3": (-1j * s2 / s3, 1j * s2 * c3 / s3, -1j * c2),
+    }[which]
+
+
+def _shifted(phi, k, t):
+    v = [phi.phi1, phi.phi2, phi.phi3]
+    v[k] += t
+    return EulerAngles(*v)
+
+
+def scalar_op(which, f, h):
+    """The generator ``which`` applied to f, as a field of scalar angles."""
+
+    def g(phi):
+        return sum(
+            c * first_derivative(lambda t, k=k: f(_shifted(phi, k, t)), h)
+            for k, c in enumerate(_scalar_coefficients(phi, which))
+        )
+
+    return g
+
+
+def test_apply_euler_op_matches_scalar_stencils():
+    for _ in range(3):
+        f = trig_field()
+        phis = [random_angles() for _ in range(4)]
+        batch = EulerAngles(*(np.array(v) for v in zip(*(p.as_array() for p in phis))))
+        for which in GENERATORS:
+            want = np.array([scalar_op(which, f, D3.step)(p) for p in phis])
+            got = apply_euler_op(which, f, batch, D3)
+            assert got.shape == (4,)
+            assert np.abs(got - want).max() < FIRST_ORDER_BOUND
+            assert abs(apply_euler_op(which, f, phis[0], D3) - want[0]) < FIRST_ORDER_BOUND
+
+
+def test_casimir_matches_scalar_nested_stencils():
+    for _ in range(3):
+        f = trig_field()
+        phi = random_angles()
+        for family in ("T", "Q"):
+            want = sum(
+                scalar_op(w, scalar_op(w, f, D3.step), D3.step)(phi)
+                for w in (f"{family}1", f"{family}2", f"{family}3")
+            )
+            assert abs(casimir(family, f, phi, D3) - want) < NESTED_BOUND
+
+
+def test_coupled_q_matches_scalar_stencils():
+    for _ in range(3):
+        f = trig_field()
+        phi = random_angles()
+        row = rng.uniform(-1.0, 1.0, 3)
+        want = sum(row[k] * scalar_op(f"Q{k + 1}", f, D3.step)(phi) for k in range(3))
+        assert abs(coupled_q(row, f, phi, D3) - want) < FIRST_ORDER_BOUND
+
+
+def test_momentum_matches_scalar_stencils():
+    xs = np.array([[0.4, -0.7, 0.2, 0.5, 0.3], [-0.3, 0.6, 0.9, -0.2, 0.1]])
+    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    phi = random_angles()
+    for f in (field_gaussian, field_poly):
+        got = np.array(
+            [momentum(lam, on_points(f), potential, xs, phi, D3) for lam in range(5)]
+        )
+        assert got.shape == (5, 2)
+        for i, x in enumerate(xs):
+            A = a_field_closed(x, CASE_A).A
+            for lam in range(5):
+                e = np.eye(5)[lam]
+                der = first_derivative(lambda t: f(x + t * e, phi), D3.step)
+                q = sum(
+                    A[lam, k] * scalar_op(f"Q{k + 1}", lambda p: f(x, p), D3.step)(phi)
+                    for k in range(3)
+                )
+                assert abs(got[lam, i] - (-1j * der + q)) < FIRST_ORDER_BOUND
+
+
+def test_nested_momentum_matches_scalar_stencils():
+    # P_lam P_lam f, the operator of laplacian_split, against nested scalar stencils
+    x = np.array([0.4, -0.7, 0.2, 0.5, 0.3])
+    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    phi = random_angles()
+    f = on_points(field_gaussian)
+
+    def scalar_p(lam, g):
+        # P_lam of a scalar field g(y, angles), as a scalar field
+        e = np.eye(5)[lam]
+
+        def pg(y, p):
+            der = first_derivative(lambda t: g(y + t * e, p), D3.step)
+            A = a_field_closed(y, CASE_A).A
+            return -1j * der + sum(
+                A[lam, k] * scalar_op(f"Q{k + 1}", lambda pp: g(y, pp), D3.step)(p)
+                for k in range(3)
+            )
+
+        return pg
+
+    for lam in (0, 4):
+        inner = lambda ys, ang: momentum(lam, f, potential, ys, ang, D3)
+        got = momentum(lam, inner, potential, x[None], phi, D3)[0]
+        want = scalar_p(lam, scalar_p(lam, field_gaussian))(x, phi)
+        assert abs(got - want) < NESTED_BOUND
 
 
 # --- cross-picture identities ---------------------------------------------------
@@ -280,13 +345,13 @@ def field_gaussian(x, phi):
     return (
         math.exp(-0.35 * float(x @ x))
         * (1 + 0.2 * x[0] - 0.1 * x[3])
-        * (1 + 0.4 * math.cos(phi.phi1 + phi.phi2) + 0.3 * math.sin(phi.phi2 - phi.phi3))
+        * (1 + 0.4 * np.cos(phi.phi1 + phi.phi2) + 0.3 * np.sin(phi.phi2 - phi.phi3))
     )
 
 
 def field_poly(x, phi):
     return (1 + 0.3 * x[1] - 0.2 * x[4] + 0.1 * x[0] * x[2]) * (
-        1 + 0.5 * math.cos(phi.phi1) + 0.2 * math.sin(2 * phi.phi2 + phi.phi3)
+        1 + 0.5 * np.cos(phi.phi1) + 0.2 * np.sin(2 * phi.phi2 + phi.phi3)
     )
 
 

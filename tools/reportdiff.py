@@ -1,0 +1,125 @@
+"""Compare two ``hurwitz verify --json`` reports record by record.
+
+    python3 tools/reportdiff.py OLD NEW [--exact] [--bound 0.5]
+
+The default (drift) mode passes when
+
+* both reports hold the same records (check id and case) in the same order,
+  with equal ``n_samples`` and equal verdicts;
+* every record whose residual is exactly 0.0 in OLD is exactly 0.0 in NEW;
+* every record's tolerance headroom moves by at most ``--bound`` decades.
+  Headroom is log10(tolerance / residual), or log10(value / tolerance) for
+  a convergence ratio, capped at +-6 decades so that residuals far below
+  their tolerance (say 1e-17 against 1e-4) do not read as drift.
+
+``--exact`` passes only when the two reports are equal apart from their
+``generated_at`` and ``environment`` fields (equal sha256 digests).  Both
+modes print the two digests and a table of the records.  Exit code 0 on
+pass, 1 on fail, 2 when a file cannot be read as a report.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from hurwitz.harness import RATIO_CHECKS  # noqa: E402
+
+HEADROOM_CAP = 6.0
+
+
+def headroom(value: float, tol: float, ratio: bool) -> float:
+    """Decades between a residual and its tolerance, capped at +-6."""
+    if not math.isfinite(value):
+        return -HEADROOM_CAP
+    if ratio:
+        h = math.log10(value / tol) if value > 0 else -HEADROOM_CAP
+    else:
+        h = math.log10(tol / value) if value > 0 else HEADROOM_CAP
+    return max(-HEADROOM_CAP, min(HEADROOM_CAP, h))
+
+
+def digest(report: dict) -> str:
+    """sha256 of the report without its timestamp and environment."""
+    stable = {k: v for k, v in report.items() if k not in ("generated_at", "environment")}
+    return hashlib.sha256(json.dumps(stable, sort_keys=True).encode()).hexdigest()
+
+
+def _label(rec: dict) -> str:
+    return f"{rec['check_id']}[{rec['case']}]"
+
+
+def _head(rec: dict) -> float:
+    ratio = rec["check_id"] in RATIO_CHECKS
+    return headroom(rec["max_residual"], rec["tolerance"], ratio)
+
+
+def drift_problems(old: dict, new: dict, bound: float) -> tuple[list[str], list[str]]:
+    """(table lines, problems) of the drift comparison."""
+    olds, news = old["checks"], new["checks"]
+    old_ids, new_ids = [_label(r) for r in olds], [_label(r) for r in news]
+    if old_ids != new_ids:
+        gone = [i for i in old_ids if i not in new_ids]
+        added = [i for i in new_ids if i not in old_ids]
+        return [], [f"records differ in ids or order: only in OLD {gone}, only in NEW {added}"]
+    lines = [f"{'record':<40} {'old':>11} {'new':>11} {'h_old':>6} {'h_new':>6} {'dh':>6}"]
+    problems = []
+    for o, n in zip(olds, news):
+        label = _label(o)
+        h_old, h_new = _head(o), _head(n)
+        lines.append(
+            f"{label:<40} {o['max_residual']:>11.3e} {n['max_residual']:>11.3e} "
+            f"{h_old:>6.2f} {h_new:>6.2f} {h_new - h_old:>+6.2f}"
+        )
+        if o["n_samples"] != n["n_samples"]:
+            problems.append(f"{label}: n_samples {o['n_samples']} -> {n['n_samples']}")
+        if o["passed"] != n["passed"]:
+            problems.append(f"{label}: verdict {o['passed']} -> {n['passed']}")
+        if o["max_residual"] == 0.0 and n["max_residual"] != 0.0:
+            problems.append(f"{label}: exact 0.0 became {n['max_residual']!r}")
+        if abs(h_new - h_old) > bound:
+            problems.append(f"{label}: headroom moved {h_new - h_old:+.2f} decades")
+    return lines, problems
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="compare two hurwitz verify reports")
+    ap.add_argument("old")
+    ap.add_argument("new")
+    ap.add_argument("--exact", action="store_true",
+                    help="require equal reports apart from timestamp and environment")
+    ap.add_argument("--bound", type=float, default=0.5,
+                    help="largest allowed headroom change per record, in decades")
+    args = ap.parse_args(argv)
+    try:
+        reports = []
+        for path in (args.old, args.new):
+            with open(path) as fh:
+                reports.append(json.load(fh))
+        old, new = reports
+        digests = [digest(r) for r in reports]
+        lines, problems = drift_problems(old, new, args.bound)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"old sha256 {digests[0]}")
+    print(f"new sha256 {digests[1]}")
+    print("\n".join(lines))
+    if args.exact and digests[0] != digests[1]:
+        problems.append("reports differ (--exact)")
+    for p in problems:
+        print(f"FAIL  {p}")
+    mode = "exact" if args.exact else f"drift bound {args.bound} decades"
+    print(f"{'FAIL' if problems else 'PASS'}  {mode} ({len(problems)} problems)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
