@@ -83,14 +83,11 @@ def b_functions(xi, case: AngleCase, d: DiffStrategy) -> BFunctions:
     xi = np.asarray(xi, dtype=complex)
     D, Dbar = fiber_phase_gradients(xi, case, d)
     w = GAMMA.gamma_tilde @ xi
-    wc = np.conj(w)
-    z = np.array([w @ Dbar[k] + wc @ D[k] for k in range(3)])
-    half = -0.5 * z
-    bp = half.real.copy()
+    wbar, wcd = Dbar @ w, D @ np.conj(w)
+    bp = (-0.5 * (wbar + wcd)).real
     # The minus component carries the antisymmetric half of the same
     # contraction: (i/2)(w.Dbar - wc.D).
-    zm = np.array([w @ Dbar[k] - wc @ D[k] for k in range(3)])
-    bm = (0.5j * zm).real.copy()
+    bm = (0.5j * (wbar - wcd)).real
     return BFunctions(bp, bm)
 
 

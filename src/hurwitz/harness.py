@@ -84,7 +84,8 @@ class SuiteConfig:
             raise ConfigInvalid("seed must be non-negative")
         if not 0 < self.samples <= MAX_SAMPLES:
             raise ConfigInvalid(f"samples must lie in 1..{MAX_SAMPLES}")
-        if not 0.0 < self.fd_step < math.inf:
+        # the upper bound also rejects integers too large for a float
+        if not 0.0 < self.fd_step <= sys.float_info.max:
             raise ConfigInvalid("fd_step must be positive and finite")
         # min(|a|, |b|) <= |xi| / sqrt(2), so no draw clears a larger exclusion
         if not 0.0 < self.exclusion_eps < 1.0 / math.sqrt(2.0):
@@ -241,22 +242,25 @@ def _angle_poly(rng: np.random.Generator):
 
 
 def _xphi_field(rng: np.random.Generator, kind: str):
-    """A separable base-times-angle field; periodic in phi1/phi2."""
+    """A separable base-times-angle field over stacks (x B + (5,), angles S,
+    values broadcast(B, S)); periodic in phi1/phi2."""
     coeff = rng.uniform(-0.3, 0.3, size=5)
     ang = _angle_poly(rng)
     if kind == "gaussian":
-        def f(x: np.ndarray, phi: EulerAngles) -> complex:
-            return math.exp(-0.35 * float(x @ x)) * (1.0 + float(coeff @ x)) * ang(phi)
+        def f(x: np.ndarray, phi: EulerAngles) -> np.ndarray:
+            gauss = np.exp(-0.35 * np.vecdot(x, x))
+            return gauss * (1.0 + np.vecdot(x, coeff)) * ang(phi)
     else:
-        def f(x: np.ndarray, phi: EulerAngles) -> complex:
-            return (1.0 + float(coeff @ x) + 0.1 * x[0] * x[4]) * ang(phi)
+        def f(x: np.ndarray, phi: EulerAngles) -> np.ndarray:
+            return (1.0 + np.vecdot(x, coeff) + 0.1 * x[..., 0] * x[..., 4]) * ang(phi)
     return f
 
 
+# offsets of the invariant products m of a stack, B + (4, 4) -> B
 _TEST_OFFSETS = (
-    lambda m: 0.3 * math.sin(m[0, 0].real - m[1, 1].real),
-    lambda m: 0.2 * math.cos(m[2, 2].real + 0.5 * m[3, 3].real),
-    lambda m: 0.25 * math.sin(m[0, 1].real + m[2, 3].imag),
+    lambda m: 0.3 * np.sin(m[..., 0, 0].real - m[..., 1, 1].real),
+    lambda m: 0.2 * np.cos(m[..., 2, 2].real + 0.5 * m[..., 3, 3].real),
+    lambda m: 0.25 * np.sin(m[..., 0, 1].real + m[..., 2, 3].imag),
 )
 
 
@@ -760,7 +764,7 @@ def check_oscillator(cfg, rng):
         d = cfg.strategy()
         for omega in (0.5, 1.0, 2.0):
             p = OscillatorParams.from_omega(omega)
-            field = lambda z: np.exp(-omega * float(np.real(z @ z.conj())))
+            field = lambda z: np.exp(-omega * np.vecdot(z, z).real)
             for _ in range(8):
                 xi = sample_xi(rng, CASE_A, 0.0, scale=1.0)
                 got = opcalc.oscillator_apply(p, field, xi, d)
@@ -783,9 +787,10 @@ def check_radial_duality(cfg, rng):
 
 
 def _radial_fields():
+    """Two radial fields over stacks of base points, B + (5,) -> B."""
     return [
-        lambda y: math.exp(-float(np.linalg.norm(y))),
-        lambda y: math.exp(-0.4 * float(y @ y)),
+        lambda y: np.exp(-np.sqrt(np.vecdot(y, y))),
+        lambda y: np.exp(-0.4 * np.vecdot(y, y)),
     ]
 
 

@@ -11,16 +11,18 @@ convention throughout:
 
     d/dxi  = (d/dRe - i d/dIm) / 2,      d/dxi* = (d/dRe + i d/dIm) / 2.
 
-Fields over the angle chart are treated as functions on R^3 (finite
-differences displace angles without folding), so angle-periodic test
-fields are expected.  They take :class:`EulerAngles` whose attributes are
-floats or arrays of one batch shape S and return values of shape T + S
-(T is empty for a scalar field).  An operator calls its field once on all
-of its stencil points: the 12 displaced copies of each angle give the
-three angle derivatives, and a coefficient table turns them into all six
-generator images; a nested pair of generators is one call on 144 copies.
-Phase-type fiber functions are differentiated via their unit-modulus
-exponentials, which keeps every stencil away from branch cuts.
+Fields take stacks, with numpy broadcasting: a complex-space field maps xi
+B + (4,) to B + T, a field over (x, angles) maps x B + (5,) and
+:class:`EulerAngles` with attributes of shape S to broadcast(B, S), and a
+field over the angle chart maps angles S to T + S (T is empty for a scalar
+field; a constant may return a scalar).  An operator calls its field once
+on all of its stencil points: the 12 displaced copies of each angle give
+the three angle derivatives, which a coefficient table turns into all six
+generator images (a nested pair is one call on 144 copies); ``_stencil``
+displaces points along the 8 real directions of C^4 or the base axes.
+Angle fields are functions on R^3 (no folding), so angle-periodic test
+fields are expected.  Phase-type fiber functions are differentiated via
+their unit-modulus exponentials, which keeps stencils off branch cuts.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "casimir",
     "coupled_q",
     "momentum",
-    "on_points",
     "commutator_residual",
     "casimir_residual",
     "identity_residual",
@@ -113,76 +114,95 @@ def second_derivative(f: Callable[[float], complex], h: float) -> complex:
     ) / (12.0 * h * h)
 
 
+def _d1(fm2, fm1, fp1, fp2, h: float):
+    """:func:`first_derivative` (the reference) on arrays of the values at
+    -2h, -h, h, 2h."""
+    return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h)
+
+
+def _d2(fm2, fm1, f0, fp1, fp2, h: float):
+    """:func:`second_derivative` on arrays of the values at -2h .. 2h."""
+    return (-(fm2 + fp2) + 16.0 * (fm1 + fp1) - 30.0 * f0) / (12.0 * h * h)
+
+
+# stencil offsets in steps (first and second order) and the base-space axes
+_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_OFFSETS2 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+_AXES = np.eye(5)
+
+
+def _stencil(fn, pts, dirs, h: float, order: int = 1):
+    """Derivatives of ``fn`` of the given order at ``pts`` B + (n,) along each
+    row of ``dirs`` D + (n,), D + B + T, from one call of ``fn`` on the
+    displaced stack (offsets,) + D + B + (n,)."""
+    offsets = _OFFSETS if order == 1 else _OFFSETS2
+    steps = np.multiply.outer(offsets * h, dirs)
+    pad = (1,) * (np.ndim(pts) - 1)
+    ys = pts + steps.reshape(steps.shape[:-1] + pad + steps.shape[-1:])
+    v = fn(ys)
+    if np.ndim(v) < ys.ndim - 1:  # constant along the stencil (a constant field)
+        v = np.broadcast_to(v, ys.shape[:-1])
+    return (_d1 if order == 1 else _d2)(*v, h)
+
+
+# the 8 real directions of C^4: Re xi_1, Im xi_1, Re xi_2, ...
+_XI_DIRS = np.kron(np.eye(4), [[1.0], [1.0j]])
+
+
 def wirtinger_gradients(
-    field: Callable[[np.ndarray], complex], xi: np.ndarray, d: DiffStrategy
+    field: Callable[[np.ndarray], np.ndarray], xi: np.ndarray, d: DiffStrategy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Holomorphic and antiholomorphic gradients of a complex-space field."""
-    xi = np.asarray(xi, dtype=complex)
-    dholo = np.zeros(4, dtype=complex)
-    danti = np.zeros(4, dtype=complex)
-    for s in range(4):
-        e = np.zeros(4, dtype=complex)
-        e[s] = 1.0
-        g_re = first_derivative(lambda t: field(xi + t * e), d.step)
-        g_im = first_derivative(lambda t: field(xi + 1j * t * e), d.step)
-        dholo[s] = 0.5 * (g_re - 1j * g_im)
-        danti[s] = 0.5 * (g_re + 1j * g_im)
-    return dholo, danti
+    """Holomorphic and antiholomorphic gradients of a complex-space field,
+    each of shape B + T + (4,) for ``xi`` B + (4,) and a field output B + T;
+    one field call on the 32 displaced copies of every point."""
+    der = _stencil(field, np.asarray(xi, dtype=complex), _XI_DIRS, d.step)
+    g_re, g_im = der[0::2], der[1::2]
+    return (
+        np.moveaxis(0.5 * (g_re - 1j * g_im), 0, -1),
+        np.moveaxis(0.5 * (g_re + 1j * g_im), 0, -1),
+    )
 
 
 def xi_laplacian(
-    field: Callable[[np.ndarray], complex], xi: np.ndarray, d: DiffStrategy
-) -> complex:
-    """sum_s d^2 f / dxi_s dxi_s* via the 8 real second derivatives."""
-    xi = np.asarray(xi, dtype=complex)
-    total = 0.0 + 0.0j
-    for s in range(4):
-        e = np.zeros(4, dtype=complex)
-        e[s] = 1.0
-        total += second_derivative(lambda t: field(xi + t * e), d.step2)
-        total += second_derivative(lambda t: field(xi + 1j * t * e), d.step2)
-    return 0.25 * total
+    field: Callable[[np.ndarray], np.ndarray], xi: np.ndarray, d: DiffStrategy
+) -> np.ndarray:
+    """sum_s d^2 f / dxi_s dxi_s* via the 8 real second derivatives, B + T;
+    one field call on the 40 displaced copies of every point."""
+    der = _stencil(field, np.asarray(xi, dtype=complex), _XI_DIRS, d.step2, order=2)
+    # summed in direction order, as a running total
+    return 0.25 * sum(der)
 
 
 def fiber_phase_gradients(
     xi: np.ndarray, case: AngleCase, d: DiffStrategy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Wirtinger gradients of the three angle functions at a point.
+    """Wirtinger gradients of the three angle functions at a point or stack.
 
     Each angle f_k is differentiated through its unit-modulus exponential
     g_k = exp(i f_k), which is smooth wherever the fiber is non-degenerate:
-    grad f_k = -i (grad g_k) / g_k.  Returns (D, Dbar) of shape (3, 4) with
-    D[k, s] = df_k/dxi_s and Dbar[k, s] = df_k/dxi_s*.
+    grad f_k = -i (grad g_k) / g_k.  Returns (D, Dbar) of shape B + (3, 4)
+    for ``xi`` B + (4,), with D[..., k, s] = df_k/dxi_s and
+    Dbar[..., k, s] = df_k/dxi_s*.
     """
     xi = np.asarray(xi, dtype=complex)
     ia, ib = case.pair
-    offsets = case.offsets
 
-    def g_k(k: int) -> Callable[[np.ndarray], complex]:
-        def g(z: np.ndarray) -> complex:
-            a, b = z[ia], z[ib]
-            if k == 0:
-                val = (a / abs(a)) * (b / abs(b))
-            elif k == 1:
-                val = (a / abs(a)) * (np.conj(b) / abs(b))
-            else:
-                u, v = abs(a) ** 2, abs(b) ** 2
-                val = ((u - v) + 2j * math.sqrt(u * v)) / (u + v)
-            if offsets is not None:
-                val *= np.exp(1j * float(offsets[k](invariant_products(z))))
-            return val
+    def g(z: np.ndarray) -> np.ndarray:
+        # the three exponentials, B + (4,) -> B + (3,)
+        a, b = z[..., ia], z[..., ib]
+        ma, mb = np.abs(a), np.abs(b)
+        u, v = ma**2, mb**2
+        val = np.stack([(a / ma) * (b / mb), (a / ma) * (np.conj(b) / mb),
+                        ((u - v) + 2j * np.sqrt(u * v)) / (u + v)], axis=-1)
+        if case.offsets is not None:
+            m = invariant_products(z)
+            for k, offset in enumerate(case.offsets):
+                val[..., k] *= np.exp(1j * offset(m))
+        return val
 
-        return g
-
-    D = np.zeros((3, 4), dtype=complex)
-    Dbar = np.zeros((3, 4), dtype=complex)
-    for k in range(3):
-        g = g_k(k)
-        g0 = g(xi)
-        dh, da = wirtinger_gradients(g, xi, d)
-        D[k] = -1j * dh / g0
-        Dbar[k] = -1j * da / g0
-    return D, Dbar
+    dh, da = wirtinger_gradients(g, xi, d)
+    g0 = g(xi)[..., None]
+    return -1j * dh / g0, -1j * da / g0
 
 
 # --- rotor generators -------------------------------------------------------
@@ -234,16 +254,8 @@ def _coefficients(phi: EulerAngles) -> np.ndarray:
     return out
 
 
-def _d1(fm2, fm1, fp1, fp2, h: float):
-    """:func:`first_derivative` on arrays of the values at -2h, -h, h, 2h
-    (the scalar function stays the independent reference)."""
-    return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h)
-
-
 # _SHIFTS[j, k, o]: displacement of angle j at stencil offset o along axis k
-_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _SHIFTS = np.eye(3)[:, :, None] * _OFFSETS
-_AXES = np.eye(5)
 
 
 def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
@@ -254,14 +266,10 @@ def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
         np.add.outer(c, shifts[j]) for j, c in enumerate((phi.phi1, phi.phi2, phi.phi3))
     ))
     v = field(pts)
-    if np.ndim(v) == 0:  # a constant field
-        v = np.full(np.shape(pts.phi1), v)
-    return _last_first(_d1(v[..., 0], v[..., 1], v[..., 2], v[..., 3], h))
-
-
-def _last_first(a: np.ndarray) -> np.ndarray:
-    """``a`` with its last axis moved to the front."""
-    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+    if np.shape(v)[-2:] != (3, 4):  # a field constant in the angles
+        v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v), np.shape(pts.phi1)))
+    der = _d1(v[..., 0], v[..., 1], v[..., 2], v[..., 3], h)
+    return der.transpose((der.ndim - 1,) + tuple(range(der.ndim - 1)))
 
 
 def _images(field, phi: EulerAngles, h: float) -> np.ndarray:
@@ -311,31 +319,19 @@ def casimir(
 
 
 def coupled_q(row, field, phi: EulerAngles, d: DiffStrategy):
-    """(row[0] Q1 + row[1] Q2 + row[2] Q3) field at phi.
+    """(row[..., 0] Q1 + row[..., 1] Q2 + row[..., 2] Q3) field at phi.
 
-    ``row`` has shape R + (3,).  For a field of output T + S, R is () or T
-    (one row per leading index, e.g. per base point), giving T + S; for a
-    scalar field (T = ()) every row is applied to it, giving R + S.
+    ``row`` has shape R + (3,); for a field of output T + S the result has
+    the broadcast shape of R and T + S (one row per base point of a field
+    over (x, angles), say, or one row applied to a scalar field).
     """
     q = _images(field, phi, d.step)[3:]
-    row = _last_first(np.asarray(row))
-    if q.ndim == 1 + np.ndim(phi.phi1):  # a scalar field shared by the rows
-        q = q.reshape((3,) + (1,) * (row.ndim - 1) + q.shape[1:])
-    row = row.reshape(row.shape + (1,) * (q.ndim - row.ndim))
-    return (row * q).sum(axis=0)
-
-
-def _x_derivative(fn, xs: np.ndarray, lam: int, h: float) -> np.ndarray:
-    """d fn / dx_lam at every row of ``xs`` (m, 5), from one call of ``fn``
-    on the stack of the 4 m displaced rows; ``fn`` maps (n, 5) to (n,) + ..."""
-    ys = xs[:, None, :] + np.multiply.outer(_OFFSETS * h, _AXES[lam])
-    v = np.asarray(fn(ys.reshape(-1, 5)))
-    v = v.reshape((len(xs), 4) + v.shape[1:])
-    return _d1(v[:, 0], v[:, 1], v[:, 2], v[:, 3], h)
+    row = np.asarray(row)
+    return row[..., 0] * q[0] + row[..., 1] * q[1] + row[..., 2] * q[2]
 
 
 def momentum(
-    lam: int,
+    lam,
     field: Callable[[np.ndarray, EulerAngles], np.ndarray],
     potential: Callable[[np.ndarray], np.ndarray],
     xs: np.ndarray,
@@ -344,29 +340,19 @@ def momentum(
 ) -> np.ndarray:
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
-    ``xs`` is a stack of base points (m, 5).  ``field(ys, angles)`` maps a
-    stack of base points and an angle batch S to shape (m,) + S; it is
-    called once on the 4m displaced points and once on ``xs`` (over the
-    angle stencil).  ``potential(ys)`` gives the (m, 5, 3) potentials of a
-    stack and is called once, on ``xs``.  Returns (m,) + S.
+    ``lam`` is an axis or an array of axes L; ``xs`` has shape B + (5,) and
+    the angles shape S.  ``field(ys, angles)`` maps base points B' + (5,)
+    and angles S' to the broadcast shape of B' and S' (a field constant in
+    either broadcasts); it is called once on the displaced points of all
+    axes and once over the angle stencil.  ``potential(ys)`` gives the
+    B' + (5, 3) potentials and is called once.  Returns L + broadcast(B, S).
     """
-    der = _x_derivative(lambda ys: field(ys, phi), xs, lam, d.step)
-    row = potential(xs)[:, lam]
-    return -1j * der + coupled_q(row, lambda ang: field(xs, ang), phi, d)
-
-
-def on_points(field_xphi) -> Callable[[np.ndarray, EulerAngles], np.ndarray]:
-    """A field f(x, angles) of one base point as a field over stacks of base
-    points (see :func:`momentum`): one call per point, each on the whole
-    angle batch."""
-
-    def at(xs: np.ndarray, ang: EulerAngles) -> np.ndarray:
-        out = np.empty((len(xs),) + np.shape(ang.phi1), dtype=complex)
-        for i, y in enumerate(xs):
-            out[i] = field_xphi(y, ang)
-        return out
-
-    return at
+    batch = np.broadcast_shapes(np.shape(xs)[:-1], np.shape(phi.phi1))
+    xs = np.broadcast_to(xs, batch + (5,))
+    der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
+    row = np.moveaxis(potential(xs), -2, 0)[lam]
+    at = xs[..., None, None, :]  # against the angle stencil S + (3, 4)
+    return -1j * der + coupled_q(row, lambda ang: field(at, ang), phi, d)
 
 
 def commutator_residual(
@@ -405,23 +391,17 @@ def casimir_residual(
 def pullback(
     field_xphi: Callable[[np.ndarray, EulerAngles], complex], case: AngleCase
 ) -> Callable[[np.ndarray], complex]:
-    """Compose a base-space field with the map: xi -> f(x(xi), phi(xi)).
+    """Compose a base-space field with the map: xi -> f(x(xi), phi(xi)), a
+    complex-space field over stacks of xi.
 
     The composition is smooth only for fields 2pi-periodic in phi1/phi2
     (the angle chart wraps); all built-in test fields satisfy this.
     """
 
-    def g(xi: np.ndarray) -> complex:
-        pt = forward(xi)
-        return field_xphi(pt.x, extra_angles(xi, case))
+    def g(xi: np.ndarray) -> np.ndarray:
+        return field_xphi(forward(xi).x, extra_angles(xi, case))
 
     return g
-
-
-def _x_gradient(field, x, phi, lam, d: DiffStrategy) -> complex:
-    e = np.zeros(5)
-    e[lam] = 1.0
-    return first_derivative(lambda t: field(x + t * e, phi), d.step)
 
 
 def _big_d(xi, dh, da):
@@ -472,28 +452,24 @@ def identity_residual(
         dh, da = wirtinger_gradients(g, xi, d)
         lhs = 0.5 * _big_d(xi, dh, da)
         at = a_tilde(xi, case, d)
-        xgrad = np.array([_x_gradient(field, pt.x, phi, lam, d) for lam in range(5)])
+        xgrad = _stencil(lambda ys: field(ys, phi), pt.x, _AXES, d.step)
         pgrad = _angle_derivatives(lambda ang: field(pt.x, ang), phi, d.step)
         rhs = pt.r * (xgrad + at @ pgrad)
         return _rel_max(lhs, rhs)
 
     if which == "momentum_equivalence":
-        f = on_points(field)
-        lhs = np.array(
-            [momentum(lam, f, potential, pt.x[None], phi, d)[0] for lam in range(5)]
-        )
+        lhs = momentum(np.arange(5), field, potential, pt.x, phi, d)
         dh, da = wirtinger_gradients(g, xi, d)
         rhs = (-1j / (2.0 * pt.r)) * _big_d(xi, dh, da)
         return _rel_max(lhs, rhs)
 
     if which == "laplacian_split":
         dn = d.nested()
-        f = on_points(field)
 
         def p_squared(lam: int) -> complex:
             # the outer P_lam of P_lam f, itself a field over (x, angles)
-            inner = lambda ys, ang: momentum(lam, f, potential, ys, ang, dn)
-            return momentum(lam, inner, potential, pt.x[None], phi, dn)[0]
+            inner = lambda ys, ang: momentum(lam, field, potential, ys, ang, dn)
+            return momentum(lam, inner, potential, pt.x, phi, dn)
 
         p_sq = sum(p_squared(lam) for lam in range(5))
         lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
@@ -516,9 +492,10 @@ def oscillator_apply(
     xi: np.ndarray,
     d: DiffStrategy,
 ) -> complex:
-    """Apply the oscillator Hamiltonian -laplacian/2 + omega^2 |xi|^2 / 2."""
+    """Apply the oscillator Hamiltonian -laplacian/2 + omega^2 |xi|^2 / 2 at
+    ``xi`` B + (4,)."""
     xi = np.asarray(xi, dtype=complex)
-    r = float(np.real(xi @ xi.conj()))
+    r = np.vecdot(xi, xi).real
     return -0.5 * xi_laplacian(field, xi, d) + 0.5 * p.omega**2 * r * field(xi)
 
 

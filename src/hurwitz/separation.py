@@ -31,6 +31,7 @@ from .gauge import a_field_closed
 from .opcalc import (
     DiffStrategy,
     OscillatorParams,
+    _stencil,
     casimir,
     coupled_q,
     first_derivative,
@@ -342,7 +343,7 @@ def effective_terms(
 def consistency_residual(
     J: int,
     p: int,
-    test_psi: Callable[[np.ndarray], complex],
+    test_psi: Callable[[np.ndarray], np.ndarray],
     x,
     case: AngleCase,
     branch,
@@ -360,6 +361,8 @@ def consistency_residual(
     vanish identically; the returned max over axes and ``n_angles`` angles
     (drawn from a fixed seed) is pure finite-difference error and shrinks
     under step refinement.  The oscillator constants are those of omega = 1.
+    ``test_psi`` maps base points B + (5,) to B (a constant may return a
+    scalar).
     """
     _check_spin(J, p)
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
@@ -402,13 +405,12 @@ def consistency_residual(
             return first_derivative(lambda t: test_psi(y + t * e), dn.step)
 
         def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
-            # P_lam (Psi G) on a stack of base points; test_psi takes one
-            # base point, so each point is its own call
-            q = coupled_q(potential(ys)[:, lam], G, ang, dn)
-            psi = np.array([test_psi(y) for y in ys]).reshape((-1,) + (1,) * (q.ndim - 1))
-            return -1j * np.multiply.outer([dpsi(y) for y in ys], G(ang)) + psi * q
+            # P_lam (Psi G), a field over (x, angles)
+            q = coupled_q(potential(ys)[..., lam, :], G, ang, dn)
+            dpsi_ys = _stencil(test_psi, ys, e, dn.step)
+            return -1j * (dpsi_ys * G(ang)) + test_psi(ys) * q
 
-        outer = momentum(lam, inner, potential, xv[None], angles, dn)[0]
+        outer = momentum(lam, inner, potential, xv, angles, dn)
         qsq = casimir("Q", G, angles, dn)
         g0 = G(angles)
 

@@ -8,7 +8,10 @@ angles built from the phases and moduli of one complex pair:
     case A uses (xi_1, xi_2),   case B uses (xi_3, xi_4),
 
 optionally shifted by user-supplied offsets that depend only on the
-invariant products xi_j xi_k*.  ``fiber_section`` is a closed-form right
+invariant products xi_j xi_k*.  ``forward``, ``extra_angles`` and
+``invariant_products`` take one point (4,) or a stack B + (4,) and return
+one value per row; the finite-difference engine evaluates its
+complex-space stencils that way.  ``fiber_section`` is a closed-form right
 inverse of (forward, extra_angles): the chosen pair is rebuilt from the
 moduli/phases dictated by (x, angles) and the remaining pair is the unique
 solution of a 2x2 linear system; the result is verified a posteriori.
@@ -53,7 +56,8 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class RPoint:
-    """A point of the 5-dimensional target space with its cached radius."""
+    """A point of the 5-dimensional target space with its cached radius, or
+    a stack of them: ``x`` of shape B + (5,), ``r`` of shape B."""
 
     x: np.ndarray
     r: float
@@ -87,8 +91,10 @@ class AngleCase:
     """Which complex pair defines the fiber angles, plus optional offsets.
 
     ``offsets``, when present, are three real-valued callables receiving the
-    4x4 invariant matrix m[j, k] = xi_j xi_k* (so they cannot depend on the
-    fiber phases by construction); they are added to the bare angles.
+    invariant matrices m[..., j, k] = xi_j xi_k* of a stack, shape B + (4, 4)
+    (so they cannot depend on the fiber phases by construction), and
+    returning one offset per row, shape B (a constant broadcasts); they are
+    added to the bare angles.
     """
 
     tag: str
@@ -117,24 +123,29 @@ CASE_B = AngleCase("B")
 
 
 def invariant_products(xi: np.ndarray) -> np.ndarray:
-    """The 4x4 matrix of invariant products m[j, k] = xi_j xi_k*."""
+    """The invariant products m[..., j, k] = xi_j xi_k* of ``xi`` B + (4,),
+    shape B + (4, 4)."""
     xi = np.asarray(xi, dtype=complex)
-    return np.outer(xi, xi.conj())
+    return xi[..., :, None] * xi[..., None, :].conj()
 
 
 def forward(xi: Sequence[complex]) -> RPoint:
     """Evaluate the quadratic map x_l = xi^dag gamma_l xi.
 
-    The Hermitian forms are real up to roundoff; the imaginary part is
-    asserted below 1e-13 (relative) and discarded.
+    ``xi`` is one point (4,) or a stack B + (4,), giving ``x`` of shape
+    B + (5,) and ``r`` of shape B (a float for one point); each row equals
+    its own single-point call.  The Hermitian forms are real up to roundoff;
+    the imaginary part is asserted below 1e-13 (relative) on every row and
+    discarded.
     """
     xi = np.asarray(xi, dtype=complex)
-    x = np.einsum("s,lst,t->l", xi.conj(), GAMMA.gamma, xi)
-    scale = max(1.0, float(np.abs(x).max()))
-    if np.abs(x.imag).max() > 1e-13 * scale:
+    x = np.einsum("...s,lst,...t->...l", xi.conj(), GAMMA.gamma, xi)
+    scale = np.maximum(1.0, np.abs(x).max(axis=-1))
+    if np.any(np.abs(x.imag).max(axis=-1) > 1e-13 * scale):
         raise FloatingPointError("Hermitian form returned a non-real value")
     xr = x.real.copy()
-    return RPoint(xr, float(np.linalg.norm(xr)))
+    # the unit-stride dot rounds as np.linalg.norm does on one point
+    return RPoint(xr, np.sqrt(np.vecdot(xr, xr))[()])
 
 
 def forward_octet(u: Sequence[float]) -> RPoint:
@@ -328,36 +339,35 @@ def _match_axes(target: np.ndarray, y: np.ndarray):
 
 
 def extra_angles(xi: Sequence[complex], case: AngleCase) -> EulerAngles:
-    """Fiber angles of a point for the chosen case.
+    """Fiber angles of a point, or of every row of a stack B + (4,), for the
+    chosen case (attributes of shape B, floats for one point).
 
     phi1/phi2 are the sum/difference of the pair's phases folded into
     [0, 2pi); phi3 = atan2(2|a||b|, |a|^2 - |b|^2) lands in [0, pi].
     Offsets (functions of the invariant products) are added before the
     folding.  Raises :class:`DegenerateFiber` when either pair component
-    has modulus at most 1e-12 (absolute).
+    of any row has modulus at most 1e-12 (absolute).
     """
     xi = np.asarray(xi, dtype=complex)
     ia, ib = case.pair
-    a, b = xi[ia], xi[ib]
-    if abs(a) <= 1e-12 or abs(b) <= 1e-12:
+    a, b = xi[..., ia], xi[..., ib]
+    ma, mb = np.abs(a), np.abs(b)
+    if np.any(ma <= 1e-12) or np.any(mb <= 1e-12):
         raise DegenerateFiber(
             f"case {case.tag}: |xi_{ia + 1}| or |xi_{ib + 1}| below 1e-12"
         )
-    phi1 = np.angle(a) + np.angle(b)
-    phi2 = np.angle(a) - np.angle(b)
-    u, v = abs(a) ** 2, abs(b) ** 2
-    phi3 = math.atan2(2.0 * math.sqrt(u * v), u - v)
+    arg_a, arg_b = np.angle(a), np.angle(b)
+    phi1, phi2 = arg_a + arg_b, arg_a - arg_b
+    u, v = ma**2, mb**2
+    phi3 = np.arctan2(2.0 * np.sqrt(u * v), u - v)
     if case.offsets is not None:
         m = invariant_products(xi)
-        phi1 += float(case.offsets[0](m))
-        phi2 += float(case.offsets[1](m))
-        phi3 += float(case.offsets[2](m))
-    phi3 = math.fmod(phi3, TWO_PI)
-    if phi3 < 0.0:
-        phi3 += TWO_PI
-    if phi3 > math.pi:
-        phi3 = TWO_PI - phi3
-    return EulerAngles(phi1 % TWO_PI, phi2 % TWO_PI, phi3)
+        phi1, phi2, phi3 = (p + o(m) for p, o in zip((phi1, phi2, phi3), case.offsets))
+        # the bare phi3 lies in [0, pi]; an offset one is folded back
+        phi3 = np.fmod(phi3, TWO_PI)
+        phi3 = np.where(phi3 < 0.0, phi3 + TWO_PI, phi3)
+        phi3 = np.where(phi3 > math.pi, TWO_PI - phi3, phi3)
+    return EulerAngles((phi1 % TWO_PI)[()], (phi2 % TWO_PI)[()], phi3[()])
 
 
 def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:

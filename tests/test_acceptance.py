@@ -184,7 +184,7 @@ def test_criterion_11_duality():
 def test_criterion_12_separation_consistency():
     rng = np.random.default_rng((CFG.seed, 12))
     d = DiffStrategy()
-    psi = lambda y: math.exp(-float(np.linalg.norm(y)))
+    psi = lambda y: np.exp(-np.linalg.norm(y, axis=-1))
     for J, tol in ((0, 1e-4), (1, 1e-3)):
         worst = 0.0
         for i in range(20):

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hurwitz import harness, opcalc
 from hurwitz.cli import main
@@ -49,9 +51,54 @@ def test_config_validation():
         {"cases": ("A",), "tolerances": {"laplacian_split_B": 1e-4}},
         {"J_max": 0}, {"J_max": 1},
         {"samples": harness.MAX_SAMPLES + 1},
+        {"fd_step": 10**400},
     ):
         with pytest.raises(ConfigInvalid):
             SuiteConfig(**bad).validate()
+
+
+# Values of every kind a JSON config can carry, right and wrong: bools, NaN,
+# +-inf, integers beyond the float range, lists and strings.
+_ANY_VALUE = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(), st.integers(min_value=10**300, max_value=10**500),
+    st.lists(st.integers(), max_size=2),
+)
+_RECORD_IDS = sorted({rid for row in harness._registry(SuiteConfig())
+                      for rid in harness._record_ids(row)})
+_CONFIG_FIELDS = {
+    "seed": st.one_of(st.integers(min_value=0), _ANY_VALUE),
+    "samples": st.one_of(st.integers(-2, harness.MAX_SAMPLES + 2), _ANY_VALUE),
+    "fd_step": st.one_of(st.floats(), _ANY_VALUE),
+    "tolerances": st.one_of(
+        st.dictionaries(st.one_of(st.sampled_from(_RECORD_IDS), st.text(max_size=3)),
+                        _ANY_VALUE, max_size=3),
+        _ANY_VALUE,
+    ),
+    "cases": st.one_of(
+        st.lists(st.sampled_from(["A", "B", "C"]), max_size=3).map(tuple), _ANY_VALUE
+    ),
+    "J_max": st.one_of(st.integers(-1, 5), _ANY_VALUE),
+    "exclusion_eps": st.one_of(st.floats(0.0, 1.0), _ANY_VALUE),
+}
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True, database=None)
+@given(st.fixed_dictionaries({}, optional=_CONFIG_FIELDS))
+@example({"fd_step": 10**400})
+def test_validate_accepts_only_configs_with_float_convertible_numbers(values):
+    # validate() either rejects a config or accepts one whose numbers all
+    # convert to finite floats; the seed may be any non-negative integer
+    # (it only seeds numpy's SeedSequence), so it is left out
+    cfg = SuiteConfig(**values)
+    try:
+        cfg.validate()
+    except ConfigInvalid:
+        return
+    numbers = [cfg.samples, cfg.fd_step, cfg.J_max, cfg.exclusion_eps,
+               *cfg.tolerances.values()]
+    assert all(math.isfinite(float(v)) for v in numbers)
 
 
 def test_config_accepts_record_ids_and_the_sample_cap():
@@ -564,12 +611,14 @@ def test_cli_verify_rejects_bad_config(tmp_path):
         {"tolerances": {"radial_duality": -1.0}},
         {"J_max": 1},
         {"samples": 10**9},
+        {"fd_step": 10**400},
         [1, 2],
         5,
     ],
     ids=["samples_str", "cases_int", "tolerance_null", "infeasible_eps",
          "repeated_case", "tolerance_unknown_id", "tolerance_nan",
-         "tolerance_negative", "j_max_one", "samples_above_cap", "array", "number"],
+         "tolerance_negative", "j_max_one", "samples_above_cap",
+         "fd_step_400_digits", "array", "number"],
 )
 def test_cli_verify_rejects_config_before_sampling(
     tmp_path, monkeypatch, capsys, settings

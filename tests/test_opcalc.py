@@ -13,17 +13,21 @@ from hurwitz.opcalc import (
     casimir_residual,
     commutator_residual,
     coupled_q,
+    fiber_phase_gradients,
     first_derivative,
     identity_residual,
     momentum,
-    on_points,
     oscillator_apply,
+    pullback,
     radial_duality_residual,
+    second_derivative,
+    wirtinger_gradients,
     xi_laplacian,
 )
 from hurwitz.gauge import a_field_closed
+from hurwitz.harness import _TEST_OFFSETS, _xphi_field
 from hurwitz.separation import wigner
-from hurwitz.transform import CASE_A, CASE_B, EulerAngles
+from hurwitz.transform import CASE_A, CASE_B, EulerAngles, invariant_products
 
 rng = np.random.default_rng(11)
 D = DiffStrategy()
@@ -36,6 +40,18 @@ def random_xi(case=CASE_A, floor=0.15):
         ia, ib = case.pair
         if min(abs(xi[ia]), abs(xi[ib])) > floor * np.linalg.norm(xi):
             return xi
+
+
+def xi_stack(n, case=CASE_A, seed=0):
+    """n draws like random_xi's from their own generator, as an (n, 4) stack
+    (the module generator, and so the other tests' draws, stay untouched)."""
+    gen = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        xi = (gen.standard_normal(4) + 1j * gen.standard_normal(4)) / 2.0
+        if min(abs(xi[i]) for i in case.pair) > 0.15 * np.linalg.norm(xi):
+            out.append(xi)
+    return np.array(out)
 
 
 def random_angles(margin=0.3):
@@ -64,13 +80,13 @@ def trig_field():
 
 def test_phase_euler_op_on_monomial():
     xi = random_xi()
-    got = apply_T(1, lambda z: z[0], xi, D)
+    got = apply_T(1, lambda z: z[..., 0], xi, D)
     assert abs(got - 0.5 * xi[0]) < 1e-9
 
 
 def test_phase_euler_op_kills_norm_and_constants():
     xi = random_xi()
-    assert abs(apply_T(1, lambda z: np.real(z @ z.conj()), xi, D)) < 1e-9
+    assert abs(apply_T(1, lambda z: np.vecdot(z, z).real, xi, D)) < 1e-9
     assert abs(apply_T(1, lambda z: 3.7 + 0j, xi, D)) < 1e-12
 
 
@@ -81,7 +97,7 @@ def test_second_and_third_generators_kill_base_functions():
     xi = random_xi()
     for k in (1, 2, 3):
         for lam in range(5):
-            val = apply_T(k, lambda z, _l=lam: forward(z).x[_l], xi, D)
+            val = apply_T(k, lambda z, _l=lam: forward(z).x[..., _l], xi, D)
             assert abs(val) < 1e-8
 
 
@@ -182,9 +198,9 @@ def test_momentum_matches_hand_written_stencils_exactly():
                 * apply_euler_op(f"Q{k + 1}", lambda p: f(x, p), phi, D)
                 for k in range(3)
             )
-            got = momentum(lam, on_points(f), potential, x[None], phi, D)
-            assert got.shape == (1,)
-            assert got[0] == -1j * der + q
+            got = momentum(lam, f, potential, x, phi, D)
+            assert got.shape == ()
+            assert got == -1j * der + q
 
 
 # --- the batched engine against scalar stencils ----------------------------------
@@ -268,9 +284,7 @@ def test_momentum_matches_scalar_stencils():
     potential = lambda ys: a_field_closed(ys, CASE_A).A
     phi = random_angles()
     for f in (field_gaussian, field_poly):
-        got = np.array(
-            [momentum(lam, on_points(f), potential, xs, phi, D3) for lam in range(5)]
-        )
+        got = momentum(np.arange(5), f, potential, xs, phi, D3)
         assert got.shape == (5, 2)
         for i, x in enumerate(xs):
             A = a_field_closed(x, CASE_A).A
@@ -289,7 +303,7 @@ def test_nested_momentum_matches_scalar_stencils():
     x = np.array([0.4, -0.7, 0.2, 0.5, 0.3])
     potential = lambda ys: a_field_closed(ys, CASE_A).A
     phi = random_angles()
-    f = on_points(field_gaussian)
+    f = field_gaussian
 
     def scalar_p(lam, g):
         # P_lam of a scalar field g(y, angles), as a scalar field
@@ -307,9 +321,112 @@ def test_nested_momentum_matches_scalar_stencils():
 
     for lam in (0, 4):
         inner = lambda ys, ang: momentum(lam, f, potential, ys, ang, D3)
-        got = momentum(lam, inner, potential, x[None], phi, D3)[0]
+        got = momentum(lam, inner, potential, x, phi, D3)
         want = scalar_p(lam, scalar_p(lam, field_gaussian))(x, phi)
         assert abs(got - want) < NESTED_BOUND
+
+
+# --- the complex-space engine against scalar stencils ----------------------------
+# The reference loops over the 8 real directions with the scalar stencils,
+# one field call per displaced point; the engine makes one call on the stack
+# and sums in the same order.  A field need not round alike on a stack and on
+# one point (the angle polynomial's matrix product does not), and a second
+# difference amplifies that by ~1/h^2, so these steps are coarse enough to
+# keep the difference far below the 1e-10 bound.
+
+XI_BOUND = 1e-10
+DXI = DiffStrategy(step=1e-3, step2=1e-2)
+
+
+def scalar_wirtinger(f, xi, h):
+    dholo, danti = [], []
+    for e in np.eye(4):
+        g_re = first_derivative(lambda t: f(xi + t * e), h)
+        g_im = first_derivative(lambda t: f(xi + 1j * t * e), h)
+        dholo.append(0.5 * (g_re - 1j * g_im))
+        danti.append(0.5 * (g_re + 1j * g_im))
+    return np.array(dholo), np.array(danti)
+
+
+def scalar_xi_laplacian(f, xi, h):
+    total = 0.0
+    for e in np.eye(4):
+        total += second_derivative(lambda t: f(xi + t * e), h)
+        total += second_derivative(lambda t: f(xi + 1j * t * e), h)
+    return 0.25 * total
+
+
+def complex_space_fields():
+    omega = 0.7
+    return {
+        "constant": lambda z: 2.5 - 0.5j,
+        "monomial": lambda z: z[..., 0],
+        "gaussian": lambda z: np.exp(-omega * np.vecdot(z, z).real),
+        "pullback": pullback(_xphi_field(np.random.default_rng(5), "gaussian"), CASE_A),
+    }
+
+
+@pytest.mark.parametrize("name", ["constant", "monomial", "gaussian", "pullback"])
+def test_wirtinger_gradients_match_scalar_stencils(name):
+    f = complex_space_fields()[name]
+    xis = xi_stack(3, seed=1)
+    dh, da = wirtinger_gradients(f, xis, DXI)
+    assert dh.shape == da.shape == (3, 4)
+    for i, xi in enumerate(xis):
+        want_h, want_a = scalar_wirtinger(f, xi, DXI.step)
+        assert np.abs(dh[i] - want_h).max() < XI_BOUND
+        assert np.abs(da[i] - want_a).max() < XI_BOUND
+        one_h, one_a = wirtinger_gradients(f, xi, DXI)
+        assert np.abs(one_h - dh[i]).max() < XI_BOUND
+        assert np.abs(one_a - da[i]).max() < XI_BOUND
+
+
+@pytest.mark.parametrize("name", ["constant", "monomial", "gaussian", "pullback"])
+def test_xi_laplacian_matches_scalar_stencils(name):
+    f = complex_space_fields()[name]
+    xis = xi_stack(3, seed=2)
+    lap = xi_laplacian(f, xis, DXI)
+    assert np.shape(lap) == (3,)
+    for i, xi in enumerate(xis):
+        assert abs(lap[i] - scalar_xi_laplacian(f, xi, DXI.step2)) < XI_BOUND
+        assert abs(xi_laplacian(f, xi, DXI) - lap[i]) < XI_BOUND
+
+
+def scalar_phase_gradients(xi, case, h):
+    """The three angle gradients with one scalar exponential per angle."""
+    ia, ib = case.pair
+
+    def g(z, k):
+        a, b = z[ia], z[ib]
+        val = [
+            (a / abs(a)) * (b / abs(b)),
+            (a / abs(a)) * (np.conj(b) / abs(b)),
+            ((abs(a) ** 2 - abs(b) ** 2) + 2j * abs(a) * abs(b))
+            / (abs(a) ** 2 + abs(b) ** 2),
+        ][k]
+        if case.offsets is not None:
+            val *= np.exp(1j * float(case.offsets[k](invariant_products(z))))
+        return val
+
+    D_, Dbar = np.zeros((3, 4), complex), np.zeros((3, 4), complex)
+    for k in range(3):
+        dh, da = scalar_wirtinger(lambda z: g(z, k), xi, h)
+        D_[k], Dbar[k] = -1j * dh / g(xi, k), -1j * da / g(xi, k)
+    return D_, Dbar
+
+
+@pytest.mark.parametrize(
+    "case", [CASE_A, CASE_B, CASE_A.with_offsets(_TEST_OFFSETS)],
+    ids=["A", "B", "A_offsets"],
+)
+def test_fiber_phase_gradients_match_scalar_stencils(case):
+    xis = xi_stack(3, CASE_A if case.tag == "A" else CASE_B, seed=3)
+    got, got_bar = fiber_phase_gradients(xis, case, DXI)
+    assert got.shape == got_bar.shape == (3, 3, 4)
+    for i, xi in enumerate(xis):
+        want, want_bar = scalar_phase_gradients(xi, case, DXI.step)
+        assert np.abs(got[i] - want).max() < XI_BOUND
+        assert np.abs(got_bar[i] - want_bar).max() < XI_BOUND
 
 
 # --- cross-picture identities ---------------------------------------------------
@@ -327,9 +444,9 @@ def test_phase_constraint(case):
 
 def test_phase_constraint_insensitive_to_offsets():
     offsets = (
-        lambda m: 0.4 * math.sin(m[0, 0].real - m[1, 1].real),
-        lambda m: 0.3 * math.cos(m[2, 2].real),
-        lambda m: 0.2 * math.sin(m[0, 1].real),
+        lambda m: 0.4 * np.sin(m[..., 0, 0].real - m[..., 1, 1].real),
+        lambda m: 0.3 * np.cos(m[..., 2, 2].real),
+        lambda m: 0.2 * np.sin(m[..., 0, 1].real),
     )
     case = CASE_A.with_offsets(offsets)
     worst = 0.0
@@ -343,14 +460,14 @@ def test_phase_constraint_insensitive_to_offsets():
 
 def field_gaussian(x, phi):
     return (
-        math.exp(-0.35 * float(x @ x))
-        * (1 + 0.2 * x[0] - 0.1 * x[3])
+        np.exp(-0.35 * np.vecdot(x, x))
+        * (1 + 0.2 * x[..., 0] - 0.1 * x[..., 3])
         * (1 + 0.4 * np.cos(phi.phi1 + phi.phi2) + 0.3 * np.sin(phi.phi2 - phi.phi3))
     )
 
 
 def field_poly(x, phi):
-    return (1 + 0.3 * x[1] - 0.2 * x[4] + 0.1 * x[0] * x[2]) * (
+    return (1 + 0.3 * x[..., 1] - 0.2 * x[..., 4] + 0.1 * x[..., 0] * x[..., 2]) * (
         1 + 0.5 * np.cos(phi.phi1) + 0.2 * np.sin(2 * phi.phi2 + phi.phi3)
     )
 
@@ -378,7 +495,7 @@ def test_derivative_split_constant_field():
 
 def test_laplacian_split_on_radial_gaussian():
     # the pullback of exp(-|xi|^2) is the angle-independent field exp(-r)
-    radial = lambda x, p: math.exp(-float(np.linalg.norm(x)))
+    radial = lambda x, p: np.exp(-np.linalg.norm(x, axis=-1))
     worst = 0.0
     for case in (CASE_A, CASE_B):
         for _ in range(3):
@@ -412,7 +529,7 @@ def test_identity_residuals_shrink_at_fourth_order():
 def test_gaussian_eigenfunction_all_frequencies():
     for omega in (0.5, 1.0, 2.0):
         p = OscillatorParams.from_omega(omega)
-        f = lambda z: np.exp(-omega * np.real(z @ z.conj()))
+        f = lambda z: np.exp(-omega * np.vecdot(z, z).real)
         for _ in range(5):
             xi = random_xi(floor=0.0)
             got = oscillator_apply(p, f, xi, D)
@@ -423,7 +540,7 @@ def test_wirtinger_convention_matches_analytic_gaussian():
     # independent oracle for the mixed second derivative: the Gaussian obeys
     # sum_s d^2 f / dxi dxi* = (-4 w + w^2 |xi|^2) f
     omega = 1.3
-    f = lambda z: np.exp(-omega * np.real(z @ z.conj()))
+    f = lambda z: np.exp(-omega * np.vecdot(z, z).real)
     xi = random_xi(floor=0.0)
     lap = xi_laplacian(f, xi, D)
     r = float(np.real(xi @ xi.conj()))

@@ -398,7 +398,7 @@ def test_branch_selectors():
 # --- operator-level separation consistency ------------------------------------------
 
 def test_consistency_spin_zero():
-    psi = lambda y: math.exp(-float(np.linalg.norm(y)))
+    psi = lambda y: np.exp(-np.linalg.norm(y, axis=-1))
     for case in (CASE_A, CASE_B):
         x = random_x(case)
         res = consistency_residual(0, 0, psi, x, case, "alternating", D)
@@ -406,7 +406,7 @@ def test_consistency_spin_zero():
 
 
 def test_consistency_spin_one():
-    psi = lambda y: math.exp(-float(np.linalg.norm(y)))
+    psi = lambda y: np.exp(-np.linalg.norm(y, axis=-1))
     for case in (CASE_A, CASE_B):
         for _ in range(2):
             x = random_x(case)
@@ -421,7 +421,7 @@ def test_consistency_zero_field():
 
 
 def test_consistency_shrinks_under_refinement():
-    psi = lambda y: math.exp(-float(np.linalg.norm(y)))
+    psi = lambda y: np.exp(-np.linalg.norm(y, axis=-1))
     x = np.array([0.5, -0.6, 0.3, 0.4, 0.35])
     res = [
         consistency_residual(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hurwitz import transform
 from hurwitz.errors import DegenerateFiber, SectionFailed, SingularFiber
 from hurwitz.transform import (
     CASE_A,
@@ -26,6 +27,18 @@ def random_xi(case=CASE_A, floor=0.15):
             return xi
 
 
+def xi_stack(n, case=CASE_A, seed=0):
+    """n draws like random_xi's from their own generator, as an (n, 4) stack
+    (the module generator, and so the other tests' draws, stay untouched)."""
+    gen = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        xi = (gen.standard_normal(4) + 1j * gen.standard_normal(4)) / 2.0
+        if min(abs(xi[i]) for i in case.pair) > 0.15 * np.linalg.norm(xi):
+            out.append(xi)
+    return np.array(out)
+
+
 def test_forward_unit_first_axis():
     pt = forward([1, 0, 0, 0])
     assert np.allclose(pt.x, [0, 0, 0, 0, 1], atol=0)
@@ -44,6 +57,63 @@ def test_quadratic_homogeneity():
     xi = random_xi()
     for c in (0.5, 2.0, -1.3):
         assert np.abs(forward(c * xi).x - c * c * forward(xi).x).max() < 1e-12
+
+
+def test_forward_on_a_stack_equals_its_rows():
+    xis = xi_stack(32, seed=4).reshape(4, 8, 4)
+    pts = forward(xis)
+    assert pts.x.shape == (4, 8, 5) and pts.r.shape == (4, 8)
+    rows = [forward(xi) for xi in xis.reshape(-1, 4)]
+    assert np.array_equal(pts.x.reshape(-1, 5), np.array([p.x for p in rows]))
+    assert np.array_equal(pts.r.ravel(), np.array([p.r for p in rows]))
+    assert isinstance(rows[0].r, float)
+
+
+def test_forward_on_a_stack_raises_when_one_row_is_not_real(monkeypatch):
+    # a non-Hermitian first form, xi_1* xi_2, is complex only where xi_2 != 0
+    gamma = transform.GAMMA.gamma.copy()
+    gamma[0] = 0.0
+    gamma[0, 0, 1] = 1.0
+    monkeypatch.setattr(transform, "GAMMA", type("G", (), {"gamma": gamma}))
+    xis = np.zeros((5, 4), dtype=complex)
+    xis[:, 0] = 1.0 + 0.5j
+    forward(xis)
+    xis[3, 1] = 0.3j
+    with pytest.raises(FloatingPointError):
+        forward(xis)
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_extra_angles_on_a_stack_match_its_rows(case):
+    offsets = (
+        lambda m: 0.3 * np.sin(m[..., 0, 0].real - m[..., 1, 1].real),
+        lambda m: 0.2 * np.cos(m[..., 2, 2].real),
+        lambda m: 2.0 * np.sin(m[..., 0, 1].real),  # folds phi3 both ways
+    )
+    for use in (case, case.with_offsets(offsets)):
+        xis = xi_stack(32, case, seed=5).reshape(4, 8, 4)
+        got = extra_angles(xis, use)
+        rows = [extra_angles(xi, use) for xi in xis.reshape(-1, 4)]
+        for k in ("phi1", "phi2", "phi3"):
+            stacked = getattr(got, k)
+            assert stacked.shape == (4, 8)
+            # np.abs of a complex array may differ from a scalar's by 1 ulp
+            want = np.array([getattr(p, k) for p in rows])
+            assert np.abs(stacked.ravel() - want).max() <= 1e-15
+            top = math.pi if k == "phi3" else 2 * math.pi
+            assert all(0.0 <= v <= top for v in want)
+
+
+def test_extra_angles_on_a_stack_raise_on_one_degenerate_row():
+    xis = xi_stack(6, seed=6)
+    extra_angles(xis, CASE_A)
+    xis[4, 1] = 0.0
+    with pytest.raises(DegenerateFiber):
+        extra_angles(xis, CASE_A)
+    xis = xi_stack(6, CASE_B, seed=7)
+    xis[2, 2] = 1e-13
+    with pytest.raises(DegenerateFiber):
+        extra_angles(xis, CASE_B)
 
 
 def test_octet_basis_vector_and_origin():
