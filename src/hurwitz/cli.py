@@ -60,11 +60,15 @@ def _resolve_seed(cli_seed, cfg_seed) -> int:
     return cfg_seed
 
 
+def _reject_constant(name: str):
+    raise ConfigInvalid(f"config holds {name}, which strict JSON does not allow")
+
+
 def _cmd_verify(args) -> int:
     settings = {}
     if args.config:
         with open(args.config) as fh:
-            settings = json.load(fh)
+            settings = json.load(fh, parse_constant=_reject_constant)
         if not isinstance(settings, dict):
             raise ConfigInvalid("config must be a JSON object of suite settings")
         unknown = set(settings) - {

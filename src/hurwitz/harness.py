@@ -47,12 +47,19 @@ TWO_PI = 2.0 * math.pi
 # accepts most draws, so the cap is only reached near an infeasible one.
 MAX_DRAWS = 10_000
 
+# A batch of base points gives up after this many candidates per point.  An
+# exclusion that validate() accepts rejects only directions with
+# x5/r beyond 1/sqrt(2) - 1 towards the singular half-axis, at most ~29% of
+# them, so a feasible batch needs ~1.4 per point; an infeasible one stops
+# after 16 rounds.
+BATCH_DRAWS_PER_POINT = 16
+
 # Records whose value is a convergence ratio: they pass at or above their
 # tolerance, every other record strictly below it.
 RATIO_CHECKS = frozenset({"fd_convergence_order", "consistency_refinement"})
 
-# Largest accepted ``samples``: the gauge property checks draw 10x this
-# many base points one at a time before they stack them.
+# Largest accepted ``samples``: the gauge property checks draw and evaluate
+# one stack of 10x this many base points.
 MAX_SAMPLES = 10_000
 
 
@@ -147,7 +154,11 @@ class Report:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """Strict JSON: a non-finite number (say the NaN residual of a
+        failed check) is written as the string "NaN", "Infinity" or
+        "-Infinity", which ``float()`` reads back."""
+        return json.dumps(_finite_json(self.to_dict()), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -162,6 +173,17 @@ class Report:
             f"({sum(c.passed for c in self.checks)}/{len(self.checks)} checks)"
         )
         return lines
+
+
+def _finite_json(obj):
+    """``obj`` with every non-finite float replaced by its name as a string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
 
 
 # --- samplers ----------------------------------------------------------------
@@ -206,16 +228,38 @@ def sample_x(
     exclusion_eps: float = 0.05,
     rmin: float = 0.6,
     rmax: float = 2.5,
+    size: Optional[int] = None,
 ) -> np.ndarray:
-    """A base point with radius in [rmin, rmax], off the singular half-axis."""
-    for _ in range(MAX_DRAWS):
-        v = rng.standard_normal(5)
-        v /= np.linalg.norm(v)
-        x = v * rng.uniform(rmin, rmax)
-        r = float(np.linalg.norm(x))
-        if r + case.axis_sign * x[4] > exclusion_eps * r:
-            return x
-    raise ConfigInvalid(f"no draw in {MAX_DRAWS} clears exclusion_eps={exclusion_eps}")
+    """Base points with radius in [rmin, rmax], off the singular half-axis:
+    one of shape (5,) for ``size=None``, else a (size, 5) stack.
+
+    Each round draws the shortfall of directions, then of radii, and keeps
+    the candidates that clear the exclusion, in draw order.  A one-point
+    call therefore draws exactly what a loop of single draws would.  The
+    call gives up after max(MAX_DRAWS, BATCH_DRAWS_PER_POINT * size)
+    candidates.
+    """
+    n = 1 if size is None else size
+    budget = max(MAX_DRAWS, BATCH_DRAWS_PER_POINT * n)
+    kept, drawn, have = [], 0, 0
+    while have < n:
+        if drawn >= budget:
+            raise ConfigInvalid(
+                f"no {n} draws in {budget} clear exclusion_eps={exclusion_eps}"
+            )
+        need = n - have
+        v = rng.standard_normal((need, 5))
+        # rounds as np.linalg.norm of one 5-vector does (a test pins it), so
+        # one-point draws keep the bits of the single-draw loop
+        v /= np.sqrt(np.vecdot(v, v))[:, None]
+        x = v * rng.uniform(rmin, rmax, need)[:, None]
+        r = np.sqrt(np.vecdot(x, x))
+        x = x[r + case.axis_sign * x[:, 4] > exclusion_eps * r]
+        kept.append(x)
+        drawn += need
+        have += len(x)
+    pts = np.concatenate(kept)
+    return pts[0] if size is None else pts
 
 
 # --- test fields --------------------------------------------------------------
@@ -524,7 +568,7 @@ def check_fd_convergence(cfg, rng):
 
 def check_gauge_properties(cfg, rng, case):
     n = 10 * cfg.samples
-    pts = np.stack([sample_x(rng, case, cfg.exclusion_eps) for _ in range(n)])
+    pts = sample_x(rng, case, cfg.exclusion_eps, size=n)
     r = np.linalg.norm(pts, axis=1)
     A = gauge.a_field_closed(pts, case).A
     trans = float(np.abs(np.einsum("nl,nlk->nk", pts, A)).max())
@@ -556,8 +600,7 @@ def check_gauge_closed_vs_numeric(cfg, rng, case):
 def check_gauge_reflection(cfg, rng):
     def residuals():
         P = gauge.CASE_B_REFLECTION
-        for _ in range(200):
-            x = sample_x(rng, CASE_B, 1e-2)
+        for x in sample_x(rng, CASE_B, 1e-2, size=200):
             if np.linalg.norm(x) - abs(x[4]) < 1e-2:
                 continue  # near either half-axis; not an evaluated sample
             ab = gauge.a_field_closed(x, CASE_B).A

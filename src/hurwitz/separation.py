@@ -202,38 +202,33 @@ def det_bisection_roots(J: int, col) -> np.ndarray:
     bisect each sign change to a width of 1e-13.
 
     Stays clear of the eigenvalue route entirely (the determinant is
-    evaluated by LU through numpy.linalg.det on each probe; the grid scan
-    factors its stack of matrices in one call).  Intended for
-    columns with distinct roots; multiple roots collapse to one
-    sign-change each.
+    evaluated by LU through numpy.linalg.det; the grid scan factors its
+    stack of matrices in one call, and each bisection step factors one
+    stack with a midpoint per open bracket).  A grid point where the
+    determinant is exactly zero is a root; a bracket stops at a midpoint
+    where it is.  Intended for columns with distinct roots; multiple roots
+    collapse to one sign-change each.
     """
     a1, ap, am = col
     s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
     span = max(1.0, (J + 1.0) * s)
     grid_a = np.linspace(-span, span, 4001)
     dets = np.linalg.det(build_h(J, col, grid_a)).real
-    roots = []
-    for i in range(len(grid_a) - 1):
-        d0, d1 = dets[i], dets[i + 1]
-        if d0 == 0.0:
-            roots.append(grid_a[i])
-            continue
-        if d0 * d1 < 0.0:
-            lo, hi, flo = grid_a[i], grid_a[i + 1], d0
-            while hi - lo > 1e-13:
-                mid = 0.5 * (lo + hi)
-                fm = np.linalg.det(build_h(J, col, mid)).real
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    if dets[-1] == 0.0:
-        roots.append(grid_a[-1])
-    return np.array(sorted(roots))
+    cells = np.flatnonzero(dets[:-1] * dets[1:] < 0.0)
+    lo, hi, flo = grid_a[cells], grid_a[cells + 1], dets[cells]
+    open_ = hi - lo > 1e-13
+    while open_.any():
+        idx = np.flatnonzero(open_)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        fm = np.linalg.det(build_h(J, col, mid)).real
+        left = flo[idx] * fm < 0.0
+        # an exact zero closes its bracket at the midpoint: lo = hi = mid
+        hi[idx] = np.where(left | (fm == 0.0), mid, hi[idx])
+        lo[idx] = np.where(left, lo[idx], mid)
+        flo[idx] = np.where(left, flo[idx], fm)
+        open_[idx] = hi[idx] - lo[idx] > 1e-13
+    roots = np.concatenate([grid_a[dets == 0.0], 0.5 * (lo + hi)])
+    return np.sort(roots)
 
 
 def coefficients(J: int, col, a_root: float) -> np.ndarray:

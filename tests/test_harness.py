@@ -149,6 +149,32 @@ def test_run_suite_zero_tolerance_forces_failure():
     )
 
 
+def _strict_loads(text):
+    def refuse(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_passing_report_json_is_unchanged_by_strict_writing():
+    rep = run_suite(SuiteConfig(), only=["clifford", "norm_identity"])
+    assert rep.passed
+    assert rep.to_json() == json.dumps(rep.to_dict(), indent=2, sort_keys=True)
+
+
+def test_report_writes_non_finite_residuals_as_strings(monkeypatch):
+    monkeypatch.setattr(harness, "sample_xi", _nan_on_call(harness.sample_xi, 2))
+    rep = run_suite(SuiteConfig(), only=["quadratic_homogeneity"])
+    rep.checks += [
+        harness.CheckResult("inf_record", "-", 1, math.inf, 1.0, False),
+        harness.CheckResult("minus_inf_record", "-", 1, -math.inf, 1.0, False),
+    ]
+    recs = _strict_loads(rep.to_json())["checks"]
+    assert [r["max_residual"] for r in recs] == ["NaN", "Infinity", "-Infinity"]
+    assert recs[0]["check_id"] == "quadratic_homogeneity" and not recs[0]["passed"]
+    assert math.isnan(float(recs[0]["max_residual"]))
+
+
 REGISTRY_IDS = [
     "clifford_structure", "clifford_anticommutation", "fierz_identity",
     "companion_commutation_table", "norm_identity", "quadratic_homogeneity",
@@ -256,17 +282,18 @@ def test_nan_at_one_stencil_point_fails_the_check(monkeypatch, name, check, kwar
 
 def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
     real = harness.sample_x
-    calls = [0]
+    drawn = []
 
     def sample_x(*args, **kwargs):
-        # every fourth draw lands on the x5 axis, which the check skips
-        calls[0] += 1
+        # every fourth row lands on the x5 axis, which the check skips
         x = real(*args, **kwargs)
-        return np.array([0.0, 0.0, 0.0, 0.0, 1.0]) if calls[0] % 4 == 0 else x
+        x[3::4] = [0.0, 0.0, 0.0, 0.0, 1.0]
+        drawn.append(len(x))
+        return x
 
     monkeypatch.setattr(harness, "sample_x", sample_x)
     r = harness.check_gauge_reflection(SuiteConfig(), np.random.default_rng(5))
-    assert calls[0] == 200
+    assert drawn == [200]
     assert r.n_samples == 150 and r.passed
 
 
@@ -322,12 +349,75 @@ class _BoundedRng:
 
 
 @pytest.mark.parametrize(
-    "sampler, eps", [(harness.sample_xi, 0.9), (harness.sample_x, 2.5)]
+    "sampler, eps, kwargs",
+    [
+        (harness.sample_xi, 0.9, {}),
+        (harness.sample_x, 2.5, {}),
+        # a batch gives up after a number of candidates proportional to its size
+        (harness.sample_x, 2.5, {"size": 100_000}),
+    ],
+    ids=["sample_xi-0.9", "sample_x-2.5", "sample_x_batch-2.5"],
 )
-def test_samplers_give_up_on_an_infeasible_exclusion(sampler, eps):
+def test_samplers_give_up_on_an_infeasible_exclusion(sampler, eps, kwargs):
     rng = _BoundedRng(np.random.default_rng(0))
     with pytest.raises(ConfigInvalid):
-        sampler(rng, harness.CASE_A, eps)
+        sampler(rng, harness.CASE_A, eps, **kwargs)
+
+
+def _scalar_sample_x(rng, case, exclusion_eps, rmin=0.6, rmax=2.5):
+    """The one-draw-at-a-time loop that sample_x batches."""
+    for _ in range(harness.MAX_DRAWS):
+        v = rng.standard_normal(5)
+        v /= np.linalg.norm(v)
+        x = v * rng.uniform(rmin, rmax)
+        r = float(np.linalg.norm(x))
+        if r + case.axis_sign * x[4] > exclusion_eps * r:
+            return x
+    raise ConfigInvalid("no draw cleared the exclusion")
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.7])
+@pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
+def test_one_point_sample_x_draws_what_the_scalar_loop_draws(case, eps):
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    got = np.array([harness.sample_x(rng, case, eps) for _ in range(200)])
+    want = np.array([_scalar_sample_x(ref, case, eps) for _ in range(200)])
+    assert got.shape == (200, 5)
+    assert np.array_equal(got, want)
+    # both generators stand at the same place in their streams
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
+def test_sample_x_stack_lies_in_the_shell_and_clears_the_exclusion(case):
+    eps, rmin, rmax = 0.6, 0.9, 2.0
+    x = harness.sample_x(np.random.default_rng(2), case, eps, rmin, rmax, size=5000)
+    assert x.shape == (5000, 5)
+    r = np.linalg.norm(x, axis=1)
+    assert r.min() >= rmin * (1 - 1e-15) and r.max() <= rmax * (1 + 1e-15)
+    assert np.all(r + case.axis_sign * x[:, 4] > eps * r)
+
+
+def test_batched_and_one_point_sample_x_agree_in_distribution():
+    n, eps, case = 20_000, 0.5, harness.CASE_B
+    batch = harness.sample_x(np.random.default_rng(3), case, eps, size=n)
+    rng = np.random.default_rng(4)
+    single = np.array([harness.sample_x(rng, case, eps) for _ in range(n)])
+
+    def stats(x):
+        r = np.linalg.norm(x, axis=1)
+        return r, case.axis_sign * x[:, 4] / r
+
+    for a, b in zip(stats(batch), stats(single)):
+        se = math.sqrt((a.var() + b.var()) / n)
+        assert abs(a.mean() - b.mean()) < 5 * se
+        pooled = np.concatenate([a, b])
+        for q in (0.1, 0.5, 0.9):
+            # the standard error of a quantile, sqrt(q (1 - q) / n) / density,
+            # with the density read off the pooled quantiles at q -+ 0.02
+            spread = np.quantile(pooled, q + 0.02) - np.quantile(pooled, q - 0.02)
+            se = math.sqrt(2 * q * (1 - q) / n) * spread / 0.04
+            assert abs(np.quantile(a, q) - np.quantile(b, q)) < 5 * se
 
 
 def test_conventions_are_recorded():
@@ -609,6 +699,8 @@ def test_cli_verify_rejects_bad_config(tmp_path):
         {"tolerances": {"norm_identiy": 1e-30}},
         {"tolerances": {"radial_duality": math.nan}},
         {"tolerances": {"radial_duality": -1.0}},
+        {"fd_step": math.inf},
+        {"tolerances": {"radial_duality": -math.inf}},
         {"J_max": 1},
         {"samples": 10**9},
         {"fd_step": 10**400},
@@ -617,7 +709,8 @@ def test_cli_verify_rejects_bad_config(tmp_path):
     ],
     ids=["samples_str", "cases_int", "tolerance_null", "infeasible_eps",
          "repeated_case", "tolerance_unknown_id", "tolerance_nan",
-         "tolerance_negative", "j_max_one", "samples_above_cap",
+         "tolerance_negative", "fd_step_infinity", "tolerance_minus_infinity",
+         "j_max_one", "samples_above_cap",
          "fd_step_400_digits", "array", "number"],
 )
 def test_cli_verify_rejects_config_before_sampling(
@@ -631,12 +724,17 @@ def test_cli_verify_rejects_config_before_sampling(
     monkeypatch.setattr(harness, "sample_xi", no_draw)
     monkeypatch.setattr(harness, "sample_x", no_draw)
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps(settings))
+    text = json.dumps(settings)
+    cfg_file.write_text(text)
     assert main(["verify", "--config", str(cfg_file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if not isinstance(settings, dict):
         assert "JSON object" in err
+    # json.dumps writes non-finite floats as NaN / Infinity / -Infinity
+    # literals, which the config loader refuses before validation
+    if "NaN" in text or "Infinity" in text:
+        assert "strict JSON" in err
 
 
 def test_cli_verify_gives_up_on_a_nearly_infeasible_exclusion(

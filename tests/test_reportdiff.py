@@ -80,9 +80,14 @@ def test_in_bound_drift_passes_drift_mode_only(tmp_path):
         {(1, "max_residual"): 2.0e-6},
         {(3, "max_residual"): 4.0},
         {(1, "max_residual"): float("nan")},
+        # how a strict report writes non-finite residuals
+        {(1, "max_residual"): "NaN"},
+        {(0, "max_residual"): "Infinity"},
+        {(3, "max_residual"): "-Infinity"},
     ],
     ids=["renamed_id", "changed_case", "changed_verdict", "changed_count",
-         "zero_became_nonzero", "drift_out_of_bound", "ratio_drift", "nan"],
+         "zero_became_nonzero", "drift_out_of_bound", "ratio_drift", "nan",
+         "nan_string", "infinity_string", "minus_infinity_string"],
 )
 def test_drift_mode_fails(tmp_path, edits):
     assert _diff(tmp_path, _changed(edits)) == 1
@@ -117,3 +122,11 @@ def test_unreadable_input_exits_2(tmp_path):
     good.write_text(json.dumps(BASE))
     assert reportdiff.main([str(good), str(bad)]) == 2
     assert reportdiff.main([str(good), str(tmp_path / "missing.json")]) == 2
+
+
+def test_non_finite_strings_read_as_numbers(tmp_path, capsys):
+    rep = _changed({(1, "max_residual"): "NaN", (2, "max_residual"): "Infinity",
+                    (1, "passed"): False, (2, "passed"): False})
+    assert _diff(tmp_path, rep, "--exact", old=rep) == 0
+    out = capsys.readouterr().out
+    assert "nan" in out and "inf" in out

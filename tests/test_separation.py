@@ -262,6 +262,57 @@ def test_stacked_det_matches_per_matrix_det(J):
     assert np.array_equal(stacked, per_matrix)
 
 
+def _scalar_bisection_roots(J, col):
+    """The one-bracket-at-a-time bisection that det_bisection_roots batches."""
+    a1, ap, am = col
+    s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
+    span = max(1.0, (J + 1.0) * s)
+    grid_a = np.linspace(-span, span, 4001)
+    dets = np.linalg.det(build_h(J, col, grid_a)).real
+    roots = []
+    for i in range(len(grid_a) - 1):
+        d0, d1 = dets[i], dets[i + 1]
+        if d0 == 0.0:
+            roots.append(grid_a[i])
+            continue
+        if d0 * d1 < 0.0:
+            lo, hi, flo = grid_a[i], grid_a[i + 1], d0
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                fm = np.linalg.det(build_h(J, col, mid)).real
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            roots.append(0.5 * (lo + hi))
+    if dets[-1] == 0.0:
+        roots.append(grid_a[-1])
+    return np.array(sorted(roots))
+
+
+def test_batched_bisection_equals_scalar_bisection():
+    grid = np.linspace(-1.0, 1.0, 4001)
+    # a generator of its own, so the module's draws for later tests stay put
+    a = np.random.default_rng(29).uniform(-1.2, 1.2, (48, 3))
+    cols = [
+        (i % 4, (float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)))
+        for i, (a1, a2, a3) in enumerate(a)
+    ]
+    # diagonal columns: roots on grid points (exact zeros of the scan) and,
+    # for the last one, at the first midpoint of grid cell 2100, where a
+    # bracket closes on an exact zero
+    cols += [(J, (a1, 0j, 0j)) for J in range(4) for a1 in (0.0, 0.25, 1.1)]
+    cols.append((1, (float(0.5 * (grid[2100] + grid[2101])), 0j, 0j)))
+    for J, col in cols:
+        got = det_bisection_roots(J, col)
+        want = _scalar_bisection_roots(J, col)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (J, col)
+
+
 @pytest.mark.parametrize("J", [2, 3])
 def test_bisection_oracle_agrees_with_eigensolver(J):
     for _ in range(5):

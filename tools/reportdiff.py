@@ -56,9 +56,15 @@ def _label(rec: dict) -> str:
     return f"{rec['check_id']}[{rec['case']}]"
 
 
+def _value(rec: dict) -> float:
+    """The record's residual; a report writes a non-finite one as the
+    string "NaN", "Infinity" or "-Infinity", which ``float`` reads."""
+    return float(rec["max_residual"])
+
+
 def _head(rec: dict) -> float:
     ratio = rec["check_id"] in RATIO_CHECKS
-    return headroom(rec["max_residual"], rec["tolerance"], ratio)
+    return headroom(_value(rec), rec["tolerance"], ratio)
 
 
 def drift_problems(old: dict, new: dict, bound: float) -> tuple[list[str], list[str]]:
@@ -75,14 +81,14 @@ def drift_problems(old: dict, new: dict, bound: float) -> tuple[list[str], list[
         label = _label(o)
         h_old, h_new = _head(o), _head(n)
         lines.append(
-            f"{label:<40} {o['max_residual']:>11.3e} {n['max_residual']:>11.3e} "
+            f"{label:<40} {_value(o):>11.3e} {_value(n):>11.3e} "
             f"{h_old:>6.2f} {h_new:>6.2f} {h_new - h_old:>+6.2f}"
         )
         if o["n_samples"] != n["n_samples"]:
             problems.append(f"{label}: n_samples {o['n_samples']} -> {n['n_samples']}")
         if o["passed"] != n["passed"]:
             problems.append(f"{label}: verdict {o['passed']} -> {n['passed']}")
-        if o["max_residual"] == 0.0 and n["max_residual"] != 0.0:
+        if _value(o) == 0.0 and _value(n) != 0.0:
             problems.append(f"{label}: exact 0.0 became {n['max_residual']!r}")
         if abs(h_new - h_old) > bound:
             problems.append(f"{label}: headroom moved {h_new - h_old:+.2f} decades")
