@@ -484,10 +484,7 @@ def _commutator_check(cfg, rng, check_id, relations):
         for _ in range(100):
             g = _angle_poly(rng)
             phi = sample_angles(rng)
-            yield [
-                opcalc.commutator_residual(a, b, expected, g, phi, d)
-                for a, b, expected in relations
-            ]
+            yield opcalc.commutator_residuals(relations, g, phi, d)
     return _worst_of(cfg, check_id, "-", residuals(), 1e-5)
 
 

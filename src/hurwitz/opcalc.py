@@ -57,6 +57,7 @@ __all__ = [
     "coupled_q",
     "momentum",
     "commutator_residual",
+    "commutator_residuals",
     "casimir_residual",
     "identity_residual",
     "oscillator_apply",
@@ -355,6 +356,30 @@ def momentum(
     return -1j * der + coupled_q(row, lambda ang: field(at, ang), phi, d)
 
 
+def commutator_residuals(
+    relations,
+    field: Callable[[EulerAngles], complex],
+    phi: EulerAngles,
+    d: DiffStrategy,
+) -> np.ndarray:
+    """|([a, b] - coef*op) field| for each relation (a, b, (coef, op_name)),
+    (R,) + T + S, read from one nested application (and one first-order
+    one); op_name None means the commutator itself should vanish.  Both
+    levels use ``step2``.
+    """
+    dn = d.nested()
+    nested = _nested(field, phi, dn.step)
+    images = _images(field, phi, dn.step)
+    out = []
+    for a, b, (coef, name) in relations:
+        ia, ib = EULER_OPS.index(a), EULER_OPS.index(b)
+        val = nested[ia, ib] - nested[ib, ia]
+        if name is not None:
+            val = val - coef * images[EULER_OPS.index(name)]
+        out.append(np.abs(val))
+    return np.array(out)
+
+
 def commutator_residual(
     a: str,
     b: str,
@@ -363,19 +388,8 @@ def commutator_residual(
     phi: EulerAngles,
     d: DiffStrategy,
 ) -> float:
-    """|([a, b] - coef*op) field| at a point, using nested applications.
-
-    ``expected`` is (coef, op_name); op_name None means the commutator
-    itself should vanish.  The nested level reuses ``step2``.
-    """
-    dn = d.nested()
-    nested = _nested(field, phi, dn.step)
-    ia, ib = EULER_OPS.index(a), EULER_OPS.index(b)
-    val = nested[ia, ib] - nested[ib, ia]
-    coef, name = expected
-    if name is not None:
-        val -= coef * apply_euler_op(name, field, phi, dn)
-    return abs(val)
+    """One relation of :func:`commutator_residuals`."""
+    return commutator_residuals([(a, b, expected)], field, phi, d)[0]
 
 
 def casimir_residual(
