@@ -95,13 +95,16 @@ def a_tilde(xi, case: AngleCase, d: DiffStrategy) -> np.ndarray:
     """The 5x3 intermediate coupling from first derivatives of the angles.
 
     Component (l, k) is Re[(gamma_l xi).grad f_k] / r up to the
-    antiholomorphic partner; the imaginary part is asserted below 1e-10.
-    Scales as 1/|xi|^2 under xi -> c xi.
+    antiholomorphic partner; the imaginary part is asserted below 1e-10
+    (on every row of a stack).  Scales as 1/|xi|^2 under xi -> c xi.
+    ``xi`` is one point (4,) or a stack B + (4,), giving B + (5, 3).
     """
     xi = np.asarray(xi, dtype=complex)
     D, Dbar = fiber_phase_gradients(xi, case, d)
-    v = np.einsum("lst,t->ls", GAMMA.gamma, xi)
-    vals = 0.5 * (v @ D.T + np.conj(v) @ Dbar.T) / float(np.real(xi @ xi.conj()))
+    v = np.einsum("lst,...t->...ls", GAMMA.gamma, xi)
+    tr = lambda m: np.swapaxes(m, -1, -2)
+    vals = 0.5 * (v @ tr(D) + np.conj(v) @ tr(Dbar))
+    vals /= np.vecdot(xi, xi).real[..., None, None]
     # realness holds up to truncation, which grows like step^4
     imag_tol = max(1e-10, 100.0 * d.step**4)
     if np.abs(vals.imag).max() > imag_tol:

@@ -264,9 +264,34 @@ def sample_x(
 
 # --- test fields --------------------------------------------------------------
 
-def _angle_poly(rng: np.random.Generator):
-    """A smooth three-mode trigonometric polynomial on the angle chart, O(1)
-    amplitude."""
+@dataclass(frozen=True)
+class _AnglePoly:
+    """1 + sum_t amp_t cos(freq_t . phi + phase_t): a smooth three-mode
+    trigonometric polynomial on the angle chart, O(1) amplitude.
+
+    A stack of n polynomials (:meth:`stack`) carries a trailing sample axis
+    on every parameter, which broadcasts against the angles' trailing axis.
+    """
+
+    amp: np.ndarray  # (3,) + N
+    freq: np.ndarray  # (3, 3) + N
+    phase: np.ndarray  # (3,) + N
+
+    def __call__(self, phi: EulerAngles) -> np.ndarray:
+        # written out term by term, so a value rounds the same in any batch
+        f, total = self.freq, 0.0
+        for t in range(3):
+            arg = f[t, 0] * phi.phi1 + f[t, 1] * phi.phi2 + f[t, 2] * phi.phi3
+            total = total + self.amp[t] * np.cos(arg + self.phase[t])
+        return 1.0 + total
+
+    @classmethod
+    def stack(cls, polys) -> "_AnglePoly":
+        return cls(*(np.stack(p, axis=-1)
+                     for p in zip(*((g.amp, g.freq, g.phase) for g in polys))))
+
+
+def _angle_poly(rng: np.random.Generator) -> _AnglePoly:
     terms = [
         (
             float(rng.uniform(0.2, 0.6)),
@@ -275,29 +300,54 @@ def _angle_poly(rng: np.random.Generator):
         )
         for _ in range(3)
     ]
-    amp, freq, phase = (np.array(column, dtype=float) for column in zip(*terms))
-
-    def g(phi: EulerAngles) -> complex:
-        v = phi.as_array()
-        arg = freq @ v.reshape(3, -1) + phase[:, None]
-        return 1.0 + (amp @ np.cos(arg)).reshape(v.shape[1:])
-
-    return g
+    return _AnglePoly(*(np.array(column, dtype=float) for column in zip(*terms)))
 
 
-def _xphi_field(rng: np.random.Generator, kind: str):
+@dataclass(frozen=True)
+class _XPhiField:
     """A separable base-times-angle field over stacks (x B + (5,), angles S,
-    values broadcast(B, S)); periodic in phi1/phi2."""
+    values broadcast(B, S)), periodic in phi1/phi2: exp(-0.35 |x|^2) (1 + c.x)
+    times an angle polynomial if ``gaussian``, else (1 + c.x + 0.1 x1 x5)
+    times it.
+
+    A stack of n fields (:meth:`stack`) carries a sample axis that is
+    trailing in the values: ``gaussian`` (n,), ``coeff`` (n, 5).
+    """
+
+    gaussian: np.ndarray  # N, bool
+    coeff: np.ndarray  # N + (5,)
+    ang: _AnglePoly
+
+    def __call__(self, x: np.ndarray, phi: EulerAngles) -> np.ndarray:
+        # the factor 1 and the term 0 leave each kind's value as it rounds
+        # written alone
+        gauss = np.where(self.gaussian, np.exp(-0.35 * np.vecdot(x, x)), 1.0)
+        cross = np.where(self.gaussian, 0.0, 0.1)
+        return gauss * (1.0 + np.vecdot(x, self.coeff) + cross * x[..., 0] * x[..., 4]) \
+            * self.ang(phi)
+
+    @classmethod
+    def stack(cls, fields) -> "_XPhiField":
+        return cls(np.array([f.gaussian for f in fields]),
+                   np.array([f.coeff for f in fields]),
+                   _AnglePoly.stack([f.ang for f in fields]))
+
+
+def _xphi_field(rng: np.random.Generator, kind: str) -> _XPhiField:
     coeff = rng.uniform(-0.3, 0.3, size=5)
-    ang = _angle_poly(rng)
-    if kind == "gaussian":
-        def f(x: np.ndarray, phi: EulerAngles) -> np.ndarray:
-            gauss = np.exp(-0.35 * np.vecdot(x, x))
-            return gauss * (1.0 + np.vecdot(x, coeff)) * ang(phi)
-    else:
-        def f(x: np.ndarray, phi: EulerAngles) -> np.ndarray:
-            return (1.0 + np.vecdot(x, coeff) + 0.1 * x[..., 0] * x[..., 4]) * ang(phi)
-    return f
+    return _XPhiField(np.array(kind == "gaussian"), coeff, _angle_poly(rng))
+
+
+def _stack(fields):
+    """One field of the fields' family whose parameters hold each field's
+    along a sample axis: evaluated on a batch whose last axis is that
+    sample axis, sample i sees field i."""
+    return type(fields[0]).stack(fields)
+
+
+def _stack_angles(angles) -> EulerAngles:
+    """Angles of one draw each, as one batch of shape (n,)."""
+    return EulerAngles(*(np.array(c) for c in zip(*((a.phi1, a.phi2, a.phi3) for a in angles))))
 
 
 # offsets of the invariant products m of a stack, B + (4, 4) -> B
@@ -370,11 +420,15 @@ def _worst_of(cfg, check_id, case, residuals, default_tol, detail="") -> CheckRe
     """The record of a check over per-sample residuals.
 
     ``residuals`` yields one item per evaluated sample: a scalar, a tuple
-    or an array, reduced with ``np.max``.  ``n_samples`` counts the items
-    and the worst is the ``np.max`` over samples, so a NaN residual on any
-    sample propagates and fails the check; so does an empty ``residuals``.
+    or an array, reduced with ``np.max``; an array (n, ...) holds one row
+    per sample.  ``n_samples`` counts the items and the worst is the
+    ``np.max`` over samples, so a NaN residual on any sample propagates and
+    fails the check; so does an empty ``residuals``.
     """
-    per_sample = [np.max(r) for r in residuals]
+    if isinstance(residuals, np.ndarray):
+        per_sample = np.max(residuals, axis=tuple(range(1, residuals.ndim)))
+    else:
+        per_sample = [np.max(r) for r in residuals]
     worst = np.max(per_sample, initial=0.0)
     return _result(cfg, check_id, case, len(per_sample), worst, default_tol, detail)
 
@@ -477,26 +531,40 @@ def check_section_identity(cfg, rng, case):
     return _worst_of(cfg, "section_identity", case.tag, residuals(), 1e-10)
 
 
-def _commutator_check(cfg, rng, check_id, relations):
-    """Commutator residuals of ``relations`` on a fresh test field per sample."""
-    def residuals():
-        d = cfg.strategy(1e-3)
-        for _ in range(100):
-            g = _angle_poly(rng)
-            phi = sample_angles(rng)
-            yield opcalc.commutator_residuals(relations, g, phi, d)
-    return _worst_of(cfg, check_id, "-", residuals(), 1e-5)
+# A batched check draws all of its samples first, in the order a loop of
+# single draws would, then evaluates them with one engine call per operator
+# (per group where a field family needs one): ``_*_draws`` give the list of
+# per-sample draws and ``_*_residuals`` their (n, ...) residuals.
+
+def _rotor_draws(cfg, rng):
+    return [(_angle_poly(rng), sample_angles(rng)) for _ in range(100)]
+
+
+def _rotor_residuals(cfg, draws, relations):
+    """Commutator residuals of ``relations``, one test field per sample."""
+    fields, angles = zip(*draws)
+    res = opcalc.commutator_residuals(
+        relations, _stack(fields), _stack_angles(angles), cfg.strategy(1e-3)
+    )
+    return res.T
+
+
+def _closure(family: str) -> list:
+    ops = [f"{family}{k}" for k in (1, 2, 3)]
+    return [(ops[i], ops[(i + 1) % 3], (1j, ops[(i + 2) % 3])) for i in range(3)]
+
+
+_CROSS = [(f"T{i}", f"Q{j}", (0.0, None)) for i in (1, 2, 3) for j in (1, 2, 3)]
 
 
 def check_rotor_closure(cfg, rng, family: str):
-    ops = [f"{family}{k}" for k in (1, 2, 3)]
-    closure = [(ops[i], ops[(i + 1) % 3], (1j, ops[(i + 2) % 3])) for i in range(3)]
-    return _commutator_check(cfg, rng, f"rotor_closure_{family}", closure)
+    res = _rotor_residuals(cfg, _rotor_draws(cfg, rng), _closure(family))
+    return _worst_of(cfg, f"rotor_closure_{family}", "-", res, 1e-5)
 
 
 def check_rotor_cross(cfg, rng):
-    pairs = [(f"T{i}", f"Q{j}", (0.0, None)) for i in (1, 2, 3) for j in (1, 2, 3)]
-    return _commutator_check(cfg, rng, "rotor_cross_commutation", pairs)
+    res = _rotor_residuals(cfg, _rotor_draws(cfg, rng), _CROSS)
+    return _worst_of(cfg, "rotor_cross_commutation", "-", res, 1e-5)
 
 
 def check_casimir(cfg, rng):
@@ -515,28 +583,41 @@ def check_casimir(cfg, rng):
     return _worst_of(cfg, "casimir_equality", "-", residuals(), 1e-4)
 
 
-def check_phase_constraint(cfg, rng, case, with_offsets):
+def _phase_draws(cfg, rng, case):
+    return [sample_xi(rng, case, max(cfg.exclusion_eps, 0.1)) for _ in range(100)]
+
+
+def _phase_residuals(cfg, draws, case, with_offsets):
     use = case.with_offsets(_TEST_OFFSETS) if with_offsets else case
-    d = cfg.strategy()
-    residuals = (
-        opcalc.identity_residual(
-            "phase_constraint", use,
-            sample_xi(rng, case, max(cfg.exclusion_eps, 0.1)), None, d,
-        )
-        for _ in range(100)
+    return opcalc.identity_residual(
+        "phase_constraint", use, np.array(draws), None, cfg.strategy()
     )
+
+
+def check_phase_constraint(cfg, rng, case, with_offsets):
+    res = _phase_residuals(cfg, _phase_draws(cfg, rng, case), case, with_offsets)
     cid = f"phase_constraint_{case.tag}" + ("_offsets" if with_offsets else "")
-    return _worst_of(cfg, cid, case.tag, residuals, 1e-6)
+    return _worst_of(cfg, cid, case.tag, res, 1e-6)
 
 
-def _identity_check(cfg, rng, case, which, check_id, n=50, tol=1e-4):
-    def residuals():
-        d = cfg.strategy()
-        for i in range(n):
-            xi = sample_xi(rng, case, max(cfg.exclusion_eps, 0.15), scale=1.4)
-            f = _xphi_field(rng, "gaussian" if i % 2 == 0 else "poly")
-            yield opcalc.identity_residual(which, case, xi, f, d)
-    return _worst_of(cfg, f"{check_id}_{case.tag}", case.tag, residuals(), tol)
+def _identity_draws(cfg, rng, case):
+    return [
+        (sample_xi(rng, case, max(cfg.exclusion_eps, 0.15), scale=1.4),
+         _xphi_field(rng, "gaussian" if i % 2 == 0 else "poly"))
+        for i in range(50)
+    ]
+
+
+def _identity_residuals(cfg, draws, case, which):
+    xis, fields = zip(*draws)
+    return opcalc.identity_residual(
+        which, case, np.array(xis), _stack(fields), cfg.strategy()
+    )
+
+
+def _identity_check(cfg, rng, case, which, check_id):
+    res = _identity_residuals(cfg, _identity_draws(cfg, rng, case), case, which)
+    return _worst_of(cfg, f"{check_id}_{case.tag}", case.tag, res, 1e-4)
 
 
 def check_fd_convergence(cfg, rng):
@@ -740,23 +821,45 @@ def check_wigner_ladder(cfg, rng):
     return _result(cfg, "wigner_ladder", "-", n, np.max(maxima), 1e-12)
 
 
+def _angular_residuals(cfg, draws):
+    """|row.Q G - target G|, |Q^2 G - J(J+1) G| and |T1 G - p G| for draws
+    (J, p, g, row, target, phi), G the angular factor of the coefficients g;
+    one generator-image and one Casimir evaluation per (J, p) group."""
+    d = cfg.strategy(1e-3)
+    res = np.empty((len(draws), 3))
+    keys = [(J, p) for J, p, *_ in draws]
+    for J, p in dict.fromkeys(keys):
+        idx = [i for i, k in enumerate(keys) if k == (J, p)]
+        _, _, g, row, target, angles = zip(*(draws[i] for i in idx))
+        g = np.stack(g, axis=-1)
+        G = lambda ph: separation.angular_factor(J, p, g, ph)
+        phi = _stack_angles(angles)
+        images = opcalc.euler_images(G, phi, d)
+        qsq = opcalc.casimir("Q", G, phi, d)
+        gv = G(phi)
+        res[idx] = np.abs([
+            opcalc.coupled_q(np.array(row), images) - np.array(target) * gv,
+            qsq - J * (J + 1) * gv,
+            images[0] - p * gv,
+        ]).T
+    return res
+
+
+def _wigner_draws(cfg, rng):
+    """Basis elements phi^J_{q,p} as angular factors: g the unit vector of
+    q, the row picking Q1 and the target q."""
+    return [
+        (J, p, np.eye(2 * J + 1)[q + J], (1.0, 0.0, 0.0), q, sample_angles(rng))
+        for J in range(min(2, cfg.J_max) + 1)
+        for q in range(-J, J + 1)
+        for p in range(-J, J + 1)
+        for _ in range(3)
+    ]
+
+
 def check_wigner_eigen(cfg, rng):
-    def residuals():
-        d = cfg.strategy(1e-3)
-        for J in range(min(2, cfg.J_max) + 1):
-            for q in range(-J, J + 1):
-                for p in range(-J, J + 1):
-                    for _ in range(3):
-                        f = lambda ph: separation.wigner(J, q, p, ph)
-                        phi = sample_angles(rng)
-                        v = f(phi)
-                        qsq = opcalc.casimir("Q", f, phi, d)
-                        yield (
-                            abs(opcalc.apply_euler_op("Q1", f, phi, d) - q * v),
-                            abs(opcalc.apply_euler_op("T1", f, phi, d) - p * v),
-                            abs(qsq - J * (J + 1) * v),
-                        )
-    return _worst_of(cfg, "wigner_eigenrelations", "-", residuals(), 1e-6)
+    res = _angular_residuals(cfg, _wigner_draws(cfg, rng))
+    return _worst_of(cfg, "wigner_eigenrelations", "-", res, 1e-6)
 
 
 def check_null_residual(cfg, rng):
@@ -773,30 +876,26 @@ def check_null_residual(cfg, rng):
     return _worst_of(cfg, "null_vector_residual", "-", residuals(), 1e-10)
 
 
+def _angular_factor_draws(cfg, rng, case):
+    """Per-axis angular factors at drawn base points: g the branch m = 1
+    null vector of axis lam, the row its potential row and the target its
+    root."""
+    draws = []
+    for J in range(1, min(2, cfg.J_max) + 1):
+        for _ in range(4):
+            x = sample_x(rng, case, 0.1)
+            A = gauge.a_field_closed(x, case).A
+            p = int(rng.integers(-J, J + 1))
+            for lam in range(5):
+                sol = separation.axis_solution(J, A, lam, "m=1")
+                draws += [(J, p, sol.g, A[lam], sol.root, sample_angles(rng))
+                          for _ in range(2)]
+    return draws
+
+
 def check_angular_factor(cfg, rng, case):
-    def residuals():
-        d = cfg.strategy(1e-3)
-        for J in range(1, min(2, cfg.J_max) + 1):
-            for _ in range(4):
-                x = sample_x(rng, case, 0.1)
-                A = gauge.a_field_closed(x, case).A
-                p = int(rng.integers(-J, J + 1))
-                for lam in range(5):
-                    sol = separation.axis_solution(J, A, lam, "m=1")
-                    for _ in range(2):
-                        G = lambda ph: separation.g_eval(sol, p, ph)
-                        phi = sample_angles(rng)
-                        gv = G(phi)
-                        a_g = opcalc.coupled_q(A[lam], G, phi, d)
-                        qsq = opcalc.casimir("Q", G, phi, d)
-                        yield (
-                            abs(a_g - sol.root * gv),
-                            abs(qsq - J * (J + 1) * gv),
-                            abs(opcalc.apply_euler_op("T1", G, phi, d) - p * gv),
-                        )
-    return _worst_of(
-        cfg, f"angular_factor_eigen_{case.tag}", case.tag, residuals(), 1e-4
-    )
+    res = _angular_residuals(cfg, _angular_factor_draws(cfg, rng, case))
+    return _worst_of(cfg, f"angular_factor_eigen_{case.tag}", case.tag, res, 1e-4)
 
 
 def check_oscillator(cfg, rng):
@@ -826,33 +925,50 @@ def check_radial_duality(cfg, rng):
                      "exp(-omega r) with Z = 2 omega, E = -omega^2/2")
 
 
-def _radial_fields():
-    """Two radial fields over stacks of base points, B + (5,) -> B."""
+def _radial_field(kind):
+    """exp(-|y|) where ``kind`` is 0, exp(-0.4 |y|^2) where it is 1, over
+    stacks of base points B + (5,) -> B; an array of kinds (n,) gives each
+    point of the trailing axis its own."""
+    return lambda y: np.where(
+        np.equal(kind, 0),
+        np.exp(-np.sqrt(np.vecdot(y, y))),
+        np.exp(-0.4 * np.vecdot(y, y)),
+    )
+
+
+def _consistency_draws(cfg, rng):
+    cases = cfg.case_objs()
     return [
-        lambda y: np.exp(-np.sqrt(np.vecdot(y, y))),
-        lambda y: np.exp(-0.4 * np.vecdot(y, y)),
+        (cases[i % len(cases)],
+         sample_x(rng, cases[i % len(cases)], 0.15, rmin=0.9, rmax=2.0),
+         i % 2)
+        for i in range(20)
     ]
 
 
+def _consistency_residuals(cfg, draws, J):
+    """One consistency evaluation per case over its stack of points."""
+    res = np.empty(len(draws))
+    for case in dict.fromkeys(c for c, _, _ in draws):
+        idx = [i for i, (c, _, _) in enumerate(draws) if c == case]
+        _, xs, kinds = zip(*(draws[i] for i in idx))
+        res[idx] = separation.consistency_residual(
+            J, 0, _radial_field(np.array(kinds)), np.array(xs), case,
+            "alternating", cfg.strategy(),
+        )
+    return res
+
+
 def check_consistency(cfg, rng, J):
-    def residuals():
-        d = cfg.strategy()
-        cases = cfg.case_objs()
-        for i in range(20):
-            case = cases[i % len(cases)]
-            x = sample_x(rng, case, 0.15, rmin=0.9, rmax=2.0)
-            psi = _radial_fields()[i % 2]
-            yield separation.consistency_residual(
-                J, 0, psi, x, case, "alternating", d
-            )
+    res = _consistency_residuals(cfg, _consistency_draws(cfg, rng), J)
     tol = 1e-4 if J == 0 else 1e-3
-    return _worst_of(cfg, f"separation_consistency_J{J}", "-", residuals(), tol)
+    return _worst_of(cfg, f"separation_consistency_J{J}", "-", res, tol)
 
 
 def check_consistency_refinement(cfg, rng):
     rng2 = np.random.default_rng(23)
     x = sample_x(rng2, CASE_A, 0.2, rmin=1.0, rmax=1.6)
-    psi = _radial_fields()[0]
+    psi = _radial_field(0)
     res = []
     for h in (0.04, 0.02):
         d = DiffStrategy(step=h, step2=h)

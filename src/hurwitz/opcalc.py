@@ -15,14 +15,23 @@ Fields take stacks, with numpy broadcasting: a complex-space field maps xi
 B + (4,) to B + T, a field over (x, angles) maps x B + (5,) and
 :class:`EulerAngles` with attributes of shape S to broadcast(B, S), and a
 field over the angle chart maps angles S to T + S (T is empty for a scalar
-field; a constant may return a scalar).  An operator calls its field once
-on all of its stencil points: the 12 displaced copies of each angle give
-the three angle derivatives, which a coefficient table turns into all six
-generator images (a nested pair is one call on 144 copies); ``_stencil``
-displaces points along the 8 real directions of C^4 or the base axes.
-Angle fields are functions on R^3 (no folding), so angle-periodic test
-fields are expected.  Phase-type fiber functions are differentiated via
-their unit-modulus exponentials, which keeps stencils off branch cuts.
+field; a constant may return a scalar).
+
+One axis rule: every stencil puts its displacement axes in front of the
+points it displaces, (offsets,) + D + B for base or complex-space points and
+(3, 4) + S for angles (three angles, four offsets each), so the batch axes
+always trail.  A field whose parameters differ per sample (one test field
+per draw, say, parameters of shape (n, ...)) therefore evaluates a whole
+batch of samples whose last batch axis is the sample axis: its parameters
+broadcast against that axis on the x side and on the angle side alike.  An
+operator calls its field once on all of its stencil points: the 12
+displaced copies of each angle give the three angle derivatives, which a
+coefficient table turns into all six generator images (a nested pair is one
+call on 144 copies); ``_stencil`` displaces points along the 8 real
+directions of C^4 or the base axes.  Angle fields are functions on R^3 (no
+folding), so angle-periodic test fields are expected.  Phase-type fiber
+functions are differentiated via their unit-modulus exponentials, which
+keeps stencils off branch cuts.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ __all__ = [
     "xi_laplacian",
     "fiber_phase_gradients",
     "apply_T",
+    "euler_images",
     "apply_euler_op",
     "casimir",
     "coupled_q",
@@ -189,17 +199,17 @@ def fiber_phase_gradients(
     ia, ib = case.pair
 
     def g(z: np.ndarray) -> np.ndarray:
-        # the three exponentials, B + (4,) -> B + (3,)
+        # the three exponentials, B + (4,) -> B + (3,); each is finished
+        # before stacking (a strided product rounds unlike a batch's)
         a, b = z[..., ia], z[..., ib]
         ma, mb = np.abs(a), np.abs(b)
         u, v = ma**2, mb**2
-        val = np.stack([(a / ma) * (b / mb), (a / ma) * (np.conj(b) / mb),
-                        ((u - v) + 2j * np.sqrt(u * v)) / (u + v)], axis=-1)
+        val = [(a / ma) * (b / mb), (a / ma) * (np.conj(b) / mb),
+               ((u - v) + 2j * np.sqrt(u * v)) / (u + v)]
         if case.offsets is not None:
             m = invariant_products(z)
-            for k, offset in enumerate(case.offsets):
-                val[..., k] *= np.exp(1j * offset(m))
-        return val
+            val = [e * np.exp(1j * offset(m)) for e, offset in zip(val, case.offsets)]
+        return np.stack(val, axis=-1)
 
     dh, da = wirtinger_gradients(g, xi, d)
     g0 = g(xi)[..., None]
@@ -260,17 +270,18 @@ _SHIFTS = np.eye(3)[:, :, None] * _OFFSETS
 
 
 def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
-    """d field / d phi_k for k = 1..3, (3,) + T + S, from one field call on
-    the 12 displaced copies of every angle of the batch."""
-    shifts = _SHIFTS * h
+    """d field / d phi_k for k = 1..3, T + (3,) + S, from one field call on
+    the displaced angles (3, 4) + S."""
+    pad = (1,) * np.ndim(phi.phi1)
     pts = EulerAngles(*(
-        np.add.outer(c, shifts[j]) for j, c in enumerate((phi.phi1, phi.phi2, phi.phi3))
+        c + (_SHIFTS[j] * h).reshape((3, 4) + pad)
+        for j, c in enumerate((phi.phi1, phi.phi2, phi.phi3))
     ))
     v = field(pts)
-    if np.shape(v)[-2:] != (3, 4):  # a field constant in the angles
-        v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v), np.shape(pts.phi1)))
-    der = _d1(v[..., 0], v[..., 1], v[..., 2], v[..., 3], h)
-    return der.transpose((der.ndim - 1,) + tuple(range(der.ndim - 1)))
+    if np.ndim(v) < len(pad) + 2:  # a field constant in the angles
+        v = np.broadcast_to(v, np.shape(pts.phi1))
+    at = lambda o: v[(..., o) + (slice(None),) * len(pad)]
+    return _d1(at(0), at(1), at(2), at(3), h)
 
 
 def _images(field, phi: EulerAngles, h: float) -> np.ndarray:
@@ -278,8 +289,8 @@ def _images(field, phi: EulerAngles, h: float) -> np.ndarray:
     coef = _coefficients(phi)
     der = _angle_derivatives(field, phi, h)
     nt = der.ndim - coef.ndim + 1
-    coef = coef.reshape(coef.shape[:2] + (1,) * nt + coef.shape[2:])
-    return 1j * (coef * der).sum(axis=1)
+    coef = coef.reshape((6,) + (1,) * nt + coef.shape[1:])
+    return 1j * (coef * der).sum(axis=nt + 1)
 
 
 def _nested(field, phi: EulerAngles, h: float) -> np.ndarray:
@@ -287,6 +298,15 @@ def _nested(field, phi: EulerAngles, h: float) -> np.ndarray:
     the outer stencil of the six inner images, one field call on 144 points
     per angle."""
     return _images(lambda ang: _images(field, ang, h), phi, h)
+
+
+def euler_images(
+    field: Callable[[EulerAngles], complex], phi: EulerAngles, d: DiffStrategy
+) -> np.ndarray:
+    """All six generators applied to a field over the angle chart at
+    ``phi``, (6,) + T + S in :data:`EULER_OPS` order, from one field call.
+    Raises :class:`PolarSingularity` where |sin(phi3)| < 1e-8."""
+    return _images(field, phi, d.step)
 
 
 def apply_euler_op(
@@ -301,7 +321,7 @@ def apply_euler_op(
     called once on all of its stencil points and the result has shape
     T + S.  Raises :class:`PolarSingularity` where |sin(phi3)| < 1e-8.
     """
-    return _images(field, phi, d.step)[EULER_OPS.index(which)]
+    return euler_images(field, phi, d)[EULER_OPS.index(which)]
 
 
 def _casimir(nested: np.ndarray, family: str):
@@ -319,14 +339,15 @@ def casimir(
     return _casimir(_nested(field, phi, d.step), family)
 
 
-def coupled_q(row, field, phi: EulerAngles, d: DiffStrategy):
-    """(row[..., 0] Q1 + row[..., 1] Q2 + row[..., 2] Q3) field at phi.
+def coupled_q(row, images: np.ndarray):
+    """(row[..., 0] Q1 + row[..., 1] Q2 + row[..., 2] Q3) field, read from
+    the field's :func:`euler_images` (6,) + T + S.
 
-    ``row`` has shape R + (3,); for a field of output T + S the result has
-    the broadcast shape of R and T + S (one row per base point of a field
-    over (x, angles), say, or one row applied to a scalar field).
+    ``row`` has shape R + (3,); the result has the broadcast shape of R and
+    T + S (one row per base point of a field over (x, angles), say, or per
+    sample of a batch).
     """
-    q = _images(field, phi, d.step)[3:]
+    q = images[3:]
     row = np.asarray(row)
     return row[..., 0] * q[0] + row[..., 1] * q[1] + row[..., 2] * q[2]
 
@@ -342,7 +363,9 @@ def momentum(
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
     ``lam`` is an axis or an array of axes L; ``xs`` has shape B + (5,) and
-    the angles shape S.  ``field(ys, angles)`` maps base points B' + (5,)
+    the angles shape S; both are broadcast to one batch shape, so the
+    displaced points (4,) + L + batch and angles (3, 4) + batch keep the
+    batch axes trailing.  ``field(ys, angles)`` maps base points B' + (5,)
     and angles S' to the broadcast shape of B' and S' (a field constant in
     either broadcasts); it is called once on the displaced points of all
     axes and once over the angle stencil.  ``potential(ys)`` gives the
@@ -350,10 +373,10 @@ def momentum(
     """
     batch = np.broadcast_shapes(np.shape(xs)[:-1], np.shape(phi.phi1))
     xs = np.broadcast_to(xs, batch + (5,))
+    phi = EulerAngles(*(np.broadcast_to(c, batch) for c in (phi.phi1, phi.phi2, phi.phi3)))
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
     row = np.moveaxis(potential(xs), -2, 0)[lam]
-    at = xs[..., None, None, :]  # against the angle stencil S + (3, 4)
-    return -1j * der + coupled_q(row, lambda ang: field(at, ang), phi, d)
+    return -1j * der + coupled_q(row, _images(lambda ang: field(xs, ang), phi, d.step))
 
 
 def commutator_residuals(
@@ -419,9 +442,10 @@ def pullback(
 
 
 def _big_d(xi, dh, da):
-    """The five contractions (gamma_l xi).Dholo + conj(gamma_l xi).Danti."""
-    v = np.einsum("lst,t->ls", GAMMA.gamma, xi)
-    return v @ dh + np.conj(v) @ da
+    """The five contractions (gamma_l xi).Dholo + conj(gamma_l xi).Danti,
+    (5,) + B for ``xi``, ``dh`` and ``da`` of shape B + (4,)."""
+    v = np.einsum("lst,...t->l...s", GAMMA.gamma, xi)
+    return (v * dh).sum(axis=-1) + (np.conj(v) * da).sum(axis=-1)
 
 
 def identity_residual(
@@ -430,8 +454,8 @@ def identity_residual(
     xi: np.ndarray,
     field,
     d: DiffStrategy,
-) -> float:
-    """Residual of one cross-picture operator identity at a point.
+):
+    """Residual of one cross-picture operator identity at each point.
 
     which:
       "phase_constraint"     max_k |(xi.grad - xi*.grad*) f_k + 2i d_1k|
@@ -446,16 +470,21 @@ def identity_residual(
       "laplacian_split"      the second-order split: r p^2 + Casimir/r
                              against minus the complex Laplacian; relative.
 
-    ``field`` is a field over (x, angles) for the last three identities.
+    ``xi`` is one point (4,), giving a float, or a stack B + (4,), giving one
+    residual per point, B; each residual is scaled by its own point's
+    values.  ``field`` is a field over (x, angles) for the last three
+    identities; parameters of shape (n, ...) for a stack of n points give
+    each point its own field.
     """
     from .gauge import a_field_closed, a_tilde  # deferred: gauge imports opcalc
 
     xi = np.asarray(xi, dtype=complex)
+    nb = xi.ndim - 1
     if which == "phase_constraint":
         D, Dbar = fiber_phase_gradients(xi, case, d)
-        lhs = xi @ D.T - xi.conj() @ Dbar.T
+        lhs = (D * xi[..., None, :]).sum(axis=-1) - (Dbar * xi.conj()[..., None, :]).sum(axis=-1)
         target = np.array([-2j, 0.0, 0.0])
-        return float(np.abs(lhs - target).max())
+        return np.abs(lhs - target).max(axis=-1)[()]
 
     pt = forward(xi)
     phi = extra_angles(xi, case)
@@ -465,17 +494,18 @@ def identity_residual(
     if which == "derivative_split":
         dh, da = wirtinger_gradients(g, xi, d)
         lhs = 0.5 * _big_d(xi, dh, da)
-        at = a_tilde(xi, case, d)
+        at = np.moveaxis(a_tilde(xi, case, d), -2, 0)
         xgrad = _stencil(lambda ys: field(ys, phi), pt.x, _AXES, d.step)
         pgrad = _angle_derivatives(lambda ang: field(pt.x, ang), phi, d.step)
-        rhs = pt.r * (xgrad + at @ pgrad)
-        return _rel_max(lhs, rhs)
+        fiber = at[..., 0] * pgrad[0] + at[..., 1] * pgrad[1] + at[..., 2] * pgrad[2]
+        rhs = pt.r * (xgrad + fiber)
+        return _rel_max(lhs, rhs, nb)
 
     if which == "momentum_equivalence":
         lhs = momentum(np.arange(5), field, potential, pt.x, phi, d)
         dh, da = wirtinger_gradients(g, xi, d)
         rhs = (-1j / (2.0 * pt.r)) * _big_d(xi, dh, da)
-        return _rel_max(lhs, rhs)
+        return _rel_max(lhs, rhs, nb)
 
     if which == "laplacian_split":
         dn = d.nested()
@@ -488,16 +518,18 @@ def identity_residual(
         p_sq = sum(p_squared(lam) for lam in range(5))
         lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
         rhs = -xi_laplacian(g, xi, d)
-        return _rel_max(lhs, rhs)
+        return _rel_max(lhs, rhs, nb)
 
     raise ValueError(f"unknown identity {which!r}")
 
 
-def _rel_max(lhs, rhs) -> float:
-    lhs = np.atleast_1d(np.asarray(lhs))
-    rhs = np.atleast_1d(np.asarray(rhs))
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return float(np.abs(lhs - rhs).max()) / scale
+def _rel_max(lhs, rhs, nb: int):
+    """max |lhs - rhs| / max(1, max |lhs|, max |rhs|) over the axes in front
+    of the ``nb`` trailing batch axes: one scale per sample, never one per
+    batch."""
+    axes = tuple(range(np.ndim(lhs) - nb))
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=axes), np.abs(rhs).max(axis=axes)))
+    return (np.abs(lhs - rhs).max(axis=axes) / scale)[()]
 
 
 def oscillator_apply(

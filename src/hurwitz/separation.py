@@ -34,7 +34,7 @@ from .opcalc import (
     _stencil,
     casimir,
     coupled_q,
-    first_derivative,
+    euler_images,
     momentum,
 )
 from .transform import AngleCase, EulerAngles, RPoint
@@ -52,6 +52,8 @@ __all__ = [
     "det_bisection_roots",
     "coefficients",
     "axis_solution",
+    "angular_factor",
+    "g_eval",
     "resolve_branch",
     "effective_terms",
     "consistency_residual",
@@ -176,15 +178,25 @@ def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
     """
     _check_spin(J)
     a1, ap, am = col
-    n = 2 * J + 1
-    h = np.zeros(np.shape(a) + (n, n), dtype=complex)
-    for k in range(1, n + 1):
-        h[..., k - 1, k - 1] = -a - (J + 1 - k) * a1
-        if k >= 2:
-            h[..., k - 1, k - 2] = math.sqrt((2 * J + 2 - k) * (k - 1)) * ap
-        if k <= n - 1:
-            h[..., k - 1, k] = math.sqrt(k * (2 * J + 1 - k)) * am
+    i, diag, lower, upper = _h_layout(J)
+    h = np.zeros(np.shape(a) + (i.size, i.size), dtype=complex)
+    h[..., i, i] = -np.asarray(a)[..., None] - diag * a1
+    h[..., i[1:], i[:-1]] = lower * ap
+    h[..., i[:-1], i[1:]] = upper * am
     return h
+
+
+@functools.lru_cache(maxsize=None)
+def _h_layout(J: int):
+    """Row indices 0 .. 2J and, for rows k = 1 .. 2J+1, the diagonal's A1
+    factor J+1-k and the sub- and superdiagonal factors of :func:`build_h`."""
+    k = np.arange(1, 2 * J + 2)
+    return (
+        k - 1,
+        (J + 1 - k).astype(float),
+        np.sqrt((2 * J + 2 - k[1:]) * (k[1:] - 1)),
+        np.sqrt(k[:-1] * (2 * J + 1 - k[:-1])),
+    )
 
 
 def separation_roots(J: int, col) -> np.ndarray:
@@ -299,18 +311,20 @@ def axis_solution(
     roots = separation_roots(J, col)
     m = resolve_branch(branch)(J, lam)
     root = m * float(np.linalg.norm(np.asarray(A, dtype=float)[lam]))
-    g = coefficients(J, col, root)
-    if g.ndim == 2:
-        g = _fix_phase(g[:, 0].copy())
-    return SeparationSolution(J, lam, roots, root, g)
+    return SeparationSolution(J, lam, roots, root, _null_vector(J, col, root))
+
+
+def angular_factor(J: int, p: int, g: np.ndarray, phi: EulerAngles):
+    """sum_q g_q phi^J_{q,p} at ``phi`` for coefficients ``g`` ordered
+    q = -J .. J.  ``g`` of shape (2J+1,) + N holds one vector per sample
+    (N broadcasts against the trailing axes of the angles)."""
+    return sum(g[J_plus_q] * wigner(J, J_plus_q - J, p, phi) for J_plus_q in range(2 * J + 1))
 
 
 def g_eval(sol: SeparationSolution, p: int, phi: EulerAngles) -> complex:
-    g = sol.g if sol.g.ndim == 1 else sol.g[:, 0]
-    return sum(
-        g[J_plus_q] * wigner(sol.J, J_plus_q - sol.J, p, phi)
-        for J_plus_q in range(2 * sol.J + 1)
-    )
+    """The angular factor of a separation solution (its first null vector
+    if degenerate)."""
+    return angular_factor(sol.J, p, sol.g if sol.g.ndim == 1 else sol.g[:, 0], phi)
 
 
 def effective_terms(
@@ -319,20 +333,19 @@ def effective_terms(
     """Selected per-axis eigenvalue vector and the centrifugal scalar.
 
     The eigenvalue for axis lam is m(J, lam) * |A_lam.|, evaluated on the
-    closed-form potential; the scalar is J(J+1)/(2 r^2).  Raises
-    :class:`SingularAxis` through the closed form on the singular
-    half-axis.
+    closed-form potential; the scalar is J(J+1)/(2 r^2).  ``x`` is one
+    point, giving (5,) and a float, or a stack (m, 5), giving (m, 5) and
+    (m,).  Raises :class:`SingularAxis` through the closed form on the
+    singular half-axis.
     """
     _check_spin(J)
-    fld = a_field_closed(x, case)
+    A = a_field_closed(x, case).A
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
-    r = float(np.linalg.norm(xv))
+    # unit-stride dots round as np.linalg.norm does on one row
+    r = np.sqrt(np.vecdot(xv, xv))
     sel = resolve_branch(branch)
-    a = np.zeros(5)
-    for lam in range(5):
-        s = float(np.linalg.norm(fld.A[lam]))
-        a[lam] = sel(J, lam) * s
-    return a, J * (J + 1) / (2.0 * r * r)
+    m = np.array([sel(J, lam) for lam in range(5)])
+    return m * np.sqrt(np.vecdot(A, A)), (J * (J + 1) / (2.0 * r * r))[()]
 
 
 def consistency_residual(
@@ -344,7 +357,7 @@ def consistency_residual(
     branch,
     d: DiffStrategy,
     n_angles: int = 4,
-) -> float:
+):
     """Operator-level check that the angle separation succeeded.
 
     Applies the transformed-equation operator (momentum square, Casimir
@@ -356,12 +369,18 @@ def consistency_residual(
     vanish identically; the returned max over axes and ``n_angles`` angles
     (drawn from a fixed seed) is pure finite-difference error and shrinks
     under step refinement.  The oscillator constants are those of omega = 1.
-    ``test_psi`` maps base points B + (5,) to B (a constant may return a
-    scalar).
+
+    ``x`` is one base point (5,), giving a float, or a stack (m, 5), giving
+    one residual per point from one evaluation of each operator per axis
+    (the angles form the axis in front of the points').  ``test_psi`` maps
+    base points B + (5,) to B (a constant may return a scalar); parameters
+    of shape (m,) broadcast against the points' trailing axis.
     """
     _check_spin(J, p)
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
-    r0 = float(np.linalg.norm(xv))
+    single = xv.ndim == 1
+    xv = np.atleast_2d(xv)
+    r0 = np.sqrt(np.vecdot(xv, xv))
     a_vec, centrifugal = effective_terms(J, xv, case, branch)
     sel = resolve_branch(branch)
     dn = d.nested()
@@ -374,34 +393,24 @@ def consistency_residual(
         )
         for _ in range(n_angles)
     ]
-    angles = EulerAngles(*np.array(drawn).T)  # one batch of n_angles angles
+    # one batch of n_angles angles, (n_angles, 1) against the points (m,)
+    angles = EulerAngles(*np.array(drawn).T[:, :, None])
     params = OscillatorParams.from_omega(1.0)
     coulomb = params.Z / r0 + params.E
     potential = lambda ys: a_field_closed(ys, case).A
     A0 = potential(xv)
     psi0 = test_psi(xv)
 
-    def basis(ang: EulerAngles) -> np.ndarray:
-        return np.array([wigner(J, i - J, p, ang) for i in range(2 * J + 1)])
-
     residuals = []
     for lam in range(5):
-        e = np.zeros(5)
-        e[lam] = 1.0
-        col = potential_columns(A0)[lam]
-        g = coefficients(J, col, -a_vec[lam])
-        if g.ndim == 2:
-            g = _fix_phase(g[:, 0].copy())
-
-        def G(ang: EulerAngles) -> np.ndarray:
-            return sum(gi * b for gi, b in zip(g, basis(ang)))
-
-        def dpsi(y: np.ndarray) -> float:
-            return first_derivative(lambda t: test_psi(y + t * e), dn.step)
+        e = np.eye(5)[lam]
+        g = np.stack([_null_vector(J, potential_columns(A)[lam], -a[lam])
+                      for A, a in zip(A0, a_vec)], axis=-1)
+        G = lambda ang: angular_factor(J, p, g, ang)
 
         def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
             # P_lam (Psi G), a field over (x, angles)
-            q = coupled_q(potential(ys)[..., lam, :], G, ang, dn)
+            q = coupled_q(potential(ys)[..., lam, :], euler_images(G, ang, dn))
             dpsi_ys = _stencil(test_psi, ys, e, dn.step)
             return -1j * (dpsi_ys * G(ang)) + test_psi(ys) * q
 
@@ -409,16 +418,16 @@ def consistency_residual(
         qsq = casimir("Q", G, angles, dn)
         g0 = G(angles)
 
-        # the reduced radial operator on Psi, by scalar stencils
-        def a_at(y: np.ndarray) -> float:
-            # the branch eigenvalue re-evaluated at a displaced base point
-            return sel(J, lam) * float(np.linalg.norm(potential(y)[lam]))
+        # the reduced radial operator on Psi
+        def a_at(y: np.ndarray) -> np.ndarray:
+            # the branch eigenvalue re-evaluated at displaced base points
+            row = potential(y)[..., lam, :]
+            return sel(J, lam) * np.sqrt(np.vecdot(row, row))
 
-        def chi(y: np.ndarray) -> complex:
-            return -1j * dpsi(y) - a_at(y) * test_psi(y)
+        def chi(y: np.ndarray) -> np.ndarray:
+            return -1j * _stencil(test_psi, y, e, dn.step) - a_at(y) * test_psi(y)
 
-        dchi = first_derivative(lambda t: chi(xv + t * e), dn.step)
-        reduced = -1j * dchi - a_at(xv) * chi(xv)
+        reduced = -1j * _stencil(chi, xv, e, dn.step) - a_at(xv) * chi(xv)
 
         # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
         # terms rides along with each axis; summed over the five axes this
@@ -428,4 +437,11 @@ def consistency_residual(
         residuals.append(np.abs(lhs - rhs))
     # np.max keeps a NaN residual (the builtin max would drop it after a
     # finite one) and picks the same float as max on finite values
-    return float(np.max(residuals, initial=0.0))
+    worst = np.max(residuals, axis=(0, 1), initial=0.0)
+    return float(worst[0]) if single else worst
+
+
+def _null_vector(J: int, col, root: float) -> np.ndarray:
+    """The unit null vector of h(root) (the first one if degenerate)."""
+    g = coefficients(J, col, root)
+    return _fix_phase(g[:, 0].copy()) if g.ndim == 2 else g

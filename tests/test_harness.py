@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz import harness, opcalc
+from hurwitz import harness, opcalc, separation
 from hurwitz.cli import main
 from hurwitz.errors import ConfigInvalid, SingularAxis
 from hurwitz.gauge import a_field_closed
@@ -214,21 +214,52 @@ def _nan_on_call(real, k):
     return fake
 
 
+def _nan_in_sample(fn, call=1):
+    """``fn`` whose ``call``-th call (1-based) returns one value turned into
+    NaN: index 0 on every axis but the trailing sample axis, index 1 there.
+    On a stencil batch that is one stencil point of the batch's second
+    sample."""
+    calls = [0]
+
+    def poisoned(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs))
+        calls[0] += 1
+        if calls[0] == call:
+            out = out.astype(np.result_type(out, float))
+            out[(0,) * (out.ndim - 1) + (1,)] = math.nan
+        return out
+
+    return poisoned
+
+
+def _nan_in_first_made(make, call=1):
+    """``make`` whose first made field is :func:`_nan_in_sample`'s."""
+    made = [0]
+
+    def wrapped(*args, **kwargs):
+        field = make(*args, **kwargs)
+        made[0] += 1
+        return _nan_in_sample(field, call) if made[0] == 1 else field
+
+    return wrapped
+
+
 @pytest.mark.parametrize(
-    "module, name, k, check, kwargs",
+    "module, name, poison, check, kwargs",
     [
-        # three commutators per sample: call 4 is the second sample's first
-        (opcalc, "commutator_residual", 4, harness.check_rotor_closure,
+        # the batch's residuals are (relation, sample): sample 2's first one
+        (opcalc, "commutator_residuals", _nan_in_sample, harness.check_rotor_closure,
          {"family": "T"}),
         # one draw per sample: a NaN point makes the second sample's residual NaN
-        (harness, "sample_xi", 2, harness.check_homogeneity, {}),
+        (harness, "sample_xi", lambda real: _nan_on_call(real, 2),
+         harness.check_homogeneity, {}),
     ],
     ids=["finite_difference", "algebraic"],
 )
 def test_nan_residual_after_the_first_sample_fails(
-    monkeypatch, module, name, k, check, kwargs
+    monkeypatch, module, name, poison, check, kwargs
 ):
-    monkeypatch.setattr(module, name, _nan_on_call(getattr(module, name), k))
+    monkeypatch.setattr(module, name, poison(getattr(module, name)))
     r = check(SuiteConfig(), np.random.default_rng(3), **kwargs)
     assert r.passed is False
     assert math.isnan(r.max_residual)
@@ -258,26 +289,114 @@ def _nan_at_one_point(make_field, k):
     return make
 
 
+def _nan_in_first_offset(offsets):
+    return (_nan_in_sample(offsets[0]), *offsets[1:])
+
+
+# Each batched check meets its NaN at one stencil point of sample 2 of its
+# first batch: in the stacked test field, the angular factor, the first
+# angle offset or (after the value at the points) the radial field.
+# casimir_equality evaluates one sample at a time and meets it in its
+# second sample's field.
 @pytest.mark.parametrize(
-    "name, check, kwargs",
+    "module, name, poison, check, kwargs",
     [
-        ("_angle_poly", harness.check_rotor_closure, {"family": "Q"}),
-        ("_angle_poly", harness.check_casimir, {}),
-        ("_xphi_field", harness._identity_check,
+        (harness, "_stack", _nan_in_first_made, harness.check_rotor_closure,
+         {"family": "Q"}),
+        (harness, "_angle_poly", lambda make: _nan_at_one_point(make, 2),
+         harness.check_casimir, {}),
+        (harness, "_stack", _nan_in_first_made, harness._identity_check,
          {"case": harness.CASE_B, "which": "laplacian_split",
           "check_id": "laplacian_split"}),
-        ("_xphi_field", harness._identity_check,
+        (harness, "_stack", _nan_in_first_made, harness._identity_check,
          {"case": harness.CASE_A, "which": "momentum_equivalence",
           "check_id": "momentum_equivalence"}),
+        (harness, "_stack", _nan_in_first_made, harness.check_rotor_cross, {}),
+        (separation, "angular_factor", _nan_in_sample, harness.check_wigner_eigen, {}),
+        (separation, "angular_factor", _nan_in_sample, harness.check_angular_factor,
+         {"case": harness.CASE_A}),
+        (harness, "_TEST_OFFSETS", _nan_in_first_offset, harness.check_phase_constraint,
+         {"case": harness.CASE_B, "with_offsets": True}),
+        (harness, "_radial_field", lambda make: _nan_in_first_made(make, call=2),
+         harness.check_consistency, {"J": 1}),
     ],
     ids=["rotor_closure_Q", "casimir_equality", "laplacian_split_B",
-         "momentum_equivalence_A"],
+         "momentum_equivalence_A", "rotor_cross_commutation", "wigner_eigenrelations",
+         "angular_factor_eigen_A", "phase_constraint_B_offsets",
+         "separation_consistency_J1"],
 )
-def test_nan_at_one_stencil_point_fails_the_check(monkeypatch, name, check, kwargs):
-    monkeypatch.setattr(harness, name, _nan_at_one_point(getattr(harness, name), 2))
+def test_nan_at_one_stencil_point_fails_the_check(
+    monkeypatch, module, name, poison, check, kwargs
+):
+    monkeypatch.setattr(module, name, poison(getattr(module, name)))
     r = check(SuiteConfig(), np.random.default_rng(3), **kwargs)
     assert r.passed is False
     assert math.isnan(r.max_residual)
+
+
+_IDENTITIES = ("derivative_split", "momentum_equivalence", "laplacian_split")
+
+# Each batched check as (record id, its draws, their kwargs, the residuals
+# of a list of draws, their kwargs).
+_BATCHED = [
+    *((f"rotor_closure_{f}", harness._rotor_draws, {}, harness._rotor_residuals,
+       {"relations": harness._closure(f)}) for f in "TQ"),
+    ("rotor_cross_commutation", harness._rotor_draws, {}, harness._rotor_residuals,
+     {"relations": harness._CROSS}),
+    ("wigner_eigenrelations", harness._wigner_draws, {}, harness._angular_residuals, {}),
+    *((f"angular_factor_eigen_{c.tag}", harness._angular_factor_draws, {"case": c},
+       harness._angular_residuals, {}) for c in (harness.CASE_A, harness.CASE_B)),
+    *((f"phase_constraint_{c.tag}" + ("_offsets" if off else ""), harness._phase_draws,
+       {"case": c}, harness._phase_residuals, {"case": c, "with_offsets": off})
+      for c in (harness.CASE_A, harness.CASE_B) for off in (False, True)),
+    *((f"{w}_{c.tag}", harness._identity_draws, {"case": c}, harness._identity_residuals,
+       {"case": c, "which": w})
+      for c in (harness.CASE_A, harness.CASE_B) for w in _IDENTITIES),
+    *((f"separation_consistency_J{J}", harness._consistency_draws, {},
+       harness._consistency_residuals, {"J": J}) for J in (0, 1)),
+]
+
+
+@pytest.mark.parametrize("draws, dkw, residuals, rkw", [row[1:] for row in _BATCHED],
+                         ids=[row[0] for row in _BATCHED])
+def test_batched_residuals_equal_one_sample_calls(draws, dkw, residuals, rkw):
+    cfg = SuiteConfig()
+    drawn = draws(cfg, np.random.default_rng(3), **dkw)
+    batch = residuals(cfg, drawn, **rkw)
+    single = np.array([residuals(cfg, [dr], **rkw)[0] for dr in drawn])
+    assert batch.shape[0] == len(drawn) and np.isfinite(batch).all()
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+
+
+def test_batched_checks_fold_their_residuals():
+    # each check's record is the worst of the batch above, over every draw
+    cfg = SuiteConfig()
+    rows = {row[0]: row for row in harness._registry(cfg)}
+    for rid, draws, dkw, residuals, rkw in _BATCHED:
+        _, check, kwargs, *_ = rows[rid]
+        rec = check(cfg, np.random.default_rng(5), **kwargs)
+        res = residuals(cfg, draws(cfg, np.random.default_rng(5), **dkw), **rkw)
+        assert rec.check_id == rid and rec.n_samples == len(res)
+        assert rec.max_residual == res.max()
+
+
+def test_separation_consistency_j0_is_an_exact_cancellation():
+    for seed in (1729, 201, 7):
+        rep = run_suite(SuiteConfig(seed=seed), only=["separation_consistency_J0"])
+        (rec,) = rep.checks
+        assert rec.max_residual < 1e-15, (seed, rec.max_residual)
+
+
+def test_angle_poly_batch_equals_its_rows():
+    rng = np.random.default_rng(8)
+    polys = [harness._angle_poly(rng) for _ in range(40)]
+    angles = [harness.sample_angles(rng) for _ in range(40)]
+    stacked = harness._stack(polys)(harness._stack_angles(angles))
+    rows = np.array([g(phi) for g, phi in zip(polys, angles)])
+    assert np.array_equal(stacked, rows)
+    # and one polynomial on a 40-row batch of angles against each angle alone
+    batch = harness._stack_angles(angles)
+    assert np.array_equal(polys[0](batch), [polys[0](phi) for phi in angles])
 
 
 def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
