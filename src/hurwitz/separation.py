@@ -178,21 +178,22 @@ def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
     """
     _check_spin(J)
     a1, ap, am = col
-    i, diag, lower, upper = _h_layout(J)
-    h = np.zeros(np.shape(a) + (i.size, i.size), dtype=complex)
-    h[..., i, i] = -np.asarray(a)[..., None] - diag * a1
-    h[..., i[1:], i[:-1]] = lower * ap
-    h[..., i[:-1], i[1:]] = upper * am
-    return h
+    diag, lower, upper = _h_layout(J)
+    n = diag.size
+    # the three diagonals as strided slices of the flattened matrices
+    h = np.zeros(np.shape(a) + (n * n,), dtype=complex)
+    h[..., :: n + 1] = -np.asarray(a)[..., None] - diag * a1
+    h[..., n :: n + 1] = lower * ap
+    h[..., 1 :: n + 1] = upper * am
+    return h.reshape(np.shape(a) + (n, n))
 
 
 @functools.lru_cache(maxsize=None)
 def _h_layout(J: int):
-    """Row indices 0 .. 2J and, for rows k = 1 .. 2J+1, the diagonal's A1
-    factor J+1-k and the sub- and superdiagonal factors of :func:`build_h`."""
+    """For rows k = 1 .. 2J+1 of :func:`build_h`: the diagonal's A1 factor
+    J+1-k, and the sub- and superdiagonal factors."""
     k = np.arange(1, 2 * J + 2)
     return (
-        k - 1,
         (J + 1 - k).astype(float),
         np.sqrt((2 * J + 2 - k[1:]) * (k[1:] - 1)),
         np.sqrt(k[:-1] * (2 * J + 1 - k[:-1])),

@@ -101,6 +101,47 @@ def test_validate_accepts_only_configs_with_float_convertible_numbers(values):
     assert all(math.isfinite(float(v)) for v in numbers)
 
 
+# A cheap subset of the suite: no base-point sampling, no finite differences.
+_CHEAP = ["clifford", "spectrum_structure", "bisection_cross_check"]
+
+# Values of each field's own type, in and around its accepted range, so
+# that most drawn configs are accepted.
+_TYPED_FIELDS = {
+    "seed": st.integers(0, 2**64),
+    "samples": st.integers(0, harness.MAX_SAMPLES + 1),
+    "fd_step": st.floats(0.0, 1.0),
+    "tolerances": st.dictionaries(
+        st.sampled_from(_RECORD_IDS),
+        st.one_of(st.floats(-1e-3, 1e3), st.just(0.0), st.just(math.nan)), max_size=3,
+    ),
+    "cases": st.lists(st.sampled_from(["A", "B"]), max_size=2).map(tuple),
+    "J_max": st.integers(1, 4),
+    "exclusion_eps": st.floats(0.0, 0.75),
+}
+
+
+@settings(max_examples=25, deadline=2000, derandomize=True, database=None)
+@given(st.fixed_dictionaries({}, optional=_TYPED_FIELDS))
+@example({"J_max": 2, "cases": ["B"], "samples": harness.MAX_SAMPLES,
+          "tolerances": {"spectrum_structure": 0.0}})
+def test_every_accepted_config_runs_to_a_strict_report(values):
+    # validate() rejects a config (the CLI's exit code 2) or the config runs
+    # in-process, and its report is strict JSON
+    cfg = SuiteConfig(**values)
+    try:
+        cfg.validate()
+    except ConfigInvalid:
+        return
+    rep = run_suite(cfg, only=_CHEAP)
+    checks = _strict_loads(rep.to_json())["checks"]
+    assert [c["check_id"] for c in checks] == [
+        "clifford_structure", "clifford_anticommutation", "spectrum_structure",
+        "bisection_cross_check",
+    ]
+    assert rep.passed == all(c["passed"] for c in checks)
+    assert all(c["n_samples"] > 0 for c in checks)
+
+
 def test_config_accepts_record_ids_and_the_sample_cap():
     SuiteConfig(
         samples=harness.MAX_SAMPLES,
