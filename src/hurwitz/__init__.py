@@ -48,7 +48,7 @@ from .opcalc import (
     apply_euler_op,
     apply_T,
     casimir_residual,
-    commutator_residual,
+    commutator_residuals,
     identity_residual,
     oscillator_apply,
 )

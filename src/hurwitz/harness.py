@@ -345,6 +345,15 @@ def _stack(fields):
     return type(fields[0]).stack(fields)
 
 
+def _groups(keys):
+    """(key, indices of that key) for each distinct key, in order of first
+    appearance."""
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out.items()
+
+
 def _stack_angles(angles) -> EulerAngles:
     """Angles of one draw each, as one batch of shape (n,)."""
     return EulerAngles(*(np.array(c) for c in zip(*((a.phi1, a.phi2, a.phi3) for a in angles))))
@@ -419,16 +428,13 @@ def _result(cfg, check_id, case, n, value, default_tol, detail="") -> CheckResul
 def _worst_of(cfg, check_id, case, residuals, default_tol, detail="") -> CheckResult:
     """The record of a check over per-sample residuals.
 
-    ``residuals`` yields one item per evaluated sample: a scalar, a tuple
-    or an array, reduced with ``np.max``; an array (n, ...) holds one row
-    per sample.  ``n_samples`` counts the items and the worst is the
+    ``residuals`` yields one item per evaluated sample (a batch's (n, ...)
+    array one row each): a scalar, a tuple or an array, reduced with
+    ``np.max``.  ``n_samples`` counts the items and the worst is the
     ``np.max`` over samples, so a NaN residual on any sample propagates and
     fails the check; so does an empty ``residuals``.
     """
-    if isinstance(residuals, np.ndarray):
-        per_sample = np.max(residuals, axis=tuple(range(1, residuals.ndim)))
-    else:
-        per_sample = [np.max(r) for r in residuals]
+    per_sample = [np.max(r) for r in residuals]
     worst = np.max(per_sample, initial=0.0)
     return _result(cfg, check_id, case, len(per_sample), worst, default_tol, detail)
 
@@ -827,9 +833,7 @@ def _angular_residuals(cfg, draws):
     one generator-image and one Casimir evaluation per (J, p) group."""
     d = cfg.strategy(1e-3)
     res = np.empty((len(draws), 3))
-    keys = [(J, p) for J, p, *_ in draws]
-    for J, p in dict.fromkeys(keys):
-        idx = [i for i, k in enumerate(keys) if k == (J, p)]
+    for (J, p), idx in _groups([dr[:2] for dr in draws]):
         _, _, g, row, target, angles = zip(*(draws[i] for i in idx))
         g = np.stack(g, axis=-1)
         G = lambda ph: separation.angular_factor(J, p, g, ph)
@@ -949,8 +953,7 @@ def _consistency_draws(cfg, rng):
 def _consistency_residuals(cfg, draws, J):
     """One consistency evaluation per case over its stack of points."""
     res = np.empty(len(draws))
-    for case in dict.fromkeys(c for c, _, _ in draws):
-        idx = [i for i, (c, _, _) in enumerate(draws) if c == case]
+    for case, idx in _groups([dr[0] for dr in draws]):
         _, xs, kinds = zip(*(draws[i] for i in idx))
         res[idx] = separation.consistency_residual(
             J, 0, _radial_field(np.array(kinds)), np.array(xs), case,

@@ -15,23 +15,19 @@ Fields take stacks, with numpy broadcasting: a complex-space field maps xi
 B + (4,) to B + T, a field over (x, angles) maps x B + (5,) and
 :class:`EulerAngles` with attributes of shape S to broadcast(B, S), and a
 field over the angle chart maps angles S to T + S (T is empty for a scalar
-field; a constant may return a scalar).
-
-One axis rule: every stencil puts its displacement axes in front of the
-points it displaces, (offsets,) + D + B for base or complex-space points and
-(3, 4) + S for angles (three angles, four offsets each), so the batch axes
-always trail.  A field whose parameters differ per sample (one test field
-per draw, say, parameters of shape (n, ...)) therefore evaluates a whole
-batch of samples whose last batch axis is the sample axis: its parameters
-broadcast against that axis on the x side and on the angle side alike.  An
-operator calls its field once on all of its stencil points: the 12
-displaced copies of each angle give the three angle derivatives, which a
-coefficient table turns into all six generator images (a nested pair is one
-call on 144 copies); ``_stencil`` displaces points along the 8 real
-directions of C^4 or the base axes.  Angle fields are functions on R^3 (no
-folding), so angle-periodic test fields are expected.  Phase-type fiber
-functions are differentiated via their unit-modulus exponentials, which
-keeps stencils off branch cuts.
+field; a constant may return a scalar).  One axis rule: every stencil puts
+its displacement axes in front, (offsets,) + D + B for points and
+(3, 4) + S for angles, so the batch axes trail, and a field whose
+parameters carry a sample axis (one test field per sample of a batch)
+broadcasts it against the batch's last axis on the x side and the angle
+side alike.  An operator calls its field once on all of its stencil
+points: the 12 displaced copies of each angle give the three angle
+derivatives, which a coefficient table turns into all six generator images
+(a nested pair is one call on 144 copies); ``_stencil`` displaces points
+along the 8 real directions of C^4 or the base axes.  Angle fields are
+functions on R^3 (no folding), so angle-periodic test fields are expected.
+Phase-type fiber functions are differentiated via their unit-modulus
+exponentials, which keeps stencils off branch cuts.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ __all__ = [
     "casimir",
     "coupled_q",
     "momentum",
-    "commutator_residual",
     "commutator_residuals",
     "casimir_residual",
     "identity_residual",
@@ -284,29 +279,24 @@ def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
     return _d1(at(0), at(1), at(2), at(3), h)
 
 
-def _images(field, phi: EulerAngles, h: float) -> np.ndarray:
-    """All six generators applied to ``field`` at ``phi``, (6,) + T + S."""
-    coef = _coefficients(phi)
-    der = _angle_derivatives(field, phi, h)
-    nt = der.ndim - coef.ndim + 1
-    coef = coef.reshape((6,) + (1,) * nt + coef.shape[1:])
-    return 1j * (coef * der).sum(axis=nt + 1)
-
-
-def _nested(field, phi: EulerAngles, h: float) -> np.ndarray:
-    """X_a X_b field at ``phi`` for every generator pair, (6, 6) + T + S:
-    the outer stencil of the six inner images, one field call on 144 points
-    per angle."""
-    return _images(lambda ang: _images(field, ang, h), phi, h)
-
-
 def euler_images(
     field: Callable[[EulerAngles], complex], phi: EulerAngles, d: DiffStrategy
 ) -> np.ndarray:
     """All six generators applied to a field over the angle chart at
     ``phi``, (6,) + T + S in :data:`EULER_OPS` order, from one field call.
     Raises :class:`PolarSingularity` where |sin(phi3)| < 1e-8."""
-    return _images(field, phi, d.step)
+    coef = _coefficients(phi)
+    der = _angle_derivatives(field, phi, d.step)
+    nt = der.ndim - coef.ndim + 1
+    coef = coef.reshape((6,) + (1,) * nt + coef.shape[1:])
+    return 1j * (coef * der).sum(axis=nt + 1)
+
+
+def _nested(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
+    """X_a X_b field at ``phi`` for every generator pair, (6, 6) + T + S:
+    the outer stencil of the six inner images, one field call on 144 points
+    per angle."""
+    return euler_images(lambda ang: euler_images(field, ang, d), phi, d)
 
 
 def apply_euler_op(
@@ -315,12 +305,8 @@ def apply_euler_op(
     phi: EulerAngles,
     d: DiffStrategy,
 ) -> complex:
-    """Apply one generator to a field over the angle chart at ``phi``.
-
-    ``phi`` may be a batch (array attributes of shape S); the field is then
-    called once on all of its stencil points and the result has shape
-    T + S.  Raises :class:`PolarSingularity` where |sin(phi3)| < 1e-8.
-    """
+    """One generator applied to a field over the angle chart at ``phi``:
+    the row ``which`` of :func:`euler_images`, T + S."""
     return euler_images(field, phi, d)[EULER_OPS.index(which)]
 
 
@@ -336,7 +322,7 @@ def casimir(
     d: DiffStrategy,
 ) -> complex:
     """(X1 X1 + X2 X2 + X3 X3) field at phi for the triple X = T or Q."""
-    return _casimir(_nested(field, phi, d.step), family)
+    return _casimir(_nested(field, phi, d), family)
 
 
 def coupled_q(row, images: np.ndarray):
@@ -363,9 +349,8 @@ def momentum(
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
     ``lam`` is an axis or an array of axes L; ``xs`` has shape B + (5,) and
-    the angles shape S; both are broadcast to one batch shape, so the
-    displaced points (4,) + L + batch and angles (3, 4) + batch keep the
-    batch axes trailing.  ``field(ys, angles)`` maps base points B' + (5,)
+    the angles shape S, both broadcast to one batch shape that trails the
+    stencils' axes.  ``field(ys, angles)`` maps base points B' + (5,)
     and angles S' to the broadcast shape of B' and S' (a field constant in
     either broadcasts); it is called once on the displaced points of all
     axes and once over the angle stencil.  ``potential(ys)`` gives the
@@ -376,7 +361,7 @@ def momentum(
     phi = EulerAngles(*(np.broadcast_to(c, batch) for c in (phi.phi1, phi.phi2, phi.phi3)))
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
     row = np.moveaxis(potential(xs), -2, 0)[lam]
-    return -1j * der + coupled_q(row, _images(lambda ang: field(xs, ang), phi, d.step))
+    return -1j * der + coupled_q(row, euler_images(lambda ang: field(xs, ang), phi, d))
 
 
 def commutator_residuals(
@@ -391,8 +376,8 @@ def commutator_residuals(
     levels use ``step2``.
     """
     dn = d.nested()
-    nested = _nested(field, phi, dn.step)
-    images = _images(field, phi, dn.step)
+    nested = _nested(field, phi, dn)
+    images = euler_images(field, phi, dn)
     out = []
     for a, b, (coef, name) in relations:
         ia, ib = EULER_OPS.index(a), EULER_OPS.index(b)
@@ -403,23 +388,11 @@ def commutator_residuals(
     return np.array(out)
 
 
-def commutator_residual(
-    a: str,
-    b: str,
-    expected: tuple[complex, str | None],
-    field: Callable[[EulerAngles], complex],
-    phi: EulerAngles,
-    d: DiffStrategy,
-) -> float:
-    """One relation of :func:`commutator_residuals`."""
-    return commutator_residuals([(a, b, expected)], field, phi, d)[0]
-
-
 def casimir_residual(
     field: Callable[[EulerAngles], complex], phi: EulerAngles, d: DiffStrategy
 ) -> float:
     """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at a point."""
-    nested = _nested(field, phi, d.nested().step)
+    nested = _nested(field, phi, d.nested())
     return abs(_casimir(nested, "T") - _casimir(nested, "Q"))
 
 
@@ -471,10 +444,8 @@ def identity_residual(
                              against minus the complex Laplacian; relative.
 
     ``xi`` is one point (4,), giving a float, or a stack B + (4,), giving one
-    residual per point, B; each residual is scaled by its own point's
-    values.  ``field`` is a field over (x, angles) for the last three
-    identities; parameters of shape (n, ...) for a stack of n points give
-    each point its own field.
+    residual per point, each scaled by its own point's values.  ``field``
+    is a field over (x, angles) for the last three identities.
     """
     from .gauge import a_field_closed, a_tilde  # deferred: gauge imports opcalc
 
@@ -482,7 +453,7 @@ def identity_residual(
     nb = xi.ndim - 1
     if which == "phase_constraint":
         D, Dbar = fiber_phase_gradients(xi, case, d)
-        lhs = (D * xi[..., None, :]).sum(axis=-1) - (Dbar * xi.conj()[..., None, :]).sum(axis=-1)
+        lhs = (D * xi[..., None, :] - Dbar * xi.conj()[..., None, :]).sum(axis=-1)
         target = np.array([-2j, 0.0, 0.0])
         return np.abs(lhs - target).max(axis=-1)[()]
 
@@ -525,8 +496,7 @@ def identity_residual(
 
 def _rel_max(lhs, rhs, nb: int):
     """max |lhs - rhs| / max(1, max |lhs|, max |rhs|) over the axes in front
-    of the ``nb`` trailing batch axes: one scale per sample, never one per
-    batch."""
+    of the ``nb`` batch axes: one scale per sample, not per batch."""
     axes = tuple(range(np.ndim(lhs) - nb))
     scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=axes), np.abs(rhs).max(axis=axes)))
     return (np.abs(lhs - rhs).max(axis=axes) / scale)[()]
