@@ -323,8 +323,8 @@ class _XPhiField:
         # written alone
         gauss = np.where(self.gaussian, np.exp(-0.35 * np.vecdot(x, x)), 1.0)
         cross = np.where(self.gaussian, 0.0, 0.1)
-        return gauss * (1.0 + np.vecdot(x, self.coeff) + cross * x[..., 0] * x[..., 4]) \
-            * self.ang(phi)
+        poly = 1.0 + np.vecdot(x, self.coeff) + cross * x[..., 0] * x[..., 4]
+        return gauss * poly * self.ang(phi)
 
     @classmethod
     def stack(cls, fields) -> "_XPhiField":
@@ -356,7 +356,8 @@ def _groups(keys):
 
 def _stack_angles(angles) -> EulerAngles:
     """Angles of one draw each, as one batch of shape (n,)."""
-    return EulerAngles(*(np.array(c) for c in zip(*((a.phi1, a.phi2, a.phi3) for a in angles))))
+    columns = zip(*((a.phi1, a.phi2, a.phi3) for a in angles))
+    return EulerAngles(*(np.array(c) for c in columns))
 
 
 # offsets of the invariant products m of a stack, B + (4, 4) -> B

@@ -16,12 +16,11 @@ B + (4,) to B + T, a field over (x, angles) maps x B + (5,) and
 :class:`EulerAngles` with attributes of shape S to broadcast(B, S), and a
 field over the angle chart maps angles S to T + S (T is empty for a scalar
 field; a constant may return a scalar).  One axis rule: every stencil puts
-its displacement axes in front, (offsets,) + D + B for points and
-(3, 4) + S for angles, so the batch axes trail, and a field whose
-parameters carry a sample axis (one test field per sample of a batch)
-broadcasts it against the batch's last axis on the x side and the angle
-side alike.  An operator calls its field once on all of its stencil
-points: the 12 displaced copies of each angle give the three angle
+its displacement axes in front, (offsets,) + D + B for points, (3, 4) + S
+for angles, so the batch axes trail and a field whose parameters carry a
+sample axis (one test field per sample) broadcasts it against the batch's
+last axis on both sides.  An operator calls its field once on all of its
+stencil points: the 12 displaced copies of each angle give the three angle
 derivatives, which a coefficient table turns into all six generator images
 (a nested pair is one call on 144 copies); ``_stencil`` displaces points
 along the 8 real directions of C^4 or the base axes.  Angle fields are
@@ -194,8 +193,8 @@ def fiber_phase_gradients(
     ia, ib = case.pair
 
     def g(z: np.ndarray) -> np.ndarray:
-        # the three exponentials, B + (4,) -> B + (3,); each is finished
-        # before stacking (a strided product rounds unlike a batch's)
+        # the three exponentials, B + (4,) -> B + (3,), each finished before
+        # stacking: a product on a strided view rounds unlike a batch's
         a, b = z[..., ia], z[..., ib]
         ma, mb = np.abs(a), np.abs(b)
         u, v = ma**2, mb**2
@@ -275,13 +274,10 @@ def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
     v = field(pts)
     if np.ndim(v) < len(pad) + 2:  # a field constant in the angles
         v = np.broadcast_to(v, np.shape(pts.phi1))
-    at = lambda o: v[(..., o) + (slice(None),) * len(pad)]
-    return _d1(at(0), at(1), at(2), at(3), h)
+    return _d1(*(v[(..., o) + (slice(None),) * len(pad)] for o in range(4)), h)
 
 
-def euler_images(
-    field: Callable[[EulerAngles], complex], phi: EulerAngles, d: DiffStrategy
-) -> np.ndarray:
+def euler_images(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
     """All six generators applied to a field over the angle chart at
     ``phi``, (6,) + T + S in :data:`EULER_OPS` order, from one field call.
     Raises :class:`PolarSingularity` where |sin(phi3)| < 1e-8."""
@@ -364,28 +360,18 @@ def momentum(
     return -1j * der + coupled_q(row, euler_images(lambda ang: field(xs, ang), phi, d))
 
 
-def commutator_residuals(
-    relations,
-    field: Callable[[EulerAngles], complex],
-    phi: EulerAngles,
-    d: DiffStrategy,
-) -> np.ndarray:
-    """|([a, b] - coef*op) field| for each relation (a, b, (coef, op_name)),
-    (R,) + T + S, read from one nested application (and one first-order
-    one); op_name None means the commutator itself should vanish.  Both
-    levels use ``step2``.
-    """
+def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
+    """|([a, b] - coef*op) field| for each relation (a, b, (coef, op_name))
+    (op_name None: the commutator itself should vanish), (R,) + T + S, read
+    from one nested and one first-order application, both at ``step2``."""
     dn = d.nested()
-    nested = _nested(field, phi, dn)
-    images = euler_images(field, phi, dn)
-    out = []
-    for a, b, (coef, name) in relations:
-        ia, ib = EULER_OPS.index(a), EULER_OPS.index(b)
-        val = nested[ia, ib] - nested[ib, ia]
-        if name is not None:
-            val = val - coef * images[EULER_OPS.index(name)]
-        out.append(np.abs(val))
-    return np.array(out)
+    nested, images = _nested(field, phi, dn), euler_images(field, phi, dn)
+    ix = EULER_OPS.index
+    return np.array([
+        np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)]
+               - (0.0 if op is None else coef * images[ix(op)]))
+        for a, b, (coef, op) in relations
+    ])
 
 
 def casimir_residual(
@@ -450,7 +436,6 @@ def identity_residual(
     from .gauge import a_field_closed, a_tilde  # deferred: gauge imports opcalc
 
     xi = np.asarray(xi, dtype=complex)
-    nb = xi.ndim - 1
     if which == "phase_constraint":
         D, Dbar = fiber_phase_gradients(xi, case, d)
         lhs = (D * xi[..., None, :] - Dbar * xi.conj()[..., None, :]).sum(axis=-1)
@@ -468,15 +453,14 @@ def identity_residual(
         at = np.moveaxis(a_tilde(xi, case, d), -2, 0)
         xgrad = _stencil(lambda ys: field(ys, phi), pt.x, _AXES, d.step)
         pgrad = _angle_derivatives(lambda ang: field(pt.x, ang), phi, d.step)
-        fiber = at[..., 0] * pgrad[0] + at[..., 1] * pgrad[1] + at[..., 2] * pgrad[2]
-        rhs = pt.r * (xgrad + fiber)
-        return _rel_max(lhs, rhs, nb)
+        rhs = pt.r * (xgrad + sum(at[..., k] * pgrad[k] for k in range(3)))
+        return _rel_max(lhs, rhs, xi.ndim - 1)
 
     if which == "momentum_equivalence":
         lhs = momentum(np.arange(5), field, potential, pt.x, phi, d)
         dh, da = wirtinger_gradients(g, xi, d)
         rhs = (-1j / (2.0 * pt.r)) * _big_d(xi, dh, da)
-        return _rel_max(lhs, rhs, nb)
+        return _rel_max(lhs, rhs, xi.ndim - 1)
 
     if which == "laplacian_split":
         dn = d.nested()
@@ -489,7 +473,7 @@ def identity_residual(
         p_sq = sum(p_squared(lam) for lam in range(5))
         lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
         rhs = -xi_laplacian(g, xi, d)
-        return _rel_max(lhs, rhs, nb)
+        return _rel_max(lhs, rhs, xi.ndim - 1)
 
     raise ValueError(f"unknown identity {which!r}")
 
@@ -498,8 +482,8 @@ def _rel_max(lhs, rhs, nb: int):
     """max |lhs - rhs| / max(1, max |lhs|, max |rhs|) over the axes in front
     of the ``nb`` batch axes: one scale per sample, not per batch."""
     axes = tuple(range(np.ndim(lhs) - nb))
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=axes), np.abs(rhs).max(axis=axes)))
-    return (np.abs(lhs - rhs).max(axis=axes) / scale)[()]
+    big = lambda v: np.abs(v).max(axis=axes)
+    return (big(lhs - rhs) / np.maximum(1.0, np.maximum(big(lhs), big(rhs))))[()]
 
 
 def oscillator_apply(

@@ -53,7 +53,6 @@ __all__ = [
     "coefficients",
     "axis_solution",
     "angular_factor",
-    "g_eval",
     "resolve_branch",
     "effective_terms",
     "consistency_residual",
@@ -179,13 +178,13 @@ def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
     _check_spin(J)
     a1, ap, am = col
     diag, lower, upper = _h_layout(J)
-    n = diag.size
+    n, shape = diag.size, np.shape(a)
     # the three diagonals as strided slices of the flattened matrices
-    h = np.zeros(np.shape(a) + (n * n,), dtype=complex)
-    h[..., :: n + 1] = -np.asarray(a)[..., None] - diag * a1
+    h = np.zeros(shape + (n * n,), dtype=complex)
+    h[..., :: n + 1] = np.subtract.outer(-a, diag * a1)
     h[..., n :: n + 1] = lower * ap
     h[..., 1 :: n + 1] = upper * am
-    return h.reshape(np.shape(a) + (n, n))
+    return h.reshape(shape + (n, n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,13 +318,8 @@ def angular_factor(J: int, p: int, g: np.ndarray, phi: EulerAngles):
     """sum_q g_q phi^J_{q,p} at ``phi`` for coefficients ``g`` ordered
     q = -J .. J.  ``g`` of shape (2J+1,) + N holds one vector per sample
     (N broadcasts against the trailing axes of the angles)."""
-    return sum(g[J_plus_q] * wigner(J, J_plus_q - J, p, phi) for J_plus_q in range(2 * J + 1))
-
-
-def g_eval(sol: SeparationSolution, p: int, phi: EulerAngles) -> complex:
-    """The angular factor of a separation solution (its first null vector
-    if degenerate)."""
-    return angular_factor(sol.J, p, sol.g if sol.g.ndim == 1 else sol.g[:, 0], phi)
+    return sum(g[J_plus_q] * wigner(J, J_plus_q - J, p, phi)
+               for J_plus_q in range(2 * J + 1))
 
 
 def effective_terms(

@@ -7,7 +7,8 @@ import shutil
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_spec = importlib.util.spec_from_file_location("gate", os.path.join(ROOT, "tools", "gate.py"))
+_PATH = os.path.join(ROOT, "tools", "gate.py")
+_spec = importlib.util.spec_from_file_location("gate", _PATH)
 gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
@@ -55,8 +56,8 @@ def _scale_residual(factor, check_id=None):
     """Scale one record's residual: ``check_id``'s, or the first nonzero."""
     def edit(text):
         report = json.loads(text)
-        rec = next(r for r in report["checks"]
-                   if r["check_id"] == check_id or (check_id is None and r["max_residual"]))
+        rec = next(r for r in report["checks"] if r["check_id"] == check_id
+                   or (check_id is None and r["max_residual"]))
         rec["max_residual"] *= factor
         return json.dumps(report)
     return edit

@@ -7,13 +7,13 @@ from hurwitz.gauge import a_field_closed
 from hurwitz.harness import SuiteConfig, _result
 from hurwitz.opcalc import DiffStrategy, apply_euler_op
 from hurwitz.separation import (
+    angular_factor,
     axis_solution,
     build_h,
     coefficients,
     consistency_residual,
     det_bisection_roots,
     effective_terms,
-    g_eval,
     ladder_apply,
     potential_columns,
     resolve_branch,
@@ -395,7 +395,7 @@ def test_angular_factor_eigenrelations():
     for J in (1, 2):
         for lam in (0, 2, 4):
             sol = axis_solution(J, A, lam, "m=1")
-            G = lambda ph: g_eval(sol, 0, ph)
+            G = lambda ph: angular_factor(sol.J, 0, sol.g, ph)
             for _ in range(2):
                 phi = random_angles()
                 gv = G(phi)
@@ -422,7 +422,7 @@ def test_plane_wave_index_preserved():
     sol = axis_solution(1, A, 1, "alternating")
     for p in (-1, 0, 1):
         phi = random_angles()
-        G = lambda ph: g_eval(sol, p, ph)
+        G = lambda ph: angular_factor(sol.J, p, sol.g, ph)
         assert abs(apply_euler_op("T1", G, phi, D3) - p * G(phi)) < 1e-6
 
 
@@ -430,7 +430,7 @@ def test_spin_zero_angular_factor_constant():
     x = random_x()
     A = a_field_closed(x, CASE_A).A
     sol = axis_solution(0, A, 0, "alternating")
-    vals = [g_eval(sol, 0, random_angles()) for _ in range(4)]
+    vals = [angular_factor(sol.J, 0, sol.g, random_angles()) for _ in range(4)]
     assert np.abs(np.diff(vals)).max() < 1e-14
 
 

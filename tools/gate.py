@@ -85,9 +85,10 @@ def compare_exports(old: str, new: str) -> list[str]:
         return ["the two trees wrote different export files"]
     problems = []
     for name in names:
-        with open(os.path.join(old, name), "rb") as a, open(os.path.join(new, name), "rb") as b:
-            if a.read() != b.read():
-                problems.append(f"{name} differs")
+        with open(os.path.join(old, name), "rb") as a:
+            with open(os.path.join(new, name), "rb") as b:
+                if a.read() != b.read():
+                    problems.append(f"{name} differs")
     return problems
 
 
@@ -113,7 +114,8 @@ def compare(out_old: str, out_new: str, bound: float) -> bool:
     problems = compare_exports(os.path.join(out_old, "export"),
                                os.path.join(out_new, "export"))
     n = len(os.listdir(os.path.join(out_old, "export")))
-    status = f"FAIL  {'; '.join(problems)}" if problems else f"PASS  {n} files byte-identical"
+    status = (f"FAIL  {'; '.join(problems)}" if problems
+              else f"PASS  {n} files byte-identical")
     print(f"{'exports':<22} {status}")
     return ok and not problems
 
