@@ -839,7 +839,7 @@ def _angular_residuals(cfg, draws):
         g = np.stack(g, axis=-1)
         G = lambda ph: separation.angular_factor(J, p, g, ph)
         phi = _stack_angles(angles)
-        images = opcalc.euler_images(G, phi, d)
+        images = opcalc.apply_euler_op(opcalc.EULER_OPS, G, phi, d)
         qsq = opcalc.casimir("Q", G, phi, d)
         gv = G(phi)
         res[idx] = np.abs([

@@ -56,7 +56,6 @@ __all__ = [
     "xi_laplacian",
     "fiber_phase_gradients",
     "apply_T",
-    "euler_images",
     "apply_euler_op",
     "casimir",
     "coupled_q",
@@ -119,21 +118,17 @@ def second_derivative(f: Callable[[float], complex], h: float) -> complex:
     ) / (12.0 * h * h)
 
 
-def _d1(fm2, fm1, fp1, fp2, h: float):
-    """:func:`first_derivative` (the reference) on arrays of the values at
-    -2h, -h, h, 2h."""
-    return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h)
-
-
-def _d2(fm2, fm1, f0, fp1, fp2, h: float):
-    """:func:`second_derivative` on arrays of the values at -2h .. 2h."""
-    return (-(fm2 + fp2) + 16.0 * (fm1 + fp1) - 30.0 * f0) / (12.0 * h * h)
-
-
 # stencil offsets in steps (first and second order) and the base-space axes
 _OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _OFFSETS2 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _AXES = np.eye(5)
+
+
+def _combine(values, h: float, order: int = 1):
+    """The reference stencil of the order (:func:`first_derivative`, ...) on
+    arrays of the values at the offsets -2h, -h, (0,) h, 2h."""
+    at = dict(zip((_OFFSETS if order == 1 else _OFFSETS2) * h, values))
+    return (first_derivative if order == 1 else second_derivative)(at.__getitem__, h)
 
 
 def _stencil(fn, pts, dirs, h: float, order: int = 1):
@@ -147,7 +142,7 @@ def _stencil(fn, pts, dirs, h: float, order: int = 1):
     v = fn(ys)
     if np.ndim(v) < ys.ndim - 1:  # constant along the stencil (a constant field)
         v = np.broadcast_to(v, ys.shape[:-1])
-    return (_d1 if order == 1 else _d2)(*v, h)
+    return _combine(v, h, order)
 
 
 # the 8 real directions of C^4: Re xi_1, Im xi_1, Re xi_2, ...
@@ -274,13 +269,11 @@ def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
     v = field(pts)
     if np.ndim(v) < len(pad) + 2:  # a field constant in the angles
         v = np.broadcast_to(v, np.shape(pts.phi1))
-    return _d1(*(v[(..., o) + (slice(None),) * len(pad)] for o in range(4)), h)
+    return _combine([v[(..., o) + (slice(None),) * len(pad)] for o in range(4)], h)
 
 
-def euler_images(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
-    """All six generators applied to a field over the angle chart at
-    ``phi``, (6,) + T + S in :data:`EULER_OPS` order, from one field call.
-    Raises :class:`PolarSingularity` where |sin(phi3)| < 1e-8."""
+def _images(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
+    """All six generators applied to ``field`` at ``phi``, (6,) + T + S."""
     coef = _coefficients(phi)
     der = _angle_derivatives(field, phi, d.step)
     nt = der.ndim - coef.ndim + 1
@@ -292,18 +285,25 @@ def _nested(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
     """X_a X_b field at ``phi`` for every generator pair, (6, 6) + T + S:
     the outer stencil of the six inner images, one field call on 144 points
     per angle."""
-    return euler_images(lambda ang: euler_images(field, ang, d), phi, d)
+    return _images(lambda ang: _images(field, ang, d), phi, d)
 
 
 def apply_euler_op(
-    which: str,
+    which,
     field: Callable[[EulerAngles], complex],
     phi: EulerAngles,
     d: DiffStrategy,
 ) -> complex:
-    """One generator applied to a field over the angle chart at ``phi``:
-    the row ``which`` of :func:`euler_images`, T + S."""
-    return euler_images(field, phi, d)[EULER_OPS.index(which)]
+    """Generators applied to a field over the angle chart at ``phi``, from
+    one field call on its stencil: ``which`` names one (T + S) or is a
+    sequence of names (one row each; :data:`EULER_OPS` gives all six images
+    (6,) + T + S, which :func:`coupled_q` reads).  Raises
+    :class:`PolarSingularity` where |sin(phi3)| < 1e-8.
+    """
+    images = _images(field, phi, d)
+    if isinstance(which, str):
+        return images[EULER_OPS.index(which)]
+    return images[[EULER_OPS.index(w) for w in which]]
 
 
 def _casimir(nested: np.ndarray, family: str):
@@ -323,7 +323,7 @@ def casimir(
 
 def coupled_q(row, images: np.ndarray):
     """(row[..., 0] Q1 + row[..., 1] Q2 + row[..., 2] Q3) field, read from
-    the field's :func:`euler_images` (6,) + T + S.
+    the field's images ``apply_euler_op(EULER_OPS, ...)``, (6,) + T + S.
 
     ``row`` has shape R + (3,); the result has the broadcast shape of R and
     T + S (one row per base point of a field over (x, angles), say, or per
@@ -357,7 +357,7 @@ def momentum(
     phi = EulerAngles(*(np.broadcast_to(c, batch) for c in (phi.phi1, phi.phi2, phi.phi3)))
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
     row = np.moveaxis(potential(xs), -2, 0)[lam]
-    return -1j * der + coupled_q(row, euler_images(lambda ang: field(xs, ang), phi, d))
+    return -1j * der + coupled_q(row, _images(lambda ang: field(xs, ang), phi, d))
 
 
 def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
@@ -365,7 +365,7 @@ def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
     (op_name None: the commutator itself should vanish), (R,) + T + S, read
     from one nested and one first-order application, both at ``step2``."""
     dn = d.nested()
-    nested, images = _nested(field, phi, dn), euler_images(field, phi, dn)
+    nested, images = _nested(field, phi, dn), _images(field, phi, dn)
     ix = EULER_OPS.index
     return np.array([
         np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)]

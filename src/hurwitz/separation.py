@@ -29,12 +29,13 @@ import numpy as np
 from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
+    EULER_OPS,
     DiffStrategy,
     OscillatorParams,
     _stencil,
+    apply_euler_op,
     casimir,
     coupled_q,
-    euler_images,
     momentum,
 )
 from .transform import AngleCase, EulerAngles, RPoint
@@ -405,7 +406,8 @@ def consistency_residual(
 
         def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
             # P_lam (Psi G), a field over (x, angles)
-            q = coupled_q(potential(ys)[..., lam, :], euler_images(G, ang, dn))
+            images = apply_euler_op(EULER_OPS, G, ang, dn)
+            q = coupled_q(potential(ys)[..., lam, :], images)
             dpsi_ys = _stencil(test_psi, ys, e, dn.step)
             return -1j * (dpsi_ys * G(ang)) + test_psi(ys) * q
 
