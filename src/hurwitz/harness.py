@@ -103,6 +103,9 @@ class SuiteConfig:
         bad = [c for c in self.cases if c not in ("A", "B")]
         if bad:
             raise ConfigInvalid(f"unknown cases {bad}")
+        # the separation consistency checks alternate over the cases
+        if not self.cases:
+            raise ConfigInvalid("cases must name at least one of A, B")
         # each tag expands into its own seeded rows, so a repeat would report
         # the same check id twice with different draws
         if len(set(self.cases)) != len(self.cases):

@@ -49,7 +49,7 @@ def test_config_validation():
         {"tolerances": {"fiber_roundtrip_A": 1e-10}},
         # a record id of a case the config leaves out
         {"cases": ("A",), "tolerances": {"laplacian_split_B": 1e-4}},
-        {"J_max": 0}, {"J_max": 1},
+        {"J_max": 0}, {"J_max": 1}, {"cases": ()},
         {"samples": harness.MAX_SAMPLES + 1},
         {"fd_step": 10**400},
     ):
@@ -864,6 +864,7 @@ def test_cli_verify_rejects_bad_config(tmp_path):
         {"J_max": 1},
         {"samples": 10**9},
         {"fd_step": 10**400},
+        {"cases": []},
         [1, 2],
         5,
     ],
@@ -871,7 +872,7 @@ def test_cli_verify_rejects_bad_config(tmp_path):
          "repeated_case", "tolerance_unknown_id", "tolerance_nan",
          "tolerance_negative", "fd_step_infinity", "tolerance_minus_infinity",
          "j_max_one", "samples_above_cap",
-         "fd_step_400_digits", "array", "number"],
+         "fd_step_400_digits", "cases_empty", "array", "number"],
 )
 def test_cli_verify_rejects_config_before_sampling(
     tmp_path, monkeypatch, capsys, settings
