@@ -178,26 +178,15 @@ def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
     """
     _check_spin(J)
     a1, ap, am = col
-    diag, lower, upper = _h_layout(J)
-    n, shape = diag.size, np.shape(a)
-    # the three diagonals as strided slices of the flattened matrices
-    h = np.zeros(shape + (n * n,), dtype=complex)
-    h[..., :: n + 1] = np.subtract.outer(-a, diag * a1)
-    h[..., n :: n + 1] = lower * ap
-    h[..., 1 :: n + 1] = upper * am
-    return h.reshape(shape + (n, n))
-
-
-@functools.lru_cache(maxsize=None)
-def _h_layout(J: int):
-    """For rows k = 1 .. 2J+1 of :func:`build_h`: the diagonal's A1 factor
-    J+1-k, and the sub- and superdiagonal factors."""
-    k = np.arange(1, 2 * J + 2)
-    return (
-        (J + 1 - k).astype(float),
-        np.sqrt((2 * J + 2 - k[1:]) * (k[1:] - 1)),
-        np.sqrt(k[:-1] * (2 * J + 1 - k[:-1])),
-    )
+    n = 2 * J + 1
+    h = np.zeros(np.shape(a) + (n, n), dtype=complex)
+    for k in range(1, n + 1):
+        h[..., k - 1, k - 1] = -a - (J + 1 - k) * a1
+        if k >= 2:
+            h[..., k - 1, k - 2] = math.sqrt((2 * J + 2 - k) * (k - 1)) * ap
+        if k <= n - 1:
+            h[..., k - 1, k] = math.sqrt(k * (2 * J + 1 - k)) * am
+    return h
 
 
 def separation_roots(J: int, col) -> np.ndarray:

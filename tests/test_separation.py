@@ -249,34 +249,6 @@ def test_build_h_stack_matches_per_a_loop(J):
         assert np.array_equal(np.signbit(part(stack)), np.signbit(part(loop)))
 
 
-def _loop_build_h(J, col, a):
-    """build_h written as its row loop, one row of three diagonals at a time."""
-    a1, ap, am = col
-    n = 2 * J + 1
-    h = np.zeros(np.shape(a) + (n, n), dtype=complex)
-    for k in range(1, n + 1):
-        h[..., k - 1, k - 1] = -a - (J + 1 - k) * a1
-        if k >= 2:
-            h[..., k - 1, k - 2] = math.sqrt((2 * J + 2 - k) * (k - 1)) * ap
-        if k <= n - 1:
-            h[..., k - 1, k] = math.sqrt(k * (2 * J + 1 - k)) * am
-    return h
-
-
-@pytest.mark.parametrize("J", [0, 1, 2, 3])
-def test_build_h_equals_the_row_loop(J):
-    gen = np.random.default_rng(31 + J)
-    for _ in range(20):
-        a = gen.uniform(-1.2, 1.2, 3)
-        col = (float(a[0]), 0.5 * (a[1] - 1j * a[2]), 0.5 * (a[1] + 1j * a[2]))
-        for spectral in (float(gen.uniform(-2.0, 2.0)), gen.uniform(-2.0, 2.0, 7), -0.0):
-            got, want = build_h(J, col, spectral), _loop_build_h(J, col, spectral)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-            for part in (np.real, np.imag):
-                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
-
-
 @pytest.mark.parametrize("J", [0, 1, 2, 3])
 def test_stacked_det_matches_per_matrix_det(J):
     # the full 4001-point scan grid of det_bisection_roots
