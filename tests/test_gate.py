@@ -1,4 +1,3 @@
-import contextlib
 import importlib.util
 import json
 import os
@@ -15,32 +14,40 @@ _spec.loader.exec_module(gate)
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """The gate run on two copies of this tree: (exit code, printed lines,
-    output directory)."""
-    base = tmp_path_factory.mktemp("gate")
-    trees = []
-    for tag in ("one", "two"):
-        tree = base / tag
-        for part in ("src", "bench"):
-            shutil.copytree(os.path.join(ROOT, part), tree / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        trees.append(str(tree))
-    out = base / "out"
-    capture = base / "printed.txt"
-    with open(capture, "w") as fh, contextlib.redirect_stdout(fh):
-        code = gate.main([*trees, "--out", str(out)])
-    return code, capture.read_text().splitlines(), out
+    """This tree's outputs, written once by the gate's child process, and a
+    copy of them as the change side."""
+    out = tmp_path_factory.mktemp("gate")
+    gate.run_tree(ROOT, str(out / "parent"))
+    shutil.copytree(out / "parent", out / "change")
+    return out
 
 
-def test_two_copies_of_one_tree_pass(outputs):
-    code, lines, out = outputs
-    assert code == 0
-    assert len(lines) == 7 and all(" PASS " in f" {line} " for line in lines)
+def _printed(capsys):
+    return capsys.readouterr().out.splitlines()
+
+
+def test_equal_outputs_pass(outputs, capsys):
+    assert gate.compare(str(outputs / "parent"), str(outputs / "change")) is True
+    lines = _printed(capsys)
+    assert len(lines) == 7 and all(line.split()[1] == "PASS" for line in lines)
     assert [line.split()[0] for line in lines] == [
         "verify_1729.json", "verify_201.json", "verify_7.json",
         "sweep_201.json", "sweep_1000204.json", "sweep_5.json", "exports",
     ]
-    assert len(os.listdir(out / "parent" / "export")) == 35
+    assert len(os.listdir(outputs / "parent" / "export")) == 35
+
+
+def test_main_needs_two_trees(capsys):
+    with pytest.raises(SystemExit) as exc:
+        gate.main([ROOT])
+    assert exc.value.code == 2
+    assert "PARENT_TREE and CHANGE_TREE" in capsys.readouterr().err
+
+
+def test_a_tree_that_cannot_run_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-tree")
+    assert gate.main([missing, ROOT, "--out", str(tmp_path / "out")]) == 2
+    assert missing in capsys.readouterr().err
 
 
 def _doctored(out, tmp_path, name, edit):
@@ -76,11 +83,21 @@ def _scale_residual(factor, check_id=None):
     ids=["verify_drift", "sweep_exact", "export_bytes"],
 )
 def test_a_changed_output_fails(outputs, tmp_path, capsys, name, edit):
-    _, _, out = outputs
-    new = _doctored(out, tmp_path, name, edit)
-    assert gate.compare(str(out / "parent"), new, 0.5) is False
-    failed = [line for line in capsys.readouterr().out.splitlines()
-              if line.split()[1:2] == ["FAIL"]]
+    new = _doctored(outputs, tmp_path, name, edit)
+    assert gate.compare(str(outputs / "parent"), new) is False
+    failed = [line for line in _printed(capsys) if line.split()[1] == "FAIL"]
     assert [line.split()[0] for line in failed] == [os.path.basename(name)
                                                     if name.endswith(".json")
                                                     else "exports"]
+
+
+def test_an_unreadable_report_is_one_error_line(outputs, tmp_path, capsys):
+    new = tmp_path / "change"
+    shutil.copytree(outputs / "change", new)
+    os.remove(new / "verify_201.json")
+    assert gate.compare(str(outputs / "parent"), str(new)) is False
+    lines = _printed(capsys)
+    # every pair still gets its line
+    assert len(lines) == 7
+    assert [line.split()[:2] for line in lines if line.split()[1] != "PASS"] == [
+        ["verify_201.json", "ERROR"]]
