@@ -57,7 +57,8 @@ _FRAME_PARITY = np.array([-1.0, -1.0, 1.0])
 
 @dataclass(frozen=True)
 class BFunctions:
-    """Values of the six frame functions B_k+ / B_k- at a point."""
+    """Values of the six frame functions B_k+ / B_k- at a point, (3,)
+    each, or B + (3,) over a stack."""
 
     bplus: np.ndarray
     bminus: np.ndarray
@@ -66,7 +67,7 @@ class BFunctions:
 @dataclass(frozen=True)
 class GaugeField:
     """The potential and its case: ``A`` is (5, 3) at one point, or
-    (m, 5, 3) over a stack of points from :func:`a_field_closed`."""
+    B + (5, 3) over a stack of points."""
 
     A: np.ndarray
     case: AngleCase
@@ -78,12 +79,16 @@ def b_functions(xi, case: AngleCase, d: DiffStrategy) -> BFunctions:
     B_k+ = -Re z_k and B_k- = -Im z_k with
     z_k = (tilde xi) . conj(grad f_k); both are real by construction and
     depend on the point only through its angles (the suite's
-    ``frame_x_independence`` checks measure this).
+    ``frame_x_independence`` checks measure this).  ``xi`` is one point
+    (4,) or a stack B + (4,), giving B + (3,) each.
     """
     xi = np.asarray(xi, dtype=complex)
     D, Dbar = fiber_phase_gradients(xi, case, d)
-    w = GAMMA.gamma_tilde @ xi
-    wbar, wcd = Dbar @ w, D @ np.conj(w)
+    # einsum, not @: a matrix product on a batch may go through BLAS, which
+    # sums in another order for one row than for many
+    w = np.einsum("st,...t->...s", GAMMA.gamma_tilde, xi)
+    wbar = np.einsum("...ks,...s->...k", Dbar, w)
+    wcd = np.einsum("...ks,...s->...k", D, np.conj(w))
     bp = (-0.5 * (wbar + wcd)).real
     # The minus component carries the antisymmetric half of the same
     # contraction: (i/2)(w.Dbar - wc.D).
@@ -132,10 +137,11 @@ def a_field_numeric(
         At_3 = -A_2 b3+ - A_3 b3-.
 
     The result depends on the point only through its base point (the
-    suite's ``gauge_angle_independence`` checks measure this).  Raises
-    :class:`IllConditionedFrame` when the 2x2 determinant
-    b3+ b2- - b2+ b3- falls below ``frame_det_eps``, and propagates
-    :class:`DegenerateFiber` from the angle evaluation.
+    suite's ``gauge_angle_independence`` checks measure this).  ``xi`` is
+    one point (4,) or a stack B + (4,), giving ``A`` of shape B + (5, 3).
+    Raises :class:`IllConditionedFrame` when the 2x2 determinant
+    b3+ b2- - b2+ b3- of any row falls below ``frame_det_eps``, and
+    propagates :class:`DegenerateFiber` from the angle evaluation.
     """
     xi = np.asarray(xi, dtype=complex)
     pt = forward(xi)
@@ -147,18 +153,20 @@ def a_field_numeric(
 def _convert(at, pt, phi, case, d, frame_det_eps):
     swapped = EulerAngles(phi.phi2, phi.phi1, phi.phi3)
     xi_aux = fiber_section(pt, swapped, case)
-    if min(abs(xi_aux[case.pair[0]]), abs(xi_aux[case.pair[1]])) < 1e-12:
+    pair = np.abs(xi_aux[..., list(case.pair)])
+    if np.count_nonzero(pair < 1e-12):
         raise DegenerateFiber("swapped-angle frame point is degenerate")
     baux = b_functions(xi_aux, case, d)
-    bp = _FRAME_PARITY * baux.bplus
-    bm = _FRAME_PARITY * baux.bminus
+    # component k of each frame triple, with a trailing axis for the 5 rows
+    bp = np.moveaxis(_FRAME_PARITY * baux.bplus, -1, 0)[..., None]
+    bm = np.moveaxis(_FRAME_PARITY * baux.bminus, -1, 0)[..., None]
     det = bp[2] * bm[1] - bp[1] * bm[2]
-    if abs(det) < frame_det_eps:
-        raise IllConditionedFrame(f"frame determinant {det:.3e}")
-    A = np.zeros((5, 3))
-    A[:, 1] = -(bm[2] * at[:, 0] + bm[1] * at[:, 2]) / det
-    A[:, 2] = (bp[2] * at[:, 0] + bp[1] * at[:, 2]) / det
-    A[:, 0] = at[:, 1] - A[:, 1] * bp[0] - A[:, 2] * bm[0]
+    if np.count_nonzero(np.abs(det) < frame_det_eps):
+        raise IllConditionedFrame(f"frame determinant {np.min(np.abs(det)):.3e}")
+    A = np.empty(at.shape)
+    A[..., 1] = -(bm[2] * at[..., 0] + bm[1] * at[..., 2]) / det
+    A[..., 2] = (bp[2] * at[..., 0] + bp[1] * at[..., 2]) / det
+    A[..., 0] = at[..., 1] - A[..., 1] * bp[0] - A[..., 2] * bm[0]
     return A
 
 

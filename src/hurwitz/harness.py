@@ -577,20 +577,41 @@ def check_rotor_cross(cfg, rng):
     return _worst_of(cfg, "rotor_cross_commutation", "-", res, 1e-5)
 
 
+def _casimir_draws(cfg, rng):
+    """(angles, field) per sample, even samples a Wigner function of drawn
+    (J, q, p), odd ones an angle polynomial."""
+    draws = []
+    for i in range(100):
+        phi = sample_angles(rng)
+        if i % 2 == 0:
+            J = int(rng.integers(0, 3))
+            q = int(rng.integers(-J, J + 1))
+            p = int(rng.integers(-J, J + 1))
+            draws.append((phi, (J, q, p)))
+        else:
+            draws.append((phi, _angle_poly(rng)))
+    return draws
+
+
+def _casimir_residuals(cfg, draws):
+    """One Casimir residual for the stacked polynomials and one per (J, q, p)
+    group of Wigner functions."""
+    d = cfg.strategy(1e-3)
+    res = np.empty(len(draws))
+    keys = [g if isinstance(g, tuple) else "poly" for _, g in draws]
+    for key, idx in _groups(keys):
+        angles, fields = zip(*(draws[i] for i in idx))
+        if key == "poly":
+            field = _stack(fields)
+        else:
+            field = lambda ph, jqp=key: separation.wigner(*jqp, ph)
+        res[idx] = opcalc.casimir_residual(field, _stack_angles(angles), d)
+    return res
+
+
 def check_casimir(cfg, rng):
-    def residuals():
-        d = cfg.strategy(1e-3)
-        for i in range(100):
-            phi = sample_angles(rng)
-            if i % 2 == 0:
-                J = int(rng.integers(0, 3))
-                q = int(rng.integers(-J, J + 1))
-                p = int(rng.integers(-J, J + 1))
-                g = lambda ph: separation.wigner(J, q, p, ph)
-            else:
-                g = _angle_poly(rng)
-            yield opcalc.casimir_residual(g, phi, d)
-    return _worst_of(cfg, "casimir_equality", "-", residuals(), 1e-4)
+    res = _casimir_residuals(cfg, _casimir_draws(cfg, rng))
+    return _worst_of(cfg, "casimir_equality", "-", res, 1e-4)
 
 
 def _phase_draws(cfg, rng, case):
@@ -672,63 +693,82 @@ def check_gauge_properties(cfg, rng, case):
     ]
 
 
+def _gauge_xi(cfg, rng, case):
+    return sample_xi(rng, case, max(cfg.exclusion_eps, 0.15))
+
+
+def _closed_vs_numeric_draws(cfg, rng, case):
+    return [_gauge_xi(cfg, rng, case) for _ in range(100)]
+
+
+def _closed_vs_numeric_residuals(cfg, draws, case):
+    xi = np.array(draws)
+    numeric = gauge.a_field_numeric(xi, case, cfg.strategy()).A
+    return np.abs(numeric - gauge.a_field_closed(transform.forward(xi), case).A)
+
+
 def check_gauge_closed_vs_numeric(cfg, rng, case):
-    def residuals():
-        d = cfg.strategy()
-        for _ in range(100):
-            xi = sample_xi(rng, case, max(cfg.exclusion_eps, 0.15))
-            fld = gauge.a_field_numeric(xi, case, d)
-            closed = gauge.a_field_closed(transform.forward(xi), case)
-            yield np.abs(fld.A - closed.A)
-    return _worst_of(
-        cfg, f"gauge_closed_vs_numeric_{case.tag}", case.tag, residuals(), 1e-5
+    res = _closed_vs_numeric_residuals(
+        cfg, _closed_vs_numeric_draws(cfg, rng, case), case
     )
+    return _worst_of(cfg, f"gauge_closed_vs_numeric_{case.tag}", case.tag, res, 1e-5)
 
 
 def check_gauge_reflection(cfg, rng):
-    def residuals():
-        P = gauge.CASE_B_REFLECTION
-        for x in sample_x(rng, CASE_B, 1e-2, size=200):
-            if np.linalg.norm(x) - abs(x[4]) < 1e-2:
-                continue  # near either half-axis; not an evaluated sample
-            ab = gauge.a_field_closed(x, CASE_B).A
-            aa = gauge.a_field_closed(P * x, CASE_A).A
-            yield np.abs(ab - P[:, None] * aa)
-    return _worst_of(cfg, "gauge_reflection_map", "B", residuals(), 1e-12)
+    P = gauge.CASE_B_REFLECTION
+    x = sample_x(rng, CASE_B, 1e-2, size=200)
+    # rows near either half-axis are not evaluated samples; the unit-stride
+    # dot rounds as np.linalg.norm of each row does
+    x = x[np.sqrt(np.vecdot(x, x)) - np.abs(x[:, 4]) >= 1e-2]
+    ab = gauge.a_field_closed(x, CASE_B).A
+    aa = gauge.a_field_closed(P * x, CASE_A).A
+    res = np.abs(ab - P[:, None] * aa)
+    return _worst_of(cfg, "gauge_reflection_map", "B", res, 1e-12)
+
+
+def _frame_x_draws(cfg, rng, case):
+    """A fiber point and a second base point per sample."""
+    return [(_gauge_xi(cfg, rng, case), sample_x(rng, case, 0.1)) for _ in range(25)]
+
+
+def _frame_x_residuals(cfg, draws, case):
+    """The frame functions at each fiber point against those at the point
+    over the second base point with the same angles, (n, 6)."""
+    d = cfg.strategy()
+    xi, x2 = map(np.array, zip(*draws))
+    b1 = gauge.b_functions(xi, case, d)
+    xi2 = transform.fiber_section(x2, transform.extra_angles(xi, case), case)
+    b2 = gauge.b_functions(xi2, case, d)
+    return np.abs(np.concatenate([b1.bplus - b2.bplus, b1.bminus - b2.bminus], axis=-1))
 
 
 def check_frame_x_independence(cfg, rng, case):
-    def residuals():
-        d = cfg.strategy()
-        for _ in range(25):
-            xi = sample_xi(rng, case, max(cfg.exclusion_eps, 0.15))
-            phi = transform.extra_angles(xi, case)
-            b1 = gauge.b_functions(xi, case, d)
-            x2 = sample_x(rng, case, 0.1)
-            xi2 = transform.fiber_section(x2, phi, case)
-            b2 = gauge.b_functions(xi2, case, d)
-            yield (
-                np.abs(b1.bplus - b2.bplus).max(),
-                np.abs(b1.bminus - b2.bminus).max(),
-            )
-    return _worst_of(
-        cfg, f"frame_x_independence_{case.tag}", case.tag, residuals(), 1e-5
-    )
+    res = _frame_x_residuals(cfg, _frame_x_draws(cfg, rng, case), case)
+    return _worst_of(cfg, f"frame_x_independence_{case.tag}", case.tag, res, 1e-5)
+
+
+def _angle_independence_draws(cfg, rng, case):
+    """A fiber point and a second set of angles per sample."""
+    return [(_gauge_xi(cfg, rng, case), sample_angles(rng, margin=0.3))
+            for _ in range(20)]
+
+
+def _angle_independence_residuals(cfg, draws, case):
+    """The numeric potential at each fiber point against that at the point
+    with the second angles over the same base point, (n, 5, 3)."""
+    d = cfg.strategy()
+    xi, angles = zip(*draws)
+    xi = np.array(xi)
+    xi2 = transform.fiber_section(transform.forward(xi), _stack_angles(angles), case)
+    A1 = gauge.a_field_numeric(xi, case, d).A
+    return np.abs(A1 - gauge.a_field_numeric(xi2, case, d).A)
 
 
 def check_gauge_angle_independence(cfg, rng, case):
-    def residuals():
-        d = cfg.strategy()
-        for _ in range(20):
-            xi = sample_xi(rng, case, max(cfg.exclusion_eps, 0.15))
-            pt = transform.forward(xi)
-            A1 = gauge.a_field_numeric(xi, case, d).A
-            phi2 = sample_angles(rng, margin=0.3)
-            xi2 = transform.fiber_section(pt, phi2, case)
-            yield np.abs(A1 - gauge.a_field_numeric(xi2, case, d).A)
-    return _worst_of(
-        cfg, f"gauge_angle_independence_{case.tag}", case.tag, residuals(), 1e-5
+    res = _angle_independence_residuals(
+        cfg, _angle_independence_draws(cfg, rng, case), case
     )
+    return _worst_of(cfg, f"gauge_angle_independence_{case.tag}", case.tag, res, 1e-5)
 
 
 def _random_column(rng):

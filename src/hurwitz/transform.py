@@ -141,7 +141,7 @@ def forward(xi: Sequence[complex]) -> RPoint:
     xi = np.asarray(xi, dtype=complex)
     x = np.einsum("...s,lst,...t->...l", xi.conj(), GAMMA.gamma, xi)
     scale = np.maximum(1.0, np.abs(x).max(axis=-1))
-    if np.any(np.abs(x.imag).max(axis=-1) > 1e-13 * scale):
+    if np.count_nonzero(np.abs(x.imag).max(axis=-1) > 1e-13 * scale):
         raise FloatingPointError("Hermitian form returned a non-real value")
     xr = x.real.copy()
     # the unit-stride dot rounds as np.linalg.norm does on one point
@@ -352,7 +352,7 @@ def extra_angles(xi: Sequence[complex], case: AngleCase) -> EulerAngles:
     ia, ib = case.pair
     a, b = xi[..., ia], xi[..., ib]
     ma, mb = np.abs(a), np.abs(b)
-    if np.any(ma <= 1e-12) or np.any(mb <= 1e-12):
+    if np.count_nonzero((ma <= 1e-12) | (mb <= 1e-12)):
         raise DegenerateFiber(
             f"case {case.tag}: |xi_{ia + 1}| or |xi_{ib + 1}| below 1e-12"
         )
@@ -371,66 +371,80 @@ def extra_angles(xi: Sequence[complex], case: AngleCase) -> EulerAngles:
 
 
 def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
-    """One point of the fiber over (x, phi) for the chosen case.
+    """A point of the fiber over (x, phi) for the chosen case, or one per row
+    of a stack: ``x`` of shape B + (5,) (or an :class:`RPoint` stack) with
+    angle attributes of shape B give B + (4,).
 
     The angle-carrying pair is rebuilt from r +/- x5 and the requested
     angles; the other pair solves the remaining 2x2 linear system exactly.
-    The result is verified a posteriori against both the base point and
-    the angles; nothing is assumed.  Only the bare cases (no offsets) admit
-    this closed-form section.
+    Every row is verified a posteriori against both its base point and its
+    angles; nothing is assumed.  Only the bare cases (no offsets) admit
+    this closed-form section.  Each row equals its own one-point call bit
+    for bit: the complex products are written out in real arithmetic, and
+    the terms with a conjugate multiply by 1/h where the others divide by h.
 
-    Raises :class:`SingularFiber` within 1e-9 r of the case's singular
-    half-axis and :class:`SectionFailed` if the a-posteriori residual
-    exceeds 1e-10 (relative for the base point, absolute mod 2pi for the
-    angles).
+    Raises :class:`SingularFiber` if any row lies within 1e-9 r of the
+    case's singular half-axis and :class:`SectionFailed` if any row's
+    a-posteriori residual exceeds 1e-10 (relative for the base point,
+    absolute mod 2pi for the angles).
     """
     if case.offsets is not None:
         raise SectionFailed("closed-form section is defined for bare cases only")
-    xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
-    r = float(np.linalg.norm(xv))
-    sigma = case.axis_sign
-    rho = r + sigma * xv[4]
-    if r <= 0.0 or rho <= 1e-9 * r:
+    xv = np.ascontiguousarray(x.x if isinstance(x, RPoint) else x, dtype=float)
+    # the unit-stride dot rounds as np.linalg.norm does on one point
+    r = np.sqrt(np.vecdot(xv, xv))
+    rho = r + case.axis_sign * xv[..., 4]
+    if np.count_nonzero((r <= 0.0) | (rho <= 1e-9 * r)):
         raise SingularFiber(
             f"case {case.tag}: point within 1e-09*r of the singular half-axis"
         )
     h = rho / 2.0
-    mod_a = math.sqrt(h) * math.cos(phi.phi3 / 2.0)
-    mod_b = math.sqrt(h) * math.sin(phi.phi3 / 2.0)
+    sq = np.sqrt(h)
+    mod_a, mod_b = sq * np.cos(phi.phi3 / 2.0), sq * np.sin(phi.phi3 / 2.0)
     arg_a = (phi.phi1 + phi.phi2) / 2.0
     arg_b = (phi.phi1 - phi.phi2) / 2.0
-    a = mod_a * complex(math.cos(arg_a), math.sin(arg_a))
-    b = mod_b * complex(math.cos(arg_b), math.sin(arg_b))
-
-    w1 = complex(xv[3], xv[2]) / 2.0
-    w2 = complex(xv[1], xv[0]) / 2.0
-    xi = np.zeros(4, dtype=complex)
+    ar, ai = mod_a * np.cos(arg_a), mod_a * np.sin(arg_a)
+    br, bi = mod_b * np.cos(arg_b), mod_b * np.sin(arg_b)
+    # w1 = (x4 + i x3) / 2, w2 = (x2 + i x1) / 2
+    w1r, w1i = xv[..., 3] / 2.0, xv[..., 2] / 2.0
+    w2r, w2i = xv[..., 1] / 2.0, xv[..., 0] / 2.0
+    inv = 1.0 / h
+    xi = np.empty(np.shape(ar) + (4,), dtype=complex)
     if case.tag == "A":
-        xi[0], xi[1] = a, b
-        xi[2] = (a * w1 + b * w2) / h
-        xi[3] = (b * np.conj(w1) - a * np.conj(w2)) / h
-    else:
-        xi[2], xi[3] = a, b
-        xi[0] = (np.conj(w1) * a - b * w2) / h
-        xi[1] = (a * np.conj(w2) + b * w1) / h
-
-    back = forward(xi)
-    if np.abs(back.x - xv).max() > 1e-10 * max(r, 1e-30):
-        raise SectionFailed(
-            f"base-point residual {np.abs(back.x - xv).max():.3e} at r={r:g}"
+        # (a w1 + b w2) / h and (b conj(w1) - a conj(w2)) / h
+        cols = (
+            (ar, ai),
+            (br, bi),
+            ((ar * w1r - ai * w1i + (br * w2r - bi * w2i)) / h,
+             (ar * w1i + ai * w1r + (br * w2i + bi * w2r)) / h),
+            ((br * w1r + bi * w1i - (ar * w2r + ai * w2i)) * inv,
+             (bi * w1r - br * w1i - (ai * w2r - ar * w2i)) * inv),
         )
+    else:
+        # (conj(w1) a - b w2) / h and (a conj(w2) + b w1) / h
+        cols = (
+            ((ar * w1r + ai * w1i - (br * w2r - bi * w2i)) * inv,
+             (ai * w1r - ar * w1i - (br * w2i + bi * w2r)) * inv),
+            ((ar * w2r + ai * w2i + (br * w1r - bi * w1i)) * inv,
+             (ai * w2r - ar * w2i + (br * w1i + bi * w1r)) * inv),
+            (ar, ai),
+            (br, bi),
+        )
+    xr, xim = xi.real, xi.imag
+    for s, (re, im) in enumerate(cols):
+        xr[..., s], xim[..., s] = re, im
+
+    rel = np.abs(forward(xi).x - xv).max(axis=-1) / np.maximum(r, 1e-30)
+    if np.count_nonzero(rel > 1e-10):
+        raise SectionFailed(f"relative base-point residual {np.max(rel):.3e}")
     try:
         got = extra_angles(xi, case)
     except DegenerateFiber as exc:
         raise SectionFailed(f"section landed on a degenerate fiber: {exc}") from exc
-    for want, have, period in (
-        (phi.phi1, got.phi1, TWO_PI),
-        (phi.phi2, got.phi2, TWO_PI),
-        (phi.phi3, got.phi3, None),
-    ):
-        delta = abs(want - have)
-        if period is not None:
-            delta = min(delta % period, period - delta % period)
-        if delta > 1e-10:
-            raise SectionFailed(f"angle residual {delta:.3e}")
+    delta = np.abs([phi.phi1 - got.phi1, phi.phi2 - got.phi2, phi.phi3 - got.phi3])
+    # phi1 and phi2 are compared mod 2 pi
+    wrapped = delta[:2] % TWO_PI
+    delta[:2] = np.minimum(wrapped, TWO_PI - wrapped)
+    if np.count_nonzero(delta > 1e-10):
+        raise SectionFailed(f"angle residual {np.max(delta):.3e}")
     return xi

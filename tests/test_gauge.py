@@ -217,3 +217,29 @@ def test_case_b_is_reflected_case_a():
         ab = a_field_closed(x, CASE_B).A
         aa = a_field_closed(P * x, CASE_A).A
         assert np.abs(ab - P[:, None] * aa).max() < 1e-12
+
+
+def _assert_rows_close(stack, rows):
+    # rtol 1e-12 of each array's scale: some entries vanish analytically
+    # and carry only roundoff, which no relative bound covers
+    np.testing.assert_allclose(stack, rows, rtol=1e-12,
+                               atol=1e-12 * np.abs(rows).max())
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_numeric_stacks_agree_with_one_point_calls(case):
+    xi = np.array([random_xi(case, floor=0.15) for _ in range(12)])
+    b = b_functions(xi, case, D)
+    A = a_field_numeric(xi, case, D).A
+    assert b.bplus.shape == b.bminus.shape == (12, 3)
+    assert A.shape == (12, 5, 3)
+    ones = [b_functions(x, case, D) for x in xi]
+    _assert_rows_close(b.bplus, np.array([o.bplus for o in ones]))
+    _assert_rows_close(b.bminus, np.array([o.bminus for o in ones]))
+    _assert_rows_close(A, np.array([a_field_numeric(x, case, D).A for x in xi]))
+
+
+def test_frame_determinant_guard_on_a_stack():
+    xi = np.array([random_xi() for _ in range(4)])
+    with pytest.raises(IllConditionedFrame):
+        a_field_numeric(xi, CASE_A, D, frame_det_eps=1e9)

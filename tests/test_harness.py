@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz import harness, opcalc, separation
+from hurwitz import gauge, harness, opcalc, separation
 from hurwitz.cli import main
 from hurwitz.errors import ConfigInvalid, SingularAxis
 from hurwitz.gauge import a_field_closed
@@ -306,46 +306,38 @@ def test_nan_residual_after_the_first_sample_fails(
     assert math.isnan(r.max_residual)
 
 
-def _nan_at_one_point(make_field, k):
-    """``make_field`` whose k-th field (1-based) turns one value of its
-    first stencil batch into NaN: a single stencil point of one sample."""
-    made = [0]
-
-    def make(*args, **kwargs):
-        field = make_field(*args, **kwargs)
-        made[0] += 1
-        if made[0] != k:
-            return field
-        hit = [False]
-
-        def poisoned(*fargs):
-            out = np.array(field(*fargs), dtype=complex)
-            if out.size > 1 and not hit[0]:
-                hit[0] = True
-                out.flat[out.size // 3] = math.nan
-            return out
-
-        return poisoned
-
-    return make
-
-
 def _nan_in_first_offset(offsets):
     return (_nan_in_sample(offsets[0]), *offsets[1:])
 
 
+def _nan_in_second_row(gradients):
+    """``fiber_phase_gradients`` whose first call returns one NaN entry in
+    row 1 of its batch's D: sample 2's angle gradients."""
+    calls = [0]
+
+    def poisoned(*args, **kwargs):
+        D, Dbar = gradients(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == 1:
+            D = D.copy()
+            D[1, 0, 0] = math.nan
+        return D, Dbar
+
+    return poisoned
+
+
 # Each batched check meets its NaN at one stencil point of sample 2 of its
-# first batch: in the stacked test field, the angular factor, the first
-# angle offset or (after the value at the points) the radial field.
-# casimir_equality evaluates one sample at a time and meets it in its
-# second sample's field.
+# first batch: in the stacked test field (casimir_equality: its stacked
+# angle polynomials), the angular factor, the first angle offset or (after
+# the value at the points) the radial field.  The gauge checks meet it in
+# one entry of sample 2's angle gradients in their first stacked frame or
+# coupling.
 @pytest.mark.parametrize(
     "module, name, poison, check, kwargs",
     [
         (harness, "_stack", _nan_in_first_made, harness.check_rotor_closure,
          {"family": "Q"}),
-        (harness, "_angle_poly", lambda make: _nan_at_one_point(make, 2),
-         harness.check_casimir, {}),
+        (harness, "_stack", _nan_in_first_made, harness.check_casimir, {}),
         (harness, "_stack", _nan_in_first_made, harness._identity_check,
          {"case": harness.CASE_B, "which": "laplacian_split",
           "check_id": "laplacian_split"}),
@@ -360,11 +352,18 @@ def _nan_in_first_offset(offsets):
          {"case": harness.CASE_B, "with_offsets": True}),
         (harness, "_radial_field", lambda make: _nan_in_first_made(make, call=2),
          harness.check_consistency, {"J": 1}),
+        (gauge, "fiber_phase_gradients", _nan_in_second_row,
+         harness.check_gauge_closed_vs_numeric, {"case": harness.CASE_A}),
+        (gauge, "fiber_phase_gradients", _nan_in_second_row,
+         harness.check_frame_x_independence, {"case": harness.CASE_B}),
+        (gauge, "fiber_phase_gradients", _nan_in_second_row,
+         harness.check_gauge_angle_independence, {"case": harness.CASE_A}),
     ],
     ids=["rotor_closure_Q", "casimir_equality", "laplacian_split_B",
          "momentum_equivalence_A", "rotor_cross_commutation", "wigner_eigenrelations",
          "angular_factor_eigen_A", "phase_constraint_B_offsets",
-         "separation_consistency_J1"],
+         "separation_consistency_J1", "gauge_closed_vs_numeric_A",
+         "frame_x_independence_B", "gauge_angle_independence_A"],
 )
 def test_nan_at_one_stencil_point_fails_the_check(
     monkeypatch, module, name, poison, check, kwargs
@@ -395,6 +394,17 @@ _BATCHED = [
       for c in (harness.CASE_A, harness.CASE_B) for w in _IDENTITIES),
     *((f"separation_consistency_J{J}", harness._consistency_draws, {},
        harness._consistency_residuals, {"J": J}) for J in (0, 1)),
+    ("casimir_equality", harness._casimir_draws, {}, harness._casimir_residuals, {}),
+    *((f"{stem}_{c.tag}", draws, {"case": c}, residuals, {"case": c})
+      for c in (harness.CASE_A, harness.CASE_B)
+      for stem, draws, residuals in (
+          ("gauge_closed_vs_numeric", harness._closed_vs_numeric_draws,
+           harness._closed_vs_numeric_residuals),
+          ("frame_x_independence", harness._frame_x_draws,
+           harness._frame_x_residuals),
+          ("gauge_angle_independence", harness._angle_independence_draws,
+           harness._angle_independence_residuals),
+      )),
 ]
 
 

@@ -279,3 +279,46 @@ def test_section_from_arbitrary_base_and_angles():
         )
         xi = fiber_section(x, phi, CASE_A)
         assert np.abs(forward(xi).x - x).max() < 1e-10 * np.linalg.norm(x)
+
+
+def _section_inputs(n, case, seed):
+    """n base points off the case's singular half-axis and n angles."""
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal((2 * n, 5))
+    x = v / np.linalg.norm(v, axis=1)[:, None] * gen.uniform(0.5, 2.0, (2 * n, 1))
+    r = np.linalg.norm(x, axis=1)
+    x = x[r + case.axis_sign * x[:, 4] > 0.2 * r][:n]
+    phi = EulerAngles(gen.uniform(0, 2 * math.pi, n), gen.uniform(0, 2 * math.pi, n),
+                      gen.uniform(0.2, math.pi - 0.2, n))
+    return x, phi
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_section_stack_equals_its_one_point_calls(case):
+    x, phi = _section_inputs(600, case, seed=31)
+    stack = fiber_section(x, phi, case)
+    rows = np.array([
+        fiber_section(xr, EulerAngles(a, b, c), case)
+        for xr, a, b, c in zip(x, phi.phi1, phi.phi2, phi.phi3)
+    ])
+    assert stack.shape == (600, 4)
+    assert np.array_equal(stack, rows)
+    # an RPoint stack with the angles of its own fiber points
+    xi = xi_stack(500, case, seed=32)
+    back = fiber_section(forward(xi), extra_angles(xi, case), case)
+    rows = np.array([fiber_section(forward(z), extra_angles(z, case), case) for z in xi])
+    assert np.array_equal(back, rows)
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_section_stack_raises_if_one_row_would(case):
+    x, phi = _section_inputs(10, case, seed=33)
+    fiber_section(x, phi, case)
+    on_axis = x.copy()
+    on_axis[6] = [0.0, 0.0, 0.0, 0.0, -1.0 * case.axis_sign]
+    with pytest.raises(SingularFiber):
+        fiber_section(on_axis, phi, case)
+    # phi3 beyond pi: the section lands on other angles
+    bad = EulerAngles(phi.phi1, phi.phi2, np.where(np.arange(10) == 4, 4.0, phi.phi3))
+    with pytest.raises(SectionFailed):
+        fiber_section(x, bad, case)
