@@ -489,12 +489,11 @@ def check_norm_identity(cfg, rng):
 
 
 def check_homogeneity(cfg, rng):
-    def residuals():
-        for _ in range(50):
-            xi = sample_xi(rng, CASE_A, cfg.exclusion_eps)
-            c = rng.uniform(0.3, 2.0)
-            yield np.abs(transform.forward(c * xi).x - c * c * transform.forward(xi).x)
-    return _worst_of(cfg, "quadratic_homogeneity", "-", residuals(), 1e-12)
+    xi, c = zip(*((sample_xi(rng, CASE_A, cfg.exclusion_eps), rng.uniform(0.3, 2.0))
+                  for _ in range(50)))
+    xi, c = np.array(xi), np.array(c)[:, None]
+    res = np.abs(transform.forward(c * xi).x - c * c * transform.forward(xi).x)
+    return _worst_of(cfg, "quadratic_homogeneity", "-", res, 1e-12)
 
 
 def check_octet_convention(cfg, rng):
@@ -505,46 +504,48 @@ def check_octet_convention(cfg, rng):
                    json.dumps(conv.describe()))
 
 
-def _angle_gap(a: float, b: float) -> float:
-    """|a - b| on the circle of period 2 pi."""
-    delta = abs(a - b)
-    return min(delta % TWO_PI, TWO_PI - delta % TWO_PI)
+def _angle_gap(a, b):
+    """|a - b| on the circle of period 2 pi, elementwise."""
+    delta = np.abs(a - b) % TWO_PI
+    return np.minimum(delta, TWO_PI - delta)
 
 
 def check_fiber_roundtrip(cfg, rng, case):
-    def residuals():
-        for _ in range(100):
-            xi = sample_xi(rng, case, max(cfg.exclusion_eps, 0.1))
-            pt = transform.forward(xi)
-            phi = transform.extra_angles(xi, case)
-            xi2 = transform.fiber_section(pt, phi, case)
-            phi2 = transform.extra_angles(xi2, case)
-            yield (
-                float(np.abs(transform.forward(xi2).x - pt.x).max()) / pt.r,
-                _angle_gap(phi.phi1, phi2.phi1),
-                _angle_gap(phi.phi2, phi2.phi2),
-                abs(phi.phi3 - phi2.phi3),
-            )
-    return _worst_of(cfg, "fiber_roundtrip", case.tag, residuals(), 1e-10)
+    xi = np.array([sample_xi(rng, case, max(cfg.exclusion_eps, 0.1))
+                   for _ in range(100)])
+    pt = transform.forward(xi)
+    phi = transform.extra_angles(xi, case)
+    xi2 = transform.fiber_section(pt, phi, case)
+    phi2 = transform.extra_angles(xi2, case)
+    res = np.stack([
+        np.abs(transform.forward(xi2).x - pt.x).max(axis=-1) / pt.r,
+        _angle_gap(phi.phi1, phi2.phi1),
+        _angle_gap(phi.phi2, phi2.phi2),
+        np.abs(phi.phi3 - phi2.phi3),
+    ], axis=-1)
+    return _worst_of(cfg, "fiber_roundtrip", case.tag, res, 1e-10)
 
 
 def check_section_identity(cfg, rng, case):
-    def residuals():
-        for _ in range(60):
-            x = sample_x(rng, case, max(cfg.exclusion_eps, 0.1))
-            phi = sample_angles(rng, margin=0.15)
-            xi = transform.fiber_section(x, phi, case)
-            yield (
-                float(np.abs(transform.forward(xi).x - x).max())
-                / float(np.linalg.norm(x))
-            )
-    return _worst_of(cfg, "section_identity", case.tag, residuals(), 1e-10)
+    x, phi = zip(*((sample_x(rng, case, max(cfg.exclusion_eps, 0.1)),
+                    sample_angles(rng, margin=0.15)) for _ in range(60)))
+    x = np.array(x)
+    xi = transform.fiber_section(x, _stack_angles(phi), case)
+    # the unit-stride dot rounds as np.linalg.norm of each row does
+    res = np.abs(transform.forward(xi).x - x).max(axis=-1) / np.sqrt(np.vecdot(x, x))
+    return _worst_of(cfg, "section_identity", case.tag, res, 1e-10)
 
 
 # A batched check draws all of its samples first, in the order a loop of
 # single draws would, then evaluates them with one engine call per operator
 # (per group where a field family needs one): ``_*_draws`` give the list of
-# per-sample draws and ``_*_residuals`` their (n, ...) residuals.
+# per-sample draws and ``_*_residuals`` their (n, ...) residuals.  The
+# algebraic checks draw the same way and evaluate one stack inline (per spin
+# J for spectrum and bisection), bit for bit as one sample at a time.  Left one
+# sample at a time on purpose: null_vector_residual (one column per
+# ``coefficients`` call), alternating_branch_caseA (scalar closed form),
+# wigner_ladder (scalar ``wigner_d_prime``), oscillator_gaussian and
+# radial_duality (one finite-difference field per sample).
 
 def _rotor_draws(cfg, rng):
     return [(_angle_poly(rng), sample_angles(rng)) for _ in range(100)]
@@ -777,34 +778,29 @@ def _random_column(rng):
 
 
 def check_spectrum_structure(cfg, rng):
-    def residuals():
-        for J in range(cfg.J_max + 1):
-            for _ in range(20):
-                col = _random_column(rng)
-                s = math.sqrt(
-                    col[0] ** 2 + (col[1] + col[2]).real ** 2
-                    + (1j * (col[1] - col[2])).real ** 2
-                )
-                roots = separation.separation_roots(J, col)
-                expected = np.array([m * s for m in range(-J, J + 1)])
-                yield (
-                    np.abs(roots - expected).max(),
-                    np.abs(roots + roots[::-1]).max(),
-                )
-    return _worst_of(cfg, "spectrum_structure", "-", residuals(), 1e-10,
+    res = []
+    for J in range(cfg.J_max + 1):
+        cols = [_random_column(rng) for _ in range(20)]
+        s = np.array([math.sqrt(a1 ** 2 + (ap + am).real ** 2
+                                + (1j * (ap - am)).real ** 2) for a1, ap, am in cols])
+        roots = separation.separation_roots(J, tuple(map(np.array, zip(*cols))))
+        expected = np.arange(-J, J + 1) * s[:, None]
+        res.append(np.stack([np.abs(roots - expected).max(axis=-1),
+                             np.abs(roots + roots[:, ::-1]).max(axis=-1)], axis=-1))
+    return _worst_of(cfg, "spectrum_structure", "-", np.concatenate(res), 1e-10,
                      "ladder m*|A| and symmetry about zero")
 
 
 def check_bisection_oracle(cfg, rng):
-    def residuals():
-        for J in range(2, min(3, cfg.J_max) + 1):
-            for _ in range(6):
-                col = _random_column(rng)
-                eig = separation.separation_roots(J, col)
-                bis = separation.det_bisection_roots(J, col)
-                # a root the oracle missed or split is infinitely far off
-                yield np.abs(eig - bis) if len(bis) == len(eig) else math.inf
-    return _worst_of(cfg, "bisection_cross_check", "-", residuals(), 1e-10)
+    res = []
+    for J in range(2, min(3, cfg.J_max) + 1):
+        cols = tuple(map(np.array, zip(*(_random_column(rng) for _ in range(6)))))
+        eig = separation.separation_roots(J, cols)
+        bis = separation.det_bisection_roots(J, cols)
+        # a root the oracle missed or split is infinitely far off
+        res += [np.max(np.abs(e - b)) if len(b) == len(e) else math.inf
+                for e, b in zip(eig, bis)]
+    return _worst_of(cfg, "bisection_cross_check", "-", res, 1e-10)
 
 
 def _closed_form_magnitudes(x: np.ndarray) -> list[float]:

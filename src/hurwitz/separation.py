@@ -14,7 +14,8 @@ the mixing coefficients g_q.
 
 Roots are computed as eigenvalues of the a-independent tridiagonal part
 (dense Hermitian solve at size <= 7), with a determinant-bisection scan
-kept as an independent oracle.  J is capped at 3.
+kept as an independent oracle; both also solve a column stack (one LU scan
+per column, one bisection loop per call).  J is capped at 3.
 """
 
 from __future__ import annotations
@@ -155,12 +156,8 @@ def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles) -> complex
 
 def potential_columns(A: np.ndarray) -> list[tuple[float, complex, complex]]:
     """(A1, A+, A-) per base axis, with A+- = (A2 -+ i A3)/2."""
-    A = np.asarray(A, dtype=float)
-    out = []
-    for lam in range(A.shape[0]):
-        a1, a2, a3 = A[lam]
-        out.append((float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)))
-    return out
+    return [(float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3))
+            for a1, a2, a3 in np.asarray(A, dtype=float)]
 
 
 def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
@@ -174,12 +171,14 @@ def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
         (h)_{k,k+1} = sqrt(k(2J+1-k)) A-.
 
     ``a`` is a float, giving one (2J+1, 2J+1) matrix, or a 1-D array,
-    giving a (len(a), 2J+1, 2J+1) stack with one matrix per value.
+    giving a (len(a), 2J+1, 2J+1) stack with one matrix per value.  The
+    column's entries may be arrays of shape (m,) as well (a column stack),
+    which broadcast against ``a``.
     """
     _check_spin(J)
     a1, ap, am = col
     n = 2 * J + 1
-    h = np.zeros(np.shape(a) + (n, n), dtype=complex)
+    h = np.zeros(np.broadcast(a, *col).shape + (n, n), dtype=complex)
     for k in range(1, n + 1):
         h[..., k - 1, k - 1] = -a - (J + 1 - k) * a1
         if k >= 2:
@@ -190,47 +189,62 @@ def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
 
 
 def separation_roots(J: int, col) -> np.ndarray:
-    """All real a with det h(a) = 0, ascending.
+    """All real a with det h(a) = 0, ascending: (2J+1,) for one column,
+    (m, 2J+1) for a column stack (one row per column).
 
     h(a) = h(0) - a I with h(0) Hermitian, so the roots are the (real)
     eigenvalues of h(0); they form the ladder {m |A| : m = -J .. J}.
     """
     h0 = build_h(J, col, 0.0)
-    return np.sort(np.linalg.eigvalsh(h0))
+    return np.sort(np.linalg.eigvalsh(h0), axis=-1)
 
 
-def det_bisection_roots(J: int, col) -> np.ndarray:
+def det_bisection_roots(J: int, col):
     """Independent root oracle: scan det h(a) on a 4001-point grid and
     bisect each sign change to a width of 1e-13.
 
     Stays clear of the eigenvalue route entirely (the determinant is
-    evaluated by LU through numpy.linalg.det; the grid scan factors its
-    stack of matrices in one call, and each bisection step factors one
-    stack with a midpoint per open bracket).  A grid point where the
-    determinant is exactly zero is a root; a bracket stops at a midpoint
-    where it is.  Intended for columns with distinct roots; multiple roots
-    collapse to one sign-change each.
+    evaluated by LU through numpy.linalg.det).  Each column's grid scan
+    factors its stack of 4001 matrices in one call; then one bisection
+    loop runs over the brackets of every column, each step factoring one
+    stack with a midpoint per open bracket, built from that bracket's own
+    column.  A grid point where the determinant is exactly zero is a root;
+    a bracket stops at a midpoint where it is.  Intended for columns with
+    distinct roots; multiple roots collapse to one sign-change each.
+
+    One column gives its sorted roots; a column stack gives a list with
+    the sorted roots of each column.
     """
-    a1, ap, am = col
-    s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
-    span = max(1.0, (J + 1.0) * s)
-    grid_a = np.linspace(-span, span, 4001)
-    dets = np.linalg.det(build_h(J, col, grid_a)).real
-    cells = np.flatnonzero(dets[:-1] * dets[1:] < 0.0)
-    lo, hi, flo = grid_a[cells], grid_a[cells + 1], dets[cells]
+    single = np.ndim(col[0]) == 0
+    cols = [np.atleast_1d(c) for c in col]
+    zeros, lo, hi, flo, owner = [], [], [], [], []
+    for i, (a1, ap, am) in enumerate(zip(*cols)):
+        s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
+        span = max(1.0, (J + 1.0) * s)
+        grid_a = np.linspace(-span, span, 4001)
+        dets = np.linalg.det(build_h(J, (a1, ap, am), grid_a)).real
+        cells = np.flatnonzero(dets[:-1] * dets[1:] < 0.0)
+        zeros.append(grid_a[dets == 0.0])
+        lo.append(grid_a[cells])
+        hi.append(grid_a[cells + 1])
+        flo.append(dets[cells])
+        owner.append(np.full(len(cells), i))
+    lo, hi, flo, owner = map(np.concatenate, (lo, hi, flo, owner))
     open_ = hi - lo > 1e-13
     while open_.any():
         idx = np.flatnonzero(open_)
         mid = 0.5 * (lo[idx] + hi[idx])
-        fm = np.linalg.det(build_h(J, col, mid)).real
+        fm = np.linalg.det(build_h(J, [c[owner[idx]] for c in cols], mid)).real
         left = flo[idx] * fm < 0.0
         # an exact zero closes its bracket at the midpoint: lo = hi = mid
         hi[idx] = np.where(left | (fm == 0.0), mid, hi[idx])
         lo[idx] = np.where(left, lo[idx], mid)
         flo[idx] = np.where(left, flo[idx], fm)
         open_[idx] = hi[idx] - lo[idx] > 1e-13
-    roots = np.concatenate([grid_a[dets == 0.0], 0.5 * (lo + hi)])
-    return np.sort(roots)
+    mids = 0.5 * (lo + hi)
+    roots = [np.sort(np.concatenate([z, mids[owner == i]]))
+             for i, z in enumerate(zeros)]
+    return roots[0] if single else roots
 
 
 def coefficients(J: int, col, a_root: float) -> np.ndarray:

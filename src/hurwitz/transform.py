@@ -151,14 +151,16 @@ def forward(xi: Sequence[complex]) -> RPoint:
 def forward_octet(u: Sequence[float]) -> RPoint:
     """The same map over 8 real coordinates, in its own axis ordering.
 
+    ``u`` is one octet (8,) or a stack B + (8,), giving ``x`` of shape
+    B + (5,) and ``r`` of shape B; each row equals its own one-octet call.
     The bilinear forms below restore the Euclidean norm identity
     |x| = sum u_s^2 (the x3 line is the corrected one; the tests
     demonstrate that the nearest variant breaks the identity).  Axis
     conventions relative to :func:`forward` are recovered by
     :func:`resolve_convention`.
     """
-    u1, u2, u3, u4, u5, u6, u7, u8 = np.asarray(u, dtype=float)
-    x = np.array(
+    u1, u2, u3, u4, u5, u6, u7, u8 = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+    x = np.stack(
         [
             u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
             - u5 * u5 - u6 * u6 - u7 * u7 - u8 * u8,
@@ -166,9 +168,11 @@ def forward_octet(u: Sequence[float]) -> RPoint:
             2.0 * (u1 * u6 - u2 * u5 + u3 * u8 - u4 * u7),
             2.0 * (u1 * u7 + u2 * u8 + u3 * u5 + u4 * u6),
             2.0 * (u1 * u8 - u2 * u7 - u3 * u6 + u4 * u5),
-        ]
+        ],
+        axis=-1,
     )
-    return RPoint(x, float(np.linalg.norm(x)))
+    # the unit-stride dot rounds as np.linalg.norm does on one point
+    return RPoint(x, np.sqrt(np.vecdot(x, x))[()])
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,7 @@ class ConventionMap:
         return np.asarray(self.axis_sign) * y[..., list(self.axis_perm)]
 
     def residual(self, u_batch: np.ndarray) -> float:
-        target = np.stack([forward_octet(u).x for u in u_batch])
+        target = forward_octet(u_batch).x
         return float(np.abs(target - self.mapped_complex_x(u_batch)).max())
 
     def describe(self) -> dict:
@@ -253,7 +257,7 @@ def resolve_convention() -> ConventionMap:
     """
     rng = np.random.default_rng(20406)
     probes = rng.standard_normal((2, 8))
-    target = np.stack([forward_octet(u).x for u in probes])
+    target = forward_octet(probes).x
     full = rng.standard_normal((1000, 8))
 
     best = (None, np.inf)
@@ -270,22 +274,13 @@ def resolve_convention() -> ConventionMap:
                     comp_sign = (1,) + tuple(
                         signs[(sig_bits >> s) & 1] for s in range(3)
                     )
-                    xi = np.asarray(comp_sign) * (
-                        probes[:, list(re_idx)]
-                        + 1j * np.asarray(im_sign) * probes[:, list(im_idx)]
-                    )
-                    y = np.einsum(
-                        "ps,lst,pt->pl", xi.conj(), GAMMA.gamma, xi
-                    ).real
+                    bare = ConventionMap(re_idx, im_idx, im_sign, comp_sign,
+                                         tuple(range(5)), (1,) * 5)
+                    y = bare.mapped_complex_x(probes)
                     perm, axsign, miss = _match_axes(target, y)
                     if perm is None:
                         if miss < best[1]:
-                            best = (
-                                ConventionMap(re_idx, im_idx, im_sign,
-                                              comp_sign, tuple(range(5)),
-                                              (1,) * 5),
-                                miss,
-                            )
+                            best = (bare, miss)
                         continue
                     cand = ConventionMap(
                         re_idx, im_idx, im_sign, comp_sign, perm, axsign
@@ -324,14 +319,8 @@ def _match_axes(target: np.ndarray, y: np.ndarray):
                 hit = (lam, -1)
                 break
         if hit is None:
-            resid = min(
-                min(
-                    float(np.abs(target[:, i] - s * y[:, lam]).max())
-                    for s in (1, -1)
-                )
-                for lam in range(5)
-            )
-            return None, None, resid
+            return None, None, min(float(np.abs(target[:, i] - s * y[:, lam]).max())
+                                   for lam in range(5) for s in (1, -1))
         used.add(hit[0])
         perm.append(hit[0])
         axsign.append(hit[1])

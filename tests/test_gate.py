@@ -101,3 +101,25 @@ def test_an_unreadable_report_is_one_error_line(outputs, tmp_path, capsys):
     assert len(lines) == 7
     assert [line.split()[:2] for line in lines if line.split()[1] != "PASS"] == [
         ["verify_201.json", "ERROR"]]
+
+
+def _files(tree):
+    return sorted(os.path.relpath(os.path.join(d, f), tree)
+                  for d, _, names in os.walk(tree) for f in names)
+
+
+def test_a_relative_out_is_written_outside_both_trees(tmp_path, monkeypatch, capsys):
+    # each child runs with its tree as the working directory, so a relative
+    # --out (and relative trees) must be resolved against the caller's
+    trees = ["parent_tree", "change_tree"]
+    for tree in trees:
+        for sub in ("src", "bench"):
+            shutil.copytree(os.path.join(ROOT, sub), tmp_path / tree / sub,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+    before = [_files(tmp_path / tree) for tree in trees]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert gate.main([*trees, "--out", "gate_out"]) == 0
+    assert [_files(tmp_path / tree) for tree in trees] == before
+    assert sorted(os.listdir(tmp_path / "gate_out")) == ["change", "parent"]
+    assert all(line.split()[1] == "PASS" for line in _printed(capsys))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz import gauge, harness, opcalc, separation
+from hurwitz import gauge, harness, opcalc, separation, transform
 from hurwitz.cli import main
 from hurwitz.errors import ConfigInvalid, SingularAxis
 from hurwitz.gauge import a_field_closed
@@ -286,24 +286,30 @@ def _nan_in_first_made(make, call=1):
 
 
 @pytest.mark.parametrize(
-    "module, name, poison, check, kwargs",
+    "module, name, poison, check, kwargs, n",
     [
         # the batch's residuals are (relation, sample): sample 2's first one
         (opcalc, "commutator_residuals", _nan_in_sample, harness.check_rotor_closure,
-         {"family": "T"}),
-        # one draw per sample: a NaN point makes the second sample's residual NaN
+         {"family": "T"}, 100),
+        # one draw per sample: a NaN point makes the second sample's residual
+        # NaN, and the stack around it is still evaluated
         (harness, "sample_xi", lambda real: _nan_on_call(real, 2),
-         harness.check_homogeneity, {}),
+         harness.check_homogeneity, {}, 50),
+        (harness, "sample_xi", lambda real: _nan_on_call(real, 2),
+         harness.check_fiber_roundtrip, {"case": harness.CASE_A}, 100),
+        (harness, "sample_x", lambda real: _nan_on_call(real, 2),
+         harness.check_section_identity, {"case": harness.CASE_B}, 60),
     ],
-    ids=["finite_difference", "algebraic"],
+    ids=["finite_difference", "algebraic", "fiber_roundtrip", "section_identity"],
 )
 def test_nan_residual_after_the_first_sample_fails(
-    monkeypatch, module, name, poison, check, kwargs
+    monkeypatch, module, name, poison, check, kwargs, n
 ):
     monkeypatch.setattr(module, name, poison(getattr(module, name)))
     r = check(SuiteConfig(), np.random.default_rng(3), **kwargs)
     assert r.passed is False
     assert math.isnan(r.max_residual)
+    assert r.n_samples == n
 
 
 def _nan_in_first_offset(offsets):
@@ -429,6 +435,123 @@ def test_batched_checks_fold_their_residuals():
         res = residuals(cfg, draws(cfg, np.random.default_rng(5), **dkw), **rkw)
         assert rec.check_id == rid and rec.n_samples == len(res)
         assert rec.max_residual == res.max()
+
+
+# The one-sample loops that the stacked algebraic checks replaced, kept as
+# references: each draws and evaluates one sample at a time.
+
+def _loop_homogeneity(cfg, rng):
+    def residuals():
+        for _ in range(50):
+            xi = harness.sample_xi(rng, harness.CASE_A, cfg.exclusion_eps)
+            c = rng.uniform(0.3, 2.0)
+            yield np.abs(transform.forward(c * xi).x - c * c * transform.forward(xi).x)
+    return harness._worst_of(cfg, "quadratic_homogeneity", "-", residuals(), 1e-12)
+
+
+def _octet_row(u):
+    u1, u2, u3, u4, u5, u6, u7, u8 = u
+    return np.array([
+        u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4 - u5 * u5 - u6 * u6 - u7 * u7 - u8 * u8,
+        2.0 * (u1 * u5 + u2 * u6 - u3 * u7 - u4 * u8),
+        2.0 * (u1 * u6 - u2 * u5 + u3 * u8 - u4 * u7),
+        2.0 * (u1 * u7 + u2 * u8 + u3 * u5 + u4 * u6),
+        2.0 * (u1 * u8 - u2 * u7 - u3 * u6 + u4 * u5),
+    ])
+
+
+def _loop_octet(cfg, rng):
+    conv = harness._convention()
+    u = rng.standard_normal((1000, 8))
+    target = np.stack([_octet_row(row) for row in u])
+    res = float(np.abs(target - conv.mapped_complex_x(u)).max())
+    return harness._result(cfg, "octet_convention", "-", 1000, res, 1e-12,
+                           json.dumps(conv.describe()))
+
+
+def _scalar_angle_gap(a, b):
+    delta = abs(a - b)
+    return min(delta % harness.TWO_PI, harness.TWO_PI - delta % harness.TWO_PI)
+
+
+def _loop_fiber_roundtrip(cfg, rng, case):
+    def residuals():
+        for _ in range(100):
+            xi = harness.sample_xi(rng, case, max(cfg.exclusion_eps, 0.1))
+            pt = transform.forward(xi)
+            phi = transform.extra_angles(xi, case)
+            xi2 = transform.fiber_section(pt, phi, case)
+            phi2 = transform.extra_angles(xi2, case)
+            yield (
+                float(np.abs(transform.forward(xi2).x - pt.x).max()) / pt.r,
+                _scalar_angle_gap(phi.phi1, phi2.phi1),
+                _scalar_angle_gap(phi.phi2, phi2.phi2),
+                abs(phi.phi3 - phi2.phi3),
+            )
+    return harness._worst_of(cfg, "fiber_roundtrip", case.tag, residuals(), 1e-10)
+
+
+def _loop_section_identity(cfg, rng, case):
+    def residuals():
+        for _ in range(60):
+            x = harness.sample_x(rng, case, max(cfg.exclusion_eps, 0.1))
+            phi = harness.sample_angles(rng, margin=0.15)
+            xi = transform.fiber_section(x, phi, case)
+            yield (float(np.abs(transform.forward(xi).x - x).max())
+                   / float(np.linalg.norm(x)))
+    return harness._worst_of(cfg, "section_identity", case.tag, residuals(), 1e-10)
+
+
+def _loop_spectrum(cfg, rng):
+    def residuals():
+        for J in range(cfg.J_max + 1):
+            for _ in range(20):
+                col = harness._random_column(rng)
+                s = math.sqrt(col[0] ** 2 + (col[1] + col[2]).real ** 2
+                              + (1j * (col[1] - col[2])).real ** 2)
+                roots = separation.separation_roots(J, col)
+                expected = np.array([m * s for m in range(-J, J + 1)])
+                yield (np.abs(roots - expected).max(),
+                       np.abs(roots + roots[::-1]).max())
+    return harness._worst_of(cfg, "spectrum_structure", "-", residuals(), 1e-10,
+                             "ladder m*|A| and symmetry about zero")
+
+
+def _loop_bisection(cfg, rng):
+    def residuals():
+        for J in range(2, min(3, cfg.J_max) + 1):
+            for _ in range(6):
+                col = harness._random_column(rng)
+                eig = separation.separation_roots(J, col)
+                bis = separation.det_bisection_roots(J, col)
+                yield np.abs(eig - bis) if len(bis) == len(eig) else math.inf
+    return harness._worst_of(cfg, "bisection_cross_check", "-", residuals(), 1e-10)
+
+
+_STACKED = [
+    ("quadratic_homogeneity", harness.check_homogeneity, _loop_homogeneity, {}),
+    ("octet_convention", harness.check_octet_convention, _loop_octet, {}),
+    *((f"{stem}_{c.tag}", check, loop, {"case": c})
+      for c in (harness.CASE_A, harness.CASE_B)
+      for stem, check, loop in (
+          ("fiber_roundtrip", harness.check_fiber_roundtrip, _loop_fiber_roundtrip),
+          ("section_identity", harness.check_section_identity,
+           _loop_section_identity))),
+    ("spectrum_structure", harness.check_spectrum_structure, _loop_spectrum, {}),
+    ("bisection_cross_check", harness.check_bisection_oracle, _loop_bisection, {}),
+]
+
+
+@pytest.mark.parametrize("seed", [1729, 3, 201])
+@pytest.mark.parametrize("check, loop, kwargs", [row[1:] for row in _STACKED],
+                         ids=[row[0] for row in _STACKED])
+def test_stacked_check_equals_its_one_sample_loop(check, loop, kwargs, seed):
+    cfg = SuiteConfig()
+    got = check(cfg, np.random.default_rng(seed), **kwargs)
+    want = loop(cfg, np.random.default_rng(seed), **kwargs)
+    assert got.max_residual == want.max_residual
+    assert got.n_samples == want.n_samples
+    assert got == want
 
 
 def test_separation_consistency_j0_is_an_exact_cancellation():

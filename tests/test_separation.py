@@ -247,6 +247,20 @@ def test_build_h_stack_matches_per_a_loop(J):
     assert np.array_equal(stack, loop)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(stack)), np.signbit(part(loop)))
+    # a column stack, at one a and at one a per column, against its columns;
+    # a generator of its own, so the module's draws for later tests stay put
+    a = np.random.default_rng(31 + J).uniform(-1.2, 1.2, (7, 3))
+    cols = [(float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)) for a1, a2, a3 in a]
+    cols += [(0.0, 0j, 0j), (-0.5, 0j, 0j)]
+    stacked_cols = tuple(map(np.array, zip(*cols)))
+    grid = np.linspace(-1.0, 1.0, len(cols))
+    for at, per_col in ((0.0, [0.0] * len(cols)), (grid, grid)):
+        stack = build_h(J, stacked_cols, at)
+        loop = np.array([build_h(J, col, ai) for col, ai in zip(cols, per_col)])
+        assert stack.shape == (len(cols), 2 * J + 1, 2 * J + 1)
+        assert np.array_equal(stack, loop)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(stack)), np.signbit(part(loop)))
 
 
 @pytest.mark.parametrize("J", [0, 1, 2, 3])
@@ -311,6 +325,25 @@ def test_batched_bisection_equals_scalar_bisection():
         want = _scalar_bisection_roots(J, col)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), (J, col)
+    # each spin's columns as one stack: one bisection loop over all brackets
+    for J in range(4):
+        spin_cols = [col for j, col in cols if j == J]
+        got = det_bisection_roots(J, tuple(map(np.array, zip(*spin_cols))))
+        assert len(got) == len(spin_cols)
+        for roots, col in zip(got, spin_cols):
+            want = _scalar_bisection_roots(J, col)
+            assert roots.dtype == want.dtype
+            assert np.array_equal(roots, want), (J, col)
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 3])
+def test_separation_roots_stack_equals_its_rows(J):
+    a = np.random.default_rng(37 + J).uniform(-1.2, 1.2, (30, 3))
+    cols = [(float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)) for a1, a2, a3 in a]
+    cols.append((0.7, 0j, 0j))
+    stack = separation_roots(J, tuple(map(np.array, zip(*cols))))
+    assert stack.shape == (len(cols), 2 * J + 1)
+    assert np.array_equal(stack, [separation_roots(J, col) for col in cols])
 
 
 @pytest.mark.parametrize("J", [2, 3])

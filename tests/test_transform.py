@@ -128,6 +128,20 @@ def test_octet_norm_preservation():
         assert abs(pt.r - u @ u) < 1e-12 * (u @ u)
 
 
+def test_octet_stack_equals_its_rows():
+    # a generator of its own, so the module's draws for later tests stay put
+    u = np.random.default_rng(41).standard_normal((300, 8))
+    stack = forward_octet(u)
+    rows = [forward_octet(row) for row in u]
+    assert stack.x.shape == (300, 5) and stack.r.shape == (300,)
+    assert np.array_equal(stack.x, [pt.x for pt in rows])
+    assert np.array_equal(stack.r, [pt.r for pt in rows])
+    # and a (2, 150, 8) stack row for row
+    pair = forward_octet(u.reshape(2, 150, 8))
+    assert np.array_equal(pair.x.reshape(300, 5), stack.x)
+    assert np.array_equal(pair.r.reshape(300), stack.r)
+
+
 def test_octet_third_axis_variant_breaks_norm():
     # swapping the u2 u5 term for u7 u5 (the nearest alternative reading of
     # the historical display) destroys the norm identity; this pins down

@@ -135,7 +135,8 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         ap.error("give PARENT_TREE and CHANGE_TREE")
-    out = args.out or tempfile.mkdtemp(prefix="hurwitz-gate-")
+    # absolute: each child runs with its tree as the working directory
+    out = os.path.abspath(args.out or tempfile.mkdtemp(prefix="hurwitz-gate-"))
     dirs = [os.path.join(out, tag) for tag in ("parent", "change")]
     try:
         for tree, d in zip(args.trees, dirs):
