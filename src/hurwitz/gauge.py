@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFiber, IllConditionedFrame, SingularAxis
+from .errors import IllConditionedFrame, SingularAxis
 from .opcalc import DiffStrategy, fiber_phase_gradients
 from .transform import (
     GAMMA,
@@ -153,9 +153,6 @@ def a_field_numeric(
 def _convert(at, pt, phi, case, d, frame_det_eps):
     swapped = EulerAngles(phi.phi2, phi.phi1, phi.phi3)
     xi_aux = fiber_section(pt, swapped, case)
-    pair = np.abs(xi_aux[..., list(case.pair)])
-    if np.count_nonzero(pair < 1e-12):
-        raise DegenerateFiber("swapped-angle frame point is degenerate")
     baux = b_functions(xi_aux, case, d)
     # component k of each frame triple, with a trailing axis for the 5 rows
     bp = np.moveaxis(_FRAME_PARITY * baux.bplus, -1, 0)[..., None]

@@ -15,10 +15,10 @@ import json
 import math
 import platform
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from numbers import Integral, Real
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,7 +59,8 @@ BATCH_DRAWS_PER_POINT = 16
 RATIO_CHECKS = frozenset({"fd_convergence_order", "consistency_refinement"})
 
 # Largest accepted ``samples``: the gauge property checks draw and evaluate
-# one stack of 10x this many base points.
+# one stack of 10x this many base points, the largest stack the suite
+# evaluates and the largest ``n`` a fields export accepts.
 MAX_SAMPLES = 10_000
 
 
@@ -120,7 +121,7 @@ class SuiteConfig:
                if not 0.0 <= v <= sys.float_info.max}
         if bad:
             raise ConfigInvalid(f"tolerances must be finite and non-negative, got {bad}")
-        known = {rid for row in _registry(self) for rid in _record_ids(row)}
+        known = {rid for row in _registry(self) for rid in row.record_ids}
         unknown = sorted(set(self.tolerances) - known)
         if unknown:
             raise ConfigInvalid(f"tolerances name no record of this suite: {unknown}")
@@ -415,7 +416,41 @@ def resolved_conventions() -> dict:
     }
 
 
-# --- individual checks ---------------------------------------------------------
+# --- the check table -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Measured:
+    """One pre-reduced value over ``n`` evaluations: a record that is not the
+    worst of per-draw residuals (a convergence ratio, an observed table, a
+    maximum over a normalisation shared by every draw)."""
+
+    n: int
+    value: float
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry row.  ``draws(cfg, rng, **kw)`` draws every sample first
+    (a row without draws evaluates ``None``), then ``evaluate(cfg, draws,
+    **kw)`` gives an (n, ...) residual array whose row i depends on draw i
+    alone, one such array per record id, or a :class:`Measured`.
+    ``records`` names the records where they differ from the row id;
+    ``detail`` is the records' detail unless a :class:`Measured` has one."""
+
+    id: str
+    evaluate: Callable
+    tol: float
+    draws: Optional[Callable] = None
+    kw: dict = field(default_factory=dict)
+    case: str = "-"
+    records: tuple = ()
+    detail: str = ""
+
+    @property
+    def record_ids(self) -> tuple:
+        return self.records or (self.id,)
+
 
 def _result(cfg, check_id, case, n, value, default_tol, detail="") -> CheckResult:
     """One report record.  A convergence ratio (:data:`RATIO_CHECKS`) passes
@@ -430,78 +465,87 @@ def _result(cfg, check_id, case, n, value, default_tol, detail="") -> CheckResul
 
 
 def _worst_of(cfg, check_id, case, residuals, default_tol, detail="") -> CheckResult:
-    """The record of a check over per-sample residuals.
+    """The record of a check over an (n, ...) array of per-draw residuals.
 
-    ``residuals`` yields one item per evaluated sample (a batch's (n, ...)
-    array one row each): a scalar, a tuple or an array, reduced with
-    ``np.max``.  ``n_samples`` counts the items and the worst is the
-    ``np.max`` over samples, so a NaN residual on any sample propagates and
-    fails the check; so does an empty ``residuals``.
+    ``n_samples`` is n and the value is one ``np.max`` over the whole array,
+    so a NaN residual on any draw propagates and fails the check; so does an
+    empty array.
     """
-    per_sample = [np.max(r) for r in residuals]
-    worst = np.max(per_sample, initial=0.0)
-    return _result(cfg, check_id, case, len(per_sample), worst, default_tol, detail)
+    res = np.asarray(residuals, dtype=float)
+    return _result(cfg, check_id, case, len(res), np.max(res, initial=0.0),
+                   default_tol, detail)
 
 
-def check_clifford_structure(cfg, rng):
+def run_row(cfg: SuiteConfig, row, rng: np.random.Generator) -> list[CheckResult]:
+    """The records of one registry row, given as a :class:`Check` or its id:
+    the row's draws from ``rng``, evaluated, each record folded by
+    :func:`_worst_of` or taken from its :class:`Measured`."""
+    if isinstance(row, str):
+        row = {r.id: r for r in _registry(cfg)}[row]
+    drawn = row.draws(cfg, rng, **row.kw) if row.draws else None
+    out = row.evaluate(cfg, drawn, **row.kw)
+    outs = out if len(row.record_ids) > 1 else (out,)
+    return [
+        _result(cfg, rid, row.case, res.n, res.value, row.tol, res.detail or row.detail)
+        if isinstance(res, Measured)
+        else _worst_of(cfg, rid, row.case, res, row.tol, row.detail)
+        for rid, res in zip(row.record_ids, outs)
+    ]
+
+
+# Each sampled row draws all of its samples first, in the order a loop of
+# single draws would, then evaluates them with one engine call per operator
+# (per group where a field family or a spin J needs one).  Evaluated one
+# sample at a time on purpose: null_vector_residual (one column per
+# ``coefficients`` call), alternating_branch_caseA (scalar closed form),
+# oscillator_gaussian and radial_duality (one finite-difference field per
+# sample).
+
+def _clifford_structure(cfg, _):
     g = transform.GAMMA.gamma
     gt = transform.GAMMA.gamma_tilde
     allowed = np.array([0, 1, -1, 1j, -1j], dtype=complex)
-    worst = np.max(
-        [
-            np.abs(g - g.conj().transpose(0, 2, 1)).max(),
-            np.abs(np.trace(g, axis1=1, axis2=2)).max(),
-            np.abs(g[..., None] - allowed).min(axis=-1).max(),
-            np.abs(gt + gt.T).max(),
-        ]
-    )
-    return _result(cfg, "clifford_structure", "-", 5, worst, 1e-14,
-                   "hermiticity, traces, entry set, antisymmetric companion")
+    return Measured(5, np.max([
+        np.abs(g - g.conj().transpose(0, 2, 1)).max(),
+        np.abs(np.trace(g, axis1=1, axis2=2)).max(),
+        np.abs(g[..., None] - allowed).min(axis=-1).max(),
+        np.abs(gt + gt.T).max(),
+    ]))
 
 
-def check_clifford_anticommutation(cfg, rng):
-    res = cl.clifford_residual(transform.GAMMA)
-    return _result(cfg, "clifford_anticommutation", "-", 25, res, 1e-14)
-
-
-def check_fierz(cfg, rng):
-    res = cl.fierz_residual(transform.GAMMA)
-    return _result(cfg, "fierz_identity", "-", 256, res, 1e-12,
-                   f"companion origin: {transform.GAMMA.gamma_tilde_origin}")
-
-
-def check_tilde_table(cfg, rng):
+def _tilde_table(cfg, _):
     table = cl.gamma_tilde_commutation_table(transform.GAMMA)
     expected = {1: "anticommutes", 2: "commutes", 3: "anticommutes",
                 4: "commutes", 5: "commutes"}
-    return _result(cfg, "companion_commutation_table", "-", 5,
-                   0.0 if table == expected else 1.0, 0.5, f"observed {table}")
+    return Measured(5, 0.0 if table == expected else 1.0, f"observed {table}")
 
 
-def check_norm_identity(cfg, rng):
+def _norm_draws(cfg, rng):
     n = 10 * cfg.samples
-    xi = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) / 2.0
+    return (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) / 2.0
+
+
+def _norm_identity(cfg, xi):
     x = np.einsum("ns,lst,nt->nl", xi.conj(), transform.GAMMA.gamma, xi).real
     norm_x = np.linalg.norm(x, axis=1)
     norm_xi = np.einsum("ns,ns->n", xi, xi.conj()).real
-    res = float(np.abs(norm_x - norm_xi).max() / norm_xi.min())
-    return _result(cfg, "norm_identity", "-", n, res, 1e-12)
+    return Measured(len(xi), float(np.abs(norm_x - norm_xi).max() / norm_xi.min()))
 
 
-def check_homogeneity(cfg, rng):
-    xi, c = zip(*((sample_xi(rng, CASE_A, cfg.exclusion_eps), rng.uniform(0.3, 2.0))
-                  for _ in range(50)))
+def _homogeneity_draws(cfg, rng):
+    return [(sample_xi(rng, CASE_A, cfg.exclusion_eps), rng.uniform(0.3, 2.0))
+            for _ in range(50)]
+
+
+def _homogeneity(cfg, draws):
+    xi, c = zip(*draws)
     xi, c = np.array(xi), np.array(c)[:, None]
-    res = np.abs(transform.forward(c * xi).x - c * c * transform.forward(xi).x)
-    return _worst_of(cfg, "quadratic_homogeneity", "-", res, 1e-12)
+    return np.abs(transform.forward(c * xi).x - c * c * transform.forward(xi).x)
 
 
-def check_octet_convention(cfg, rng):
+def _octet_convention(cfg, u):
     conv = _convention()
-    u = rng.standard_normal((1000, 8))
-    res = conv.residual(u)
-    return _result(cfg, "octet_convention", "-", 1000, res, 1e-12,
-                   json.dumps(conv.describe()))
+    return Measured(len(u), conv.residual(u), json.dumps(conv.describe()))
 
 
 def _angle_gap(a, b):
@@ -510,54 +554,48 @@ def _angle_gap(a, b):
     return np.minimum(delta, TWO_PI - delta)
 
 
-def check_fiber_roundtrip(cfg, rng, case):
-    xi = np.array([sample_xi(rng, case, max(cfg.exclusion_eps, 0.1))
-                   for _ in range(100)])
+def _xi_draws(cfg, rng, case, eps=0.1, **_):
+    """100 fiber points of the case, clear of the larger of the configured
+    exclusion and ``eps``."""
+    return [sample_xi(rng, case, max(cfg.exclusion_eps, eps)) for _ in range(100)]
+
+
+def _fiber_roundtrip(cfg, draws, case):
+    xi = np.array(draws)
     pt = transform.forward(xi)
     phi = transform.extra_angles(xi, case)
     xi2 = transform.fiber_section(pt, phi, case)
     phi2 = transform.extra_angles(xi2, case)
-    res = np.stack([
+    return np.stack([
         np.abs(transform.forward(xi2).x - pt.x).max(axis=-1) / pt.r,
         _angle_gap(phi.phi1, phi2.phi1),
         _angle_gap(phi.phi2, phi2.phi2),
         np.abs(phi.phi3 - phi2.phi3),
     ], axis=-1)
-    return _worst_of(cfg, "fiber_roundtrip", case.tag, res, 1e-10)
 
 
-def check_section_identity(cfg, rng, case):
-    x, phi = zip(*((sample_x(rng, case, max(cfg.exclusion_eps, 0.1)),
-                    sample_angles(rng, margin=0.15)) for _ in range(60)))
+def _section_draws(cfg, rng, case):
+    return [(sample_x(rng, case, max(cfg.exclusion_eps, 0.1)),
+             sample_angles(rng, margin=0.15)) for _ in range(60)]
+
+
+def _section_identity(cfg, draws, case):
+    x, phi = zip(*draws)
     x = np.array(x)
     xi = transform.fiber_section(x, _stack_angles(phi), case)
     # the unit-stride dot rounds as np.linalg.norm of each row does
-    res = np.abs(transform.forward(xi).x - x).max(axis=-1) / np.sqrt(np.vecdot(x, x))
-    return _worst_of(cfg, "section_identity", case.tag, res, 1e-10)
+    return np.abs(transform.forward(xi).x - x).max(axis=-1) / np.sqrt(np.vecdot(x, x))
 
 
-# A batched check draws all of its samples first, in the order a loop of
-# single draws would, then evaluates them with one engine call per operator
-# (per group where a field family needs one): ``_*_draws`` give the list of
-# per-sample draws and ``_*_residuals`` their (n, ...) residuals.  The
-# algebraic checks draw the same way and evaluate one stack inline (per spin
-# J for spectrum and bisection), bit for bit as one sample at a time.  Left one
-# sample at a time on purpose: null_vector_residual (one column per
-# ``coefficients`` call), alternating_branch_caseA (scalar closed form),
-# wigner_ladder (scalar ``wigner_d_prime``), oscillator_gaussian and
-# radial_duality (one finite-difference field per sample).
-
-def _rotor_draws(cfg, rng):
+def _rotor_draws(cfg, rng, **_):
     return [(_angle_poly(rng), sample_angles(rng)) for _ in range(100)]
 
 
 def _rotor_residuals(cfg, draws, relations):
     """Commutator residuals of ``relations``, one test field per sample."""
     fields, angles = zip(*draws)
-    res = opcalc.commutator_residuals(
-        relations, _stack(fields), _stack_angles(angles), cfg.strategy(1e-3)
-    )
-    return res.T
+    return opcalc.commutator_residuals(
+        relations, _stack(fields), _stack_angles(angles), cfg.strategy(1e-3)).T
 
 
 def _closure(family: str) -> list:
@@ -566,16 +604,6 @@ def _closure(family: str) -> list:
 
 
 _CROSS = [(f"T{i}", f"Q{j}", (0.0, None)) for i in (1, 2, 3) for j in (1, 2, 3)]
-
-
-def check_rotor_closure(cfg, rng, family: str):
-    res = _rotor_residuals(cfg, _rotor_draws(cfg, rng), _closure(family))
-    return _worst_of(cfg, f"rotor_closure_{family}", "-", res, 1e-5)
-
-
-def check_rotor_cross(cfg, rng):
-    res = _rotor_residuals(cfg, _rotor_draws(cfg, rng), _CROSS)
-    return _worst_of(cfg, "rotor_cross_commutation", "-", res, 1e-5)
 
 
 def _casimir_draws(cfg, rng):
@@ -610,29 +638,13 @@ def _casimir_residuals(cfg, draws):
     return res
 
 
-def check_casimir(cfg, rng):
-    res = _casimir_residuals(cfg, _casimir_draws(cfg, rng))
-    return _worst_of(cfg, "casimir_equality", "-", res, 1e-4)
-
-
-def _phase_draws(cfg, rng, case):
-    return [sample_xi(rng, case, max(cfg.exclusion_eps, 0.1)) for _ in range(100)]
-
-
 def _phase_residuals(cfg, draws, case, with_offsets):
     use = case.with_offsets(_TEST_OFFSETS) if with_offsets else case
-    return opcalc.identity_residual(
-        "phase_constraint", use, np.array(draws), None, cfg.strategy()
-    )
+    return opcalc.identity_residual("phase_constraint", use, np.array(draws), None,
+                                    cfg.strategy())
 
 
-def check_phase_constraint(cfg, rng, case, with_offsets):
-    res = _phase_residuals(cfg, _phase_draws(cfg, rng, case), case, with_offsets)
-    cid = f"phase_constraint_{case.tag}" + ("_offsets" if with_offsets else "")
-    return _worst_of(cfg, cid, case.tag, res, 1e-6)
-
-
-def _identity_draws(cfg, rng, case):
+def _identity_draws(cfg, rng, case, **_):
     return [
         (sample_xi(rng, case, max(cfg.exclusion_eps, 0.15), scale=1.4),
          _xphi_field(rng, "gaussian" if i % 2 == 0 else "poly"))
@@ -642,94 +654,65 @@ def _identity_draws(cfg, rng, case):
 
 def _identity_residuals(cfg, draws, case, which):
     xis, fields = zip(*draws)
-    return opcalc.identity_residual(
-        which, case, np.array(xis), _stack(fields), cfg.strategy()
-    )
+    return opcalc.identity_residual(which, case, np.array(xis), _stack(fields),
+                                    cfg.strategy())
 
 
-def _identity_check(cfg, rng, case, which, check_id):
-    res = _identity_residuals(cfg, _identity_draws(cfg, rng, case), case, which)
-    return _worst_of(cfg, f"{check_id}_{case.tag}", case.tag, res, 1e-4)
-
-
-def check_fd_convergence(cfg, rng):
+def _fd_convergence(cfg, _):
     rng2 = np.random.default_rng(11)
     xi = sample_xi(rng2, CASE_A, 0.2)
     f = _xphi_field(rng2, "gaussian")
     ratios = []
-    for which, h in (
-        ("phase_constraint", 0.05),
-        ("derivative_split", 0.04),
-        ("laplacian_split", 0.08),
-    ):
-        big = opcalc.identity_residual(
-            which, CASE_A, xi, f, DiffStrategy(step=h, step2=h)
-        )
-        small = opcalc.identity_residual(
-            which, CASE_A, xi, f, DiffStrategy(step=h / 2, step2=h / 2)
-        )
+    for which, h in (("phase_constraint", 0.05), ("derivative_split", 0.04),
+                     ("laplacian_split", 0.08)):
+        big = opcalc.identity_residual(which, CASE_A, xi, f,
+                                       DiffStrategy(step=h, step2=h))
+        small = opcalc.identity_residual(which, CASE_A, xi, f,
+                                         DiffStrategy(step=h / 2, step2=h / 2))
         ratios.append(big / max(small, 1e-300))
     # np.min keeps a NaN ratio, which then fails the check
-    return _result(
-        cfg, "fd_convergence_order", "-", 3, np.min(ratios), 8.0,
-        f"halving ratios {['%.1f' % r for r in ratios]} (order-4 stencils)",
-    )
+    return Measured(3, np.min(ratios),
+                    f"halving ratios {['%.1f' % r for r in ratios]} (order-4 stencils)")
 
 
-def check_gauge_properties(cfg, rng, case):
-    n = 10 * cfg.samples
-    pts = sample_x(rng, case, cfg.exclusion_eps, size=n)
+def _gauge_properties(cfg, pts, case):
+    """Per point: the transversality |x A| and the normalization residual
+    |A^T A - scale 1| of the closed-form potential."""
     r = np.linalg.norm(pts, axis=1)
     A = gauge.a_field_closed(pts, case).A
-    trans = float(np.abs(np.einsum("nl,nlk->nk", pts, A)).max())
+    trans = np.abs(np.einsum("nl,nlk->nk", pts, A))
     gram = np.einsum("nlk,nlj->nkj", A, A)
-    scale = (r - case.axis_sign * pts[:, 4]) / (
-        r * r * (r + case.axis_sign * pts[:, 4])
-    )
-    target = scale[:, None, None] * np.eye(3)[None]
-    norm_res = float(np.abs(gram - target).max())
-    return [
-        _result(cfg, f"gauge_transversality_{case.tag}", case.tag, n, trans, 1e-12),
-        _result(cfg, f"gauge_normalization_{case.tag}", case.tag, n, norm_res, 1e-12),
-    ]
+    scale = ((r - case.axis_sign * pts[:, 4])
+             / (r * r * (r + case.axis_sign * pts[:, 4])))
+    # in place: the (n, 3, 3) stacks are the suite's largest arrays
+    gram -= scale[:, None, None] * np.eye(3)[None]
+    return trans, np.abs(gram, out=gram)
 
 
-def _gauge_xi(cfg, rng, case):
-    return sample_xi(rng, case, max(cfg.exclusion_eps, 0.15))
-
-
-def _closed_vs_numeric_draws(cfg, rng, case):
-    return [_gauge_xi(cfg, rng, case) for _ in range(100)]
-
-
-def _closed_vs_numeric_residuals(cfg, draws, case):
+def _closed_vs_numeric_residuals(cfg, draws, case, **_):
     xi = np.array(draws)
     numeric = gauge.a_field_numeric(xi, case, cfg.strategy()).A
     return np.abs(numeric - gauge.a_field_closed(transform.forward(xi), case).A)
 
 
-def check_gauge_closed_vs_numeric(cfg, rng, case):
-    res = _closed_vs_numeric_residuals(
-        cfg, _closed_vs_numeric_draws(cfg, rng, case), case
-    )
-    return _worst_of(cfg, f"gauge_closed_vs_numeric_{case.tag}", case.tag, res, 1e-5)
-
-
-def check_gauge_reflection(cfg, rng):
-    P = gauge.CASE_B_REFLECTION
+def _reflection_draws(cfg, rng):
     x = sample_x(rng, CASE_B, 1e-2, size=200)
     # rows near either half-axis are not evaluated samples; the unit-stride
     # dot rounds as np.linalg.norm of each row does
-    x = x[np.sqrt(np.vecdot(x, x)) - np.abs(x[:, 4]) >= 1e-2]
+    return x[np.sqrt(np.vecdot(x, x)) - np.abs(x[:, 4]) >= 1e-2]
+
+
+def _gauge_reflection(cfg, x):
+    P = gauge.CASE_B_REFLECTION
     ab = gauge.a_field_closed(x, CASE_B).A
     aa = gauge.a_field_closed(P * x, CASE_A).A
-    res = np.abs(ab - P[:, None] * aa)
-    return _worst_of(cfg, "gauge_reflection_map", "B", res, 1e-12)
+    return np.abs(ab - P[:, None] * aa)
 
 
 def _frame_x_draws(cfg, rng, case):
     """A fiber point and a second base point per sample."""
-    return [(_gauge_xi(cfg, rng, case), sample_x(rng, case, 0.1)) for _ in range(25)]
+    return [(sample_xi(rng, case, max(cfg.exclusion_eps, 0.15)), sample_x(rng, case, 0.1))
+            for _ in range(25)]
 
 
 def _frame_x_residuals(cfg, draws, case):
@@ -743,15 +726,10 @@ def _frame_x_residuals(cfg, draws, case):
     return np.abs(np.concatenate([b1.bplus - b2.bplus, b1.bminus - b2.bminus], axis=-1))
 
 
-def check_frame_x_independence(cfg, rng, case):
-    res = _frame_x_residuals(cfg, _frame_x_draws(cfg, rng, case), case)
-    return _worst_of(cfg, f"frame_x_independence_{case.tag}", case.tag, res, 1e-5)
-
-
 def _angle_independence_draws(cfg, rng, case):
     """A fiber point and a second set of angles per sample."""
-    return [(_gauge_xi(cfg, rng, case), sample_angles(rng, margin=0.3))
-            for _ in range(20)]
+    return [(sample_xi(rng, case, max(cfg.exclusion_eps, 0.15)),
+             sample_angles(rng, margin=0.3)) for _ in range(20)]
 
 
 def _angle_independence_residuals(cfg, draws, case):
@@ -765,42 +743,43 @@ def _angle_independence_residuals(cfg, draws, case):
     return np.abs(A1 - gauge.a_field_numeric(xi2, case, d).A)
 
 
-def check_gauge_angle_independence(cfg, rng, case):
-    res = _angle_independence_residuals(
-        cfg, _angle_independence_draws(cfg, rng, case), case
-    )
-    return _worst_of(cfg, f"gauge_angle_independence_{case.tag}", case.tag, res, 1e-5)
-
-
 def _random_column(rng):
     a = rng.uniform(-1.2, 1.2, size=3)
     return (float(a[0]), 0.5 * (a[1] - 1j * a[2]), 0.5 * (a[1] + 1j * a[2]))
 
 
-def check_spectrum_structure(cfg, rng):
-    res = []
-    for J in range(cfg.J_max + 1):
-        cols = [_random_column(rng) for _ in range(20)]
+def _columns(rng, spins, n):
+    """(J, column) draws: ``n`` random columns for each spin J in turn."""
+    return [(J, _random_column(rng)) for J in spins for _ in range(n)]
+
+
+def _spectrum(cfg, draws):
+    """Per column: its roots against the ladder m |A| and against their
+    mirror image, one eigen-solve per spin J."""
+    res = np.empty((len(draws), 2))
+    for J, idx in _groups([J for J, _ in draws]):
+        cols = [draws[i][1] for i in idx]
         s = np.array([math.sqrt(a1 ** 2 + (ap + am).real ** 2
                                 + (1j * (ap - am)).real ** 2) for a1, ap, am in cols])
         roots = separation.separation_roots(J, tuple(map(np.array, zip(*cols))))
         expected = np.arange(-J, J + 1) * s[:, None]
-        res.append(np.stack([np.abs(roots - expected).max(axis=-1),
-                             np.abs(roots + roots[:, ::-1]).max(axis=-1)], axis=-1))
-    return _worst_of(cfg, "spectrum_structure", "-", np.concatenate(res), 1e-10,
-                     "ladder m*|A| and symmetry about zero")
+        res[idx] = np.stack([np.abs(roots - expected).max(axis=-1),
+                             np.abs(roots + roots[:, ::-1]).max(axis=-1)], axis=-1)
+    return res
 
 
-def check_bisection_oracle(cfg, rng):
-    res = []
-    for J in range(2, min(3, cfg.J_max) + 1):
-        cols = tuple(map(np.array, zip(*(_random_column(rng) for _ in range(6)))))
+def _bisection(cfg, draws):
+    """Per column: the eigen-solver roots against the determinant
+    bisection's, one call of each per spin J."""
+    res = np.empty(len(draws))
+    for J, idx in _groups([J for J, _ in draws]):
+        cols = tuple(map(np.array, zip(*(draws[i][1] for i in idx))))
         eig = separation.separation_roots(J, cols)
         bis = separation.det_bisection_roots(J, cols)
         # a root the oracle missed or split is infinitely far off
-        res += [np.max(np.abs(e - b)) if len(b) == len(e) else math.inf
-                for e, b in zip(eig, bis)]
-    return _worst_of(cfg, "bisection_cross_check", "-", res, 1e-10)
+        res[idx] = [np.max(np.abs(e - b)) if len(b) == len(e) else math.inf
+                    for e, b in zip(eig, bis)]
+    return res
 
 
 def _closed_form_magnitudes(x: np.ndarray) -> list[float]:
@@ -814,21 +793,20 @@ def _closed_form_magnitudes(x: np.ndarray) -> list[float]:
     ] + [0.0]
 
 
-def check_alternating_branch(cfg, rng):
+def _alternating_branch(cfg, xs):
+    """Per point: the case-A spin-1 alternating eigenvalues and centrifugal
+    term against their closed forms."""
     signs = np.array([-1.0, 1.0, -1.0, 1.0, 0.0])
-
-    def residuals():
-        for _ in range(40):
-            x = sample_x(rng, CASE_A, 0.05)
-            r = float(np.linalg.norm(x))
-            a, cent = separation.effective_terms(1, x, CASE_A, "alternating")
-            expected = signs * _closed_form_magnitudes(x)
-            yield np.abs(a - expected).max(), abs(cent - 1.0 / (r * r))
-    return _worst_of(cfg, "alternating_branch_caseA", "A", residuals(), 1e-12,
-                     "sign pattern (-,+,-,+,0); fifth axis eigenvalue zero")
+    res = []
+    for x in xs:
+        r = float(np.linalg.norm(x))
+        a, cent = separation.effective_terms(1, x, CASE_A, "alternating")
+        expected = signs * _closed_form_magnitudes(x)
+        res.append((np.abs(a - expected).max(), abs(cent - 1.0 / (r * r))))
+    return np.array(res)
 
 
-def check_wigner_ladder(cfg, rng):
+def _wigner_ladder(cfg, _):
     grid = np.linspace(0.12, math.pi - 0.12, 20)
     phi1 = np.linspace(0.0, TWO_PI, 20, endpoint=False)
     phi2 = np.linspace(0.0, TWO_PI, 20, endpoint=False)
@@ -837,37 +815,29 @@ def check_wigner_ladder(cfg, rng):
         for q in range(-J, J + 1):
             for p in range(-J, J + 1):
                 for sign in (1, -1):
-                    coef = math.sqrt(
-                        max((J - sign * q) * (J + sign * q + 1), 0.0)
-                    )
-                    rad = np.array(
-                        [
-                            sign * separation.wigner_d_prime(J, q, p, b)
-                            - (q * math.cos(b) - p) / math.sin(b)
-                            * separation.wigner_d(J, q, p, b)
-                            for b in grid
-                        ]
-                    )
+                    coef = math.sqrt(max((J - sign * q) * (J + sign * q + 1), 0.0))
+                    rad = np.array([
+                        sign * separation.wigner_d_prime(J, q, p, b)
+                        - (q * math.cos(b) - p) / math.sin(b)
+                        * separation.wigner_d(J, q, p, b)
+                        for b in grid
+                    ])
                     if abs(q + sign) <= J:
-                        tgt = coef * np.array(
-                            [separation.wigner_d(J, q + sign, p, b) for b in grid]
-                        )
+                        tgt = coef * np.array([separation.wigner_d(J, q + sign, p, b)
+                                               for b in grid])
                     else:
                         tgt = np.zeros_like(rad)
                     # the phi1/phi2 phases factor out exactly; assemble the
                     # full 20^3 grid anyway to honor the advertised sweep
-                    ph = np.exp(1j * (q + sign) * phi2)[:, None] * np.exp(
-                        1j * p * phi1
-                    )[None, :]
-                    full = np.abs(
-                        ph[None, :, :] * (rad - tgt)[:, None, None]
-                    )
+                    ph = (np.exp(1j * (q + sign) * phi2)[:, None]
+                          * np.exp(1j * p * phi1)[None, :])
+                    full = np.abs(ph[None, :, :] * (rad - tgt)[:, None, None])
                     maxima.append(full.max())
     n = len(maxima) * grid.size * phi2.size * phi1.size
-    return _result(cfg, "wigner_ladder", "-", n, np.max(maxima), 1e-12)
+    return Measured(n, np.max(maxima))
 
 
-def _angular_residuals(cfg, draws):
+def _angular_residuals(cfg, draws, **_):
     """|row.Q G - target G|, |Q^2 G - J(J+1) G| and |T1 G - p G| for draws
     (J, p, g, row, target, phi), G the angular factor of the coefficients g;
     one generator-image and one Casimir evaluation per (J, p) group."""
@@ -901,23 +871,26 @@ def _wigner_draws(cfg, rng):
     ]
 
 
-def check_wigner_eigen(cfg, rng):
-    res = _angular_residuals(cfg, _wigner_draws(cfg, rng))
-    return _worst_of(cfg, "wigner_eigenrelations", "-", res, 1e-6)
+def _null_draws(cfg, rng):
+    """(J, column, index of the root) per sample."""
+    draws = []
+    for _ in range(100):
+        J = int(rng.integers(0, cfg.J_max + 1))
+        col = _random_column(rng)
+        draws.append((J, col, int(rng.integers(0, 2 * J + 1))))
+    return draws
 
 
-def check_null_residual(cfg, rng):
-    def residuals():
-        for _ in range(100):
-            J = int(rng.integers(0, cfg.J_max + 1))
-            col = _random_column(rng)
-            roots = separation.separation_roots(J, col)
-            root = float(roots[int(rng.integers(0, 2 * J + 1))])
-            g = separation.coefficients(J, col, root)
-            if g.ndim == 2:
-                g = g[:, 0]
-            yield np.linalg.norm(separation.build_h(J, col, root) @ g)
-    return _worst_of(cfg, "null_vector_residual", "-", residuals(), 1e-10)
+def _null_vector(cfg, draws):
+    """|H g| per sample, g the coefficients of its drawn root."""
+    res = []
+    for J, col, k in draws:
+        root = float(separation.separation_roots(J, col)[k])
+        g = separation.coefficients(J, col, root)
+        if g.ndim == 2:
+            g = g[:, 0]
+        res.append(np.linalg.norm(separation.build_h(J, col, root) @ g))
+    return np.array(res)
 
 
 def _angular_factor_draws(cfg, rng, case):
@@ -937,36 +910,25 @@ def _angular_factor_draws(cfg, rng, case):
     return draws
 
 
-def check_angular_factor(cfg, rng, case):
-    res = _angular_residuals(cfg, _angular_factor_draws(cfg, rng, case))
-    return _worst_of(cfg, f"angular_factor_eigen_{case.tag}", case.tag, res, 1e-4)
-
-
-def check_oscillator(cfg, rng):
-    def residuals():
-        d = cfg.strategy()
-        for omega in (0.5, 1.0, 2.0):
-            p = OscillatorParams.from_omega(omega)
-            field = lambda z: np.exp(-omega * np.vecdot(z, z).real)
-            for _ in range(8):
-                xi = sample_xi(rng, CASE_A, 0.0, scale=1.0)
-                got = opcalc.oscillator_apply(p, field, xi, d)
-                yield abs(got - p.Z * field(xi)) / abs(field(xi))
-    return _worst_of(cfg, "oscillator_gaussian", "-", residuals(), 1e-6,
-                     "eigenvalue 2*omega at omega in {0.5, 1, 2}")
-
-
-def check_radial_duality(cfg, rng):
+def _oscillator(cfg, draws):
+    """|H_osc psi - Z psi| / |psi| per (omega, xi) draw, psi the Gaussian
+    exp(-omega |xi|^2)."""
     d = cfg.strategy()
-    residuals = (
-        opcalc.radial_duality_residual(
-            p, sample_x(rng, CASE_A, 0.0, rmin=0.8, rmax=2.0), d
-        )
-        for p in map(OscillatorParams.from_omega, (0.5, 1.0, 2.0))
-        for _ in range(8)
-    )
-    return _worst_of(cfg, "radial_duality", "-", residuals, 1e-6,
-                     "exp(-omega r) with Z = 2 omega, E = -omega^2/2")
+    res = []
+    for omega, xi in draws:
+        p = OscillatorParams.from_omega(omega)
+        field = lambda z: np.exp(-omega * np.vecdot(z, z).real)
+        got = opcalc.oscillator_apply(p, field, xi, d)
+        res.append(abs(got - p.Z * field(xi)) / abs(field(xi)))
+    return np.array(res)
+
+
+def _radial_duality(cfg, draws):
+    d = cfg.strategy()
+    return np.array([
+        opcalc.radial_duality_residual(OscillatorParams.from_omega(omega), x, d)
+        for omega, x in draws
+    ])
 
 
 def _radial_field(kind):
@@ -980,7 +942,7 @@ def _radial_field(kind):
     )
 
 
-def _consistency_draws(cfg, rng):
+def _consistency_draws(cfg, rng, **_):
     cases = cfg.case_objs()
     return [
         (cases[i % len(cases)],
@@ -1002,99 +964,108 @@ def _consistency_residuals(cfg, draws, J):
     return res
 
 
-def check_consistency(cfg, rng, J):
-    res = _consistency_residuals(cfg, _consistency_draws(cfg, rng), J)
-    tol = 1e-4 if J == 0 else 1e-3
-    return _worst_of(cfg, f"separation_consistency_J{J}", "-", res, tol)
-
-
-def check_consistency_refinement(cfg, rng):
+def _consistency_refinement(cfg, _):
     rng2 = np.random.default_rng(23)
     x = sample_x(rng2, CASE_A, 0.2, rmin=1.0, rmax=1.6)
     psi = _radial_field(0)
     res = []
     for h in (0.04, 0.02):
         d = DiffStrategy(step=h, step2=h)
-        res.append(
-            separation.consistency_residual(
-                1, 0, psi, x, CASE_A, "alternating", d, n_angles=2
-            )
-        )
-    return _result(
-        cfg, "consistency_refinement", "A", 2, res[0] / max(res[1], 1e-300), 2.0,
-        f"residuals {res[0]:.2e} -> {res[1]:.2e} under step halving",
-    )
+        res.append(separation.consistency_residual(1, 0, psi, x, CASE_A, "alternating", d,
+                                                   n_angles=2))
+    return Measured(2, res[0] / max(res[1], 1e-300),
+                    f"residuals {res[0]:.2e} -> {res[1]:.2e} under step halving")
 
 
-def _registry(cfg: SuiteConfig) -> list[tuple]:
-    """The suite in run order as (id, check, keyword arguments) rows.
+def _registry(cfg: SuiteConfig) -> list[Check]:
+    """The suite in run order, one :class:`Check` per row.
 
-    A row whose check writes records under other ids than the row id ends
-    with those record ids.  Each check is seeded by its position here, so
-    moving a row reseeds it and every row after it.  A stem row of
-    :func:`per_case` expands to one row per configured case, with ``{}``
-    replaced by the case tag in the row id and the record ids.
+    Each row is seeded by its position here, so moving a row reseeds it and
+    every row after it.  A stem row of :func:`per_case` expands to one row
+    per configured case, with ``{}`` replaced by the case tag in the row id
+    and the record ids, and the case passed to draws and evaluate.
     """
 
-    def per_case(*stems):
+    def per_case(*rows):
         return [
-            (stem.format(case.tag), check, {"case": case, **kwargs},
-             *[tuple(r.format(case.tag) for r in recs) for recs in records])
-            for case in cfg.case_objs()
-            for stem, check, kwargs, *records in stems
+            replace(row, id=row.id.format(c.tag), case=c.tag, kw={"case": c, **row.kw},
+                    records=tuple(r.format(c.tag) for r in row.records))
+            for c in cfg.case_objs()
+            for row in rows
         ]
 
     identities = ("derivative_split", "momentum_equivalence", "laplacian_split")
     return [
-        ("clifford_structure", check_clifford_structure, {}),
-        ("clifford_anticommutation", check_clifford_anticommutation, {}),
-        ("fierz_identity", check_fierz, {}),
-        ("companion_commutation_table", check_tilde_table, {}),
-        ("norm_identity", check_norm_identity, {}),
-        ("quadratic_homogeneity", check_homogeneity, {}),
-        ("octet_convention", check_octet_convention, {}),
+        Check("clifford_structure", _clifford_structure, 1e-14,
+              detail="hermiticity, traces, entry set, antisymmetric companion"),
+        Check("clifford_anticommutation",
+              lambda cfg, _: Measured(25, cl.clifford_residual(transform.GAMMA)), 1e-14),
+        Check("fierz_identity",
+              lambda cfg, _: Measured(256, cl.fierz_residual(transform.GAMMA)), 1e-12,
+              detail=f"companion origin: {transform.GAMMA.gamma_tilde_origin}"),
+        Check("companion_commutation_table", _tilde_table, 0.5),
+        Check("norm_identity", _norm_identity, 1e-12, _norm_draws),
+        Check("quadratic_homogeneity", _homogeneity, 1e-12, _homogeneity_draws),
+        Check("octet_convention", _octet_convention, 1e-12,
+              lambda cfg, rng: rng.standard_normal((1000, 8))),
         *per_case(
-            ("fiber_roundtrip_{}", check_fiber_roundtrip, {}, ("fiber_roundtrip",)),
-            ("section_identity_{}", check_section_identity, {}, ("section_identity",)),
+            Check("fiber_roundtrip_{}", _fiber_roundtrip, 1e-10, _xi_draws,
+                  records=("fiber_roundtrip",)),
+            Check("section_identity_{}", _section_identity, 1e-10, _section_draws,
+                  records=("section_identity",)),
         ),
-        ("rotor_closure_T", check_rotor_closure, {"family": "T"}),
-        ("rotor_closure_Q", check_rotor_closure, {"family": "Q"}),
-        ("rotor_cross_commutation", check_rotor_cross, {}),
-        ("casimir_equality", check_casimir, {}),
+        *(Check(f"rotor_closure_{f}", _rotor_residuals, 1e-5, _rotor_draws,
+                {"relations": _closure(f)}) for f in "TQ"),
+        Check("rotor_cross_commutation", _rotor_residuals, 1e-5, _rotor_draws,
+              {"relations": _CROSS}),
+        Check("casimir_equality", _casimir_residuals, 1e-4, _casimir_draws),
         *per_case(
-            ("phase_constraint_{}", check_phase_constraint, {"with_offsets": False}),
-            ("phase_constraint_{}_offsets", check_phase_constraint,
-             {"with_offsets": True}),
-            *((w + "_{}", _identity_check, {"which": w, "check_id": w})
+            Check("phase_constraint_{}", _phase_residuals, 1e-6, _xi_draws,
+                  {"with_offsets": False}),
+            Check("phase_constraint_{}_offsets", _phase_residuals, 1e-6, _xi_draws,
+                  {"with_offsets": True}),
+            *(Check(w + "_{}", _identity_residuals, 1e-4, _identity_draws, {"which": w})
               for w in identities),
         ),
-        ("fd_convergence_order", check_fd_convergence, {}),
+        Check("fd_convergence_order", _fd_convergence, 8.0),
         *per_case(
-            ("gauge_properties_{}", check_gauge_properties, {},
-             ("gauge_transversality_{}", "gauge_normalization_{}")),
-            ("gauge_closed_vs_numeric_{}", check_gauge_closed_vs_numeric, {}),
-            ("frame_x_independence_{}", check_frame_x_independence, {}),
-            ("gauge_angle_independence_{}", check_gauge_angle_independence, {}),
+            Check("gauge_properties_{}", _gauge_properties, 1e-12,
+                  lambda cfg, rng, case: sample_x(rng, case, cfg.exclusion_eps,
+                                                  size=10 * cfg.samples),
+                  records=("gauge_transversality_{}", "gauge_normalization_{}")),
+            Check("gauge_closed_vs_numeric_{}", _closed_vs_numeric_residuals, 1e-5,
+                  _xi_draws, {"eps": 0.15}),
+            Check("frame_x_independence_{}", _frame_x_residuals, 1e-5, _frame_x_draws),
+            Check("gauge_angle_independence_{}", _angle_independence_residuals, 1e-5,
+                  _angle_independence_draws),
         ),
-        ("gauge_reflection_map", check_gauge_reflection, {}),
-        ("spectrum_structure", check_spectrum_structure, {}),
-        ("bisection_cross_check", check_bisection_oracle, {}),
-        ("alternating_branch_caseA", check_alternating_branch, {}),
-        ("wigner_ladder", check_wigner_ladder, {}),
-        ("wigner_eigenrelations", check_wigner_eigen, {}),
-        ("null_vector_residual", check_null_residual, {}),
-        *per_case(("angular_factor_eigen_{}", check_angular_factor, {})),
-        ("oscillator_gaussian", check_oscillator, {}),
-        ("radial_duality", check_radial_duality, {}),
-        ("separation_consistency_J0", check_consistency, {"J": 0}),
-        ("separation_consistency_J1", check_consistency, {"J": 1}),
-        ("consistency_refinement", check_consistency_refinement, {}),
+        Check("gauge_reflection_map", _gauge_reflection, 1e-12, _reflection_draws,
+              case="B"),
+        Check("spectrum_structure", _spectrum, 1e-10,
+              lambda cfg, rng: _columns(rng, range(cfg.J_max + 1), 20),
+              detail="ladder m*|A| and symmetry about zero"),
+        Check("bisection_cross_check", _bisection, 1e-10,
+              lambda cfg, rng: _columns(rng, range(2, min(3, cfg.J_max) + 1), 6)),
+        Check("alternating_branch_caseA", _alternating_branch, 1e-12,
+              lambda cfg, rng: [sample_x(rng, CASE_A, 0.05) for _ in range(40)], case="A",
+              detail="sign pattern (-,+,-,+,0); fifth axis eigenvalue zero"),
+        Check("wigner_ladder", _wigner_ladder, 1e-12),
+        Check("wigner_eigenrelations", _angular_residuals, 1e-6, _wigner_draws),
+        Check("null_vector_residual", _null_vector, 1e-10, _null_draws),
+        *per_case(Check("angular_factor_eigen_{}", _angular_residuals, 1e-4,
+                        _angular_factor_draws)),
+        Check("oscillator_gaussian", _oscillator, 1e-6,
+              lambda cfg, rng: [(omega, sample_xi(rng, CASE_A, 0.0, scale=1.0))
+                                for omega in (0.5, 1.0, 2.0) for _ in range(8)],
+              detail="eigenvalue 2*omega at omega in {0.5, 1, 2}"),
+        Check("radial_duality", _radial_duality, 1e-6,
+              lambda cfg, rng: [(omega, sample_x(rng, CASE_A, 0.0, rmin=0.8, rmax=2.0))
+                                for omega in (0.5, 1.0, 2.0) for _ in range(8)],
+              detail="exp(-omega r) with Z = 2 omega, E = -omega^2/2"),
+        *(Check(f"separation_consistency_J{J}", _consistency_residuals, tol,
+                _consistency_draws, {"J": J}) for J, tol in ((0, 1e-4), (1, 1e-3))),
+        Check("consistency_refinement", _consistency_refinement, 2.0, case="A"),
     ]
-
-
-def _record_ids(row: tuple) -> tuple:
-    """The ids of the records a registry row writes."""
-    return row[3] if len(row) > 3 else (row[0],)
 
 
 def run_suite(cfg: SuiteConfig, only: Optional[list] = None) -> Report:
@@ -1107,15 +1078,10 @@ def run_suite(cfg: SuiteConfig, only: Optional[list] = None) -> Report:
     """
     cfg.validate()
     checks: list[CheckResult] = []
-    for idx, (check_id, check, kwargs, *_) in enumerate(_registry(cfg)):
-        if only is not None and not any(check_id.startswith(p) for p in only):
+    for idx, row in enumerate(_registry(cfg)):
+        if only is not None and not any(row.id.startswith(p) for p in only):
             continue
-        rng = np.random.default_rng((cfg.seed, idx))
-        out = check(cfg, rng, **kwargs)
-        if isinstance(out, CheckResult):
-            checks.append(out)
-        else:
-            checks.extend(out)
+        checks += run_row(cfg, row, np.random.default_rng((cfg.seed, idx)))
     return Report(
         config={**asdict(cfg), "cases": list(cfg.cases)},
         environment={
@@ -1166,8 +1132,8 @@ def fields_cmd(
     residuals; points on the singular half-axis are skipped and counted in
     the leading meta record.  Returns the meta dict.
     """
-    if n <= 0:
-        raise ConfigInvalid("n must be positive")
+    if not 0 < n <= 10 * MAX_SAMPLES:
+        raise ConfigInvalid(f"n must lie in 1..{10 * MAX_SAMPLES}")
     case = CASE_A if case_tag == "A" else CASE_B
     reg = _parse_region(region)
     rng = np.random.default_rng(seed)

@@ -90,11 +90,11 @@ def test_criterion_04_octet_reconciliation():
 def test_criterion_05_rotor_algebra():
     rng = np.random.default_rng((CFG.seed, 5))
     for fam in ("T", "Q"):
-        r = hz.check_rotor_closure(CFG, rng, family=fam)
+        (r,) = hz.run_row(CFG, f"rotor_closure_{fam}", rng)
         _report(5, f"rotor closure ({fam} realization), 100 pts", r.max_residual, 1e-5)
-    r = hz.check_rotor_cross(CFG, rng)
+    (r,) = hz.run_row(CFG, "rotor_cross_commutation", rng)
     _report(5, "left/right cross-commutators (9 pairs)", r.max_residual, 1e-5)
-    r = hz.check_casimir(CFG, rng)
+    (r,) = hz.run_row(CFG, "casimir_equality", rng)
     _report(5, "shared Casimir residual", r.max_residual, 1e-4)
 
 
@@ -102,7 +102,9 @@ def test_criterion_06_phase_constraints():
     rng = np.random.default_rng((CFG.seed, 6))
     for case in (CASE_A, CASE_B):
         for offs in (False, True):
-            r = hz.check_phase_constraint(CFG, rng, case, offs)
+            (r,) = hz.run_row(
+                CFG, f"phase_constraint_{case.tag}" + ("_offsets" if offs else ""), rng
+            )
             tag = f"case {case.tag}" + (" + offsets" if offs else "")
             _report(6, f"fiber phase constraint, {tag}", r.max_residual, 1e-6)
 
@@ -115,9 +117,9 @@ def test_criterion_07_momentum_and_laplacian_identities():
             ("momentum_equivalence", "momentum equivalence"),
             ("laplacian_split", "second-order split"),
         ):
-            r = hz._identity_check(CFG, rng, case, which, "acc")
+            (r,) = hz.run_row(CFG, f"{which}_{case.tag}", rng)
             _report(7, f"{cid}, case {case.tag} (50 pts, rel)", r.max_residual, 1e-4)
-    r = hz.check_fd_convergence(CFG, rng)
+    (r,) = hz.run_row(CFG, "fd_convergence_order", rng)
     print(
         f"ACCEPT  7 step-halving ratios confirm 4th order "
         f"({'PASS' if r.passed else 'FAIL'}, min ratio {r.max_residual:.1f})"
@@ -128,9 +130,9 @@ def test_criterion_07_momentum_and_laplacian_identities():
 def test_criterion_08_gauge_properties():
     rng = np.random.default_rng((CFG.seed, 8))
     for case in (CASE_A, CASE_B):
-        for r in hz.check_gauge_properties(CFG, rng, case):
+        for r in hz.run_row(CFG, f"gauge_properties_{case.tag}", rng):
             _report(8, f"{r.check_id} (1e4 pts)", r.max_residual, 1e-12)
-        r = hz.check_gauge_closed_vs_numeric(CFG, rng, case)
+        (r,) = hz.run_row(CFG, f"gauge_closed_vs_numeric_{case.tag}", rng)
         _report(8, f"closed vs numeric potential, case {case.tag}", r.max_residual, 1e-5)
 
 
@@ -147,7 +149,7 @@ def test_criterion_09_separation_spectrum():
         worst = max(worst, float(np.abs(roots - np.array([-s, 0, s])).max()))
     _report(9, "spin-1 root factorization {0, +-|A|}", worst, 1e-12)
 
-    r = hz.check_alternating_branch(CFG, rng)
+    (r,) = hz.run_row(CFG, "alternating_branch_caseA", rng)
     _report(9, "case-A closed eigenvalue display (spin 1)", r.max_residual, 1e-12)
 
     worst = 0.0
@@ -167,17 +169,17 @@ def test_criterion_09_separation_spectrum():
 
 def test_criterion_10_angular_basis():
     rng = np.random.default_rng((CFG.seed, 10))
-    r = hz.check_wigner_ladder(CFG, rng)
+    (r,) = hz.run_row(CFG, "wigner_ladder", rng)
     _report(10, "ladder relations, analytic, 20^3 grid", r.max_residual, 1e-12)
-    r = hz.check_wigner_eigen(CFG, rng)
+    (r,) = hz.run_row(CFG, "wigner_eigenrelations", rng)
     _report(10, "basis eigenrelations by differencing", r.max_residual, 1e-6)
 
 
 def test_criterion_11_duality():
     rng = np.random.default_rng((CFG.seed, 11))
-    r = hz.check_oscillator(CFG, rng)
+    (r,) = hz.run_row(CFG, "oscillator_gaussian", rng)
     _report(11, "oscillator Gaussian eigenrelation (3 freqs)", r.max_residual, 1e-6)
-    r = hz.check_radial_duality(CFG, rng)
+    (r,) = hz.run_row(CFG, "radial_duality", rng)
     _report(11, "base-space radial eigenrelation (3 freqs)", r.max_residual, 1e-6)
 
 
@@ -195,7 +197,7 @@ def test_criterion_12_separation_consistency():
                 consistency_residual(J, 0, psi, x, case, "alternating", d),
             )
         _report(12, f"separation consistency, spin {J} (20 pts)", worst, tol)
-    r = hz.check_consistency_refinement(CFG, rng)
+    (r,) = hz.run_row(CFG, "consistency_refinement", rng)
     print(
         f"ACCEPT 12 residual shrinks under step halving "
         f"({'PASS' if r.passed else 'FAIL'}, ratio {r.max_residual:.1f})"

@@ -1,6 +1,6 @@
 """Every record must be able to fail: each record id maps to a minimal,
 named fault in the code it verifies, and each fault to the exact set of
-records it fails.  The checks are called directly on a fixed generator.
+records it fails.  Each check's registry row is run on a fixed generator.
 
 This table covers the six numeric gauge records; they sit near 1e-11
 against a 1e-5 tolerance, so a passing record alone shows little.
@@ -12,15 +12,12 @@ import pytest
 from hurwitz import gauge, harness
 from hurwitz.harness import CASE_A, CASE_B, SuiteConfig
 
-_GAUGE_CHECKS = {
-    f"{stem}_{case.tag}": (check, case)
+_GAUGE_CHECKS = [
+    f"{stem}_{case.tag}"
     for case in (CASE_A, CASE_B)
-    for stem, check in (
-        ("gauge_closed_vs_numeric", harness.check_gauge_closed_vs_numeric),
-        ("frame_x_independence", harness.check_frame_x_independence),
-        ("gauge_angle_independence", harness.check_gauge_angle_independence),
-    )
-}
+    for stem in ("gauge_closed_vs_numeric", "frame_x_independence",
+                 "gauge_angle_independence")
+]
 
 
 def _flip_closed_sign(tag):
@@ -70,8 +67,8 @@ def test_fault_fails_exactly_its_records(monkeypatch, fault):
     apply, expected = _FAULTS[fault]
     apply(monkeypatch)
     failed = {
-        rid for rid, (check, case) in _GAUGE_CHECKS.items()
-        if not check(SuiteConfig(), np.random.default_rng(3), case).passed
+        rid for rid in _GAUGE_CHECKS
+        if not harness.run_row(SuiteConfig(), rid, np.random.default_rng(3))[0].passed
     }
     assert failed == expected
 

@@ -30,6 +30,8 @@ def test_equal_outputs_pass(outputs, capsys):
     assert gate.compare(str(outputs / "parent"), str(outputs / "change")) is True
     lines = _printed(capsys)
     assert len(lines) == 7 and all(line.split()[1] == "PASS" for line in lines)
+    # equal verify reports are also reported exact
+    assert all(line.endswith("; exact") for line in lines[:3])
     assert [line.split()[0] for line in lines] == [
         "verify_1729.json", "verify_201.json", "verify_7.json",
         "sweep_201.json", "sweep_1000204.json", "sweep_5.json", "exports",
@@ -89,6 +91,9 @@ def test_a_changed_output_fails(outputs, tmp_path, capsys, name, edit):
     assert [line.split()[0] for line in failed] == [os.path.basename(name)
                                                     if name.endswith(".json")
                                                     else "exports"]
+    if name.startswith("verify_"):
+        # a moved record is not an exact pair
+        assert failed[0].endswith("; digests differ")
 
 
 def test_an_unreadable_report_is_one_error_line(outputs, tmp_path, capsys):

@@ -66,7 +66,7 @@ _ANY_VALUE = st.one_of(
     st.lists(st.integers(), max_size=2),
 )
 _RECORD_IDS = sorted({rid for row in harness._registry(SuiteConfig())
-                      for rid in harness._record_ids(row)})
+                      for rid in row.record_ids})
 _CONFIG_FIELDS = {
     "seed": st.one_of(st.integers(min_value=0), _ANY_VALUE),
     "samples": st.one_of(st.integers(-2, harness.MAX_SAMPLES + 2), _ANY_VALUE),
@@ -158,10 +158,10 @@ def test_config_accepts_record_ids_and_the_sample_cap():
 def test_declared_record_ids_match_the_report():
     cfg = SuiteConfig(samples=10)
     rows = [r for r in harness._registry(cfg)
-            if r[0] in ("fiber_roundtrip_B", "section_identity_A", "gauge_properties_B",
+            if r.id in ("fiber_roundtrip_B", "section_identity_A", "gauge_properties_B",
                         "norm_identity", "laplacian_split_A")]
-    declared = [rid for row in rows for rid in harness._record_ids(row)]
-    rep = run_suite(cfg, only=[r[0] for r in rows])
+    declared = [rid for row in rows for rid in row.record_ids]
+    rep = run_suite(cfg, only=[r.id for r in rows])
     assert declared == [
         "norm_identity", "section_identity", "fiber_roundtrip", "laplacian_split_A",
         "gauge_transversality_B", "gauge_normalization_B",
@@ -240,7 +240,7 @@ REGISTRY_IDS = [
 
 def test_registry_order_is_pinned():
     # each check is seeded by its position, so a reordering reseeds the suite
-    assert [cid for cid, *_ in harness._registry(SuiteConfig())] == REGISTRY_IDS
+    assert [row.id for row in harness._registry(SuiteConfig())] == REGISTRY_IDS
 
 
 def _nan_on_call(real, k):
@@ -286,27 +286,24 @@ def _nan_in_first_made(make, call=1):
 
 
 @pytest.mark.parametrize(
-    "module, name, poison, check, kwargs, n",
+    "module, name, poison, row_id, n",
     [
         # the batch's residuals are (relation, sample): sample 2's first one
-        (opcalc, "commutator_residuals", _nan_in_sample, harness.check_rotor_closure,
-         {"family": "T"}, 100),
+        (opcalc, "commutator_residuals", _nan_in_sample, "rotor_closure_T", 100),
         # one draw per sample: a NaN point makes the second sample's residual
         # NaN, and the stack around it is still evaluated
         (harness, "sample_xi", lambda real: _nan_on_call(real, 2),
-         harness.check_homogeneity, {}, 50),
-        (harness, "sample_xi", lambda real: _nan_on_call(real, 2),
-         harness.check_fiber_roundtrip, {"case": harness.CASE_A}, 100),
-        (harness, "sample_x", lambda real: _nan_on_call(real, 2),
-         harness.check_section_identity, {"case": harness.CASE_B}, 60),
+         "quadratic_homogeneity", 50),
+        (harness, "sample_xi", lambda real: _nan_on_call(real, 2), "fiber_roundtrip_A", 100),
+        (harness, "sample_x", lambda real: _nan_on_call(real, 2), "section_identity_B", 60),
     ],
     ids=["finite_difference", "algebraic", "fiber_roundtrip", "section_identity"],
 )
 def test_nan_residual_after_the_first_sample_fails(
-    monkeypatch, module, name, poison, check, kwargs, n
+    monkeypatch, module, name, poison, row_id, n
 ):
     monkeypatch.setattr(module, name, poison(getattr(module, name)))
-    r = check(SuiteConfig(), np.random.default_rng(3), **kwargs)
+    (r,) = harness.run_row(SuiteConfig(), row_id, np.random.default_rng(3))
     assert r.passed is False
     assert math.isnan(r.max_residual)
     assert r.n_samples == n
@@ -339,31 +336,21 @@ def _nan_in_second_row(gradients):
 # one entry of sample 2's angle gradients in their first stacked frame or
 # coupling.
 @pytest.mark.parametrize(
-    "module, name, poison, check, kwargs",
+    "module, name, poison, row_id",
     [
-        (harness, "_stack", _nan_in_first_made, harness.check_rotor_closure,
-         {"family": "Q"}),
-        (harness, "_stack", _nan_in_first_made, harness.check_casimir, {}),
-        (harness, "_stack", _nan_in_first_made, harness._identity_check,
-         {"case": harness.CASE_B, "which": "laplacian_split",
-          "check_id": "laplacian_split"}),
-        (harness, "_stack", _nan_in_first_made, harness._identity_check,
-         {"case": harness.CASE_A, "which": "momentum_equivalence",
-          "check_id": "momentum_equivalence"}),
-        (harness, "_stack", _nan_in_first_made, harness.check_rotor_cross, {}),
-        (separation, "angular_factor", _nan_in_sample, harness.check_wigner_eigen, {}),
-        (separation, "angular_factor", _nan_in_sample, harness.check_angular_factor,
-         {"case": harness.CASE_A}),
-        (harness, "_TEST_OFFSETS", _nan_in_first_offset, harness.check_phase_constraint,
-         {"case": harness.CASE_B, "with_offsets": True}),
+        (harness, "_stack", _nan_in_first_made, "rotor_closure_Q"),
+        (harness, "_stack", _nan_in_first_made, "casimir_equality"),
+        (harness, "_stack", _nan_in_first_made, "laplacian_split_B"),
+        (harness, "_stack", _nan_in_first_made, "momentum_equivalence_A"),
+        (harness, "_stack", _nan_in_first_made, "rotor_cross_commutation"),
+        (separation, "angular_factor", _nan_in_sample, "wigner_eigenrelations"),
+        (separation, "angular_factor", _nan_in_sample, "angular_factor_eigen_A"),
+        (harness, "_TEST_OFFSETS", _nan_in_first_offset, "phase_constraint_B_offsets"),
         (harness, "_radial_field", lambda make: _nan_in_first_made(make, call=2),
-         harness.check_consistency, {"J": 1}),
-        (gauge, "fiber_phase_gradients", _nan_in_second_row,
-         harness.check_gauge_closed_vs_numeric, {"case": harness.CASE_A}),
-        (gauge, "fiber_phase_gradients", _nan_in_second_row,
-         harness.check_frame_x_independence, {"case": harness.CASE_B}),
-        (gauge, "fiber_phase_gradients", _nan_in_second_row,
-         harness.check_gauge_angle_independence, {"case": harness.CASE_A}),
+         "separation_consistency_J1"),
+        (gauge, "fiber_phase_gradients", _nan_in_second_row, "gauge_closed_vs_numeric_A"),
+        (gauge, "fiber_phase_gradients", _nan_in_second_row, "frame_x_independence_B"),
+        (gauge, "fiber_phase_gradients", _nan_in_second_row, "gauge_angle_independence_A"),
     ],
     ids=["rotor_closure_Q", "casimir_equality", "laplacian_split_B",
          "momentum_equivalence_A", "rotor_cross_commutation", "wigner_eigenrelations",
@@ -371,74 +358,50 @@ def _nan_in_second_row(gradients):
          "separation_consistency_J1", "gauge_closed_vs_numeric_A",
          "frame_x_independence_B", "gauge_angle_independence_A"],
 )
-def test_nan_at_one_stencil_point_fails_the_check(
-    monkeypatch, module, name, poison, check, kwargs
-):
+def test_nan_at_one_stencil_point_fails_the_check(monkeypatch, module, name, poison, row_id):
     monkeypatch.setattr(module, name, poison(getattr(module, name)))
-    r = check(SuiteConfig(), np.random.default_rng(3), **kwargs)
+    (r,) = harness.run_row(SuiteConfig(), row_id, np.random.default_rng(3))
     assert r.passed is False
     assert math.isnan(r.max_residual)
 
 
-_IDENTITIES = ("derivative_split", "momentum_equivalence", "laplacian_split")
-
-# Each batched check as (record id, its draws, their kwargs, the residuals
-# of a list of draws, their kwargs).
-_BATCHED = [
-    *((f"rotor_closure_{f}", harness._rotor_draws, {}, harness._rotor_residuals,
-       {"relations": harness._closure(f)}) for f in "TQ"),
-    ("rotor_cross_commutation", harness._rotor_draws, {}, harness._rotor_residuals,
-     {"relations": harness._CROSS}),
-    ("wigner_eigenrelations", harness._wigner_draws, {}, harness._angular_residuals, {}),
-    *((f"angular_factor_eigen_{c.tag}", harness._angular_factor_draws, {"case": c},
-       harness._angular_residuals, {}) for c in (harness.CASE_A, harness.CASE_B)),
-    *((f"phase_constraint_{c.tag}" + ("_offsets" if off else ""), harness._phase_draws,
-       {"case": c}, harness._phase_residuals, {"case": c, "with_offsets": off})
-      for c in (harness.CASE_A, harness.CASE_B) for off in (False, True)),
-    *((f"{w}_{c.tag}", harness._identity_draws, {"case": c}, harness._identity_residuals,
-       {"case": c, "which": w})
-      for c in (harness.CASE_A, harness.CASE_B) for w in _IDENTITIES),
-    *((f"separation_consistency_J{J}", harness._consistency_draws, {},
-       harness._consistency_residuals, {"J": J}) for J in (0, 1)),
-    ("casimir_equality", harness._casimir_draws, {}, harness._casimir_residuals, {}),
-    *((f"{stem}_{c.tag}", draws, {"case": c}, residuals, {"case": c})
-      for c in (harness.CASE_A, harness.CASE_B)
-      for stem, draws, residuals in (
-          ("gauge_closed_vs_numeric", harness._closed_vs_numeric_draws,
-           harness._closed_vs_numeric_residuals),
-          ("frame_x_independence", harness._frame_x_draws,
-           harness._frame_x_residuals),
-          ("gauge_angle_independence", harness._angle_independence_draws,
-           harness._angle_independence_residuals),
-      )),
-]
+_BATCH_CFG = SuiteConfig(samples=10)
+_DRAWN_ROWS = [row for row in harness._registry(_BATCH_CFG) if row.draws]
 
 
-@pytest.mark.parametrize("draws, dkw, residuals, rkw", [row[1:] for row in _BATCHED],
-                         ids=[row[0] for row in _BATCHED])
-def test_batched_residuals_equal_one_sample_calls(draws, dkw, residuals, rkw):
-    cfg = SuiteConfig()
-    drawn = draws(cfg, np.random.default_rng(3), **dkw)
-    batch = residuals(cfg, drawn, **rkw)
-    single = np.array([residuals(cfg, [dr], **rkw)[0] for dr in drawn])
-    assert batch.shape[0] == len(drawn) and np.isfinite(batch).all()
-    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
-
-
-def test_batched_checks_fold_their_residuals():
-    # each check's record is the worst of the batch above, over every draw
-    cfg = SuiteConfig()
-    rows = {row[0]: row for row in harness._registry(cfg)}
-    for rid, draws, dkw, residuals, rkw in _BATCHED:
-        _, check, kwargs, *_ = rows[rid]
-        rec = check(cfg, np.random.default_rng(5), **kwargs)
-        res = residuals(cfg, draws(cfg, np.random.default_rng(5), **dkw), **rkw)
-        assert rec.check_id == rid and rec.n_samples == len(res)
-        assert rec.max_residual == res.max()
+@pytest.mark.parametrize("row", _DRAWN_ROWS, ids=[row.id for row in _DRAWN_ROWS])
+def test_batched_residuals_equal_one_sample_calls(row):
+    # row i of a row's residual array is its evaluation of draw i alone, and
+    # the runner's record is the worst of the array over every draw
+    cfg = _BATCH_CFG
+    drawn = row.draws(cfg, np.random.default_rng(3), **row.kw)
+    out = row.evaluate(cfg, drawn, **row.kw)
+    recs = harness.run_row(cfg, row, np.random.default_rng(3))
+    multi = len(row.record_ids) > 1
+    batches = out if multi else (out,)
+    assert [rec.check_id for rec in recs] == list(row.record_ids)
+    if isinstance(out, harness.Measured):
+        # one pre-reduced value over all draws: no per-draw rows to compare
+        assert (recs[0].n_samples, recs[0].max_residual) == (out.n, float(out.value))
+        return
+    singles = [row.evaluate(cfg, drawn[i:i + 1], **row.kw) for i in range(len(drawn))]
+    for k, (rec, batch) in enumerate(zip(recs, batches)):
+        single = np.concatenate([s[k] if multi else s for s in singles])
+        assert len(batch) == len(drawn) and np.isfinite(batch).all()
+        assert np.array_equal(batch, single)
+        assert rec.n_samples == len(batch)
+        assert rec.max_residual == np.max(batch)
 
 
 # The one-sample loops that the stacked algebraic checks replaced, kept as
 # references: each draws and evaluates one sample at a time.
+
+def _worst_of_samples(cfg, check_id, case, residuals, default_tol, detail=""):
+    """The record over per-sample residuals of any shape: the worst of each
+    sample's own maximum, over the samples."""
+    per_sample = [np.max(r) for r in residuals]
+    return harness._worst_of(cfg, check_id, case, per_sample, default_tol, detail)
+
 
 def _loop_homogeneity(cfg, rng):
     def residuals():
@@ -446,7 +409,7 @@ def _loop_homogeneity(cfg, rng):
             xi = harness.sample_xi(rng, harness.CASE_A, cfg.exclusion_eps)
             c = rng.uniform(0.3, 2.0)
             yield np.abs(transform.forward(c * xi).x - c * c * transform.forward(xi).x)
-    return harness._worst_of(cfg, "quadratic_homogeneity", "-", residuals(), 1e-12)
+    return _worst_of_samples(cfg, "quadratic_homogeneity", "-", residuals(), 1e-12)
 
 
 def _octet_row(u):
@@ -488,7 +451,7 @@ def _loop_fiber_roundtrip(cfg, rng, case):
                 _scalar_angle_gap(phi.phi2, phi2.phi2),
                 abs(phi.phi3 - phi2.phi3),
             )
-    return harness._worst_of(cfg, "fiber_roundtrip", case.tag, residuals(), 1e-10)
+    return _worst_of_samples(cfg, "fiber_roundtrip", case.tag, residuals(), 1e-10)
 
 
 def _loop_section_identity(cfg, rng, case):
@@ -499,7 +462,7 @@ def _loop_section_identity(cfg, rng, case):
             xi = transform.fiber_section(x, phi, case)
             yield (float(np.abs(transform.forward(xi).x - x).max())
                    / float(np.linalg.norm(x)))
-    return harness._worst_of(cfg, "section_identity", case.tag, residuals(), 1e-10)
+    return _worst_of_samples(cfg, "section_identity", case.tag, residuals(), 1e-10)
 
 
 def _loop_spectrum(cfg, rng):
@@ -513,7 +476,7 @@ def _loop_spectrum(cfg, rng):
                 expected = np.array([m * s for m in range(-J, J + 1)])
                 yield (np.abs(roots - expected).max(),
                        np.abs(roots + roots[::-1]).max())
-    return harness._worst_of(cfg, "spectrum_structure", "-", residuals(), 1e-10,
+    return _worst_of_samples(cfg, "spectrum_structure", "-", residuals(), 1e-10,
                              "ladder m*|A| and symmetry about zero")
 
 
@@ -525,29 +488,26 @@ def _loop_bisection(cfg, rng):
                 eig = separation.separation_roots(J, col)
                 bis = separation.det_bisection_roots(J, col)
                 yield np.abs(eig - bis) if len(bis) == len(eig) else math.inf
-    return harness._worst_of(cfg, "bisection_cross_check", "-", residuals(), 1e-10)
+    return _worst_of_samples(cfg, "bisection_cross_check", "-", residuals(), 1e-10)
 
 
 _STACKED = [
-    ("quadratic_homogeneity", harness.check_homogeneity, _loop_homogeneity, {}),
-    ("octet_convention", harness.check_octet_convention, _loop_octet, {}),
-    *((f"{stem}_{c.tag}", check, loop, {"case": c})
+    ("quadratic_homogeneity", _loop_homogeneity, {}),
+    ("octet_convention", _loop_octet, {}),
+    *((f"{stem}_{c.tag}", loop, {"case": c})
       for c in (harness.CASE_A, harness.CASE_B)
-      for stem, check, loop in (
-          ("fiber_roundtrip", harness.check_fiber_roundtrip, _loop_fiber_roundtrip),
-          ("section_identity", harness.check_section_identity,
-           _loop_section_identity))),
-    ("spectrum_structure", harness.check_spectrum_structure, _loop_spectrum, {}),
-    ("bisection_cross_check", harness.check_bisection_oracle, _loop_bisection, {}),
+      for stem, loop in (("fiber_roundtrip", _loop_fiber_roundtrip),
+                         ("section_identity", _loop_section_identity))),
+    ("spectrum_structure", _loop_spectrum, {}),
+    ("bisection_cross_check", _loop_bisection, {}),
 ]
 
 
 @pytest.mark.parametrize("seed", [1729, 3, 201])
-@pytest.mark.parametrize("check, loop, kwargs", [row[1:] for row in _STACKED],
-                         ids=[row[0] for row in _STACKED])
-def test_stacked_check_equals_its_one_sample_loop(check, loop, kwargs, seed):
+@pytest.mark.parametrize("row_id, loop, kwargs", _STACKED, ids=[row[0] for row in _STACKED])
+def test_stacked_check_equals_its_one_sample_loop(row_id, loop, kwargs, seed):
     cfg = SuiteConfig()
-    got = check(cfg, np.random.default_rng(seed), **kwargs)
+    (got,) = harness.run_row(cfg, row_id, np.random.default_rng(seed))
     want = loop(cfg, np.random.default_rng(seed), **kwargs)
     assert got.max_residual == want.max_residual
     assert got.n_samples == want.n_samples
@@ -585,7 +545,7 @@ def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
         return x
 
     monkeypatch.setattr(harness, "sample_x", sample_x)
-    r = harness.check_gauge_reflection(SuiteConfig(), np.random.default_rng(5))
+    (r,) = harness.run_row(SuiteConfig(), "gauge_reflection_map", np.random.default_rng(5))
     assert drawn == [200]
     assert r.n_samples == 150 and r.passed
 
@@ -596,8 +556,8 @@ def test_check_that_evaluates_no_sample_fails():
     cfg = SuiteConfig(J_max=0)
     rng = np.random.default_rng(0)
     checks = [
-        harness.check_bisection_oracle(cfg, rng),
-        harness.check_angular_factor(cfg, rng, harness.CASE_A),
+        *harness.run_row(cfg, "bisection_cross_check", rng),
+        *harness.run_row(cfg, "angular_factor_eigen_A", rng),
     ]
     ids = [c.check_id for c in checks]
     assert ids == ["bisection_cross_check", "angular_factor_eigen_A"]
@@ -616,7 +576,8 @@ def test_consistency_check_draws_only_configured_cases(monkeypatch):
         return real(rng, case, *args, **kwargs)
 
     monkeypatch.setattr(harness, "sample_x", sample_x)
-    r = harness.check_consistency(SuiteConfig(cases=("B",)), np.random.default_rng(4), J=0)
+    (r,) = harness.run_row(SuiteConfig(cases=("B",)), "separation_consistency_J0",
+                           np.random.default_rng(4))
     assert seen == ["B"] * 20
     assert r.n_samples == 20 and r.passed
 
@@ -885,9 +846,13 @@ def test_cli_fields_and_exit_codes(tmp_path):
          "--point", "0.4,-0.7,0.2,0.5,0.3"],
         ["separate", "--j", "1", "--p", "0", "--case", "A",
          "--point", "0.4,inf,0.2,0.5,0.3"],
+        # 10**12 points would not fit in memory; the cap is checked before
+        # anything is allocated
+        ["fields", "--case", "A", "-n", str(10 * harness.MAX_SAMPLES + 1)],
+        ["fields", "--case", "B", "-n", "1000000000000"],
     ],
     ids=["shell_nan", "box_inf", "point_nan", "p_above_j", "p_below_minus_j",
-         "point_inf"],
+         "point_inf", "n_above_cap", "n_far_above_cap"],
 )
 def test_cli_rejects_bad_export_input(tmp_path, capsys, argv):
     # an input error exits 2 with a message and writes no file; exit 1 is

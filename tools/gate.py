@@ -14,9 +14,10 @@ For each tree one child process (``PYTHONPATH=TREE/src``) writes
 Each verify pair must then pass ``tools/reportdiff.py`` in drift mode
 (its default bound, 0.5 decades), each sweep pair ``--exact``, and the
 export files must be byte-identical.  One line per pair (``ERROR`` when a
-report cannot be read); exit code 0 when every pair passes, 1 when one
-fails, 2 when a tree cannot be run.  The outputs go to ``--out``
-(kept) or to a temporary directory (removed).
+report cannot be read); a verify line ends in ``exact`` when the two
+reports' digests are also equal, else in ``digests differ``.  Exit code 0
+when every pair passes, 1 when one fails, 2 when a tree cannot be run.
+The outputs go to ``--out`` (kept) or to a temporary directory (removed).
 """
 
 from __future__ import annotations
@@ -111,8 +112,12 @@ def compare(out_old: str, out_new: str) -> bool:
         if code == 2:
             print(f"{name:<22} ERROR {errors.getvalue().strip()}")
             continue
-        print(f"{name:<22} {table.getvalue().splitlines()[-1]}")
-        for line in table.getvalue().splitlines():
+        lines = table.getvalue().splitlines()
+        # the first two lines hold the reports' digests
+        same = lines[0].split()[-1] == lines[1].split()[-1]
+        exact = "" if flags else ("; exact" if same else "; digests differ")
+        print(f"{name:<22} {lines[-1]}{exact}")
+        for line in lines:
             if line.startswith("FAIL  ") and "problems)" not in line:
                 print(f"    {line}")
     problems = compare_exports(os.path.join(out_old, "export"),
