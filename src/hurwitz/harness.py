@@ -776,7 +776,8 @@ def _bisection(cfg, draws):
         cols = tuple(map(np.array, zip(*(draws[i][1] for i in idx))))
         eig = separation.separation_roots(J, cols)
         bis = separation.det_bisection_roots(J, cols)
-        # a root the oracle missed or split is infinitely far off
+        # a root the oracle missed or split is infinitely far off, as is
+        # every root of a column it refuses (an entry off the three diagonals)
         res[idx] = [np.max(np.abs(e - b)) if len(b) == len(e) else math.inf
                     for e, b in zip(eig, bis)]
     return res

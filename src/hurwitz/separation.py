@@ -14,8 +14,10 @@ the mixing coefficients g_q.
 
 Roots are computed as eigenvalues of the a-independent tridiagonal part
 (dense Hermitian solve at size <= 7), with a determinant-bisection scan
-kept as an independent oracle; both also solve a column stack (one LU scan
-per column, one bisection loop per call).  J is capped at 3.
+kept as an independent oracle: the determinant comes from the three-term
+(continuant) recurrence on the three diagonals, never from an eigen-solver.
+Both also solve a column stack (one recurrence scan over every column's
+grid, one bisection loop per call).  J is capped at 3.
 """
 
 from __future__ import annotations
@@ -199,42 +201,61 @@ def separation_roots(J: int, col) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(h0), axis=-1)
 
 
+def _continuant(diag, couple, a):
+    """det(h(0) - a I) of a tridiagonal h(0), real part, by the three-term
+    recurrence
+
+        p_0 = 1,  p_1 = h_11 - a,  p_k = (h_kk - a) p_{k-1} - h_{k,k-1} h_{k-1,k} p_{k-2}
+
+    (Wilkinson 1965, sec. 5.36).  ``diag`` (..., n) holds the h_kk and
+    ``couple`` (..., n - 1) the products h_{k,k-1} h_{k-1,k}, both
+    broadcasting against ``a``; the arithmetic is complex, as a
+    determinant of the complex matrix is.
+    """
+    p_prev, p = 1.0, diag[..., 0] - a
+    for k in range(1, diag.shape[-1]):
+        p_prev, p = p, (diag[..., k] - a) * p - couple[..., k - 1] * p_prev
+    return p.real
+
+
 def det_bisection_roots(J: int, col):
     """Independent root oracle: scan det h(a) on a 4001-point grid and
     bisect each sign change to a width of 1e-13.
 
-    Stays clear of the eigenvalue route entirely (the determinant is
-    evaluated by LU through numpy.linalg.det).  Each column's grid scan
-    factors its stack of 4001 matrices in one call; then one bisection
-    loop runs over the brackets of every column, each step factoring one
-    stack with a midpoint per open bracket, built from that bracket's own
-    column.  A grid point where the determinant is exactly zero is a root;
-    a bracket stops at a midpoint where it is.  Intended for columns with
-    distinct roots; multiple roots collapse to one sign-change each.
+    Stays clear of the eigenvalue route entirely: the determinant is the
+    three-term recurrence (:func:`_continuant`) on the diagonals of one
+    ``build_h(J, col, 0.0)`` call.  One recurrence runs over the grids of
+    every column; then one bisection loop runs over the brackets of every
+    column, each step evaluating one midpoint per open bracket with that
+    bracket's own column.  A grid point where the determinant is exactly
+    zero is a root; a bracket stops at a midpoint where it is.  Intended
+    for columns with distinct roots; multiple roots collapse to one
+    sign-change each.  A column whose h(0) has a nonzero entry off the
+    three diagonals (which the recurrence would not read) gets no roots.
 
     One column gives its sorted roots; a column stack gives a list with
     the sorted roots of each column.
     """
     single = np.ndim(col[0]) == 0
     cols = [np.atleast_1d(c) for c in col]
-    zeros, lo, hi, flo, owner = [], [], [], [], []
-    for i, (a1, ap, am) in enumerate(zip(*cols)):
-        s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
-        span = max(1.0, (J + 1.0) * s)
-        grid_a = np.linspace(-span, span, 4001)
-        dets = np.linalg.det(build_h(J, (a1, ap, am), grid_a)).real
-        cells = np.flatnonzero(dets[:-1] * dets[1:] < 0.0)
-        zeros.append(grid_a[dets == 0.0])
-        lo.append(grid_a[cells])
-        hi.append(grid_a[cells + 1])
-        flo.append(dets[cells])
-        owner.append(np.full(len(cells), i))
-    lo, hi, flo, owner = map(np.concatenate, (lo, hi, flo, owner))
+    h0 = build_h(J, cols, 0.0)
+    diag = np.diagonal(h0, 0, -2, -1)
+    couple = np.diagonal(h0, -1, -2, -1) * np.diagonal(h0, 1, -2, -1)
+    k = np.arange(2 * J + 1)
+    banded = ~np.any(h0[:, np.abs(k[:, None] - k) > 1] != 0.0, axis=-1)
+    a1, ap, am = cols
+    s = np.sqrt(a1 * a1 + np.abs(ap + am) ** 2 + np.abs(1j * (ap - am)) ** 2)
+    span = np.maximum(1.0, (J + 1.0) * s)
+    grid_a = np.linspace(-span, span, 4001, axis=-1)
+    dets = _continuant(diag[:, None, :], couple[:, None, :], grid_a)
+    cells = (dets[:, :-1] * dets[:, 1:] < 0.0) & banded[:, None]
+    owner, cell = np.nonzero(cells)
+    lo, hi, flo = grid_a[owner, cell], grid_a[owner, cell + 1], dets[owner, cell]
     open_ = hi - lo > 1e-13
     while open_.any():
         idx = np.flatnonzero(open_)
         mid = 0.5 * (lo[idx] + hi[idx])
-        fm = np.linalg.det(build_h(J, [c[owner[idx]] for c in cols], mid)).real
+        fm = _continuant(diag[owner[idx]], couple[owner[idx]], mid)
         left = flo[idx] * fm < 0.0
         # an exact zero closes its bracket at the midpoint: lo = hi = mid
         hi[idx] = np.where(left | (fm == 0.0), mid, hi[idx])
@@ -242,8 +263,8 @@ def det_bisection_roots(J: int, col):
         flo[idx] = np.where(left, flo[idx], fm)
         open_[idx] = hi[idx] - lo[idx] > 1e-13
     mids = 0.5 * (lo + hi)
-    roots = [np.sort(np.concatenate([z, mids[owner == i]]))
-             for i, z in enumerate(zeros)]
+    roots = [np.sort(np.concatenate([grid[(det == 0.0) & ok], mids[owner == i]]))
+             for i, (grid, det, ok) in enumerate(zip(grid_a, dets, banded))]
     return roots[0] if single else roots
 
 
@@ -399,12 +420,13 @@ def consistency_residual(
     potential = lambda ys: a_field_closed(ys, case).A
     A0 = potential(xv)
     psi0 = test_psi(xv)
+    columns = [potential_columns(A) for A in A0]
 
     residuals = []
     for lam in range(5):
         e = np.eye(5)[lam]
-        g = np.stack([_null_vector(J, potential_columns(A)[lam], -a[lam])
-                      for A, a in zip(A0, a_vec)], axis=-1)
+        g = np.stack([_null_vector(J, cols[lam], -a[lam])
+                      for cols, a in zip(columns, a_vec)], axis=-1)
         G = lambda ang: angular_factor(J, p, g, ang)
 
         def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:

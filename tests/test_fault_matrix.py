@@ -2,14 +2,17 @@
 named fault in the code it verifies, and each fault to the exact set of
 records it fails.  Each check's registry row is run on a fixed generator.
 
-This table covers the six numeric gauge records; they sit near 1e-11
-against a 1e-5 tolerance, so a passing record alone shows little.
+This table covers the six numeric gauge records, which sit near 1e-11
+against a 1e-5 tolerance, and the three spin-J ladder records, whose root
+oracles (eigen-solver, determinant recurrence, null vector) each read
+another part of the coupling matrix; in both groups a passing record alone
+shows little.
 """
 
 import numpy as np
 import pytest
 
-from hurwitz import gauge, harness
+from hurwitz import gauge, harness, separation
 from hurwitz.harness import CASE_A, CASE_B, SuiteConfig
 
 _GAUGE_CHECKS = [
@@ -51,6 +54,38 @@ def _x_dependent_frame(monkeypatch):
     monkeypatch.setattr(gauge, "b_functions", b_functions)
 
 
+_LADDER_CHECKS = ["spectrum_structure", "bisection_cross_check", "null_vector_residual"]
+
+
+def _uncoupled_recurrence(monkeypatch):
+    """The determinant recurrence without its coupling product: the
+    determinant of the diagonal part alone."""
+    real = separation._continuant
+    monkeypatch.setattr(separation, "_continuant",
+                        lambda diag, couple, a: real(diag, 0.0 * couple, a))
+
+
+def _scaled_roots(monkeypatch):
+    """Every eigen-solver root off by a relative 1e-9."""
+    real = separation.separation_roots
+    monkeypatch.setattr(separation, "separation_roots",
+                        lambda J, col: real(J, col) * (1.0 + 1e-9))
+
+
+def _off_band_entry(monkeypatch):
+    """An entry written two places right of the diagonal (J >= 1), in the
+    upper triangle that the Hermitian eigen-solver does not read."""
+    real = separation.build_h
+
+    def build_h(J, col, a):
+        h = real(J, col, a)
+        if J >= 1:
+            h[..., 0, 2] += 1e-3
+        return h
+
+    monkeypatch.setattr(separation, "build_h", build_h)
+
+
 _FAULTS = {
     "closed_sign_A": (_flip_closed_sign("A"), {"gauge_closed_vs_numeric_A"}),
     "closed_sign_B": (_flip_closed_sign("B"), {"gauge_closed_vs_numeric_B"}),
@@ -61,17 +96,44 @@ _FAULTS = {
     "x_dependent_frame": (_x_dependent_frame, set(_GAUGE_CHECKS)),
 }
 
+_LADDER_FAULTS = {
+    "uncoupled_recurrence": (_uncoupled_recurrence, {"bisection_cross_check"}),
+    "scaled_roots": (_scaled_roots, set(_LADDER_CHECKS)),
+    # the determinant oracle's band guard is what catches this in the
+    # bisection; the eigen-solver roots do not move
+    "off_band_entry": (_off_band_entry, {"bisection_cross_check",
+                                         "null_vector_residual"}),
+}
+
+
+def _failed(checks):
+    return {
+        rid for rid in checks
+        if not harness.run_row(SuiteConfig(), rid, np.random.default_rng(3))[0].passed
+    }
+
 
 @pytest.mark.parametrize("fault", list(_FAULTS))
 def test_fault_fails_exactly_its_records(monkeypatch, fault):
     apply, expected = _FAULTS[fault]
     apply(monkeypatch)
-    failed = {
-        rid for rid in _GAUGE_CHECKS
-        if not harness.run_row(SuiteConfig(), rid, np.random.default_rng(3))[0].passed
-    }
-    assert failed == expected
+    assert _failed(_GAUGE_CHECKS) == expected
+
+
+@pytest.mark.parametrize("fault", list(_LADDER_FAULTS))
+def test_ladder_fault_fails_exactly_its_records(monkeypatch, fault):
+    apply, expected = _LADDER_FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed(_LADDER_CHECKS) == expected
+
+
+def test_unfaulted_records_pass():
+    assert _failed(_GAUGE_CHECKS + _LADDER_CHECKS) == set()
 
 
 def test_every_gauge_record_has_a_fault():
     assert set().union(*(ids for _, ids in _FAULTS.values())) == set(_GAUGE_CHECKS)
+
+
+def test_every_ladder_record_has_a_fault():
+    assert set().union(*(ids for _, ids in _LADDER_FAULTS.values())) == set(_LADDER_CHECKS)

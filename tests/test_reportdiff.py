@@ -115,6 +115,18 @@ def test_exact_fails_on_one_changed_bit(tmp_path):
     assert _diff(tmp_path, new, "--exact") == 1
 
 
+def test_exact_names_the_records_that_differ(tmp_path, capsys):
+    new = _changed({(1, "max_residual"): 4.3e-7, (3, "max_residual"): 15.9})
+    assert _diff(tmp_path, new, "--exact") == 1
+    out = capsys.readouterr().out
+    assert "FAIL  reports differ (--exact): laplacian_split_A, fd_convergence_order\n" in out
+    # a difference outside the records names none
+    other = copy.deepcopy(BASE)
+    other["config"] = {"seed": 7}
+    assert _diff(tmp_path, other, "--exact") == 1
+    assert "FAIL  reports differ (--exact)\n" in capsys.readouterr().out
+
+
 def test_unreadable_input_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

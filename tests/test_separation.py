@@ -7,6 +7,7 @@ from hurwitz.gauge import a_field_closed
 from hurwitz.harness import SuiteConfig, _result
 from hurwitz.opcalc import DiffStrategy, apply_euler_op
 from hurwitz.separation import (
+    _continuant,
     angular_factor,
     axis_solution,
     build_h,
@@ -263,26 +264,58 @@ def test_build_h_stack_matches_per_a_loop(J):
             assert np.array_equal(np.signbit(part(stack)), np.signbit(part(loop)))
 
 
-@pytest.mark.parametrize("J", [0, 1, 2, 3])
-def test_stacked_det_matches_per_matrix_det(J):
-    # the full 4001-point scan grid of det_bisection_roots
-    col = random_column()
+def _diagonals(J, col):
+    """The diagonal and the coupling products h_{k,k-1} h_{k-1,k} of h(0)."""
+    h0 = build_h(J, col, 0.0)
+    return np.diagonal(h0), np.diagonal(h0, -1) * np.diagonal(h0, 1)
+
+
+def _scan_grid(J, col):
     a1, ap, am = col
     s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
     span = max(1.0, (J + 1.0) * s)
-    grid = np.linspace(-span, span, 4001)
-    stacked = np.linalg.det(build_h(J, col, grid)).real
-    per_matrix = np.array([np.linalg.det(build_h(J, col, a)).real for a in grid])
-    assert np.array_equal(stacked, per_matrix)
+    return np.linspace(-span, span, 4001)
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 3])
+def test_stacked_det_matches_per_matrix_det(J):
+    # the full 4001-point scan grid of det_bisection_roots, as one stack and
+    # one one-element array at a time
+    col = random_column()
+    diag, couple = _diagonals(J, col)
+    grid = _scan_grid(J, col)
+    stacked = _continuant(diag, couple, grid)
+    per_point = np.array([_continuant(diag, couple, np.array([a]))[0] for a in grid])
+    assert np.array_equal(stacked, per_point)
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 3])
+def test_continuant_matches_lu_determinant(J):
+    draws = np.random.default_rng(41 + J).uniform(-1.2, 1.2, (8, 3))
+    cols = [(float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3))
+            for a1, a2, a3 in draws]
+    for col in cols:
+        grid = _scan_grid(J, col)
+        lu = np.linalg.det(build_h(J, col, grid)).real
+        rec = _continuant(*_diagonals(J, col), grid)
+        assert np.abs(rec - lu).max() <= 1e-12 * np.abs(lu).max()
+    # diagonal columns: both determinants vanish on the same grid points
+    for a1 in (0.0, 0.25, 1.1):
+        col = (a1, 0j, 0j)
+        grid = _scan_grid(J, col)
+        lu = np.linalg.det(build_h(J, col, grid)).real
+        rec = _continuant(*_diagonals(J, col), grid)
+        assert np.array_equal(rec == 0.0, lu == 0.0)
 
 
 def _scalar_bisection_roots(J, col):
-    """The one-bracket-at-a-time bisection that det_bisection_roots batches."""
-    a1, ap, am = col
-    s = math.sqrt(a1 * a1 + abs(ap + am) ** 2 + abs(1j * (ap - am)) ** 2)
-    span = max(1.0, (J + 1.0) * s)
-    grid_a = np.linspace(-span, span, 4001)
-    dets = np.linalg.det(build_h(J, col, grid_a)).real
+    """The one-bracket-at-a-time bisection that det_bisection_roots batches;
+    each grid point and midpoint goes to the recurrence as a one-element
+    array."""
+    diag, couple = _diagonals(J, col)
+    det = lambda a: _continuant(diag, couple, np.array([a]))[0]
+    grid_a = _scan_grid(J, col)
+    dets = np.array([det(a) for a in grid_a])
     roots = []
     for i in range(len(grid_a) - 1):
         d0, d1 = dets[i], dets[i + 1]
@@ -293,7 +326,7 @@ def _scalar_bisection_roots(J, col):
             lo, hi, flo = grid_a[i], grid_a[i + 1], d0
             while hi - lo > 1e-13:
                 mid = 0.5 * (lo + hi)
-                fm = np.linalg.det(build_h(J, col, mid)).real
+                fm = det(mid)
                 if fm == 0.0:
                     lo = hi = mid
                     break
@@ -320,18 +353,17 @@ def test_batched_bisection_equals_scalar_bisection():
     # bracket closes on an exact zero
     cols += [(J, (a1, 0j, 0j)) for J in range(4) for a1 in (0.0, 0.25, 1.1)]
     cols.append((1, (float(0.5 * (grid[2100] + grid[2101])), 0j, 0j)))
-    for J, col in cols:
+    wants = [_scalar_bisection_roots(J, col) for J, col in cols]
+    for (J, col), want in zip(cols, wants):
         got = det_bisection_roots(J, col)
-        want = _scalar_bisection_roots(J, col)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), (J, col)
     # each spin's columns as one stack: one bisection loop over all brackets
     for J in range(4):
-        spin_cols = [col for j, col in cols if j == J]
-        got = det_bisection_roots(J, tuple(map(np.array, zip(*spin_cols))))
-        assert len(got) == len(spin_cols)
-        for roots, col in zip(got, spin_cols):
-            want = _scalar_bisection_roots(J, col)
+        spin = [(col, want) for (j, col), want in zip(cols, wants) if j == J]
+        got = det_bisection_roots(J, tuple(map(np.array, zip(*(c for c, _ in spin)))))
+        assert len(got) == len(spin)
+        for roots, (col, want) in zip(got, spin):
             assert roots.dtype == want.dtype
             assert np.array_equal(roots, want), (J, col)
 
@@ -344,6 +376,20 @@ def test_separation_roots_stack_equals_its_rows(J):
     stack = separation_roots(J, tuple(map(np.array, zip(*cols))))
     assert stack.shape == (len(cols), 2 * J + 1)
     assert np.array_equal(stack, [separation_roots(J, col) for col in cols])
+
+
+def test_bisection_oracle_calls_no_linear_algebra_routine(monkeypatch):
+    a = np.random.default_rng(43).uniform(-1.2, 1.2, (3, 3))
+    cols = [(float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)) for a1, a2, a3 in a]
+    want = [separation_roots(3, col) for col in cols]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called numpy.linalg")
+
+    for name in ("det", "eig", "eigh", "eigvals", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = det_bisection_roots(3, tuple(map(np.array, zip(*cols))))
+    assert all(np.abs(g - w).max() < 1e-10 for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("J", [2, 3])

@@ -13,7 +13,8 @@ The default (drift) mode passes when
   their tolerance (say 1e-17 against 1e-4) do not read as drift.
 
 ``--exact`` passes only when the two reports are equal apart from their
-``generated_at`` and ``environment`` fields (equal sha256 digests).  Both
+``generated_at`` and ``environment`` fields (equal sha256 digests); when
+they are not, its problem line names the records that differ.  Both
 modes print the two digests and a table of the records.  Exit code 0 on
 pass, 1 on fail, 2 when a file cannot be read as a report.
 """
@@ -95,6 +96,13 @@ def drift_problems(old: dict, new: dict, bound: float) -> tuple[list[str], list[
     return lines, problems
 
 
+def _moved(old: dict, new: dict) -> str:
+    """": id, id" naming the records that differ between two reports of
+    the same record ids; empty when only fields outside the records do."""
+    moved = [o["check_id"] for o, n in zip(old["checks"], new["checks"]) if o != n]
+    return f": {', '.join(moved)}" if moved else ""
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="compare two hurwitz verify reports")
     ap.add_argument("old")
@@ -119,7 +127,7 @@ def main(argv=None) -> int:
     print(f"new sha256 {digests[1]}")
     print("\n".join(lines))
     if args.exact and digests[0] != digests[1]:
-        problems.append("reports differ (--exact)")
+        problems.append("reports differ (--exact)" + _moved(old, new))
     for p in problems:
         print(f"FAIL  {p}")
     mode = "exact" if args.exact else f"drift bound {args.bound} decades"
