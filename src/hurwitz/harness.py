@@ -495,11 +495,7 @@ def run_row(cfg: SuiteConfig, row, rng: np.random.Generator) -> list[CheckResult
 
 # Each sampled row draws all of its samples first, in the order a loop of
 # single draws would, then evaluates them with one engine call per operator
-# (per group where a field family or a spin J needs one).  Evaluated one
-# sample at a time on purpose: null_vector_residual (one column per
-# ``coefficients`` call), alternating_branch_caseA (scalar closed form),
-# oscillator_gaussian and radial_duality (one finite-difference field per
-# sample).
+# (per group where a field family or a spin J needs one).
 
 def _clifford_structure(cfg, _):
     g = transform.GAMMA.gamma
@@ -783,59 +779,47 @@ def _bisection(cfg, draws):
     return res
 
 
-def _closed_form_magnitudes(x: np.ndarray) -> list[float]:
-    """|a_lambda| of the case-A spin-1 branch in closed form: the norm of x
-    without its lambda-th and fifth axes, over r (r + x5)."""
-    r = float(np.linalg.norm(x))
-    denom = r * (r + x[4])
-    return [
-        math.sqrt(sum(x[i] ** 2 for i in range(4) if i != lam)) / denom
-        for lam in range(4)
-    ] + [0.0]
+def _closed_form_magnitudes(x: np.ndarray) -> np.ndarray:
+    """|a_lambda| of the case-A spin-1 branch in closed form, B + (5,) for
+    points B + (5,): the norm of x without its lambda-th and fifth axes,
+    over r (r + x5)."""
+    # the unit-stride dot rounds as np.linalg.norm of each row does
+    r = np.sqrt(np.vecdot(x, x))
+    denom = r * (r + x[..., 4])
+    sq = x[..., :4] ** 2
+    return np.stack([np.sqrt(sum(sq[..., i] for i in range(4) if i != lam)) / denom
+                     for lam in range(4)] + [np.zeros_like(denom)], axis=-1)
 
 
 def _alternating_branch(cfg, xs):
     """Per point: the case-A spin-1 alternating eigenvalues and centrifugal
     term against their closed forms."""
-    signs = np.array([-1.0, 1.0, -1.0, 1.0, 0.0])
-    res = []
-    for x in xs:
-        r = float(np.linalg.norm(x))
-        a, cent = separation.effective_terms(1, x, CASE_A, "alternating")
-        expected = signs * _closed_form_magnitudes(x)
-        res.append((np.abs(a - expected).max(), abs(cent - 1.0 / (r * r))))
-    return np.array(res)
+    xs = np.array(xs)
+    r = np.sqrt(np.vecdot(xs, xs))
+    a, cent = separation.effective_terms(1, xs, CASE_A, "alternating")
+    expected = np.array([-1.0, 1.0, -1.0, 1.0, 0.0]) * _closed_form_magnitudes(xs)
+    return np.stack([np.abs(a - expected).max(axis=-1), np.abs(cent - 1.0 / (r * r))],
+                    axis=-1)
 
 
 def _wigner_ladder(cfg, _):
-    grid = np.linspace(0.12, math.pi - 0.12, 20)
-    phi1 = np.linspace(0.0, TWO_PI, 20, endpoint=False)
-    phi2 = np.linspace(0.0, TWO_PI, 20, endpoint=False)
+    """The analytic ladder against sqrt((J -+ q)(J +- q + 1)) phi^J_{q+-1,p}
+    (zero off the ladder) on a 20^3 angle grid, one call of each per
+    (J, q, p, sign) on the broadcast grid."""
+    beta = np.linspace(0.12, math.pi - 0.12, 20)
+    phi = np.linspace(0.0, TWO_PI, 20, endpoint=False)
+    grid = EulerAngles(phi[None, None, :], phi[None, :, None], beta[:, None, None])
     maxima = []
     for J in range(min(2, cfg.J_max) + 1):
         for q in range(-J, J + 1):
             for p in range(-J, J + 1):
                 for sign in (1, -1):
-                    coef = math.sqrt(max((J - sign * q) * (J + sign * q + 1), 0.0))
-                    rad = np.array([
-                        sign * separation.wigner_d_prime(J, q, p, b)
-                        - (q * math.cos(b) - p) / math.sin(b)
-                        * separation.wigner_d(J, q, p, b)
-                        for b in grid
-                    ])
+                    diff = separation.ladder_apply(sign, J, q, p, grid)
                     if abs(q + sign) <= J:
-                        tgt = coef * np.array([separation.wigner_d(J, q + sign, p, b)
-                                               for b in grid])
-                    else:
-                        tgt = np.zeros_like(rad)
-                    # the phi1/phi2 phases factor out exactly; assemble the
-                    # full 20^3 grid anyway to honor the advertised sweep
-                    ph = (np.exp(1j * (q + sign) * phi2)[:, None]
-                          * np.exp(1j * p * phi1)[None, :])
-                    full = np.abs(ph[None, :, :] * (rad - tgt)[:, None, None])
-                    maxima.append(full.max())
-    n = len(maxima) * grid.size * phi2.size * phi1.size
-    return Measured(n, np.max(maxima))
+                        coef = math.sqrt((J - sign * q) * (J + sign * q + 1))
+                        diff = diff - coef * separation.wigner(J, q + sign, p, grid)
+                    maxima.append(np.abs(diff).max())
+    return Measured(len(maxima) * beta.size * phi.size ** 2, np.max(maxima))
 
 
 def _angular_residuals(cfg, draws, **_):
@@ -883,15 +867,17 @@ def _null_draws(cfg, rng):
 
 
 def _null_vector(cfg, draws):
-    """|H g| per sample, g the coefficients of its drawn root."""
-    res = []
-    for J, col, k in draws:
-        root = float(separation.separation_roots(J, col)[k])
-        g = separation.coefficients(J, col, root)
-        if g.ndim == 2:
-            g = g[:, 0]
-        res.append(np.linalg.norm(separation.build_h(J, col, root) @ g))
-    return np.array(res)
+    """|H g| per sample, g the null vector of its drawn root; one root
+    solve, one null-vector solve and one product per spin J."""
+    res = np.empty(len(draws))
+    for J, idx in _groups([J for J, _, _ in draws]):
+        _, cols, k = zip(*(draws[i] for i in idx))
+        col = tuple(map(np.array, zip(*cols)))
+        root = separation.separation_roots(J, col)[np.arange(len(idx)), list(k)]
+        g = separation._null_vector(J, col, root)
+        hg = (separation.build_h(J, col, root) @ g[..., None])[..., 0]
+        res[idx] = separation._norms(hg)
+    return res
 
 
 def _angular_factor_draws(cfg, rng, case):
@@ -913,23 +899,18 @@ def _angular_factor_draws(cfg, rng, case):
 
 def _oscillator(cfg, draws):
     """|H_osc psi - Z psi| / |psi| per (omega, xi) draw, psi the Gaussian
-    exp(-omega |xi|^2)."""
-    d = cfg.strategy()
-    res = []
-    for omega, xi in draws:
-        p = OscillatorParams.from_omega(omega)
-        field = lambda z: np.exp(-omega * np.vecdot(z, z).real)
-        got = opcalc.oscillator_apply(p, field, xi, d)
-        res.append(abs(got - p.Z * field(xi)) / abs(field(xi)))
-    return np.array(res)
+    exp(-omega |xi|^2); one operator call with one omega per point."""
+    omega, xi = map(np.array, zip(*draws))
+    p = OscillatorParams.from_omega(omega)
+    field = lambda z: np.exp(-omega * np.vecdot(z, z).real)
+    got = opcalc.oscillator_apply(p, field, xi, cfg.strategy())
+    return np.abs(got - p.Z * field(xi)) / np.abs(field(xi))
 
 
 def _radial_duality(cfg, draws):
-    d = cfg.strategy()
-    return np.array([
-        opcalc.radial_duality_residual(OscillatorParams.from_omega(omega), x, d)
-        for omega, x in draws
-    ])
+    omega, x = map(np.array, zip(*draws))
+    return opcalc.radial_duality_residual(OscillatorParams.from_omega(omega), x,
+                                          cfg.strategy())
 
 
 def _radial_field(kind):
@@ -1212,14 +1193,13 @@ def separate_cmd(
     lines = []
     for lam in range(5):
         sol = separation.axis_solution(J, A, lam, branch)
-        g = sol.g if sol.g.ndim == 1 else sol.g[:, 0]
         lines.append(
             {
                 "J": J,
                 "p": p,
                 "lambda": lam + 1,
                 "roots": [float(v) for v in sol.roots],
-                "g": [[float(v.real), float(v.imag)] for v in g],
+                "g": [[float(v.real), float(v.imag)] for v in sol.g],
                 "a_selected": float(a_vec[lam]),
                 "centrifugal": cent,
             }

@@ -31,7 +31,6 @@ exponentials, which keeps stencils off branch cuts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -92,15 +91,16 @@ class DiffStrategy:
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Frequency, coupling strength and energy of the oscillator side."""
+    """Frequency, coupling strength and energy of the oscillator side:
+    floats, or arrays of one value per sample of a batch."""
 
     omega: float
     Z: float
     E: float
 
     @classmethod
-    def from_omega(cls, omega: float) -> "OscillatorParams":
-        if omega <= 0.0:
+    def from_omega(cls, omega) -> "OscillatorParams":
+        if not np.all(np.asarray(omega) > 0.0):
             raise ValueError("omega must be positive")
         return cls(omega=omega, Z=2.0 * omega, E=-0.5 * omega * omega)
 
@@ -182,9 +182,12 @@ def fiber_phase_gradients(
     g_k = exp(i f_k), which is smooth wherever the fiber is non-degenerate:
     grad f_k = -i (grad g_k) / g_k.  Returns (D, Dbar) of shape B + (3, 4)
     for ``xi`` B + (4,), with D[..., k, s] = df_k/dxi_s and
-    Dbar[..., k, s] = df_k/dxi_s*.
+    Dbar[..., k, s] = df_k/dxi_s*.  A point (4,) is evaluated as a one-row
+    stack, so its values are that row's.
     """
     xi = np.asarray(xi, dtype=complex)
+    if xi.ndim == 1:
+        return tuple(v[0] for v in fiber_phase_gradients(xi[None], case, d))
     ia, ib = case.pair
 
     def g(z: np.ndarray) -> np.ndarray:
@@ -499,25 +502,22 @@ def oscillator_apply(
     return -0.5 * xi_laplacian(field, xi, d) + 0.5 * p.omega**2 * r * field(xi)
 
 
-def radial_duality_residual(
-    p: OscillatorParams, x: np.ndarray, d: DiffStrategy
-) -> float:
+def radial_duality_residual(p: OscillatorParams, x: np.ndarray, d: DiffStrategy):
     """Residual of the base-space eigenrelation for psi = exp(-omega r).
 
     For angle-independent fields the transformed equation reduces to
     -laplacian_5/2 - Z/r acting on psi with eigenvalue E; the 5-axis
-    Laplacian is evaluated by finite differences.  Relative to |psi|.
+    Laplacian is one second-order stencil call along the base axes.
+    Relative to |psi|.  ``x`` is a stack B + (5,), giving B, with
+    parameters that are floats or of shape B (one omega per point); a point
+    (5,) is evaluated as a one-row stack, giving a float.
     """
     x = np.asarray(x, dtype=float)
-
-    def psi(y: np.ndarray) -> float:
-        return math.exp(-p.omega * float(np.linalg.norm(y)))
-
-    lap = 0.0
-    for lam in range(5):
-        e = np.zeros(5)
-        e[lam] = 1.0
-        lap += second_derivative(lambda t: psi(x + t * e), d.step2)
-    r = float(np.linalg.norm(x))
+    if x.ndim == 1:
+        return radial_duality_residual(p, x[None], d)[0]
+    # the unit-stride dot rounds as np.linalg.norm of each row does
+    psi = lambda y: np.exp(-p.omega * np.sqrt(np.vecdot(y, y)))
+    lap = sum(_stencil(psi, x, _AXES, d.step2, order=2))
+    r = np.sqrt(np.vecdot(x, x))
     val = -0.5 * lap - (p.Z / r) * psi(x)
-    return abs(val - p.E * psi(x)) / psi(x)
+    return np.abs(val - p.E * psi(x)) / psi(x)

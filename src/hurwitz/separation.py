@@ -98,26 +98,26 @@ def _d_terms(J: int, q: int, p: int) -> tuple[float, tuple]:
 
 
 def wigner_d(J: int, q: int, p: int, beta):
-    """Small rotation-matrix element d^J_{q,p}(beta) (real convention).
-
-    ``beta`` is a float or an array of angles (elementwise values).
+    """Small rotation-matrix element d^J_{q,p}(beta) (real convention),
+    elementwise over an array of angles; a float angle is a one-element
+    array, so it gives exactly the value it has in any stack.
     """
     pref, terms = _d_terms(J, q, p)
-    if isinstance(beta, np.ndarray):
-        c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    else:
-        c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    half = np.atleast_1d(beta) / 2.0
+    c, s = np.cos(half), np.sin(half)
     total = 0.0
     for coef, a, b in terms:
         total += coef * c**a * s**b
-    return pref * total
+    return (pref * total).reshape(np.shape(beta))[()]
 
 
-def wigner_d_prime(J: int, q: int, p: int, beta: float) -> float:
-    """Analytic d/dbeta of the small rotation-matrix element."""
+def wigner_d_prime(J: int, q: int, p: int, beta):
+    """Analytic d/dbeta of the small rotation-matrix element, elementwise
+    (as :func:`wigner_d`)."""
     pref, terms = _d_terms(J, q, p)
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    total = 0.0
+    half = np.atleast_1d(beta) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    total = np.zeros_like(c)
     for coef, a, b in terms:
         term = 0.0
         if a > 0:
@@ -125,20 +125,27 @@ def wigner_d_prime(J: int, q: int, p: int, beta: float) -> float:
         if b > 0:
             term += 0.5 * b * c ** (a + 1) * s ** (b - 1)
         total += coef * term
-    return pref * total
+    return (pref * total).reshape(np.shape(beta))[()]
 
 
-def wigner(J: int, q: int, p: int, phi: EulerAngles) -> complex:
-    """Angular basis element phi^J_{q,p} at the given angles (or batch)."""
-    return (
-        np.exp(1j * q * phi.phi2)
-        * wigner_d(J, q, p, phi.phi3)
-        * np.exp(1j * p * phi.phi1)
-    )
+def _angle_arrays(phi: EulerAngles):
+    """The three angles as arrays of at least one dimension (float angles
+    are a one-element batch), and the broadcast shape of the given ones."""
+    vals = (phi.phi1, phi.phi2, phi.phi3)
+    return [np.atleast_1d(v) for v in vals], np.broadcast(*vals).shape
 
 
-def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles) -> complex:
-    """Analytic (Q2 +- i Q3) applied to a basis element (no differencing).
+def wigner(J: int, q: int, p: int, phi: EulerAngles):
+    """Angular basis element phi^J_{q,p} at the given angles (or batch,
+    whose attributes broadcast); float angles are a one-element batch."""
+    (phi1, phi2, phi3), shape = _angle_arrays(phi)
+    out = np.exp(1j * q * phi2) * wigner_d(J, q, p, phi3) * np.exp(1j * p * phi1)
+    return out.reshape(shape)[()]
+
+
+def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles):
+    """Analytic (Q2 +- i Q3) applied to a basis element (no differencing),
+    at the given angles (or batch, as :func:`wigner`).
 
     Returns e^{i(q+-1)phi2} e^{ip phi1} [+-d' - (q cos(phi3) - p)/sin(phi3) d];
     with the conventions above this equals
@@ -147,19 +154,19 @@ def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles) -> complex
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_spin(J, q, p)
-    s3 = math.sin(phi.phi3)
-    d = wigner_d(J, q, p, phi.phi3)
-    dp = wigner_d_prime(J, q, p, phi.phi3)
-    radial = sign * dp - (q * math.cos(phi.phi3) - p) / s3 * d
-    return (
-        np.exp(1j * (q + sign) * phi.phi2) * np.exp(1j * p * phi.phi1) * radial
-    )
+    (phi1, phi2, b), shape = _angle_arrays(phi)
+    d = wigner_d(J, q, p, b)
+    dp = wigner_d_prime(J, q, p, b)
+    radial = sign * dp - (q * np.cos(b) - p) / np.sin(b) * d
+    out = np.exp(1j * (q + sign) * phi2) * np.exp(1j * p * phi1) * radial
+    return out.reshape(shape)[()]
 
 
-def potential_columns(A: np.ndarray) -> list[tuple[float, complex, complex]]:
-    """(A1, A+, A-) per base axis, with A+- = (A2 -+ i A3)/2."""
-    return [(float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3))
-            for a1, a2, a3 in np.asarray(A, dtype=float)]
+def potential_columns(A: np.ndarray) -> list[tuple]:
+    """(A1, A+, A-) per base axis, with A+- = (A2 -+ i A3)/2; a stack
+    B + (5, 3) of potentials gives entries of shape B."""
+    a1, a2, a3 = np.moveaxis(np.asarray(A, dtype=float), (-1, -2), (0, 1))
+    return list(zip(a1, 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)))
 
 
 def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
@@ -268,34 +275,52 @@ def det_bisection_roots(J: int, col):
     return roots[0] if single else roots
 
 
+def _null_vector(J: int, col, root, basis: bool = False) -> np.ndarray:
+    """The unit null vector of h(root), the first one if the root is
+    degenerate, phased so that its first component above 1e-8 of the max
+    is real positive: (2J+1,) for one column, (m, 2J+1) for a column stack
+    (m,) with one root per column, from one eigen-solve of the stack.  With
+    ``basis``, a degenerate root of one column gives the orthonormal basis
+    (2J+1, nullity) of its null space instead.  Raises ``ValueError`` where
+    no eigenvalue lies within 1e-8 of the root."""
+    evals, evecs = np.linalg.eigh(build_h(J, col, 0.0))
+    root = np.asarray(root, dtype=float)
+    close = np.abs(evals - root[..., None]) <= 1e-8
+    found = close.any(axis=-1)
+    if not found.all():
+        i = np.unravel_index(np.argmin(found), found.shape)
+        raise ValueError(
+            f"{float(root[i])!r} is not a root within 1e-08 "
+            f"(spectrum {np.sort(evals[i])})"
+        )
+    if basis and close.sum() > 1:
+        return evecs[:, close].copy()
+    first = np.argmax(close, axis=-1)[..., None, None]
+    g = np.take_along_axis(evecs, first, axis=-1)[..., 0]
+    mag = np.abs(g)
+    lead = np.argmax(mag > 1e-8 * mag.max(axis=-1, keepdims=True), axis=-1)
+    ph = np.take_along_axis(g, lead[..., None], axis=-1)
+    g = g / (ph / np.abs(ph))
+    return g / _norms(g)[..., None]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each complex vector v[..., :], summed as it sums one."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def coefficients(J: int, col, a_root: float) -> np.ndarray:
-    """Unit null vector of h(a_root), ordered q = -J .. J.
+    """Unit null vector of h(a_root), ordered q = -J .. J, for one column.
 
     For a simple root the vector is unique up to phase; the phase is fixed
-    by making the first component above 1e-8 of the max real positive.
-    If the numerical nullity exceeds one, an orthonormal basis of the null
-    space is returned instead (shape (2J+1, nullity)); the realistic
-    trigger is a vanishing potential column, where every vector is null.
+    by making the first component above 1e-8 of the max real positive, as
+    the column stacks of :func:`_null_vector` do.  If the numerical nullity
+    exceeds one, an orthonormal basis of the null space is returned instead
+    (shape (2J+1, nullity)); the realistic trigger is a vanishing potential
+    column, where every vector is null.  Raises ``ValueError`` when a_root
+    is not within 1e-8 of an eigenvalue.
     """
-    h0 = build_h(J, col, 0.0)
-    evals, evecs = np.linalg.eigh(h0)
-    close = np.abs(evals - a_root) <= 1e-8
-    if not close.any():
-        raise ValueError(
-            f"{a_root!r} is not a root within 1e-08 "
-            f"(spectrum {np.sort(evals)})"
-        )
-    if close.sum() > 1:
-        return evecs[:, close].copy()
-    g = evecs[:, int(np.argmax(close))].copy()
-    return _fix_phase(g)
-
-
-def _fix_phase(g: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(g) > 1e-8 * np.abs(g).max()))
-    ph = g[idx] / abs(g[idx])
-    g = g / ph
-    return g / np.linalg.norm(g)
+    return _null_vector(J, col, a_root, basis=True)
 
 
 @dataclass(frozen=True)
@@ -307,10 +332,6 @@ class SeparationSolution:
     roots: np.ndarray
     root: float
     g: np.ndarray
-
-    @property
-    def degenerate(self) -> bool:
-        return self.g.ndim == 2
 
 
 def resolve_branch(branch) -> Callable[[int, int], int]:
@@ -404,29 +425,22 @@ def consistency_residual(
     a_vec, centrifugal = effective_terms(J, xv, case, branch)
     sel = resolve_branch(branch)
     dn = d.nested()
-    rng = np.random.default_rng(7)
-    drawn = [
-        (
-            rng.uniform(0, 2 * math.pi),
-            rng.uniform(0, 2 * math.pi),
-            rng.uniform(0.5, math.pi - 0.5),
-        )
-        for _ in range(n_angles)
-    ]
+    # (phi1, phi2, phi3) per angle, drawn in that order
+    drawn = np.random.default_rng(7).uniform(
+        [0.0, 0.0, 0.5], [2 * math.pi, 2 * math.pi, math.pi - 0.5], (n_angles, 3))
     # one batch of n_angles angles, (n_angles, 1) against the points (m,)
-    angles = EulerAngles(*np.array(drawn).T[:, :, None])
+    angles = EulerAngles(*drawn.T[:, :, None])
     params = OscillatorParams.from_omega(1.0)
     coulomb = params.Z / r0 + params.E
     potential = lambda ys: a_field_closed(ys, case).A
     A0 = potential(xv)
     psi0 = test_psi(xv)
-    columns = [potential_columns(A) for A in A0]
+    columns = potential_columns(A0)
 
     residuals = []
     for lam in range(5):
         e = np.eye(5)[lam]
-        g = np.stack([_null_vector(J, cols[lam], -a[lam])
-                      for cols, a in zip(columns, a_vec)], axis=-1)
+        g = _null_vector(J, columns[lam], -a_vec[:, lam]).T
         G = lambda ang: angular_factor(J, p, g, ang)
 
         def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
@@ -461,9 +475,3 @@ def consistency_residual(
     # finite one) and picks the same float as max on finite values
     worst = np.max(residuals, axis=(0, 1), initial=0.0)
     return float(worst[0]) if single else worst
-
-
-def _null_vector(J: int, col, root: float) -> np.ndarray:
-    """The unit null vector of h(root) (the first one if degenerate)."""
-    g = coefficients(J, col, root)
-    return _fix_phase(g[:, 0].copy()) if g.ndim == 2 else g

@@ -3,16 +3,20 @@ named fault in the code it verifies, and each fault to the exact set of
 records it fails.  Each check's registry row is run on a fixed generator.
 
 This table covers the six numeric gauge records, which sit near 1e-11
-against a 1e-5 tolerance, and the three spin-J ladder records, whose root
+against a 1e-5 tolerance, the three spin-J ladder records, whose root
 oracles (eigen-solver, determinant recurrence, null vector) each read
-another part of the coupling matrix; in both groups a passing record alone
-shows little.
+another part of the coupling matrix, and four records evaluated as one
+stack of points or angles (the ladder relation, the alternating branch,
+the oscillator and the radial duality); in each group a passing record
+alone shows little.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hurwitz import gauge, harness, separation
+from hurwitz import gauge, harness, opcalc, separation
 from hurwitz.harness import CASE_A, CASE_B, SuiteConfig
 
 _GAUGE_CHECKS = [
@@ -106,6 +110,58 @@ _LADDER_FAULTS = {
 }
 
 
+_STACKED_CHECKS = ["wigner_ladder", "alternating_branch_caseA", "oscillator_gaussian",
+                   "radial_duality"]
+
+
+def _flipped_ladder_term(monkeypatch):
+    """The (q cos(phi3) - p)/sin(phi3) term of the analytic ladder entering
+    with the wrong sign."""
+
+    def ladder_apply(sign, J, q, p, phi):
+        b = phi.phi3
+        radial = (sign * separation.wigner_d_prime(J, q, p, b)
+                  + (q * np.cos(b) - p) / np.sin(b) * separation.wigner_d(J, q, p, b))
+        return np.exp(1j * (q + sign) * phi.phi2) * np.exp(1j * p * phi.phi1) * radial
+
+    monkeypatch.setattr(separation, "ladder_apply", ladder_apply)
+
+
+def _flipped_branch_sign(monkeypatch):
+    """One entry of the alternating branch's sign table flipped: the third
+    axis takes +J."""
+    real = separation.resolve_branch
+
+    def resolve_branch(branch):
+        m = real(branch)
+        return lambda J, lam: -m(J, lam) if lam == 2 else m(J, lam)
+
+    monkeypatch.setattr(separation, "resolve_branch", resolve_branch)
+
+
+def _linear_oscillator_potential(monkeypatch):
+    """omega in place of omega^2 in the oscillator's potential term."""
+    real = opcalc.oscillator_apply
+    monkeypatch.setattr(opcalc, "oscillator_apply", lambda p, field, xi, d: real(
+        replace(p, omega=np.sqrt(p.omega)), field, xi, d))
+
+
+def _flipped_coulomb_term(monkeypatch):
+    """The Z/r term of the radial duality entering with the wrong sign."""
+    real = opcalc.radial_duality_residual
+    monkeypatch.setattr(opcalc, "radial_duality_residual",
+                        lambda p, x, d: real(replace(p, Z=-p.Z), x, d))
+
+
+_STACKED_FAULTS = {
+    "flipped_ladder_term": (_flipped_ladder_term, {"wigner_ladder"}),
+    "flipped_branch_sign": (_flipped_branch_sign, {"alternating_branch_caseA"}),
+    "linear_oscillator_potential": (_linear_oscillator_potential,
+                                    {"oscillator_gaussian"}),
+    "flipped_coulomb_term": (_flipped_coulomb_term, {"radial_duality"}),
+}
+
+
 def _failed(checks):
     return {
         rid for rid in checks
@@ -127,8 +183,15 @@ def test_ladder_fault_fails_exactly_its_records(monkeypatch, fault):
     assert _failed(_LADDER_CHECKS) == expected
 
 
+@pytest.mark.parametrize("fault", list(_STACKED_FAULTS))
+def test_stacked_fault_fails_exactly_its_records(monkeypatch, fault):
+    apply, expected = _STACKED_FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed(_STACKED_CHECKS) == expected
+
+
 def test_unfaulted_records_pass():
-    assert _failed(_GAUGE_CHECKS + _LADDER_CHECKS) == set()
+    assert _failed(_GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS) == set()
 
 
 def test_every_gauge_record_has_a_fault():
@@ -137,3 +200,8 @@ def test_every_gauge_record_has_a_fault():
 
 def test_every_ladder_record_has_a_fault():
     assert set().union(*(ids for _, ids in _LADDER_FAULTS.values())) == set(_LADDER_CHECKS)
+
+
+def test_every_stacked_record_has_a_fault():
+    failed = set().union(*(ids for _, ids in _STACKED_FAULTS.values()))
+    assert failed == set(_STACKED_CHECKS)

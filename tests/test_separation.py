@@ -97,19 +97,23 @@ def _factorial_terms(J, q, p):
     return pref, terms
 
 
-def _d_reference(J, q, p, beta):
+# The references run on numpy arrays, as the library does: Python's float
+# power (libm pow) rounds unlike numpy's array power in a few percent of
+# c ** a for a >= 3, so a float reference would not be bit-comparable.
+
+def _d_reference(J, q, p, betas):
     pref, terms = _factorial_terms(J, q, p)
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
     total = 0.0
     for coef, a, b in terms:
         total += coef * c ** a * s ** b
     return pref * total
 
 
-def _d_prime_reference(J, q, p, beta):
+def _d_prime_reference(J, q, p, betas):
     pref, terms = _factorial_terms(J, q, p)
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    total = 0.0
+    c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
+    total = np.zeros_like(betas)
     for coef, a, b in terms:
         term = 0.0
         if a > 0:
@@ -125,10 +129,11 @@ def test_small_d_table_matches_factorial_formula_exactly():
     for J in range(4):
         for q in range(-J, J + 1):
             for p in range(-J, J + 1):
-                for b in betas:
-                    b = float(b)
-                    assert wigner_d(J, q, p, b) == _d_reference(J, q, p, b)
-                    assert wigner_d_prime(J, q, p, b) == _d_prime_reference(J, q, p, b)
+                ref = _d_reference(J, q, p, betas)
+                ref_prime = _d_prime_reference(J, q, p, betas)
+                for b, want, want_prime in zip(betas, ref, ref_prime):
+                    assert wigner_d(J, q, p, float(b)) == want
+                    assert wigner_d_prime(J, q, p, float(b)) == want_prime
 
 
 def test_small_d_rejects_bad_spins_on_every_call():
