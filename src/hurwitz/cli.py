@@ -9,6 +9,7 @@ flag overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,6 +18,9 @@ from .errors import ConfigInvalid, HurwitzError
 from .harness import SuiteConfig, fields_cmd, run_suite, separate_cmd
 
 
+# built once per process, on first use: each build repeats argparse's
+# gettext lookups, which stat locale files; parse_args keeps no state
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hurwitz",

@@ -890,9 +890,9 @@ def _angular_factor_draws(cfg, rng, case):
             x = sample_x(rng, case, 0.1)
             A = gauge.a_field_closed(x, case).A
             p = int(rng.integers(-J, J + 1))
+            sol = separation.axis_solution(J, A, "m=1")
             for lam in range(5):
-                sol = separation.axis_solution(J, A, lam, "m=1")
-                draws += [(J, p, sol.g, A[lam], sol.root, sample_angles(rng))
+                draws += [(J, p, sol.g[lam], A[lam], sol.root[lam], sample_angles(rng))
                           for _ in range(2)]
     return draws
 
@@ -1119,34 +1119,31 @@ def fields_cmd(
     case = CASE_A if case_tag == "A" else CASE_B
     reg = _parse_region(region)
     rng = np.random.default_rng(seed)
-    pts = np.empty((n, 5))
-    for i in range(n):
-        if reg[0] == "shell":
+    if reg[0] == "shell":
+        # one normal and one uniform draw per point, interleaved
+        pts = np.empty((n, 5))
+        for i in range(n):
             v = rng.standard_normal(5)
             pts[i] = v / np.linalg.norm(v) * rng.uniform(reg[1], reg[2])
-        elif reg[0] == "box":
-            pts[i] = rng.uniform(reg[1], reg[2], size=5)
-        else:
-            pts[i] = reg[1]
+    elif reg[0] == "box":
+        pts = rng.uniform(reg[1], reg[2], (n, 5))
+    else:
+        pts = np.broadcast_to(reg[1], (n, 5))
     singular = gauge.closed_form_singular(pts, case)
     pts = pts[~singular]
-    records = []
-    for x, A in zip(pts, gauge.a_field_closed(pts, case).A):
-        r = float(np.linalg.norm(x))
-        trans = float(np.abs(x @ A).max())
-        gram = A.T @ A
-        scale = (r - case.axis_sign * x[4]) / (r * r * (r + case.axis_sign * x[4]))
-        norm_res = float(np.abs(gram - scale * np.eye(3)).max())
-        records.append(
-            {
-                "x": [float(v) for v in x],
-                "A": [[float(a) for a in row] for row in A],
-                "props": {
-                    "transversality": trans,
-                    "normalization_residual": norm_res,
-                },
-            }
-        )
+    A = gauge.a_field_closed(pts, case).A
+    # batched matmul and unit-stride dots round as each point's own
+    # np.linalg.norm and @ do; einsum and vecdot sum in another order
+    r = np.sqrt(np.vecdot(pts, pts))
+    trans = np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1)
+    gram = np.swapaxes(A, -1, -2) @ A
+    s = case.axis_sign * pts[:, 4]
+    scale = (r - s) / (r * r * (r + s))
+    norm_res = np.abs(gram - scale[:, None, None] * np.eye(3)).max(axis=(-2, -1))
+    records = [
+        {"x": x, "A": a, "props": {"transversality": t, "normalization_residual": nr}}
+        for x, a, t, nr in zip(pts.tolist(), A.tolist(), trans.tolist(), norm_res.tolist())
+    ]
     meta = {
         "meta": {
             "case": case_tag,
@@ -1188,30 +1185,23 @@ def separate_cmd(
         raise ConfigInvalid("point must have 5 coordinates")
     if not np.isfinite(x).all():
         raise ConfigInvalid(f"point coordinates must be finite, got {list(x_point)}")
-    A = gauge.a_field_closed(x, case).A
-    a_vec, cent = separation.effective_terms(J, x, case, branch)
-    lines = []
-    for lam in range(5):
-        sol = separation.axis_solution(J, A, lam, branch)
-        lines.append(
-            {
-                "J": J,
-                "p": p,
-                "lambda": lam + 1,
-                "roots": [float(v) for v in sol.roots],
-                "g": [[float(v.real), float(v.imag)] for v in sol.g],
-                "a_selected": float(a_vec[lam]),
-                "centrifugal": cent,
-            }
-        )
-    summary = {"point": [float(v) for v in x], "case": case_tag, "branch": branch}
+    sol = separation.axis_solution(J, gauge.a_field_closed(x, case).A, branch)
+    # unit-stride dots round as np.linalg.norm does
+    r = np.sqrt(np.vecdot(x, x))
+    cent = J * (J + 1) / (2.0 * r * r)
+    lines = [
+        {"J": J, "p": p, "lambda": lam + 1, "roots": roots, "g": g,
+         "a_selected": a, "centrifugal": cent}
+        for lam, (roots, g, a) in enumerate(zip(
+            sol.roots.tolist(), np.stack([sol.g.real, sol.g.imag], -1).tolist(),
+            sol.root.tolist()))
+    ]
+    summary = {"point": x.tolist(), "case": case_tag, "branch": branch}
     if J == 1 and case_tag == "A":
-        mags = _closed_form_magnitudes(x)
         summary["closed_form_comparison"] = {
-            "max_magnitude_residual": max(
-                abs(abs(a_vec[lam]) - mags[lam]) for lam in range(5)
-            ),
-            "fifth_axis_root": float(a_vec[4]),
+            "max_magnitude_residual": float(
+                np.abs(np.abs(sol.root) - _closed_form_magnitudes(x)).max()),
+            "fifth_axis_root": float(sol.root[4]),
         }
     with open(out_path, "w") as fh:
         for rec in lines:

@@ -162,11 +162,12 @@ def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles):
     return out.reshape(shape)[()]
 
 
-def potential_columns(A: np.ndarray) -> list[tuple]:
-    """(A1, A+, A-) per base axis, with A+- = (A2 -+ i A3)/2; a stack
-    B + (5, 3) of potentials gives entries of shape B."""
+def potential_columns(A: np.ndarray) -> tuple:
+    """The column stack (A1, A+, A-) of the five base axes, with
+    A+- = (A2 -+ i A3)/2: three arrays (5,) + B for potentials B + (5, 3),
+    whose entry lam is the column of axis lam."""
     a1, a2, a3 = np.moveaxis(np.asarray(A, dtype=float), (-1, -2), (0, 1))
-    return list(zip(a1, 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)))
+    return a1, 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)
 
 
 def build_h(J: int, col: tuple[float, complex, complex], a) -> np.ndarray:
@@ -325,12 +326,12 @@ def coefficients(J: int, col, a_root: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeparationSolution:
-    """Per-(J, axis) separation data: the root ladder and one null vector."""
+    """Spin-J separation data of the five base axes, one row per axis: root
+    ladders (5, 2J+1), branch roots (5,) and their null vectors (5, 2J+1)."""
 
     J: int
-    lam: int
     roots: np.ndarray
-    root: float
+    root: np.ndarray
     g: np.ndarray
 
 
@@ -349,15 +350,22 @@ def resolve_branch(branch) -> Callable[[int, int], int]:
     raise ValueError(f"unknown branch selector {branch!r}")
 
 
-def axis_solution(
-    J: int, A: np.ndarray, lam: int, branch="alternating"
-) -> SeparationSolution:
-    """Roots and the branch null vector for one base axis."""
-    col = potential_columns(A)[lam]
-    roots = separation_roots(J, col)
-    m = resolve_branch(branch)(J, lam)
-    root = m * float(np.linalg.norm(np.asarray(A, dtype=float)[lam]))
-    return SeparationSolution(J, lam, roots, root, _null_vector(J, col, root))
+def axis_solution(J: int, A: np.ndarray, branch="alternating") -> SeparationSolution:
+    """Roots and the branch null vectors of the five base axes, solved as
+    one column stack: row lam is the solution of axis lam, bit-identical to
+    a one-column solve of that axis."""
+    col = potential_columns(A)
+    root = _branch_roots(J, A, branch)
+    return SeparationSolution(J, separation_roots(J, col), root,
+                              _null_vector(J, col, root))
+
+
+def _branch_roots(J: int, A: np.ndarray, branch) -> np.ndarray:
+    """m(J, lam) * |A_lam.| per axis: B + (5,) for potentials B + (5, 3)."""
+    sel = resolve_branch(branch)
+    m = np.array([sel(J, lam) for lam in range(5)])
+    # unit-stride dots round as np.linalg.norm does on one row
+    return m * np.sqrt(np.vecdot(A, A))
 
 
 def angular_factor(J: int, p: int, g: np.ndarray, phi: EulerAngles):
@@ -384,9 +392,7 @@ def effective_terms(
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
     # unit-stride dots round as np.linalg.norm does on one row
     r = np.sqrt(np.vecdot(xv, xv))
-    sel = resolve_branch(branch)
-    m = np.array([sel(J, lam) for lam in range(5)])
-    return m * np.sqrt(np.vecdot(A, A)), (J * (J + 1) / (2.0 * r * r))[()]
+    return _branch_roots(J, A, branch), (J * (J + 1) / (2.0 * r * r))[()]
 
 
 def consistency_residual(
@@ -440,7 +446,7 @@ def consistency_residual(
     residuals = []
     for lam in range(5):
         e = np.eye(5)[lam]
-        g = _null_vector(J, columns[lam], -a_vec[:, lam]).T
+        g = _null_vector(J, [c[lam] for c in columns], -a_vec[:, lam]).T
         G = lambda ang: angular_factor(J, p, g, ang)
 
         def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:

@@ -102,6 +102,46 @@ def _build_h(rng, n, case):
     return lambda s: (separation.build_h(J, tuple(c[s] for c in col), a[3][s]),), 0
 
 
+def _column(rng, n):
+    a = rng.uniform(-1.2, 1.2, (3, n))
+    return (a[0], 0.5 * (a[1] - 1j * a[2]), 0.5 * (a[1] + 1j * a[2]))
+
+
+def _separation_roots(rng, n, case):
+    J, col = int(rng.integers(0, separation.J_CAP + 1)), _column(rng, n)
+    return lambda s: (separation.separation_roots(J, tuple(c[s] for c in col)),), 0
+
+
+def _null_vector(rng, n, case):
+    """One root per column, a random rung of each column's ladder."""
+    J, col = int(rng.integers(0, separation.J_CAP + 1)), _column(rng, n)
+    roots = separation.separation_roots(J, col)
+    root = roots[np.arange(n), rng.integers(0, 2 * J + 1, n)]
+    return lambda s: (separation._null_vector(J, tuple(c[s] for c in col), root[s]),), 0
+
+
+def _axis_solution(rng, n, case):
+    """The five axes of one potential: the stack is one axis_solution call,
+    a row (or a one-row slice) the one-column solves of that axis, with its
+    root m * np.linalg.norm(A[lam]) as a per-axis solve takes it."""
+    J = int(rng.integers(0, separation.J_CAP + 1))
+    branch = "alternating" if rng.integers(2) else "m=1"
+    A = gauge.a_field_closed(harness.sample_x(rng, case, 0.05), case).A
+    sel = separation.resolve_branch(branch)
+    root = np.array([sel(J, lam) * np.linalg.norm(row) for lam, row in enumerate(A)])
+    cols = separation.potential_columns(A)
+
+    def call(s):
+        if s == slice(None):
+            sol = separation.axis_solution(J, A, branch)
+            return sol.roots, sol.root, sol.g
+        col = [c[s] for c in cols]
+        return (separation.separation_roots(J, col), root[s],
+                separation._null_vector(J, col, root[s]))
+
+    return call, 0
+
+
 def _apply_euler_op(rng, n, case):
     (J, q, p), phi = _spin(rng), _angles(rng, n)
     field = lambda ang: separation.wigner(J, q, p, ang)
@@ -151,6 +191,9 @@ _PRIMITIVES = {
     "wigner_d": _wigner_d,
     "ladder_apply": _ladder_apply,
     "build_h": _build_h,
+    "separation_roots": _separation_roots,
+    "_null_vector": _null_vector,
+    "axis_solution": _axis_solution,
     "apply_euler_op": _apply_euler_op,
     **{f"identity_residual[{w}]": _identity(w)
        for w in ("phase_constraint", "derivative_split", "momentum_equivalence",

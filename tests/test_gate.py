@@ -36,7 +36,7 @@ def test_equal_outputs_pass(outputs, capsys):
         "verify_1729.json", "verify_201.json", "verify_7.json",
         "sweep_201.json", "sweep_1000204.json", "sweep_5.json", "exports",
     ]
-    assert len(os.listdir(outputs / "parent" / "export")) == 35
+    assert len(os.listdir(outputs / "parent" / "export")) == 67
 
 
 def test_main_needs_two_trees(capsys):
@@ -80,7 +80,7 @@ def _scale_residual(factor, check_id=None):
         # a sweep record moved in its last bits fails --exact
         ("sweep_5.json", _scale_residual(1.0 + 2.0**-52)),
         # one byte of one export
-        ("export/separate_B_2_0.jsonl", lambda t: t.replace("0", "1", 1)),
+        ("export/separate_B_2_0_1.jsonl", lambda t: t.replace("0", "1", 1)),
     ],
     ids=["verify_drift", "sweep_exact", "export_bytes"],
 )

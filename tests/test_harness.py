@@ -766,9 +766,10 @@ def _fields_reference(case_tag, n, out_path, region, seed):
 )
 def test_fields_export_matches_per_point_reference(tmp_path, case, region):
     got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-    fields_cmd(case, 300, str(got), region=region, seed=11)
-    _fields_reference(case, 300, str(want), region, 11)
-    assert got.read_bytes() == want.read_bytes()
+    for seed in (11, 1729):
+        fields_cmd(case, 300, str(got), region=region, seed=seed)
+        _fields_reference(case, 300, str(want), region, seed)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_fields_export_deterministic(tmp_path):
@@ -905,6 +906,24 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.delenv("HURWITZ_SEED")
     main(["fields", "--case", "A", "-n", "20", "--out", str(b), "--seed", "99"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; each call parses afresh
+    monkeypatch.delenv("HURWITZ_SEED", raising=False)
+    seeded, default, want = (tmp_path / f"{k}.jsonl" for k in ("s", "d", "w"))
+    assert main(["fields", "--case", "A", "-n", "20", "--seed", "99",
+                 "--out", str(seeded)]) == 0
+    assert main(["fields", "--case", "A", "-n", "20", "--out", str(default)]) == 0
+    fields_cmd("A", 20, str(want), seed=1729)
+    assert default.read_bytes() == want.read_bytes() != seeded.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["fields", "--case", "C", "-n", "20", "--out", str(default)])
+    assert exc.value.code == 2
+    assert main(["verify"]) == 0
+    assert main(["separate", "--j", "1", "--p", "0", "--case", "A",
+                 "--point", "0.4,-0.7,0.2,0.5,0.3", "--out", str(tmp_path / "s.jsonl")]) == 0
+    assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 6
 
 
 def test_cli_entry_point_runs():

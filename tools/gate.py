@@ -8,8 +8,9 @@ For each tree one child process (``PYTHONPATH=TREE/src``) writes
 * sweep reports, ``run_suite(sweep_config(s), only=SWEEP_IDS)`` with the
   tree's own ``bench/workloads.py``, at seeds 201, 1000204 and 5;
 * ``hurwitz fields`` (cases A/B x shell/box/point regions x seeds 1/7/201)
-  and ``hurwitz separate`` (J 0..3 x cases A/B x two branches) outputs,
-  with everything the commands print.
+  and ``hurwitz separate`` (J 0..3 x cases A/B x two branches x three base
+  points, off both singular half-axes, the first at p = 0 and the others
+  at p = -J and p = J) outputs, with everything the commands print.
 
 Each verify pair must then pass ``tools/reportdiff.py`` in drift mode
 (its default bound, 0.5 decades), each sweep pair ``--exact``, and the
@@ -36,7 +37,8 @@ VERIFY_SEEDS = (1729, 201, 7)
 SWEEP_SEEDS = (201, 1000204, 5)
 FIELDS_REGIONS = ("shell:0.5,2.0", "box:-2,2", "point:0.4,-0.7,0.2,0.5,0.3")
 FIELDS_SEEDS = (1, 7, 201)
-SEPARATE_POINT = "0.4,-0.7,0.2,0.5,0.3"
+SEPARATE_POINTS = ("0.4,-0.7,0.2,0.5,0.3", "-1.1,0.3,0.8,-0.2,-0.6",
+                   "0.9,1.2,-0.4,0.6,-1.5")
 SEPARATE_BRANCHES = ("alternating", "m=1")
 
 
@@ -65,10 +67,12 @@ def write_outputs(out: str) -> None:
                               "--seed", str(s), "--out", path])
             for J in range(4):
                 for k, branch in enumerate(SEPARATE_BRANCHES):
-                    path = os.path.join(out, "export", f"separate_{case}_{J}_{k}.jsonl")
-                    cli.main(["separate", "--j", str(J), "--p", "0", "--case", case,
-                              "--point", SEPARATE_POINT, "--branch", branch,
-                              "--out", path])
+                    for i, (point, p) in enumerate(zip(SEPARATE_POINTS, (0, -J, J))):
+                        path = os.path.join(out, "export",
+                                            f"separate_{case}_{J}_{k}_{i}.jsonl")
+                        cli.main(["separate", "--j", str(J), f"--p={p}", "--case", case,
+                                  f"--point={point}", "--branch", branch,
+                                  "--out", path])
     with open(os.path.join(out, "export", "stdout.txt"), "w") as fh:
         fh.write("\n".join(line for line in printed.getvalue().splitlines()
                            if not line.startswith(("PASS", "FAIL"))))
