@@ -13,7 +13,6 @@ from .clifford import (
     clifford_residual,
     fierz_residual,
     gamma_tilde_commutation_table,
-    gamma_tilde_search,
 )
 from .errors import (
     ConfigInvalid,
@@ -46,7 +45,6 @@ from .opcalc import (
     DiffStrategy,
     OscillatorParams,
     apply_euler_op,
-    apply_T,
     casimir_residual,
     commutator_residuals,
     identity_residual,
@@ -56,7 +54,6 @@ from .separation import (
     SeparationSolution,
     axis_solution,
     build_h,
-    coefficients,
     consistency_residual,
     det_bisection_roots,
     effective_terms,

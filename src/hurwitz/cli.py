@@ -9,6 +9,7 @@ flag overrides both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -75,10 +76,7 @@ def _cmd_verify(args) -> int:
             settings = json.load(fh, parse_constant=_reject_constant)
         if not isinstance(settings, dict):
             raise ConfigInvalid("config must be a JSON object of suite settings")
-        unknown = set(settings) - {
-            "seed", "samples", "fd_step", "tolerances", "cases", "J_max",
-            "exclusion_eps",
-        }
+        unknown = set(settings) - {f.name for f in dataclasses.fields(SuiteConfig)}
         if unknown:
             raise ConfigInvalid(f"unknown config keys {sorted(unknown)}")
     seed = _resolve_seed(args.seed, settings.get("seed", SuiteConfig.seed))

@@ -28,14 +28,13 @@ __all__ = [
     "build_gamma",
     "clifford_residual",
     "fierz_residual",
-    "gamma_tilde_search",
     "gamma_tilde_commutation_table",
 ]
 
 
 @dataclass(frozen=True)
 class GammaSet:
-    """The five generators, the companion matrix, and the Pauli blocks.
+    """The five generators and the companion matrix.
 
     ``gamma`` has shape (5, 4, 4) and is 0-indexed: ``gamma[k-1]`` is the
     k-th generator of the 1-based notation used in docstrings.
@@ -45,7 +44,6 @@ class GammaSet:
 
     gamma: np.ndarray
     gamma_tilde: np.ndarray
-    pauli: np.ndarray
     gamma_tilde_origin: str = "direct"
 
 
@@ -60,8 +58,9 @@ def build_gamma() -> GammaSet:
     """Construct the generator set from the Pauli/beta block forms.
 
     The companion matrix is i*g1*g3.  The construction is exact; the
-    suite's contraction-identity check guards it, and
-    :func:`gamma_tilde_search` serves as the independent oracle.
+    suite's contraction-identity check guards it.  An exhaustive search
+    over every +-i g_a g_b in the Clifford tests is its independent oracle:
+    only this product, with either sign, satisfies the identity.
     """
     pauli = _pauli()
     zero = np.zeros((2, 2), dtype=complex)
@@ -76,7 +75,7 @@ def build_gamma() -> GammaSet:
     gammas.append(beta)
     gamma = np.stack(gammas)
 
-    return GammaSet(gamma, 1j * gamma[0] @ gamma[2], pauli)
+    return GammaSet(gamma, 1j * gamma[0] @ gamma[2])
 
 
 def clifford_residual(g: GammaSet) -> float:
@@ -87,34 +86,16 @@ def clifford_residual(g: GammaSet) -> float:
     return float(np.abs(anti - target).max())
 
 
-def fierz_residual(g: GammaSet, gamma_tilde: np.ndarray | None = None) -> float:
+def fierz_residual(g: GammaSet) -> float:
     """Max-abs deviation of the contraction identity over all 256 tuples."""
-    gt = g.gamma_tilde if gamma_tilde is None else gamma_tilde
     lhs = np.einsum("lst,luv->stuv", g.gamma, g.gamma)
     d = np.eye(4)
     rhs = (
         2.0 * np.einsum("sv,tu->stuv", d, d)
         - np.einsum("st,uv->stuv", d, d)
-        - 2.0 * np.einsum("su,tv->stuv", gt, gt)
+        - 2.0 * np.einsum("su,tv->stuv", g.gamma_tilde, g.gamma_tilde)
     )
     return float(np.abs(lhs - rhs).max())
-
-
-def gamma_tilde_search(g: GammaSet) -> list[tuple[int, int, int, float]]:
-    """Try every +-i g_a g_b (a < b) as the companion matrix.
-
-    Returns the 20 candidates as (a, b, sign, residual) tuples (0-indexed
-    a, b), sorted by residual then enumeration order, so the best candidate
-    is first.  Used as the oracle behind the companion-matrix choice.
-    """
-    results = []
-    for a in range(5):
-        for b in range(a + 1, 5):
-            for sign in (1, -1):
-                cand = sign * 1j * g.gamma[a] @ g.gamma[b]
-                results.append((a, b, sign, fierz_residual(g, cand)))
-    results.sort(key=lambda t: (t[3], t[:3]))
-    return results
 
 
 def gamma_tilde_commutation_table(g: GammaSet) -> dict[int, str]:

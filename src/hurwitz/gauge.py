@@ -29,6 +29,7 @@ from .transform import (
     AngleCase,
     EulerAngles,
     RPoint,
+    _row_norms,
     extra_angles,
     fiber_section,
     forward,
@@ -192,10 +193,7 @@ def _closed_scale(x, case: AngleCase):
     x = x.x if isinstance(x, RPoint) else x
     xp = np.zeros(np.shape(x)[:-1] + (6,))
     xp[..., :5] = x
-    # rows of unit stride: the stacked dot then rounds as the 1-D
-    # np.linalg.norm does (a column-major stack rounds differently)
-    xv = xp[..., :5]
-    r = np.sqrt(np.vecdot(xv, xv))
+    r = _row_norms(xp[..., :5])
     denom = r + case.axis_sign * xp[..., 4]
     return xp, r, denom, denom <= 1e-9 * r
 

@@ -26,7 +26,7 @@ from . import clifford as cl
 from . import gauge, opcalc, separation, transform
 from .errors import ConfigInvalid
 from .opcalc import DiffStrategy, OscillatorParams
-from .transform import CASE_A, CASE_B, AngleCase, EulerAngles
+from .transform import CASE_A, CASE_B, TWO_PI, AngleCase, EulerAngles, _row_norms
 
 __all__ = [
     "SuiteConfig",
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-TWO_PI = 2.0 * math.pi
 
 # Rejection samplers give up after this many draws.  A feasible exclusion
 # accepts most draws, so the cap is only reached near an infeasible one.
@@ -253,11 +251,10 @@ def sample_x(
             )
         need = n - have
         v = rng.standard_normal((need, 5))
-        # rounds as np.linalg.norm of one 5-vector does (a test pins it), so
-        # one-point draws keep the bits of the single-draw loop
-        v /= np.sqrt(np.vecdot(v, v))[:, None]
+        # one-point draws keep the bits of the single-draw loop (a test pins it)
+        v /= _row_norms(v)[:, None]
         x = v * rng.uniform(rmin, rmax, need)[:, None]
-        r = np.sqrt(np.vecdot(x, x))
+        r = _row_norms(x)
         x = x[r + case.axis_sign * x[:, 4] > exclusion_eps * r]
         kept.append(x)
         drawn += need
@@ -579,8 +576,7 @@ def _section_identity(cfg, draws, case):
     x, phi = zip(*draws)
     x = np.array(x)
     xi = transform.fiber_section(x, _stack_angles(phi), case)
-    # the unit-stride dot rounds as np.linalg.norm of each row does
-    return np.abs(transform.forward(xi).x - x).max(axis=-1) / np.sqrt(np.vecdot(x, x))
+    return np.abs(transform.forward(xi).x - x).max(axis=-1) / _row_norms(x)
 
 
 def _rotor_draws(cfg, rng, **_):
@@ -693,9 +689,8 @@ def _closed_vs_numeric_residuals(cfg, draws, case, **_):
 
 def _reflection_draws(cfg, rng):
     x = sample_x(rng, CASE_B, 1e-2, size=200)
-    # rows near either half-axis are not evaluated samples; the unit-stride
-    # dot rounds as np.linalg.norm of each row does
-    return x[np.sqrt(np.vecdot(x, x)) - np.abs(x[:, 4]) >= 1e-2]
+    # rows near either half-axis are not evaluated samples
+    return x[_row_norms(x) - np.abs(x[:, 4]) >= 1e-2]
 
 
 def _gauge_reflection(cfg, x):
@@ -783,8 +778,7 @@ def _closed_form_magnitudes(x: np.ndarray) -> np.ndarray:
     """|a_lambda| of the case-A spin-1 branch in closed form, B + (5,) for
     points B + (5,): the norm of x without its lambda-th and fifth axes,
     over r (r + x5)."""
-    # the unit-stride dot rounds as np.linalg.norm of each row does
-    r = np.sqrt(np.vecdot(x, x))
+    r = _row_norms(x)
     denom = r * (r + x[..., 4])
     sq = x[..., :4] ** 2
     return np.stack([np.sqrt(sum(sq[..., i] for i in range(4) if i != lam)) / denom
@@ -795,7 +789,7 @@ def _alternating_branch(cfg, xs):
     """Per point: the case-A spin-1 alternating eigenvalues and centrifugal
     term against their closed forms."""
     xs = np.array(xs)
-    r = np.sqrt(np.vecdot(xs, xs))
+    r = _row_norms(xs)
     a, cent = separation.effective_terms(1, xs, CASE_A, "alternating")
     expected = np.array([-1.0, 1.0, -1.0, 1.0, 0.0]) * _closed_form_magnitudes(xs)
     return np.stack([np.abs(a - expected).max(axis=-1), np.abs(cent - 1.0 / (r * r))],
@@ -919,7 +913,7 @@ def _radial_field(kind):
     point of the trailing axis its own."""
     return lambda y: np.where(
         np.equal(kind, 0),
-        np.exp(-np.sqrt(np.vecdot(y, y))),
+        np.exp(-_row_norms(y)),
         np.exp(-0.4 * np.vecdot(y, y)),
     )
 
@@ -1101,6 +1095,15 @@ def _parse_region(region: str):
     return (kind, lo, hi)
 
 
+def _write_jsonl(out_path: str, records) -> None:
+    """One JSON line per record, keys sorted, through one encoder: the bytes
+    of json.dumps(rec, sort_keys=True), which builds an encoder per call."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(out_path, "w") as fh:
+        for rec in records:
+            fh.write(encode(rec) + "\n")
+
+
 def fields_cmd(
     case_tag: str,
     n: int,
@@ -1132,9 +1135,9 @@ def fields_cmd(
     singular = gauge.closed_form_singular(pts, case)
     pts = pts[~singular]
     A = gauge.a_field_closed(pts, case).A
-    # batched matmul and unit-stride dots round as each point's own
-    # np.linalg.norm and @ do; einsum and vecdot sum in another order
-    r = np.sqrt(np.vecdot(pts, pts))
+    # batched matmul rounds as each point's own @ does; einsum sums in
+    # another order
+    r = _row_norms(pts)
     trans = np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1)
     gram = np.swapaxes(A, -1, -2) @ A
     s = case.axis_sign * pts[:, 4]
@@ -1154,10 +1157,7 @@ def fields_cmd(
             "seed": seed,
         }
     }
-    with open(out_path, "w") as fh:
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_jsonl(out_path, [meta] + records)
     return meta["meta"]
 
 
@@ -1186,8 +1186,7 @@ def separate_cmd(
     if not np.isfinite(x).all():
         raise ConfigInvalid(f"point coordinates must be finite, got {list(x_point)}")
     sol = separation.axis_solution(J, gauge.a_field_closed(x, case).A, branch)
-    # unit-stride dots round as np.linalg.norm does
-    r = np.sqrt(np.vecdot(x, x))
+    r = _row_norms(x)
     cent = J * (J + 1) / (2.0 * r * r)
     lines = [
         {"J": J, "p": p, "lambda": lam + 1, "roots": roots, "g": g,
@@ -1203,8 +1202,5 @@ def separate_cmd(
                 np.abs(np.abs(sol.root) - _closed_form_magnitudes(x)).max()),
             "fifth_axis_root": float(sol.root[4]),
         }
-    with open(out_path, "w") as fh:
-        for rec in lines:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        fh.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    _write_jsonl(out_path, lines + [{"summary": summary}])
     return summary

@@ -41,6 +41,7 @@ from .transform import (
     GAMMA,
     AngleCase,
     EulerAngles,
+    _row_norms,
     extra_angles,
     forward,
     invariant_products,
@@ -54,7 +55,6 @@ __all__ = [
     "wirtinger_gradients",
     "xi_laplacian",
     "fiber_phase_gradients",
-    "apply_T",
     "apply_euler_op",
     "casimir",
     "coupled_q",
@@ -209,27 +209,6 @@ def fiber_phase_gradients(
 
 
 # --- rotor generators -------------------------------------------------------
-
-def apply_T(
-    k: int, field: Callable[[np.ndarray], complex], xi: np.ndarray, d: DiffStrategy
-) -> complex:
-    """Apply the complex-space realization of the k-th left generator.
-
-    T1 is the phase Euler operator (xi.d - xi*.d*)/2; T2 and T3 contract
-    the gradients with the antisymmetric companion matrix.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    dh, da = wirtinger_gradients(field, xi, d)
-    if k == 1:
-        return 0.5 * (xi @ dh - xi.conj() @ da)
-    w = GAMMA.gamma_tilde @ xi
-    wc = np.conj(w)
-    if k == 2:
-        return 0.5j * (w @ da + wc @ dh)
-    if k == 3:
-        return 0.5 * (w @ da - wc @ dh)
-    raise ValueError("k must be 1, 2 or 3")
-
 
 # Generator names in the row order of the coefficient table.
 EULER_OPS = ("T1", "T2", "T3", "Q1", "Q2", "Q3")
@@ -515,9 +494,8 @@ def radial_duality_residual(p: OscillatorParams, x: np.ndarray, d: DiffStrategy)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return radial_duality_residual(p, x[None], d)[0]
-    # the unit-stride dot rounds as np.linalg.norm of each row does
-    psi = lambda y: np.exp(-p.omega * np.sqrt(np.vecdot(y, y)))
+    psi = lambda y: np.exp(-p.omega * _row_norms(y))
     lap = sum(_stencil(psi, x, _AXES, d.step2, order=2))
-    r = np.sqrt(np.vecdot(x, x))
+    r = _row_norms(x)
     val = -0.5 * lap - (p.Z / r) * psi(x)
     return np.abs(val - p.E * psi(x)) / psi(x)

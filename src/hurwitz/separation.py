@@ -41,7 +41,7 @@ from .opcalc import (
     coupled_q,
     momentum,
 )
-from .transform import AngleCase, EulerAngles, RPoint
+from .transform import AngleCase, EulerAngles, RPoint, _row_norms
 
 __all__ = [
     "J_CAP",
@@ -54,7 +54,6 @@ __all__ = [
     "build_h",
     "separation_roots",
     "det_bisection_roots",
-    "coefficients",
     "axis_solution",
     "angular_factor",
     "resolve_branch",
@@ -276,14 +275,13 @@ def det_bisection_roots(J: int, col):
     return roots[0] if single else roots
 
 
-def _null_vector(J: int, col, root, basis: bool = False) -> np.ndarray:
-    """The unit null vector of h(root), the first one if the root is
-    degenerate, phased so that its first component above 1e-8 of the max
-    is real positive: (2J+1,) for one column, (m, 2J+1) for a column stack
-    (m,) with one root per column, from one eigen-solve of the stack.  With
-    ``basis``, a degenerate root of one column gives the orthonormal basis
-    (2J+1, nullity) of its null space instead.  Raises ``ValueError`` where
-    no eigenvalue lies within 1e-8 of the root."""
+def _null_vector(J: int, col, root) -> np.ndarray:
+    """The unit null vector of h(root), ordered q = -J .. J: (2J+1,) for one
+    column, (m, 2J+1) for a column stack (m,) with one root per column, from
+    one eigen-solve of the stack.  A degenerate root (a vanishing column,
+    say) gives its first eigenvector within 1e-8.  The phase makes the first
+    component above 1e-8 of the max real positive.  Raises ``ValueError``
+    where no eigenvalue lies within 1e-8 of the root."""
     evals, evecs = np.linalg.eigh(build_h(J, col, 0.0))
     root = np.asarray(root, dtype=float)
     close = np.abs(evals - root[..., None]) <= 1e-8
@@ -294,8 +292,6 @@ def _null_vector(J: int, col, root, basis: bool = False) -> np.ndarray:
             f"{float(root[i])!r} is not a root within 1e-08 "
             f"(spectrum {np.sort(evals[i])})"
         )
-    if basis and close.sum() > 1:
-        return evecs[:, close].copy()
     first = np.argmax(close, axis=-1)[..., None, None]
     g = np.take_along_axis(evecs, first, axis=-1)[..., 0]
     mag = np.abs(g)
@@ -308,20 +304,6 @@ def _null_vector(J: int, col, root, basis: bool = False) -> np.ndarray:
 def _norms(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each complex vector v[..., :], summed as it sums one."""
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-def coefficients(J: int, col, a_root: float) -> np.ndarray:
-    """Unit null vector of h(a_root), ordered q = -J .. J, for one column.
-
-    For a simple root the vector is unique up to phase; the phase is fixed
-    by making the first component above 1e-8 of the max real positive, as
-    the column stacks of :func:`_null_vector` do.  If the numerical nullity
-    exceeds one, an orthonormal basis of the null space is returned instead
-    (shape (2J+1, nullity)); the realistic trigger is a vanishing potential
-    column, where every vector is null.  Raises ``ValueError`` when a_root
-    is not within 1e-8 of an eigenvalue.
-    """
-    return _null_vector(J, col, a_root, basis=True)
 
 
 @dataclass(frozen=True)
@@ -364,8 +346,7 @@ def _branch_roots(J: int, A: np.ndarray, branch) -> np.ndarray:
     """m(J, lam) * |A_lam.| per axis: B + (5,) for potentials B + (5, 3)."""
     sel = resolve_branch(branch)
     m = np.array([sel(J, lam) for lam in range(5)])
-    # unit-stride dots round as np.linalg.norm does on one row
-    return m * np.sqrt(np.vecdot(A, A))
+    return m * _row_norms(A)
 
 
 def angular_factor(J: int, p: int, g: np.ndarray, phi: EulerAngles):
@@ -390,8 +371,7 @@ def effective_terms(
     _check_spin(J)
     A = a_field_closed(x, case).A
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
-    # unit-stride dots round as np.linalg.norm does on one row
-    r = np.sqrt(np.vecdot(xv, xv))
+    r = _row_norms(xv)
     return _branch_roots(J, A, branch), (J * (J + 1) / (2.0 * r * r))[()]
 
 
@@ -427,9 +407,8 @@ def consistency_residual(
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
     single = xv.ndim == 1
     xv = np.atleast_2d(xv)
-    r0 = np.sqrt(np.vecdot(xv, xv))
+    r0 = _row_norms(xv)
     a_vec, centrifugal = effective_terms(J, xv, case, branch)
-    sel = resolve_branch(branch)
     dn = d.nested()
     # (phi1, phi2, phi3) per angle, drawn in that order
     drawn = np.random.default_rng(7).uniform(
@@ -463,8 +442,7 @@ def consistency_residual(
         # the reduced radial operator on Psi
         def a_at(y: np.ndarray) -> np.ndarray:
             # the branch eigenvalue re-evaluated at displaced base points
-            row = potential(y)[..., lam, :]
-            return sel(J, lam) * np.sqrt(np.vecdot(row, row))
+            return _branch_roots(J, potential(y), branch)[..., lam]
 
         def chi(y: np.ndarray) -> np.ndarray:
             return -1j * _stencil(test_psi, y, e, dn.step) - a_at(y) * test_psi(y)

@@ -54,6 +54,16 @@ GAMMA = build_gamma()
 TWO_PI = 2.0 * math.pi
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row x[..., :], B for x of shape B + (n,).
+
+    On rows of unit stride the dot sums in the order np.linalg.norm uses on
+    one row, so every row's norm equals its own one-row norm bit for bit (a
+    column-major stack rounds differently).
+    """
+    return np.sqrt(np.vecdot(x, x))
+
+
 @dataclass(frozen=True)
 class RPoint:
     """A point of the 5-dimensional target space with its cached radius, or
@@ -144,8 +154,7 @@ def forward(xi: Sequence[complex]) -> RPoint:
     if np.count_nonzero(np.abs(x.imag).max(axis=-1) > 1e-13 * scale):
         raise FloatingPointError("Hermitian form returned a non-real value")
     xr = x.real.copy()
-    # the unit-stride dot rounds as np.linalg.norm does on one point
-    return RPoint(xr, np.sqrt(np.vecdot(xr, xr))[()])
+    return RPoint(xr, _row_norms(xr)[()])
 
 
 def forward_octet(u: Sequence[float]) -> RPoint:
@@ -171,8 +180,7 @@ def forward_octet(u: Sequence[float]) -> RPoint:
         ],
         axis=-1,
     )
-    # the unit-stride dot rounds as np.linalg.norm does on one point
-    return RPoint(x, np.sqrt(np.vecdot(x, x))[()])
+    return RPoint(x, _row_norms(x)[()])
 
 
 @dataclass(frozen=True)
@@ -380,8 +388,7 @@ def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
     if case.offsets is not None:
         raise SectionFailed("closed-form section is defined for bare cases only")
     xv = np.ascontiguousarray(x.x if isinstance(x, RPoint) else x, dtype=float)
-    # the unit-stride dot rounds as np.linalg.norm does on one point
-    r = np.sqrt(np.vecdot(xv, xv))
+    r = _row_norms(xv)
     rho = r + case.axis_sign * xv[..., 4]
     if np.count_nonzero((r <= 0.0) | (rho <= 1e-9 * r)):
         raise SingularFiber(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,26 @@ from hurwitz.clifford import (
     clifford_residual,
     fierz_residual,
     gamma_tilde_commutation_table,
-    gamma_tilde_search,
 )
 
 G = build_gamma()
+
+
+def gamma_tilde_search(g):
+    """Try every +-i g_a g_b (a < b) as the companion matrix.
+
+    Returns the 20 candidates as (a, b, sign, residual) tuples (0-indexed
+    a, b), sorted by residual then enumeration order, so the best candidate
+    is first: the oracle behind the companion-matrix choice.
+    """
+    results = []
+    for a in range(5):
+        for b in range(a + 1, 5):
+            for sign in (1, -1):
+                cand = sign * 1j * g.gamma[a] @ g.gamma[b]
+                results.append((a, b, sign, fierz_residual(replace(g, gamma_tilde=cand))))
+    results.sort(key=lambda t: (t[3], t[:3]))
+    return results
 
 
 def test_fifth_generator_is_diagonal_beta():
@@ -53,15 +71,11 @@ def test_anticommutation_residual_zero():
 
 
 def test_identity_in_place_of_fifth_generator_breaks_algebra():
-    from dataclasses import replace
-
     bad = np.concatenate([G.gamma[:4], np.eye(4, dtype=complex)[None]])
     assert clifford_residual(replace(G, gamma=bad)) >= 2.0
 
 
 def test_residual_grows_linearly_under_hermitian_perturbation():
-    from dataclasses import replace
-
     rng = np.random.default_rng(0)
     H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     H = H + H.conj().T
@@ -106,8 +120,6 @@ def test_commutation_table_classification():
 
 
 def test_commutation_table_identity_commutes_with_all():
-    from dataclasses import replace
-
     fake = replace(G, gamma_tilde=np.eye(4, dtype=complex))
     table = gamma_tilde_commutation_table(fake)
     assert all(v == "commutes" for v in table.values())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -963,6 +964,18 @@ def test_cli_verify_rejects_bad_config(tmp_path):
     assert main(["verify", "--config", str(cfg_file)]) == 2
     cfg_file.write_text(json.dumps({"bogus_key": 1}))
     assert main(["verify", "--config", str(cfg_file)]) == 2
+
+
+def test_cli_verify_accepts_every_config_field(tmp_path, capsys):
+    # the accepted keys are SuiteConfig's fields, no more and no fewer
+    settings = dataclasses.asdict(SuiteConfig())
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(settings))
+    assert main(["verify", "--config", str(cfg_file)]) in (0, 1)
+    cfg_file.write_text(json.dumps({**settings, "J_maximum": 3}))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    assert "J_maximum" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

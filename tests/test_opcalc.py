@@ -9,7 +9,6 @@ from hurwitz.opcalc import (
     DiffStrategy,
     OscillatorParams,
     apply_euler_op,
-    apply_T,
     casimir,
     casimir_residual,
     commutator_residuals,
@@ -75,31 +74,6 @@ def trig_field():
         )
 
     return g
-
-
-# --- complex-space generator -------------------------------------------------
-
-def test_phase_euler_op_on_monomial():
-    xi = random_xi()
-    got = apply_T(1, lambda z: z[..., 0], xi, D)
-    assert abs(got - 0.5 * xi[0]) < 1e-9
-
-
-def test_phase_euler_op_kills_norm_and_constants():
-    xi = random_xi()
-    assert abs(apply_T(1, lambda z: np.vecdot(z, z).real, xi, D)) < 1e-9
-    assert abs(apply_T(1, lambda z: 3.7 + 0j, xi, D)) < 1e-12
-
-
-def test_second_and_third_generators_kill_base_functions():
-    # every Hermitian-form coordinate is annihilated by all three
-    from hurwitz.transform import forward
-
-    xi = random_xi()
-    for k in (1, 2, 3):
-        for lam in range(5):
-            val = apply_T(k, lambda z, _l=lam: forward(z).x[..., _l], xi, D)
-            assert abs(val) < 1e-8
 
 
 # --- angle-chart generators ---------------------------------------------------

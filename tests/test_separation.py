@@ -8,10 +8,10 @@ from hurwitz.harness import SuiteConfig, _result
 from hurwitz.opcalc import DiffStrategy, apply_euler_op
 from hurwitz.separation import (
     _continuant,
+    _null_vector,
     angular_factor,
     axis_solution,
     build_h,
-    coefficients,
     consistency_residual,
     det_bisection_roots,
     effective_terms,
@@ -408,10 +408,10 @@ def test_bisection_oracle_agrees_with_eigensolver(J):
 
 
 def test_null_vector_diagonal_case():
-    g = coefficients(1, (0.5, 0.0, 0.0), 0.5)
+    g = _null_vector(1, (0.5, 0.0, 0.0), 0.5)
     # root +A1 pins the top ladder component (last in ascending order)
     assert np.allclose(g, [0, 0, 1])
-    g = coefficients(1, (0.5, 0.0, 0.0), -0.5)
+    g = _null_vector(1, (0.5, 0.0, 0.0), -0.5)
     assert np.allclose(g, [1, 0, 0])
 
 
@@ -421,26 +421,27 @@ def test_null_vector_residuals():
         col = random_column()
         roots = separation_roots(J, col)
         root = float(roots[int(rng.integers(0, 2 * J + 1))])
-        g = coefficients(J, col, root)
-        if g.ndim == 2:
-            g = g[:, 0]
+        g = _null_vector(J, col, root)
         assert np.linalg.norm(build_h(J, col, root) @ g) < 1e-10
         assert np.linalg.norm(g) == pytest.approx(1.0)
 
 
 def test_spin_zero_coefficients():
-    assert np.allclose(coefficients(0, (0.3, 0.1, 0.1), -0.0), [1.0])
+    assert np.allclose(_null_vector(0, (0.3, 0.1, 0.1), -0.0), [1.0])
 
 
-def test_degenerate_root_returns_basis():
-    basis = coefficients(1, (0.0, 0.0, 0.0), 0.0)
-    assert basis.shape == (3, 3)
-    assert np.abs(basis.conj().T @ basis - np.eye(3)).max() < 1e-12
+def test_degenerate_root_returns_first_null_vector():
+    # a vanishing column makes every vector null
+    col = (0.0, 0.0, 0.0)
+    g = _null_vector(1, col, 0.0)
+    assert g.shape == (3,)
+    assert np.linalg.norm(g) == pytest.approx(1.0)
+    assert np.linalg.norm(build_h(1, col, 0.0) @ g) < 1e-12
 
 
 def test_not_a_root_raises():
     with pytest.raises(ValueError):
-        coefficients(1, (0.5, 0.0, 0.0), 0.123)
+        _null_vector(1, (0.5, 0.0, 0.0), 0.123)
 
 
 # --- per-axis solutions on the closed potential --------------------------------------
