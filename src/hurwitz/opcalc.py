@@ -141,7 +141,7 @@ def _stencil(fn, pts, dirs, h: float, order: int = 1):
     ys = pts + steps.reshape(steps.shape[:-1] + pad + steps.shape[-1:])
     v = fn(ys)
     if np.ndim(v) < ys.ndim - 1:  # constant along the stencil (a constant field)
-        v = np.broadcast_to(v, ys.shape[:-1])
+        v = np.broadcast_to(v, np.broadcast_shapes(ys.shape[:-1], np.shape(v)))
     return _combine(v, h, order)
 
 
@@ -250,7 +250,7 @@ def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
     ))
     v = field(pts)
     if np.ndim(v) < len(pad) + 2:  # a field constant in the angles
-        v = np.broadcast_to(v, np.shape(pts.phi1))
+        v = np.broadcast_to(v, np.broadcast_shapes(np.shape(pts.phi1), np.shape(v)))
     return _combine([v[(..., o) + (slice(None),) * len(pad)] for o in range(4)], h)
 
 
@@ -327,16 +327,21 @@ def momentum(
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
     ``lam`` is an axis or an array of axes L; ``xs`` has shape B + (5,) and
-    the angles shape S, both broadcast to one batch shape that trails the
-    stencils' axes.  ``field(ys, angles)`` maps base points B' + (5,)
-    and angles S' to the broadcast shape of B' and S' (a field constant in
-    either broadcasts); it is called once on the displaced points of all
-    axes and once over the angle stencil.  ``potential(ys)`` gives the
-    B' + (5, 3) potentials and is called once.  Returns L + broadcast(B, S).
+    the angles shape S.  Both are left-padded with unit axes to the rank of
+    broadcast(B, S), which trails the stencils' axes; the batch itself is
+    never materialised, so x-only work (the potential, a field's x part)
+    runs at the size of B and angle-only work at the size of S, and the two
+    meet by broadcasting inside the field.  ``field(ys, angles)`` maps base
+    points B' + (5,) and angles S' to the broadcast shape of B' and S' (a
+    field constant in either broadcasts); it is called once on the
+    displaced points of all axes and once over the angle stencil.
+    ``potential(ys)`` gives the B' + (5, 3) potentials and is called once.
+    Returns L + broadcast(B, S).
     """
-    batch = np.broadcast_shapes(np.shape(xs)[:-1], np.shape(phi.phi1))
-    xs = np.broadcast_to(xs, batch + (5,))
-    phi = EulerAngles(*(np.broadcast_to(c, batch) for c in (phi.phi1, phi.phi2, phi.phi3)))
+    nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1))
+    pad = lambda a, rank: np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a))
+    xs = pad(xs, nb + 1)
+    phi = EulerAngles(*(pad(c, nb) for c in (phi.phi1, phi.phi2, phi.phi3)))
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
     row = np.moveaxis(potential(xs), -2, 0)[lam]
     return -1j * der + coupled_q(row, _images(lambda ang: field(xs, ang), phi, d))

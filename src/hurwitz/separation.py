@@ -96,18 +96,22 @@ def _d_terms(J: int, q: int, p: int) -> tuple[float, tuple]:
     return pref, tuple(terms)
 
 
+def _d_value(J: int, q: int, p: int, c, s):
+    """d^J_{q,p} from the cosine and sine of the half angle."""
+    pref, terms = _d_terms(J, q, p)
+    total = 0.0
+    for coef, a, b in terms:
+        total += coef * c**a * s**b
+    return pref * total
+
+
 def wigner_d(J: int, q: int, p: int, beta):
     """Small rotation-matrix element d^J_{q,p}(beta) (real convention),
     elementwise over an array of angles; a float angle is a one-element
     array, so it gives exactly the value it has in any stack.
     """
-    pref, terms = _d_terms(J, q, p)
     half = np.atleast_1d(beta) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    total = 0.0
-    for coef, a, b in terms:
-        total += coef * c**a * s**b
-    return (pref * total).reshape(np.shape(beta))[()]
+    return _d_value(J, q, p, np.cos(half), np.sin(half)).reshape(np.shape(beta))[()]
 
 
 def wigner_d_prime(J: int, q: int, p: int, beta):
@@ -134,12 +138,22 @@ def _angle_arrays(phi: EulerAngles):
     return [np.atleast_1d(v) for v in vals], np.broadcast(*vals).shape
 
 
+def _basis(J: int, qs, p: int, phi: EulerAngles) -> list:
+    """phi^J_{q,p} for each q of ``qs`` at the given angles (or batch, whose
+    attributes broadcast), from one cos/sin of phi3/2 and one e^{ip phi1}
+    shared by every q; float angles are a one-element batch."""
+    (phi1, phi2, phi3), shape = _angle_arrays(phi)
+    half = phi3 / 2.0
+    c, s = np.cos(half), np.sin(half)
+    e1 = np.exp(1j * p * phi1)
+    return [(np.exp(1j * q * phi2) * _d_value(J, q, p, c, s) * e1).reshape(shape)[()]
+            for q in qs]
+
+
 def wigner(J: int, q: int, p: int, phi: EulerAngles):
     """Angular basis element phi^J_{q,p} at the given angles (or batch,
     whose attributes broadcast); float angles are a one-element batch."""
-    (phi1, phi2, phi3), shape = _angle_arrays(phi)
-    out = np.exp(1j * q * phi2) * wigner_d(J, q, p, phi3) * np.exp(1j * p * phi1)
-    return out.reshape(shape)[()]
+    return _basis(J, (q,), p, phi)[0]
 
 
 def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles):
@@ -351,10 +365,15 @@ def _branch_roots(J: int, A: np.ndarray, branch) -> np.ndarray:
 
 def angular_factor(J: int, p: int, g: np.ndarray, phi: EulerAngles):
     """sum_q g_q phi^J_{q,p} at ``phi`` for coefficients ``g`` ordered
-    q = -J .. J.  ``g`` of shape (2J+1,) + N holds one vector per sample
-    (N broadcasts against the trailing axes of the angles)."""
-    return sum(g[J_plus_q] * wigner(J, J_plus_q - J, p, phi)
-               for J_plus_q in range(2 * J + 1))
+    q = -J .. J, from one evaluation of the 2J+1 basis elements.  ``g`` of
+    shape (2J+1,) + N holds one vector per sample (N broadcasts against the
+    trailing axes of the angles)."""
+    return _weighted(g, _basis(J, range(-J, J + 1), p, phi))
+
+
+def _weighted(g: np.ndarray, basis: list):
+    """sum_q g_q phi_q over a basis of :func:`_basis`, in q order."""
+    return sum(g[J_plus_q] * b for J_plus_q, b in enumerate(basis))
 
 
 def effective_terms(
@@ -399,9 +418,13 @@ def consistency_residual(
 
     ``x`` is one base point (5,), giving a float, or a stack (m, 5), giving
     one residual per point from one evaluation of each operator per axis
-    (the angles form the axis in front of the points').  ``test_psi`` maps
-    base points B + (5,) to B (a constant may return a scalar); parameters
-    of shape (m,) broadcast against the points' trailing axis.
+    (the angles form the axis in front of the points').  The five axes'
+    null vectors come from one column-stack solve, and the five angular
+    factors share one evaluation of the basis per distinct angle stack: the
+    drawn angles, their 12-point stencil and the 144-point nested stencil,
+    held in a table that lives for one call.  ``test_psi`` maps base points
+    B + (5,) to B (a constant may return a scalar); parameters of shape
+    (m,) broadcast against the points' trailing axis.
     """
     _check_spin(J, p)
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
@@ -420,13 +443,24 @@ def consistency_residual(
     potential = lambda ys: a_field_closed(ys, case).A
     A0 = potential(xv)
     psi0 = test_psi(xv)
-    columns = potential_columns(A0)
+    # the five axes' null vectors as one column stack, (5, m, 2J+1)
+    gs = _null_vector(J, potential_columns(A0), -a_vec.T)
+    bases = {}
+
+    def basis(ang: EulerAngles) -> list:
+        # the 2J+1 basis elements at one angle stack, evaluated once and
+        # shared by every axis's angular factor
+        key = tuple((np.shape(c), np.asarray(c).tobytes())
+                    for c in (ang.phi1, ang.phi2, ang.phi3))
+        if key not in bases:
+            bases[key] = _basis(J, range(-J, J + 1), p, ang)
+        return bases[key]
 
     residuals = []
     for lam in range(5):
         e = np.eye(5)[lam]
-        g = _null_vector(J, [c[lam] for c in columns], -a_vec[:, lam]).T
-        G = lambda ang: angular_factor(J, p, g, ang)
+        g = gs[lam].T
+        G = lambda ang: _weighted(g, basis(ang))
 
         def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
             # P_lam (Psi G), a field over (x, angles)

@@ -1,7 +1,10 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,14 +15,38 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
+def _files(tree):
+    return sorted(os.path.relpath(os.path.join(d, f), tree)
+                  for d, _, names in os.walk(tree) for f in names)
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    """This tree's outputs, written once by the gate's child process, and a
-    copy of them as the change side."""
-    out = tmp_path_factory.mktemp("gate")
-    gate.run_tree(ROOT, str(out / "parent"))
-    shutil.copytree(out / "parent", out / "change")
-    return out
+def gate_run(tmp_path_factory):
+    """One ``gate.main`` run over two copies of this tree's ``src`` and
+    ``bench``, named by relative paths with a relative ``--out``, from a
+    temporary working directory; each child runs with its tree as the
+    working directory, so both must be resolved against the caller's."""
+    base = tmp_path_factory.mktemp("gate")
+    trees = ["parent_tree", "change_tree"]
+    for tree in trees:
+        for sub in ("src", "bench"):
+            shutil.copytree(os.path.join(ROOT, sub), base / tree / sub,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+    before = [_files(base / tree) for tree in trees]
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(printed):
+        mp.chdir(base)
+        mp.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        code = gate.main([*trees, "--out", "gate_out"])
+    return SimpleNamespace(
+        code=code, lines=printed.getvalue().splitlines(), out=base / "gate_out",
+        before=before, after=[_files(base / tree) for tree in trees])
+
+
+@pytest.fixture(scope="module")
+def outputs(gate_run):
+    """The two trees' outputs, written by the gate's child processes."""
+    return gate_run.out
 
 
 def _printed(capsys):
@@ -108,23 +135,8 @@ def test_an_unreadable_report_is_one_error_line(outputs, tmp_path, capsys):
         ["verify_201.json", "ERROR"]]
 
 
-def _files(tree):
-    return sorted(os.path.relpath(os.path.join(d, f), tree)
-                  for d, _, names in os.walk(tree) for f in names)
-
-
-def test_a_relative_out_is_written_outside_both_trees(tmp_path, monkeypatch, capsys):
-    # each child runs with its tree as the working directory, so a relative
-    # --out (and relative trees) must be resolved against the caller's
-    trees = ["parent_tree", "change_tree"]
-    for tree in trees:
-        for sub in ("src", "bench"):
-            shutil.copytree(os.path.join(ROOT, sub), tmp_path / tree / sub,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-    before = [_files(tmp_path / tree) for tree in trees]
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    assert gate.main([*trees, "--out", "gate_out"]) == 0
-    assert [_files(tmp_path / tree) for tree in trees] == before
-    assert sorted(os.listdir(tmp_path / "gate_out")) == ["change", "parent"]
-    assert all(line.split()[1] == "PASS" for line in _printed(capsys))
+def test_a_relative_out_is_written_outside_both_trees(gate_run):
+    assert gate_run.code == 0
+    assert gate_run.after == gate_run.before
+    assert sorted(os.listdir(gate_run.out)) == ["change", "parent"]
+    assert all(line.split()[1] == "PASS" for line in gate_run.lines)

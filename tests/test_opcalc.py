@@ -448,6 +448,70 @@ def field_poly(x, phi):
     )
 
 
+# --- rank padding: momentum against its explicitly broadcast call ---------------
+
+def broadcast_momentum(lam, f, potential, xs, phi, d):
+    """momentum with the points and angles materialised at the batch shape
+    before the call, so that its rank padding has nothing to pad."""
+    batch = np.broadcast_shapes(np.shape(xs)[:-1], np.shape(phi.phi1))
+    phi = EulerAngles(*(np.broadcast_to(c, batch) for c in (phi.phi1, phi.phi2, phi.phi3)))
+    return momentum(lam, f, potential, np.broadcast_to(xs, batch + (5,)), phi, d)
+
+
+PADDED_XS = np.array([[0.4, -0.7, 0.2, 0.5, 0.3], [-0.3, 0.6, 0.9, -0.2, 0.1],
+                      [0.8, 0.1, -0.5, 0.3, 0.6]])
+
+
+def padded_angles(shape, seed):
+    lo, hi = [0.0, 0.0, 0.5], [2 * math.pi, 2 * math.pi, math.pi - 0.5]
+    drawn = np.random.default_rng(seed).uniform(lo, hi, shape + (3,))
+    return EulerAngles(*np.moveaxis(drawn, -1, 0))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        field_gaussian,
+        # constant in x
+        lambda ys, ang: 1 + 0.4 * np.cos(ang.phi1 + ang.phi2) + 0.3 * np.sin(ang.phi3),
+        # constant in the angles
+        lambda ys, ang: np.exp(-0.35 * np.vecdot(ys, ys)) * (1 + 0.2 * ys[..., 0]),
+    ],
+    ids=["both", "constant_in_x", "constant_in_angles"],
+)
+def test_rank_padded_momentum_equals_the_broadcast_call_exactly(f):
+    # angles (k, 1) against points (m,), as consistency_residual batches them
+    phi = padded_angles((2, 1), seed=3)
+    seen = []
+
+    def potential(ys):
+        seen.append(np.shape(ys))
+        return a_field_closed(ys, CASE_A).A
+
+    got = momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
+    # the potential ran at the points' own size, not the batch's
+    assert seen == [(1, 3, 5)]
+    want = broadcast_momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
+    assert got.shape == want.shape == (5, 2, 3)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("angle_shape", [(3,), (2, 1)], ids=["per_point", "k_by_1"])
+def test_rank_padded_nested_momentum_equals_the_broadcast_call_exactly(angle_shape):
+    # P_lam P_lam f as laplacian_split builds it: the inner call sees points
+    # (4,) + B + (5,) from the outer stencil against angles of lower rank
+    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    phi = padded_angles(angle_shape, seed=4)
+    for lam in (0, 4):
+        inner = lambda ys, ang: momentum(lam, field_poly, potential, ys, ang, D3)
+        inner_ref = lambda ys, ang: broadcast_momentum(lam, field_poly, potential,
+                                                       ys, ang, D3)
+        got = momentum(lam, inner, potential, PADDED_XS, phi, D3)
+        want = broadcast_momentum(lam, inner_ref, potential, PADDED_XS, phi, D3)
+        assert got.shape == want.shape == np.broadcast_shapes((3,), angle_shape)
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
 @pytest.mark.parametrize(
     "which", ["derivative_split", "momentum_equivalence", "laplacian_split"]

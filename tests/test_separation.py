@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hurwitz import separation
 from hurwitz.gauge import a_field_closed
 from hurwitz.harness import SuiteConfig, _result
 from hurwitz.opcalc import DiffStrategy, apply_euler_op
@@ -491,6 +492,27 @@ def test_spin_zero_angular_factor_constant():
     assert np.abs(np.diff(vals)).max() < 1e-14
 
 
+@pytest.mark.parametrize("J", range(4))
+def test_angular_factor_equals_its_wigner_sum_exactly(J):
+    # one basis evaluation shared by every q rounds as 2J+1 wigner calls do
+    gen = np.random.default_rng(40 + J)
+    lo, hi = [0.0, 0.0, 0.3], [2 * math.pi, 2 * math.pi, math.pi - 0.3]
+    n = 2 * J + 1
+    cases = [
+        (EulerAngles(*map(float, gen.uniform(lo, hi))),
+         gen.standard_normal(n) + 1j * gen.standard_normal(n)),
+        # angles (k, 1) against one coefficient vector per sample (m,)
+        (EulerAngles(*gen.uniform(lo, hi, (4, 3)).T[:, :, None]),
+         gen.standard_normal((n, 3)) + 1j * gen.standard_normal((n, 3))),
+    ]
+    for p in range(-J, J + 1):
+        for phi, g in cases:
+            want = sum(g[i] * wigner(J, i - J, p, phi) for i in range(n))
+            got = angular_factor(J, p, g, phi)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
 # --- effective per-axis terms -----------------------------------------------------
 
 def test_effective_terms_at_pole():
@@ -578,3 +600,34 @@ def test_consistency_nan_field_fails():
     assert math.isnan(res)
     rec = _result(SuiteConfig(), "separation_consistency_J1", "-", 1, res, 1e-3)
     assert not rec.passed
+
+
+def test_consistency_null_vectors_are_one_stack_of_the_axis_solves():
+    # the five axes' columns (5, m) in one solve, row lam bit for bit that
+    # axis's own (m,) solve
+    x = np.array([[0.5, -0.6, 0.3, 0.4, 0.35], [-0.7, 0.2, 0.9, -0.1, 0.4]])
+    for J in range(4):
+        a_vec, _ = effective_terms(J, x, CASE_A, "alternating")
+        cols = potential_columns(a_field_closed(x, CASE_A).A)
+        stack = _null_vector(J, cols, -a_vec.T)
+        for lam in range(5):
+            row = _null_vector(J, [c[lam] for c in cols], -a_vec[:, lam])
+            assert np.array_equal(stack[lam], row)
+
+
+def test_consistency_evaluates_the_basis_once_per_angle_stack(monkeypatch):
+    # the drawn angles, their 12-point stencil and the 144-point nested
+    # stencil: three evaluations shared by the five axes and every operator
+    shapes = []
+    basis = separation._basis
+
+    def counted(J, qs, p, phi):
+        shapes.append(np.shape(phi.phi1))
+        return basis(J, qs, p, phi)
+
+    monkeypatch.setattr(separation, "_basis", counted)
+    psi = lambda y: np.exp(-np.linalg.norm(y, axis=-1))
+    x = np.array([[0.5, -0.6, 0.3, 0.4, 0.35], [-0.7, 0.2, 0.9, -0.1, 0.4]])
+    res = consistency_residual(1, 0, psi, x, CASE_A, "alternating", D)
+    assert np.all(res < 1e-3)
+    assert sorted(shapes, key=len) == [(4, 1), (3, 4, 4, 1), (3, 4, 3, 4, 4, 1)]
