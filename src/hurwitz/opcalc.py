@@ -23,10 +23,14 @@ last axis on both sides.  An operator calls its field once on all of its
 stencil points: the 12 displaced copies of each angle give the three angle
 derivatives, which a coefficient table turns into all six generator images
 (a nested pair is one call on 144 copies); ``_stencil`` displaces points
-along the 8 real directions of C^4 or the base axes.  Angle fields are
-functions on R^3 (no folding), so angle-periodic test fields are expected.
-Phase-type fiber functions are differentiated via their unit-modulus
-exponentials, which keeps stencils off branch cuts.
+along the 8 real directions of C^4 or the base axes.  Work that does not
+depend on the base axis is done once for all five: the momentum of an array
+of axes is one field with the axis in front, whose angle side (coefficient
+table, generator images) is evaluated once and read by each axis from its
+own slice.  Angle fields are functions on R^3 (no folding), so
+angle-periodic test fields are expected.  Phase-type fiber functions are
+differentiated via their unit-modulus exponentials, which keeps stencils
+off branch cuts.
 """
 
 from __future__ import annotations
@@ -336,7 +340,9 @@ def momentum(
     field constant in either broadcasts); it is called once on the
     displaced points of all axes and once over the angle stencil.
     ``potential(ys)`` gives the B' + (5, 3) potentials and is called once.
-    Returns L + broadcast(B, S).
+    Returns L + broadcast(B, S).  An array of axes shares one angle side:
+    one coefficient table and one set of Q images serve every axis, and row
+    lam of the potential meets them in slice lam.
     """
     nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1))
     pad = lambda a, rank: np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a))
@@ -415,6 +421,12 @@ def identity_residual(
                              against its complex-space form; relative;
       "laplacian_split"      the second-order split: r p^2 + Casimir/r
                              against minus the complex Laplacian; relative.
+                             p^2 = sum_lam P_lam P_lam f in axis order, with
+                             the five axes in one pass: the inner field is the
+                             momentum of all five axes, whose Q images (one
+                             angle side) give every outer Q coupling, and the
+                             five x-stencils are one stack of displaced points
+                             where each axis reads its own P_lam f.
 
     ``xi`` is one point (4,), giving a float, or a stack B + (4,), giving one
     residual per point, each scaled by its own point's values.  ``field``
@@ -451,13 +463,19 @@ def identity_residual(
 
     if which == "laplacian_split":
         dn = d.nested()
-
-        def p_squared(lam: int) -> complex:
-            # the outer P_lam of P_lam f, itself a field over (x, angles)
-            inner = lambda ys, ang: momentum(lam, field, potential, ys, ang, dn)
-            return momentum(lam, inner, potential, pt.x, phi, dn)
-
-        p_sq = sum(p_squared(lam) for lam in range(5))
+        axes = np.arange(5)
+        # P_lam f of all five axes, a field over (x, angles) with the axis in front
+        inner = lambda ys, ang: momentum(axes, field, potential, ys, ang, dn)
+        # the outer P_lam of P_lam f: the x-stencils of the five axes as one
+        # stack (offsets, axes) + B, where each axis reads its own P_lam f,
+        # and the Q images of the five-axis inner field, whose slice lam
+        # meets row lam of the potential
+        own = lambda v: np.swapaxes(v[axes, :, axes], 0, 1)
+        der = _stencil(lambda ys: own(inner(ys, phi)), pt.x, _AXES, dn.step)
+        row = np.moveaxis(potential(pt.x), -2, 0)
+        images = _images(lambda ang: inner(pt.x, ang), phi, dn)
+        # summed in axis order, as a running total
+        p_sq = sum(-1j * der + coupled_q(row, images))
         lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
         rhs = -xi_laplacian(g, xi, d)
         return _rel_max(lhs, rhs, xi.ndim - 1)

@@ -33,13 +33,15 @@ from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
     EULER_OPS,
+    _AXES,
+    _OFFSETS,
     DiffStrategy,
     OscillatorParams,
+    _casimir,
+    _combine,
     _stencil,
     apply_euler_op,
-    casimir,
     coupled_q,
-    momentum,
 )
 from .transform import AngleCase, EulerAngles, RPoint, _row_norms
 
@@ -417,14 +419,21 @@ def consistency_residual(
     under step refinement.  The oscillator constants are those of omega = 1.
 
     ``x`` is one base point (5,), giving a float, or a stack (m, 5), giving
-    one residual per point from one evaluation of each operator per axis
-    (the angles form the axis in front of the points').  The five axes'
-    null vectors come from one column-stack solve, and the five angular
-    factors share one evaluation of the basis per distinct angle stack: the
-    drawn angles, their 12-point stencil and the 144-point nested stencil,
-    held in a table that lives for one call.  ``test_psi`` maps base points
-    B + (5,) to B (a constant may return a scalar); parameters of shape
-    (m,) broadcast against the points' trailing axis.
+    one residual per point.  The five axes run in one pass: the angles
+    (n_angles, 1, 1) meet arrays (5, m) of the axes at the points.  The
+    five null vectors come from one column-stack solve, and the five
+    angular factors are one field G of shape S + (5, m).  G and its six
+    generator images are evaluated once per distinct angle stack (the
+    drawn angles, their 12-point stencil and, for G, the 144-point nested
+    stencil), held in tables that live for one call, and every operator
+    serves all five axes: G's images at the drawn angles, the outer angle
+    images of one five-axis inner field, and the Q Casimir from the images
+    of G's images.  The five x-stencils are one stack of displaced points,
+    axis lam displaced along itself, whose potential, Psi and Psi
+    derivative serve both the transformed side and the reduced operator.
+    ``test_psi`` maps base points B + (5,) to B (a constant may return a
+    scalar); parameters of shape (m,) broadcast against the points'
+    trailing axis.
     """
     _check_spin(J, p)
     xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
@@ -436,60 +445,74 @@ def consistency_residual(
     # (phi1, phi2, phi3) per angle, drawn in that order
     drawn = np.random.default_rng(7).uniform(
         [0.0, 0.0, 0.5], [2 * math.pi, 2 * math.pi, math.pi - 0.5], (n_angles, 3))
-    # one batch of n_angles angles, (n_angles, 1) against the points (m,)
-    angles = EulerAngles(*drawn.T[:, :, None])
+    # one batch of n_angles angles, (n_angles, 1, 1) against the five axes'
+    # arrays over the points, (5, m)
+    angles = EulerAngles(*drawn.T[:, :, None, None])
     params = OscillatorParams.from_omega(1.0)
     coulomb = params.Z / r0 + params.E
     potential = lambda ys: a_field_closed(ys, case).A
     A0 = potential(xv)
     psi0 = test_psi(xv)
-    # the five axes' null vectors as one column stack, (5, m, 2J+1)
-    gs = _null_vector(J, potential_columns(A0), -a_vec.T)
-    bases = {}
+    # the five axes' null vectors as one column stack, g (2J+1, 5, m)
+    g = np.moveaxis(_null_vector(J, potential_columns(A0), -a_vec.T), -1, 0)
 
-    def basis(ang: EulerAngles) -> list:
-        # the 2J+1 basis elements at one angle stack, evaluated once and
-        # shared by every axis's angular factor
-        key = tuple((np.shape(c), np.asarray(c).tobytes())
-                    for c in (ang.phi1, ang.phi2, ang.phi3))
-        if key not in bases:
-            bases[key] = _basis(J, range(-J, J + 1), p, ang)
-        return bases[key]
+    def per_stack(fn):
+        # fn evaluated once per distinct angle stack, in a table that lives
+        # for one call
+        table = {}
 
-    residuals = []
-    for lam in range(5):
-        e = np.eye(5)[lam]
-        g = gs[lam].T
-        G = lambda ang: _weighted(g, basis(ang))
+        def cached(ang: EulerAngles) -> np.ndarray:
+            key = tuple((np.shape(c), np.asarray(c).tobytes())
+                        for c in (ang.phi1, ang.phi2, ang.phi3))
+            if key not in table:
+                table[key] = fn(ang)
+            return table[key]
 
-        def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
-            # P_lam (Psi G), a field over (x, angles)
-            images = apply_euler_op(EULER_OPS, G, ang, dn)
-            q = coupled_q(potential(ys)[..., lam, :], images)
-            dpsi_ys = _stencil(test_psi, ys, e, dn.step)
-            return -1j * (dpsi_ys * G(ang)) + test_psi(ys) * q
+        return cached
 
-        outer = momentum(lam, inner, potential, xv, angles, dn)
-        qsq = casimir("Q", G, angles, dn)
-        g0 = G(angles)
+    # the five angular factors as one field, axis lam in slice lam, and
+    # their six generator images
+    G = per_stack(lambda ang: _weighted(g, _basis(J, range(-J, J + 1), p, ang)))
+    images = per_stack(lambda ang: apply_euler_op(EULER_OPS, G, ang, dn))
+    row = np.moveaxis(A0, -2, 0)
+    dpsi0 = _stencil(test_psi, xv, _AXES, dn.step)
 
-        # the reduced radial operator on Psi
-        def a_at(y: np.ndarray) -> np.ndarray:
-            # the branch eigenvalue re-evaluated at displaced base points
-            return _branch_roots(J, potential(y), branch)[..., lam]
+    def inner(ang: EulerAngles) -> np.ndarray:
+        # P_lam (Psi G) of every axis at the undisplaced points, over the angles
+        q = coupled_q(row, images(ang))
+        return -1j * (dpsi0 * G(ang)) + psi0 * q
 
-        def chi(y: np.ndarray) -> np.ndarray:
-            return -1j * _stencil(test_psi, y, e, dn.step) - a_at(y) * test_psi(y)
+    # the x-stencils of the five axes as one stack (offsets, axes, m): axis
+    # lam displaced along itself, where each axis reads its own potential
+    # row and branch root, and Psi's derivative along that axis
+    steps = np.multiply.outer(_OFFSETS * dn.step, _AXES)[:, :, None]
+    ys = xv + steps
+    A_ys = potential(ys)
+    own = lambda v: np.moveaxis(np.diagonal(v, axis1=1, axis2=3), -1, 1)
+    a_ys = own(_branch_roots(J, A_ys, branch))
+    # Psi at the displaced points, broadcast if it is a constant
+    psi = lambda y: np.broadcast_to(test_psi(y), np.shape(y)[:-1])
+    psi_ys = psi(ys)
+    dpsi_ys = _combine(psi(ys + steps[:, None]), dn.step)
+    g0 = G(angles)
+    q_ys = coupled_q(own(A_ys)[:, None], images(angles))
+    der = _combine(-1j * (dpsi_ys[:, None] * g0) + psi_ys[:, None] * q_ys, dn.step)
+    outer = -1j * der + coupled_q(row, apply_euler_op(EULER_OPS, inner, angles, dn))
+    # the Q Casimir from the nested pair: the images of G's images
+    qsq = _casimir(apply_euler_op(EULER_OPS, images, angles, dn), "Q")
 
-        reduced = -1j * _stencil(chi, xv, e, dn.step) - a_at(xv) * chi(xv)
+    # the reduced radial operator on Psi, with each axis's branch eigenvalue
+    # at its displaced points
+    chi_ys = -1j * dpsi_ys - a_ys * psi_ys
+    chi0 = -1j * dpsi0 - a_vec.T * psi0
+    reduced = -1j * _combine(chi_ys, dn.step) - a_vec.T * chi0
 
-        # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
-        # terms rides along with each axis; summed over the five axes this
-        # is exactly "transformed operator minus reduced operator"
-        lhs = 0.5 * outer + (qsq / (2.0 * r0 * r0) - coulomb * g0) * psi0 / 5.0
-        rhs = g0 * (0.5 * reduced + (centrifugal - coulomb) * psi0 / 5.0)
-        residuals.append(np.abs(lhs - rhs))
+    # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
+    # terms rides along with each axis; summed over the five axes this
+    # is exactly "transformed operator minus reduced operator"
+    lhs = 0.5 * outer + (qsq / (2.0 * r0 * r0) - coulomb * g0) * psi0 / 5.0
+    rhs = g0 * (0.5 * reduced + (centrifugal - coulomb) * psi0 / 5.0)
     # np.max keeps a NaN residual (the builtin max would drop it after a
     # finite one) and picks the same float as max on finite values
-    worst = np.max(residuals, axis=(0, 1), initial=0.0)
+    worst = np.max(np.abs(lhs - rhs), axis=(0, 1), initial=0.0)
     return float(worst[0]) if single else worst

@@ -219,6 +219,25 @@ def test_row_of_a_stack_is_its_one_row_and_one_point_call(name, seed, n, tag):
             assert np.array_equal(point, want)
 
 
+@pytest.mark.parametrize("J", range(separation.J_CAP + 1))
+def test_continuant_stack_equals_its_one_element_calls(J):
+    # 20 columns at 300 values each: the columns-by-values stack, each
+    # column's own stack and every one-element call agree bit for bit
+    rng = np.random.default_rng(53 + J)
+    h0 = separation.build_h(J, _column(rng, 20), 0.0)
+    diag = np.diagonal(h0, 0, -2, -1)
+    couple = np.diagonal(h0, -1, -2, -1) * np.diagonal(h0, 1, -2, -1)
+    a = rng.uniform(-4.0, 4.0, (20, 300))
+    stack = separation._continuant(diag[:, None], couple[:, None], a)
+    for i in range(20):
+        column = separation._continuant(diag[i], couple[i], a[i])
+        assert column.tobytes() == stack[i].tobytes()
+        for j in range(300):
+            one = separation._continuant(diag[i], couple[i], a[i, j:j + 1])
+            assert one.shape == (1,)
+            assert one.tobytes() == stack[i, j:j + 1].tobytes()
+
+
 # --- structural guard ------------------------------------------------------------
 
 def _calls(path):
@@ -250,5 +269,51 @@ def test_no_scalar_math_functions(module):
         f"{module}:{call.lineno} {ast.unparse(call.func)}"
         for call in _calls(SRC / module)
         if ast.unparse(call.func) in {"math.sin", "math.cos", "math.exp"}
+    ]
+    assert hits == []
+
+
+# The operators that evaluate a field over a whole stencil; a loop around one
+# of them, over the five axes say, repeats work that one stacked call shares.
+_ENGINE = {"momentum", "casimir", "apply_euler_op", "_images", "_nested"}
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _called(node):
+    """Names of the functions called anywhere inside ``node``."""
+    return {
+        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+    }
+
+
+def _engine_callers(tree):
+    """The engine's names and those of the module's functions and assigned
+    names (a lambda, a wrapped function) that call it, directly or through
+    one another."""
+    defs = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    defs.setdefault(target.id, []).append(node.value)
+    reach = set(_ENGINE)
+    while new := {name for name, nodes in defs.items()
+                  if name not in reach and any(_called(n) & reach for n in nodes)}:
+        reach |= new
+    return reach
+
+
+@pytest.mark.parametrize("module", ["opcalc.py", "separation.py"])
+def test_no_engine_call_inside_a_loop(module):
+    tree = ast.parse((SRC / module).read_text())
+    reach = _engine_callers(tree)
+    hits = [
+        f"{module}:{node.lineno} {sorted(_called(node) & reach)}"
+        for node in ast.walk(tree)
+        if isinstance(node, _LOOPS) and _called(node) & reach
     ]
     assert hits == []

@@ -7,8 +7,9 @@ against a 1e-5 tolerance, the three spin-J ladder records, whose root
 oracles (eigen-solver, determinant recurrence, null vector) each read
 another part of the coupling matrix, and four records evaluated as one
 stack of points or angles (the ladder relation, the alternating branch,
-the oscillator and the radial duality); in each group a passing record
-alone shows little.
+the oscillator and the radial duality), and the six second-order records
+(the Laplacian splits, the separation consistency and the two convergence
+ratios); in each group a passing record alone shows little.
 """
 
 from dataclasses import replace
@@ -18,6 +19,7 @@ import pytest
 
 from hurwitz import gauge, harness, opcalc, separation
 from hurwitz.harness import CASE_A, CASE_B, SuiteConfig
+from hurwitz.transform import _row_norms
 
 _GAUGE_CHECKS = [
     f"{stem}_{case.tag}"
@@ -162,6 +164,73 @@ _STACKED_FAULTS = {
 }
 
 
+_SECOND_ORDER_CHECKS = ["laplacian_split_A", "laplacian_split_B", "fd_convergence_order",
+                        "separation_consistency_J0", "separation_consistency_J1",
+                        "consistency_refinement"]
+
+
+def _flipped_derivative_sign(monkeypatch):
+    """The -i d/dx_lam term of the momentum entering with a plus sign: the
+    call less twice its derivative term (the call with a zero potential)."""
+    real = opcalc.momentum
+
+    def momentum(lam, field, potential, xs, phi, d):
+        zero = lambda ys: 0.0 * potential(ys)
+        return (real(lam, field, potential, xs, phi, d)
+                - 2.0 * real(lam, field, zero, xs, phi, d))
+
+    monkeypatch.setattr(opcalc, "momentum", momentum)
+
+
+def _rolled_rows(module, axis):
+    """The Q images of axis lam paired with the potential row of axis lam - 1
+    in every contraction of the module."""
+
+    def apply(monkeypatch):
+        real = module.coupled_q
+        monkeypatch.setattr(module, "coupled_q", lambda row, images: real(
+            np.roll(row, 1, axis=axis), images))
+
+    return apply
+
+
+def _flipped_casimir(monkeypatch):
+    """The Q Casimir of the angular factors entering with the wrong sign."""
+    real = separation._casimir
+    monkeypatch.setattr(separation, "_casimir", lambda nested, family: -real(nested, family))
+
+
+def _centrifugal_square(monkeypatch):
+    """(J + 1)^2 in place of J(J + 1) in the centrifugal term."""
+    real = separation.effective_terms
+
+    def effective_terms(J, x, case, branch="alternating"):
+        a_vec, _ = real(J, x, case, branch)
+        r = _row_norms(np.asarray(x, dtype=float))
+        return a_vec, ((J + 1) ** 2 / (2.0 * r * r))[()]
+
+    monkeypatch.setattr(separation, "effective_terms", effective_terms)
+
+
+# separation_consistency_J0 fails only through a shared scalar term: at J = 0
+# the angular factor is constant and both sides cancel term for term
+_SECOND_ORDER_FAULTS = {
+    "flipped_derivative_sign": (_flipped_derivative_sign, {
+        "laplacian_split_A", "laplacian_split_B", "fd_convergence_order"}),
+    # the potential rows as laplacian_split contracts them, (5,) + B + (3,)
+    "rolled_laplacian_rows": (_rolled_rows(opcalc, 0), {
+        "laplacian_split_A", "laplacian_split_B", "fd_convergence_order"}),
+    # and as consistency_residual does, ... + (5, m, 3)
+    "rolled_consistency_rows": (_rolled_rows(separation, -3), {
+        "separation_consistency_J1", "consistency_refinement"}),
+    "flipped_casimir": (_flipped_casimir, {
+        "separation_consistency_J1", "consistency_refinement"}),
+    "centrifugal_square": (_centrifugal_square, {
+        "separation_consistency_J0", "separation_consistency_J1",
+        "consistency_refinement"}),
+}
+
+
 def _failed(checks):
     return {
         rid for rid in checks
@@ -190,8 +259,16 @@ def test_stacked_fault_fails_exactly_its_records(monkeypatch, fault):
     assert _failed(_STACKED_CHECKS) == expected
 
 
+@pytest.mark.parametrize("fault", list(_SECOND_ORDER_FAULTS))
+def test_second_order_fault_fails_exactly_its_records(monkeypatch, fault):
+    apply, expected = _SECOND_ORDER_FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed(_SECOND_ORDER_CHECKS) == expected
+
+
 def test_unfaulted_records_pass():
-    assert _failed(_GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS) == set()
+    checks = _GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS + _SECOND_ORDER_CHECKS
+    assert _failed(checks) == set()
 
 
 def test_every_gauge_record_has_a_fault():
@@ -205,3 +282,8 @@ def test_every_ladder_record_has_a_fault():
 def test_every_stacked_record_has_a_fault():
     failed = set().union(*(ids for _, ids in _STACKED_FAULTS.values()))
     assert failed == set(_STACKED_CHECKS)
+
+
+def test_every_second_order_record_has_a_fault():
+    failed = set().union(*(ids for _, ids in _SECOND_ORDER_FAULTS.values()))
+    assert failed == set(_SECOND_ORDER_CHECKS)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hurwitz import opcalc
 from hurwitz.errors import PolarSingularity
 from hurwitz.opcalc import (
     EULER_OPS,
@@ -25,9 +26,16 @@ from hurwitz.opcalc import (
     xi_laplacian,
 )
 from hurwitz.gauge import a_field_closed
-from hurwitz.harness import _TEST_OFFSETS, _xphi_field
+from hurwitz.harness import _TEST_OFFSETS, _stack, _xphi_field
 from hurwitz.separation import wigner
-from hurwitz.transform import CASE_A, CASE_B, EulerAngles, invariant_products
+from hurwitz.transform import (
+    CASE_A,
+    CASE_B,
+    EulerAngles,
+    extra_angles,
+    forward,
+    invariant_products,
+)
 
 rng = np.random.default_rng(11)
 D = DiffStrategy()
@@ -524,6 +532,72 @@ def test_cross_picture_identities(case, which):
                 worst, identity_residual(which, case, random_xi(case), f, D)
             )
     assert worst < 1e-4
+
+
+# --- laplacian_split: the five axes in one pass ---------------------------------
+
+def laplacian_split_per_axis(case, xi, field, d):
+    """The Laplacian split with one outer momentum call per axis on a one-axis
+    inner field, summed in axis order: the reference that the five-axis
+    evaluation must equal bit for bit."""
+    xi = np.asarray(xi, dtype=complex)
+    pt, phi = forward(xi), extra_angles(xi, case)
+    potential = lambda ys: a_field_closed(ys, case).A
+    dn = d.nested()
+
+    def p_squared(lam):
+        inner = lambda ys, ang: momentum(lam, field, potential, ys, ang, dn)
+        return momentum(lam, inner, potential, pt.x, phi, dn)
+
+    p_sq = sum(p_squared(lam) for lam in range(5))
+    lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
+    rhs = -xi_laplacian(pullback(field, case), xi, d)
+    return opcalc._rel_max(lhs, rhs, xi.ndim - 1)
+
+
+# each maker takes the number of samples, None for one point
+LAPLACIAN_FIELDS = {
+    # one field, or one per sample along the trailing axis
+    "xphi": lambda n: _xphi_field(np.random.default_rng(5), "gaussian") if n is None
+    else _stack([_xphi_field(np.random.default_rng(5 + i), "gaussian" if i % 2 else "poly")
+                 for i in range(n)]),
+    "constant_in_x": lambda n: (
+        lambda ys, ang: 1 + 0.4 * np.cos(ang.phi1 + ang.phi2) + 0.3 * np.sin(ang.phi3)),
+    "constant_in_angles": lambda n: (
+        lambda ys, ang: np.exp(-0.35 * np.vecdot(ys, ys)) * (1 + 0.2 * ys[..., 0])),
+}
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+@pytest.mark.parametrize("n", [None, 7], ids=["point", "stack"])
+@pytest.mark.parametrize("name", list(LAPLACIAN_FIELDS))
+def test_laplacian_split_equals_the_per_axis_loop_bit_for_bit(case, n, name):
+    xi = xi_stack(7, case, seed=21)
+    xi = xi[0] if n is None else xi
+    field = LAPLACIAN_FIELDS[name](n)
+    for d in (D, DiffStrategy(step=0.08, step2=0.08)):
+        got = identity_residual("laplacian_split", case, xi, field, d)
+        want = laplacian_split_per_axis(case, xi, field, d)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == np.shape(xi)[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_laplacian_split_evaluates_the_coefficients_once_per_stack(monkeypatch):
+    # five tables: the five axes' x-stencils (one stack), the five-axis inner
+    # field's images (the angles and their stencil) and the Casimir's nested
+    # pair; one outer and two inner calls per axis made seventeen
+    calls = []
+    coefficients = opcalc._coefficients
+
+    def counted(phi):
+        calls.append(np.shape(phi.phi1))
+        return coefficients(phi)
+
+    monkeypatch.setattr(opcalc, "_coefficients", counted)
+    xi = xi_stack(7, CASE_A, seed=21)
+    identity_residual("laplacian_split", CASE_A, xi, LAPLACIAN_FIELDS["xphi"](7), D)
+    assert sorted(calls, key=len) == [(7,), (7,), (1, 1, 7), (3, 4, 7), (3, 4, 7)]
 
 
 def test_derivative_split_constant_field():

@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from hurwitz import separation
+from hurwitz import harness, opcalc, separation
 from hurwitz.gauge import a_field_closed
 from hurwitz.harness import SuiteConfig, _result
-from hurwitz.opcalc import DiffStrategy, apply_euler_op
+from hurwitz.opcalc import (
+    EULER_OPS,
+    DiffStrategy,
+    OscillatorParams,
+    _stencil,
+    apply_euler_op,
+    casimir,
+    coupled_q,
+    momentum,
+)
 from hurwitz.separation import (
     _continuant,
     _null_vector,
@@ -24,7 +33,7 @@ from hurwitz.separation import (
     wigner_d,
     wigner_d_prime,
 )
-from hurwitz.transform import CASE_A, CASE_B, EulerAngles
+from hurwitz.transform import CASE_A, CASE_B, EulerAngles, _row_norms
 
 rng = np.random.default_rng(17)
 D = DiffStrategy()
@@ -315,13 +324,14 @@ def test_continuant_matches_lu_determinant(J):
 
 
 def _scalar_bisection_roots(J, col):
-    """The one-bracket-at-a-time bisection that det_bisection_roots batches;
-    each grid point and midpoint goes to the recurrence as a one-element
-    array."""
+    """The one-bracket-at-a-time bisection that det_bisection_roots batches:
+    the column's grid is scanned in one recurrence call (a stack equals its
+    one-element calls, tests/test_array_path.py), and each midpoint goes to
+    the recurrence as a one-element array."""
     diag, couple = _diagonals(J, col)
     det = lambda a: _continuant(diag, couple, np.array([a]))[0]
     grid_a = _scan_grid(J, col)
-    dets = np.array([det(a) for a in grid_a])
+    dets = _continuant(diag, couple, grid_a)
     roots = []
     for i in range(len(grid_a) - 1):
         d0, d1 = dets[i], dets[i + 1]
@@ -617,7 +627,8 @@ def test_consistency_null_vectors_are_one_stack_of_the_axis_solves():
 
 def test_consistency_evaluates_the_basis_once_per_angle_stack(monkeypatch):
     # the drawn angles, their 12-point stencil and the 144-point nested
-    # stencil: three evaluations shared by the five axes and every operator
+    # stencil: three evaluations shared by the five axes and every operator;
+    # the angles (n, 1, 1) meet the five axes' arrays over the points (5, m)
     shapes = []
     basis = separation._basis
 
@@ -630,4 +641,100 @@ def test_consistency_evaluates_the_basis_once_per_angle_stack(monkeypatch):
     x = np.array([[0.5, -0.6, 0.3, 0.4, 0.35], [-0.7, 0.2, 0.9, -0.1, 0.4]])
     res = consistency_residual(1, 0, psi, x, CASE_A, "alternating", D)
     assert np.all(res < 1e-3)
-    assert sorted(shapes, key=len) == [(4, 1), (3, 4, 4, 1), (3, 4, 3, 4, 4, 1)]
+    assert sorted(shapes, key=len) == [(4, 1, 1), (3, 4, 4, 1, 1), (3, 4, 3, 4, 4, 1, 1)]
+
+
+# --- consistency_residual: the five axes in one pass ---------------------------------
+
+def consistency_per_axis(J, p, test_psi, x, case, branch, d, n_angles=4):
+    """The consistency residual with one momentum, Casimir and reduced-operator
+    evaluation per axis, each axis with its own angular factor: the
+    reference that the five-axis evaluation must equal bit for bit."""
+    xv = np.atleast_2d(np.asarray(x, dtype=float))
+    r0 = _row_norms(xv)
+    a_vec, centrifugal = effective_terms(J, xv, case, branch)
+    dn = d.nested()
+    drawn = np.random.default_rng(7).uniform(
+        [0.0, 0.0, 0.5], [2 * math.pi, 2 * math.pi, math.pi - 0.5], (n_angles, 3))
+    angles = EulerAngles(*drawn.T[:, :, None])
+    params = OscillatorParams.from_omega(1.0)
+    coulomb = params.Z / r0 + params.E
+    potential = lambda ys: a_field_closed(ys, case).A
+    A0 = potential(xv)
+    psi0 = test_psi(xv)
+    gs = _null_vector(J, potential_columns(A0), -a_vec.T)
+    residuals = []
+    for lam in range(5):
+        e = np.eye(5)[lam]
+        g = gs[lam].T
+        G = lambda ang: separation._weighted(g, separation._basis(J, range(-J, J + 1), p, ang))
+
+        def inner(ys, ang):
+            images = apply_euler_op(EULER_OPS, G, ang, dn)
+            q = coupled_q(potential(ys)[..., lam, :], images)
+            dpsi_ys = _stencil(test_psi, ys, e, dn.step)
+            return -1j * (dpsi_ys * G(ang)) + test_psi(ys) * q
+
+        outer = momentum(lam, inner, potential, xv, angles, dn)
+        qsq = casimir("Q", G, angles, dn)
+        g0 = G(angles)
+        a_at = lambda y: separation._branch_roots(J, potential(y), branch)[..., lam]
+
+        def chi(y):
+            return -1j * _stencil(test_psi, y, e, dn.step) - a_at(y) * test_psi(y)
+
+        reduced = -1j * _stencil(chi, xv, e, dn.step) - a_at(xv) * chi(xv)
+        lhs = 0.5 * outer + (qsq / (2.0 * r0 * r0) - coulomb * g0) * psi0 / 5.0
+        rhs = g0 * (0.5 * reduced + (centrifugal - coulomb) * psi0 / 5.0)
+        residuals.append(np.abs(lhs - rhs))
+    worst = np.max(residuals, axis=(0, 1), initial=0.0)
+    return float(worst[0]) if np.ndim(x) == 1 else worst
+
+
+CONSISTENCY_XS = np.array([[0.5, -0.6, 0.3, 0.4, 0.35], [-0.7, 0.2, 0.9, -0.1, 0.4],
+                           [1.1, 0.4, -0.3, 0.6, -0.2]])
+
+
+@pytest.mark.parametrize("J, p", [(J, p) for J in range(4) for p in sorted({-J, 0, J})])
+def test_consistency_equals_the_per_axis_loop_bit_for_bit(J, p):
+    # a radial field of either kind per point, one kind for the one point
+    kinds = np.array([0, 1, 0])
+    psis = {"stack": harness._radial_field(kinds), "point": harness._radial_field(1),
+            "constant": lambda y: 0.7}
+    # every branch with both angle counts, the three inputs in turn
+    pairs = [(b, n) for b in ("alternating", "m=1", "m=-2") for n in (2, 4)]
+    for k, (branch, n_angles) in enumerate(pairs):
+        name = ("stack", "point", "constant")[k % 3]
+        x = CONSISTENCY_XS[1] if name == "point" else CONSISTENCY_XS
+        args = (J, p, psis[name], x, CASE_A if k % 2 else CASE_B, branch, D)
+        got = consistency_residual(*args, n_angles=n_angles)
+        want = consistency_per_axis(*args, n_angles=n_angles)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, branch)
+
+
+def test_consistency_evaluates_each_table_once_per_stack(monkeypatch):
+    # the generator coefficients: the angular factors' images at the drawn
+    # angles and at their stencil, and the outer images of the five-axis
+    # inner field and of those images (the Casimir's nested pair), twenty-five
+    # with one pass per axis; the closed form: the branch roots, the
+    # undisplaced points and one stack of every axis's displaced points,
+    # thirty-two with one pass per axis
+    coefficients, closed = [], []
+    real_coefficients, real_closed = opcalc._coefficients, separation.a_field_closed
+
+    def counted_coefficients(phi):
+        coefficients.append(np.shape(phi.phi1))
+        return real_coefficients(phi)
+
+    def counted_closed(x, case):
+        closed.append(np.shape(x))
+        return real_closed(x, case)
+
+    monkeypatch.setattr(opcalc, "_coefficients", counted_coefficients)
+    monkeypatch.setattr(separation, "a_field_closed", counted_closed)
+    res = consistency_residual(1, 0, harness._radial_field(0), CONSISTENCY_XS, CASE_A,
+                               "alternating", D)
+    assert np.all(res < 1e-3)
+    assert sorted(coefficients, key=len) == [(4, 1, 1)] * 3 + [(3, 4, 4, 1, 1)]
+    assert closed == [(3, 5), (3, 5), (4, 5, 3, 5)]
