@@ -26,7 +26,8 @@ from . import clifford as cl
 from . import gauge, opcalc, separation, transform
 from .errors import ConfigInvalid
 from .opcalc import DiffStrategy, OscillatorParams
-from .transform import CASE_A, CASE_B, TWO_PI, AngleCase, EulerAngles, _row_norms
+from .transform import (CASE_A, CASE_B, TWO_PI, AngleCase, EulerAngles, _row_norms,
+                        _uniform)
 
 __all__ = [
     "SuiteConfig",
@@ -195,33 +196,74 @@ def sample_xi(
     case: AngleCase,
     exclusion_eps: float = 0.05,
     scale: float = 1.0,
+    size: Optional[int] = None,
 ) -> np.ndarray:
-    """One complex 4-vector with the case's angle pair well defined.
+    """Complex 4-vectors with the case's angle pair well defined: one of
+    shape (4,) for ``size=None``, else a (size, 4) stack.
 
-    Components have independent standard-normal real/imaginary parts
-    (rotation-invariant coverage); draws whose angle-pair moduli fall
-    within ``exclusion_eps`` of the degenerate locus (relative to |xi|)
-    are rejected.
+    Each candidate is one ``standard_normal(8)`` draw, its real parts
+    first (rotation-invariant coverage).  Candidates whose norm is below
+    1e-3 or whose angle-pair moduli fall within ``exclusion_eps`` of the
+    degenerate locus (relative to |xi|) are rejected.  A one-point call
+    tests one candidate at a time and gives up after MAX_DRAWS.  A stack
+    draws the shortfall of candidates per round and keeps the accepted ones
+    in draw order; the round that fills the stack accepts all of its
+    candidates, so it ends on an acceptance.  A stack of n therefore draws
+    exactly what n one-point calls draw and leaves the generator where they
+    leave it.  It gives up after max(MAX_DRAWS, BATCH_DRAWS_PER_POINT * n)
+    candidates.
     """
     ia, ib = case.pair
-    for _ in range(MAX_DRAWS):
-        xi = scale * (
-            rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        ) / 2.0
-        norm = np.linalg.norm(xi)
-        if norm < 1e-3:
-            continue
-        if min(abs(xi[ia]), abs(xi[ib])) > exclusion_eps * norm:
-            return xi
-    raise ConfigInvalid(f"no draw in {MAX_DRAWS} clears exclusion_eps={exclusion_eps}")
+    if size is None:
+        # scalar tests: at one candidate they cost less than array ones
+        for _ in range(MAX_DRAWS):
+            z = rng.standard_normal(8)
+            xi = scale * (z[:4] + 1j * z[4:]) / 2.0
+            norm = np.linalg.norm(xi)
+            if norm >= 1e-3 and min(abs(xi[ia]), abs(xi[ib])) > exclusion_eps * norm:
+                return xi
+        raise ConfigInvalid(f"no draw in {MAX_DRAWS} clears exclusion_eps={exclusion_eps}")
+    budget = max(MAX_DRAWS, BATCH_DRAWS_PER_POINT * size)
+    kept, drawn, have = [], 0, 0
+    while have < size:
+        if drawn >= budget:
+            raise ConfigInvalid(
+                f"no {size} draws in {budget} clear exclusion_eps={exclusion_eps}"
+            )
+        need = size - have
+        z = rng.standard_normal((need, 8))
+        xi = scale * (z[:, :4] + 1j * z[:, 4:]) / 2.0
+        # each row's norm sums as np.linalg.norm sums one point's, and
+        # np.hypot rounds as abs() of one complex entry does (np.abs of a
+        # complex array may take a SIMD path that rounds otherwise)
+        norm = separation._norms(xi)
+        moduli = np.minimum(np.hypot(xi[:, ia].real, xi[:, ia].imag),
+                            np.hypot(xi[:, ib].real, xi[:, ib].imag))
+        xi = xi[(norm >= 1e-3) & (moduli > exclusion_eps * norm)]
+        kept.append(xi)
+        drawn += need
+        have += len(xi)
+    return np.concatenate(kept)
 
 
-def sample_angles(rng: np.random.Generator, margin: float = 0.25) -> EulerAngles:
-    return EulerAngles(
-        rng.uniform(0.0, TWO_PI),
-        rng.uniform(0.0, TWO_PI),
-        rng.uniform(margin, math.pi - margin),
-    )
+def sample_angles(
+    rng: np.random.Generator, margin: float = 0.25, size: Optional[int] = None
+) -> EulerAngles:
+    """Angles (phi1, phi2, phi3) uniform on [0, 2 pi)^2 x [margin, pi - margin],
+    drawn in that order: floats for ``size=None``, else arrays (size,).
+    A stack of n draws exactly what n one-point calls draw, as one
+    (n, 3) array of uniforms."""
+    lo = np.array([0.0, 0.0, margin])
+    hi = np.array([TWO_PI, TWO_PI, math.pi - margin])
+    v = _uniform(rng, lo, hi, (1 if size is None else size, 3))
+    return EulerAngles(*v[0].tolist()) if size is None else EulerAngles(*v.T)
+
+
+def _angle_rows(phi: EulerAngles) -> list[EulerAngles]:
+    """The angles of a stack (n,), one :class:`EulerAngles` of floats per
+    row, as one-point draws give them."""
+    rows = zip(phi.phi1.tolist(), phi.phi2.tolist(), phi.phi3.tolist())
+    return [EulerAngles(*row) for row in rows]
 
 
 def sample_x(
@@ -237,8 +279,9 @@ def sample_x(
 
     Each round draws the shortfall of directions, then of radii, and keeps
     the candidates that clear the exclusion, in draw order.  A one-point
-    call therefore draws exactly what a loop of single draws would.  The
-    call gives up after max(MAX_DRAWS, BATCH_DRAWS_PER_POINT * size)
+    call therefore draws exactly what a loop of single draws would; a stack
+    of n does not, since its rounds draw all directions before any radius.
+    The call gives up after max(MAX_DRAWS, BATCH_DRAWS_PER_POINT * size)
     candidates.
     """
     n = 1 if size is None else size
@@ -253,7 +296,7 @@ def sample_x(
         v = rng.standard_normal((need, 5))
         # one-point draws keep the bits of the single-draw loop (a test pins it)
         v /= _row_norms(v)[:, None]
-        x = v * rng.uniform(rmin, rmax, need)[:, None]
+        x = v * _uniform(rng, rmin, rmax, need)[:, None]
         r = _row_norms(x)
         x = x[r + case.axis_sign * x[:, 4] > exclusion_eps * r]
         kept.append(x)
@@ -293,15 +336,13 @@ class _AnglePoly:
 
 
 def _angle_poly(rng: np.random.Generator) -> _AnglePoly:
-    terms = [
-        (
-            float(rng.uniform(0.2, 0.6)),
-            rng.integers(-2, 3, size=3),
-            float(rng.uniform(0.0, TWO_PI)),
-        )
-        for _ in range(3)
-    ]
-    return _AnglePoly(*(np.array(column, dtype=float) for column in zip(*terms)))
+    """Three terms drawn in turn: amplitude, frequencies, phase."""
+    amp, freq, phase = np.empty(3), np.empty((3, 3)), np.empty(3)
+    for t in range(3):
+        amp[t] = _uniform(rng, 0.2, 0.6)
+        freq[t] = rng.integers(-2, 3, size=3)
+        phase[t] = _uniform(rng, 0.0, TWO_PI)
+    return _AnglePoly(amp, freq, phase)
 
 
 @dataclass(frozen=True)
@@ -335,7 +376,7 @@ class _XPhiField:
 
 
 def _xphi_field(rng: np.random.Generator, kind: str) -> _XPhiField:
-    coeff = rng.uniform(-0.3, 0.3, size=5)
+    coeff = _uniform(rng, -0.3, 0.3, 5)
     return _XPhiField(np.array(kind == "gaussian"), coeff, _angle_poly(rng))
 
 
@@ -526,7 +567,7 @@ def _norm_identity(cfg, xi):
 
 
 def _homogeneity_draws(cfg, rng):
-    return [(sample_xi(rng, CASE_A, cfg.exclusion_eps), rng.uniform(0.3, 2.0))
+    return [(sample_xi(rng, CASE_A, cfg.exclusion_eps), _uniform(rng, 0.3, 2.0))
             for _ in range(50)]
 
 
@@ -549,8 +590,8 @@ def _angle_gap(a, b):
 
 def _xi_draws(cfg, rng, case, eps=0.1, **_):
     """100 fiber points of the case, clear of the larger of the configured
-    exclusion and ``eps``."""
-    return [sample_xi(rng, case, max(cfg.exclusion_eps, eps)) for _ in range(100)]
+    exclusion and ``eps``, as one (100, 4) stack."""
+    return sample_xi(rng, case, max(cfg.exclusion_eps, eps), size=100)
 
 
 def _fiber_roundtrip(cfg, draws, case):
@@ -735,7 +776,7 @@ def _angle_independence_residuals(cfg, draws, case):
 
 
 def _random_column(rng):
-    a = rng.uniform(-1.2, 1.2, size=3)
+    a = _uniform(rng, -1.2, 1.2, 3)
     return (float(a[0]), 0.5 * (a[1] - 1j * a[2]), 0.5 * (a[1] + 1j * a[2]))
 
 
@@ -840,14 +881,16 @@ def _angular_residuals(cfg, draws, **_):
 
 def _wigner_draws(cfg, rng):
     """Basis elements phi^J_{q,p} as angular factors: g the unit vector of
-    q, the row picking Q1 and the target q."""
-    return [
-        (J, p, np.eye(2 * J + 1)[q + J], (1.0, 0.0, 0.0), q, sample_angles(rng))
+    q, the row picking Q1 and the target q; the angles are one stack."""
+    rows = [
+        (J, p, np.eye(2 * J + 1)[q + J], (1.0, 0.0, 0.0), q)
         for J in range(min(2, cfg.J_max) + 1)
         for q in range(-J, J + 1)
         for p in range(-J, J + 1)
         for _ in range(3)
     ]
+    angles = _angle_rows(sample_angles(rng, size=len(rows)))
+    return [(*row, phi) for row, phi in zip(rows, angles)]
 
 
 def _null_draws(cfg, rng):
@@ -877,17 +920,18 @@ def _null_vector(cfg, draws):
 def _angular_factor_draws(cfg, rng, case):
     """Per-axis angular factors at drawn base points: g the branch m = 1
     null vector of axis lam, the row its potential row and the target its
-    root."""
+    root.  Four (base point, p, ten angles) draws per spin J come first,
+    then one closed-form and one axis_solution call per spin."""
+    drawn = [(J, sample_x(rng, case, 0.1), int(rng.integers(-J, J + 1)),
+              _angle_rows(sample_angles(rng, size=10)))
+             for J in range(1, min(2, cfg.J_max) + 1) for _ in range(4)]
     draws = []
-    for J in range(1, min(2, cfg.J_max) + 1):
-        for _ in range(4):
-            x = sample_x(rng, case, 0.1)
-            A = gauge.a_field_closed(x, case).A
-            p = int(rng.integers(-J, J + 1))
-            sol = separation.axis_solution(J, A, "m=1")
-            for lam in range(5):
-                draws += [(J, p, sol.g[lam], A[lam], sol.root[lam], sample_angles(rng))
-                          for _ in range(2)]
+    for J, idx in _groups([J for J, *_ in drawn]):
+        _, x, p, angles = zip(*(drawn[k] for k in idx))
+        A = gauge.a_field_closed(np.array(x), case).A
+        sol = separation.axis_solution(J, A, "m=1")
+        draws += [(J, p[k], sol.g[k, lam], A[k, lam], sol.root[k, lam], angles[k][2 * lam + j])
+                  for k in range(len(idx)) for lam in range(5) for j in range(2)]
     return draws
 
 
@@ -1031,8 +1075,8 @@ def _registry(cfg: SuiteConfig) -> list[Check]:
         *per_case(Check("angular_factor_eigen_{}", _angular_residuals, 1e-4,
                         _angular_factor_draws)),
         Check("oscillator_gaussian", _oscillator, 1e-6,
-              lambda cfg, rng: [(omega, sample_xi(rng, CASE_A, 0.0, scale=1.0))
-                                for omega in (0.5, 1.0, 2.0) for _ in range(8)],
+              lambda cfg, rng: list(zip(np.repeat([0.5, 1.0, 2.0], 8),
+                                        sample_xi(rng, CASE_A, 0.0, size=24))),
               detail="eigenvalue 2*omega at omega in {0.5, 1, 2}"),
         Check("radial_duality", _radial_duality, 1e-6,
               lambda cfg, rng: [(omega, sample_x(rng, CASE_A, 0.0, rmin=0.8, rmax=2.0))
@@ -1074,6 +1118,12 @@ def run_suite(cfg: SuiteConfig, only: Optional[list] = None) -> Report:
 
 # --- file exports ---------------------------------------------------------------
 
+def _squared_norm_is_finite(coords) -> bool:
+    """Whether sum(c^2) stays a finite float.  Beyond that every radius of
+    the export is infinite, and so is the span of a box draw."""
+    return math.isfinite(sum(c * c for c in coords))
+
+
 def _parse_region(region: str):
     kind, _, rest = region.partition(":")
     if kind not in ("shell", "box", "point"):
@@ -1084,15 +1134,20 @@ def _parse_region(region: str):
     if kind == "point":
         if len(vals) != 5:
             raise ConfigInvalid("point region needs 5 coordinates")
-        return ("point", np.array(vals))
-    if len(vals) != 2:
+        farthest = vals
+    elif len(vals) != 2:
         raise ConfigInvalid(f"{kind} region needs 2 bounds, got {region!r}")
-    lo, hi = vals
-    if kind == "shell" and not 0.0 <= lo <= hi:
-        raise ConfigInvalid(f"shell radii must satisfy 0 <= RMIN <= RMAX, got {region!r}")
-    if lo > hi:
-        raise ConfigInvalid(f"box bounds must satisfy LO <= HI, got {region!r}")
-    return (kind, lo, hi)
+    elif kind == "shell":
+        if not 0.0 <= vals[0] <= vals[1]:
+            raise ConfigInvalid(f"shell radii must satisfy 0 <= RMIN <= RMAX, got {region!r}")
+        farthest = vals[1:]
+    else:
+        if vals[0] > vals[1]:
+            raise ConfigInvalid(f"box bounds must satisfy LO <= HI, got {region!r}")
+        farthest = [max(map(abs, vals))] * 5
+    if not _squared_norm_is_finite(farthest):
+        raise ConfigInvalid(f"region points must have a finite squared norm, got {region!r}")
+    return ("point", np.array(vals)) if kind == "point" else (kind, *vals)
 
 
 def _write_jsonl(out_path: str, records) -> None:
@@ -1127,9 +1182,9 @@ def fields_cmd(
         pts = np.empty((n, 5))
         for i in range(n):
             v = rng.standard_normal(5)
-            pts[i] = v / np.linalg.norm(v) * rng.uniform(reg[1], reg[2])
+            pts[i] = v / np.linalg.norm(v) * _uniform(rng, reg[1], reg[2])
     elif reg[0] == "box":
-        pts = rng.uniform(reg[1], reg[2], (n, 5))
+        pts = _uniform(rng, reg[1], reg[2], (n, 5))
     else:
         pts = np.broadcast_to(reg[1], (n, 5))
     singular = gauge.closed_form_singular(pts, case)
@@ -1176,7 +1231,7 @@ def separate_cmd(
     selected eigenvalues against their closed-form magnitudes.  Raises
     :class:`SingularAxis` for points on the case's singular half-axis,
     ``ValueError`` for J or |p| out of range and :class:`ConfigInvalid` for
-    a non-finite point.
+    a point that is not finite or whose squared norm overflows.
     """
     separation._check_spin(J, p)
     case = CASE_A if case_tag == "A" else CASE_B
@@ -1185,6 +1240,8 @@ def separate_cmd(
         raise ConfigInvalid("point must have 5 coordinates")
     if not np.isfinite(x).all():
         raise ConfigInvalid(f"point coordinates must be finite, got {list(x_point)}")
+    if not _squared_norm_is_finite(x.tolist()):
+        raise ConfigInvalid(f"point must have a finite squared norm, got {x.tolist()}")
     sol = separation.axis_solution(J, gauge.a_field_closed(x, case).A, branch)
     r = _row_norms(x)
     cent = J * (J + 1) / (2.0 * r * r)

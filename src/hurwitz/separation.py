@@ -43,7 +43,7 @@ from .opcalc import (
     apply_euler_op,
     coupled_q,
 )
-from .transform import AngleCase, EulerAngles, RPoint, _row_norms
+from .transform import AngleCase, EulerAngles, RPoint, _row_norms, _uniform
 
 __all__ = [
     "J_CAP",
@@ -325,7 +325,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SeparationSolution:
     """Spin-J separation data of the five base axes, one row per axis: root
-    ladders (5, 2J+1), branch roots (5,) and their null vectors (5, 2J+1)."""
+    ladders B + (5, 2J+1), branch roots B + (5,) and their null vectors
+    B + (5, 2J+1), for one potential (B empty) or a stack B of them."""
 
     J: int
     roots: np.ndarray
@@ -351,8 +352,9 @@ def resolve_branch(branch) -> Callable[[int, int], int]:
 def axis_solution(J: int, A: np.ndarray, branch="alternating") -> SeparationSolution:
     """Roots and the branch null vectors of the five base axes, solved as
     one column stack: row lam is the solution of axis lam, bit-identical to
-    a one-column solve of that axis."""
-    col = potential_columns(A)
+    a one-column solve of that axis.  Potentials B + (5, 3) give B + (5, ...)
+    rows, each potential's rows those of its own call."""
+    col = tuple(np.moveaxis(c, 0, -1) for c in potential_columns(A))
     root = _branch_roots(J, A, branch)
     return SeparationSolution(J, separation_roots(J, col), root,
                               _null_vector(J, col, root))
@@ -443,8 +445,8 @@ def consistency_residual(
     a_vec, centrifugal = effective_terms(J, xv, case, branch)
     dn = d.nested()
     # (phi1, phi2, phi3) per angle, drawn in that order
-    drawn = np.random.default_rng(7).uniform(
-        [0.0, 0.0, 0.5], [2 * math.pi, 2 * math.pi, math.pi - 0.5], (n_angles, 3))
+    drawn = _uniform(np.random.default_rng(7), np.array([0.0, 0.0, 0.5]),
+                     np.array([2 * math.pi, 2 * math.pi, math.pi - 0.5]), (n_angles, 3))
     # one batch of n_angles angles, (n_angles, 1, 1) against the five axes'
     # arrays over the points, (5, m)
     angles = EulerAngles(*drawn.T[:, :, None, None])

@@ -64,6 +64,17 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
+def _uniform(rng: np.random.Generator, lo, hi, size=None):
+    """``rng.uniform(lo, hi, size)`` bit for bit, at the cost of
+    ``rng.random(size)``: numpy computes each uniform draw in C as
+    lo + (hi - lo) * next_double, and ``random`` returns those doubles.
+    The span is formed as ``hi - lo`` here, as numpy forms it (a literal
+    span, 0.4 for 0.6 - 0.2, rounds differently).  Unlike ``rng.uniform``
+    it makes no range check: an infinite span gives inf or nan draws, so
+    callers take only bounds whose span is finite."""
+    return lo + (hi - lo) * rng.random(size)
+
+
 @dataclass(frozen=True)
 class RPoint:
     """A point of the 5-dimensional target space with its cached radius, or

@@ -142,6 +142,20 @@ def _axis_solution(rng, n, case):
     return call, 0
 
 
+def _axis_solution_stack(rng, n, case):
+    """The potentials of n base points: the stack is one axis_solution call
+    on (n, 5, 3), a row the call on that point's (5, 3)."""
+    J = int(rng.integers(0, separation.J_CAP + 1))
+    branch = "alternating" if rng.integers(2) else "m=1"
+    A = gauge.a_field_closed(harness.sample_x(rng, case, 0.05, size=n), case).A
+
+    def call(s):
+        sol = separation.axis_solution(J, A[s], branch)
+        return sol.roots, sol.root, sol.g
+
+    return call, 0
+
+
 def _apply_euler_op(rng, n, case):
     (J, q, p), phi = _spin(rng), _angles(rng, n)
     field = lambda ang: separation.wigner(J, q, p, ang)
@@ -194,6 +208,7 @@ _PRIMITIVES = {
     "separation_roots": _separation_roots,
     "_null_vector": _null_vector,
     "axis_solution": _axis_solution,
+    "axis_solution[stack]": _axis_solution_stack,
     "apply_euler_op": _apply_euler_op,
     **{f"identity_residual[{w}]": _identity(w)
        for w in ("phase_constraint", "derivative_split", "momentum_equivalence",
@@ -315,5 +330,48 @@ def test_no_engine_call_inside_a_loop(module):
         f"{module}:{node.lineno} {sorted(_called(node) & reach)}"
         for node in ast.walk(tree)
         if isinstance(node, _LOOPS) and _called(node) & reach
+    ]
+    assert hits == []
+
+
+def test_no_uniform_call_in_the_library():
+    # _uniform draws rng.uniform's bits at the cost of rng.random
+    hits = [
+        f"{path.name}:{call.lineno} {ast.unparse(call.func)}"
+        for path in sorted(SRC.glob("*.py"))
+        for call in _calls(path)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "uniform"
+    ]
+    assert hits == []
+
+
+_LAYERS = {"transform", "gauge", "separation", "opcalc"}
+
+
+def _layer_calls(node):
+    """The library-layer functions (``gauge.a_field_closed``) called inside
+    ``node``."""
+    return {
+        ast.unparse(call.func)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name) and call.func.value.id in _LAYERS
+    }
+
+
+def test_no_primitive_call_per_draw():
+    # a row's draws function draws first and evaluates after: no loop that
+    # draws from the generator also calls a library layer, which would run
+    # once per draw
+    tree = ast.parse((SRC / "harness.py").read_text())
+    draws = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and node.name.startswith("_") and node.name.endswith("draws")]
+    assert "_angular_factor_draws" in {fn.name for fn in draws}
+    hits = [
+        f"{fn.name}:{loop.lineno} {sorted(_layer_calls(loop))}"
+        for fn in draws
+        for loop in ast.walk(fn)
+        if isinstance(loop, _LOOPS) and _layer_calls(loop)
+        and any(isinstance(n, ast.Name) and n.id == "rng" for n in ast.walk(loop))
     ]
     assert hits == []

@@ -256,6 +256,17 @@ def _nan_on_call(real, k):
     return fake
 
 
+def _nan_in_row(real, i):
+    """``real`` whose returned stack has row ``i`` turned into NaN."""
+
+    def fake(*args, **kwargs):
+        out = real(*args, **kwargs).copy()
+        out[i] = math.nan
+        return out
+
+    return fake
+
+
 def _nan_in_sample(fn, call=1):
     """``fn`` whose ``call``-th call (1-based) returns one value turned into
     NaN: index 0 on every axis but the trailing sample axis, index 1 there.
@@ -295,7 +306,8 @@ def _nan_in_first_made(make, call=1):
         # NaN, and the stack around it is still evaluated
         (harness, "sample_xi", lambda real: _nan_on_call(real, 2),
          "quadratic_homogeneity", 50),
-        (harness, "sample_xi", lambda real: _nan_on_call(real, 2), "fiber_roundtrip_A", 100),
+        # the row draws its points as one stack: its second row is the NaN
+        (harness, "sample_xi", lambda real: _nan_in_row(real, 1), "fiber_roundtrip_A", 100),
         (harness, "sample_x", lambda real: _nan_on_call(real, 2), "section_identity_B", 60),
     ],
     ids=["finite_difference", "algebraic", "fiber_roundtrip", "section_identity"],
@@ -607,11 +619,12 @@ class _BoundedRng:
     "sampler, eps, kwargs",
     [
         (harness.sample_xi, 0.9, {}),
-        (harness.sample_x, 2.5, {}),
         # a batch gives up after a number of candidates proportional to its size
+        (harness.sample_xi, 0.9, {"size": 100_000}),
+        (harness.sample_x, 2.5, {}),
         (harness.sample_x, 2.5, {"size": 100_000}),
     ],
-    ids=["sample_xi-0.9", "sample_x-2.5", "sample_x_batch-2.5"],
+    ids=["sample_xi-0.9", "sample_xi_batch-0.9", "sample_x-2.5", "sample_x_batch-2.5"],
 )
 def test_samplers_give_up_on_an_infeasible_exclusion(sampler, eps, kwargs):
     rng = _BoundedRng(np.random.default_rng(0))
@@ -641,6 +654,87 @@ def test_one_point_sample_x_draws_what_the_scalar_loop_draws(case, eps):
     assert np.array_equal(got, want)
     # both generators stand at the same place in their streams
     assert rng.random() == ref.random()
+
+
+def _scalar_sample_xi(rng, case, exclusion_eps, scale=1.0):
+    """The one-point loop with two draws of four normals per candidate: the
+    reference that one-point calls and stacks of sample_xi must equal."""
+    ia, ib = case.pair
+    for _ in range(harness.MAX_DRAWS):
+        xi = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / 2.0
+        norm = np.linalg.norm(xi)
+        if norm < 1e-3:
+            continue
+        if min(abs(xi[ia]), abs(xi[ib])) > exclusion_eps * norm:
+            return xi
+    raise ConfigInvalid("no draw cleared the exclusion")
+
+
+def _scalar_sample_angles(rng, margin):
+    return transform.EulerAngles(rng.uniform(0.0, harness.TWO_PI),
+                                 rng.uniform(0.0, harness.TWO_PI),
+                                 rng.uniform(margin, math.pi - margin))
+
+
+def _same_stream(rng, ref):
+    """Both generators stand at the same place in their streams."""
+    return rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.4])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.6])
+@pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
+def test_sample_xi_stack_draws_what_one_point_calls_draw(case, eps, scale):
+    # eps 0.6 accepts about 2% of the candidates, so most rounds keep only
+    # some of theirs (100 points take some 4,600 candidates, within the cap)
+    for seed, n in ((8, 1), (9, 7), (10, 100)):
+        rng, ref, old = (np.random.default_rng(seed) for _ in range(3))
+        stack = harness.sample_xi(rng, case, eps, scale, size=n)
+        points = [harness.sample_xi(ref, case, eps, scale) for _ in range(n)]
+        loop = [_scalar_sample_xi(old, case, eps, scale) for _ in range(n)]
+        assert stack.shape == (n, 4) and points[0].shape == (4,)
+        assert stack.tobytes() == np.array(points).tobytes() == np.array(loop).tobytes()
+        assert _same_stream(rng, ref) and _same_stream(rng, old)
+
+
+@pytest.mark.parametrize("margin", [0.15, 0.25, 0.3])
+def test_sample_angles_stack_draws_what_one_point_calls_draw(margin):
+    for seed, n in ((8, 1), (9, 7), (10, 300)):
+        rng, ref, old = (np.random.default_rng(seed) for _ in range(3))
+        stack = harness.sample_angles(rng, margin, size=n)
+        points = [harness.sample_angles(ref, margin) for _ in range(n)]
+        loop = [_scalar_sample_angles(old, margin) for _ in range(n)]
+        assert all(type(c) is float for c in vars(points[0]).values())
+        for name, column in vars(stack).items():
+            assert column.shape == (n,)
+            assert column.tobytes() == np.array([vars(p)[name] for p in points]).tobytes()
+            assert column.tobytes() == np.array([vars(p)[name] for p in loop]).tobytes()
+        assert _same_stream(rng, ref) and _same_stream(rng, old)
+
+
+# Every bound pair the library draws between: angles (with the margins
+# 0.15, 0.25, 0.3 and separation's 0.5), radii, field and column
+# coefficients, homogeneity factors and the default and gate export regions.
+_UNIFORM_BOUNDS = [
+    (0.0, harness.TWO_PI),
+    *((m, math.pi - m) for m in (0.15, 0.25, 0.3, 0.5)),
+    (0.6, 2.5), (0.9, 2.0), (0.8, 2.0), (1.0, 1.6), (0.2, 0.6), (0.3, 2.0),
+    (-0.3, 0.3), (-1.2, 1.2), (0.5, 2.0), (-2.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("lo, hi", _UNIFORM_BOUNDS)
+def test_uniform_draws_what_rng_uniform_draws(lo, hi):
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    for size in (None, 1, 5, (4000, 3)):
+        got, want = harness._uniform(rng, lo, hi, size), ref.uniform(lo, hi, size)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # array bounds broadcast against the trailing axis, as in sample_angles
+    lo3, hi3 = np.array([lo, 0.0, lo]), np.array([hi, harness.TWO_PI, hi])
+    got, want = harness._uniform(rng, lo3, hi3, (50, 3)), ref.uniform(lo3, hi3, (50, 3))
+    assert got.tobytes() == want.tobytes()
+    assert _same_stream(rng, ref)
 
 
 @pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
@@ -848,13 +942,16 @@ def test_cli_fields_and_exit_codes(tmp_path):
          "--point", "0.4,-0.7,0.2,0.5,0.3"],
         ["separate", "--j", "1", "--p", "0", "--case", "A",
          "--point", "0.4,inf,0.2,0.5,0.3"],
+        # finite coordinates whose squared norm overflows
+        ["separate", "--j", "1", "--p", "0", "--case", "A",
+         "--point", "1e200,0.1,0.2,0.3,0.4"],
         # 10**12 points would not fit in memory; the cap is checked before
         # anything is allocated
         ["fields", "--case", "A", "-n", str(10 * harness.MAX_SAMPLES + 1)],
         ["fields", "--case", "B", "-n", "1000000000000"],
     ],
     ids=["shell_nan", "box_inf", "point_nan", "p_above_j", "p_below_minus_j",
-         "point_inf", "n_above_cap", "n_far_above_cap"],
+         "point_inf", "point_overflows", "n_above_cap", "n_far_above_cap"],
 )
 def test_cli_rejects_bad_export_input(tmp_path, capsys, argv):
     # an input error exits 2 with a message and writes no file; exit 1 is
@@ -867,9 +964,13 @@ def test_cli_rejects_bad_export_input(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "region",
-    ["shell:-2,-1", "shell:-1,1", "shell:2,1", "box:2,-2", "shell:1", "box:1,2,3"],
+    ["shell:-2,-1", "shell:-1,1", "shell:2,1", "box:2,-2", "shell:1", "box:1,2,3",
+     # finite bounds whose points' squared norms overflow
+     "box:-1e308,1e308", "box:-1e200,1e200", "shell:1e200,1e300",
+     "point:1e200,0,0,0,0.5"],
     ids=["shell_negative", "shell_straddles_zero", "shell_reversed",
-         "box_reversed", "shell_one_bound", "box_three_bounds"],
+         "box_reversed", "shell_one_bound", "box_three_bounds",
+         "box_span_overflows", "box_overflows", "shell_overflows", "point_overflows"],
 )
 def test_cli_rejects_bad_region(tmp_path, capsys, region):
     out = tmp_path / "out.jsonl"
