@@ -348,30 +348,43 @@ def test_no_uniform_call_in_the_library():
 _LAYERS = {"transform", "gauge", "separation", "opcalc"}
 
 
-def _layer_calls(node):
-    """The library-layer functions (``gauge.a_field_closed``) called inside
-    ``node``."""
+def _own_scope(loop):
+    """The nodes of ``loop`` outside the loops nested in it: what runs once
+    per iteration of ``loop`` itself."""
+    todo = list(ast.iter_child_nodes(loop))
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, _LOOPS):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _layer_calls(nodes):
+    """The library-layer functions (``gauge.a_field_closed``) called among
+    ``nodes``."""
     return {
         ast.unparse(call.func)
-        for call in ast.walk(node)
+        for call in nodes
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
         and isinstance(call.func.value, ast.Name) and call.func.value.id in _LAYERS
     }
 
 
 def test_no_primitive_call_per_draw():
-    # a row's draws function draws first and evaluates after: no loop that
-    # draws from the generator also calls a library layer, which would run
-    # once per draw
+    # a row's draws function draws first and evaluates after: no loop both
+    # draws from the generator and calls a library layer in its own
+    # iterations (a nested loop's body counts as that loop's), which would
+    # run the layer once per draw
     tree = ast.parse((SRC / "harness.py").read_text())
     draws = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
              and node.name.startswith("_") and node.name.endswith("draws")]
     assert "_angular_factor_draws" in {fn.name for fn in draws}
+    own = [(fn, loop, list(_own_scope(loop)))
+           for fn in draws for loop in ast.walk(fn) if isinstance(loop, _LOOPS)]
     hits = [
-        f"{fn.name}:{loop.lineno} {sorted(_layer_calls(loop))}"
-        for fn in draws
-        for loop in ast.walk(fn)
-        if isinstance(loop, _LOOPS) and _layer_calls(loop)
-        and any(isinstance(n, ast.Name) and n.id == "rng" for n in ast.walk(loop))
+        f"{fn.name}:{loop.lineno} {sorted(_layer_calls(nodes))}"
+        for fn, loop, nodes in own
+        if _layer_calls(nodes)
+        and any(isinstance(n, ast.Name) and n.id == "rng" for n in nodes)
     ]
     assert hits == []

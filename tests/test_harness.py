@@ -619,7 +619,8 @@ class _BoundedRng:
     "sampler, eps, kwargs",
     [
         (harness.sample_xi, 0.9, {}),
-        # a batch gives up after a number of candidates proportional to its size
+        # a sample_xi batch gives up after MAX_DRAWS rejections in a row, a
+        # sample_x batch after a number of candidates proportional to its size
         (harness.sample_xi, 0.9, {"size": 100_000}),
         (harness.sample_x, 2.5, {}),
         (harness.sample_x, 2.5, {"size": 100_000}),
@@ -681,12 +682,16 @@ def _same_stream(rng, ref):
     return rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("scale", [1.0, 1.4])
-@pytest.mark.parametrize("eps", [0.0, 0.05, 0.6])
+@pytest.mark.parametrize(
+    "eps, scale",
+    # eps 0.6 accepts about 2% of the candidates, so most rounds keep only
+    # some of theirs; eps 0.65 accepts about 0.4%, so 100 points take some
+    # 27,000 candidates, more than MAX_DRAWS in all but fewer per point
+    [(0.0, 1.0), (0.0, 1.4), (0.05, 1.0), (0.05, 1.4), (0.6, 1.0), (0.6, 1.4),
+     (0.65, 1.0)],
+)
 @pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
 def test_sample_xi_stack_draws_what_one_point_calls_draw(case, eps, scale):
-    # eps 0.6 accepts about 2% of the candidates, so most rounds keep only
-    # some of theirs (100 points take some 4,600 candidates, within the cap)
     for seed, n in ((8, 1), (9, 7), (10, 100)):
         rng, ref, old = (np.random.default_rng(seed) for _ in range(3))
         stack = harness.sample_xi(rng, case, eps, scale, size=n)
