@@ -10,6 +10,7 @@ produce byte-identical reports apart from the timestamp field.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -1125,12 +1126,6 @@ def run_suite(cfg: SuiteConfig, only: Optional[list] = None) -> Report:
 
 # --- file exports ---------------------------------------------------------------
 
-def _squared_norm_is_finite(coords) -> bool:
-    """Whether sum(c^2) stays a finite float.  Beyond that every radius of
-    the export is infinite, and so is the span of a box draw."""
-    return math.isfinite(sum(c * c for c in coords))
-
-
 def _parse_region(region: str):
     kind, _, rest = region.partition(":")
     if kind not in ("shell", "box", "point"):
@@ -1141,20 +1136,27 @@ def _parse_region(region: str):
     if kind == "point":
         if len(vals) != 5:
             raise ConfigInvalid("point region needs 5 coordinates")
-        farthest = vals
     elif len(vals) != 2:
         raise ConfigInvalid(f"{kind} region needs 2 bounds, got {region!r}")
     elif kind == "shell":
         if not 0.0 <= vals[0] <= vals[1]:
             raise ConfigInvalid(f"shell radii must satisfy 0 <= RMIN <= RMAX, got {region!r}")
-        farthest = vals[1:]
-    else:
-        if vals[0] > vals[1]:
-            raise ConfigInvalid(f"box bounds must satisfy LO <= HI, got {region!r}")
-        farthest = [max(map(abs, vals))] * 5
-    if not _squared_norm_is_finite(farthest):
-        raise ConfigInvalid(f"region points must have a finite squared norm, got {region!r}")
+    elif not 0.0 <= vals[1] - vals[0] < math.inf:  # a float span overflows silently
+        raise ConfigInvalid(f"box bounds must satisfy LO <= HI, a finite span apart, "
+                            f"got {region!r}")
     return ("point", np.array(vals)) if kind == "point" else (kind, *vals)
+
+
+@contextlib.contextmanager
+def _strict_arithmetic(what: str):
+    """Overflow, division by zero and invalid results raise inside the block,
+    as :class:`ConfigInvalid` naming ``what``: an export never writes a value
+    computed from an infinite or undefined intermediate."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigInvalid(f"{what} leaves the float range: {exc}") from exc
 
 
 def _write_jsonl(out_path: str, records) -> None:
@@ -1177,34 +1179,37 @@ def fields_cmd(
 
     Each record carries the point, the 5x3 potential, and its property
     residuals; points on the singular half-axis are skipped and counted in
-    the leading meta record.  Returns the meta dict.
+    the leading meta record.  Returns the meta dict.  Raises
+    :class:`ConfigInvalid`, writing nothing, for a region whose arithmetic
+    overflows, divides by zero or turns invalid.
     """
     if not 0 < n <= 10 * MAX_SAMPLES:
         raise ConfigInvalid(f"n must lie in 1..{10 * MAX_SAMPLES}")
     case = CASE_A if case_tag == "A" else CASE_B
     reg = _parse_region(region)
-    rng = np.random.default_rng(seed)
-    if reg[0] == "shell":
-        # one normal and one uniform draw per point, interleaved
-        pts = np.empty((n, 5))
-        for i in range(n):
-            v = rng.standard_normal(5)
-            pts[i] = v / np.linalg.norm(v) * _uniform(rng, reg[1], reg[2])
-    elif reg[0] == "box":
-        pts = _uniform(rng, reg[1], reg[2], (n, 5))
-    else:
-        pts = np.broadcast_to(reg[1], (n, 5))
-    singular = gauge.closed_form_singular(pts, case)
-    pts = pts[~singular]
-    A = gauge.a_field_closed(pts, case).A
-    # batched matmul rounds as each point's own @ does; einsum sums in
-    # another order
-    r = _row_norms(pts)
-    trans = np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1)
-    gram = np.swapaxes(A, -1, -2) @ A
-    s = case.axis_sign * pts[:, 4]
-    scale = (r - s) / (r * r * (r + s))
-    norm_res = np.abs(gram - scale[:, None, None] * np.eye(3)).max(axis=(-2, -1))
+    with _strict_arithmetic(f"region {region}"):
+        rng = np.random.default_rng(seed)
+        if reg[0] == "shell":
+            # one normal and one uniform draw per point, interleaved
+            pts = np.empty((n, 5))
+            for i in range(n):
+                v = rng.standard_normal(5)
+                pts[i] = v / np.linalg.norm(v) * _uniform(rng, reg[1], reg[2])
+        elif reg[0] == "box":
+            pts = _uniform(rng, reg[1], reg[2], (n, 5))
+        else:
+            pts = np.broadcast_to(reg[1], (n, 5))
+        singular = gauge.closed_form_singular(pts, case)
+        pts = pts[~singular]
+        A = gauge.a_field_closed(pts, case).A
+        # batched matmul rounds as each point's own @ does; einsum sums in
+        # another order
+        r = _row_norms(pts)
+        trans = np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1)
+        gram = np.swapaxes(A, -1, -2) @ A
+        s = case.axis_sign * pts[:, 4]
+        scale = (r - s) / (r * r * (r + s))
+        norm_res = np.abs(gram - scale[:, None, None] * np.eye(3)).max(axis=(-2, -1))
     records = [
         {"x": x, "A": a, "props": {"transversality": t, "normalization_residual": nr}}
         for x, a, t, nr in zip(pts.tolist(), A.tolist(), trans.tolist(), norm_res.tolist())
@@ -1238,7 +1243,8 @@ def separate_cmd(
     selected eigenvalues against their closed-form magnitudes.  Raises
     :class:`SingularAxis` for points on the case's singular half-axis,
     ``ValueError`` for J or |p| out of range and :class:`ConfigInvalid` for
-    a point that is not finite or whose squared norm overflows.
+    a point that is not finite or whose arithmetic overflows, divides by
+    zero or turns invalid.
     """
     separation._check_spin(J, p)
     case = CASE_A if case_tag == "A" else CASE_B
@@ -1247,11 +1253,10 @@ def separate_cmd(
         raise ConfigInvalid("point must have 5 coordinates")
     if not np.isfinite(x).all():
         raise ConfigInvalid(f"point coordinates must be finite, got {list(x_point)}")
-    if not _squared_norm_is_finite(x.tolist()):
-        raise ConfigInvalid(f"point must have a finite squared norm, got {x.tolist()}")
-    sol = separation.axis_solution(J, gauge.a_field_closed(x, case).A, branch)
-    r = _row_norms(x)
-    cent = J * (J + 1) / (2.0 * r * r)
+    with _strict_arithmetic(f"point {x.tolist()}"):
+        sol = separation.axis_solution(J, gauge.a_field_closed(x, case).A, branch)
+        r = _row_norms(x)
+        cent = J * (J + 1) / (2.0 * r * r)
     lines = [
         {"J": J, "p": p, "lambda": lam + 1, "roots": roots, "g": g,
          "a_selected": a, "centrifugal": cent}

@@ -23,11 +23,12 @@ last axis on both sides.  An operator calls its field once on all of its
 stencil points: the 12 displaced copies of each angle give the three angle
 derivatives, which a coefficient table turns into all six generator images
 (a nested pair is one call on 144 copies); ``_stencil`` displaces points
-along the 8 real directions of C^4 or the base axes.  Work that does not
-depend on the base axis is done once for all five: the momentum of an array
-of axes is one field with the axis in front, whose angle side (coefficient
-table, generator images) is evaluated once and read by each axis from its
-own slice.  Angle fields are functions on R^3 (no folding), so
+along the 8 real directions of C^4 or the base axes, a stack of directions
+in front of the points or one direction per point.  There is one momentum
+operator P_lam: its axes go in front of the batch or broadcast against it,
+each point displaced along its own axis, so P_lam P_lam is a momentum of a
+momentum, and one angle side (coefficient table, Q images) serves every
+axis.  Angle fields are functions on R^3 (no folding), so
 angle-periodic test fields are expected.  Phase-type fiber functions are
 differentiated via their unit-modulus exponentials, which keeps stencils
 off branch cuts.
@@ -136,13 +137,17 @@ def _combine(values, h: float, order: int = 1):
 
 
 def _stencil(fn, pts, dirs, h: float, order: int = 1):
-    """Derivatives of ``fn`` of the given order at ``pts`` B + (n,) along each
-    row of ``dirs`` D + (n,), D + B + T, from one call of ``fn`` on the
-    displaced stack (offsets,) + D + B + (n,)."""
+    """Derivatives of ``fn`` of the given order at ``pts`` B + (n,) along
+    ``dirs`` D + (n,), from one call of ``fn`` on the displaced stack
+    (offsets,) + broadcast(D, B) + (n,).  A stack of directions (k, n) goes
+    in front of the points, giving (k,) + B + T; any other D broadcasts
+    against B, each point displaced along its own direction, giving
+    broadcast(D, B) + T."""
     offsets = _OFFSETS if order == 1 else _OFFSETS2
-    steps = np.multiply.outer(offsets * h, dirs)
-    pad = (1,) * (np.ndim(pts) - 1)
-    ys = pts + steps.reshape(steps.shape[:-1] + pad + steps.shape[-1:])
+    if np.ndim(dirs) == 2:
+        dirs = np.reshape(dirs, dirs.shape[:1] + (1,) * (np.ndim(pts) - 1) + dirs.shape[1:])
+    rank = max(np.ndim(dirs), np.ndim(pts))
+    ys = pts + (offsets * h).reshape((-1,) + (1,) * rank) * dirs
     v = fn(ys)
     if np.ndim(v) < ys.ndim - 1:  # constant along the stencil (a constant field)
         v = np.broadcast_to(v, np.broadcast_shapes(ys.shape[:-1], np.shape(v)))
@@ -276,10 +281,10 @@ def _nested(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
 
 def apply_euler_op(
     which,
-    field: Callable[[EulerAngles], complex],
+    field: Callable[[EulerAngles], np.ndarray],
     phi: EulerAngles,
     d: DiffStrategy,
-) -> complex:
+) -> np.ndarray:
     """Generators applied to a field over the angle chart at ``phi``, from
     one field call on its stencil: ``which`` names one (T + S) or is a
     sequence of names (one row each; :data:`EULER_OPS` gives all six images
@@ -299,11 +304,12 @@ def _casimir(nested: np.ndarray, family: str):
 
 def casimir(
     family: str,
-    field: Callable[[EulerAngles], complex],
+    field: Callable[[EulerAngles], np.ndarray],
     phi: EulerAngles,
     d: DiffStrategy,
-) -> complex:
-    """(X1 X1 + X2 X2 + X3 X3) field at phi for the triple X = T or Q."""
+) -> np.ndarray:
+    """(X1 X1 + X2 X2 + X3 X3) field at ``phi`` for the triple X = T or Q,
+    T + S."""
     return _casimir(_nested(field, phi, d), family)
 
 
@@ -330,26 +336,30 @@ def momentum(
 ) -> np.ndarray:
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
-    ``lam`` is an axis or an array of axes L; ``xs`` has shape B + (5,) and
-    the angles shape S.  Both are left-padded with unit axes to the rank of
-    broadcast(B, S), which trails the stencils' axes; the batch itself is
-    never materialised, so x-only work (the potential, a field's x part)
+    ``xs`` has shape B + (5,) and the angles shape S.  ``lam`` is an axis,
+    a 1-D array of axes L, giving L + broadcast(B, S), or an array of axes
+    that broadcasts against B and S, giving their broadcast shape: each
+    point is displaced along its own axis and meets its own row of the
+    potential.  The points and angles are left-padded with unit axes to the
+    rank of that batch, which trails the stencils' axes; the batch itself
+    is never materialised, so x-only work (the potential, a field's x part)
     runs at the size of B and angle-only work at the size of S, and the two
     meet by broadcasting inside the field.  ``field(ys, angles)`` maps base
     points B' + (5,) and angles S' to the broadcast shape of B' and S' (a
     field constant in either broadcasts); it is called once on the
-    displaced points of all axes and once over the angle stencil.
-    ``potential(ys)`` gives the B' + (5, 3) potentials and is called once.
-    Returns L + broadcast(B, S).  An array of axes shares one angle side:
-    one coefficient table and one set of Q images serve every axis, and row
-    lam of the potential meets them in slice lam.
+    displaced points of all axes and once over the angle stencil, whose
+    coefficient table and Q images serve every axis.  ``potential(ys)``
+    gives the B' + (5, 3) potentials and is called once.
     """
-    nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1))
+    lam = np.asarray(lam)
+    nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1), 0 if lam.ndim == 1 else lam.ndim)
+    if lam.ndim == 1:  # the axes in front of the batch
+        lam = lam.reshape(lam.shape + (1,) * nb)
     pad = lambda a, rank: np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a))
     xs = pad(xs, nb + 1)
     phi = EulerAngles(*(pad(c, nb) for c in (phi.phi1, phi.phi2, phi.phi3)))
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
-    row = np.moveaxis(potential(xs), -2, 0)[lam]
+    row = np.choose(lam[..., None], np.moveaxis(potential(xs), -2, 0))
     return -1j * der + coupled_q(row, _images(lambda ang: field(xs, ang), phi, d))
 
 
@@ -368,9 +378,10 @@ def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
 
 
 def casimir_residual(
-    field: Callable[[EulerAngles], complex], phi: EulerAngles, d: DiffStrategy
-) -> float:
-    """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at a point."""
+    field: Callable[[EulerAngles], np.ndarray], phi: EulerAngles, d: DiffStrategy
+) -> np.ndarray:
+    """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at each angle of ``phi``,
+    T + S, from one nested application at ``step2``."""
     nested = _nested(field, phi, d.nested())
     return abs(_casimir(nested, "T") - _casimir(nested, "Q"))
 
@@ -421,12 +432,9 @@ def identity_residual(
                              against its complex-space form; relative;
       "laplacian_split"      the second-order split: r p^2 + Casimir/r
                              against minus the complex Laplacian; relative.
-                             p^2 = sum_lam P_lam P_lam f in axis order, with
-                             the five axes in one pass: the inner field is the
-                             momentum of all five axes, whose Q images (one
-                             angle side) give every outer Q coupling, and the
-                             five x-stencils are one stack of displaced points
-                             where each axis reads its own P_lam f.
+                             p^2 = sum_lam P_lam P_lam f in axis order, one
+                             momentum of the five-axis momentum, each axis's
+                             points displaced along that axis alone.
 
     ``xi`` is one point (4,), giving a float, or a stack B + (4,), giving one
     residual per point, each scaled by its own point's values.  ``field``
@@ -463,19 +471,12 @@ def identity_residual(
 
     if which == "laplacian_split":
         dn = d.nested()
-        axes = np.arange(5)
-        # P_lam f of all five axes, a field over (x, angles) with the axis in front
+        # the axes as a batch axis (not 1-D, which would also go in front of
+        # the outer stencil): axis lam's points meet only their own P_lam f
+        axes = np.arange(5).reshape((5,) + (1,) * max(xi.ndim - 1, 1))
         inner = lambda ys, ang: momentum(axes, field, potential, ys, ang, dn)
-        # the outer P_lam of P_lam f: the x-stencils of the five axes as one
-        # stack (offsets, axes) + B, where each axis reads its own P_lam f,
-        # and the Q images of the five-axis inner field, whose slice lam
-        # meets row lam of the potential
-        own = lambda v: np.swapaxes(v[axes, :, axes], 0, 1)
-        der = _stencil(lambda ys: own(inner(ys, phi)), pt.x, _AXES, dn.step)
-        row = np.moveaxis(potential(pt.x), -2, 0)
-        images = _images(lambda ang: inner(pt.x, ang), phi, dn)
         # summed in axis order, as a running total
-        p_sq = sum(-1j * der + coupled_q(row, images))
+        p_sq = sum(momentum(axes, inner, potential, pt.x, phi, dn)).reshape(np.shape(pt.r))
         lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
         rhs = -xi_laplacian(g, xi, d)
         return _rel_max(lhs, rhs, xi.ndim - 1)
@@ -493,12 +494,12 @@ def _rel_max(lhs, rhs, nb: int):
 
 def oscillator_apply(
     p: OscillatorParams,
-    field: Callable[[np.ndarray], complex],
+    field: Callable[[np.ndarray], np.ndarray],
     xi: np.ndarray,
     d: DiffStrategy,
-) -> complex:
+) -> np.ndarray:
     """Apply the oscillator Hamiltonian -laplacian/2 + omega^2 |xi|^2 / 2 at
-    ``xi`` B + (4,)."""
+    ``xi`` B + (4,), B + T."""
     xi = np.asarray(xi, dtype=complex)
     r = np.vecdot(xi, xi).real
     return -0.5 * xi_laplacian(field, xi, d) + 0.5 * p.omega**2 * r * field(xi)

@@ -33,15 +33,13 @@ from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
     EULER_OPS,
-    _AXES,
-    _OFFSETS,
     DiffStrategy,
     OscillatorParams,
     _casimir,
-    _combine,
     _stencil,
     apply_euler_op,
     coupled_q,
+    momentum,
 )
 from .transform import AngleCase, EulerAngles, RPoint, _row_norms, _uniform
 
@@ -382,7 +380,7 @@ def _weighted(g: np.ndarray, basis: list):
 
 def effective_terms(
     J: int, x, case: AngleCase, branch="alternating"
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray | float]:
     """Selected per-axis eigenvalue vector and the centrifugal scalar.
 
     The eigenvalue for axis lam is m(J, lam) * |A_lam.|, evaluated on the
@@ -427,12 +425,10 @@ def consistency_residual(
     angular factors are one field G of shape S + (5, m).  G and its six
     generator images are evaluated once per distinct angle stack (the
     drawn angles, their 12-point stencil and, for G, the 144-point nested
-    stencil), held in tables that live for one call, and every operator
-    serves all five axes: G's images at the drawn angles, the outer angle
-    images of one five-axis inner field, and the Q Casimir from the images
-    of G's images.  The five x-stencils are one stack of displaced points,
-    axis lam displaced along itself, whose potential, Psi and Psi
-    derivative serve both the transformed side and the reduced operator.
+    stencil), held in tables that live for one call.  The outer P_lam is
+    one :func:`momentum` call over the product-form inner field P_lam (Psi
+    G), with the axes broadcast against the points, and the reduced side
+    takes Psi' by the same rule: each point displaced along its own axis.
     ``test_psi`` maps base points B + (5,) to B (a constant may return a
     scalar); parameters of shape (m,) broadcast against the points'
     trailing axis.
@@ -476,38 +472,30 @@ def consistency_residual(
     # their six generator images
     G = per_stack(lambda ang: _weighted(g, _basis(J, range(-J, J + 1), p, ang)))
     images = per_stack(lambda ang: apply_euler_op(EULER_OPS, G, ang, dn))
-    row = np.moveaxis(A0, -2, 0)
-    dpsi0 = _stencil(test_psi, xv, _AXES, dn.step)
+    # the axes (5, 1) against the points (m,): each point is displaced along
+    # its own axis, as momentum displaces it, and reads its own row of the
+    # potential and its own branch root
+    axes = np.arange(5)[:, None]
+    dirs = np.eye(5)[axes]
+    dpsi = lambda y: _stencil(test_psi, y, dirs, dn.step)
 
-    def inner(ang: EulerAngles) -> np.ndarray:
-        # P_lam (Psi G) of every axis at the undisplaced points, over the angles
-        q = coupled_q(row, images(ang))
-        return -1j * (dpsi0 * G(ang)) + psi0 * q
+    def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
+        # P_lam (Psi G) in product form: Psi's derivative times G, and Psi
+        # times G's images coupled through the potential row of axis lam
+        row = np.choose(axes[..., None], np.moveaxis(potential(ys), -2, 0))
+        return -1j * (dpsi(ys) * G(ang)) + test_psi(ys) * coupled_q(row, images(ang))
 
-    # the x-stencils of the five axes as one stack (offsets, axes, m): axis
-    # lam displaced along itself, where each axis reads its own potential
-    # row and branch root, and Psi's derivative along that axis
-    steps = np.multiply.outer(_OFFSETS * dn.step, _AXES)[:, :, None]
-    ys = xv + steps
-    A_ys = potential(ys)
-    own = lambda v: np.moveaxis(np.diagonal(v, axis1=1, axis2=3), -1, 1)
-    a_ys = own(_branch_roots(J, A_ys, branch))
-    # Psi at the displaced points, broadcast if it is a constant
-    psi = lambda y: np.broadcast_to(test_psi(y), np.shape(y)[:-1])
-    psi_ys = psi(ys)
-    dpsi_ys = _combine(psi(ys + steps[:, None]), dn.step)
-    g0 = G(angles)
-    q_ys = coupled_q(own(A_ys)[:, None], images(angles))
-    der = _combine(-1j * (dpsi_ys[:, None] * g0) + psi_ys[:, None] * q_ys, dn.step)
-    outer = -1j * der + coupled_q(row, apply_euler_op(EULER_OPS, inner, angles, dn))
+    outer = momentum(axes, inner, potential, xv, angles, dn)
     # the Q Casimir from the nested pair: the images of G's images
     qsq = _casimir(apply_euler_op(EULER_OPS, images, angles, dn), "Q")
+    g0 = G(angles)
 
-    # the reduced radial operator on Psi, with each axis's branch eigenvalue
-    # at its displaced points
-    chi_ys = -1j * dpsi_ys - a_ys * psi_ys
-    chi0 = -1j * dpsi0 - a_vec.T * psi0
-    reduced = -1j * _combine(chi_ys, dn.step) - a_vec.T * chi0
+    # the reduced radial operator (-i d_lam - a_lam)^2 on Psi, with each
+    # axis's branch eigenvalue at every point of its stencil
+    a_at = lambda y: np.choose(axes, np.moveaxis(_branch_roots(J, potential(y), branch), -1, 0))
+    chi = lambda y, a: -1j * dpsi(y) - a * test_psi(y)
+    reduced = (-1j * _stencil(lambda y: chi(y, a_at(y)), xv, dirs, dn.step)
+               - a_vec.T * chi(xv, a_vec.T))
 
     # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
     # terms rides along with each axis; summed over the five axes this

@@ -345,6 +345,20 @@ def test_no_uniform_call_in_the_library():
     assert hits == []
 
 
+def test_stencil_layout_stays_in_opcalc():
+    # the stencil offsets and their combination are opcalc's alone: another
+    # module builds no displaced-point stack of its own
+    private = {"_OFFSETS", "_OFFSETS2", "_combine", "_SHIFTS"}
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "opcalc.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & private
+        or isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert hits == []
+
+
 _LAYERS = {"transform", "gauge", "separation", "opcalc"}
 
 

@@ -171,7 +171,8 @@ _SECOND_ORDER_CHECKS = ["laplacian_split_A", "laplacian_split_B", "fd_convergenc
 
 def _flipped_derivative_sign(monkeypatch):
     """The -i d/dx_lam term of the momentum entering with a plus sign: the
-    call less twice its derivative term (the call with a zero potential)."""
+    call less twice its derivative term (the call with a zero potential),
+    wherever the one momentum operator is bound."""
     real = opcalc.momentum
 
     def momentum(lam, field, potential, xs, phi, d):
@@ -180,6 +181,7 @@ def _flipped_derivative_sign(monkeypatch):
                 - 2.0 * real(lam, field, zero, xs, phi, d))
 
     monkeypatch.setattr(opcalc, "momentum", momentum)
+    monkeypatch.setattr(separation, "momentum", momentum)
 
 
 def _rolled_rows(module, axis):
@@ -212,12 +214,14 @@ def _centrifugal_square(monkeypatch):
     monkeypatch.setattr(separation, "effective_terms", effective_terms)
 
 
-# separation_consistency_J0 fails only through a shared scalar term: at J = 0
-# the angular factor is constant and both sides cancel term for term
+# separation_consistency_J0 fails only through a shared scalar term or the
+# momentum itself: at J = 0 the angular factor is constant and both sides
+# cancel term for term
 _SECOND_ORDER_FAULTS = {
-    "flipped_derivative_sign": (_flipped_derivative_sign, {
-        "laplacian_split_A", "laplacian_split_B", "fd_convergence_order"}),
-    # the potential rows as laplacian_split contracts them, (5,) + B + (3,)
+    # the one P_lam that both families square
+    "flipped_derivative_sign": (_flipped_derivative_sign, set(_SECOND_ORDER_CHECKS)),
+    # the potential rows as laplacian_split's outer momentum contracts them,
+    # (5,) + B + (3,)
     "rolled_laplacian_rows": (_rolled_rows(opcalc, 0), {
         "laplacian_split_A", "laplacian_split_B", "fd_convergence_order"}),
     # and as consistency_residual does, ... + (5, m, 3)

@@ -950,13 +950,17 @@ def test_cli_fields_and_exit_codes(tmp_path):
         # finite coordinates whose squared norm overflows
         ["separate", "--j", "1", "--p", "0", "--case", "A",
          "--point", "1e200,0.1,0.2,0.3,0.4"],
+        # finite coordinates whose squared norm underflows to zero
+        ["separate", "--j", "1", "--p", "0", "--case", "A",
+         "--point", "1e-170,0,0,0,1e-170"],
         # 10**12 points would not fit in memory; the cap is checked before
         # anything is allocated
         ["fields", "--case", "A", "-n", str(10 * harness.MAX_SAMPLES + 1)],
         ["fields", "--case", "B", "-n", "1000000000000"],
     ],
     ids=["shell_nan", "box_inf", "point_nan", "p_above_j", "p_below_minus_j",
-         "point_inf", "point_overflows", "n_above_cap", "n_far_above_cap"],
+         "point_inf", "point_overflows", "point_underflows", "n_above_cap",
+         "n_far_above_cap"],
 )
 def test_cli_rejects_bad_export_input(tmp_path, capsys, argv):
     # an input error exits 2 with a message and writes no file; exit 1 is
@@ -972,10 +976,13 @@ def test_cli_rejects_bad_export_input(tmp_path, capsys, argv):
     ["shell:-2,-1", "shell:-1,1", "shell:2,1", "box:2,-2", "shell:1", "box:1,2,3",
      # finite bounds whose points' squared norms overflow
      "box:-1e308,1e308", "box:-1e200,1e200", "shell:1e200,1e300",
-     "point:1e200,0,0,0,0.5"],
+     "point:1e200,0,0,0,0.5",
+     # finite squared norms whose potential arithmetic leaves the float range
+     "box:-1e150,1e150", "point:1e-170,0,0,0,1e-170"],
     ids=["shell_negative", "shell_straddles_zero", "shell_reversed",
          "box_reversed", "shell_one_bound", "box_three_bounds",
-         "box_span_overflows", "box_overflows", "shell_overflows", "point_overflows"],
+         "box_span_overflows", "box_overflows", "shell_overflows", "point_overflows",
+         "box_potential_overflows", "point_underflows"],
 )
 def test_cli_rejects_bad_region(tmp_path, capsys, region):
     out = tmp_path / "out.jsonl"

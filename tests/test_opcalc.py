@@ -584,9 +584,10 @@ def test_laplacian_split_equals_the_per_axis_loop_bit_for_bit(case, n, name):
 
 
 def test_laplacian_split_evaluates_the_coefficients_once_per_stack(monkeypatch):
-    # five tables: the five axes' x-stencils (one stack), the five-axis inner
-    # field's images (the angles and their stencil) and the Casimir's nested
-    # pair; one outer and two inner calls per axis made seventeen
+    # five tables: the inner field at the outer x-stencil, the outer images
+    # (the angles and their stencil) and the Casimir's nested pair; the axes
+    # (5, 1) against the points (7,) give the first three a unit axis; one
+    # outer and two inner calls per axis made seventeen
     calls = []
     coefficients = opcalc._coefficients
 
@@ -597,7 +598,25 @@ def test_laplacian_split_evaluates_the_coefficients_once_per_stack(monkeypatch):
     monkeypatch.setattr(opcalc, "_coefficients", counted)
     xi = xi_stack(7, CASE_A, seed=21)
     identity_residual("laplacian_split", CASE_A, xi, LAPLACIAN_FIELDS["xphi"](7), D)
-    assert sorted(calls, key=len) == [(7,), (7,), (1, 1, 7), (3, 4, 7), (3, 4, 7)]
+    assert sorted(calls, key=len) == [(7,), (1, 7), (1, 1, 7), (3, 4, 7), (3, 4, 1, 7)]
+
+
+def test_laplacian_split_displaces_each_axis_along_itself_only():
+    # the inner P_lam f at the outer x-stencil of axis lam is displaced along
+    # lam alone, (4, 4, 5) + B, never along all five axes, (4, 5, 4, 5) + B
+    shapes = []
+    field = LAPLACIAN_FIELDS["xphi"](7)
+
+    def counted(ys, ang):
+        v = field(ys, ang)
+        shapes.append(np.shape(v))
+        return v
+
+    xi = xi_stack(7, CASE_A, seed=21)
+    identity_residual("laplacian_split", CASE_A, xi, counted, D)
+    assert (4, 4, 5, 7) in shapes
+    assert (4, 5, 4, 5, 7) not in shapes
+    assert sum(math.prod(s) for s in shapes) <= 6216
 
 
 def test_derivative_split_constant_field():
