@@ -29,6 +29,7 @@ from .transform import (
     AngleCase,
     EulerAngles,
     RPoint,
+    _gamma_xi,
     _row_norms,
     extra_angles,
     fiber_section,
@@ -107,7 +108,7 @@ def a_tilde(xi, case: AngleCase, d: DiffStrategy) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=complex)
     D, Dbar = fiber_phase_gradients(xi, case, d)
-    v = np.einsum("lst,...t->...ls", GAMMA.gamma, xi)
+    v = _gamma_xi(xi)
     tr = lambda m: np.swapaxes(m, -1, -2)
     vals = 0.5 * (v @ tr(D) + np.conj(v) @ tr(Dbar))
     vals /= np.vecdot(xi, xi).real[..., None, None]

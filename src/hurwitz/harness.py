@@ -569,8 +569,8 @@ def _norm_draws(cfg, rng):
 
 
 def _norm_identity(cfg, xi):
-    x = np.einsum("ns,lst,nt->nl", xi.conj(), transform.GAMMA.gamma, xi).real
-    norm_x = np.linalg.norm(x, axis=1)
+    # np.linalg.norm, not the cached r: the two differ in the last bit
+    norm_x = np.linalg.norm(transform.forward(xi).x, axis=1)
     norm_xi = np.einsum("ns,ns->n", xi, xi.conj()).real
     return Measured(len(xi), float(np.abs(norm_x - norm_xi).max() / norm_xi.min()))
 
@@ -721,14 +721,15 @@ def _gauge_properties(cfg, pts, case):
     """Per point: the transversality |x A| and the normalization residual
     |A^T A - scale 1| of the closed-form potential."""
     r = np.linalg.norm(pts, axis=1)
-    A = gauge.a_field_closed(pts, case).A
-    trans = np.abs(np.einsum("nl,nlk->nk", pts, A))
-    gram = np.einsum("nlk,nlj->nkj", A, A)
+    # batch axis last, once: the sums over l run along unit-stride rows
+    A = np.moveaxis(gauge.a_field_closed(pts, case).A, 0, -1).copy()
+    trans = np.abs(np.einsum("ln,lkn->kn", pts.T, A))
+    gram = np.einsum("lkn,ljn->kjn", A, A)
     scale = ((r - case.axis_sign * pts[:, 4])
              / (r * r * (r + case.axis_sign * pts[:, 4])))
-    # in place: the (n, 3, 3) stacks are the suite's largest arrays
-    gram -= scale[:, None, None] * np.eye(3)[None]
-    return trans, np.abs(gram, out=gram)
+    # in place: the (3, 3, n) stacks are the suite's largest arrays
+    gram -= scale * np.eye(3)[..., None]
+    return trans.T, np.moveaxis(np.abs(gram, out=gram), -1, 0)
 
 
 def _closed_vs_numeric_residuals(cfg, draws, case, **_):

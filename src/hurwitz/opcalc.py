@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import PolarSingularity
 from .transform import (
-    GAMMA,
     AngleCase,
     EulerAngles,
+    _gamma_xi,
     _row_norms,
     extra_angles,
     forward,
@@ -407,7 +407,8 @@ def pullback(
 def _big_d(xi, dh, da):
     """The five contractions (gamma_l xi).Dholo + conj(gamma_l xi).Danti,
     (5,) + B for ``xi``, ``dh`` and ``da`` of shape B + (4,)."""
-    v = np.einsum("lst,...t->l...s", GAMMA.gamma, xi)
+    # C-ordered, as the sums over s round by memory order
+    v = np.moveaxis(_gamma_xi(xi), -2, 0).copy()
     return (v * dh).sum(axis=-1) + (np.conj(v) * da).sum(axis=-1)
 
 

@@ -7,9 +7,11 @@ against a 1e-5 tolerance, the three spin-J ladder records, whose root
 oracles (eigen-solver, determinant recurrence, null vector) each read
 another part of the coupling matrix, and four records evaluated as one
 stack of points or angles (the ladder relation, the alternating branch,
-the oscillator and the radial duality), and the six second-order records
+the oscillator and the radial duality), the six second-order records
 (the Laplacian splits, the separation consistency and the two convergence
-ratios); in each group a passing record alone shows little.
+ratios), and the seven algebraic records of the quadratic map and the
+closed-form potential (norm, homogeneity, octet convention, transversality
+and normalization); in each group a passing record alone shows little.
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hurwitz import gauge, harness, opcalc, separation
+from hurwitz import gauge, harness, opcalc, separation, transform
 from hurwitz.harness import CASE_A, CASE_B, SuiteConfig
 from hurwitz.transform import _row_norms
 
@@ -235,10 +237,71 @@ _SECOND_ORDER_FAULTS = {
 }
 
 
-def _failed(checks):
+_ALGEBRA_ROWS = ["norm_identity", "quadratic_homogeneity", "octet_convention",
+                 "gauge_properties_A", "gauge_properties_B"]
+_ALGEBRA_RECORDS = {"norm_identity", "quadratic_homogeneity", "octet_convention",
+                    "gauge_transversality_A", "gauge_normalization_A",
+                    "gauge_transversality_B", "gauge_normalization_B"}
+
+
+def _x5_units(units):
+    """The x5 row of the unit table that evaluates gamma_l xi replaced."""
+
+    def apply(monkeypatch):
+        table = transform._UNITS.copy()
+        table[4] = units
+        monkeypatch.setattr(transform, "_UNITS", table)
+
+    return apply
+
+
+def _single_precision_forms(monkeypatch):
+    """The forms xi^dag gamma_l xi rounded to single precision."""
+    real = transform._forms
+    monkeypatch.setattr(transform, "_forms", lambda xi: real(xi).astype(np.complex64))
+
+
+def _swapped_closed_sources(monkeypatch):
+    """The first row of the closed form reading x4 where it reads x2 and x2
+    where it reads x4, in both cases."""
+    src = gauge._CLOSED_SRC.copy()
+    src[0, :2] = src[0, 1::-1]
+    monkeypatch.setattr(gauge, "_CLOSED_SRC", src)
+
+
+def _closed_denominator_without_r(monkeypatch):
+    """The closed form divided by r + s x5 alone, not by r (r + s x5)."""
+    real = gauge._closed_scale
+
+    def closed_scale(x, case):
+        xp, r, denom, singular = real(x, case)
+        return xp, r, denom / r, singular
+
+    monkeypatch.setattr(gauge, "_closed_scale", closed_scale)
+
+
+# x5 -> -x5 keeps the norm and every other form: only the octet record,
+# against its witness, sees the turned axis
+_ALGEBRA_FAULTS = {
+    "x5_signs_flipped": (_x5_units([-1, -1, 1, 1]), {"octet_convention"}),
+    "x5_signs_interleaved": (_x5_units([1, -1, 1, -1]),
+                             {"norm_identity", "octet_convention"}),
+    "single_precision_forms": (_single_precision_forms, {
+        "norm_identity", "quadratic_homogeneity", "octet_convention"}),
+    "swapped_closed_sources": (_swapped_closed_sources, {
+        "gauge_transversality_A", "gauge_normalization_A",
+        "gauge_transversality_B", "gauge_normalization_B"}),
+    "closed_denominator_without_r": (_closed_denominator_without_r, {
+        "gauge_normalization_A", "gauge_normalization_B"}),
+}
+
+
+def _failed(rows):
+    """The ids of the failing records of the given registry rows."""
     return {
-        rid for rid in checks
-        if not harness.run_row(SuiteConfig(), rid, np.random.default_rng(3))[0].passed
+        rec.check_id for rid in rows
+        for rec in harness.run_row(SuiteConfig(), rid, np.random.default_rng(3))
+        if not rec.passed
     }
 
 
@@ -270,8 +333,19 @@ def test_second_order_fault_fails_exactly_its_records(monkeypatch, fault):
     assert _failed(_SECOND_ORDER_CHECKS) == expected
 
 
+@pytest.mark.parametrize("fault", list(_ALGEBRA_FAULTS))
+def test_algebra_fault_fails_exactly_its_records(monkeypatch, fault):
+    # the octet witness is resolved once per process; resolved under a fault
+    # the search would absorb a turned axis or find no witness and raise
+    harness._convention()
+    apply, expected = _ALGEBRA_FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed(_ALGEBRA_ROWS) == expected
+
+
 def test_unfaulted_records_pass():
-    checks = _GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS + _SECOND_ORDER_CHECKS
+    checks = (_GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS + _SECOND_ORDER_CHECKS
+              + _ALGEBRA_ROWS)
     assert _failed(checks) == set()
 
 
@@ -291,3 +365,8 @@ def test_every_stacked_record_has_a_fault():
 def test_every_second_order_record_has_a_fault():
     failed = set().union(*(ids for _, ids in _SECOND_ORDER_FAULTS.values()))
     assert failed == set(_SECOND_ORDER_CHECKS)
+
+
+def test_every_algebra_record_has_a_fault():
+    failed = set().union(*(ids for _, ids in _ALGEBRA_FAULTS.values()))
+    assert failed == _ALGEBRA_RECORDS

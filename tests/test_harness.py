@@ -546,6 +546,21 @@ def test_angle_poly_batch_equals_its_rows():
     assert np.array_equal(polys[0](batch), [polys[0](phi) for phi in angles])
 
 
+@pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
+def test_gauge_properties_equal_the_batch_first_sums_bit_for_bit(case):
+    cfg = SuiteConfig(samples=2000)
+    pts = harness.sample_x(np.random.default_rng(5), case, cfg.exclusion_eps,
+                           size=10 * cfg.samples)
+    A = a_field_closed(pts, case).A
+    r, s = np.linalg.norm(pts, axis=1), case.axis_sign * pts[:, 4]
+    gram = np.einsum("nlk,nlj->nkj", A, A)
+    gram -= ((r - s) / (r * r * (r + s)))[:, None, None] * np.eye(3)
+    trans, norm = harness._gauge_properties(cfg, pts, case)
+    assert trans.shape == (len(pts), 3) and norm.shape == (len(pts), 3, 3)
+    assert np.array_equal(trans, np.abs(np.einsum("nl,nlk->nk", pts, A)))
+    assert np.array_equal(norm, np.abs(gram))
+
+
 def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
     real = harness.sample_x
     drawn = []

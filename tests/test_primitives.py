@@ -1,0 +1,36 @@
+import contextlib
+import importlib.util
+import io
+import math
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "primitives", os.path.join(ROOT, "tools", "primitives.py"))
+primitives = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(primitives)
+
+NAMES = ["forward", "extra_angles", "fiber_section", "a_field_closed", "a_field_numeric",
+         "wigner_d", "apply_euler_op", "_stencil"]
+
+
+def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert primitives.main(["--repeat", "1", "--sizes", "1,50"]) == 0
+    header, *rows = printed.getvalue().splitlines()
+    assert header.split() == ["primitive", "n=1", "us", "ns/pt", "n=50", "us", "ns/pt"]
+    assert [row.split()[0] for row in rows] == NAMES
+    for row in rows:
+        us_1, ns_1, us_50, ns_50 = map(float, row.split()[1:])
+        assert all(math.isfinite(v) and v > 0.0 for v in (us_1, ns_1, us_50, ns_50))
+        assert ns_1 == pytest.approx(1e3 * us_1, rel=0.02)
+
+
+@pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"]])
+def test_primitives_rejects_an_empty_sample(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        primitives.main(argv)
+    assert exc.value.code == 2

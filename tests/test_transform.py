@@ -74,13 +74,88 @@ def test_forward_on_a_stack_raises_when_one_row_is_not_real(monkeypatch):
     gamma = transform.GAMMA.gamma.copy()
     gamma[0] = 0.0
     gamma[0, 0, 1] = 1.0
-    monkeypatch.setattr(transform, "GAMMA", type("G", (), {"gamma": gamma}))
+    cols, units = transform._unit_tables(gamma)
+    monkeypatch.setattr(transform, "_UNIT_COLS", cols)
+    monkeypatch.setattr(transform, "_UNITS", units)
     xis = np.zeros((5, 4), dtype=complex)
     xis[:, 0] = 1.0 + 0.5j
     forward(xis)
     xis[3, 1] = 0.3j
     with pytest.raises(FloatingPointError):
         forward(xis)
+
+
+def _dense_forms(xi):
+    """The reference contraction over both indices of the dense gamma."""
+    return np.einsum("...s,lst,...t->...l", xi.conj(), transform.GAMMA.gamma, xi)
+
+
+def _awkward(shape, seed, width):
+    """Components with exact zeros, magnitudes from 1e-150 to 1e150 and a few
+    +-inf and nan entries: complex B + (4,) for width 4, real B + (8,) for 8."""
+    gen = np.random.default_rng(seed)
+    parts = (gen.standard_normal((8,) + shape)
+             * 10.0 ** gen.integers(-150, 151, (8,) + shape))
+    parts[gen.random(parts.shape) < 0.15] = 0.0
+    special = gen.random(parts.shape) < 0.02
+    parts[special] = gen.choice([np.inf, -np.inf, np.nan], np.count_nonzero(special))
+    parts = np.moveaxis(parts, 0, -1)
+    if width == 8:
+        return parts.copy()
+    xi = np.empty(shape + (4,), dtype=complex)
+    xi.real, xi.imag = parts[..., :4], parts[..., 4:]
+    return xi
+
+
+def _same_bits(a, b):
+    """Equal with NaNs in the same places and zeros of the same sign."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)])))
+
+
+_SHAPES = {"point": [()] * 40, "stack": [(500,)], "nested": [(3, 4, 5)]}
+
+
+@pytest.mark.parametrize("shapes", list(_SHAPES.values()), ids=list(_SHAPES))
+def test_forward_equals_the_dense_contraction_bit_for_bit(shapes):
+    for seed, shape in enumerate(shapes):
+        xi = _awkward(shape, seed, 4)
+        with np.errstate(all="ignore"):
+            assert _same_bits(forward(xi).x, _dense_forms(xi).real)
+
+
+@pytest.mark.parametrize("shapes", list(_SHAPES.values()), ids=list(_SHAPES))
+def test_mapped_complex_x_equals_its_dense_contraction_bit_for_bit(shapes):
+    conv = transform.ConventionMap((0, 2, 4, 6), (1, 3, 5, 7), (1, -1, 1, -1),
+                                   (1, -1, 1, 1), (4, 0, 3, 1, 2), (1, -1, 1, 1, -1))
+    for seed, shape in enumerate(shapes):
+        u = _awkward(shape, seed, 8)
+        with np.errstate(all="ignore"):
+            want = _dense_forms(conv.xi_of(u)).real[..., list(conv.axis_perm)]
+            want = np.asarray(conv.axis_sign) * want
+            assert _same_bits(conv.mapped_complex_x(u), want)
+
+
+def test_forward_raises_nowhere_the_dense_contraction_does_not(monkeypatch):
+    # one point at a time, under errstate(all="raise"): the forms raise on
+    # nothing, as the dense einsum raises on nothing, and forward raises
+    # (in its row norm, on overflow or underflow) only where forward on the
+    # dense forms raises
+    def raises(xi):
+        try:
+            forward(xi)
+        except FloatingPointError:
+            return True
+        return False
+
+    xis = _awkward((400,), 7, 4)
+    with np.errstate(all="raise"):
+        transform._forms(xis)
+        got = [raises(xi) for xi in xis]
+        monkeypatch.setattr(transform, "_forms", _dense_forms)
+        want = [raises(xi) for xi in xis]
+    assert not any(g and not w for g, w in zip(got, want))
+    assert any(want) and not all(want)
 
 
 @pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])

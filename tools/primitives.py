@@ -1,0 +1,98 @@
+"""Per-call and per-point cost of the library's primitives, stack by stack.
+
+    python3 tools/primitives.py [--repeat N] [--sizes 1,50,2000,20000]
+
+For each primitive and stack size, prints the median time of one call (us)
+and that time per point (ns) over ``--repeat`` samples; each sample is a
+loop of calls lasting at least 5 ms (one call at least), after one
+untimed warm-up call.  The primitives are the eight the ROADMAP names:
+
+* ``forward``, ``extra_angles`` and ``fiber_section`` (case A) over a stack
+  of fiber points and their base points and angles;
+* ``a_field_closed`` and ``a_field_numeric`` (case A, default steps);
+* ``wigner_d`` (J = 2, q = 1, p = 0) over the points' phi3;
+* ``apply_euler_op`` of T1 on a smooth field over the angle chart;
+* one ``_stencil`` evaluation: the first derivatives of a Gaussian in |xi|^2
+  along the 8 real directions of C^4 (32 displaced copies of each point).
+
+The points are drawn by the suite's own sampler from a fixed seed, so two
+source trees time the same inputs.  Run with the tree's ``src`` on the path
+(``PYTHONPATH=src``); one process, single-threaded numpy calls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from hurwitz import gauge, opcalc, separation, transform
+from hurwitz.harness import CASE_A, sample_xi
+
+SIZES = (1, 50, 2000, 20000)
+MIN_SAMPLE_S = 0.005
+
+
+def _field(phi):
+    return np.exp(1j * (phi.phi1 - 2.0 * phi.phi2)) * np.cos(phi.phi3)
+
+
+def primitives(n: int) -> dict:
+    """The eight calls on a stack of ``n`` points, each taking no argument."""
+    xi = sample_xi(np.random.default_rng(n), CASE_A, 0.15, size=n)
+    x = transform.forward(xi).x
+    phi = transform.extra_angles(xi, CASE_A)
+    d = opcalc.DiffStrategy()
+    gaussian = lambda z: np.exp(-np.vecdot(z, z).real)
+    return {
+        "forward": lambda: transform.forward(xi),
+        "extra_angles": lambda: transform.extra_angles(xi, CASE_A),
+        "fiber_section": lambda: transform.fiber_section(x, phi, CASE_A),
+        "a_field_closed": lambda: gauge.a_field_closed(x, CASE_A),
+        "a_field_numeric": lambda: gauge.a_field_numeric(xi, CASE_A, d),
+        "wigner_d": lambda: separation.wigner_d(2, 1, 0, phi.phi3),
+        "apply_euler_op": lambda: opcalc.apply_euler_op("T1", _field, phi, d),
+        "_stencil": lambda: opcalc._stencil(gaussian, xi, opcalc._XI_DIRS, d.step),
+    }
+
+
+def per_call_s(call, repeat: int) -> float:
+    """Median seconds per call over ``repeat`` timed loops."""
+    start = time.perf_counter()
+    call()
+    number = max(1, math.ceil(MIN_SAMPLE_S / max(time.perf_counter() - start, 1e-9)))
+    samples = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        samples.append((time.perf_counter() - start) / number)
+    return statistics.median(samples)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="time the library's primitives")
+    ap.add_argument("--repeat", type=int, default=7, help="timed loops per entry")
+    ap.add_argument("--sizes", default=",".join(map(str, SIZES)),
+                    help="comma-separated stack sizes")
+    args = ap.parse_args(argv)
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if args.repeat < 1 or min(sizes) < 1:
+        ap.error("--repeat and every size must be at least 1")
+    table = {n: primitives(n) for n in sizes}
+    print(f"{'primitive':<16}" + "".join(f"{f'n={n} us':>13}{'ns/pt':>9}" for n in sizes))
+    for name in table[sizes[0]]:
+        cells = []
+        for n in sizes:
+            t = per_call_s(table[n][name], args.repeat)
+            cells.append(f"{t * 1e6:>13.1f}{t * 1e9 / n:>9.0f}")
+        print(f"{name:<16}" + "".join(cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
