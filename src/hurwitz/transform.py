@@ -53,7 +53,7 @@ GAMMA = build_gamma()
 
 
 def _unit_tables(gamma: np.ndarray):
-    """Each row's nonzero column and entry, (5, 4) each (0 and 0 on a zero row)."""
+    """Each row's nonzero column and entry, (5, 4) each (column 0, entry 0 on a zero row)."""
     cols = np.argmax(gamma != 0, axis=-1)
     return cols, np.take_along_axis(gamma, cols[..., None], axis=-1)[..., 0]
 
