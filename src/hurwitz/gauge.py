@@ -227,4 +227,6 @@ def a_field_closed(x, case: AngleCase) -> GaugeField:
             f"case {case.tag} potential diverges on the {half} x5 half-axis"
         )
     xp /= (r * denom)[..., None]
+    # take, not xp[..., _CLOSED_SRC]: the fancy index lays its result out
+    # batch-fastest, and fields_cmd's batched @ then rounds differently
     return GaugeField(_CLOSED_SIGN[case.tag] * xp.take(_CLOSED_SRC, axis=-1), case)

@@ -272,17 +272,18 @@ def det_bisection_roots(J: int, col):
     cells = (dets[:, :-1] * dets[:, 1:] < 0.0) & banded[:, None]
     owner, cell = np.nonzero(cells)
     lo, hi, flo = grid_a[owner, cell], grid_a[owner, cell + 1], dets[owner, cell]
+    b_diag, b_couple = diag[owner], couple[owner]
     open_ = hi - lo > 1e-13
     while open_.any():
-        idx = np.flatnonzero(open_)
-        mid = 0.5 * (lo[idx] + hi[idx])
-        fm = _continuant(diag[owner[idx]], couple[owner[idx]], mid)
-        left = flo[idx] * fm < 0.0
+        mid = 0.5 * (lo + hi)
+        fm = _continuant(b_diag, b_couple, mid)
+        left = flo * fm < 0.0
+        right = open_ & ~left
         # an exact zero closes its bracket at the midpoint: lo = hi = mid
-        hi[idx] = np.where(left | (fm == 0.0), mid, hi[idx])
-        lo[idx] = np.where(left, lo[idx], mid)
-        flo[idx] = np.where(left, flo[idx], fm)
-        open_[idx] = hi[idx] - lo[idx] > 1e-13
+        hi = np.where(open_ & (left | (fm == 0.0)), mid, hi)
+        lo = np.where(right, mid, lo)
+        flo = np.where(right, fm, flo)
+        open_ &= hi - lo > 1e-13
     mids = 0.5 * (lo + hi)
     roots = [np.sort(np.concatenate([grid[(det == 0.0) & ok], mids[owner == i]]))
              for i, (grid, det, ok) in enumerate(zip(grid_a, dets, banded))]

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -559,6 +560,42 @@ def test_gauge_properties_equal_the_batch_first_sums_bit_for_bit(case):
     assert trans.shape == (len(pts), 3) and norm.shape == (len(pts), 3, 3)
     assert np.array_equal(trans, np.abs(np.einsum("nl,nlk->nk", pts, A)))
     assert np.array_equal(norm, np.abs(gram))
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 20000])
+@pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
+def test_gauge_properties_equal_the_one_block_kernel_bit_for_bit(case, n):
+    pts = harness.sample_x(np.random.default_rng(n), case, 1e-3, size=n)
+    trans, norm = harness._gauge_properties(SuiteConfig(), pts, case)
+    for blocked, whole in zip((trans, norm), harness._gauge_kernel(pts, case)):
+        assert blocked.shape == whole.shape
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(np.signbit(blocked), np.signbit(whole))
+
+
+def test_gauge_properties_peak_below_a_megabyte_above_their_outputs():
+    pts = harness.sample_x(np.random.default_rng(3), harness.CASE_A, 1e-3, size=20000)
+    harness._gauge_properties(SuiteConfig(), pts, harness.CASE_A)
+    tracemalloc.start()
+    try:
+        trans, norm = harness._gauge_properties(SuiteConfig(), pts, harness.CASE_A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the outputs are 1.92 MB; a whole-stack evaluation peaks 4.2 MB above them
+    assert peak - (trans.nbytes + norm.nbytes) < 1e6
+
+
+@pytest.mark.parametrize("samples", [1, 2000])
+def test_norm_draws_equal_the_complex_quotient(samples):
+    # a product by 0.5 and the quotient by 2 + 0j round alike; only an exactly
+    # zero draw could differ, and then only in the sign of the zero
+    cfg = SuiteConfig(samples=samples)
+    for seed in range(200):
+        gen = np.random.default_rng(seed)
+        want = (gen.standard_normal((10 * samples, 4))
+                + 1j * gen.standard_normal((10 * samples, 4))) / 2.0
+        assert np.array_equal(harness._norm_draws(cfg, np.random.default_rng(seed)), want)
 
 
 def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):

@@ -21,12 +21,17 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     with contextlib.redirect_stdout(printed):
         assert primitives.main(["--repeat", "1", "--sizes", "1,50"]) == 0
     header, *rows = printed.getvalue().splitlines()
-    assert header.split() == ["primitive", "n=1", "us", "ns/pt", "n=50", "us", "ns/pt"]
+    assert header.split() == ["primitive", "n=1", "us", "ns/pt", "peak_kB",
+                              "n=50", "us", "ns/pt", "peak_kB"]
     assert [row.split()[0] for row in rows] == NAMES
     for row in rows:
-        us_1, ns_1, us_50, ns_50 = map(float, row.split()[1:])
-        assert all(math.isfinite(v) and v > 0.0 for v in (us_1, ns_1, us_50, ns_50))
+        us_1, ns_1, kb_1, us_50, ns_50, kb_50 = map(float, row.split()[1:])
+        assert all(math.isfinite(v) and v > 0.0
+                   for v in (us_1, ns_1, kb_1, us_50, ns_50, kb_50))
         assert ns_1 == pytest.approx(1e3 * us_1, rel=0.02)
+    # each call's result is allocated in the call, so it is in the peak:
+    # forward's x, a float (n, 5) stack, holds 2 kB at 50 points
+    assert float(rows[0].split()[6]) >= 2.0
 
 
 @pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"]])

@@ -364,6 +364,9 @@ def test_batched_bisection_equals_scalar_bisection():
         (i % 4, (float(a1), 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)))
         for i, (a1, a2, a3) in enumerate(a)
     ]
+    # the first eight again, 15 times wider: spans from 1 to about 85 in one
+    # stack, so its brackets close up to six steps apart
+    cols += [(J, (15.0 * a1, 15.0 * ap, 15.0 * am)) for J, (a1, ap, am) in cols[:8]]
     # diagonal columns: roots on grid points (exact zeros of the scan) and,
     # for the last one, at the first midpoint of grid cell 2100, where a
     # bracket closes on an exact zero

@@ -85,6 +85,34 @@ def test_forward_on_a_stack_raises_when_one_row_is_not_real(monkeypatch):
         forward(xis)
 
 
+def _per_row_guard(x):
+    """The realness guard as one scaled test per row, for the verdict table."""
+    scale = np.maximum(1.0, np.abs(x).max(axis=-1))
+    return not np.count_nonzero(np.abs(x.imag).max(axis=-1) > 1e-13 * scale)
+
+
+@pytest.mark.parametrize("x, passes", [
+    ([[1.0 + 1e-13j, -3.0 - 1e-13j, 0, 0, 0], [0.5, 0, 0, 0, 1e-14j]], True),
+    # within its own scale 1e-13 * 50, above the whole-stack 1e-13
+    ([[1.0, 0, 0, 0, 0], [50.0, 4e-12j, 0, 0, 0]], True),
+    ([[50.0, 4e-12j, 0, 0, 0], [1.0, 0, 0, 0, 2e-13j]], False),
+    ([[1.0, 0, 0, 0, 0], [np.nan, 0, 0, 0, 0], [0, 0, np.nan * 1j, 0, 0]], True),
+    (np.zeros((0, 5), dtype=complex), True),
+    (np.zeros((2, 0, 5), dtype=complex), True),
+], ids=["within_1e-13", "within_own_scale", "above_own_scale", "nan_rows",
+        "empty", "empty_batch"])
+def test_forward_guard_verdicts_equal_the_per_row_test(monkeypatch, x, passes):
+    x = np.asarray(x, dtype=complex)
+    assert _per_row_guard(x) == passes
+    monkeypatch.setattr(transform, "_forms", lambda xi: x.copy())
+    if passes:
+        out = forward(np.zeros(x.shape[:-1] + (4,), dtype=complex))
+        assert np.array_equal(out.x, x.real, equal_nan=True)
+    else:
+        with pytest.raises(FloatingPointError):
+            forward(np.zeros(x.shape[:-1] + (4,), dtype=complex))
+
+
 def _dense_forms(xi):
     """The reference contraction over both indices of the dense gamma."""
     return np.einsum("...s,lst,...t->...l", xi.conj(), transform.GAMMA.gamma, xi)

@@ -5,7 +5,10 @@
 For each primitive and stack size, prints the median time of one call (us)
 and that time per point (ns) over ``--repeat`` samples; each sample is a
 loop of calls lasting at least 5 ms (one call at least), after one
-untimed warm-up call.  The primitives are the eight the ROADMAP names:
+untimed warm-up call.  Beside them, ``peak_kB`` is the traced peak of one
+more call (``tracemalloc``: the most memory its allocations held at once,
+its result included), so a megabyte temporary shows in its layer.  The
+primitives are the eight the ROADMAP names:
 
 * ``forward``, ``extra_angles`` and ``fiber_section`` (case A) over a stack
   of fiber points and their base points and angles;
@@ -27,6 +30,7 @@ import math
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -74,6 +78,16 @@ def per_call_s(call, repeat: int) -> float:
     return statistics.median(samples)
 
 
+def traced_peak_bytes(call) -> int:
+    """The most memory that one call's allocations held at once."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="time the library's primitives")
     ap.add_argument("--repeat", type=int, default=7, help="timed loops per entry")
@@ -84,12 +98,14 @@ def main(argv=None) -> int:
     if args.repeat < 1 or min(sizes) < 1:
         ap.error("--repeat and every size must be at least 1")
     table = {n: primitives(n) for n in sizes}
-    print(f"{'primitive':<16}" + "".join(f"{f'n={n} us':>13}{'ns/pt':>9}" for n in sizes))
+    print(f"{'primitive':<16}"
+          + "".join(f"{f'n={n} us':>13}{'ns/pt':>9}{'peak_kB':>10}" for n in sizes))
     for name in table[sizes[0]]:
         cells = []
         for n in sizes:
             t = per_call_s(table[n][name], args.repeat)
-            cells.append(f"{t * 1e6:>13.1f}{t * 1e9 / n:>9.0f}")
+            kb = traced_peak_bytes(table[n][name]) / 1e3
+            cells.append(f"{t * 1e6:>13.1f}{t * 1e9 / n:>9.0f}{kb:>10.1f}")
         print(f"{name:<16}" + "".join(cells))
     return 0
 
