@@ -228,5 +228,8 @@ def a_field_closed(x, case: AngleCase) -> GaugeField:
         )
     xp /= (r * denom)[..., None]
     # take, not xp[..., _CLOSED_SRC]: the fancy index lays its result out
-    # batch-fastest, and fields_cmd's batched @ then rounds differently
-    return GaugeField(_CLOSED_SIGN[case.tag] * xp.take(_CLOSED_SRC, axis=-1), case)
+    # batch-fastest, and fields_cmd's batched @ then rounds differently; the
+    # signs multiply in place, so no second array of the result's size
+    A = xp.take(_CLOSED_SRC, axis=-1)
+    A *= _CLOSED_SIGN[case.tag]
+    return GaugeField(A, case)

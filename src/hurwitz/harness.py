@@ -411,6 +411,21 @@ def _stack_angles(angles) -> EulerAngles:
     return EulerAngles(*(np.array(c) for c in columns))
 
 
+def _grouped_field(parts):
+    """One complex field over angles whose trailing axis is the sample axis:
+    for each (indices, fn) of ``parts``, those samples take ``fn`` evaluated
+    on their own gathered angles, scattered back into place."""
+
+    def field(phi: EulerAngles) -> np.ndarray:
+        cols = np.broadcast_arrays(phi.phi1, phi.phi2, phi.phi3)
+        out = np.empty(cols[0].shape, dtype=complex)
+        for idx, fn in parts:
+            out[..., idx] = fn(EulerAngles(*(c[..., idx] for c in cols)))
+        return out
+
+    return field
+
+
 # offsets of the invariant products m of a stack, B + (4, 4) -> B
 _TEST_OFFSETS = (
     lambda m: 0.3 * np.sin(m[..., 0, 0].real - m[..., 1, 1].real),
@@ -668,18 +683,21 @@ def _casimir_draws(cfg, rng):
 
 
 def _casimir_residuals(cfg, draws):
-    """One Casimir residual for the stacked polynomials and one per (J, q, p)
-    group of Wigner functions."""
+    """One Casimir residual call for the stacked polynomials and one for the
+    Wigner functions, each (J, q, p) group on its own samples.  The
+    polynomials keep a real call: the stencil's division rounds otherwise
+    on complex values."""
     d = cfg.strategy(1e-3)
     res = np.empty(len(draws))
-    keys = [g if isinstance(g, tuple) else "poly" for _, g in draws]
-    for key, idx in _groups(keys):
-        angles, fields = zip(*(draws[i] for i in idx))
-        if key == "poly":
-            field = _stack(fields)
-        else:
-            field = lambda ph, jqp=key: separation.wigner(*jqp, ph)
-        res[idx] = opcalc.casimir_residual(field, _stack_angles(angles), d)
+    poly = [i for i, (_, g) in enumerate(draws) if not isinstance(g, tuple)]
+    jqp = [i for i, (_, g) in enumerate(draws) if isinstance(g, tuple)]
+    if poly:
+        res[poly] = opcalc.casimir_residual(_stack([draws[i][1] for i in poly]),
+                                            _stack_angles([draws[i][0] for i in poly]), d)
+    if jqp:
+        field = _grouped_field([(sub, functools.partial(separation.wigner, *key))
+                                for key, sub in _groups([draws[i][1] for i in jqp])])
+        res[jqp] = opcalc.casimir_residual(field, _stack_angles([draws[i][0] for i in jqp]), d)
     return res
 
 
@@ -884,23 +902,26 @@ def _wigner_ladder(cfg, _):
 def _angular_residuals(cfg, draws, **_):
     """|row.Q G - target G|, |Q^2 G - J(J+1) G| and |T1 G - p G| for draws
     (J, p, g, row, target, phi), G the angular factor of the coefficients g;
-    one generator-image and one Casimir evaluation per (J, p) group."""
+    one generator-image, one Casimir and one G evaluation over every draw,
+    each (J, p) group of G on its own samples."""
+    if not draws:
+        return np.empty((0, 3))
     d = cfg.strategy(1e-3)
-    res = np.empty((len(draws), 3))
-    for (J, p), idx in _groups([dr[:2] for dr in draws]):
-        _, _, g, row, target, angles = zip(*(draws[i] for i in idx))
-        g = np.stack(g, axis=-1)
-        G = lambda ph: separation.angular_factor(J, p, g, ph)
-        phi = _stack_angles(angles)
-        images = opcalc.apply_euler_op(opcalc.EULER_OPS, G, phi, d)
-        qsq = opcalc.casimir("Q", G, phi, d)
-        gv = G(phi)
-        res[idx] = np.abs([
-            opcalc.coupled_q(np.array(row), images) - np.array(target) * gv,
-            qsq - J * (J + 1) * gv,
-            images[0] - p * gv,
-        ]).T
-    return res
+    J, p, g, row, target, angles = zip(*draws)
+    G = _grouped_field([
+        (idx, functools.partial(separation.angular_factor, *key,
+                                np.stack([g[i] for i in idx], axis=-1)))
+        for key, idx in _groups(zip(J, p))])
+    phi = _stack_angles(angles)
+    images = opcalc.apply_euler_op(opcalc.EULER_OPS, G, phi, d)
+    qsq = opcalc.casimir("Q", G, phi, d)
+    gv = G(phi)
+    J, p = np.array(J), np.array(p)
+    return np.abs([
+        opcalc.coupled_q(np.array(row), images) - np.array(target) * gv,
+        qsq - J * (J + 1) * gv,
+        images[0] - p * gv,
+    ]).T
 
 
 def _wigner_draws(cfg, rng):

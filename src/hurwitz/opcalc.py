@@ -21,15 +21,15 @@ for angles, so the batch axes trail and a field whose parameters carry a
 sample axis (one test field per sample) broadcasts it against the batch's
 last axis on both sides.  An operator calls its field once on all of its
 stencil points: the 12 displaced copies of each angle give the three angle
-derivatives, which a coefficient table turns into all six generator images
-(a nested pair is one call on 144 copies); ``_stencil`` displaces points
-along the 8 real directions of C^4 or the base axes, a stack of directions
-in front of the points or one direction per point.  There is one momentum
-operator P_lam: its axes go in front of the batch or broadcast against it,
-each point displaced along its own axis, so P_lam P_lam is a momentum of a
-momentum, and one angle side (coefficient table, Q images) serves every
-axis.  Angle fields are functions on R^3 (no folding), so
-angle-periodic test fields are expected.  Phase-type fiber functions are
+derivatives, which a coefficient table turns into the generator images the
+operator reads (a nested pair is one call on 144 copies); ``_stencil``
+displaces points along the 8 real directions of C^4 or the base axes, a
+stack of directions in front of the points or one direction per point.
+There is one momentum operator P_lam: its axes go in front of the batch or
+broadcast against it, each point displaced along its own axis, so
+P_lam P_lam is a momentum of a momentum, and one angle side (coefficient
+table, Q images) serves every axis.  Angle fields are functions on R^3 (no
+folding), so angle-periodic test fields are expected.  Phase-type fiber functions are
 differentiated via their unit-modulus exponentials, which keeps stencils
 off branch cuts.
 """
@@ -263,20 +263,23 @@ def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
     return _combine([v[(..., o) + (slice(None),) * len(pad)] for o in range(4)], h)
 
 
-def _images(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
-    """All six generators applied to ``field`` at ``phi``, (6,) + T + S."""
-    coef = _coefficients(phi)
+def _images(field, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
+    """The generators of ``rows`` (an index into :data:`EULER_OPS` that
+    keeps the row axis) applied to ``field`` at ``phi``, (R,) + T + S: the
+    coefficient table is sliced before its product and sum, whose reduction
+    axis keeps its place, so each row is bit for bit that row of all six."""
+    coef = _coefficients(phi)[rows]
     der = _angle_derivatives(field, phi, d.step)
     nt = der.ndim - coef.ndim + 1
-    coef = coef.reshape((6,) + (1,) * nt + coef.shape[1:])
+    coef = coef.reshape(coef.shape[:1] + (1,) * nt + coef.shape[1:])
     return 1j * (coef * der).sum(axis=nt + 1)
 
 
-def _nested(field, phi: EulerAngles, d: DiffStrategy) -> np.ndarray:
-    """X_a X_b field at ``phi`` for every generator pair, (6, 6) + T + S:
-    the outer stencil of the six inner images, one field call on 144 points
-    per angle."""
-    return _images(lambda ang: _images(field, ang, d), phi, d)
+def _nested(field, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
+    """X_a X_b field at ``phi`` for every pair of generators of ``rows``,
+    (R, R) + T + S: the outer stencil of the inner images, one field call on
+    144 points per angle."""
+    return _images(lambda ang: _images(field, ang, d, rows), phi, d, rows)
 
 
 def apply_euler_op(
@@ -287,18 +290,24 @@ def apply_euler_op(
 ) -> np.ndarray:
     """Generators applied to a field over the angle chart at ``phi``, from
     one field call on its stencil: ``which`` names one (T + S) or is a
-    sequence of names (one row each; :data:`EULER_OPS` gives all six images
-    (6,) + T + S, which :func:`coupled_q` reads).  Raises
+    sequence of names (one row each, in that order; :data:`EULER_OPS` gives
+    all six images (6,) + T + S).  Only the named rows are formed.  Raises
     :class:`PolarSingularity` where |sin(phi3)| < 1e-8.
     """
-    images = _images(field, phi, d)
-    if isinstance(which, str):
-        return images[EULER_OPS.index(which)]
-    return images[[EULER_OPS.index(w) for w in which]]
+    names = [which] if isinstance(which, str) else which
+    images = _images(field, phi, d, [EULER_OPS.index(w) for w in names])
+    return images[0] if isinstance(which, str) else images
+
+
+# the rows of each triple in EULER_OPS
+_FAMILY = {"T": slice(0, 3), "Q": slice(3, 6)}
 
 
 def _casimir(nested: np.ndarray, family: str):
-    k = EULER_OPS.index(f"{family}1")
+    """The family's Casimir from the diagonal of a nested table that holds
+    all six rows or the family's three alone: the Q rows are the last three
+    in either, the T rows the first."""
+    k = len(nested) - 3 if family == "Q" else 0
     return nested[k, k] + nested[k + 1, k + 1] + nested[k + 2, k + 2]
 
 
@@ -309,19 +318,21 @@ def casimir(
     d: DiffStrategy,
 ) -> np.ndarray:
     """(X1 X1 + X2 X2 + X3 X3) field at ``phi`` for the triple X = T or Q,
-    T + S."""
-    return _casimir(_nested(field, phi, d), family)
+    T + S: the family's three inner images and their 3 x 3 outer images,
+    whose diagonal it sums."""
+    return _casimir(_nested(field, phi, d, _FAMILY[family]), family)
 
 
 def coupled_q(row, images: np.ndarray):
     """(row[..., 0] Q1 + row[..., 1] Q2 + row[..., 2] Q3) field, read from
-    the field's images ``apply_euler_op(EULER_OPS, ...)``, (6,) + T + S.
+    the last three rows of the field's images: all six
+    (``apply_euler_op(EULER_OPS, ...)``, (6,) + T + S) or the Q rows alone.
 
     ``row`` has shape R + (3,); the result has the broadcast shape of R and
     T + S (one row per base point of a field over (x, angles), say, or per
     sample of a batch).
     """
-    q = images[3:]
+    q = images[-3:]
     row = np.asarray(row)
     return row[..., 0] * q[0] + row[..., 1] * q[1] + row[..., 2] * q[2]
 
@@ -348,8 +359,9 @@ def momentum(
     points B' + (5,) and angles S' to the broadcast shape of B' and S' (a
     field constant in either broadcasts); it is called once on the
     displaced points of all axes and once over the angle stencil, whose
-    coefficient table and Q images serve every axis.  ``potential(ys)``
-    gives the B' + (5, 3) potentials and is called once.
+    coefficient table and Q images (the only rows formed) serve every
+    axis.  ``potential(ys)`` gives the B' + (5, 3) potentials and is called
+    once.
     """
     lam = np.asarray(lam)
     nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1), 0 if lam.ndim == 1 else lam.ndim)
@@ -360,16 +372,20 @@ def momentum(
     phi = EulerAngles(*(pad(c, nb) for c in (phi.phi1, phi.phi2, phi.phi3)))
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
     row = np.choose(lam[..., None], np.moveaxis(potential(xs), -2, 0))
-    return -1j * der + coupled_q(row, _images(lambda ang: field(xs, ang), phi, d))
+    images = _images(lambda ang: field(xs, ang), phi, d, _FAMILY["Q"])
+    return -1j * der + coupled_q(row, images)
 
 
 def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
     """|([a, b] - coef*op) field| for each relation (a, b, (coef, op_name))
     (op_name None: the commutator itself should vanish), (R,) + T + S, read
-    from one nested and one first-order application, both at ``step2``."""
+    from one nested and one first-order application, both at ``step2``, of
+    the generators the relations name (one family's closure: its 3 x 3
+    block)."""
     dn = d.nested()
-    nested, images = _nested(field, phi, dn), _images(field, phi, dn)
-    ix = EULER_OPS.index
+    rows = sorted({EULER_OPS.index(n) for a, b, (_, op) in relations for n in (a, b, op) if n})
+    nested, images = _nested(field, phi, dn, rows), _images(field, phi, dn, rows)
+    ix = lambda name: rows.index(EULER_OPS.index(name))
     return np.array([
         np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)]
                - (0.0 if op is None else coef * images[ix(op)]))

@@ -141,13 +141,22 @@ def _angle_arrays(phi: EulerAngles):
 def _basis(J: int, qs, p: int, phi: EulerAngles) -> list:
     """phi^J_{q,p} for each q of ``qs`` at the given angles (or batch, whose
     attributes broadcast), from one cos/sin of phi3/2 and one e^{ip phi1}
-    shared by every q; float angles are a one-element batch."""
+    shared by every q; float angles are a one-element batch.
+
+    A q whose -q came first takes the conjugate of that phase: the argument
+    1j * (-q) * phi2 is exactly (+-0, -(q phi2)), so the conjugate is
+    e^{iq phi2} bit for bit wherever the complex exponential's sine is odd
+    and its cosine even (as libm's are; a test pins it).  The one exception
+    is phi2 = -0.0, where the zero imaginary part takes the other sign.
+    """
     (phi1, phi2, phi3), shape = _angle_arrays(phi)
     half = phi3 / 2.0
     c, s = np.cos(half), np.sin(half)
     e1 = np.exp(1j * p * phi1)
-    return [(np.exp(1j * q * phi2) * _d_value(J, q, p, c, s) * e1).reshape(shape)[()]
-            for q in qs]
+    phase = {}
+    for q in qs:
+        phase[q] = np.conj(phase[-q]) if q and -q in phase else np.exp(1j * q * phi2)
+    return [(phase[q] * _d_value(J, q, p, c, s) * e1).reshape(shape)[()] for q in qs]
 
 
 def wigner(J: int, q: int, p: int, phi: EulerAngles):
@@ -423,8 +432,8 @@ def consistency_residual(
     one residual per point.  The five axes run in one pass: the angles
     (n_angles, 1, 1) meet arrays (5, m) of the axes at the points.  The
     five null vectors come from one column-stack solve, and the five
-    angular factors are one field G of shape S + (5, m).  G and its six
-    generator images are evaluated once per distinct angle stack (the
+    angular factors are one field G of shape S + (5, m).  G and its three
+    Q images are evaluated once per distinct angle stack (the
     drawn angles, their 12-point stencil and, for G, the 144-point nested
     stencil), held in tables that live for one call.  The outer P_lam is
     one :func:`momentum` call over the product-form inner field P_lam (Psi
@@ -470,9 +479,9 @@ def consistency_residual(
         return cached
 
     # the five angular factors as one field, axis lam in slice lam, and
-    # their six generator images
+    # their three Q images
     G = per_stack(lambda ang: _weighted(g, _basis(J, range(-J, J + 1), p, ang)))
-    images = per_stack(lambda ang: apply_euler_op(EULER_OPS, G, ang, dn))
+    images = per_stack(lambda ang: apply_euler_op(EULER_OPS[3:], G, ang, dn))
     # the axes (5, 1) against the points (m,): each point is displaced along
     # its own axis, as momentum displaces it, and reads its own row of the
     # potential and its own branch root
@@ -487,8 +496,8 @@ def consistency_residual(
         return -1j * (dpsi(ys) * G(ang)) + test_psi(ys) * coupled_q(row, images(ang))
 
     outer = momentum(axes, inner, potential, xv, angles, dn)
-    # the Q Casimir from the nested pair: the images of G's images
-    qsq = _casimir(apply_euler_op(EULER_OPS, images, angles, dn), "Q")
+    # the Q Casimir from the nested pair: the Q images of G's Q images
+    qsq = _casimir(apply_euler_op(EULER_OPS[3:], images, angles, dn), "Q")
     g0 = G(angles)
 
     # the reduced radial operator (-i d_lam - a_lam)^2 on Psi, with each

@@ -11,7 +11,9 @@ the oscillator and the radial duality), the six second-order records
 (the Laplacian splits, the separation consistency and the two convergence
 ratios), and the seven algebraic records of the quadratic map and the
 closed-form potential (norm, homogeneity, octet convention, transversality
-and normalization); in each group a passing record alone shows little.
+and normalization), and the seven angle-operator records (the rotor
+closures and cross commutation, the Casimir equality and the spin-J
+eigenrelations); in each group a passing record alone shows little.
 """
 
 from dataclasses import replace
@@ -296,6 +298,58 @@ _ALGEBRA_FAULTS = {
 }
 
 
+_ANGULAR_CHECKS = ["rotor_closure_T", "rotor_closure_Q", "rotor_cross_commutation",
+                   "casimir_equality", "wigner_eigenrelations", "angular_factor_eigen_A",
+                   "angular_factor_eigen_B"]
+
+
+def _flipped_coefficient(row, col):
+    """One flipped sign in row ``row`` of the generators' coefficient table."""
+
+    def apply(monkeypatch):
+        real = opcalc._coefficients
+
+        def coefficients(phi):
+            out = real(phi)
+            out[row, col] *= -1.0
+            return out
+
+        monkeypatch.setattr(opcalc, "_coefficients", coefficients)
+
+    return apply
+
+
+def _unconjugated_pair(monkeypatch):
+    """The basis taking e^{-iq phi2} for e^{iq phi2} wherever it pairs a q
+    with its -q: the conjugate pair with the wrong sign."""
+
+    def basis(J, qs, p, phi):
+        (phi1, phi2, phi3), shape = separation._angle_arrays(phi)
+        c, s = np.cos(phi3 / 2.0), np.sin(phi3 / 2.0)
+        e1 = np.exp(1j * p * phi1)
+        phase = {}
+        for q in qs:
+            phase[q] = phase[-q] if q and -q in phase else np.exp(1j * q * phi2)
+        return [(phase[q] * separation._d_value(J, q, p, c, s) * e1).reshape(shape)[()]
+                for q in qs]
+
+    monkeypatch.setattr(separation, "_basis", basis)
+
+
+# T2 and Q2 each lose the sign of their d/dphi3 coefficient; the Casimir
+# equality reads both triples, the spin-J records the Q triple (and T1,
+# whose row is constant); one-q basis calls never pair a phase
+_ANGULAR_FAULTS = {
+    "flipped_t_coefficient": (_flipped_coefficient(1, 2), {
+        "rotor_closure_T", "rotor_cross_commutation", "casimir_equality"}),
+    "flipped_q_coefficient": (_flipped_coefficient(4, 2), {
+        "rotor_closure_Q", "rotor_cross_commutation", "casimir_equality",
+        "wigner_eigenrelations", "angular_factor_eigen_A", "angular_factor_eigen_B"}),
+    "unconjugated_pair": (_unconjugated_pair, {
+        "wigner_eigenrelations", "angular_factor_eigen_A", "angular_factor_eigen_B"}),
+}
+
+
 def _failed(rows):
     """The ids of the failing records of the given registry rows."""
     return {
@@ -343,9 +397,16 @@ def test_algebra_fault_fails_exactly_its_records(monkeypatch, fault):
     assert _failed(_ALGEBRA_ROWS) == expected
 
 
+@pytest.mark.parametrize("fault", list(_ANGULAR_FAULTS))
+def test_angular_fault_fails_exactly_its_records(monkeypatch, fault):
+    apply, expected = _ANGULAR_FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed(_ANGULAR_CHECKS) == expected
+
+
 def test_unfaulted_records_pass():
     checks = (_GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS + _SECOND_ORDER_CHECKS
-              + _ALGEBRA_ROWS)
+              + _ALGEBRA_ROWS + _ANGULAR_CHECKS)
     assert _failed(checks) == set()
 
 
@@ -370,3 +431,8 @@ def test_every_second_order_record_has_a_fault():
 def test_every_algebra_record_has_a_fault():
     failed = set().union(*(ids for _, ids in _ALGEBRA_FAULTS.values()))
     assert failed == _ALGEBRA_RECORDS
+
+
+def test_every_angular_record_has_a_fault():
+    failed = set().union(*(ids for _, ids in _ANGULAR_FAULTS.values()))
+    assert failed == set(_ANGULAR_CHECKS)

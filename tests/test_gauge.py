@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,21 @@ def test_closed_form_stack_matches_single_points(case):
     # the x5 row is +0.0 for case A and -0.0 for case B
     assert np.all(stack[:, 4] == 0.0)
     assert np.all(np.signbit(stack[:, 4]) == (case.tag == "B"))
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_closed_form_peaks_below_twice_its_output(case):
+    pts = np.random.default_rng(5).standard_normal((20000, 5))
+    a_field_closed(pts, case)
+    tracemalloc.start()
+    try:
+        A = a_field_closed(pts, case).A
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the signs multiply in place: a second array of the output's size, as
+    # the product of the table and the gathered values made, reads 2.57
+    assert peak < 1.8 * A.nbytes
 
 
 @pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])

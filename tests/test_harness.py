@@ -615,6 +615,30 @@ def test_gauge_reflection_counts_only_evaluated_draws(monkeypatch):
     assert r.n_samples == 150 and r.passed
 
 
+@pytest.mark.parametrize(
+    "row_id, calls",
+    [
+        # the polynomials' real call and the Wigner functions' complex one
+        ("casimir_equality", {"casimir_residual": 2}),
+        ("wigner_eigenrelations", {"apply_euler_op": 1, "casimir": 1}),
+        ("angular_factor_eigen_A", {"apply_euler_op": 1, "casimir": 1}),
+    ],
+)
+def test_grouped_rows_make_one_engine_call_per_operator(monkeypatch, row_id, calls):
+    # the (J, q, p) and (J, p) groups share one call, each group's function
+    # evaluated on its own samples
+    seen = dict.fromkeys(calls, 0)
+    for name in calls:
+        def counted(*args, real=getattr(opcalc, name), name=name):
+            seen[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(opcalc, name, counted)
+    (r,) = harness.run_row(SuiteConfig(), row_id, np.random.default_rng(3))
+    assert r.passed and r.n_samples > 0
+    assert seen == calls
+
+
 def test_check_that_evaluates_no_sample_fails():
     # J_max = 0 leaves the spin >= 1 and spin >= 2 loops of these checks
     # empty; validate() rejects it, so the checks are called directly

@@ -520,6 +520,97 @@ def test_rank_padded_nested_momentum_equals_the_broadcast_call_exactly(angle_sha
         assert np.array_equal(got, want)
 
 
+# --- the rows an operator reads, against the full six-row table ----------------
+# The references are the formulas with every generator row formed: the full
+# coefficient table in the product and the sum, and the full nested table.
+
+def full_images(field, phi, d):
+    coef = opcalc._coefficients(phi)
+    der = opcalc._angle_derivatives(field, phi, d.step)
+    nt = der.ndim - coef.ndim + 1
+    coef = coef.reshape((6,) + (1,) * nt + coef.shape[1:])
+    return 1j * (coef * der).sum(axis=nt + 1)
+
+
+def full_nested(field, phi, d):
+    return full_images(lambda ang: full_images(field, ang, d), phi, d)
+
+
+def assert_same_bits(got, want):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    got, want = np.ascontiguousarray(got).view(float), np.ascontiguousarray(want).view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# fixed draws, so the module generator and the other tests' draws stay
+# untouched
+ROW_ANGLES = {
+    "scalar": lambda: EulerAngles(1.1, 4.2, 0.9),
+    "stack": lambda: padded_angles((7,), seed=5),
+    "grid": lambda: padded_angles((2, 3), seed=6),
+}
+
+
+def row_fields():
+    g = lambda ph: 1.0 + 0.4 * np.cos(ph.phi1 - 2 * ph.phi2 + 0.3) + 0.3 * np.sin(ph.phi3)
+    return {
+        "real": g,
+        "complex": lambda ph: wigner(1, 1, 0, ph) + 0.3 * g(ph),
+        # a field with its own leading output axis, T = (2,)
+        "stacked": lambda ph: np.stack([g(ph), wigner(2, -1, 1, ph)]),
+    }
+
+
+@pytest.mark.parametrize("angles", list(ROW_ANGLES))
+@pytest.mark.parametrize("kind", ["real", "complex", "stacked"])
+def test_image_rows_equal_their_rows_of_the_full_table_bit_for_bit(angles, kind):
+    f, phi = row_fields()[kind], ROW_ANGLES[angles]()
+    full = full_images(f, phi, D3)
+    for rows in ([0], [5], [3, 4, 5], slice(3, 6), slice(0, 3), [0, 3, 4, 5], slice(None)):
+        assert_same_bits(opcalc._images(f, phi, D3, rows), full[rows])
+    for k, name in enumerate(EULER_OPS):
+        assert_same_bits(apply_euler_op(name, f, phi, D3), full[k])
+    assert_same_bits(apply_euler_op(("Q3", "T1"), f, phi, D3), full[[5, 0]])
+
+
+@pytest.mark.parametrize("angles", list(ROW_ANGLES))
+@pytest.mark.parametrize("kind", ["real", "complex", "stacked"])
+def test_family_casimir_equals_the_full_nested_diagonal_bit_for_bit(angles, kind):
+    f, phi = row_fields()[kind], ROW_ANGLES[angles]()
+    nested = full_nested(f, phi, D3)
+    for family, k in (("T", 0), ("Q", 3)):
+        want = nested[k, k] + nested[k + 1, k + 1] + nested[k + 2, k + 2]
+        assert_same_bits(casimir(family, f, phi, D3), want)
+        assert_same_bits(opcalc._casimir(nested, family), want)
+
+
+@pytest.mark.parametrize("angles", ["scalar", "stack"])
+@pytest.mark.parametrize("family", ["T", "Q"])
+def test_one_family_commutators_equal_the_full_table_formula_bit_for_bit(angles, family):
+    f, phi = row_fields()["real"], ROW_ANGLES[angles]()
+    ops = [f"{family}{k}" for k in (1, 2, 3)]
+    relations = [(ops[i], ops[(i + 1) % 3], (1j, ops[(i + 2) % 3])) for i in range(3)]
+    dn = D3.nested()
+    nested, images = full_nested(f, phi, dn), full_images(f, phi, dn)
+    ix = EULER_OPS.index
+    want = np.array([np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)] - c * images[ix(op)])
+                     for a, b, (c, op) in relations])
+    assert_same_bits(commutator_residuals(relations, f, phi, D3), want)
+
+
+@pytest.mark.parametrize("f", [field_gaussian, field_poly])
+def test_q_only_momentum_equals_the_six_image_formula_bit_for_bit(monkeypatch, f):
+    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    phi = padded_angles((2, 1), seed=3)
+    got = momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
+    # every angle image formed, as coupled_q read them before: its last three
+    monkeypatch.setattr(opcalc, "_images", lambda field, phi, d, rows=None:
+                        full_images(field, phi, d))
+    assert_same_bits(got, momentum(np.arange(5), f, potential, PADDED_XS, phi, D3))
+
+
 @pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
 @pytest.mark.parametrize(
     "which", ["derivative_split", "momentum_equivalence", "laplacian_split"]

@@ -190,6 +190,67 @@ def test_ladder_annihilates_extremes():
         assert abs(ladder_apply(-1, J, -J, 1 if J > 0 else 0, phi)) < 1e-12
 
 
+def per_q_basis(J, qs, p, phi):
+    """The basis with one complex exponential per q: the reference for the
+    conjugate-paired phases."""
+    (phi1, phi2, phi3), shape = separation._angle_arrays(phi)
+    c, s = np.cos(phi3 / 2.0), np.sin(phi3 / 2.0)
+    e1 = np.exp(1j * p * phi1)
+    return [(np.exp(1j * q * phi2) * separation._d_value(J, q, p, c, s) * e1).reshape(shape)[()]
+            for q in qs]
+
+
+def stencil_angles(phi, nested):
+    """The angles an operator's field meets around ``phi``: the 12-point
+    first-order stencil, or the 144-point nested one."""
+    seen = []
+
+    def field(ang):
+        seen.append(ang)
+        return np.zeros(np.broadcast(ang.phi1, ang.phi2, ang.phi3).shape)
+
+    if nested:
+        casimir("Q", field, phi, D3)
+    else:
+        apply_euler_op("Q1", field, phi, D3)
+    return seen[0]
+
+
+H = 1e-4
+CONJUGATE_ANGLES = {
+    "phi2_zero": EulerAngles(1.3, 0.0, 0.8),
+    # phi2 = 0 displaced by -2h, as a stencil displaces it
+    "phi2_negative": EulerAngles(1.3, 0.0 + (-2.0 * H), 0.8),
+    "phi2_below_two_pi": EulerAngles(1.3, 2 * math.pi - 1e-12, 0.8),
+    "stencil_12": stencil_angles(EulerAngles(np.array([0.4, 5.9]), np.array([0.0, 3.1]),
+                                             np.array([0.7, 2.2])), nested=False),
+    "stencil_144": stencil_angles(EulerAngles(np.array([0.4, 5.9]), np.array([0.0, 3.1]),
+                                              np.array([0.7, 2.2])), nested=True),
+}
+
+
+def assert_same_bits(got, want):
+    got = np.ascontiguousarray(np.atleast_1d(got)).view(float)
+    want = np.ascontiguousarray(np.atleast_1d(want)).view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("at", list(CONJUGATE_ANGLES))
+def test_conjugate_paired_basis_equals_one_exponential_per_q_bit_for_bit(at):
+    phi = CONJUGATE_ANGLES[at]
+    phi2 = np.atleast_1d(phi.phi2)
+    for q in range(1, 4):
+        # the assumption the pairing rests on: the complex exponential's
+        # sine is odd and its cosine even, to the bit
+        assert_same_bits(np.conj(np.exp(1j * -q * phi2)), np.exp(1j * q * phi2))
+    for J in range(1, 4):
+        qs = range(-J, J + 1)
+        for p in qs:
+            for got, want in zip(separation._basis(J, qs, p, phi), per_q_basis(J, qs, p, phi)):
+                assert_same_bits(got, want)
+
+
 # --- tridiagonal coupling matrix ---------------------------------------------------
 
 def test_potential_column_split():
