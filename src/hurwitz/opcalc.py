@@ -20,18 +20,19 @@ its displacement axes in front, (offsets,) + D + B for points, (3, 4) + S
 for angles, so the batch axes trail and a field whose parameters carry a
 sample axis (one test field per sample) broadcasts it against the batch's
 last axis on both sides.  An operator calls its field once on all of its
-stencil points: the 12 displaced copies of each angle give the three angle
-derivatives, which a coefficient table turns into the generator images the
-operator reads (a nested pair is one call on 144 copies); ``_stencil``
+stencil points, and the angle side works on values, so a caller that needs
+one stencil level twice evaluates it once: ``_images`` turns a field's
+values on ``_angle_stencil`` (12 copies of each angle) into the generator
+images read (a nested pair is one call on 144 copies); ``_stencil``
 displaces points along the 8 real directions of C^4 or the base axes, a
 stack of directions in front of the points or one direction per point.
 There is one momentum operator P_lam: its axes go in front of the batch or
 broadcast against it, each point displaced along its own axis, so
 P_lam P_lam is a momentum of a momentum, and one angle side (coefficient
-table, Q images) serves every axis.  Angle fields are functions on R^3 (no
-folding), so angle-periodic test fields are expected.  Phase-type fiber functions are
-differentiated via their unit-modulus exponentials, which keeps stencils
-off branch cuts.
+table, Q images, or the caller's Q images) serves every axis.  Angle
+fields are functions on R^3 (no folding), so angle-periodic test fields
+are expected.  Phase-type fiber functions are differentiated via their
+unit-modulus exponentials, which keeps stencils off branch cuts.
 """
 
 from __future__ import annotations
@@ -249,27 +250,33 @@ def _coefficients(phi: EulerAngles) -> np.ndarray:
 _SHIFTS = np.eye(3)[:, :, None] * _OFFSETS
 
 
-def _angle_derivatives(field, phi: EulerAngles, h: float) -> np.ndarray:
-    """d field / d phi_k for k = 1..3, T + (3,) + S, from one field call on
-    the displaced angles (3, 4) + S."""
+def _angle_stencil(phi: EulerAngles, h: float) -> EulerAngles:
+    """The displaced angles (3, 4) + S of ``phi``, four along each axis."""
     pad = (1,) * np.ndim(phi.phi1)
-    pts = EulerAngles(*(
+    return EulerAngles(*(
         c + (_SHIFTS[j] * h).reshape((3, 4) + pad)
         for j, c in enumerate((phi.phi1, phi.phi2, phi.phi3))
     ))
-    v = field(pts)
-    if np.ndim(v) < len(pad) + 2:  # a field constant in the angles
-        v = np.broadcast_to(v, np.broadcast_shapes(np.shape(pts.phi1), np.shape(v)))
-    return _combine([v[(..., o) + (slice(None),) * len(pad)] for o in range(4)], h)
 
 
-def _images(field, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
+def _angle_derivatives(v, phi: EulerAngles, h: float) -> np.ndarray:
+    """d field / d phi_k for k = 1..3, T + (3,) + S, from the field's values
+    ``v`` on ``_angle_stencil(phi, h)``, T + (3, 4) + S (fewer axes for a
+    field constant in the angles)."""
+    nd = np.ndim(phi.phi1)
+    if np.ndim(v) < nd + 2:  # a field constant in the angles
+        v = np.broadcast_to(v, np.broadcast_shapes((3, 4) + np.shape(phi.phi1), np.shape(v)))
+    return _combine([v[(..., o) + (slice(None),) * nd] for o in range(4)], h)
+
+
+def _images(v, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
     """The generators of ``rows`` (an index into :data:`EULER_OPS` that
-    keeps the row axis) applied to ``field`` at ``phi``, (R,) + T + S: the
-    coefficient table is sliced before its product and sum, whose reduction
-    axis keeps its place, so each row is bit for bit that row of all six."""
+    keeps the row axis) at ``phi``, from a field's values ``v`` on its
+    stencil, (R,) + T + S: the coefficient table is sliced before its
+    product and sum, whose reduction axis keeps its place, so each row is
+    bit for bit that row of all six."""
     coef = _coefficients(phi)[rows]
-    der = _angle_derivatives(field, phi, d.step)
+    der = _angle_derivatives(v, phi, d.step)
     nt = der.ndim - coef.ndim + 1
     coef = coef.reshape(coef.shape[:1] + (1,) * nt + coef.shape[1:])
     return 1j * (coef * der).sum(axis=nt + 1)
@@ -277,9 +284,10 @@ def _images(field, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.nd
 
 def _nested(field, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
     """X_a X_b field at ``phi`` for every pair of generators of ``rows``,
-    (R, R) + T + S: the outer stencil of the inner images, one field call on
-    144 points per angle."""
-    return _images(lambda ang: _images(field, ang, d, rows), phi, d, rows)
+    (R, R) + T + S: the outer images of the inner images on the stencil,
+    from one field call on the nested stencil, 144 points per angle."""
+    st = _angle_stencil(phi, d.step)
+    return _images(_images(field(_angle_stencil(st, d.step)), st, d, rows), phi, d, rows)
 
 
 def apply_euler_op(
@@ -295,7 +303,7 @@ def apply_euler_op(
     :class:`PolarSingularity` where |sin(phi3)| < 1e-8.
     """
     names = [which] if isinstance(which, str) else which
-    images = _images(field, phi, d, [EULER_OPS.index(w) for w in names])
+    images = _images(field(_angle_stencil(phi, d.step)), phi, d, list(map(EULER_OPS.index, names)))
     return images[0] if isinstance(which, str) else images
 
 
@@ -337,6 +345,17 @@ def coupled_q(row, images: np.ndarray):
     return row[..., 0] * q[0] + row[..., 1] * q[1] + row[..., 2] * q[2]
 
 
+def _padded(lam, xs: np.ndarray, phi: EulerAngles):
+    """:func:`momentum`'s axes, points and angles, padded to its batch."""
+    lam = np.asarray(lam)
+    nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1), 0 if lam.ndim == 1 else lam.ndim)
+    if lam.ndim == 1:  # the axes in front of the batch
+        lam = lam.reshape(lam.shape + (1,) * nb)
+    pad = lambda a, rank: np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a))
+    phi = EulerAngles(*(pad(c, nb) for c in (phi.phi1, phi.phi2, phi.phi3)))
+    return lam, pad(xs, nb + 1), phi
+
+
 def momentum(
     lam,
     field: Callable[[np.ndarray, EulerAngles], np.ndarray],
@@ -344,6 +363,7 @@ def momentum(
     xs: np.ndarray,
     phi: EulerAngles,
     d: DiffStrategy,
+    q_images: np.ndarray | None = None,
 ) -> np.ndarray:
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
@@ -359,21 +379,17 @@ def momentum(
     points B' + (5,) and angles S' to the broadcast shape of B' and S' (a
     field constant in either broadcasts); it is called once on the
     displaced points of all axes and once over the angle stencil, whose
-    coefficient table and Q images (the only rows formed) serve every
-    axis.  ``potential(ys)`` gives the B' + (5, 3) potentials and is called
-    once.
+    coefficient table and Q images (the only rows formed) serve every axis,
+    unless the caller passes them as ``q_images``: the Q images of
+    ``field(xs, .)`` at the padded ``phi``.  ``potential(ys)`` gives the
+    B' + (5, 3) potentials and is called once.
     """
-    lam = np.asarray(lam)
-    nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1), 0 if lam.ndim == 1 else lam.ndim)
-    if lam.ndim == 1:  # the axes in front of the batch
-        lam = lam.reshape(lam.shape + (1,) * nb)
-    pad = lambda a, rank: np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a))
-    xs = pad(xs, nb + 1)
-    phi = EulerAngles(*(pad(c, nb) for c in (phi.phi1, phi.phi2, phi.phi3)))
+    lam, xs, phi = _padded(lam, xs, phi)
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
     row = np.choose(lam[..., None], np.moveaxis(potential(xs), -2, 0))
-    images = _images(lambda ang: field(xs, ang), phi, d, _FAMILY["Q"])
-    return -1j * der + coupled_q(row, images)
+    if q_images is None:
+        q_images = _images(field(xs, _angle_stencil(phi, d.step)), phi, d, _FAMILY["Q"])
+    return -1j * der + coupled_q(row, q_images)
 
 
 def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
@@ -384,7 +400,8 @@ def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
     block)."""
     dn = d.nested()
     rows = sorted({EULER_OPS.index(n) for a, b, (_, op) in relations for n in (a, b, op) if n})
-    nested, images = _nested(field, phi, dn, rows), _images(field, phi, dn, rows)
+    nested = _nested(field, phi, dn, rows)
+    images = _images(field(_angle_stencil(phi, dn.step)), phi, dn, rows)
     ix = lambda name: rows.index(EULER_OPS.index(name))
     return np.array([
         np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)]
@@ -476,7 +493,7 @@ def identity_residual(
         lhs = 0.5 * _big_d(xi, dh, da)
         at = np.moveaxis(a_tilde(xi, case, d), -2, 0)
         xgrad = _stencil(lambda ys: field(ys, phi), pt.x, _AXES, d.step)
-        pgrad = _angle_derivatives(lambda ang: field(pt.x, ang), phi, d.step)
+        pgrad = _angle_derivatives(field(pt.x, _angle_stencil(phi, d.step)), phi, d.step)
         rhs = pt.r * (xgrad + sum(at[..., k] * pgrad[k] for k in range(3)))
         return _rel_max(lhs, rhs, xi.ndim - 1)
 
@@ -487,14 +504,21 @@ def identity_residual(
         return _rel_max(lhs, rhs, xi.ndim - 1)
 
     if which == "laplacian_split":
-        dn = d.nested()
+        dn, q = d.nested(), _FAMILY["Q"]
         # the axes as a batch axis (not 1-D, which would also go in front of
         # the outer stencil): axis lam's points meet only their own P_lam f
         axes = np.arange(5).reshape((5,) + (1,) * max(xi.ndim - 1, 1))
-        inner = lambda ys, ang: momentum(axes, field, potential, ys, ang, dn)
-        # summed in axis order, as a running total
-        p_sq = sum(momentum(axes, inner, potential, pt.x, phi, dn)).reshape(np.shape(pt.r))
-        lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
+        _, xs, phi = _padded(axes, pt.x, phi)
+        # f once on the nested stencil: its Q images on the stencil are the
+        # inner momentum's angle side there and the Casimir's inner images
+        st = _angle_stencil(phi, dn.step)
+        q_st = _images(field(xs, _angle_stencil(st, dn.step)), st, dn, q)
+        inner = lambda ys, ang, qs=None: momentum(axes, field, potential, ys, ang, dn, qs)
+        outer = momentum(axes, inner, potential, xs, phi, dn,
+                         _images(inner(xs, st, q_st), phi, dn, q))
+        qsq = _casimir(_images(q_st, phi, dn, q), "Q")
+        # p^2 summed in axis order, as a running total
+        lhs = (pt.r * sum(outer) + qsq / pt.r).reshape(np.shape(pt.r))
         rhs = -xi_laplacian(g, xi, d)
         return _rel_max(lhs, rhs, xi.ndim - 1)
 

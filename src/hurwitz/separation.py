@@ -32,12 +32,13 @@ import numpy as np
 from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
-    EULER_OPS,
+    _FAMILY,
     DiffStrategy,
     OscillatorParams,
+    _angle_stencil,
     _casimir,
+    _images,
     _stencil,
-    apply_euler_op,
     coupled_q,
     momentum,
 )
@@ -432,13 +433,13 @@ def consistency_residual(
     one residual per point.  The five axes run in one pass: the angles
     (n_angles, 1, 1) meet arrays (5, m) of the axes at the points.  The
     five null vectors come from one column-stack solve, and the five
-    angular factors are one field G of shape S + (5, m).  G and its three
-    Q images are evaluated once per distinct angle stack (the
-    drawn angles, their 12-point stencil and, for G, the 144-point nested
-    stencil), held in tables that live for one call.  The outer P_lam is
-    one :func:`momentum` call over the product-form inner field P_lam (Psi
-    G), with the axes broadcast against the points, and the reduced side
-    takes Psi' by the same rule: each point displaced along its own axis.
+    angular factors are one field G of shape S + (5, m), evaluated once
+    each on the drawn angles, their 12-point stencil and the 144-point
+    nested stencil, whose values give its Q images at the first two.  The
+    outer P_lam is one :func:`momentum` call, handed its angle side, over
+    the product-form inner field P_lam (Psi G), with the axes broadcast
+    against the points, and the reduced side takes Psi' by the same rule:
+    each point displaced along its own axis.
     ``test_psi`` maps base points B + (5,) to B (a constant may return a
     scalar); parameters of shape (m,) broadcast against the points'
     trailing axis.
@@ -464,48 +465,40 @@ def consistency_residual(
     # the five axes' null vectors as one column stack, g (2J+1, 5, m)
     g = np.moveaxis(_null_vector(J, potential_columns(A0), -a_vec.T), -1, 0)
 
-    def per_stack(fn):
-        # fn evaluated once per distinct angle stack, in a table that lives
-        # for one call
-        table = {}
-
-        def cached(ang: EulerAngles) -> np.ndarray:
-            key = tuple((np.shape(c), np.asarray(c).tobytes())
-                        for c in (ang.phi1, ang.phi2, ang.phi3))
-            if key not in table:
-                table[key] = fn(ang)
-            return table[key]
-
-        return cached
-
-    # the five angular factors as one field, axis lam in slice lam, and
-    # their three Q images
-    G = per_stack(lambda ang: _weighted(g, _basis(J, range(-J, J + 1), p, ang)))
-    images = per_stack(lambda ang: apply_euler_op(EULER_OPS[3:], G, ang, dn))
+    # the five angular factors as one field, axis lam in slice lam, on the
+    # angles, their stencil and the nested stencil, and its Q images at the
+    # first two
+    stencil = _angle_stencil(angles, dn.step)
+    g0, g1, g2 = (_weighted(g, _basis(J, range(-J, J + 1), p, ang))
+                  for ang in (angles, stencil, _angle_stencil(stencil, dn.step)))
+    q = _FAMILY["Q"]
+    q0, q1 = _images(g1, angles, dn, q), _images(g2, stencil, dn, q)
     # the axes (5, 1) against the points (m,): each point is displaced along
     # its own axis, as momentum displaces it, and reads its own row of the
     # potential and its own branch root
     axes = np.arange(5)[:, None]
     dirs = np.eye(5)[axes]
     dpsi = lambda y: _stencil(test_psi, y, dirs, dn.step)
+    dpsi0 = dpsi(xv)
 
-    def inner(ys: np.ndarray, ang: EulerAngles) -> np.ndarray:
+    def inner(psi, dpsi_y, A, G, images):
         # P_lam (Psi G) in product form: Psi's derivative times G, and Psi
         # times G's images coupled through the potential row of axis lam
-        row = np.choose(axes[..., None], np.moveaxis(potential(ys), -2, 0))
-        return -1j * (dpsi(ys) * G(ang)) + test_psi(ys) * coupled_q(row, images(ang))
+        row = np.choose(axes[..., None], np.moveaxis(A, -2, 0))
+        return -1j * (dpsi_y * G) + psi * coupled_q(row, images)
 
-    outer = momentum(axes, inner, potential, xv, angles, dn)
+    outer = momentum(axes, lambda ys, _: inner(test_psi(ys), dpsi(ys), potential(ys), g0, q0),
+                     potential, xv, angles, dn,
+                     _images(inner(psi0, dpsi0, A0, g1, q1), angles, dn, q))
     # the Q Casimir from the nested pair: the Q images of G's Q images
-    qsq = _casimir(apply_euler_op(EULER_OPS[3:], images, angles, dn), "Q")
-    g0 = G(angles)
+    qsq = _casimir(_images(q1, angles, dn, q), "Q")
 
     # the reduced radial operator (-i d_lam - a_lam)^2 on Psi, with each
     # axis's branch eigenvalue at every point of its stencil
     a_at = lambda y: np.choose(axes, np.moveaxis(_branch_roots(J, potential(y), branch), -1, 0))
-    chi = lambda y, a: -1j * dpsi(y) - a * test_psi(y)
-    reduced = (-1j * _stencil(lambda y: chi(y, a_at(y)), xv, dirs, dn.step)
-               - a_vec.T * chi(xv, a_vec.T))
+    chi = lambda dpsi_y, a, psi: -1j * dpsi_y - a * psi
+    reduced = (-1j * _stencil(lambda y: chi(dpsi(y), a_at(y), test_psi(y)), xv, dirs, dn.step)
+               - a_vec.T * chi(dpsi0, a_vec.T, psi0))
 
     # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)
     # terms rides along with each axis; summed over the five axes this

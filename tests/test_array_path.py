@@ -359,6 +359,18 @@ def test_stencil_layout_stays_in_opcalc():
     assert hits == []
 
 
+def test_no_memo_keyed_on_array_bytes():
+    # an operator that needs one stencil level twice is handed its values:
+    # no module keeps a table keyed on the bytes of an array
+    hits = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for call in _calls(path)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "tobytes"
+    ]
+    assert hits == []
+
+
 _LAYERS = {"transform", "gauge", "separation", "opcalc"}
 
 

@@ -11,9 +11,11 @@ the oscillator and the radial duality), the six second-order records
 (the Laplacian splits, the separation consistency and the two convergence
 ratios), and the seven algebraic records of the quadratic map and the
 closed-form potential (norm, homogeneity, octet convention, transversality
-and normalization), and the seven angle-operator records (the rotor
+and normalization), the seven angle-operator records (the rotor
 closures and cross commutation, the Casimir equality and the spin-J
-eigenrelations); in each group a passing record alone shows little.
+eigenrelations), and the eight first-order identity records (the phase
+constraints with and without offsets, the derivative splits and the
+momentum equivalences); in each group a passing record alone shows little.
 """
 
 from dataclasses import replace
@@ -179,10 +181,10 @@ def _flipped_derivative_sign(monkeypatch):
     wherever the one momentum operator is bound."""
     real = opcalc.momentum
 
-    def momentum(lam, field, potential, xs, phi, d):
+    def momentum(lam, field, potential, xs, phi, d, q_images=None):
         zero = lambda ys: 0.0 * potential(ys)
-        return (real(lam, field, potential, xs, phi, d)
-                - 2.0 * real(lam, field, zero, xs, phi, d))
+        return (real(lam, field, potential, xs, phi, d, q_images)
+                - 2.0 * real(lam, field, zero, xs, phi, d, q_images))
 
     monkeypatch.setattr(opcalc, "momentum", momentum)
     monkeypatch.setattr(separation, "momentum", momentum)
@@ -350,6 +352,68 @@ _ANGULAR_FAULTS = {
 }
 
 
+_FIRST_ORDER_CHECKS = [f"{stem}_{case.tag}" for case in (CASE_A, CASE_B)
+                       for stem in ("phase_constraint", "derivative_split",
+                                    "momentum_equivalence")]
+_FIRST_ORDER_ROWS = _FIRST_ORDER_CHECKS + ["phase_constraint_A_offsets",
+                                           "phase_constraint_B_offsets"]
+
+
+def _unconjugated_products(monkeypatch):
+    """The invariant products xi_j xi_k without the conjugate, as the
+    offsets of the fiber angles read them."""
+    monkeypatch.setattr(opcalc, "invariant_products",
+                        lambda xi: xi[..., :, None] * xi[..., None, :])
+
+
+def _unconjugated_big_d(monkeypatch):
+    """gamma_l xi, not its conjugate, contracted with the antiholomorphic
+    gradient."""
+
+    def big_d(xi, dh, da):
+        v = np.moveaxis(transform._gamma_xi(xi), -2, 0).copy()
+        return (v * dh).sum(axis=-1) + (v * da).sum(axis=-1)
+
+    monkeypatch.setattr(opcalc, "_big_d", big_d)
+
+
+def _swapped_phase_gradients(monkeypatch):
+    """The fiber angles' holomorphic and antiholomorphic gradients returned
+    in each other's place, wherever they are bound."""
+    real = opcalc.fiber_phase_gradients
+
+    def fiber_phase_gradients(xi, case, d):
+        D, Dbar = real(xi, case, d)
+        return Dbar, D
+
+    monkeypatch.setattr(opcalc, "fiber_phase_gradients", fiber_phase_gradients)
+    monkeypatch.setattr(gauge, "fiber_phase_gradients", fiber_phase_gradients)
+
+
+def _swapped_angle_derivatives(monkeypatch):
+    """The derivatives along phi1 and phi2 in each other's place."""
+    real = opcalc._angle_derivatives
+    monkeypatch.setattr(opcalc, "_angle_derivatives", lambda v, phi, h: np.take(
+        real(v, phi, h), [1, 0, 2], axis=-1 - np.ndim(phi.phi1)))
+
+
+# the plain phase constraint reads no invariant product, and the offsets
+# enter neither the closed-form potential nor the numeric one's gradients
+_FIRST_ORDER_FAULTS = {
+    "unconjugated_products": (_unconjugated_products, {
+        "phase_constraint_A_offsets", "phase_constraint_B_offsets"}),
+    "unconjugated_big_d": (_unconjugated_big_d, {
+        "derivative_split_A", "derivative_split_B",
+        "momentum_equivalence_A", "momentum_equivalence_B"}),
+    "swapped_phase_gradients": (_swapped_phase_gradients, {
+        "phase_constraint_A", "phase_constraint_A_offsets", "phase_constraint_B",
+        "phase_constraint_B_offsets", "derivative_split_A", "derivative_split_B"}),
+    "swapped_angle_derivatives": (_swapped_angle_derivatives, {
+        "derivative_split_A", "derivative_split_B",
+        "momentum_equivalence_A", "momentum_equivalence_B"}),
+}
+
+
 def _failed(rows):
     """The ids of the failing records of the given registry rows."""
     return {
@@ -404,9 +468,16 @@ def test_angular_fault_fails_exactly_its_records(monkeypatch, fault):
     assert _failed(_ANGULAR_CHECKS) == expected
 
 
+@pytest.mark.parametrize("fault", list(_FIRST_ORDER_FAULTS))
+def test_first_order_fault_fails_exactly_its_records(monkeypatch, fault):
+    apply, expected = _FIRST_ORDER_FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed(_FIRST_ORDER_ROWS) == expected
+
+
 def test_unfaulted_records_pass():
     checks = (_GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS + _SECOND_ORDER_CHECKS
-              + _ALGEBRA_ROWS + _ANGULAR_CHECKS)
+              + _ALGEBRA_ROWS + _ANGULAR_CHECKS + _FIRST_ORDER_ROWS)
     assert _failed(checks) == set()
 
 
@@ -436,3 +507,8 @@ def test_every_algebra_record_has_a_fault():
 def test_every_angular_record_has_a_fault():
     failed = set().union(*(ids for _, ids in _ANGULAR_FAULTS.values()))
     assert failed == set(_ANGULAR_CHECKS)
+
+
+def test_every_first_order_record_has_a_fault():
+    failed = set().union(*(ids for _, ids in _FIRST_ORDER_FAULTS.values()))
+    assert failed == set(_FIRST_ORDER_ROWS)

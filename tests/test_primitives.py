@@ -20,7 +20,8 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         assert primitives.main(["--repeat", "1", "--sizes", "1,50"]) == 0
-    header, *rows = printed.getvalue().splitlines()
+    table, second = printed.getvalue().split("\n\n")
+    header, *rows = table.splitlines()
     assert header.split() == ["primitive", "n=1", "us", "ns/pt", "peak_kB",
                               "n=50", "us", "ns/pt", "peak_kB"]
     assert [row.split()[0] for row in rows] == NAMES
@@ -32,6 +33,13 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     # each call's result is allocated in the call, so it is in the peak:
     # forward's x, a float (n, 5) stack, holds 2 kB at 50 points
     assert float(rows[0].split()[6]) >= 2.0
+    # the two second-order residuals at their fixed inputs, whatever the sizes
+    header, *rows = second.splitlines()
+    assert header.split() == ["residual", "points", "us", "peak_kB"]
+    assert [row.split()[:2] for row in rows] == [["consistency_residual", "3"],
+                                                 ["laplacian_split", "7"]]
+    for row in rows:
+        assert all(math.isfinite(v) and v > 0.0 for v in map(float, row.split()[2:]))
 
 
 @pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"]])

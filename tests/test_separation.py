@@ -782,9 +782,10 @@ def test_consistency_evaluates_each_table_once_per_stack(monkeypatch):
     # angles and at their stencil, and the outer images of the five-axis
     # inner field and of those images (the Casimir's nested pair), twenty-five
     # with one pass per axis; the closed form: the branch roots and the null
-    # vectors' columns at the points, the outer momentum's rows, the inner
-    # field at the outer x-stencil and at the points, and the reduced
-    # operator's stencil, thirty-two with one pass per axis
+    # vectors' columns at the points (the inner field at the points reads its
+    # rows from the latter), the inner field at the outer x-stencil, the outer
+    # momentum's rows and the reduced operator's stencil, thirty-two with one
+    # pass per axis
     coefficients, closed = [], []
     real_coefficients, real_closed = opcalc._coefficients, separation.a_field_closed
 
@@ -802,5 +803,4 @@ def test_consistency_evaluates_each_table_once_per_stack(monkeypatch):
                                "alternating", D)
     assert np.all(res < 1e-3)
     assert sorted(coefficients, key=len) == [(4, 1, 1)] * 3 + [(3, 4, 4, 1, 1)]
-    assert closed == [(3, 5), (3, 5), (4, 1, 5, 3, 5), (1, 1, 3, 5), (1, 1, 3, 5),
-                      (4, 5, 3, 5)]
+    assert closed == [(3, 5), (3, 5), (4, 1, 5, 3, 5), (1, 1, 3, 5), (4, 5, 3, 5)]

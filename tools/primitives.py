@@ -18,6 +18,12 @@ primitives are the eight the ROADMAP names:
 * one ``_stencil`` evaluation: the first derivatives of a Gaussian in |xi|^2
   along the 8 real directions of C^4 (32 displaced copies of each point).
 
+A second table times the two second-order residuals, whose angle stencils
+nest, at fixed inputs with the same columns less the per-point one:
+``consistency_residual`` (J = 1, p = 0, case A, the alternating branch) at
+three base points, and ``laplacian_split`` (case A, one test field of the
+suite's kind) at seven fiber points.
+
 The points are drawn by the suite's own sampler from a fixed seed, so two
 source trees time the same inputs.  Run with the tree's ``src`` on the path
 (``PYTHONPATH=src``); one process, single-threaded numpy calls.
@@ -35,7 +41,7 @@ import tracemalloc
 import numpy as np
 
 from hurwitz import gauge, opcalc, separation, transform
-from hurwitz.harness import CASE_A, sample_xi
+from hurwitz.harness import CASE_A, _radial_field, _xphi_field, sample_xi
 
 SIZES = (1, 50, 2000, 20000)
 MIN_SAMPLE_S = 0.005
@@ -61,6 +67,24 @@ def primitives(n: int) -> dict:
         "wigner_d": lambda: separation.wigner_d(2, 1, 0, phi.phi3),
         "apply_euler_op": lambda: opcalc.apply_euler_op("T1", _field, phi, d),
         "_stencil": lambda: opcalc._stencil(gaussian, xi, opcalc._XI_DIRS, d.step),
+    }
+
+
+CONSISTENCY_XS = np.array([[0.5, -0.6, 0.3, 0.4, 0.35], [-0.7, 0.2, 0.9, -0.1, 0.4],
+                           [1.1, 0.4, -0.3, 0.6, -0.2]])
+
+
+def residuals() -> dict:
+    """The two second-order residuals, (points, call taking no argument)."""
+    xi = sample_xi(np.random.default_rng(7), CASE_A, 0.15, size=7)
+    field = _xphi_field(np.random.default_rng(5), "gaussian")
+    psi = _radial_field(0)
+    d = opcalc.DiffStrategy()
+    return {
+        "consistency_residual": (len(CONSISTENCY_XS), lambda: separation.consistency_residual(
+            1, 0, psi, CONSISTENCY_XS, CASE_A, "alternating", d)),
+        "laplacian_split": (len(xi), lambda: opcalc.identity_residual(
+            "laplacian_split", CASE_A, xi, field, d)),
     }
 
 
@@ -107,6 +131,10 @@ def main(argv=None) -> int:
             kb = traced_peak_bytes(table[n][name]) / 1e3
             cells.append(f"{t * 1e6:>13.1f}{t * 1e9 / n:>9.0f}{kb:>10.1f}")
         print(f"{name:<16}" + "".join(cells))
+    print(f"\n{'residual':<22}{'points':>7}{'us':>11}{'peak_kB':>10}")
+    for name, (n, call) in residuals().items():
+        t = per_call_s(call, args.repeat)
+        print(f"{name:<22}{n:>7}{t * 1e6:>11.1f}{traced_peak_bytes(call) / 1e3:>10.1f}")
     return 0
 
 
