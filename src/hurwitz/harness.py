@@ -1195,13 +1195,53 @@ def _strict_arithmetic(what: str):
         raise ConfigInvalid(f"{what} leaves the float range: {exc}") from exc
 
 
-def _write_jsonl(out_path: str, records) -> None:
-    """One JSON line per record, keys sorted, through one encoder: the bytes
-    of json.dumps(rec, sort_keys=True), which builds an encoder per call."""
+# A fields record as json.dumps(rec, sort_keys=True) spells it, over one
+# row of fields_cmd's float table: A row-major, the normalization residual,
+# the transversality, then x.  json writes a finite float as float.__repr__
+# does, and so does %r; the table holds only finite values.
+_FIELDS_LINE = ('{"A": [' + ", ".join(["[%r, %r, %r]"] * 5) + '], "props": '
+                '{"normalization_residual": %r, "transversality": %r}, "x": ['
+                + ", ".join(["%r"] * 5) + "]}\n")
+_EXPORT_BLOCK = 2048
+
+
+def _fields_lines(table: np.ndarray):
+    """The table's lines, formatted as they are written; the rows are made
+    Python floats ``_EXPORT_BLOCK`` at a time, so no more than one block is
+    held as Python objects."""
+    for i in range(0, len(table), _EXPORT_BLOCK):
+        yield from map(_FIELDS_LINE.__mod__, map(tuple, table[i:i + _EXPORT_BLOCK].tolist()))
+
+
+def _write_jsonl(out_path: str, records, lines=()) -> None:
+    """One JSON line per record, keys sorted, through one encoder and in one
+    write: the bytes of json.dumps(rec, sort_keys=True), which builds an
+    encoder per call.  Then ``lines``, ready-made."""
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(out_path, "w") as fh:
-        for rec in records:
-            fh.write(encode(rec) + "\n")
+        fh.write("".join([encode(rec) + "\n" for rec in records]))
+        fh.writelines(lines)
+
+
+def _fields_table(pts: np.ndarray, case: AngleCase) -> np.ndarray:
+    """One ``(m, 22)`` row per point, in ``_FIELDS_LINE``'s order: the
+    potential A row-major, its normalization residual and transversality,
+    then the point.  Only the table outlives the call."""
+    A = gauge.a_field_closed(pts, case).A
+    table = np.empty((len(pts), 22))
+    table[:, :15] = A.reshape(-1, 15)
+    # batched matmul rounds as each point's own @ does; einsum sums in
+    # another order
+    r = _row_norms(pts)
+    np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1, out=table[:, 16])
+    gram = np.swapaxes(A, -1, -2) @ A
+    s = case.axis_sign * pts[:, 4]
+    # the diagonal of gram - scale * I; off it scale * 0 is a zero, which
+    # leaves |gram| as it is
+    gram.reshape(-1, 9)[:, ::4] -= ((r - s) / (r * r * (r + s)))[:, None]
+    np.abs(gram, out=gram).max(axis=(-2, -1), out=table[:, 15])
+    table[:, 17:] = pts
+    return table
 
 
 def fields_cmd(
@@ -1227,40 +1267,29 @@ def fields_cmd(
         rng = np.random.default_rng(seed)
         if reg[0] == "shell":
             # one normal and one uniform draw per point, interleaved
-            pts = np.empty((n, 5))
+            pts, u = np.empty((n, 5)), np.empty(n)
             for i in range(n):
-                v = rng.standard_normal(5)
-                pts[i] = v / np.linalg.norm(v) * _uniform(rng, reg[1], reg[2])
+                pts[i] = rng.standard_normal(5)
+                u[i] = _uniform(rng, reg[1], reg[2])
+            pts /= _row_norms(pts)[:, None]
+            pts *= u[:, None]
         elif reg[0] == "box":
             pts = _uniform(rng, reg[1], reg[2], (n, 5))
         else:
             pts = np.broadcast_to(reg[1], (n, 5))
         singular = gauge.closed_form_singular(pts, case)
-        pts = pts[~singular]
-        A = gauge.a_field_closed(pts, case).A
-        # batched matmul rounds as each point's own @ does; einsum sums in
-        # another order
-        r = _row_norms(pts)
-        trans = np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1)
-        gram = np.swapaxes(A, -1, -2) @ A
-        s = case.axis_sign * pts[:, 4]
-        scale = (r - s) / (r * r * (r + s))
-        norm_res = np.abs(gram - scale[:, None, None] * np.eye(3)).max(axis=(-2, -1))
-    records = [
-        {"x": x, "A": a, "props": {"transversality": t, "normalization_residual": nr}}
-        for x, a, t, nr in zip(pts.tolist(), A.tolist(), trans.tolist(), norm_res.tolist())
-    ]
+        table = _fields_table(pts[~singular], case)
     meta = {
         "meta": {
             "case": case_tag,
             "requested": n,
-            "written": len(records),
+            "written": len(table),
             "skipped": int(np.count_nonzero(singular)),
             "region": region,
             "seed": seed,
         }
     }
-    _write_jsonl(out_path, [meta] + records)
+    _write_jsonl(out_path, [meta], _fields_lines(table))
     return meta["meta"]
 
 

@@ -63,7 +63,7 @@ def test_equal_outputs_pass(outputs, capsys):
         "verify_1729.json", "verify_201.json", "verify_7.json",
         "sweep_201.json", "sweep_1000204.json", "sweep_5.json", "exports",
     ]
-    assert len(os.listdir(outputs / "parent" / "export")) == 67
+    assert len(os.listdir(outputs / "parent" / "export")) == 69
 
 
 def test_main_needs_two_trees(capsys):

@@ -933,19 +933,53 @@ def _fields_reference(case_tag, n, out_path, region, seed):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-@pytest.mark.parametrize("case", ["A", "B"])
+_EXPORT_REGIONS = {"shell": "shell:0.5,2.0", "box": "box:-2,2",
+                   "point": "point:0.3,-0.2,0,-0.0,0.7", "axis_minus": "point:0,0,0,0,-1",
+                   "axis_plus": "point:0,0,0,0,1", "origin": "shell:0,0"}
+
+
 @pytest.mark.parametrize(
-    "region",
-    ["shell:0.5,2.0", "box:-2,2", "point:0.3,-0.2,0,-0.0,0.7",
-     "point:0,0,0,0,-1", "point:0,0,0,0,1", "shell:0,0"],
-    ids=["shell", "box", "point", "axis_minus", "axis_plus", "origin"],
+    "case, region, n",
+    [pytest.param(case, region, 300, id=f"{name}-{case}")
+     for name, region in _EXPORT_REGIONS.items() for case in "AB"]
+    # 5,000 rows span three write blocks, the last one partial
+    + [pytest.param("B", "shell:0.5,2.0", 5000, id="shell-B-5000")],
 )
-def test_fields_export_matches_per_point_reference(tmp_path, case, region):
+def test_fields_export_matches_per_point_reference(tmp_path, case, region, n):
     got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
     for seed in (11, 1729):
-        fields_cmd(case, 300, str(got), region=region, seed=seed)
-        _fields_reference(case, 300, str(want), region, seed)
+        fields_cmd(case, n, str(got), region=region, seed=seed)
+        _fields_reference(case, n, str(want), region, seed)
         assert got.read_bytes() == want.read_bytes()
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 2.0, 1e16,
+                1.7976931348623157e+308]
+
+
+def test_fields_lines_spell_the_sorted_json_record():
+    values = _EDGE_FLOATS + [-v for v in _EDGE_FLOATS]
+    # every value in every one of the 22 columns
+    rows = [[values[(k + j) % len(values)] for j in range(22)] for k in range(len(values))]
+    want = [json.dumps({"A": [row[i:i + 3] for i in range(0, 15, 3)],
+                        "props": {"transversality": row[16],
+                                  "normalization_residual": row[15]},
+                        "x": row[17:]}, sort_keys=True) + "\n" for row in rows]
+    assert list(harness._fields_lines(np.array(rows))) == want
+
+
+def test_fields_export_peak_stays_near_its_table(tmp_path):
+    out = str(tmp_path / "f.jsonl")
+    fields_cmd("A", 10_000, out, region="box:-2,2")
+    tracemalloc.start()
+    try:
+        fields_cmd("A", 10_000, out, region="box:-2,2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table is 1.76 MB and the export peaks at about 5 MB; with every
+    # record held as Python objects at once it peaked at 18 MB
+    assert peak < 8e6
 
 
 def test_fields_export_deterministic(tmp_path):

@@ -20,7 +20,7 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         assert primitives.main(["--repeat", "1", "--sizes", "1,50"]) == 0
-    table, second = printed.getvalue().split("\n\n")
+    table, second, third = printed.getvalue().split("\n\n")
     header, *rows = table.splitlines()
     assert header.split() == ["primitive", "n=1", "us", "ns/pt", "peak_kB",
                               "n=50", "us", "ns/pt", "peak_kB"]
@@ -40,6 +40,17 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
                                                  ["laplacian_split", "7"]]
     for row in rows:
         assert all(math.isfinite(v) and v > 0.0 for v in map(float, row.split()[2:]))
+    # the export table, at its fixed sizes
+    header, *rows = third.splitlines()
+    assert header.split() == ["export", "region", "n=250", "us/rec", "peak_kB",
+                              "n=20000", "us/rec", "peak_kB"]
+    assert [row.split()[:2] for row in rows] == [["fields_cmd", "shell"],
+                                                 ["fields_cmd", "box"]]
+    for row in rows:
+        us_250, kb_250, us_20k, kb_20k = map(float, row.split()[2:])
+        assert all(math.isfinite(v) and v > 0.0 for v in (us_250, kb_250, us_20k, kb_20k))
+        # the 20,000-point table alone holds 3,520 kB
+        assert kb_20k >= 3520.0
 
 
 @pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"]])

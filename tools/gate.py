@@ -7,10 +7,12 @@ For each tree one child process (``PYTHONPATH=TREE/src``) writes
 * ``hurwitz verify`` reports of the default suite at seeds 1729, 201 and 7;
 * sweep reports, ``run_suite(sweep_config(s), only=SWEEP_IDS)`` with the
   tree's own ``bench/workloads.py``, at seeds 201, 1000204 and 5;
-* ``hurwitz fields`` (cases A/B x shell/box/point regions x seeds 1/7/201)
-  and ``hurwitz separate`` (J 0..3 x cases A/B x two branches x three base
-  points, off both singular half-axes, the first at p = 0 and the others
-  at p = -J and p = J) outputs, with everything the commands print.
+* ``hurwitz fields`` (cases A/B x shell/box/point regions x seeds 1/7/201
+  at n = 300, and one shell export per case at n = 5,000, which spans
+  three of the command's 2,048-record write blocks) and ``hurwitz
+  separate`` (J 0..3 x cases A/B x two branches x three base points, off
+  both singular half-axes, the first at p = 0 and the others at p = -J
+  and p = J) outputs, with everything the commands print.
 
 Each verify pair must then pass ``tools/reportdiff.py`` in drift mode
 (its default bound, 0.5 decades), each sweep pair ``--exact``, and the
@@ -65,6 +67,9 @@ def write_outputs(out: str) -> None:
                     path = os.path.join(out, "export", f"fields_{case}_{i}_{s}.jsonl")
                     cli.main(["fields", "--case", case, "-n", "300", "--region", region,
                               "--seed", str(s), "--out", path])
+            path = os.path.join(out, "export", f"fields_{case}_large.jsonl")
+            cli.main(["fields", "--case", case, "-n", "5000", "--region", FIELDS_REGIONS[0],
+                      "--seed", "1", "--out", path])
             for J in range(4):
                 for k, branch in enumerate(SEPARATE_BRANCHES):
                     for i, (point, p) in enumerate(zip(SEPARATE_POINTS, (0, -J, J))):

@@ -24,6 +24,10 @@ nest, at fixed inputs with the same columns less the per-point one:
 three base points, and ``laplacian_split`` (case A, one test field of the
 suite's kind) at seven fiber points.
 
+A third table times the write path: ``fields_cmd`` (case A, its default
+seed) over the benchmark's shell and box regions at 250 and 20,000 points,
+in us per requested record and ``peak_kB``, writing to a temporary file.
+
 The points are drawn by the suite's own sampler from a fixed seed, so two
 source trees time the same inputs.  Run with the tree's ``src`` on the path
 (``PYTHONPATH=src``); one process, single-threaded numpy calls.
@@ -33,15 +37,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
 from hurwitz import gauge, opcalc, separation, transform
-from hurwitz.harness import CASE_A, _radial_field, _xphi_field, sample_xi
+from hurwitz.harness import CASE_A, _radial_field, _xphi_field, fields_cmd, sample_xi
 
 SIZES = (1, 50, 2000, 20000)
 MIN_SAMPLE_S = 0.005
@@ -86,6 +92,10 @@ def residuals() -> dict:
         "laplacian_split": (len(xi), lambda: opcalc.identity_residual(
             "laplacian_split", CASE_A, xi, field, d)),
     }
+
+
+EXPORT_REGIONS = {"shell": "shell:0.5,2.0", "box": "box:-2,2"}
+EXPORT_SIZES = (250, 20000)
 
 
 def per_call_s(call, repeat: int) -> float:
@@ -135,6 +145,17 @@ def main(argv=None) -> int:
     for name, (n, call) in residuals().items():
         t = per_call_s(call, args.repeat)
         print(f"{name:<22}{n:>7}{t * 1e6:>11.1f}{traced_peak_bytes(call) / 1e3:>10.1f}")
+    print(f"\n{'export':<11}{'region':<7}"
+          + "".join(f"{f'n={n} us/rec':>15}{'peak_kB':>10}" for n in EXPORT_SIZES))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "fields.jsonl")
+        for name, region in EXPORT_REGIONS.items():
+            cells = []
+            for n in EXPORT_SIZES:
+                call = lambda: fields_cmd("A", n, out, region=region)
+                t = per_call_s(call, args.repeat)
+                cells.append(f"{t * 1e6 / n:>15.2f}{traced_peak_bytes(call) / 1e3:>10.1f}")
+            print(f"{'fields_cmd':<11}{name:<7}" + "".join(cells))
     return 0
 
 
