@@ -19,7 +19,6 @@ from .errors import (
     DegenerateFiber,
     HurwitzError,
     IllConditionedFrame,
-    NoConventionFound,
     PolarSingularity,
     SectionFailed,
     SingularAxis,
@@ -64,6 +63,7 @@ from .separation import (
 from .transform import (
     CASE_A,
     CASE_B,
+    OCTET_CONVENTION,
     AngleCase,
     ConventionMap,
     EulerAngles,
@@ -72,7 +72,6 @@ from .transform import (
     fiber_section,
     forward,
     forward_octet,
-    resolve_convention,
 )
 
 __version__ = "0.1.0"

@@ -29,17 +29,5 @@ class IllConditionedFrame(HurwitzError):
     """The frame determinant used to convert potentials is below threshold."""
 
 
-class NoConventionFound(HurwitzError):
-    """No octet-to-complex convention reproduced the quadratic map.
-
-    Carries the best candidate seen and its residual for diagnosis.
-    """
-
-    def __init__(self, message, best_candidate=None, best_residual=None):
-        super().__init__(message)
-        self.best_candidate = best_candidate
-        self.best_residual = best_residual
-
-
 class ConfigInvalid(HurwitzError):
     """A suite configuration value is out of range or malformed."""

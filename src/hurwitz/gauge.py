@@ -177,13 +177,14 @@ _CLOSED_SIGN_A = np.array(
     [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, 1.0, -1.0],
      [1.0, 1.0, 1.0]]
 )
-# Case B reflects the point and the base index.  Sign flips are exact, so
-# their product is the one table it needs; its x5 row is -0.0.
+# Case B's table is stated, not derived: the gauge_reflection_map check
+# compares it with case A under CASE_B_REFLECTION.  Its x5 row is -0.0.
 _CLOSED_SIGN = {
     "A": _CLOSED_SIGN_A,
-    "B": CASE_B_REFLECTION[:, None]
-    * _CLOSED_SIGN_A
-    * np.append(CASE_B_REFLECTION, 1.0)[_CLOSED_SRC],
+    "B": np.array(
+        [[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0],
+         [-1.0, -1.0, -1.0]]
+    ),
 }
 
 

@@ -436,16 +436,11 @@ _TEST_OFFSETS = (
 
 # --- conventions --------------------------------------------------------------
 
-@functools.cache
-def _convention():
-    return transform.resolve_convention()
-
-
 def resolved_conventions() -> dict:
-    """Everything the build resolved on its own, surfaced for the report."""
+    """The conventions the build declares, surfaced for the report."""
     g = transform.GAMMA
     table = cl.gamma_tilde_commutation_table(g)
-    conv = _convention()
+    conv = transform.OCTET_CONVENTION
     return {
         "companion_matrix": {
             "construction": "i * g1 * g3",
@@ -605,7 +600,7 @@ def _homogeneity(cfg, draws):
 
 
 def _octet_convention(cfg, u):
-    conv = _convention()
+    conv = transform.OCTET_CONVENTION
     return Measured(len(u), conv.residual(u), json.dumps(conv.describe()))
 
 

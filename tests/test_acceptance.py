@@ -21,7 +21,7 @@ from hurwitz.separation import (
     det_bisection_roots,
     separation_roots,
 )
-from hurwitz.transform import CASE_A, CASE_B, resolve_convention
+from hurwitz.transform import CASE_A, CASE_B, OCTET_CONVENTION
 
 CFG = SuiteConfig()
 G = build_gamma()
@@ -78,9 +78,8 @@ def test_criterion_03_norm_identity():
 
 
 def test_criterion_04_octet_reconciliation():
-    conv = resolve_convention()
     rng = np.random.default_rng(CFG.seed + 1)
-    res = conv.residual(rng.standard_normal((1000, 8)))
+    res = OCTET_CONVENTION.residual(rng.standard_normal((1000, 8)))
     _report(4, "octet convention witness, 1e3 octets", res, 1e-12)
     forms = hz.resolved_conventions()["octet_map"]["octet_forms"]
     assert any("u1 u6 - u2 u5" in f for f in forms)

@@ -16,8 +16,13 @@ closures and cross commutation, the Casimir equality and the spin-J
 eigenrelations), and the eight first-order identity records (the phase
 constraints with and without offsets, the derivative splits and the
 momentum equivalences); in each group a passing record alone shows little.
+One sign of case B's stated closed form is also run over every row, so
+the reflection record, which compares case B with case A, can fail.
 """
 
+import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +69,16 @@ def _x_dependent_frame(monkeypatch):
         return gauge.BFunctions(b.bplus + 1e-4 * r, b.bminus)
 
     monkeypatch.setattr(gauge, "b_functions", b_functions)
+
+
+# case B's closed-form signs are stated, not derived from case A: the
+# reflection check compares them with case A, and every case-B row that
+# takes the closed potential reads them; run over every registry row
+_REFLECTION_FAULTS = {
+    "closed_sign_B_everywhere": (_flip_closed_sign("B"), {
+        "gauge_reflection_map", "gauge_closed_vs_numeric_B", "gauge_transversality_B",
+        "gauge_normalization_B", "momentum_equivalence_B", "laplacian_split_B"}),
+}
 
 
 _LADDER_CHECKS = ["spectrum_structure", "bisection_cross_check", "null_vector_residual"]
@@ -300,6 +315,38 @@ _ALGEBRA_FAULTS = {
 }
 
 
+_X5_FAULT_CHILD = """
+import json
+from hurwitz import harness, transform
+from hurwitz.harness import SuiteConfig
+
+out = {}
+for units in ([1, -1, 1, -1], [-1, -1, 1, 1]):
+    table = transform._UNITS.copy()
+    table[4] = units
+    transform._UNITS = table
+    report = harness.run_suite(SuiteConfig(), only=["norm_identity", "octet_convention"])
+    out[str(units)] = {
+        "failed": sorted(r.check_id for r in report.checks if not r.passed),
+        "octet_map": report.conventions["octet_map"],
+    }
+print(json.dumps(out))
+"""
+
+
+def test_x5_faults_fail_the_octet_record_in_a_fresh_process():
+    # a fresh process holds no witness from an unfaulted run: the declared
+    # convention must neither absorb a turned x5 axis nor stop the report
+    proc = subprocess.run([sys.executable, "-c", _X5_FAULT_CHILD],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["[1, -1, 1, -1]"]["failed"] == ["norm_identity", "octet_convention"]
+    assert out["[-1, -1, 1, 1]"]["failed"] == ["octet_convention"]
+    declared = harness.resolved_conventions()["octet_map"]
+    assert out["[-1, -1, 1, 1]"]["octet_map"] == declared
+    assert out["[1, -1, 1, -1]"]["octet_map"] == declared
+
+
 _ANGULAR_CHECKS = ["rotor_closure_T", "rotor_closure_Q", "rotor_cross_commutation",
                    "casimir_equality", "wigner_eigenrelations", "angular_factor_eigen_A",
                    "angular_factor_eigen_B"]
@@ -430,6 +477,13 @@ def test_fault_fails_exactly_its_records(monkeypatch, fault):
     assert _failed(_GAUGE_CHECKS) == expected
 
 
+@pytest.mark.parametrize("fault", list(_REFLECTION_FAULTS))
+def test_reflection_fault_fails_exactly_its_records(monkeypatch, fault):
+    apply, expected = _REFLECTION_FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed([row.id for row in harness._registry(SuiteConfig())]) == expected
+
+
 @pytest.mark.parametrize("fault", list(_LADDER_FAULTS))
 def test_ladder_fault_fails_exactly_its_records(monkeypatch, fault):
     apply, expected = _LADDER_FAULTS[fault]
@@ -453,9 +507,6 @@ def test_second_order_fault_fails_exactly_its_records(monkeypatch, fault):
 
 @pytest.mark.parametrize("fault", list(_ALGEBRA_FAULTS))
 def test_algebra_fault_fails_exactly_its_records(monkeypatch, fault):
-    # the octet witness is resolved once per process; resolved under a fault
-    # the search would absorb a turned axis or find no witness and raise
-    harness._convention()
     apply, expected = _ALGEBRA_FAULTS[fault]
     apply(monkeypatch)
     assert _failed(_ALGEBRA_ROWS) == expected
@@ -477,7 +528,8 @@ def test_first_order_fault_fails_exactly_its_records(monkeypatch, fault):
 
 def test_unfaulted_records_pass():
     checks = (_GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS + _SECOND_ORDER_CHECKS
-              + _ALGEBRA_ROWS + _ANGULAR_CHECKS + _FIRST_ORDER_ROWS)
+              + _ALGEBRA_ROWS + _ANGULAR_CHECKS + _FIRST_ORDER_ROWS
+              + ["gauge_reflection_map"])
     assert _failed(checks) == set()
 
 

@@ -438,7 +438,7 @@ def _octet_row(u):
 
 
 def _loop_octet(cfg, rng):
-    conv = harness._convention()
+    conv = transform.OCTET_CONVENTION
     u = rng.standard_normal((1000, 8))
     target = np.stack([_octet_row(row) for row in u])
     res = float(np.abs(target - conv.mapped_complex_x(u)).max())

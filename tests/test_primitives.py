@@ -40,17 +40,18 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
                                                  ["laplacian_split", "7"]]
     for row in rows:
         assert all(math.isfinite(v) and v > 0.0 for v in map(float, row.split()[2:]))
-    # the export table, at its fixed sizes
+    # the export table, at the same sizes
     header, *rows = third.splitlines()
-    assert header.split() == ["export", "region", "n=250", "us/rec", "peak_kB",
-                              "n=20000", "us/rec", "peak_kB"]
+    assert header.split() == ["export", "region", "n=1", "us/rec", "peak_kB",
+                              "n=50", "us/rec", "peak_kB"]
     assert [row.split()[:2] for row in rows] == [["fields_cmd", "shell"],
                                                  ["fields_cmd", "box"]]
     for row in rows:
-        us_250, kb_250, us_20k, kb_20k = map(float, row.split()[2:])
-        assert all(math.isfinite(v) and v > 0.0 for v in (us_250, kb_250, us_20k, kb_20k))
-        # the 20,000-point table alone holds 3,520 kB
-        assert kb_20k >= 3520.0
+        us_1, kb_1, us_50, kb_50 = map(float, row.split()[2:])
+        assert all(math.isfinite(v) and v > 0.0 for v in (us_1, kb_1, us_50, kb_50))
+        # the n-point float table alone holds 22 x 8 x n bytes
+        assert kb_1 >= 22 * 8 * 1 / 1e3
+        assert kb_50 >= 22 * 8 * 50 / 1e3
 
 
 @pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"]])

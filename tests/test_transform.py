@@ -8,12 +8,12 @@ from hurwitz.errors import DegenerateFiber, SectionFailed, SingularFiber
 from hurwitz.transform import (
     CASE_A,
     CASE_B,
+    OCTET_CONVENTION,
     EulerAngles,
     extra_angles,
     fiber_section,
     forward,
     forward_octet,
-    resolve_convention,
 )
 
 rng = np.random.default_rng(7)
@@ -264,19 +264,13 @@ def test_octet_third_axis_variant_breaks_norm():
 
 
 def test_convention_witness():
-    conv = resolve_convention()
+    conv = OCTET_CONVENTION
     u = rng.standard_normal((1000, 8))
     assert conv.residual(u) < 1e-12
     assert sorted(conv.axis_perm) == [0, 1, 2, 3, 4]
     assert set(conv.axis_sign) <= {-1, 1}
     # pairs cover all eight coordinates exactly once
     assert sorted(conv.re_idx + conv.im_idx) == list(range(8))
-
-
-def test_convention_deterministic():
-    a = resolve_convention()
-    b = resolve_convention()
-    assert a == b
 
 
 def test_extra_angles_equal_moduli_zero_phases():

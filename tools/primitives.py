@@ -25,7 +25,7 @@ three base points, and ``laplacian_split`` (case A, one test field of the
 suite's kind) at seven fiber points.
 
 A third table times the write path: ``fields_cmd`` (case A, its default
-seed) over the benchmark's shell and box regions at 250 and 20,000 points,
+seed) over the benchmark's shell and box regions at the same stack sizes,
 in us per requested record and ``peak_kB``, writing to a temporary file.
 
 The points are drawn by the suite's own sampler from a fixed seed, so two
@@ -95,7 +95,6 @@ def residuals() -> dict:
 
 
 EXPORT_REGIONS = {"shell": "shell:0.5,2.0", "box": "box:-2,2"}
-EXPORT_SIZES = (250, 20000)
 
 
 def per_call_s(call, repeat: int) -> float:
@@ -146,12 +145,12 @@ def main(argv=None) -> int:
         t = per_call_s(call, args.repeat)
         print(f"{name:<22}{n:>7}{t * 1e6:>11.1f}{traced_peak_bytes(call) / 1e3:>10.1f}")
     print(f"\n{'export':<11}{'region':<7}"
-          + "".join(f"{f'n={n} us/rec':>15}{'peak_kB':>10}" for n in EXPORT_SIZES))
+          + "".join(f"{f'n={n} us/rec':>15}{'peak_kB':>10}" for n in sizes))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "fields.jsonl")
         for name, region in EXPORT_REGIONS.items():
             cells = []
-            for n in EXPORT_SIZES:
+            for n in sizes:
                 call = lambda: fields_cmd("A", n, out, region=region)
                 t = per_call_s(call, args.repeat)
                 cells.append(f"{t * 1e6 / n:>15.2f}{traced_peak_bytes(call) / 1e3:>10.1f}")
