@@ -28,7 +28,7 @@ from . import gauge, opcalc, separation, transform
 from .errors import ConfigInvalid
 from .opcalc import DiffStrategy, OscillatorParams
 from .transform import (CASE_A, CASE_B, TWO_PI, AngleCase, EulerAngles, _row_norms,
-                        _uniform)
+                        _scalar_draws, _uniform)
 
 __all__ = [
     "SuiteConfig",
@@ -262,10 +262,13 @@ def sample_angles(
     drawn in that order: floats for ``size=None``, else arrays (size,).
     A stack of n draws exactly what n one-point calls draw, as one
     (n, 3) array of uniforms."""
+    if size is None:
+        uniform, _ = _scalar_draws(rng)
+        return EulerAngles(uniform(0.0, TWO_PI), uniform(0.0, TWO_PI),
+                           uniform(margin, math.pi - margin))
     lo = np.array([0.0, 0.0, margin])
     hi = np.array([TWO_PI, TWO_PI, math.pi - margin])
-    v = _uniform(rng, lo, hi, (1 if size is None else size, 3))
-    return EulerAngles(*v[0].tolist()) if size is None else EulerAngles(*v.T)
+    return EulerAngles(*_uniform(rng, lo, hi, (size, 3)).T)
 
 
 def _angle_rows(phi: EulerAngles) -> list[EulerAngles]:
@@ -346,12 +349,13 @@ class _AnglePoly:
 
 def _angle_poly(rng: np.random.Generator) -> _AnglePoly:
     """Three terms drawn in turn: amplitude, frequencies, phase."""
-    amp, freq, phase = np.empty(3), np.empty((3, 3)), np.empty(3)
-    for t in range(3):
-        amp[t] = _uniform(rng, 0.2, 0.6)
-        freq[t] = rng.integers(-2, 3, size=3)
-        phase[t] = _uniform(rng, 0.0, TWO_PI)
-    return _AnglePoly(amp, freq, phase)
+    uniform, integer = _scalar_draws(rng)
+    amp, freq, phase = [], [], []
+    for _ in range(3):
+        amp.append(uniform(0.2, 0.6))
+        freq.append((integer(-2, 3), integer(-2, 3), integer(-2, 3)))
+        phase.append(uniform(0.0, TWO_PI))
+    return _AnglePoly(np.array(amp), np.array(freq, dtype=float), np.array(phase))
 
 
 @dataclass(frozen=True)
@@ -589,7 +593,8 @@ def _norm_identity(cfg, xi):
 
 
 def _homogeneity_draws(cfg, rng):
-    return [(sample_xi(rng, CASE_A, cfg.exclusion_eps), _uniform(rng, 0.3, 2.0))
+    uniform, _ = _scalar_draws(rng)
+    return [(sample_xi(rng, CASE_A, cfg.exclusion_eps), uniform(0.3, 2.0))
             for _ in range(50)]
 
 
@@ -664,13 +669,14 @@ _CROSS = [(f"T{i}", f"Q{j}", (0.0, None)) for i in (1, 2, 3) for j in (1, 2, 3)]
 def _casimir_draws(cfg, rng):
     """(angles, field) per sample, even samples a Wigner function of drawn
     (J, q, p), odd ones an angle polynomial."""
+    _, integer = _scalar_draws(rng)
     draws = []
     for i in range(100):
         phi = sample_angles(rng)
         if i % 2 == 0:
-            J = int(rng.integers(0, 3))
-            q = int(rng.integers(-J, J + 1))
-            p = int(rng.integers(-J, J + 1))
+            J = integer(0, 3)
+            q = integer(-J, J + 1)
+            p = integer(-J, J + 1)
             draws.append((phi, (J, q, p)))
         else:
             draws.append((phi, _angle_poly(rng)))
@@ -935,11 +941,12 @@ def _wigner_draws(cfg, rng):
 
 def _null_draws(cfg, rng):
     """(J, column, index of the root) per sample."""
+    _, integer = _scalar_draws(rng)
     draws = []
     for _ in range(100):
-        J = int(rng.integers(0, cfg.J_max + 1))
+        J = integer(0, cfg.J_max + 1)
         col = _random_column(rng)
-        draws.append((J, col, int(rng.integers(0, 2 * J + 1))))
+        draws.append((J, col, integer(0, 2 * J + 1)))
     return draws
 
 
@@ -962,9 +969,10 @@ def _angular_factor_draws(cfg, rng, case):
     null vector of axis lam, the row its potential row and the target its
     root.  Per spin J, four (base point, p, ten angles) draws come first,
     then one closed-form and one axis_solution call on their stack."""
+    _, integer = _scalar_draws(rng)
     draws = []
     for J in range(1, min(2, cfg.J_max) + 1):
-        x, p, angles = zip(*[(sample_x(rng, case, 0.1), int(rng.integers(-J, J + 1)),
+        x, p, angles = zip(*[(sample_x(rng, case, 0.1), integer(-J, J + 1),
                               _angle_rows(sample_angles(rng, size=10)))
                              for _ in range(4)])
         A = gauge.a_field_closed(np.array(x), case).A
@@ -1262,10 +1270,11 @@ def fields_cmd(
         rng = np.random.default_rng(seed)
         if reg[0] == "shell":
             # one normal and one uniform draw per point, interleaved
+            uniform, _ = _scalar_draws(rng)
             pts, u = np.empty((n, 5)), np.empty(n)
             for i in range(n):
                 pts[i] = rng.standard_normal(5)
-                u[i] = _uniform(rng, reg[1], reg[2])
+                u[i] = uniform(reg[1], reg[2])
             pts /= _row_norms(pts)[:, None]
             pts *= u[:, None]
         elif reg[0] == "box":

@@ -94,15 +94,57 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _uniform(rng: np.random.Generator, lo, hi, size=None):
+def _uniform(rng: np.random.Generator, lo, hi, size):
     """``rng.uniform(lo, hi, size)`` bit for bit, at the cost of
     ``rng.random(size)``: numpy computes each uniform draw in C as
     lo + (hi - lo) * next_double, and ``random`` returns those doubles.
     The span is formed as ``hi - lo`` here, as numpy forms it (a literal
     span, 0.4 for 0.6 - 0.2, rounds differently).  Unlike ``rng.uniform``
     it makes no range check: an infinite span gives inf or nan draws, so
-    callers take only bounds whose span is finite."""
+    callers take only bounds whose span is finite.  A draw of one value
+    goes through :func:`_scalar_draws` instead."""
     return lo + (hi - lo) * rng.random(size)
+
+
+def _bounded(next_uint32: Callable, state):
+    """integer(lo, hi): an integer in [lo, hi) as ``Generator.integers(lo, hi)``
+    draws it from ``next_uint32(state)``.  This is numpy's
+    ``buffered_bounded_lemire_uint32`` on the range r = hi - lo - 1 (Lemire,
+    ACM TOMACS 29(1), 2019): a try m = u (r + 1) is rejected while its low
+    32 bits fall below (2^32 - 1 - r) mod (r + 1) = 2^32 mod (r + 1), which
+    is below r + 1, and the draw is its high 32 bits.  A range of one value
+    draws nothing."""
+    def integer(lo, hi):
+        span = hi - lo
+        if span == 1:
+            return lo
+        m = next_uint32(state) * span
+        if m & 0xFFFFFFFF < span:
+            threshold = 0x100000000 % span
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * span
+        return lo + (m >> 32)
+
+    return integer
+
+
+def _scalar_draws(rng: np.random.Generator):
+    """(uniform(lo, hi), integer(lo, hi)): one-value draws equal to
+    ``rng.uniform(lo, hi)`` and ``int(rng.integers(lo, hi))`` bit for bit,
+    generator state included, through the C ``next_double`` and
+    ``next_uint32`` that those calls run, without their Python overhead.
+    The ctypes calls bypass ``BitGenerator.lock``: draw from one thread.
+    Each function holds the bit generator as its ``bit_generator``
+    attribute, so the C state it draws from lives as long as it does."""
+    c = rng.bit_generator.ctypes
+    next_double, state = c.next_double, c.state_address
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * next_double(state)
+
+    integer = _bounded(c.next_uint32, state)
+    uniform.bit_generator = integer.bit_generator = rng.bit_generator
+    return uniform, integer
 
 
 @dataclass(frozen=True)

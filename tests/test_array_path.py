@@ -345,6 +345,20 @@ def test_no_uniform_call_in_the_library():
     assert hits == []
 
 
+def test_one_value_draws_go_through_the_scalar_helper():
+    # a one-value uniform or integer draw is transform._scalar_draws' C call:
+    # no module calls rng.integers, and every _uniform call names its size
+    hits = [
+        f"{path.name}:{call.lineno} {ast.unparse(call)}"
+        for path in sorted(SRC.glob("*.py"))
+        for call in _calls(path)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "integers"
+        or ast.unparse(call.func) in ("_uniform", "transform._uniform")
+        and len(call.args) + len(call.keywords) < 4
+    ]
+    assert hits == []
+
+
 def test_stencil_layout_stays_in_opcalc():
     # the stencil offsets and their combination are opcalc's alone: another
     # module builds no displaced-point stack of its own

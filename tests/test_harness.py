@@ -818,6 +818,80 @@ def test_uniform_draws_what_rng_uniform_draws(lo, hi):
     assert _same_stream(rng, ref)
 
 
+# Every (lo, hi) the library draws an integer between: _angle_poly's
+# frequencies, casimir_equality's J, q and p, null_vector_residual's J and
+# root index, and angular_factor_eigen's p.
+_INTEGER_BOUNDS = [
+    (-2, 3), (0, 3),
+    *((-J, J + 1) for J in range(4)), *((0, 2 * J + 1) for J in range(4)),
+    *((0, J_max + 1) for J_max in range(1, 5)),
+]
+
+
+def _state(rng):
+    """The bit generator's state, arrays included, as one comparable string."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64,
+                                           np.random.MT19937])
+def test_scalar_draws_equal_generator_draws(bit_generator):
+    uniform, integer = transform._scalar_draws(np.random.Generator(bit_generator(23)))
+    # the Generator the draws came from is gone; they keep its bit generator
+    rng, ref = np.random.Generator(integer.bit_generator), np.random.Generator(bit_generator(23))
+    assert uniform.bit_generator is integer.bit_generator
+    parities = set()
+    for k in range(120):
+        # a varying count of integer draws leaves next_uint32's half-word
+        # buffer full or empty before the next draw
+        for lo, hi in _INTEGER_BOUNDS[:k % len(_INTEGER_BOUNDS) + 1]:
+            got = integer(lo, hi)
+            assert type(got) is int and got == ref.integers(lo, hi)
+        parities.add(rng.bit_generator.state.get("has_uint32"))
+        lo, hi = _UNIFORM_BOUNDS[k % len(_UNIFORM_BOUNDS)]
+        got = uniform(lo, hi)
+        assert type(got) is float and got.hex() == ref.uniform(lo, hi).hex()
+        # the helper and the Generator share one stream
+        shape = [(), (3,), (2, 3)][k % 3]
+        assert rng.standard_normal(shape).tobytes() == ref.standard_normal(shape).tobytes()
+        assert rng.random((k % 4, 3)).tobytes() == ref.random((k % 4, 3)).tobytes()
+        assert _state(rng) == _state(ref)
+    assert parities == ({None} if bit_generator is np.random.MT19937 else {0, 1})
+
+
+@pytest.mark.parametrize("lo, hi", sorted(set(_INTEGER_BOUNDS)))
+def test_bounded_rejects_exactly_the_low_words_below_the_threshold(lo, hi):
+    def run(words):
+        stream, used = iter(words), []
+        value = transform._bounded(lambda _: used.append(next(stream)) or used[-1], None)(lo, hi)
+        return value, used
+
+    span, top = hi - lo, 2**32 - 1
+    threshold = 2**32 % span
+    if span == 1:
+        assert run([]) == (lo, [])
+        return
+    # a zero word leaves a zero low word: rejected unless span is a power of two
+    assert run([0, top]) == ((hi - 1, [0, top]) if threshold else (lo, [0]))
+    if span % 2:
+        # the words whose low words are threshold - 1 and threshold
+        inverse = pow(span, -1, 2**32)
+        below, at = ((t * inverse) % 2**32 for t in (threshold - 1, threshold))
+        assert run([below, at]) == (lo + (at * span >> 32), [below, at])
+
+
+def test_angle_poly_draws_what_generator_calls_draw():
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(50):
+        poly = harness._angle_poly(rng)
+        for t in range(3):
+            assert poly.amp[t] == ref.uniform(0.2, 0.6)
+            assert poly.freq[t].tolist() == ref.integers(-2, 3, size=3).tolist()
+            assert poly.phase[t] == ref.uniform(0.0, harness.TWO_PI)
+        assert poly.freq.dtype == float
+    assert _same_stream(rng, ref)
+
+
 @pytest.mark.parametrize("case", [harness.CASE_A, harness.CASE_B], ids=["A", "B"])
 def test_sample_x_stack_lies_in_the_shell_and_clears_the_exclusion(case):
     eps, rmin, rmax = 0.6, 0.9, 2.0

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -60,3 +61,32 @@ def test_pairs_rejects_an_empty_series(argv):
     with pytest.raises(SystemExit) as exc:
         pairs.main(argv)
     assert exc.value.code == 2
+
+
+def _git(repo, *cmd):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *cmd],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_checkout_labels_a_revision_by_its_hash_and_a_directory_as_described(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "a.txt").write_text("first\n")
+    _git(repo, "add", "a.txt")
+    _git(repo, "commit", "-q", "-m", "first")
+    first = _git(repo, "rev-parse", "--short", "HEAD")
+    (repo / "a.txt").write_text("second\n")
+    _git(repo, "commit", "-q", "-am", "second")
+    # a revision is exported as it was committed, and named by its short hash
+    tree, label = pairs.checkout("HEAD~1", str(tmp_path / "old"), repo=str(repo))
+    assert (tree, label) == (str(tmp_path / "old"), first)
+    assert (tmp_path / "old" / "a.txt").read_text() == "first\n"
+    # a directory is run in place and labelled by git describe, dirty or not
+    assert pairs.checkout(str(repo), str(tmp_path / "x"), repo=str(repo)) == (
+        str(repo), _git(repo, "rev-parse", "--short", "HEAD"))
+    (repo / "a.txt").write_text("edited\n")
+    assert pairs.checkout(str(repo), str(tmp_path / "x"), repo=str(repo))[1].endswith("-dirty")
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ValueError, match="neither a directory nor a revision"):
+        pairs.checkout("no-such-ref", str(tmp_path / "y"), repo=str(repo))

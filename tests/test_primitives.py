@@ -20,7 +20,7 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         assert primitives.main(["--repeat", "1", "--sizes", "1,50"]) == 0
-    table, second, third = printed.getvalue().split("\n\n")
+    table, second, third, fourth = printed.getvalue().split("\n\n")
     header, *rows = table.splitlines()
     assert header.split() == ["primitive", "n=1", "us", "ns/pt", "peak_kB",
                               "n=50", "us", "ns/pt", "peak_kB"]
@@ -52,6 +52,13 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
         # the n-point float table alone holds 22 x 8 x n bytes
         assert kb_1 >= 22 * 8 * 1 / 1e3
         assert kb_50 >= 22 * 8 * 50 / 1e3
+    # the one-value draws, one call each, whatever the sizes
+    header, *rows = fourth.splitlines()
+    assert header.split() == ["draw", "us"]
+    assert [row.split()[0] for row in rows] == ["_angle_poly", "sample_angles", "sample_xi",
+                                                "sample_x"]
+    for row in rows:
+        assert len(row.split()) == 2 and 0.0 < float(row.split()[1]) < math.inf
 
 
 @pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"]])

@@ -1,7 +1,12 @@
 """Run the benchmark on two source trees in alternating pairs and judge a claim.
 
-    python3 tools/pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N
+    python3 tools/pairs.py PARENT CHANGE --workload W --pairs N
                            --seconds S [--seed0 K] [--out FILE]
+
+PARENT and CHANGE are each a directory or a git revision of this
+repository.  A directory is run as it is and labelled by ``git describe
+--always --dirty`` in it; a revision is exported with ``git archive`` into a
+temporary directory, removed afterwards, and labelled by its short hash.
 
 Pair k runs ``python3 bench/run.py --workload W --seed K+k --seconds S``
 once in each tree, one run at a time; the parent goes first in even pairs
@@ -23,12 +28,15 @@ Exit code 0 when every run gave a result, 2 when one did not.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLAIM = "run_ref"
@@ -87,6 +95,23 @@ def describe(tree: str) -> str:
     return proc.stdout.strip() or "unknown"
 
 
+def checkout(arg: str, scratch: str, repo: str = ROOT) -> tuple[str, str]:
+    """(directory, label) of a PARENT or CHANGE argument: a directory as it
+    is, else the git revision ``arg`` of ``repo`` exported into the new
+    directory ``scratch``.  Raises ValueError for a revision git cannot
+    resolve."""
+    if os.path.isdir(arg):
+        return arg, describe(arg)
+    git = lambda *cmd: subprocess.run(["git", *cmd], cwd=repo, capture_output=True)
+    proc = git("rev-parse", "--verify", "--short", f"{arg}^{{commit}}")
+    if proc.returncode != 0:
+        raise ValueError(f"{arg!r} is neither a directory nor a revision of {repo}")
+    label = proc.stdout.decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", label).stdout)) as tar:
+        tar.extractall(scratch, filter="data")
+    return scratch, label
+
+
 def host() -> dict:
     import numpy
 
@@ -107,7 +132,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0.0:
         ap.error("--pairs must be at least 1 and --seconds positive")
-    trees = {"parent": args.parent, "change": args.change}
+    with tempfile.TemporaryDirectory() as scratch:
+        try:
+            checkouts = {side: checkout(arg, os.path.join(scratch, side))
+                         for side, arg in (("parent", args.parent), ("change", args.change))}
+        except ValueError as exc:
+            ap.error(str(exc))
+        return run(args, checkouts)
+
+
+def run(args, checkouts: dict) -> int:
+    """The pairs, the summary and the ``--out`` series; ``checkouts`` maps
+    "parent" and "change" to (directory, label)."""
+    trees = {side: tree for side, (tree, _) in checkouts.items()}
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
                        cwd=tree, check=True)
@@ -142,7 +179,7 @@ def main(argv=None) -> int:
                 doc = json.load(fh)
         doc["series"].append({
             "workload": args.workload, "seconds": args.seconds,
-            "trees": {side: describe(tree) for side, tree in trees.items()},
+            "trees": {side: label for side, (_, label) in checkouts.items()},
             "host": host(), "pairs": pairs,
             "summary": {k: v for k, v in summary.items() if k != "quartiles"}})
         with open(args.out, "w") as fh:

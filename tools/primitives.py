@@ -28,6 +28,11 @@ A third table times the write path: ``fields_cmd`` (case A, its default
 seed) over the benchmark's shell and box regions at the same stack sizes,
 in us per requested record and ``peak_kB``, writing to a temporary file.
 
+A fourth table times the suite's one-value draws, one call each from a
+generator of a fixed seed, in us per call: an ``_angle_poly`` test
+polynomial, and one-point ``sample_angles``, ``sample_xi`` (case A) and
+``sample_x`` (case A) calls at their default exclusion, the suite's.
+
 The points are drawn by the suite's own sampler from a fixed seed, so two
 source trees time the same inputs.  Run with the tree's ``src`` on the path
 (``PYTHONPATH=src``); one process, single-threaded numpy calls.
@@ -47,7 +52,8 @@ import tracemalloc
 import numpy as np
 
 from hurwitz import gauge, opcalc, separation, transform
-from hurwitz.harness import CASE_A, _radial_field, _xphi_field, fields_cmd, sample_xi
+from hurwitz.harness import (CASE_A, _angle_poly, _radial_field, _xphi_field, fields_cmd,
+                             sample_angles, sample_x, sample_xi)
 
 SIZES = (1, 50, 2000, 20000)
 MIN_SAMPLE_S = 0.005
@@ -95,6 +101,17 @@ def residuals() -> dict:
 
 
 EXPORT_REGIONS = {"shell": "shell:0.5,2.0", "box": "box:-2,2"}
+
+
+def draws() -> dict:
+    """The suite's one-value draws, each a call taking no argument."""
+    rng = np.random.default_rng(11)
+    return {
+        "_angle_poly": lambda: _angle_poly(rng),
+        "sample_angles": lambda: sample_angles(rng),
+        "sample_xi": lambda: sample_xi(rng, CASE_A),
+        "sample_x": lambda: sample_x(rng, CASE_A),
+    }
 
 
 def per_call_s(call, repeat: int) -> float:
@@ -155,6 +172,9 @@ def main(argv=None) -> int:
                 t = per_call_s(call, args.repeat)
                 cells.append(f"{t * 1e6 / n:>15.2f}{traced_peak_bytes(call) / 1e3:>10.1f}")
             print(f"{'fields_cmd':<11}{name:<7}" + "".join(cells))
+    print(f"\n{'draw':<16}{'us':>9}")
+    for name, call in draws().items():
+        print(f"{name:<16}{per_call_s(call, args.repeat) * 1e6:>9.2f}")
     return 0
 
 
