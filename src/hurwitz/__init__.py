@@ -25,8 +25,6 @@ from .errors import (
     SingularFiber,
 )
 from .gauge import (
-    BFunctions,
-    GaugeField,
     a_field_closed,
     a_field_numeric,
     a_tilde,
@@ -67,7 +65,6 @@ from .transform import (
     AngleCase,
     ConventionMap,
     EulerAngles,
-    RPoint,
     extra_angles,
     fiber_section,
     forward,

@@ -18,8 +18,6 @@ P = diag(-1,-1,-1,+1,-1):  A_B(x) = P . A_A(P x) componentwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IllConditionedFrame, SingularAxis
@@ -28,7 +26,6 @@ from .transform import (
     GAMMA,
     AngleCase,
     EulerAngles,
-    RPoint,
     _gamma_xi,
     _row_norms,
     extra_angles,
@@ -37,8 +34,6 @@ from .transform import (
 )
 
 __all__ = [
-    "BFunctions",
-    "GaugeField",
     "CASE_B_REFLECTION",
     "b_functions",
     "a_tilde",
@@ -57,26 +52,9 @@ CASE_B_REFLECTION = np.array([-1.0, -1.0, -1.0, 1.0, -1.0])
 _FRAME_PARITY = np.array([-1.0, -1.0, 1.0])
 
 
-@dataclass(frozen=True)
-class BFunctions:
-    """Values of the six frame functions B_k+ / B_k- at a point, (3,)
-    each, or B + (3,) over a stack."""
-
-    bplus: np.ndarray
-    bminus: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaugeField:
-    """The potential and its case: ``A`` is (5, 3) at one point, or
-    B + (5, 3) over a stack of points."""
-
-    A: np.ndarray
-    case: AngleCase
-
-
-def b_functions(xi, case: AngleCase, d: DiffStrategy) -> BFunctions:
-    """Evaluate the frame functions from derivatives of the angle maps.
+def b_functions(xi, case: AngleCase, d: DiffStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the frame functions (B_k+, B_k-) from derivatives of the
+    angle maps.
 
     B_k+ = -Re z_k and B_k- = -Im z_k with
     z_k = (tilde xi) . conj(grad f_k); both are real by construction and
@@ -95,7 +73,7 @@ def b_functions(xi, case: AngleCase, d: DiffStrategy) -> BFunctions:
     # The minus component carries the antisymmetric half of the same
     # contraction: (i/2)(w.Dbar - wc.D).
     bm = (0.5j * (wbar - wcd)).real
-    return BFunctions(bp, bm)
+    return bp, bm
 
 
 def a_tilde(xi, case: AngleCase, d: DiffStrategy) -> np.ndarray:
@@ -126,7 +104,7 @@ def a_field_numeric(
     case: AngleCase,
     d: DiffStrategy,
     frame_det_eps: float = 1e-8,
-) -> GaugeField:
+) -> np.ndarray:
     """Convert the intermediate coupling into the potential numerically.
 
     The conversion runs in the swapped-angle frame: the frame functions are
@@ -140,25 +118,24 @@ def a_field_numeric(
 
     The result depends on the point only through its base point (the
     suite's ``gauge_angle_independence`` checks measure this).  ``xi`` is
-    one point (4,) or a stack B + (4,), giving ``A`` of shape B + (5, 3).
+    one point (4,) or a stack B + (4,), giving A of shape B + (5, 3).
     Raises :class:`IllConditionedFrame` when the 2x2 determinant
     b3+ b2- - b2+ b3- of any row falls below ``frame_det_eps``, and
     propagates :class:`DegenerateFiber` from the angle evaluation.
     """
     xi = np.asarray(xi, dtype=complex)
-    pt = forward(xi)
+    x = forward(xi)
     phi = extra_angles(xi, case)
     at = a_tilde(xi, case, d)
-    return GaugeField(_convert(at, pt, phi, case, d, frame_det_eps), case)
+    return _convert(at, x, phi, case, d, frame_det_eps)
 
 
-def _convert(at, pt, phi, case, d, frame_det_eps):
+def _convert(at, x, phi, case, d, frame_det_eps):
     swapped = EulerAngles(phi.phi2, phi.phi1, phi.phi3)
-    xi_aux = fiber_section(pt, swapped, case)
-    baux = b_functions(xi_aux, case, d)
+    bplus, bminus = b_functions(fiber_section(x, swapped, case), case, d)
     # component k of each frame triple, with a trailing axis for the 5 rows
-    bp = np.moveaxis(_FRAME_PARITY * baux.bplus, -1, 0)[..., None]
-    bm = np.moveaxis(_FRAME_PARITY * baux.bminus, -1, 0)[..., None]
+    bp = np.moveaxis(_FRAME_PARITY * bplus, -1, 0)[..., None]
+    bm = np.moveaxis(_FRAME_PARITY * bminus, -1, 0)[..., None]
     det = bp[2] * bm[1] - bp[1] * bm[2]
     if np.count_nonzero(np.abs(det) < frame_det_eps):
         raise IllConditionedFrame(f"frame determinant {np.min(np.abs(det)):.3e}")
@@ -192,7 +169,6 @@ def _closed_scale(x, case: AngleCase):
     """The point or stack padded with a zero sixth coordinate, r, the
     denominator r + s x5, and where the closed form is undefined: at the
     origin or within 1e-9 r of the case's singular half-axis."""
-    x = x.x if isinstance(x, RPoint) else x
     xp = np.zeros(np.shape(x)[:-1] + (6,))
     xp[..., :5] = x
     r = _row_norms(xp[..., :5])
@@ -206,7 +182,7 @@ def closed_form_singular(x, case: AngleCase) -> np.ndarray:
     return _closed_scale(x, case)[3]
 
 
-def a_field_closed(x, case: AngleCase) -> GaugeField:
+def a_field_closed(x, case: AngleCase) -> np.ndarray:
     """Closed-form potential, singular on one half of the x5 axis.
 
     Case A divides by r(r + x5); case B is its image under the reflection
@@ -214,10 +190,10 @@ def a_field_closed(x, case: AngleCase) -> GaugeField:
     x . A_k = 0 and A_k . A_j = (r - s x5) / (r^2 (r + s x5)) delta_kj
     with s = +1 (case A) / -1 (case B).
 
-    ``x`` is one point (an :class:`RPoint` or a (5,) array), giving ``A`` of
-    shape (5, 3), or a (m, 5) stack, giving (m, 5, 3); each point's values
-    are those of its own single-point call.  Raises :class:`SingularAxis`
-    if any point is singular (see :func:`closed_form_singular`).
+    ``x`` is one point (5,), giving A of shape (5, 3), or a (m, 5) stack,
+    giving (m, 5, 3); each point's values are those of its own single-point
+    call.  Raises :class:`SingularAxis` if any point is singular (see
+    :func:`closed_form_singular`).
     """
     xp, r, denom, singular = _closed_scale(x, case)
     if np.count_nonzero(singular):
@@ -233,4 +209,4 @@ def a_field_closed(x, case: AngleCase) -> GaugeField:
     # signs multiply in place, so no second array of the result's size
     A = xp.take(_CLOSED_SRC, axis=-1)
     A *= _CLOSED_SIGN[case.tag]
-    return GaugeField(A, case)
+    return A

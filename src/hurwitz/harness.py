@@ -586,8 +586,8 @@ def _norm_draws(cfg, rng):
 
 
 def _norm_identity(cfg, xi):
-    # np.linalg.norm, not the cached r: the two differ in the last bit
-    norm_x = np.linalg.norm(transform.forward(xi).x, axis=1)
+    # np.linalg.norm, not _row_norms: the two differ in the last bit
+    norm_x = np.linalg.norm(transform.forward(xi), axis=1)
     norm_xi = np.einsum("ns,ns->n", xi, xi.conj()).real
     return Measured(len(xi), float(np.abs(norm_x - norm_xi).max() / norm_xi.min()))
 
@@ -601,7 +601,7 @@ def _homogeneity_draws(cfg, rng):
 def _homogeneity(cfg, draws):
     xi, c = zip(*draws)
     xi, c = np.array(xi), np.array(c)[:, None]
-    return np.abs(transform.forward(c * xi).x - c * c * transform.forward(xi).x)
+    return np.abs(transform.forward(c * xi) - c * c * transform.forward(xi))
 
 
 def _octet_convention(cfg, u):
@@ -623,12 +623,12 @@ def _xi_draws(cfg, rng, case, eps=0.1, **_):
 
 def _fiber_roundtrip(cfg, draws, case):
     xi = np.array(draws)
-    pt = transform.forward(xi)
+    x = transform.forward(xi)
     phi = transform.extra_angles(xi, case)
-    xi2 = transform.fiber_section(pt, phi, case)
+    xi2 = transform.fiber_section(x, phi, case)
     phi2 = transform.extra_angles(xi2, case)
     return np.stack([
-        np.abs(transform.forward(xi2).x - pt.x).max(axis=-1) / pt.r,
+        np.abs(transform.forward(xi2) - x).max(axis=-1) / _row_norms(x),
         _angle_gap(phi.phi1, phi2.phi1),
         _angle_gap(phi.phi2, phi2.phi2),
         np.abs(phi.phi3 - phi2.phi3),
@@ -644,7 +644,7 @@ def _section_identity(cfg, draws, case):
     x, phi = zip(*draws)
     x = np.array(x)
     xi = transform.fiber_section(x, _stack_angles(phi), case)
-    return np.abs(transform.forward(xi).x - x).max(axis=-1) / _row_norms(x)
+    return np.abs(transform.forward(xi) - x).max(axis=-1) / _row_norms(x)
 
 
 def _rotor_draws(cfg, rng, **_):
@@ -755,7 +755,7 @@ def _gauge_properties(cfg, pts, case):
 def _gauge_kernel(pts, case):
     r = np.linalg.norm(pts, axis=1)
     # batch axis last, once: the sums over l run along unit-stride rows
-    A = np.moveaxis(gauge.a_field_closed(pts, case).A, 0, -1).copy()
+    A = np.moveaxis(gauge.a_field_closed(pts, case), 0, -1).copy()
     trans = np.abs(np.einsum("ln,lkn->kn", pts.T, A))
     gram = np.einsum("lkn,ljn->kjn", A, A)
     scale = ((r - case.axis_sign * pts[:, 4])
@@ -767,8 +767,8 @@ def _gauge_kernel(pts, case):
 
 def _closed_vs_numeric_residuals(cfg, draws, case, **_):
     xi = np.array(draws)
-    numeric = gauge.a_field_numeric(xi, case, cfg.strategy()).A
-    return np.abs(numeric - gauge.a_field_closed(transform.forward(xi), case).A)
+    numeric = gauge.a_field_numeric(xi, case, cfg.strategy())
+    return np.abs(numeric - gauge.a_field_closed(transform.forward(xi), case))
 
 
 def _reflection_draws(cfg, rng):
@@ -779,8 +779,8 @@ def _reflection_draws(cfg, rng):
 
 def _gauge_reflection(cfg, x):
     P = gauge.CASE_B_REFLECTION
-    ab = gauge.a_field_closed(x, CASE_B).A
-    aa = gauge.a_field_closed(P * x, CASE_A).A
+    ab = gauge.a_field_closed(x, CASE_B)
+    aa = gauge.a_field_closed(P * x, CASE_A)
     return np.abs(ab - P[:, None] * aa)
 
 
@@ -795,10 +795,10 @@ def _frame_x_residuals(cfg, draws, case):
     over the second base point with the same angles, (n, 6)."""
     d = cfg.strategy()
     xi, x2 = map(np.array, zip(*draws))
-    b1 = gauge.b_functions(xi, case, d)
+    bp1, bm1 = gauge.b_functions(xi, case, d)
     xi2 = transform.fiber_section(x2, transform.extra_angles(xi, case), case)
-    b2 = gauge.b_functions(xi2, case, d)
-    return np.abs(np.concatenate([b1.bplus - b2.bplus, b1.bminus - b2.bminus], axis=-1))
+    bp2, bm2 = gauge.b_functions(xi2, case, d)
+    return np.abs(np.concatenate([bp1 - bp2, bm1 - bm2], axis=-1))
 
 
 def _angle_independence_draws(cfg, rng, case):
@@ -814,8 +814,8 @@ def _angle_independence_residuals(cfg, draws, case):
     xi, angles = zip(*draws)
     xi = np.array(xi)
     xi2 = transform.fiber_section(transform.forward(xi), _stack_angles(angles), case)
-    A1 = gauge.a_field_numeric(xi, case, d).A
-    return np.abs(A1 - gauge.a_field_numeric(xi2, case, d).A)
+    A1 = gauge.a_field_numeric(xi, case, d)
+    return np.abs(A1 - gauge.a_field_numeric(xi2, case, d))
 
 
 def _random_column(rng):
@@ -905,6 +905,8 @@ def _angular_residuals(cfg, draws, **_):
     (J, p, g, row, target, phi), G the angular factor of the coefficients g;
     one generator-image, one Casimir and one G evaluation over every draw,
     each (J, p) group of G on its own samples."""
+    # no draws under J_max < 2, which validate() rejects but run_row takes:
+    # a record of no sample, not a traceback
     if not draws:
         return np.empty((0, 3))
     d = cfg.strategy(1e-3)
@@ -975,7 +977,7 @@ def _angular_factor_draws(cfg, rng, case):
         x, p, angles = zip(*[(sample_x(rng, case, 0.1), integer(-J, J + 1),
                               _angle_rows(sample_angles(rng, size=10)))
                              for _ in range(4)])
-        A = gauge.a_field_closed(np.array(x), case).A
+        A = gauge.a_field_closed(np.array(x), case)
         sol = separation.axis_solution(J, A, "m=1")
         draws += [(J, p[k], sol.g[k, lam], A[k, lam], sol.root[k, lam], angles[k][2 * lam + j])
                   for k in range(4) for lam in range(5) for j in range(2)]
@@ -1230,7 +1232,7 @@ def _fields_table(pts: np.ndarray, case: AngleCase) -> np.ndarray:
     """One ``(m, 22)`` row per point, in ``_FIELDS_LINE``'s order: the
     potential A row-major, its normalization residual and transversality,
     then the point.  Only the table outlives the call."""
-    A = gauge.a_field_closed(pts, case).A
+    A = gauge.a_field_closed(pts, case)
     table = np.empty((len(pts), 22))
     table[:, :15] = A.reshape(-1, 15)
     # batched matmul rounds as each point's own @ does; einsum sums in
@@ -1323,7 +1325,7 @@ def separate_cmd(
     if not np.isfinite(x).all():
         raise ConfigInvalid(f"point coordinates must be finite, got {list(x_point)}")
     with _strict_arithmetic(f"point {x.tolist()}"):
-        sol = separation.axis_solution(J, gauge.a_field_closed(x, case).A, branch)
+        sol = separation.axis_solution(J, gauge.a_field_closed(x, case), branch)
         r = _row_norms(x)
         cent = J * (J + 1) / (2.0 * r * r)
     lines = [

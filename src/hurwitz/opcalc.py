@@ -432,7 +432,7 @@ def pullback(
     """
 
     def g(xi: np.ndarray) -> np.ndarray:
-        return field_xphi(forward(xi).x, extra_angles(xi, case))
+        return field_xphi(forward(xi), extra_angles(xi, case))
 
     return g
 
@@ -483,24 +483,25 @@ def identity_residual(
         target = np.array([-2j, 0.0, 0.0])
         return np.abs(lhs - target).max(axis=-1)[()]
 
-    pt = forward(xi)
+    x = forward(xi)
+    r = _row_norms(x)[()]
     phi = extra_angles(xi, case)
     g = pullback(field, case)
-    potential = lambda ys: a_field_closed(ys, case).A
+    potential = lambda ys: a_field_closed(ys, case)
 
     if which == "derivative_split":
         dh, da = wirtinger_gradients(g, xi, d)
         lhs = 0.5 * _big_d(xi, dh, da)
         at = np.moveaxis(a_tilde(xi, case, d), -2, 0)
-        xgrad = _stencil(lambda ys: field(ys, phi), pt.x, _AXES, d.step)
-        pgrad = _angle_derivatives(field(pt.x, _angle_stencil(phi, d.step)), phi, d.step)
-        rhs = pt.r * (xgrad + sum(at[..., k] * pgrad[k] for k in range(3)))
+        xgrad = _stencil(lambda ys: field(ys, phi), x, _AXES, d.step)
+        pgrad = _angle_derivatives(field(x, _angle_stencil(phi, d.step)), phi, d.step)
+        rhs = r * (xgrad + sum(at[..., k] * pgrad[k] for k in range(3)))
         return _rel_max(lhs, rhs, xi.ndim - 1)
 
     if which == "momentum_equivalence":
-        lhs = momentum(np.arange(5), field, potential, pt.x, phi, d)
+        lhs = momentum(np.arange(5), field, potential, x, phi, d)
         dh, da = wirtinger_gradients(g, xi, d)
-        rhs = (-1j / (2.0 * pt.r)) * _big_d(xi, dh, da)
+        rhs = (-1j / (2.0 * r)) * _big_d(xi, dh, da)
         return _rel_max(lhs, rhs, xi.ndim - 1)
 
     if which == "laplacian_split":
@@ -508,7 +509,7 @@ def identity_residual(
         # the axes as a batch axis (not 1-D, which would also go in front of
         # the outer stencil): axis lam's points meet only their own P_lam f
         axes = np.arange(5).reshape((5,) + (1,) * max(xi.ndim - 1, 1))
-        _, xs, phi = _padded(axes, pt.x, phi)
+        _, xs, phi = _padded(axes, x, phi)
         # f once on the nested stencil: its Q images on the stencil are the
         # inner momentum's angle side there and the Casimir's inner images
         st = _angle_stencil(phi, dn.step)
@@ -518,7 +519,7 @@ def identity_residual(
                          _images(inner(xs, st, q_st), phi, dn, q))
         qsq = _casimir(_images(q_st, phi, dn, q), "Q")
         # p^2 summed in axis order, as a running total
-        lhs = (pt.r * sum(outer) + qsq / pt.r).reshape(np.shape(pt.r))
+        lhs = (r * sum(outer) + qsq / r).reshape(np.shape(r))
         rhs = -xi_laplacian(g, xi, d)
         return _rel_max(lhs, rhs, xi.ndim - 1)
 

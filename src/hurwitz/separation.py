@@ -42,7 +42,7 @@ from .opcalc import (
     coupled_q,
     momentum,
 )
-from .transform import AngleCase, EulerAngles, RPoint, _row_norms, _uniform
+from .transform import AngleCase, EulerAngles, _row_norms, _uniform
 
 __all__ = [
     "J_CAP",
@@ -401,9 +401,8 @@ def effective_terms(
     singular half-axis.
     """
     _check_spin(J)
-    A = a_field_closed(x, case).A
-    xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
-    r = _row_norms(xv)
+    A = a_field_closed(x, case)
+    r = _row_norms(np.asarray(x, dtype=float))
     return _branch_roots(J, A, branch), (J * (J + 1) / (2.0 * r * r))[()]
 
 
@@ -445,7 +444,7 @@ def consistency_residual(
     trailing axis.
     """
     _check_spin(J, p)
-    xv = np.asarray(x.x if isinstance(x, RPoint) else x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     single = xv.ndim == 1
     xv = np.atleast_2d(xv)
     r0 = _row_norms(xv)
@@ -459,7 +458,7 @@ def consistency_residual(
     angles = EulerAngles(*drawn.T[:, :, None, None])
     params = OscillatorParams.from_omega(1.0)
     coulomb = params.Z / r0 + params.E
-    potential = lambda ys: a_field_closed(ys, case).A
+    potential = lambda ys: a_field_closed(ys, case)
     A0 = potential(xv)
     psi0 = test_psi(xv)
     # the five axes' null vectors as one column stack, g (2J+1, 5, m)

@@ -36,7 +36,6 @@ from .errors import DegenerateFiber, SectionFailed, SingularFiber
 
 __all__ = [
     "GAMMA",
-    "RPoint",
     "EulerAngles",
     "AngleCase",
     "CASE_A",
@@ -148,15 +147,6 @@ def _scalar_draws(rng: np.random.Generator):
 
 
 @dataclass(frozen=True)
-class RPoint:
-    """A point of the 5-dimensional target space with its cached radius, or
-    a stack of them: ``x`` of shape B + (5,), ``r`` of shape B."""
-
-    x: np.ndarray
-    r: float
-
-
-@dataclass(frozen=True)
 class EulerAngles:
     """Fiber coordinates: phi1, phi2 in [0, 2pi), phi3 in [0, pi].
 
@@ -222,19 +212,19 @@ def invariant_products(xi: np.ndarray) -> np.ndarray:
     return xi[..., :, None] * xi[..., None, :].conj()
 
 
-def forward(xi: Sequence[complex]) -> RPoint:
+def forward(xi: Sequence[complex]) -> np.ndarray:
     """Evaluate the quadratic map x_l = xi^dag gamma_l xi.
 
-    ``xi`` is one point (4,) or a stack B + (4,), giving ``x`` of shape
-    B + (5,) and ``r`` of shape B (a float for one point); each row equals
-    its own single-point call.  The Hermitian forms are real up to roundoff;
-    the imaginary part is asserted below 1e-13 max(1, max_l |x_l|) on every
-    row and discarded.  The guard tests the whole stack against 1e-13 first
-    (every row's bound is at least that) and runs the per-row test only when
-    that fails, so a NaN or a larger part gets its row's own verdict.  Each
-    gamma_l has one unit entry per row, so gamma_l xi is a gather of xi; the
-    forms are its sums with xi^dag over s, taken 1024 points at a time, and
-    equal the dense contraction bit for bit.
+    ``xi`` is one point (4,) or a stack B + (4,), giving x of shape B + (5,);
+    each row equals its own single-point call.  The Hermitian forms are real
+    up to roundoff; the imaginary part is asserted below
+    1e-13 max(1, max_l |x_l|) on every row and discarded.  The guard tests
+    the whole stack against 1e-13 first (every row's bound is at least that)
+    and runs the per-row test only when that fails, so a NaN or a larger
+    part gets its row's own verdict.  Each gamma_l has one unit entry per
+    row, so gamma_l xi is a gather of xi; the forms are its sums with xi^dag
+    over s, taken 1024 points at a time, and equal the dense contraction bit
+    for bit.
     """
     xi = np.asarray(xi, dtype=complex)
     x = _forms(xi)
@@ -243,22 +233,21 @@ def forward(xi: Sequence[complex]) -> RPoint:
         scale = np.maximum(1.0, np.abs(x).max(axis=-1))
         if np.count_nonzero(np.abs(x.imag).max(axis=-1) > 1e-13 * scale):
             raise FloatingPointError("Hermitian form returned a non-real value")
-    xr = x.real.copy()
-    return RPoint(xr, _row_norms(xr)[()])
+    return x.real.copy()
 
 
-def forward_octet(u: Sequence[float]) -> RPoint:
+def forward_octet(u: Sequence[float]) -> np.ndarray:
     """The same map over 8 real coordinates, in its own axis ordering.
 
-    ``u`` is one octet (8,) or a stack B + (8,), giving ``x`` of shape
-    B + (5,) and ``r`` of shape B; each row equals its own one-octet call.
-    The bilinear forms below restore the Euclidean norm identity
-    |x| = sum u_s^2 (the x3 line is the corrected one; the tests
-    demonstrate that the nearest variant breaks the identity).  Its axes
-    relate to those of :func:`forward` through :data:`OCTET_CONVENTION`.
+    ``u`` is one octet (8,) or a stack B + (8,), giving x of shape B + (5,);
+    each row equals its own one-octet call.  The bilinear forms below
+    restore the Euclidean norm identity |x| = sum u_s^2 (the x3 line is the
+    corrected one; the tests demonstrate that the nearest variant breaks the
+    identity).  Its axes relate to those of :func:`forward` through
+    :data:`OCTET_CONVENTION`.
     """
     u1, u2, u3, u4, u5, u6, u7, u8 = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
-    x = np.stack(
+    return np.stack(
         [
             u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
             - u5 * u5 - u6 * u6 - u7 * u7 - u8 * u8,
@@ -269,7 +258,6 @@ def forward_octet(u: Sequence[float]) -> RPoint:
         ],
         axis=-1,
     )
-    return RPoint(x, _row_norms(x)[()])
 
 
 @dataclass(frozen=True)
@@ -278,7 +266,7 @@ class ConventionMap:
 
     xi_s = comp_sign[s] * (u[re_idx[s]] + 1j * im_sign[s] * u[im_idx[s]])
     and, componentwise over octet axes i,
-    forward_octet(u).x[i] == axis_sign[i] * forward(xi(u)).x[axis_perm[i]].
+    forward_octet(u)[i] == axis_sign[i] * forward(xi(u))[axis_perm[i]].
     """
 
     re_idx: tuple[int, int, int, int]
@@ -301,7 +289,7 @@ class ConventionMap:
         return np.asarray(self.axis_sign) * y[..., list(self.axis_perm)]
 
     def residual(self, u_batch: np.ndarray) -> float:
-        target = forward_octet(u_batch).x
+        target = forward_octet(u_batch)
         return float(np.abs(target - self.mapped_complex_x(u_batch)).max())
 
     def describe(self) -> dict:
@@ -362,8 +350,8 @@ def extra_angles(xi: Sequence[complex], case: AngleCase) -> EulerAngles:
 
 def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
     """A point of the fiber over (x, phi) for the chosen case, or one per row
-    of a stack: ``x`` of shape B + (5,) (or an :class:`RPoint` stack) with
-    angle attributes of shape B give B + (4,).
+    of a stack: ``x`` of shape B + (5,) with angle attributes of shape B
+    give B + (4,).
 
     The angle-carrying pair is rebuilt from r +/- x5 and the requested
     angles; the other pair solves the remaining 2x2 linear system exactly.
@@ -380,7 +368,7 @@ def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
     """
     if case.offsets is not None:
         raise SectionFailed("closed-form section is defined for bare cases only")
-    xv = np.ascontiguousarray(x.x if isinstance(x, RPoint) else x, dtype=float)
+    xv = np.ascontiguousarray(x, dtype=float)
     r = _row_norms(xv)
     rho = r + case.axis_sign * xv[..., 4]
     if np.count_nonzero((r <= 0.0) | (rho <= 1e-9 * r)):
@@ -423,7 +411,7 @@ def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
     for s, (re, im) in enumerate(cols):
         xr[..., s], xim[..., s] = re, im
 
-    rel = np.abs(forward(xi).x - xv).max(axis=-1) / np.maximum(r, 1e-30)
+    rel = np.abs(forward(xi) - xv).max(axis=-1) / np.maximum(r, 1e-30)
     if np.count_nonzero(rel > 1e-10):
         raise SectionFailed(f"relative base-point residual {np.max(rel):.3e}")
     try:

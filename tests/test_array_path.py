@@ -40,7 +40,13 @@ def _spin(rng):
 
 def _forward(rng, n, case):
     xi = _xi(rng, n, case)
-    return lambda s: tuple(vars(transform.forward(xi[s])).values()), 0
+
+    def call(s):
+        # x and its row norms, which equal each row's own one-row norm
+        x = transform.forward(xi[s])
+        return x, transform._row_norms(x)[()]
+
+    return call, 0
 
 
 def _extra_angles(rng, n, case):
@@ -64,12 +70,12 @@ def _fiber_section(rng, n, case):
 
 def _a_field_closed(rng, n, case):
     x = harness.sample_x(rng, case, 0.05, size=n)
-    return lambda s: (gauge.a_field_closed(x[s], case).A,), 0
+    return lambda s: (gauge.a_field_closed(x[s], case),), 0
 
 
 def _a_field_numeric(rng, n, case):
     xi = _xi(rng, n, case)
-    return lambda s: (gauge.a_field_numeric(xi[s], case, D).A,), 0
+    return lambda s: (gauge.a_field_numeric(xi[s], case, D),), 0
 
 
 def _a_tilde(rng, n, case):
@@ -79,7 +85,7 @@ def _a_tilde(rng, n, case):
 
 def _b_functions(rng, n, case):
     xi = _xi(rng, n, case)
-    return lambda s: tuple(vars(gauge.b_functions(xi[s], case, D)).values()), 0
+    return lambda s: gauge.b_functions(xi[s], case, D), 0
 
 
 def _wigner_d(rng, n, case):
@@ -126,7 +132,7 @@ def _axis_solution(rng, n, case):
     root m * np.linalg.norm(A[lam]) as a per-axis solve takes it."""
     J = int(rng.integers(0, separation.J_CAP + 1))
     branch = "alternating" if rng.integers(2) else "m=1"
-    A = gauge.a_field_closed(harness.sample_x(rng, case, 0.05), case).A
+    A = gauge.a_field_closed(harness.sample_x(rng, case, 0.05), case)
     sel = separation.resolve_branch(branch)
     root = np.array([sel(J, lam) * np.linalg.norm(row) for lam, row in enumerate(A)])
     cols = separation.potential_columns(A)
@@ -147,7 +153,7 @@ def _axis_solution_stack(rng, n, case):
     on (n, 5, 3), a row the call on that point's (5, 3)."""
     J = int(rng.integers(0, separation.J_CAP + 1))
     branch = "alternating" if rng.integers(2) else "m=1"
-    A = gauge.a_field_closed(harness.sample_x(rng, case, 0.05, size=n), case).A
+    A = gauge.a_field_closed(harness.sample_x(rng, case, 0.05, size=n), case)
 
     def call(s):
         sol = separation.axis_solution(J, A[s], branch)

@@ -64,9 +64,9 @@ def _x_dependent_frame(monkeypatch):
     real = gauge.b_functions
 
     def b_functions(xi, case, d):
-        b = real(xi, case, d)
+        bplus, bminus = real(xi, case, d)
         r = np.vecdot(xi, xi).real[..., None]
-        return gauge.BFunctions(b.bplus + 1e-4 * r, b.bminus)
+        return bplus + 1e-4 * r, bminus
 
     monkeypatch.setattr(gauge, "b_functions", b_functions)
 

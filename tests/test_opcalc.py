@@ -32,6 +32,7 @@ from hurwitz.transform import (
     CASE_A,
     CASE_B,
     EulerAngles,
+    _row_norms,
     extra_angles,
     forward,
     invariant_products,
@@ -169,7 +170,7 @@ def test_coupled_q_matches_unshared_applications_exactly():
 
 def test_momentum_matches_hand_written_stencils_exactly():
     x = np.array([0.4, -0.7, 0.2, 0.5, 0.3])
-    potential = lambda y: a_field_closed(y, CASE_A).A
+    potential = lambda y: a_field_closed(y, CASE_A)
     phi = random_angles()
     for f in (field_gaussian, field_poly):
         for lam in range(5):
@@ -265,13 +266,13 @@ def test_coupled_q_matches_scalar_stencils():
 
 def test_momentum_matches_scalar_stencils():
     xs = np.array([[0.4, -0.7, 0.2, 0.5, 0.3], [-0.3, 0.6, 0.9, -0.2, 0.1]])
-    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    potential = lambda ys: a_field_closed(ys, CASE_A)
     phi = random_angles()
     for f in (field_gaussian, field_poly):
         got = momentum(np.arange(5), f, potential, xs, phi, D3)
         assert got.shape == (5, 2)
         for i, x in enumerate(xs):
-            A = a_field_closed(x, CASE_A).A
+            A = a_field_closed(x, CASE_A)
             for lam in range(5):
                 e = np.eye(5)[lam]
                 der = first_derivative(lambda t: f(x + t * e, phi), D3.step)
@@ -285,7 +286,7 @@ def test_momentum_matches_scalar_stencils():
 def test_nested_momentum_matches_scalar_stencils():
     # P_lam P_lam f, the operator of laplacian_split, against nested scalar stencils
     x = np.array([0.4, -0.7, 0.2, 0.5, 0.3])
-    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    potential = lambda ys: a_field_closed(ys, CASE_A)
     phi = random_angles()
     f = field_gaussian
 
@@ -295,7 +296,7 @@ def test_nested_momentum_matches_scalar_stencils():
 
         def pg(y, p):
             der = first_derivative(lambda t: g(y + t * e, p), D3.step)
-            A = a_field_closed(y, CASE_A).A
+            A = a_field_closed(y, CASE_A)
             return -1j * der + sum(
                 A[lam, k] * scalar_op(f"Q{k + 1}", lambda pp: g(y, pp), D3.step)(p)
                 for k in range(3)
@@ -494,7 +495,7 @@ def test_rank_padded_momentum_equals_the_broadcast_call_exactly(f):
 
     def potential(ys):
         seen.append(np.shape(ys))
-        return a_field_closed(ys, CASE_A).A
+        return a_field_closed(ys, CASE_A)
 
     got = momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
     # the potential ran at the points' own size, not the batch's
@@ -508,7 +509,7 @@ def test_rank_padded_momentum_equals_the_broadcast_call_exactly(f):
 def test_rank_padded_nested_momentum_equals_the_broadcast_call_exactly(angle_shape):
     # P_lam P_lam f as laplacian_split builds it: the inner call sees points
     # (4,) + B + (5,) from the outer stencil against angles of lower rank
-    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    potential = lambda ys: a_field_closed(ys, CASE_A)
     phi = padded_angles(angle_shape, seed=4)
     for lam in (0, 4):
         inner = lambda ys, ang: momentum(lam, field_poly, potential, ys, ang, D3)
@@ -609,7 +610,7 @@ def test_one_family_commutators_equal_the_full_table_formula_bit_for_bit(angles,
 
 @pytest.mark.parametrize("f", [field_gaussian, field_poly])
 def test_q_only_momentum_equals_the_six_image_formula_bit_for_bit(monkeypatch, f):
-    potential = lambda ys: a_field_closed(ys, CASE_A).A
+    potential = lambda ys: a_field_closed(ys, CASE_A)
     phi = padded_angles((2, 1), seed=3)
     got = momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
     # every angle image formed, as coupled_q read them before: its last three
@@ -638,16 +639,17 @@ def laplacian_split_per_axis(case, xi, field, d):
     inner field, summed in axis order: the reference that the five-axis
     evaluation must equal bit for bit."""
     xi = np.asarray(xi, dtype=complex)
-    pt, phi = forward(xi), extra_angles(xi, case)
-    potential = lambda ys: a_field_closed(ys, case).A
+    x, phi = forward(xi), extra_angles(xi, case)
+    r = _row_norms(x)[()]
+    potential = lambda ys: a_field_closed(ys, case)
     dn = d.nested()
 
     def p_squared(lam):
         inner = lambda ys, ang: momentum(lam, field, potential, ys, ang, dn)
-        return momentum(lam, inner, potential, pt.x, phi, dn)
+        return momentum(lam, inner, potential, x, phi, dn)
 
     p_sq = sum(p_squared(lam) for lam in range(5))
-    lhs = pt.r * p_sq + casimir("Q", lambda ang: field(pt.x, ang), phi, dn) / pt.r
+    lhs = r * p_sq + casimir("Q", lambda ang: field(x, ang), phi, dn) / r
     rhs = -xi_laplacian(pullback(field, case), xi, d)
     return opcalc._rel_max(lhs, rhs, xi.ndim - 1)
 

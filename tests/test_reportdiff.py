@@ -142,3 +142,10 @@ def test_non_finite_strings_read_as_numbers(tmp_path, capsys):
     assert _diff(tmp_path, rep, "--exact", old=rep) == 0
     out = capsys.readouterr().out
     assert "nan" in out and "inf" in out
+
+
+def test_headroom_is_the_benchmarks_own():
+    # loading reportdiff put bench on the path
+    import workloads
+
+    assert reportdiff.headroom is workloads.headroom

@@ -523,7 +523,7 @@ def test_not_a_root_raises():
 
 def test_angular_factor_eigenrelations():
     x = random_x()
-    A = a_field_closed(x, CASE_A).A
+    A = a_field_closed(x, CASE_A)
     for J in (1, 2):
         sol = axis_solution(J, A, "m=1")
         for lam in (0, 2, 4):
@@ -550,7 +550,7 @@ def test_angular_factor_eigenrelations():
 
 def test_plane_wave_index_preserved():
     x = random_x()
-    A = a_field_closed(x, CASE_A).A
+    A = a_field_closed(x, CASE_A)
     sol = axis_solution(1, A, "alternating")
     for p in (-1, 0, 1):
         phi = random_angles()
@@ -560,7 +560,7 @@ def test_plane_wave_index_preserved():
 
 def test_spin_zero_angular_factor_constant():
     x = random_x()
-    A = a_field_closed(x, CASE_A).A
+    A = a_field_closed(x, CASE_A)
     sol = axis_solution(0, A, "alternating")
     vals = [angular_factor(sol.J, 0, sol.g[0], random_angles()) for _ in range(4)]
     assert np.abs(np.diff(vals)).max() < 1e-14
@@ -682,7 +682,7 @@ def test_consistency_null_vectors_are_one_stack_of_the_axis_solves():
     x = np.array([[0.5, -0.6, 0.3, 0.4, 0.35], [-0.7, 0.2, 0.9, -0.1, 0.4]])
     for J in range(4):
         a_vec, _ = effective_terms(J, x, CASE_A, "alternating")
-        cols = potential_columns(a_field_closed(x, CASE_A).A)
+        cols = potential_columns(a_field_closed(x, CASE_A))
         stack = _null_vector(J, cols, -a_vec.T)
         for lam in range(5):
             row = _null_vector(J, [c[lam] for c in cols], -a_vec[:, lam])
@@ -723,7 +723,7 @@ def consistency_per_axis(J, p, test_psi, x, case, branch, d, n_angles=4):
     angles = EulerAngles(*drawn.T[:, :, None])
     params = OscillatorParams.from_omega(1.0)
     coulomb = params.Z / r0 + params.E
-    potential = lambda ys: a_field_closed(ys, case).A
+    potential = lambda ys: a_field_closed(ys, case)
     A0 = potential(xv)
     psi0 = test_psi(xv)
     gs = _null_vector(J, potential_columns(A0), -a_vec.T)

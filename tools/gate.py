@@ -104,31 +104,28 @@ def compare_exports(old: str, new: str) -> list[str]:
 
 
 def compare(out_old: str, out_new: str) -> bool:
-    # imported here: it puts this checkout's src on the path, which the
-    # child processes must not see
+    # imported here: it puts this checkout's src and bench on the path,
+    # which the child processes must not see
     sys.path.insert(0, HERE)
     import reportdiff
 
     ok = True
-    pairs = [(f"verify_{s}.json", []) for s in VERIFY_SEEDS]
-    pairs += [(f"sweep_{s}.json", ["--exact"]) for s in SWEEP_SEEDS]
-    for name, flags in pairs:
-        table, errors = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(table), contextlib.redirect_stderr(errors):
-            code = reportdiff.main([os.path.join(out_old, name),
-                                    os.path.join(out_new, name), *flags])
-        ok &= code == 0
-        if code == 2:
-            print(f"{name:<22} ERROR {errors.getvalue().strip()}")
+    pairs = [(f"verify_{s}.json", False) for s in VERIFY_SEEDS]
+    pairs += [(f"sweep_{s}.json", True) for s in SWEEP_SEEDS]
+    for name, exact in pairs:
+        try:
+            digests, _, problems, verdict = reportdiff.compare(
+                os.path.join(out_old, name), os.path.join(out_new, name), exact)
+        except reportdiff.UNREADABLE as exc:
+            ok = False
+            print(f"{name:<22} ERROR error: {exc}")
             continue
-        lines = table.getvalue().splitlines()
-        # the first two lines hold the reports' digests
-        same = lines[0].split()[-1] == lines[1].split()[-1]
-        exact = "" if flags else ("; exact" if same else "; digests differ")
-        print(f"{name:<22} {lines[-1]}{exact}")
-        for line in lines:
-            if line.startswith("FAIL  ") and "problems)" not in line:
-                print(f"    {line}")
+        ok &= not problems
+        same = digests[0] == digests[1]
+        suffix = "" if exact else ("; exact" if same else "; digests differ")
+        print(f"{name:<22} {verdict}{suffix}")
+        for p in problems:
+            print(f"    FAIL  {p}")
     problems = compare_exports(os.path.join(out_old, "export"),
                                os.path.join(out_new, "export"))
     n = len(os.listdir(os.path.join(out_old, "export")))

@@ -66,7 +66,7 @@ def _field(phi):
 def primitives(n: int) -> dict:
     """The eight calls on a stack of ``n`` points, each taking no argument."""
     xi = sample_xi(np.random.default_rng(n), CASE_A, 0.15, size=n)
-    x = transform.forward(xi).x
+    x = transform.forward(xi)
     phi = transform.extra_angles(xi, CASE_A)
     d = opcalc.DiffStrategy()
     gaussian = lambda z: np.exp(-np.vecdot(z, z).real)

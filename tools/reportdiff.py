@@ -24,27 +24,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 from hurwitz.harness import RATIO_CHECKS  # noqa: E402
+# the benchmark's own headroom, so that a report and a benchmark run read alike
+from workloads import headroom  # noqa: E402
 
-HEADROOM_CAP = 6.0
-
-
-def headroom(value: float, tol: float, ratio: bool) -> float:
-    """Decades between a residual and its tolerance, capped at +-6."""
-    if not math.isfinite(value):
-        return -HEADROOM_CAP
-    if ratio:
-        h = math.log10(value / tol) if value > 0 else -HEADROOM_CAP
-    else:
-        h = math.log10(tol / value) if value > 0 else HEADROOM_CAP
-    return max(-HEADROOM_CAP, min(HEADROOM_CAP, h))
+# What a file that cannot be read as a report raises in ``compare``.
+UNREADABLE = (OSError, ValueError, KeyError, TypeError)
 
 
 def digest(report: dict) -> str:
@@ -103,6 +94,25 @@ def _moved(old: dict, new: dict) -> str:
     return f": {', '.join(moved)}" if moved else ""
 
 
+def compare(old_path: str, new_path: str, exact: bool = False,
+            bound: float = 0.5) -> tuple[list[str], list[str], list[str], str]:
+    """(the two digests, table lines, problems, verdict line) of comparing
+    two report files; raises one of ``UNREADABLE`` when a file cannot be
+    read as a report."""
+    reports = []
+    for path in (old_path, new_path):
+        with open(path) as fh:
+            reports.append(json.load(fh))
+    old, new = reports
+    digests = [digest(r) for r in reports]
+    lines, problems = drift_problems(old, new, bound)
+    if exact and digests[0] != digests[1]:
+        problems.append("reports differ (--exact)" + _moved(old, new))
+    mode = "exact" if exact else f"drift bound {bound} decades"
+    verdict = f"{'FAIL' if problems else 'PASS'}  {mode} ({len(problems)} problems)"
+    return digests, lines, problems, verdict
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="compare two hurwitz verify reports")
     ap.add_argument("old")
@@ -113,25 +123,17 @@ def main(argv=None) -> int:
                     help="largest allowed headroom change per record, in decades")
     args = ap.parse_args(argv)
     try:
-        reports = []
-        for path in (args.old, args.new):
-            with open(path) as fh:
-                reports.append(json.load(fh))
-        old, new = reports
-        digests = [digest(r) for r in reports]
-        lines, problems = drift_problems(old, new, args.bound)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        digests, lines, problems, verdict = compare(args.old, args.new, args.exact,
+                                                    args.bound)
+    except UNREADABLE as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"old sha256 {digests[0]}")
     print(f"new sha256 {digests[1]}")
     print("\n".join(lines))
-    if args.exact and digests[0] != digests[1]:
-        problems.append("reports differ (--exact)" + _moved(old, new))
     for p in problems:
         print(f"FAIL  {p}")
-    mode = "exact" if args.exact else f"drift bound {args.bound} decades"
-    print(f"{'FAIL' if problems else 'PASS'}  {mode} ({len(problems)} problems)")
+    print(verdict)
     return 1 if problems else 0
 
 
