@@ -460,7 +460,8 @@ def _loop_fiber_roundtrip(cfg, rng, case):
             xi2 = transform.fiber_section(x, phi, case)
             phi2 = transform.extra_angles(xi2, case)
             yield (
-                float(np.abs(transform.forward(xi2) - x).max()) / transform._row_norms(x)[()],
+                float(np.abs(transform.forward(xi2) - x).max())
+                / transform._row_norms(x)[()],
                 _scalar_angle_gap(phi.phi1, phi2.phi1),
                 _scalar_angle_gap(phi.phi2, phi2.phi2),
                 abs(phi.phi3 - phi2.phi3),

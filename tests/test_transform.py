@@ -253,7 +253,7 @@ def test_octet_third_axis_variant_breaks_norm():
     # the coefficient choice used in forward_octet
     def variant(u):
         u1, u2, u3, u4, u5, u6, u7, u8 = u
-        x = forward_octet(u).copy()
+        x = forward_octet(u)
         x[2] = 2.0 * (u1 * u6 - u7 * u5 + u3 * u8 - u4 * u7)
         return x
 
