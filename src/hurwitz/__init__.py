@@ -40,7 +40,6 @@ from .harness import (
 )
 from .opcalc import (
     DiffStrategy,
-    OscillatorParams,
     apply_euler_op,
     casimir_residual,
     commutator_residuals,
@@ -48,7 +47,6 @@ from .opcalc import (
     oscillator_apply,
 )
 from .separation import (
-    SeparationSolution,
     axis_solution,
     build_h,
     consistency_residual,
@@ -64,7 +62,6 @@ from .transform import (
     OCTET_CONVENTION,
     AngleCase,
     ConventionMap,
-    EulerAngles,
     extra_angles,
     fiber_section,
     forward,

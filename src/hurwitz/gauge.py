@@ -25,7 +25,6 @@ from .opcalc import DiffStrategy, fiber_phase_gradients
 from .transform import (
     GAMMA,
     AngleCase,
-    EulerAngles,
     _gamma_xi,
     _row_norms,
     extra_angles,
@@ -131,8 +130,7 @@ def a_field_numeric(
 
 
 def _convert(at, x, phi, case, d, frame_det_eps):
-    swapped = EulerAngles(phi.phi2, phi.phi1, phi.phi3)
-    bplus, bminus = b_functions(fiber_section(x, swapped, case), case, d)
+    bplus, bminus = b_functions(fiber_section(x, phi[[1, 0, 2]], case), case, d)
     # component k of each frame triple, with a trailing axis for the 5 rows
     bp = np.moveaxis(_FRAME_PARITY * bplus, -1, 0)[..., None]
     bm = np.moveaxis(_FRAME_PARITY * bminus, -1, 0)[..., None]

@@ -26,9 +26,8 @@ import numpy as np
 from . import clifford as cl
 from . import gauge, opcalc, separation, transform
 from .errors import ConfigInvalid
-from .opcalc import DiffStrategy, OscillatorParams
-from .transform import (CASE_A, CASE_B, TWO_PI, AngleCase, EulerAngles, _row_norms,
-                        _scalar_draws, _uniform)
+from .opcalc import DiffStrategy
+from .transform import CASE_A, CASE_B, TWO_PI, AngleCase, _row_norms, _scalar_draws, _uniform
 
 __all__ = [
     "SuiteConfig",
@@ -257,25 +256,18 @@ def sample_xi(
 
 def sample_angles(
     rng: np.random.Generator, margin: float = 0.25, size: Optional[int] = None
-) -> EulerAngles:
+) -> np.ndarray:
     """Angles (phi1, phi2, phi3) uniform on [0, 2 pi)^2 x [margin, pi - margin],
-    drawn in that order: floats for ``size=None``, else arrays (size,).
-    A stack of n draws exactly what n one-point calls draw, as one
-    (n, 3) array of uniforms."""
+    drawn in that order: (3,) for ``size=None``, else (3, size).  A stack
+    of n draws exactly what n one-point calls draw, as one (n, 3) array of
+    uniforms, whose rows (its ``.T``) are those calls' angles."""
     if size is None:
         uniform, _ = _scalar_draws(rng)
-        return EulerAngles(uniform(0.0, TWO_PI), uniform(0.0, TWO_PI),
-                           uniform(margin, math.pi - margin))
+        return np.array([uniform(0.0, TWO_PI), uniform(0.0, TWO_PI),
+                         uniform(margin, math.pi - margin)])
     lo = np.array([0.0, 0.0, margin])
     hi = np.array([TWO_PI, TWO_PI, math.pi - margin])
-    return EulerAngles(*_uniform(rng, lo, hi, (size, 3)).T)
-
-
-def _angle_rows(phi: EulerAngles) -> list[EulerAngles]:
-    """The angles of a stack (n,), one :class:`EulerAngles` of floats per
-    row, as one-point draws give them."""
-    rows = zip(phi.phi1.tolist(), phi.phi2.tolist(), phi.phi3.tolist())
-    return [EulerAngles(*row) for row in rows]
+    return _uniform(rng, lo, hi, (size, 3)).T
 
 
 def sample_x(
@@ -333,11 +325,11 @@ class _AnglePoly:
     freq: np.ndarray  # (3, 3) + N
     phase: np.ndarray  # (3,) + N
 
-    def __call__(self, phi: EulerAngles) -> np.ndarray:
+    def __call__(self, phi: np.ndarray) -> np.ndarray:
         # written out term by term, so a value rounds the same in any batch
-        f, total = self.freq, 0.0
+        (phi1, phi2, phi3), f, total = phi, self.freq, 0.0
         for t in range(3):
-            arg = f[t, 0] * phi.phi1 + f[t, 1] * phi.phi2 + f[t, 2] * phi.phi3
+            arg = f[t, 0] * phi1 + f[t, 1] * phi2 + f[t, 2] * phi3
             total = total + self.amp[t] * np.cos(arg + self.phase[t])
         return 1.0 + total
 
@@ -373,7 +365,7 @@ class _XPhiField:
     coeff: np.ndarray  # N + (5,)
     ang: _AnglePoly
 
-    def __call__(self, x: np.ndarray, phi: EulerAngles) -> np.ndarray:
+    def __call__(self, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
         # the factor 1 and the term 0 leave each kind's value as it rounds
         # written alone
         gauss = np.where(self.gaussian, np.exp(-0.35 * np.vecdot(x, x)), 1.0)
@@ -409,22 +401,15 @@ def _groups(keys):
     return out.items()
 
 
-def _stack_angles(angles) -> EulerAngles:
-    """Angles of one draw each, as one batch of shape (n,)."""
-    columns = zip(*((a.phi1, a.phi2, a.phi3) for a in angles))
-    return EulerAngles(*(np.array(c) for c in columns))
-
-
 def _grouped_field(parts):
     """One complex field over angles whose trailing axis is the sample axis:
     for each (indices, fn) of ``parts``, those samples take ``fn`` evaluated
     on their own gathered angles, scattered back into place."""
 
-    def field(phi: EulerAngles) -> np.ndarray:
-        cols = np.broadcast_arrays(phi.phi1, phi.phi2, phi.phi3)
-        out = np.empty(cols[0].shape, dtype=complex)
+    def field(phi: np.ndarray) -> np.ndarray:
+        out = np.empty(phi.shape[1:], dtype=complex)
         for idx, fn in parts:
-            out[..., idx] = fn(EulerAngles(*(c[..., idx] for c in cols)))
+            out[..., idx] = fn(phi[..., idx])
         return out
 
     return field
@@ -629,9 +614,9 @@ def _fiber_roundtrip(cfg, draws, case):
     phi2 = transform.extra_angles(xi2, case)
     return np.stack([
         np.abs(transform.forward(xi2) - x).max(axis=-1) / _row_norms(x),
-        _angle_gap(phi.phi1, phi2.phi1),
-        _angle_gap(phi.phi2, phi2.phi2),
-        np.abs(phi.phi3 - phi2.phi3),
+        _angle_gap(phi[0], phi2[0]),
+        _angle_gap(phi[1], phi2[1]),
+        np.abs(phi[2] - phi2[2]),
     ], axis=-1)
 
 
@@ -643,7 +628,7 @@ def _section_draws(cfg, rng, case):
 def _section_identity(cfg, draws, case):
     x, phi = zip(*draws)
     x = np.array(x)
-    xi = transform.fiber_section(x, _stack_angles(phi), case)
+    xi = transform.fiber_section(x, np.stack(phi, axis=-1), case)
     return np.abs(transform.forward(xi) - x).max(axis=-1) / _row_norms(x)
 
 
@@ -655,7 +640,7 @@ def _rotor_residuals(cfg, draws, relations):
     """Commutator residuals of ``relations``, one test field per sample."""
     fields, angles = zip(*draws)
     return opcalc.commutator_residuals(
-        relations, _stack(fields), _stack_angles(angles), cfg.strategy(1e-3)).T
+        relations, _stack(fields), np.stack(angles, axis=-1), cfg.strategy(1e-3)).T
 
 
 def _closure(family: str) -> list:
@@ -692,13 +677,14 @@ def _casimir_residuals(cfg, draws):
     res = np.empty(len(draws))
     poly = [i for i, (_, g) in enumerate(draws) if not isinstance(g, tuple)]
     jqp = [i for i, (_, g) in enumerate(draws) if isinstance(g, tuple)]
+    phi = np.stack([a for a, _ in draws], axis=-1)
     if poly:
         res[poly] = opcalc.casimir_residual(_stack([draws[i][1] for i in poly]),
-                                            _stack_angles([draws[i][0] for i in poly]), d)
+                                            phi[:, poly], d)
     if jqp:
         field = _grouped_field([(sub, functools.partial(separation.wigner, *key))
                                 for key, sub in _groups([draws[i][1] for i in jqp])])
-        res[jqp] = opcalc.casimir_residual(field, _stack_angles([draws[i][0] for i in jqp]), d)
+        res[jqp] = opcalc.casimir_residual(field, phi[:, jqp], d)
     return res
 
 
@@ -813,7 +799,7 @@ def _angle_independence_residuals(cfg, draws, case):
     d = cfg.strategy()
     xi, angles = zip(*draws)
     xi = np.array(xi)
-    xi2 = transform.fiber_section(transform.forward(xi), _stack_angles(angles), case)
+    xi2 = transform.fiber_section(transform.forward(xi), np.stack(angles, axis=-1), case)
     A1 = gauge.a_field_numeric(xi, case, d)
     return np.abs(A1 - gauge.a_field_numeric(xi2, case, d))
 
@@ -886,7 +872,8 @@ def _wigner_ladder(cfg, _):
     (J, q, p, sign) on the broadcast grid."""
     beta = np.linspace(0.12, math.pi - 0.12, 20)
     phi = np.linspace(0.0, TWO_PI, 20, endpoint=False)
-    grid = EulerAngles(phi[None, None, :], phi[None, :, None], beta[:, None, None])
+    # three broadcastable rows, never materialised as one (3, 20, 20, 20) array
+    grid = (phi[None, None, :], phi[None, :, None], beta[:, None, None])
     maxima = []
     for J in range(min(2, cfg.J_max) + 1):
         for q in range(-J, J + 1):
@@ -915,7 +902,7 @@ def _angular_residuals(cfg, draws, **_):
         (idx, functools.partial(separation.angular_factor, *key,
                                 np.stack([g[i] for i in idx], axis=-1)))
         for key, idx in _groups(zip(J, p))])
-    phi = _stack_angles(angles)
+    phi = np.stack(angles, axis=-1)
     images = opcalc.apply_euler_op(opcalc.EULER_OPS, G, phi, d)
     qsq = opcalc.casimir("Q", G, phi, d)
     gv = G(phi)
@@ -937,7 +924,7 @@ def _wigner_draws(cfg, rng):
         for p in range(-J, J + 1)
         for _ in range(3)
     ]
-    angles = _angle_rows(sample_angles(rng, size=len(rows)))
+    angles = sample_angles(rng, size=len(rows)).T
     return [(*row, phi) for row, phi in zip(rows, angles)]
 
 
@@ -975,11 +962,11 @@ def _angular_factor_draws(cfg, rng, case):
     draws = []
     for J in range(1, min(2, cfg.J_max) + 1):
         x, p, angles = zip(*[(sample_x(rng, case, 0.1), integer(-J, J + 1),
-                              _angle_rows(sample_angles(rng, size=10)))
+                              sample_angles(rng, size=10).T)
                              for _ in range(4)])
         A = gauge.a_field_closed(np.array(x), case)
-        sol = separation.axis_solution(J, A, "m=1")
-        draws += [(J, p[k], sol.g[k, lam], A[k, lam], sol.root[k, lam], angles[k][2 * lam + j])
+        _, root, g = separation.axis_solution(J, A, "m=1")
+        draws += [(J, p[k], g[k, lam], A[k, lam], root[k, lam], angles[k][2 * lam + j])
                   for k in range(4) for lam in range(5) for j in range(2)]
     return draws
 
@@ -988,16 +975,15 @@ def _oscillator(cfg, draws):
     """|H_osc psi - Z psi| / |psi| per (omega, xi) draw, psi the Gaussian
     exp(-omega |xi|^2); one operator call with one omega per point."""
     omega, xi = map(np.array, zip(*draws))
-    p = OscillatorParams.from_omega(omega)
     field = lambda z: np.exp(-omega * np.vecdot(z, z).real)
-    got = opcalc.oscillator_apply(p, field, xi, cfg.strategy())
-    return np.abs(got - p.Z * field(xi)) / np.abs(field(xi))
+    got = opcalc.oscillator_apply(omega, field, xi, cfg.strategy())
+    # the eigenvalue Z = 2 omega
+    return np.abs(got - 2.0 * omega * field(xi)) / np.abs(field(xi))
 
 
 def _radial_duality(cfg, draws):
     omega, x = map(np.array, zip(*draws))
-    return opcalc.radial_duality_residual(OscillatorParams.from_omega(omega), x,
-                                          cfg.strategy())
+    return opcalc.radial_duality_residual(omega, x, cfg.strategy())
 
 
 def _radial_field(kind):
@@ -1325,22 +1311,20 @@ def separate_cmd(
     if not np.isfinite(x).all():
         raise ConfigInvalid(f"point coordinates must be finite, got {list(x_point)}")
     with _strict_arithmetic(f"point {x.tolist()}"):
-        sol = separation.axis_solution(J, gauge.a_field_closed(x, case), branch)
-        r = _row_norms(x)
-        cent = J * (J + 1) / (2.0 * r * r)
+        roots, root, g = separation.axis_solution(J, gauge.a_field_closed(x, case), branch)
+        cent = separation._centrifugal(J, _row_norms(x))
     lines = [
-        {"J": J, "p": p, "lambda": lam + 1, "roots": roots, "g": g,
+        {"J": J, "p": p, "lambda": lam + 1, "roots": ladder, "g": vec,
          "a_selected": a, "centrifugal": cent}
-        for lam, (roots, g, a) in enumerate(zip(
-            sol.roots.tolist(), np.stack([sol.g.real, sol.g.imag], -1).tolist(),
-            sol.root.tolist()))
+        for lam, (ladder, vec, a) in enumerate(zip(
+            roots.tolist(), np.stack([g.real, g.imag], -1).tolist(), root.tolist()))
     ]
     summary = {"point": x.tolist(), "case": case_tag, "branch": branch}
     if J == 1 and case_tag == "A":
         summary["closed_form_comparison"] = {
             "max_magnitude_residual": float(
-                np.abs(np.abs(sol.root) - _closed_form_magnitudes(x)).max()),
-            "fifth_axis_root": float(sol.root[4]),
+                np.abs(np.abs(root) - _closed_form_magnitudes(x)).max()),
+            "fifth_axis_root": float(root[4]),
         }
     _write_jsonl(out_path, lines + [{"summary": summary}])
     return summary

@@ -12,20 +12,21 @@ convention throughout:
     d/dxi  = (d/dRe - i d/dIm) / 2,      d/dxi* = (d/dRe + i d/dIm) / 2.
 
 Fields take stacks, with numpy broadcasting: a complex-space field maps xi
-B + (4,) to B + T, a field over (x, angles) maps x B + (5,) and
-:class:`EulerAngles` with attributes of shape S to broadcast(B, S), and a
-field over the angle chart maps angles S to T + S (T is empty for a scalar
-field; a constant may return a scalar).  One axis rule: every stencil puts
-its displacement axes in front, (offsets,) + D + B for points, (3, 4) + S
-for angles, so the batch axes trail and a field whose parameters carry a
-sample axis (one test field per sample) broadcasts it against the batch's
-last axis on both sides.  An operator calls its field once on all of its
-stencil points, and the angle side works on values, so a caller that needs
-one stencil level twice evaluates it once: ``_images`` turns a field's
-values on ``_angle_stencil`` (12 copies of each angle) into the generator
-images read (a nested pair is one call on 144 copies); ``_stencil``
-displaces points along the 8 real directions of C^4 or the base axes, a
-stack of directions in front of the points or one direction per point.
+B + (4,) to B + T, a field over (x, angles) maps x B + (5,) and angles
+(3,) + S (rows phi1, phi2, phi3) to broadcast(B, S), and a field over the
+angle chart maps angles (3,) + S to T + S (T is empty for a scalar field;
+a constant may return a scalar).  One axis rule: every stencil puts its
+displacement axes in front, (offsets,) + D + B for points, (3, 4) + S for
+angles (behind their component axis: (3, 3, 4) + S), so the batch axes
+trail and a field whose parameters carry a sample axis (one test field per
+sample) broadcasts it against the batch's last axis on both sides.  An
+operator calls its field once on all of its stencil points, and the angle
+side works on values, so a caller that needs one stencil level twice
+evaluates it once: ``_images`` turns a field's values on
+``_angle_stencil`` (12 copies of each angle) into the generator images
+read (a nested pair is one call on 144 copies); ``_stencil`` displaces
+points along the 8 real directions of C^4 or the base axes, a stack of
+directions in front of the points or one direction per point.
 There is one momentum operator P_lam: its axes go in front of the batch or
 broadcast against it, each point displaced along its own axis, so
 P_lam P_lam is a momentum of a momentum, and one angle side (coefficient
@@ -45,7 +46,6 @@ import numpy as np
 from .errors import PolarSingularity
 from .transform import (
     AngleCase,
-    EulerAngles,
     _gamma_xi,
     _row_norms,
     extra_angles,
@@ -55,7 +55,6 @@ from .transform import (
 
 __all__ = [
     "DiffStrategy",
-    "OscillatorParams",
     "first_derivative",
     "second_derivative",
     "wirtinger_gradients",
@@ -93,22 +92,6 @@ class DiffStrategy:
 
     def nested(self) -> "DiffStrategy":
         return replace(self, step=self.step2)
-
-
-@dataclass(frozen=True)
-class OscillatorParams:
-    """Frequency, coupling strength and energy of the oscillator side:
-    floats, or arrays of one value per sample of a batch."""
-
-    omega: float
-    Z: float
-    E: float
-
-    @classmethod
-    def from_omega(cls, omega) -> "OscillatorParams":
-        if not np.all(np.asarray(omega) > 0.0):
-            raise ValueError("omega must be positive")
-        return cls(omega=omega, Z=2.0 * omega, E=-0.5 * omega * omega)
 
 
 def first_derivative(f: Callable[[float], complex], h: float) -> complex:
@@ -224,7 +207,7 @@ def fiber_phase_gradients(
 EULER_OPS = ("T1", "T2", "T3", "Q1", "Q2", "Q3")
 
 
-def _coefficients(phi: EulerAngles) -> np.ndarray:
+def _coefficients(phi: np.ndarray) -> np.ndarray:
     """Closed-form first-order coefficients of the six generators, (6, 3) + S.
 
     Row g, column k holds r with X_g = sum_k i r d/dphi_k.  The left triple
@@ -233,8 +216,7 @@ def _coefficients(phi: EulerAngles) -> np.ndarray:
     constants +i eps and commute with each other (suite-verified).  Raises
     :class:`PolarSingularity` where |sin(phi3)| < 1e-8 at any angle.
     """
-    v = phi.as_array()
-    (c1, c2, c3), (s1, s2, s3) = np.cos(v), np.sin(v)
+    (c1, c2, c3), (s1, s2, s3) = np.cos(phi), np.sin(phi)
     if np.any(np.abs(s3) < 1e-8):
         raise PolarSingularity("sin(phi3) below 1e-08")
     out = np.zeros((6, 3) + s3.shape)
@@ -250,26 +232,23 @@ def _coefficients(phi: EulerAngles) -> np.ndarray:
 _SHIFTS = np.eye(3)[:, :, None] * _OFFSETS
 
 
-def _angle_stencil(phi: EulerAngles, h: float) -> EulerAngles:
-    """The displaced angles (3, 4) + S of ``phi``, four along each axis."""
-    pad = (1,) * np.ndim(phi.phi1)
-    return EulerAngles(*(
-        c + (_SHIFTS[j] * h).reshape((3, 4) + pad)
-        for j, c in enumerate((phi.phi1, phi.phi2, phi.phi3))
-    ))
+def _angle_stencil(phi: np.ndarray, h: float) -> np.ndarray:
+    """The displaced angles (3, 3, 4) + S of ``phi`` (3,) + S, four along
+    each axis."""
+    return phi[:, None, None] + (_SHIFTS * h).reshape((3, 3, 4) + (1,) * (phi.ndim - 1))
 
 
-def _angle_derivatives(v, phi: EulerAngles, h: float) -> np.ndarray:
+def _angle_derivatives(v, phi: np.ndarray, h: float) -> np.ndarray:
     """d field / d phi_k for k = 1..3, T + (3,) + S, from the field's values
     ``v`` on ``_angle_stencil(phi, h)``, T + (3, 4) + S (fewer axes for a
     field constant in the angles)."""
-    nd = np.ndim(phi.phi1)
+    nd = phi.ndim - 1
     if np.ndim(v) < nd + 2:  # a field constant in the angles
-        v = np.broadcast_to(v, np.broadcast_shapes((3, 4) + np.shape(phi.phi1), np.shape(v)))
+        v = np.broadcast_to(v, np.broadcast_shapes((3, 4) + phi.shape[1:], np.shape(v)))
     return _combine([v[(..., o) + (slice(None),) * nd] for o in range(4)], h)
 
 
-def _images(v, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
+def _images(v, phi: np.ndarray, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
     """The generators of ``rows`` (an index into :data:`EULER_OPS` that
     keeps the row axis) at ``phi``, from a field's values ``v`` on its
     stencil, (R,) + T + S: the coefficient table is sliced before its
@@ -282,7 +261,7 @@ def _images(v, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarra
     return 1j * (coef * der).sum(axis=nt + 1)
 
 
-def _nested(field, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
+def _nested(field, phi: np.ndarray, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
     """X_a X_b field at ``phi`` for every pair of generators of ``rows``,
     (R, R) + T + S: the outer images of the inner images on the stencil,
     from one field call on the nested stencil, 144 points per angle."""
@@ -292,8 +271,8 @@ def _nested(field, phi: EulerAngles, d: DiffStrategy, rows=slice(None)) -> np.nd
 
 def apply_euler_op(
     which,
-    field: Callable[[EulerAngles], np.ndarray],
-    phi: EulerAngles,
+    field: Callable[[np.ndarray], np.ndarray],
+    phi: np.ndarray,
     d: DiffStrategy,
 ) -> np.ndarray:
     """Generators applied to a field over the angle chart at ``phi``, from
@@ -321,8 +300,8 @@ def _casimir(nested: np.ndarray, family: str):
 
 def casimir(
     family: str,
-    field: Callable[[EulerAngles], np.ndarray],
-    phi: EulerAngles,
+    field: Callable[[np.ndarray], np.ndarray],
+    phi: np.ndarray,
     d: DiffStrategy,
 ) -> np.ndarray:
     """(X1 X1 + X2 X2 + X3 X3) field at ``phi`` for the triple X = T or Q,
@@ -345,38 +324,39 @@ def coupled_q(row, images: np.ndarray):
     return row[..., 0] * q[0] + row[..., 1] * q[1] + row[..., 2] * q[2]
 
 
-def _padded(lam, xs: np.ndarray, phi: EulerAngles):
+def _padded(lam, xs: np.ndarray, phi: np.ndarray):
     """:func:`momentum`'s axes, points and angles, padded to its batch."""
     lam = np.asarray(lam)
-    nb = max(np.ndim(xs) - 1, np.ndim(phi.phi1), 0 if lam.ndim == 1 else lam.ndim)
+    nb = max(np.ndim(xs) - 1, phi.ndim - 1, 0 if lam.ndim == 1 else lam.ndim)
     if lam.ndim == 1:  # the axes in front of the batch
         lam = lam.reshape(lam.shape + (1,) * nb)
-    pad = lambda a, rank: np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a))
-    phi = EulerAngles(*(pad(c, nb) for c in (phi.phi1, phi.phi2, phi.phi3)))
-    return lam, pad(xs, nb + 1), phi
+    xs = np.reshape(xs, (1,) * (nb + 1 - np.ndim(xs)) + np.shape(xs))
+    # the angles' component axis stays in front of their padding
+    return lam, xs, phi.reshape(phi.shape[:1] + (1,) * (nb + 1 - phi.ndim) + phi.shape[1:])
 
 
 def momentum(
     lam,
-    field: Callable[[np.ndarray, EulerAngles], np.ndarray],
+    field: Callable[[np.ndarray, np.ndarray], np.ndarray],
     potential: Callable[[np.ndarray], np.ndarray],
     xs: np.ndarray,
-    phi: EulerAngles,
+    phi: np.ndarray,
     d: DiffStrategy,
     q_images: np.ndarray | None = None,
 ) -> np.ndarray:
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
-    ``xs`` has shape B + (5,) and the angles shape S.  ``lam`` is an axis,
+    ``xs`` has shape B + (5,) and the angles (3,) + S.  ``lam`` is an axis,
     a 1-D array of axes L, giving L + broadcast(B, S), or an array of axes
     that broadcasts against B and S, giving their broadcast shape: each
     point is displaced along its own axis and meets its own row of the
-    potential.  The points and angles are left-padded with unit axes to the
-    rank of that batch, which trails the stencils' axes; the batch itself
-    is never materialised, so x-only work (the potential, a field's x part)
-    runs at the size of B and angle-only work at the size of S, and the two
-    meet by broadcasting inside the field.  ``field(ys, angles)`` maps base
-    points B' + (5,) and angles S' to the broadcast shape of B' and S' (a
+    potential.  The points and angles (behind their component axis) are
+    left-padded with unit axes to the rank of that batch, which trails the
+    stencils' axes; the batch itself is never materialised, so x-only work
+    (the potential, a field's x part) runs at the size of B and angle-only
+    work at the size of S, and the two meet by broadcasting inside the
+    field.  ``field(ys, angles)`` maps base
+    points B' + (5,) and angles (3,) + S' to the broadcast shape of B' and S' (a
     field constant in either broadcasts); it is called once on the
     displaced points of all axes and once over the angle stencil, whose
     coefficient table and Q images (the only rows formed) serve every axis,
@@ -392,7 +372,7 @@ def momentum(
     return -1j * der + coupled_q(row, q_images)
 
 
-def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
+def commutator_residuals(relations, field, phi: np.ndarray, d: DiffStrategy):
     """|([a, b] - coef*op) field| for each relation (a, b, (coef, op_name))
     (op_name None: the commutator itself should vanish), (R,) + T + S, read
     from one nested and one first-order application, both at ``step2``, of
@@ -411,7 +391,7 @@ def commutator_residuals(relations, field, phi: EulerAngles, d: DiffStrategy):
 
 
 def casimir_residual(
-    field: Callable[[EulerAngles], np.ndarray], phi: EulerAngles, d: DiffStrategy
+    field: Callable[[np.ndarray], np.ndarray], phi: np.ndarray, d: DiffStrategy
 ) -> np.ndarray:
     """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at each angle of ``phi``,
     T + S, from one nested application at ``step2``."""
@@ -422,7 +402,7 @@ def casimir_residual(
 # --- identities linking the two pictures ------------------------------------
 
 def pullback(
-    field_xphi: Callable[[np.ndarray, EulerAngles], complex], case: AngleCase
+    field_xphi: Callable[[np.ndarray, np.ndarray], complex], case: AngleCase
 ) -> Callable[[np.ndarray], complex]:
     """Compose a base-space field with the map: xi -> f(x(xi), phi(xi)), a
     complex-space field over stacks of xi.
@@ -534,34 +514,43 @@ def _rel_max(lhs, rhs, nb: int):
     return (big(lhs - rhs) / np.maximum(1.0, np.maximum(big(lhs), big(rhs))))[()]
 
 
+def _check_omega(omega) -> None:
+    if not np.all(np.asarray(omega) > 0.0):
+        raise ValueError("omega must be positive")
+
+
 def oscillator_apply(
-    p: OscillatorParams,
+    omega,
     field: Callable[[np.ndarray], np.ndarray],
     xi: np.ndarray,
     d: DiffStrategy,
 ) -> np.ndarray:
     """Apply the oscillator Hamiltonian -laplacian/2 + omega^2 |xi|^2 / 2 at
-    ``xi`` B + (4,), B + T."""
+    ``xi`` B + (4,), B + T; ``omega`` is a float or one value per point, B.
+    Raises ``ValueError`` unless every omega is positive."""
+    _check_omega(omega)
     xi = np.asarray(xi, dtype=complex)
     r = np.vecdot(xi, xi).real
-    return -0.5 * xi_laplacian(field, xi, d) + 0.5 * p.omega**2 * r * field(xi)
+    return -0.5 * xi_laplacian(field, xi, d) + 0.5 * omega**2 * r * field(xi)
 
 
-def radial_duality_residual(p: OscillatorParams, x: np.ndarray, d: DiffStrategy):
+def radial_duality_residual(omega, x: np.ndarray, d: DiffStrategy):
     """Residual of the base-space eigenrelation for psi = exp(-omega r).
 
     For angle-independent fields the transformed equation reduces to
-    -laplacian_5/2 - Z/r acting on psi with eigenvalue E; the 5-axis
-    Laplacian is one second-order stencil call along the base axes.
-    Relative to |psi|.  ``x`` is a stack B + (5,), giving B, with
-    parameters that are floats or of shape B (one omega per point); a point
-    (5,) is evaluated as a one-row stack, giving a float.
+    -laplacian_5/2 - Z/r acting on psi with eigenvalue E, where
+    Z = 2 omega and E = -omega^2 / 2; the 5-axis Laplacian is one
+    second-order stencil call along the base axes.  Relative to |psi|.
+    ``x`` is a stack B + (5,), giving B, with ``omega`` a float or of shape
+    B (one per point); a point (5,) is evaluated as a one-row stack, giving
+    a float.  Raises ``ValueError`` unless every omega is positive.
     """
+    _check_omega(omega)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return radial_duality_residual(p, x[None], d)[0]
-    psi = lambda y: np.exp(-p.omega * _row_norms(y))
+        return radial_duality_residual(omega, x[None], d)[0]
+    psi = lambda y: np.exp(-omega * _row_norms(y))
     lap = sum(_stencil(psi, x, _AXES, d.step2, order=2))
     r = _row_norms(x)
-    val = -0.5 * lap - (p.Z / r) * psi(x)
-    return np.abs(val - p.E * psi(x)) / psi(x)
+    val = -0.5 * lap - (2.0 * omega / r) * psi(x)
+    return np.abs(val - (-0.5 * omega * omega) * psi(x)) / psi(x)

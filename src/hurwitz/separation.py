@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +33,6 @@ from .gauge import a_field_closed
 from .opcalc import (
     _FAMILY,
     DiffStrategy,
-    OscillatorParams,
     _angle_stencil,
     _casimir,
     _images,
@@ -42,11 +40,10 @@ from .opcalc import (
     coupled_q,
     momentum,
 )
-from .transform import AngleCase, EulerAngles, _row_norms, _uniform
+from .transform import AngleCase, _row_norms, _uniform
 
 __all__ = [
     "J_CAP",
-    "SeparationSolution",
     "wigner_d",
     "wigner_d_prime",
     "wigner",
@@ -132,17 +129,11 @@ def wigner_d_prime(J: int, q: int, p: int, beta):
     return (pref * total).reshape(np.shape(beta))[()]
 
 
-def _angle_arrays(phi: EulerAngles):
-    """The three angles as arrays of at least one dimension (float angles
-    are a one-element batch), and the broadcast shape of the given ones."""
-    vals = (phi.phi1, phi.phi2, phi.phi3)
-    return [np.atleast_1d(v) for v in vals], np.broadcast(*vals).shape
-
-
-def _basis(J: int, qs, p: int, phi: EulerAngles) -> list:
-    """phi^J_{q,p} for each q of ``qs`` at the given angles (or batch, whose
-    attributes broadcast), from one cos/sin of phi3/2 and one e^{ip phi1}
-    shared by every q; float angles are a one-element batch.
+def _basis(J: int, qs, p: int, phi) -> list:
+    """phi^J_{q,p} for each q of ``qs`` at the angles ``phi`` (3,) + S (or
+    three broadcastable arrays phi1, phi2, phi3), from one cos/sin of
+    phi3/2 and one e^{ip phi1} shared by every q; one point's angles are a
+    one-element batch.
 
     A q whose -q came first takes the conjugate of that phase: the argument
     1j * (-q) * phi2 is exactly (+-0, -(q phi2)), so the conjugate is
@@ -150,7 +141,8 @@ def _basis(J: int, qs, p: int, phi: EulerAngles) -> list:
     and its cosine even (as libm's are; a test pins it).  The one exception
     is phi2 = -0.0, where the zero imaginary part takes the other sign.
     """
-    (phi1, phi2, phi3), shape = _angle_arrays(phi)
+    shape = np.broadcast(*phi).shape
+    phi1, phi2, phi3 = np.atleast_1d(*phi)
     half = phi3 / 2.0
     c, s = np.cos(half), np.sin(half)
     e1 = np.exp(1j * p * phi1)
@@ -160,15 +152,15 @@ def _basis(J: int, qs, p: int, phi: EulerAngles) -> list:
     return [(phase[q] * _d_value(J, q, p, c, s) * e1).reshape(shape)[()] for q in qs]
 
 
-def wigner(J: int, q: int, p: int, phi: EulerAngles):
-    """Angular basis element phi^J_{q,p} at the given angles (or batch,
-    whose attributes broadcast); float angles are a one-element batch."""
+def wigner(J: int, q: int, p: int, phi):
+    """Angular basis element phi^J_{q,p} at the angles ``phi``, as
+    :func:`_basis` takes them."""
     return _basis(J, (q,), p, phi)[0]
 
 
-def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles):
+def ladder_apply(sign: int, J: int, q: int, p: int, phi):
     """Analytic (Q2 +- i Q3) applied to a basis element (no differencing),
-    at the given angles (or batch, as :func:`wigner`).
+    at the angles ``phi``, as :func:`wigner` takes them.
 
     Returns e^{i(q+-1)phi2} e^{ip phi1} [+-d' - (q cos(phi3) - p)/sin(phi3) d];
     with the conventions above this equals
@@ -177,7 +169,8 @@ def ladder_apply(sign: int, J: int, q: int, p: int, phi: EulerAngles):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_spin(J, q, p)
-    (phi1, phi2, b), shape = _angle_arrays(phi)
+    shape = np.broadcast(*phi).shape
+    phi1, phi2, b = np.atleast_1d(*phi)
     d = wigner_d(J, q, p, b)
     dp = wigner_d_prime(J, q, p, b)
     radial = sign * dp - (q * np.cos(b) - p) / np.sin(b) * d
@@ -331,18 +324,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
-@dataclass(frozen=True)
-class SeparationSolution:
-    """Spin-J separation data of the five base axes, one row per axis: root
-    ladders B + (5, 2J+1), branch roots B + (5,) and their null vectors
-    B + (5, 2J+1), for one potential (B empty) or a stack B of them."""
-
-    J: int
-    roots: np.ndarray
-    root: np.ndarray
-    g: np.ndarray
-
-
 def resolve_branch(branch) -> Callable[[int, int], int]:
     """Turn a branch spec into a per-axis ladder index m(J, lam).
 
@@ -358,15 +339,16 @@ def resolve_branch(branch) -> Callable[[int, int], int]:
     raise ValueError(f"unknown branch selector {branch!r}")
 
 
-def axis_solution(J: int, A: np.ndarray, branch="alternating") -> SeparationSolution:
-    """Roots and the branch null vectors of the five base axes, solved as
-    one column stack: row lam is the solution of axis lam, bit-identical to
-    a one-column solve of that axis.  Potentials B + (5, 3) give B + (5, ...)
-    rows, each potential's rows those of its own call."""
+def axis_solution(J: int, A: np.ndarray, branch="alternating") -> tuple:
+    """(roots, root, g) of the five base axes, one row per axis: the root
+    ladders B + (5, 2J+1), the branch roots B + (5,) and their null vectors
+    B + (5, 2J+1), for one potential (B empty) or a stack B + (5, 3) of
+    them.  Solved as one column stack: row lam is the solution of axis lam,
+    bit-identical to a one-column solve of that axis, and each potential's
+    rows are those of its own call."""
     col = tuple(np.moveaxis(c, 0, -1) for c in potential_columns(A))
     root = _branch_roots(J, A, branch)
-    return SeparationSolution(J, separation_roots(J, col), root,
-                              _null_vector(J, col, root))
+    return separation_roots(J, col), root, _null_vector(J, col, root)
 
 
 def _branch_roots(J: int, A: np.ndarray, branch) -> np.ndarray:
@@ -376,7 +358,7 @@ def _branch_roots(J: int, A: np.ndarray, branch) -> np.ndarray:
     return m * _row_norms(A)
 
 
-def angular_factor(J: int, p: int, g: np.ndarray, phi: EulerAngles):
+def angular_factor(J: int, p: int, g: np.ndarray, phi: np.ndarray):
     """sum_q g_q phi^J_{q,p} at ``phi`` for coefficients ``g`` ordered
     q = -J .. J, from one evaluation of the 2J+1 basis elements.  ``g`` of
     shape (2J+1,) + N holds one vector per sample (N broadcasts against the
@@ -387,6 +369,11 @@ def angular_factor(J: int, p: int, g: np.ndarray, phi: EulerAngles):
 def _weighted(g: np.ndarray, basis: list):
     """sum_q g_q phi_q over a basis of :func:`_basis`, in q order."""
     return sum(g[J_plus_q] * b for J_plus_q, b in enumerate(basis))
+
+
+def _centrifugal(J: int, r):
+    """The centrifugal term J(J+1)/(2 r^2) at radii ``r``."""
+    return J * (J + 1) / (2.0 * r * r)
 
 
 def effective_terms(
@@ -403,7 +390,7 @@ def effective_terms(
     _check_spin(J)
     A = a_field_closed(x, case)
     r = _row_norms(np.asarray(x, dtype=float))
-    return _branch_roots(J, A, branch), (J * (J + 1) / (2.0 * r * r))[()]
+    return _branch_roots(J, A, branch), _centrifugal(J, r)[()]
 
 
 def consistency_residual(
@@ -430,7 +417,7 @@ def consistency_residual(
 
     ``x`` is one base point (5,), giving a float, or a stack (m, 5), giving
     one residual per point.  The five axes run in one pass: the angles
-    (n_angles, 1, 1) meet arrays (5, m) of the axes at the points.  The
+    (3, n_angles, 1, 1) meet arrays (5, m) of the axes at the points.  The
     five null vectors come from one column-stack solve, and the five
     angular factors are one field G of shape S + (5, m), evaluated once
     each on the drawn angles, their 12-point stencil and the 144-point
@@ -448,18 +435,20 @@ def consistency_residual(
     single = xv.ndim == 1
     xv = np.atleast_2d(xv)
     r0 = _row_norms(xv)
-    a_vec, centrifugal = effective_terms(J, xv, case, branch)
     dn = d.nested()
     # (phi1, phi2, phi3) per angle, drawn in that order
     drawn = _uniform(np.random.default_rng(7), np.array([0.0, 0.0, 0.5]),
                      np.array([2 * math.pi, 2 * math.pi, math.pi - 0.5]), (n_angles, 3))
-    # one batch of n_angles angles, (n_angles, 1, 1) against the five axes'
-    # arrays over the points, (5, m)
-    angles = EulerAngles(*drawn.T[:, :, None, None])
-    params = OscillatorParams.from_omega(1.0)
-    coulomb = params.Z / r0 + params.E
+    # one batch of n_angles angles, (3, n_angles, 1, 1) against the five
+    # axes' arrays over the points, (5, m)
+    angles = drawn.T[:, :, None, None]
+    # Z / r + E, with Z = 2 omega and E = -omega^2 / 2 at omega = 1
+    coulomb = 2.0 / r0 - 0.5
     potential = lambda ys: a_field_closed(ys, case)
     A0 = potential(xv)
+    # effective_terms' two values from A0 and r0: no second closed-form call
+    a_vec = _branch_roots(J, A0, branch)
+    centrifugal = _centrifugal(J, r0)
     psi0 = test_psi(xv)
     # the five axes' null vectors as one column stack, g (2J+1, 5, m)
     g = np.moveaxis(_null_vector(J, potential_columns(A0), -a_vec.T), -1, 0)

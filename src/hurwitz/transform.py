@@ -36,7 +36,6 @@ from .errors import DegenerateFiber, SectionFailed, SingularFiber
 
 __all__ = [
     "GAMMA",
-    "EulerAngles",
     "AngleCase",
     "CASE_A",
     "CASE_B",
@@ -144,22 +143,6 @@ def _scalar_draws(rng: np.random.Generator):
     integer = _bounded(c.next_uint32, state)
     uniform.bit_generator = integer.bit_generator = rng.bit_generator
     return uniform, integer
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """Fiber coordinates: phi1, phi2 in [0, 2pi), phi3 in [0, pi].
-
-    The three attributes are floats, or arrays of one shape for a batch of
-    angles (the finite-difference engine evaluates its stencils that way).
-    """
-
-    phi1: float
-    phi2: float
-    phi3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi1, self.phi2, self.phi3])
 
 
 OffsetTriple = tuple[
@@ -316,9 +299,9 @@ OCTET_CONVENTION = ConventionMap(
 )
 
 
-def extra_angles(xi: Sequence[complex], case: AngleCase) -> EulerAngles:
-    """Fiber angles of a point, or of every row of a stack B + (4,), for the
-    chosen case (attributes of shape B, floats for one point).
+def extra_angles(xi: Sequence[complex], case: AngleCase) -> np.ndarray:
+    """Fiber angles (phi1, phi2, phi3) of a point, or of every row of a stack
+    B + (4,), for the chosen case: one array (3,) + B, rows phi1, phi2, phi3.
 
     phi1/phi2 are the sum/difference of the pair's phases folded into
     [0, 2pi); phi3 = atan2(2|a||b|, |a|^2 - |b|^2) lands in [0, pi].
@@ -345,13 +328,12 @@ def extra_angles(xi: Sequence[complex], case: AngleCase) -> EulerAngles:
         phi3 = np.fmod(phi3, TWO_PI)
         phi3 = np.where(phi3 < 0.0, phi3 + TWO_PI, phi3)
         phi3 = np.where(phi3 > math.pi, TWO_PI - phi3, phi3)
-    return EulerAngles((phi1 % TWO_PI)[()], (phi2 % TWO_PI)[()], phi3[()])
+    return np.stack([phi1 % TWO_PI, phi2 % TWO_PI, phi3])
 
 
-def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
+def fiber_section(x, phi: np.ndarray, case: AngleCase) -> np.ndarray:
     """A point of the fiber over (x, phi) for the chosen case, or one per row
-    of a stack: ``x`` of shape B + (5,) with angle attributes of shape B
-    give B + (4,).
+    of a stack: ``x`` of shape B + (5,) with angles (3,) + B give B + (4,).
 
     The angle-carrying pair is rebuilt from r +/- x5 and the requested
     angles; the other pair solves the remaining 2x2 linear system exactly.
@@ -377,9 +359,10 @@ def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
         )
     h = rho / 2.0
     sq = np.sqrt(h)
-    mod_a, mod_b = sq * np.cos(phi.phi3 / 2.0), sq * np.sin(phi.phi3 / 2.0)
-    arg_a = (phi.phi1 + phi.phi2) / 2.0
-    arg_b = (phi.phi1 - phi.phi2) / 2.0
+    phi1, phi2, phi3 = phi
+    mod_a, mod_b = sq * np.cos(phi3 / 2.0), sq * np.sin(phi3 / 2.0)
+    arg_a = (phi1 + phi2) / 2.0
+    arg_b = (phi1 - phi2) / 2.0
     ar, ai = mod_a * np.cos(arg_a), mod_a * np.sin(arg_a)
     br, bi = mod_b * np.cos(arg_b), mod_b * np.sin(arg_b)
     # w1 = (x4 + i x3) / 2, w2 = (x2 + i x1) / 2
@@ -418,7 +401,7 @@ def fiber_section(x, phi: EulerAngles, case: AngleCase) -> np.ndarray:
         got = extra_angles(xi, case)
     except DegenerateFiber as exc:
         raise SectionFailed(f"section landed on a degenerate fiber: {exc}") from exc
-    delta = np.abs([phi.phi1 - got.phi1, phi.phi2 - got.phi2, phi.phi3 - got.phi3])
+    delta = np.abs([want - g for want, g in zip(phi, got)])
     # phi1 and phi2 are compared mod 2 pi
     wrapped = delta[:2] % TWO_PI
     delta[:2] = np.minimum(wrapped, TWO_PI - wrapped)

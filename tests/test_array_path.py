@@ -5,6 +5,7 @@ structural guard keeps the scalar branches from coming back."""
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -12,16 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz import gauge, harness, opcalc, separation, transform
-from hurwitz.opcalc import DiffStrategy, OscillatorParams
-from hurwitz.transform import CASE_A, CASE_B, EulerAngles
+from hurwitz.opcalc import DiffStrategy
+from hurwitz.transform import CASE_A, CASE_B
 
 D = DiffStrategy()
 SRC = pathlib.Path(harness.__file__).parent
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 
 def _angles(rng, n, margin=0.3):
-    return (rng.uniform(0.0, 2 * math.pi, n), rng.uniform(0.0, 2 * math.pi, n),
-            rng.uniform(margin, math.pi - margin, n))
+    """n angles, (3, n): phi[:, i] is sample i."""
+    return np.array([rng.uniform(0.0, 2 * math.pi, n), rng.uniform(0.0, 2 * math.pi, n),
+                     rng.uniform(margin, math.pi - margin, n)])
 
 
 def _xi(rng, n, case, eps=0.15):
@@ -52,8 +55,8 @@ def _forward(rng, n, case):
 def _extra_angles(rng, n, case):
     xi = _xi(rng, n, case)
     off = case.with_offsets(harness._TEST_OFFSETS)
-    return lambda s: (*vars(transform.extra_angles(xi[s], case)).values(),
-                      *vars(transform.extra_angles(xi[s], off)).values()), 0
+    return lambda s: (transform.extra_angles(xi[s], case),
+                      transform.extra_angles(xi[s], off)), -1
 
 
 def _invariant_products(rng, n, case):
@@ -64,8 +67,7 @@ def _invariant_products(rng, n, case):
 def _fiber_section(rng, n, case):
     x = harness.sample_x(rng, case, 0.1, size=n)
     phi = _angles(rng, n, margin=0.15)
-    return lambda s: (transform.fiber_section(
-        x[s], EulerAngles(*(c[s] for c in phi)), case),), 0
+    return lambda s: (transform.fiber_section(x[s], phi[:, s], case),), 0
 
 
 def _a_field_closed(rng, n, case):
@@ -97,8 +99,7 @@ def _wigner_d(rng, n, case):
 def _ladder_apply(rng, n, case):
     (J, q, p), phi = _spin(rng), _angles(rng, n)
     sign = int(rng.choice([-1, 1]))
-    return lambda s: (separation.ladder_apply(
-        sign, J, q, p, EulerAngles(*(c[s] for c in phi))),), 0
+    return lambda s: (separation.ladder_apply(sign, J, q, p, phi[:, s]),), 0
 
 
 def _build_h(rng, n, case):
@@ -139,8 +140,7 @@ def _axis_solution(rng, n, case):
 
     def call(s):
         if s == slice(None):
-            sol = separation.axis_solution(J, A, branch)
-            return sol.roots, sol.root, sol.g
+            return separation.axis_solution(J, A, branch)
         col = [c[s] for c in cols]
         return (separation.separation_roots(J, col), root[s],
                 separation._null_vector(J, col, root[s]))
@@ -155,18 +155,13 @@ def _axis_solution_stack(rng, n, case):
     branch = "alternating" if rng.integers(2) else "m=1"
     A = gauge.a_field_closed(harness.sample_x(rng, case, 0.05, size=n), case)
 
-    def call(s):
-        sol = separation.axis_solution(J, A[s], branch)
-        return sol.roots, sol.root, sol.g
-
-    return call, 0
+    return lambda s: separation.axis_solution(J, A[s], branch), 0
 
 
 def _apply_euler_op(rng, n, case):
     (J, q, p), phi = _spin(rng), _angles(rng, n)
     field = lambda ang: separation.wigner(J, q, p, ang)
-    return lambda s: (opcalc.apply_euler_op(
-        opcalc.EULER_OPS, field, EulerAngles(*(c[s] for c in phi)), D),), -1
+    return lambda s: (opcalc.apply_euler_op(opcalc.EULER_OPS, field, phi[:, s], D),), -1
 
 
 def _identity(which):
@@ -181,8 +176,7 @@ def _identity(which):
 def _radial_duality(rng, n, case):
     omega = rng.choice([0.5, 1.0, 2.0], n)
     x = harness.sample_x(rng, case, 0.0, rmin=0.8, rmax=2.0, size=n)
-    return lambda s: (opcalc.radial_duality_residual(
-        OscillatorParams.from_omega(omega[s]), x[s], D),), 0
+    return lambda s: (opcalc.radial_duality_residual(omega[s], x[s], D),), 0
 
 
 def _effective_terms(rng, n, case):
@@ -271,6 +265,29 @@ def _names(node):
     """Dotted names of an expression or of each element of a tuple of them."""
     elts = node.elts if isinstance(node, ast.Tuple) else [node]
     return {ast.unparse(e) for e in elts}
+
+
+_RECORD_TYPES = re.compile(r"\b(EulerAngles|OscillatorParams|SeparationSolution)\b")
+
+
+def test_no_angle_or_parameter_record_types():
+    # the angles are one (3,) + S array, omega a float or an array and an
+    # axis solution a tuple: no library or tool file names the record types
+    # they replaced or reads a named angle attribute
+    paths = sorted(SRC.glob("*.py")) + sorted(TOOLS.glob("*.py"))
+    assert len(paths) > len(list(SRC.glob("*.py")))
+    hits = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in {"phi1", "phi2", "phi3"}
+    ] + [
+        f"{path.name}:{n} {m.group()}"
+        for path in paths
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for m in _RECORD_TYPES.finditer(line)
+    ]
+    assert hits == []
 
 
 def test_no_branch_on_ndarray_in_the_library():

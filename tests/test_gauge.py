@@ -16,7 +16,6 @@ from hurwitz.opcalc import DiffStrategy
 from hurwitz.transform import (
     CASE_A,
     CASE_B,
-    EulerAngles,
     extra_angles,
     fiber_section,
     forward,
@@ -115,11 +114,11 @@ def test_numeric_potential_angle_independent():
     # two fiber points over one base point carry the same potential
     xi = random_xi()
     phi = extra_angles(xi, CASE_A)
-    phi2 = EulerAngles(
-        (phi.phi1 + 0.9) % (2 * np.pi),
-        (phi.phi2 + 1.3) % (2 * np.pi),
-        0.25 * np.pi + 0.5 * phi.phi3,
-    )
+    phi2 = np.array([
+        (phi[0] + 0.9) % (2 * np.pi),
+        (phi[1] + 1.3) % (2 * np.pi),
+        0.25 * np.pi + 0.5 * phi[2],
+    ])
     xi2 = fiber_section(forward(xi), phi2, CASE_A)
     A1 = a_field_numeric(xi, CASE_A, D)
     A2 = a_field_numeric(xi2, CASE_A, D)

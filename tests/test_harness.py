@@ -462,9 +462,9 @@ def _loop_fiber_roundtrip(cfg, rng, case):
             yield (
                 float(np.abs(transform.forward(xi2) - x).max())
                 / transform._row_norms(x)[()],
-                _scalar_angle_gap(phi.phi1, phi2.phi1),
-                _scalar_angle_gap(phi.phi2, phi2.phi2),
-                abs(phi.phi3 - phi2.phi3),
+                _scalar_angle_gap(phi[0], phi2[0]),
+                _scalar_angle_gap(phi[1], phi2[1]),
+                abs(phi[2] - phi2[2]),
             )
     return _worst_of_samples(cfg, "fiber_roundtrip", case.tag, residuals(), 1e-10)
 
@@ -540,11 +540,11 @@ def test_angle_poly_batch_equals_its_rows():
     rng = np.random.default_rng(8)
     polys = [harness._angle_poly(rng) for _ in range(40)]
     angles = [harness.sample_angles(rng) for _ in range(40)]
-    stacked = harness._stack(polys)(harness._stack_angles(angles))
+    batch = np.stack(angles, axis=-1)
+    stacked = harness._stack(polys)(batch)
     rows = np.array([g(phi) for g, phi in zip(polys, angles)])
     assert np.array_equal(stacked, rows)
     # and one polynomial on a 40-row batch of angles against each angle alone
-    batch = harness._stack_angles(angles)
     assert np.array_equal(polys[0](batch), [polys[0](phi) for phi in angles])
 
 
@@ -749,9 +749,8 @@ def _scalar_sample_xi(rng, case, exclusion_eps, scale=1.0):
 
 
 def _scalar_sample_angles(rng, margin):
-    return transform.EulerAngles(rng.uniform(0.0, harness.TWO_PI),
-                                 rng.uniform(0.0, harness.TWO_PI),
-                                 rng.uniform(margin, math.pi - margin))
+    return np.array([rng.uniform(0.0, harness.TWO_PI), rng.uniform(0.0, harness.TWO_PI),
+                     rng.uniform(margin, math.pi - margin)])
 
 
 def _same_stream(rng, ref):
@@ -786,11 +785,12 @@ def test_sample_angles_stack_draws_what_one_point_calls_draw(margin):
         stack = harness.sample_angles(rng, margin, size=n)
         points = [harness.sample_angles(ref, margin) for _ in range(n)]
         loop = [_scalar_sample_angles(old, margin) for _ in range(n)]
-        assert all(type(c) is float for c in vars(points[0]).values())
-        for name, column in vars(stack).items():
-            assert column.shape == (n,)
-            assert column.tobytes() == np.array([vars(p)[name] for p in points]).tobytes()
-            assert column.tobytes() == np.array([vars(p)[name] for p in loop]).tobytes()
+        assert stack.shape == (3, n) and points[0].shape == (3,)
+        assert stack.dtype == points[0].dtype == float
+        # row phi_k of the stack holds the phi_k of the one-point calls
+        for k, row in enumerate(stack):
+            assert row.tobytes() == np.array([p[k] for p in points]).tobytes()
+            assert row.tobytes() == np.array([p[k] for p in loop]).tobytes()
         assert _same_stream(rng, ref) and _same_stream(rng, old)
 
 

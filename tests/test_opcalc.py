@@ -8,7 +8,6 @@ from hurwitz.errors import PolarSingularity
 from hurwitz.opcalc import (
     EULER_OPS,
     DiffStrategy,
-    OscillatorParams,
     apply_euler_op,
     casimir,
     casimir_residual,
@@ -31,7 +30,6 @@ from hurwitz.separation import wigner
 from hurwitz.transform import (
     CASE_A,
     CASE_B,
-    EulerAngles,
     _row_norms,
     extra_angles,
     forward,
@@ -64,11 +62,11 @@ def xi_stack(n, case=CASE_A, seed=0):
 
 
 def random_angles(margin=0.3):
-    return EulerAngles(
+    return np.array([
         rng.uniform(0, 2 * math.pi),
         rng.uniform(0, 2 * math.pi),
         rng.uniform(margin, math.pi - margin),
-    )
+    ])
 
 
 def trig_field():
@@ -77,9 +75,8 @@ def trig_field():
     delta = rng.uniform(0, 2 * math.pi, 3)
 
     def g(phi):
-        v = phi.as_array()
         return 1.0 + sum(
-            c[j] * np.cos(np.tensordot(n[j], v, 1) + delta[j]) for j in range(3)
+            c[j] * np.cos(np.tensordot(n[j], phi, 1) + delta[j]) for j in range(3)
         )
 
     return g
@@ -89,14 +86,14 @@ def trig_field():
 
 def test_plane_wave_eigenfunctions():
     phi = random_angles()
-    g1 = lambda p: np.exp(3j * p.phi1)
+    g1 = lambda p: np.exp(3j * p[0])
     assert abs(apply_euler_op("T1", g1, phi, D) - 3 * g1(phi)) < 1e-9
-    g2 = lambda p: np.exp(-2j * p.phi2)
+    g2 = lambda p: np.exp(-2j * p[1])
     assert abs(apply_euler_op("Q1", g2, phi, D) + 2 * g2(phi)) < 1e-9
 
 
 def test_polar_singularity_raised_for_every_operator():
-    phi = EulerAngles(0.3, 0.8, 0.0)
+    phi = np.array([0.3, 0.8, 0.0])
     for which in ("T1", "T2", "T3", "Q1", "Q2", "Q3"):
         with pytest.raises(PolarSingularity):
             apply_euler_op(which, lambda p: 1.0, phi, D)
@@ -198,9 +195,7 @@ GENERATORS = ("T1", "T2", "T3", "Q1", "Q2", "Q3")
 
 
 def _scalar_coefficients(phi, which):
-    c1, s1 = math.cos(phi.phi1), math.sin(phi.phi1)
-    c2, s2 = math.cos(phi.phi2), math.sin(phi.phi2)
-    c3, s3 = math.cos(phi.phi3), math.sin(phi.phi3)
+    (c1, c2, c3), (s1, s2, s3) = map(math.cos, phi), map(math.sin, phi)
     return {
         "T1": (-1j, 0.0, 0.0),
         "T2": (-1j * c1 * c3 / s3, 1j * c1 / s3, -1j * s1),
@@ -212,9 +207,9 @@ def _scalar_coefficients(phi, which):
 
 
 def _shifted(phi, k, t):
-    v = [phi.phi1, phi.phi2, phi.phi3]
+    v = phi.copy()
     v[k] += t
-    return EulerAngles(*v)
+    return v
 
 
 def scalar_op(which, f, h):
@@ -233,7 +228,7 @@ def test_apply_euler_op_matches_scalar_stencils():
     for _ in range(3):
         f = trig_field()
         phis = [random_angles() for _ in range(4)]
-        batch = EulerAngles(*(np.array(v) for v in zip(*(p.as_array() for p in phis))))
+        batch = np.stack(phis, axis=-1)
         for which in GENERATORS:
             want = np.array([scalar_op(which, f, D3.step)(p) for p in phis])
             got = apply_euler_op(which, f, batch, D3)
@@ -447,13 +442,13 @@ def field_gaussian(x, phi):
     return (
         np.exp(-0.35 * np.vecdot(x, x))
         * (1 + 0.2 * x[..., 0] - 0.1 * x[..., 3])
-        * (1 + 0.4 * np.cos(phi.phi1 + phi.phi2) + 0.3 * np.sin(phi.phi2 - phi.phi3))
+        * (1 + 0.4 * np.cos(phi[0] + phi[1]) + 0.3 * np.sin(phi[1] - phi[2]))
     )
 
 
 def field_poly(x, phi):
     return (1 + 0.3 * x[..., 1] - 0.2 * x[..., 4] + 0.1 * x[..., 0] * x[..., 2]) * (
-        1 + 0.5 * np.cos(phi.phi1) + 0.2 * np.sin(2 * phi.phi2 + phi.phi3)
+        1 + 0.5 * np.cos(phi[0]) + 0.2 * np.sin(2 * phi[1] + phi[2])
     )
 
 
@@ -462,8 +457,9 @@ def field_poly(x, phi):
 def broadcast_momentum(lam, f, potential, xs, phi, d):
     """momentum with the points and angles materialised at the batch shape
     before the call, so that its rank padding has nothing to pad."""
-    batch = np.broadcast_shapes(np.shape(xs)[:-1], np.shape(phi.phi1))
-    phi = EulerAngles(*(np.broadcast_to(c, batch) for c in (phi.phi1, phi.phi2, phi.phi3)))
+    batch = np.broadcast_shapes(np.shape(xs)[:-1], phi.shape[1:])
+    phi = np.broadcast_to(phi.reshape(phi.shape[:1] + (1,) * (len(batch) + 1 - phi.ndim)
+                                      + phi.shape[1:]), (3,) + batch)
     return momentum(lam, f, potential, np.broadcast_to(xs, batch + (5,)), phi, d)
 
 
@@ -474,7 +470,7 @@ PADDED_XS = np.array([[0.4, -0.7, 0.2, 0.5, 0.3], [-0.3, 0.6, 0.9, -0.2, 0.1],
 def padded_angles(shape, seed):
     lo, hi = [0.0, 0.0, 0.5], [2 * math.pi, 2 * math.pi, math.pi - 0.5]
     drawn = np.random.default_rng(seed).uniform(lo, hi, shape + (3,))
-    return EulerAngles(*np.moveaxis(drawn, -1, 0))
+    return np.moveaxis(drawn, -1, 0)
 
 
 @pytest.mark.parametrize(
@@ -482,7 +478,7 @@ def padded_angles(shape, seed):
     [
         field_gaussian,
         # constant in x
-        lambda ys, ang: 1 + 0.4 * np.cos(ang.phi1 + ang.phi2) + 0.3 * np.sin(ang.phi3),
+        lambda ys, ang: 1 + 0.4 * np.cos(ang[0] + ang[1]) + 0.3 * np.sin(ang[2]),
         # constant in the angles
         lambda ys, ang: np.exp(-0.35 * np.vecdot(ys, ys)) * (1 + 0.2 * ys[..., 0]),
     ],
@@ -554,14 +550,14 @@ def assert_same_bits(got, want):
 # fixed draws, so the module generator and the other tests' draws stay
 # untouched
 ROW_ANGLES = {
-    "scalar": lambda: EulerAngles(1.1, 4.2, 0.9),
+    "scalar": lambda: np.array([1.1, 4.2, 0.9]),
     "stack": lambda: padded_angles((7,), seed=5),
     "grid": lambda: padded_angles((2, 3), seed=6),
 }
 
 
 def row_fields():
-    g = lambda ph: 1.0 + 0.4 * np.cos(ph.phi1 - 2 * ph.phi2 + 0.3) + 0.3 * np.sin(ph.phi3)
+    g = lambda ph: 1.0 + 0.4 * np.cos(ph[0] - 2 * ph[1] + 0.3) + 0.3 * np.sin(ph[2])
     return {
         "real": g,
         "complex": lambda ph: wigner(1, 1, 0, ph) + 0.3 * g(ph),
@@ -661,7 +657,7 @@ LAPLACIAN_FIELDS = {
     else _stack([_xphi_field(np.random.default_rng(5 + i), "gaussian" if i % 2 else "poly")
                  for i in range(n)]),
     "constant_in_x": lambda n: (
-        lambda ys, ang: 1 + 0.4 * np.cos(ang.phi1 + ang.phi2) + 0.3 * np.sin(ang.phi3)),
+        lambda ys, ang: 1 + 0.4 * np.cos(ang[0] + ang[1]) + 0.3 * np.sin(ang[2])),
     "constant_in_angles": lambda n: (
         lambda ys, ang: np.exp(-0.35 * np.vecdot(ys, ys)) * (1 + 0.2 * ys[..., 0])),
 }
@@ -693,7 +689,7 @@ def test_laplacian_split_evaluates_the_coefficients_once_per_stack(monkeypatch):
     coefficients = opcalc._coefficients
 
     def counted(phi):
-        calls.append(np.shape(phi.phi1))
+        calls.append(phi.shape[1:])
         return coefficients(phi)
 
     monkeypatch.setattr(opcalc, "_coefficients", counted)
@@ -764,12 +760,12 @@ def test_identity_residuals_shrink_at_fourth_order():
 
 def test_gaussian_eigenfunction_all_frequencies():
     for omega in (0.5, 1.0, 2.0):
-        p = OscillatorParams.from_omega(omega)
         f = lambda z: np.exp(-omega * np.vecdot(z, z).real)
         for _ in range(5):
             xi = random_xi(floor=0.0)
-            got = oscillator_apply(p, f, xi, D)
-            assert abs(got - p.Z * f(xi)) / abs(f(xi)) < 1e-6
+            got = oscillator_apply(omega, f, xi, D)
+            # the eigenvalue Z = 2 omega
+            assert abs(got - 2.0 * omega * f(xi)) / abs(f(xi)) < 1e-6
 
 
 def test_wirtinger_convention_matches_analytic_gaussian():
@@ -784,18 +780,16 @@ def test_wirtinger_convention_matches_analytic_gaussian():
 
 
 def test_constant_field_sees_potential_only():
-    p = OscillatorParams.from_omega(1.5)
     xi = random_xi(floor=0.0)
     r = float(np.real(xi @ xi.conj()))
-    got = oscillator_apply(p, lambda z: 1.0, xi, D)
-    assert abs(got - 0.5 * p.omega**2 * r) < 1e-7
+    got = oscillator_apply(1.5, lambda z: 1.0, xi, D)
+    assert abs(got - 0.5 * 1.5**2 * r) < 1e-7
 
 
 def test_radial_duality_with_independent_laplacian_oracle():
     from hurwitz.opcalc import second_derivative
 
     for omega in (0.5, 1.0, 2.0):
-        p = OscillatorParams.from_omega(omega)
         x = rng.standard_normal(5)
         x *= rng.uniform(0.9, 1.8) / np.linalg.norm(x)
         r = float(np.linalg.norm(x))
@@ -808,12 +802,19 @@ def test_radial_duality_with_independent_laplacian_oracle():
             lap5 += second_derivative(lambda t: psi(x + t * e), 1e-4)
         analytic = (omega**2 - 4 * omega / r) * psi(x)
         assert abs(lap5 - analytic) / abs(analytic) < 1e-6
-        assert radial_duality_residual(p, x, D) < 1e-6
+        assert radial_duality_residual(omega, x, D) < 1e-6
 
 
 def test_energy_frequency_relation():
-    p = OscillatorParams.from_omega(2.0)
-    assert p.E == -2.0
-    assert p.Z == 4.0
-    with pytest.raises(ValueError):
-        OscillatorParams.from_omega(-1.0)
+    # exp(-omega r) solves the radial equation only with Z = 2 omega and
+    # E = -omega^2 / 2: at omega = 2, Z = 4 and E = -2, another Z or E leaves
+    # a residual of order one
+    x = np.array([0.4, -0.7, 0.2, 0.5, 0.3])
+    assert radial_duality_residual(2.0, x, D) < 1e-6
+    assert radial_duality_residual(np.array([2.0]), x[None], D).shape == (1,)
+    xi = np.array([0.3, 0.5j, -0.2, 0.1])
+    for omega in (-1.0, 0.0, np.array([1.0, -1.0])):
+        with pytest.raises(ValueError):
+            oscillator_apply(omega, lambda z: 1.0, xi, D)
+        with pytest.raises(ValueError):
+            radial_duality_residual(omega, x, D)

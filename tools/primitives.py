@@ -60,7 +60,8 @@ MIN_SAMPLE_S = 0.005
 
 
 def _field(phi):
-    return np.exp(1j * (phi.phi1 - 2.0 * phi.phi2)) * np.cos(phi.phi3)
+    phi1, phi2, phi3 = phi
+    return np.exp(1j * (phi1 - 2.0 * phi2)) * np.cos(phi3)
 
 
 def primitives(n: int) -> dict:
@@ -76,7 +77,7 @@ def primitives(n: int) -> dict:
         "fiber_section": lambda: transform.fiber_section(x, phi, CASE_A),
         "a_field_closed": lambda: gauge.a_field_closed(x, CASE_A),
         "a_field_numeric": lambda: gauge.a_field_numeric(xi, CASE_A, d),
-        "wigner_d": lambda: separation.wigner_d(2, 1, 0, phi.phi3),
+        "wigner_d": lambda: separation.wigner_d(2, 1, 0, phi[2]),
         "apply_euler_op": lambda: opcalc.apply_euler_op("T1", _field, phi, d),
         "_stencil": lambda: opcalc._stencil(gaussian, xi, opcalc._XI_DIRS, d.step),
     }
