@@ -8,7 +8,6 @@ with a CLI (``hurwitz verify | fields | separate``).
 """
 
 from .clifford import (
-    GammaSet,
     build_gamma,
     clifford_residual,
     fierz_residual,
@@ -39,7 +38,6 @@ from .harness import (
     separate_cmd,
 )
 from .opcalc import (
-    DiffStrategy,
     apply_euler_op,
     casimir_residual,
     commutator_residuals,

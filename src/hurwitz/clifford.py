@@ -19,32 +19,14 @@ test-suite are 1e-12 .. 1e-14, not loose tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "GammaSet",
     "build_gamma",
     "clifford_residual",
     "fierz_residual",
     "gamma_tilde_commutation_table",
 ]
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    """The five generators and the companion matrix.
-
-    ``gamma`` has shape (5, 4, 4) and is 0-indexed: ``gamma[k-1]`` is the
-    k-th generator of the 1-based notation used in docstrings.
-    ``gamma_tilde_origin`` records how the companion matrix was chosen
-    ("direct": the construction i*g1*g3).
-    """
-
-    gamma: np.ndarray
-    gamma_tilde: np.ndarray
-    gamma_tilde_origin: str = "direct"
 
 
 def _pauli() -> np.ndarray:
@@ -54,13 +36,17 @@ def _pauli() -> np.ndarray:
     return np.stack([s1, s2, s3])
 
 
-def build_gamma() -> GammaSet:
-    """Construct the generator set from the Pauli/beta block forms.
+def build_gamma() -> tuple[np.ndarray, np.ndarray]:
+    """Construct the generators and the companion matrix from the
+    Pauli/beta block forms.
 
-    The companion matrix is i*g1*g3.  The construction is exact; the
-    suite's contraction-identity check guards it.  An exhaustive search
-    over every +-i g_a g_b in the Clifford tests is its independent oracle:
-    only this product, with either sign, satisfies the identity.
+    Returns ``(gamma, gamma_tilde)``: ``gamma`` has shape (5, 4, 4) and is
+    0-indexed, ``gamma[k-1]`` being the k-th generator of the 1-based
+    notation used in docstrings; the companion matrix (4, 4) is i*g1*g3.
+    The construction is exact; the suite's contraction-identity check
+    guards it.  An exhaustive search over every +-i g_a g_b in the Clifford
+    tests is its independent oracle: only this product, with either sign,
+    satisfies the identity.
     """
     pauli = _pauli()
     zero = np.zeros((2, 2), dtype=complex)
@@ -75,31 +61,34 @@ def build_gamma() -> GammaSet:
     gammas.append(beta)
     gamma = np.stack(gammas)
 
-    return GammaSet(gamma, 1j * gamma[0] @ gamma[2])
+    return gamma, 1j * gamma[0] @ gamma[2]
 
 
-def clifford_residual(g: GammaSet) -> float:
-    """Max-abs deviation of g_a g_b + g_b g_a - 2 d_ab I over all 25 pairs."""
-    anti = np.einsum("aij,bjk->abik", g.gamma, g.gamma)
+def clifford_residual(gamma: np.ndarray) -> float:
+    """Max-abs deviation of g_a g_b + g_b g_a - 2 d_ab I over all 25 pairs
+    of the generators ``gamma`` (5, 4, 4)."""
+    anti = np.einsum("aij,bjk->abik", gamma, gamma)
     anti = anti + anti.transpose(1, 0, 2, 3)
     target = 2.0 * np.einsum("ab,ik->abik", np.eye(5), np.eye(4))
     return float(np.abs(anti - target).max())
 
 
-def fierz_residual(g: GammaSet) -> float:
-    """Max-abs deviation of the contraction identity over all 256 tuples."""
-    lhs = np.einsum("lst,luv->stuv", g.gamma, g.gamma)
+def fierz_residual(gamma: np.ndarray, gamma_tilde: np.ndarray) -> float:
+    """Max-abs deviation of the contraction identity over all 256 tuples,
+    for the generators ``gamma`` (5, 4, 4) and the companion (4, 4)."""
+    lhs = np.einsum("lst,luv->stuv", gamma, gamma)
     d = np.eye(4)
     rhs = (
         2.0 * np.einsum("sv,tu->stuv", d, d)
         - np.einsum("st,uv->stuv", d, d)
-        - 2.0 * np.einsum("su,tv->stuv", g.gamma_tilde, g.gamma_tilde)
+        - 2.0 * np.einsum("su,tv->stuv", gamma_tilde, gamma_tilde)
     )
     return float(np.abs(lhs - rhs).max())
 
 
-def gamma_tilde_commutation_table(g: GammaSet) -> dict[int, str]:
-    """Classify [tilde, g_l] and {tilde, g_l} numerically for each l.
+def gamma_tilde_commutation_table(gamma: np.ndarray, gamma_tilde: np.ndarray) -> dict[int, str]:
+    """Classify [tilde, g_l] and {tilde, g_l} numerically for each l, for
+    the generators ``gamma`` (5, 4, 4) and the companion (4, 4).
 
     Keys are 1-based generator indices; values are "commutes",
     "anticommutes" or "neither" (a relation holds when its max-abs entry is
@@ -109,8 +98,8 @@ def gamma_tilde_commutation_table(g: GammaSet) -> dict[int, str]:
     """
     table = {}
     for lam in range(5):
-        prod = g.gamma_tilde @ g.gamma[lam]
-        dorp = g.gamma[lam] @ g.gamma_tilde
+        prod = gamma_tilde @ gamma[lam]
+        dorp = gamma[lam] @ gamma_tilde
         comm = float(np.abs(prod - dorp).max())
         anti = float(np.abs(prod + dorp).max())
         if comm < 1e-12:

@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IllConditionedFrame, SingularAxis
-from .opcalc import DiffStrategy, fiber_phase_gradients
+from .opcalc import fiber_phase_gradients
 from .transform import (
-    GAMMA,
+    GAMMA_TILDE,
     AngleCase,
     _gamma_xi,
     _row_norms,
@@ -51,7 +51,7 @@ CASE_B_REFLECTION = np.array([-1.0, -1.0, -1.0, 1.0, -1.0])
 _FRAME_PARITY = np.array([-1.0, -1.0, 1.0])
 
 
-def b_functions(xi, case: AngleCase, d: DiffStrategy) -> tuple[np.ndarray, np.ndarray]:
+def b_functions(xi, case: AngleCase, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the frame functions (B_k+, B_k-) from derivatives of the
     angle maps.
 
@@ -59,13 +59,14 @@ def b_functions(xi, case: AngleCase, d: DiffStrategy) -> tuple[np.ndarray, np.nd
     z_k = (tilde xi) . conj(grad f_k); both are real by construction and
     depend on the point only through its angles (the suite's
     ``frame_x_independence`` checks measure this).  ``xi`` is one point
-    (4,) or a stack B + (4,), giving B + (3,) each.
+    (4,) or a stack B + (4,), giving B + (3,) each; ``h`` is the step of
+    the angle gradients.
     """
     xi = np.asarray(xi, dtype=complex)
-    D, Dbar = fiber_phase_gradients(xi, case, d)
+    D, Dbar = fiber_phase_gradients(xi, case, h)
     # einsum, not @: a matrix product on a batch may go through BLAS, which
     # sums in another order for one row than for many
-    w = np.einsum("st,...t->...s", GAMMA.gamma_tilde, xi)
+    w = np.einsum("st,...t->...s", GAMMA_TILDE, xi)
     wbar = np.einsum("...ks,...s->...k", Dbar, w)
     wcd = np.einsum("...ks,...s->...k", D, np.conj(w))
     bp = (-0.5 * (wbar + wcd)).real
@@ -75,22 +76,23 @@ def b_functions(xi, case: AngleCase, d: DiffStrategy) -> tuple[np.ndarray, np.nd
     return bp, bm
 
 
-def a_tilde(xi, case: AngleCase, d: DiffStrategy) -> np.ndarray:
+def a_tilde(xi, case: AngleCase, h: float) -> np.ndarray:
     """The 5x3 intermediate coupling from first derivatives of the angles.
 
     Component (l, k) is Re[(gamma_l xi).grad f_k] / r up to the
     antiholomorphic partner; the imaginary part is asserted below 1e-10
     (on every row of a stack).  Scales as 1/|xi|^2 under xi -> c xi.
-    ``xi`` is one point (4,) or a stack B + (4,), giving B + (5, 3).
+    ``xi`` is one point (4,) or a stack B + (4,), giving B + (5, 3); ``h``
+    is the step of the angle gradients.
     """
     xi = np.asarray(xi, dtype=complex)
-    D, Dbar = fiber_phase_gradients(xi, case, d)
+    D, Dbar = fiber_phase_gradients(xi, case, h)
     v = _gamma_xi(xi)
     tr = lambda m: np.swapaxes(m, -1, -2)
     vals = 0.5 * (v @ tr(D) + np.conj(v) @ tr(Dbar))
     vals /= np.vecdot(xi, xi).real[..., None, None]
     # realness holds up to truncation, which grows like step^4
-    imag_tol = max(1e-10, 100.0 * d.step**4)
+    imag_tol = max(1e-10, 100.0 * h**4)
     if np.abs(vals.imag).max() > imag_tol:
         raise FloatingPointError(
             f"coupling matrix has imaginary residue {np.abs(vals.imag).max():.3e}"
@@ -101,7 +103,7 @@ def a_tilde(xi, case: AngleCase, d: DiffStrategy) -> np.ndarray:
 def a_field_numeric(
     xi,
     case: AngleCase,
-    d: DiffStrategy,
+    h: float,
     frame_det_eps: float = 1e-8,
 ) -> np.ndarray:
     """Convert the intermediate coupling into the potential numerically.
@@ -117,20 +119,21 @@ def a_field_numeric(
 
     The result depends on the point only through its base point (the
     suite's ``gauge_angle_independence`` checks measure this).  ``xi`` is
-    one point (4,) or a stack B + (4,), giving A of shape B + (5, 3).
-    Raises :class:`IllConditionedFrame` when the 2x2 determinant
-    b3+ b2- - b2+ b3- of any row falls below ``frame_det_eps``, and
-    propagates :class:`DegenerateFiber` from the angle evaluation.
+    one point (4,) or a stack B + (4,), giving A of shape B + (5, 3); ``h``
+    is the step of every angle gradient.  Raises
+    :class:`IllConditionedFrame` when the 2x2 determinant b3+ b2- - b2+ b3-
+    of any row falls below ``frame_det_eps``, and propagates
+    :class:`DegenerateFiber` from the angle evaluation.
     """
     xi = np.asarray(xi, dtype=complex)
     x = forward(xi)
     phi = extra_angles(xi, case)
-    at = a_tilde(xi, case, d)
-    return _convert(at, x, phi, case, d, frame_det_eps)
+    at = a_tilde(xi, case, h)
+    return _convert(at, x, phi, case, h, frame_det_eps)
 
 
-def _convert(at, x, phi, case, d, frame_det_eps):
-    bplus, bminus = b_functions(fiber_section(x, phi[[1, 0, 2]], case), case, d)
+def _convert(at, x, phi, case, h, frame_det_eps):
+    bplus, bminus = b_functions(fiber_section(x, phi[[1, 0, 2]], case), case, h)
     # component k of each frame triple, with a trailing axis for the 5 rows
     bp = np.moveaxis(_FRAME_PARITY * bplus, -1, 0)[..., None]
     bm = np.moveaxis(_FRAME_PARITY * bminus, -1, 0)[..., None]

@@ -26,7 +26,6 @@ import numpy as np
 from . import clifford as cl
 from . import gauge, opcalc, separation, transform
 from .errors import ConfigInvalid
-from .opcalc import DiffStrategy
 from .transform import CASE_A, CASE_B, TWO_PI, AngleCase, _row_norms, _scalar_draws, _uniform
 
 __all__ = [
@@ -57,6 +56,12 @@ BATCH_DRAWS_PER_POINT = 16
 # Records whose value is a convergence ratio: they pass at or above their
 # tolerance, every other record strictly below it.
 RATIO_CHECKS = frozenset({"fd_convergence_order", "consistency_refinement"})
+
+# The step of every second-order or nested finite-difference row (rotor,
+# Casimir, Laplacian split, oscillator, radial duality, consistency).  It is
+# larger than ``SuiteConfig.fd_step``, the first-order rows' step, so that
+# the outer stencil does not amplify the roundoff of the inner evaluation.
+NESTED_STEP = 1e-4
 
 # Largest accepted ``samples``: the gauge property checks draw and evaluate
 # one stack of 10x this many base points, the largest stack the suite
@@ -129,8 +134,6 @@ class SuiteConfig:
     def case_objs(self) -> list[AngleCase]:
         return [CASE_A if c == "A" else CASE_B for c in self.cases]
 
-    def strategy(self, step: Optional[float] = None) -> DiffStrategy:
-        return DiffStrategy(step=step if step is not None else self.fd_step)
 
 
 @dataclass
@@ -427,13 +430,12 @@ _TEST_OFFSETS = (
 
 def resolved_conventions() -> dict:
     """The conventions the build declares, surfaced for the report."""
-    g = transform.GAMMA
-    table = cl.gamma_tilde_commutation_table(g)
+    table = cl.gamma_tilde_commutation_table(transform.GAMMA, transform.GAMMA_TILDE)
     conv = transform.OCTET_CONVENTION
     return {
         "companion_matrix": {
             "construction": "i * g1 * g3",
-            "origin": g.gamma_tilde_origin,
+            "origin": "direct",
             "commutation_with_generators": {str(k): v for k, v in table.items()},
             "note": "anticommutes with the two generators it is built from; "
             "a blanket commutation claim does not hold",
@@ -544,8 +546,7 @@ def run_row(cfg: SuiteConfig, row, rng: np.random.Generator) -> list[CheckResult
 # (per group where a field family or a spin J needs one).
 
 def _clifford_structure(cfg, _):
-    g = transform.GAMMA.gamma
-    gt = transform.GAMMA.gamma_tilde
+    g, gt = transform.GAMMA, transform.GAMMA_TILDE
     allowed = np.array([0, 1, -1, 1j, -1j], dtype=complex)
     return Measured(5, np.max([
         np.abs(g - g.conj().transpose(0, 2, 1)).max(),
@@ -556,7 +557,7 @@ def _clifford_structure(cfg, _):
 
 
 def _tilde_table(cfg, _):
-    table = cl.gamma_tilde_commutation_table(transform.GAMMA)
+    table = cl.gamma_tilde_commutation_table(transform.GAMMA, transform.GAMMA_TILDE)
     expected = {1: "anticommutes", 2: "commutes", 3: "anticommutes",
                 4: "commutes", 5: "commutes"}
     return Measured(5, 0.0 if table == expected else 1.0, f"observed {table}")
@@ -640,7 +641,7 @@ def _rotor_residuals(cfg, draws, relations):
     """Commutator residuals of ``relations``, one test field per sample."""
     fields, angles = zip(*draws)
     return opcalc.commutator_residuals(
-        relations, _stack(fields), np.stack(angles, axis=-1), cfg.strategy(1e-3)).T
+        relations, _stack(fields), np.stack(angles, axis=-1), NESTED_STEP).T
 
 
 def _closure(family: str) -> list:
@@ -673,25 +674,24 @@ def _casimir_residuals(cfg, draws):
     Wigner functions, each (J, q, p) group on its own samples.  The
     polynomials keep a real call: the stencil's division rounds otherwise
     on complex values."""
-    d = cfg.strategy(1e-3)
     res = np.empty(len(draws))
     poly = [i for i, (_, g) in enumerate(draws) if not isinstance(g, tuple)]
     jqp = [i for i, (_, g) in enumerate(draws) if isinstance(g, tuple)]
     phi = np.stack([a for a, _ in draws], axis=-1)
     if poly:
         res[poly] = opcalc.casimir_residual(_stack([draws[i][1] for i in poly]),
-                                            phi[:, poly], d)
+                                            phi[:, poly], NESTED_STEP)
     if jqp:
         field = _grouped_field([(sub, functools.partial(separation.wigner, *key))
                                 for key, sub in _groups([draws[i][1] for i in jqp])])
-        res[jqp] = opcalc.casimir_residual(field, phi[:, jqp], d)
+        res[jqp] = opcalc.casimir_residual(field, phi[:, jqp], NESTED_STEP)
     return res
 
 
 def _phase_residuals(cfg, draws, case, with_offsets):
     use = case.with_offsets(_TEST_OFFSETS) if with_offsets else case
     return opcalc.identity_residual("phase_constraint", use, np.array(draws), None,
-                                    cfg.strategy())
+                                    cfg.fd_step)
 
 
 def _identity_draws(cfg, rng, case, **_):
@@ -704,8 +704,8 @@ def _identity_draws(cfg, rng, case, **_):
 
 def _identity_residuals(cfg, draws, case, which):
     xis, fields = zip(*draws)
-    return opcalc.identity_residual(which, case, np.array(xis), _stack(fields),
-                                    cfg.strategy())
+    h = NESTED_STEP if which == "laplacian_split" else cfg.fd_step
+    return opcalc.identity_residual(which, case, np.array(xis), _stack(fields), h)
 
 
 def _fd_convergence(cfg, _):
@@ -715,10 +715,8 @@ def _fd_convergence(cfg, _):
     ratios = []
     for which, h in (("phase_constraint", 0.05), ("derivative_split", 0.04),
                      ("laplacian_split", 0.08)):
-        big = opcalc.identity_residual(which, CASE_A, xi, f,
-                                       DiffStrategy(step=h, step2=h))
-        small = opcalc.identity_residual(which, CASE_A, xi, f,
-                                         DiffStrategy(step=h / 2, step2=h / 2))
+        big = opcalc.identity_residual(which, CASE_A, xi, f, h)
+        small = opcalc.identity_residual(which, CASE_A, xi, f, h / 2)
         ratios.append(big / max(small, 1e-300))
     # np.min keeps a NaN ratio, which then fails the check
     return Measured(3, np.min(ratios),
@@ -753,7 +751,7 @@ def _gauge_kernel(pts, case):
 
 def _closed_vs_numeric_residuals(cfg, draws, case, **_):
     xi = np.array(draws)
-    numeric = gauge.a_field_numeric(xi, case, cfg.strategy())
+    numeric = gauge.a_field_numeric(xi, case, cfg.fd_step)
     return np.abs(numeric - gauge.a_field_closed(transform.forward(xi), case))
 
 
@@ -779,11 +777,10 @@ def _frame_x_draws(cfg, rng, case):
 def _frame_x_residuals(cfg, draws, case):
     """The frame functions at each fiber point against those at the point
     over the second base point with the same angles, (n, 6)."""
-    d = cfg.strategy()
     xi, x2 = map(np.array, zip(*draws))
-    bp1, bm1 = gauge.b_functions(xi, case, d)
+    bp1, bm1 = gauge.b_functions(xi, case, cfg.fd_step)
     xi2 = transform.fiber_section(x2, transform.extra_angles(xi, case), case)
-    bp2, bm2 = gauge.b_functions(xi2, case, d)
+    bp2, bm2 = gauge.b_functions(xi2, case, cfg.fd_step)
     return np.abs(np.concatenate([bp1 - bp2, bm1 - bm2], axis=-1))
 
 
@@ -796,12 +793,11 @@ def _angle_independence_draws(cfg, rng, case):
 def _angle_independence_residuals(cfg, draws, case):
     """The numeric potential at each fiber point against that at the point
     with the second angles over the same base point, (n, 5, 3)."""
-    d = cfg.strategy()
     xi, angles = zip(*draws)
     xi = np.array(xi)
     xi2 = transform.fiber_section(transform.forward(xi), np.stack(angles, axis=-1), case)
-    A1 = gauge.a_field_numeric(xi, case, d)
-    return np.abs(A1 - gauge.a_field_numeric(xi2, case, d))
+    A1 = gauge.a_field_numeric(xi, case, cfg.fd_step)
+    return np.abs(A1 - gauge.a_field_numeric(xi2, case, cfg.fd_step))
 
 
 def _random_column(rng):
@@ -896,15 +892,15 @@ def _angular_residuals(cfg, draws, **_):
     # a record of no sample, not a traceback
     if not draws:
         return np.empty((0, 3))
-    d = cfg.strategy(1e-3)
+    h = 1e-3
     J, p, g, row, target, angles = zip(*draws)
     G = _grouped_field([
         (idx, functools.partial(separation.angular_factor, *key,
                                 np.stack([g[i] for i in idx], axis=-1)))
         for key, idx in _groups(zip(J, p))])
     phi = np.stack(angles, axis=-1)
-    images = opcalc.apply_euler_op(opcalc.EULER_OPS, G, phi, d)
-    qsq = opcalc.casimir("Q", G, phi, d)
+    images = opcalc.apply_euler_op(opcalc.EULER_OPS, G, phi, h)
+    qsq = opcalc.casimir("Q", G, phi, h)
     gv = G(phi)
     J, p = np.array(J), np.array(p)
     return np.abs([
@@ -976,14 +972,14 @@ def _oscillator(cfg, draws):
     exp(-omega |xi|^2); one operator call with one omega per point."""
     omega, xi = map(np.array, zip(*draws))
     field = lambda z: np.exp(-omega * np.vecdot(z, z).real)
-    got = opcalc.oscillator_apply(omega, field, xi, cfg.strategy())
+    got = opcalc.oscillator_apply(omega, field, xi, NESTED_STEP)
     # the eigenvalue Z = 2 omega
     return np.abs(got - 2.0 * omega * field(xi)) / np.abs(field(xi))
 
 
 def _radial_duality(cfg, draws):
     omega, x = map(np.array, zip(*draws))
-    return opcalc.radial_duality_residual(omega, x, cfg.strategy())
+    return opcalc.radial_duality_residual(omega, x, NESTED_STEP)
 
 
 def _radial_field(kind):
@@ -1014,7 +1010,7 @@ def _consistency_residuals(cfg, draws, J):
         _, xs, kinds = zip(*(draws[i] for i in idx))
         res[idx] = separation.consistency_residual(
             J, 0, _radial_field(np.array(kinds)), np.array(xs), case,
-            "alternating", cfg.strategy(),
+            "alternating", NESTED_STEP,
         )
     return res
 
@@ -1025,8 +1021,7 @@ def _consistency_refinement(cfg, _):
     psi = _radial_field(0)
     res = []
     for h in (0.04, 0.02):
-        d = DiffStrategy(step=h, step2=h)
-        res.append(separation.consistency_residual(1, 0, psi, x, CASE_A, "alternating", d,
+        res.append(separation.consistency_residual(1, 0, psi, x, CASE_A, "alternating", h,
                                                    n_angles=2))
     return Measured(2, res[0] / max(res[1], 1e-300),
                     f"residuals {res[0]:.2e} -> {res[1]:.2e} under step halving")
@@ -1056,8 +1051,9 @@ def _registry(cfg: SuiteConfig) -> list[Check]:
         Check("clifford_anticommutation",
               lambda cfg, _: Measured(25, cl.clifford_residual(transform.GAMMA)), 1e-14),
         Check("fierz_identity",
-              lambda cfg, _: Measured(256, cl.fierz_residual(transform.GAMMA)), 1e-12,
-              detail=f"companion origin: {transform.GAMMA.gamma_tilde_origin}"),
+              lambda cfg, _: Measured(
+                  256, cl.fierz_residual(transform.GAMMA, transform.GAMMA_TILDE)), 1e-12,
+              detail="companion origin: direct"),
         Check("companion_commutation_table", _tilde_table, 0.5),
         Check("norm_identity", _norm_identity, 1e-12, _norm_draws),
         Check("quadratic_homogeneity", _homogeneity, 1e-12, _homogeneity_draws),

@@ -11,6 +11,9 @@ convention throughout:
 
     d/dxi  = (d/dRe - i d/dIm) / 2,      d/dxi* = (d/dRe + i d/dIm) / 2.
 
+Every operator takes one step ``h`` that all of its stencils use, nested
+ones included, and raises ``ValueError`` unless 0 < h < inf.
+
 Fields take stacks, with numpy broadcasting: a complex-space field maps xi
 B + (4,) to B + T, a field over (x, angles) maps x B + (5,) and angles
 (3,) + S (rows phi1, phi2, phi3) to broadcast(B, S), and a field over the
@@ -38,7 +41,6 @@ unit-modulus exponentials, which keeps stencils off branch cuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -54,7 +56,6 @@ from .transform import (
 )
 
 __all__ = [
-    "DiffStrategy",
     "first_derivative",
     "second_derivative",
     "wirtinger_gradients",
@@ -72,26 +73,6 @@ __all__ = [
     "pullback",
     "EULER_OPS",
 ]
-
-
-@dataclass(frozen=True)
-class DiffStrategy:
-    """Finite-difference controls.
-
-    ``step`` drives first derivatives, ``step2`` second derivatives and
-    nested applications (where the larger step keeps the roundoff noise of
-    the inner evaluation from being amplified by the outer stencil).
-    """
-
-    step: float = 1e-5
-    step2: float = 1e-4
-
-    def __post_init__(self):
-        if self.step <= 0.0 or self.step2 <= 0.0:
-            raise ValueError("finite-difference steps must be positive")
-
-    def nested(self) -> "DiffStrategy":
-        return replace(self, step=self.step2)
 
 
 def first_derivative(f: Callable[[float], complex], h: float) -> complex:
@@ -115,7 +96,11 @@ _AXES = np.eye(5)
 
 def _combine(values, h: float, order: int = 1):
     """The reference stencil of the order (:func:`first_derivative`, ...) on
-    arrays of the values at the offsets -2h, -h, (0,) h, 2h."""
+    arrays of the values at the offsets -2h, -h, (0,) h, 2h.  Every array
+    derivative passes through here, so this is where a step is checked:
+    raises ``ValueError`` unless 0 < h < inf."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     at = dict(zip((_OFFSETS if order == 1 else _OFFSETS2) * h, values))
     return (first_derivative if order == 1 else second_derivative)(at.__getitem__, h)
 
@@ -143,12 +128,12 @@ _XI_DIRS = np.kron(np.eye(4), [[1.0], [1.0j]])
 
 
 def wirtinger_gradients(
-    field: Callable[[np.ndarray], np.ndarray], xi: np.ndarray, d: DiffStrategy
+    field: Callable[[np.ndarray], np.ndarray], xi: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Holomorphic and antiholomorphic gradients of a complex-space field,
     each of shape B + T + (4,) for ``xi`` B + (4,) and a field output B + T;
     one field call on the 32 displaced copies of every point."""
-    der = _stencil(field, np.asarray(xi, dtype=complex), _XI_DIRS, d.step)
+    der = _stencil(field, np.asarray(xi, dtype=complex), _XI_DIRS, h)
     g_re, g_im = der[0::2], der[1::2]
     return (
         np.moveaxis(0.5 * (g_re - 1j * g_im), 0, -1),
@@ -157,17 +142,17 @@ def wirtinger_gradients(
 
 
 def xi_laplacian(
-    field: Callable[[np.ndarray], np.ndarray], xi: np.ndarray, d: DiffStrategy
+    field: Callable[[np.ndarray], np.ndarray], xi: np.ndarray, h: float
 ) -> np.ndarray:
     """sum_s d^2 f / dxi_s dxi_s* via the 8 real second derivatives, B + T;
     one field call on the 40 displaced copies of every point."""
-    der = _stencil(field, np.asarray(xi, dtype=complex), _XI_DIRS, d.step2, order=2)
+    der = _stencil(field, np.asarray(xi, dtype=complex), _XI_DIRS, h, order=2)
     # summed in direction order, as a running total
     return 0.25 * sum(der)
 
 
 def fiber_phase_gradients(
-    xi: np.ndarray, case: AngleCase, d: DiffStrategy
+    xi: np.ndarray, case: AngleCase, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Wirtinger gradients of the three angle functions at a point or stack.
 
@@ -180,7 +165,7 @@ def fiber_phase_gradients(
     """
     xi = np.asarray(xi, dtype=complex)
     if xi.ndim == 1:
-        return tuple(v[0] for v in fiber_phase_gradients(xi[None], case, d))
+        return tuple(v[0] for v in fiber_phase_gradients(xi[None], case, h))
     ia, ib = case.pair
 
     def g(z: np.ndarray) -> np.ndarray:
@@ -196,7 +181,7 @@ def fiber_phase_gradients(
             val = [e * np.exp(1j * offset(m)) for e, offset in zip(val, case.offsets)]
         return np.stack(val, axis=-1)
 
-    dh, da = wirtinger_gradients(g, xi, d)
+    dh, da = wirtinger_gradients(g, xi, h)
     g0 = g(xi)[..., None]
     return -1j * dh / g0, -1j * da / g0
 
@@ -248,32 +233,32 @@ def _angle_derivatives(v, phi: np.ndarray, h: float) -> np.ndarray:
     return _combine([v[(..., o) + (slice(None),) * nd] for o in range(4)], h)
 
 
-def _images(v, phi: np.ndarray, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
+def _images(v, phi: np.ndarray, h: float, rows=slice(None)) -> np.ndarray:
     """The generators of ``rows`` (an index into :data:`EULER_OPS` that
     keeps the row axis) at ``phi``, from a field's values ``v`` on its
     stencil, (R,) + T + S: the coefficient table is sliced before its
     product and sum, whose reduction axis keeps its place, so each row is
     bit for bit that row of all six."""
     coef = _coefficients(phi)[rows]
-    der = _angle_derivatives(v, phi, d.step)
+    der = _angle_derivatives(v, phi, h)
     nt = der.ndim - coef.ndim + 1
     coef = coef.reshape(coef.shape[:1] + (1,) * nt + coef.shape[1:])
     return 1j * (coef * der).sum(axis=nt + 1)
 
 
-def _nested(field, phi: np.ndarray, d: DiffStrategy, rows=slice(None)) -> np.ndarray:
+def _nested(field, phi: np.ndarray, h: float, rows=slice(None)) -> np.ndarray:
     """X_a X_b field at ``phi`` for every pair of generators of ``rows``,
     (R, R) + T + S: the outer images of the inner images on the stencil,
     from one field call on the nested stencil, 144 points per angle."""
-    st = _angle_stencil(phi, d.step)
-    return _images(_images(field(_angle_stencil(st, d.step)), st, d, rows), phi, d, rows)
+    st = _angle_stencil(phi, h)
+    return _images(_images(field(_angle_stencil(st, h)), st, h, rows), phi, h, rows)
 
 
 def apply_euler_op(
     which,
     field: Callable[[np.ndarray], np.ndarray],
     phi: np.ndarray,
-    d: DiffStrategy,
+    h: float,
 ) -> np.ndarray:
     """Generators applied to a field over the angle chart at ``phi``, from
     one field call on its stencil: ``which`` names one (T + S) or is a
@@ -282,7 +267,7 @@ def apply_euler_op(
     :class:`PolarSingularity` where |sin(phi3)| < 1e-8.
     """
     names = [which] if isinstance(which, str) else which
-    images = _images(field(_angle_stencil(phi, d.step)), phi, d, list(map(EULER_OPS.index, names)))
+    images = _images(field(_angle_stencil(phi, h)), phi, h, list(map(EULER_OPS.index, names)))
     return images[0] if isinstance(which, str) else images
 
 
@@ -302,12 +287,12 @@ def casimir(
     family: str,
     field: Callable[[np.ndarray], np.ndarray],
     phi: np.ndarray,
-    d: DiffStrategy,
+    h: float,
 ) -> np.ndarray:
     """(X1 X1 + X2 X2 + X3 X3) field at ``phi`` for the triple X = T or Q,
     T + S: the family's three inner images and their 3 x 3 outer images,
     whose diagonal it sums."""
-    return _casimir(_nested(field, phi, d, _FAMILY[family]), family)
+    return _casimir(_nested(field, phi, h, _FAMILY[family]), family)
 
 
 def coupled_q(row, images: np.ndarray):
@@ -338,10 +323,10 @@ def _padded(lam, xs: np.ndarray, phi: np.ndarray):
 def momentum(
     lam,
     field: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    potential: Callable[[np.ndarray], np.ndarray],
+    potential: np.ndarray,
     xs: np.ndarray,
     phi: np.ndarray,
-    d: DiffStrategy,
+    h: float,
     q_images: np.ndarray | None = None,
 ) -> np.ndarray:
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
@@ -353,7 +338,7 @@ def momentum(
     potential.  The points and angles (behind their component axis) are
     left-padded with unit axes to the rank of that batch, which trails the
     stencils' axes; the batch itself is never materialised, so x-only work
-    (the potential, a field's x part) runs at the size of B and angle-only
+    (a field's x part) runs at the size of B and angle-only
     work at the size of S, and the two meet by broadcasting inside the
     field.  ``field(ys, angles)`` maps base
     points B' + (5,) and angles (3,) + S' to the broadcast shape of B' and S' (a
@@ -361,27 +346,29 @@ def momentum(
     displaced points of all axes and once over the angle stencil, whose
     coefficient table and Q images (the only rows formed) serve every axis,
     unless the caller passes them as ``q_images``: the Q images of
-    ``field(xs, .)`` at the padded ``phi``.  ``potential(ys)`` gives the
-    B' + (5, 3) potentials and is called once.
+    ``field(xs, .)`` at the padded ``phi``.  ``potential`` holds the
+    potential's values at ``xs``, B + (5, 3), and is padded as ``xs`` is.
+    ``h`` is the step of every stencil.
     """
     lam, xs, phi = _padded(lam, xs, phi)
-    der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], d.step)
-    row = np.choose(lam[..., None], np.moveaxis(potential(xs), -2, 0))
+    potential = np.reshape(potential, (1,) * (xs.ndim + 1 - np.ndim(potential))
+                           + np.shape(potential))
+    der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], h)
+    row = np.choose(lam[..., None], np.moveaxis(potential, -2, 0))
     if q_images is None:
-        q_images = _images(field(xs, _angle_stencil(phi, d.step)), phi, d, _FAMILY["Q"])
+        q_images = _images(field(xs, _angle_stencil(phi, h)), phi, h, _FAMILY["Q"])
     return -1j * der + coupled_q(row, q_images)
 
 
-def commutator_residuals(relations, field, phi: np.ndarray, d: DiffStrategy):
+def commutator_residuals(relations, field, phi: np.ndarray, h: float):
     """|([a, b] - coef*op) field| for each relation (a, b, (coef, op_name))
     (op_name None: the commutator itself should vanish), (R,) + T + S, read
-    from one nested and one first-order application, both at ``step2``, of
-    the generators the relations name (one family's closure: its 3 x 3
+    from one nested and one first-order application, both at step ``h``,
+    of the generators the relations name (one family's closure: its 3 x 3
     block)."""
-    dn = d.nested()
     rows = sorted({EULER_OPS.index(n) for a, b, (_, op) in relations for n in (a, b, op) if n})
-    nested = _nested(field, phi, dn, rows)
-    images = _images(field(_angle_stencil(phi, dn.step)), phi, dn, rows)
+    nested = _nested(field, phi, h, rows)
+    images = _images(field(_angle_stencil(phi, h)), phi, h, rows)
     ix = lambda name: rows.index(EULER_OPS.index(name))
     return np.array([
         np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)]
@@ -391,11 +378,11 @@ def commutator_residuals(relations, field, phi: np.ndarray, d: DiffStrategy):
 
 
 def casimir_residual(
-    field: Callable[[np.ndarray], np.ndarray], phi: np.ndarray, d: DiffStrategy
+    field: Callable[[np.ndarray], np.ndarray], phi: np.ndarray, h: float
 ) -> np.ndarray:
     """|(sum_k T_k T_k - sum_k Q_k Q_k) field| at each angle of ``phi``,
-    T + S, from one nested application at ``step2``."""
-    nested = _nested(field, phi, d.nested())
+    T + S, from one nested application at step ``h``."""
+    nested = _nested(field, phi, h)
     return abs(_casimir(nested, "T") - _casimir(nested, "Q"))
 
 
@@ -430,7 +417,7 @@ def identity_residual(
     case: AngleCase,
     xi: np.ndarray,
     field,
-    d: DiffStrategy,
+    h: float,
 ):
     """Residual of one cross-picture operator identity at each point.
 
@@ -452,13 +439,14 @@ def identity_residual(
 
     ``xi`` is one point (4,), giving a float, or a stack B + (4,), giving one
     residual per point, each scaled by its own point's values.  ``field``
-    is a field over (x, angles) for the last three identities.
+    is a field over (x, angles) for the last three identities.  ``h`` is
+    the step of every stencil of the identity.
     """
     from .gauge import a_field_closed, a_tilde  # deferred: gauge imports opcalc
 
     xi = np.asarray(xi, dtype=complex)
     if which == "phase_constraint":
-        D, Dbar = fiber_phase_gradients(xi, case, d)
+        D, Dbar = fiber_phase_gradients(xi, case, h)
         lhs = (D * xi[..., None, :] - Dbar * xi.conj()[..., None, :]).sum(axis=-1)
         target = np.array([-2j, 0.0, 0.0])
         return np.abs(lhs - target).max(axis=-1)[()]
@@ -470,37 +458,37 @@ def identity_residual(
     potential = lambda ys: a_field_closed(ys, case)
 
     if which == "derivative_split":
-        dh, da = wirtinger_gradients(g, xi, d)
+        dh, da = wirtinger_gradients(g, xi, h)
         lhs = 0.5 * _big_d(xi, dh, da)
-        at = np.moveaxis(a_tilde(xi, case, d), -2, 0)
-        xgrad = _stencil(lambda ys: field(ys, phi), x, _AXES, d.step)
-        pgrad = _angle_derivatives(field(x, _angle_stencil(phi, d.step)), phi, d.step)
+        at = np.moveaxis(a_tilde(xi, case, h), -2, 0)
+        xgrad = _stencil(lambda ys: field(ys, phi), x, _AXES, h)
+        pgrad = _angle_derivatives(field(x, _angle_stencil(phi, h)), phi, h)
         rhs = r * (xgrad + sum(at[..., k] * pgrad[k] for k in range(3)))
         return _rel_max(lhs, rhs, xi.ndim - 1)
 
     if which == "momentum_equivalence":
-        lhs = momentum(np.arange(5), field, potential, x, phi, d)
-        dh, da = wirtinger_gradients(g, xi, d)
+        lhs = momentum(np.arange(5), field, potential(x), x, phi, h)
+        dh, da = wirtinger_gradients(g, xi, h)
         rhs = (-1j / (2.0 * r)) * _big_d(xi, dh, da)
         return _rel_max(lhs, rhs, xi.ndim - 1)
 
     if which == "laplacian_split":
-        dn, q = d.nested(), _FAMILY["Q"]
+        q = _FAMILY["Q"]
         # the axes as a batch axis (not 1-D, which would also go in front of
         # the outer stencil): axis lam's points meet only their own P_lam f
         axes = np.arange(5).reshape((5,) + (1,) * max(xi.ndim - 1, 1))
         _, xs, phi = _padded(axes, x, phi)
         # f once on the nested stencil: its Q images on the stencil are the
         # inner momentum's angle side there and the Casimir's inner images
-        st = _angle_stencil(phi, dn.step)
-        q_st = _images(field(xs, _angle_stencil(st, dn.step)), st, dn, q)
-        inner = lambda ys, ang, qs=None: momentum(axes, field, potential, ys, ang, dn, qs)
-        outer = momentum(axes, inner, potential, xs, phi, dn,
-                         _images(inner(xs, st, q_st), phi, dn, q))
-        qsq = _casimir(_images(q_st, phi, dn, q), "Q")
+        st = _angle_stencil(phi, h)
+        q_st = _images(field(xs, _angle_stencil(st, h)), st, h, q)
+        inner = lambda ys, ang, qs=None: momentum(axes, field, potential(ys), ys, ang, h, qs)
+        outer = momentum(axes, inner, potential(xs), xs, phi, h,
+                         _images(inner(xs, st, q_st), phi, h, q))
+        qsq = _casimir(_images(q_st, phi, h, q), "Q")
         # p^2 summed in axis order, as a running total
         lhs = (r * sum(outer) + qsq / r).reshape(np.shape(r))
-        rhs = -xi_laplacian(g, xi, d)
+        rhs = -xi_laplacian(g, xi, h)
         return _rel_max(lhs, rhs, xi.ndim - 1)
 
     raise ValueError(f"unknown identity {which!r}")
@@ -523,7 +511,7 @@ def oscillator_apply(
     omega,
     field: Callable[[np.ndarray], np.ndarray],
     xi: np.ndarray,
-    d: DiffStrategy,
+    h: float,
 ) -> np.ndarray:
     """Apply the oscillator Hamiltonian -laplacian/2 + omega^2 |xi|^2 / 2 at
     ``xi`` B + (4,), B + T; ``omega`` is a float or one value per point, B.
@@ -531,10 +519,10 @@ def oscillator_apply(
     _check_omega(omega)
     xi = np.asarray(xi, dtype=complex)
     r = np.vecdot(xi, xi).real
-    return -0.5 * xi_laplacian(field, xi, d) + 0.5 * omega**2 * r * field(xi)
+    return -0.5 * xi_laplacian(field, xi, h) + 0.5 * omega**2 * r * field(xi)
 
 
-def radial_duality_residual(omega, x: np.ndarray, d: DiffStrategy):
+def radial_duality_residual(omega, x: np.ndarray, h: float):
     """Residual of the base-space eigenrelation for psi = exp(-omega r).
 
     For angle-independent fields the transformed equation reduces to
@@ -548,9 +536,9 @@ def radial_duality_residual(omega, x: np.ndarray, d: DiffStrategy):
     _check_omega(omega)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return radial_duality_residual(omega, x[None], d)[0]
+        return radial_duality_residual(omega, x[None], h)[0]
     psi = lambda y: np.exp(-omega * _row_norms(y))
-    lap = sum(_stencil(psi, x, _AXES, d.step2, order=2))
+    lap = sum(_stencil(psi, x, _AXES, h, order=2))
     r = _row_norms(x)
     val = -0.5 * lap - (2.0 * omega / r) * psi(x)
     return np.abs(val - (-0.5 * omega * omega) * psi(x)) / psi(x)

@@ -32,7 +32,6 @@ from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
     _FAMILY,
-    DiffStrategy,
     _angle_stencil,
     _casimir,
     _images,
@@ -400,7 +399,7 @@ def consistency_residual(
     x,
     case: AngleCase,
     branch,
-    d: DiffStrategy,
+    h: float,
     n_angles: int = 4,
 ):
     """Operator-level check that the angle separation succeeded.
@@ -422,20 +421,20 @@ def consistency_residual(
     angular factors are one field G of shape S + (5, m), evaluated once
     each on the drawn angles, their 12-point stencil and the 144-point
     nested stencil, whose values give its Q images at the first two.  The
-    outer P_lam is one :func:`momentum` call, handed its angle side, over
-    the product-form inner field P_lam (Psi G), with the axes broadcast
-    against the points, and the reduced side takes Psi' by the same rule:
-    each point displaced along its own axis.
+    outer P_lam is one :func:`momentum` call, handed its angle side and the
+    potential at the points, over the product-form inner field P_lam
+    (Psi G), with the axes broadcast against the points, and the reduced
+    side takes Psi' by the same rule: each point displaced along its own
+    axis.
     ``test_psi`` maps base points B + (5,) to B (a constant may return a
     scalar); parameters of shape (m,) broadcast against the points'
-    trailing axis.
+    trailing axis.  ``h`` is the step of every stencil.
     """
     _check_spin(J, p)
     xv = np.asarray(x, dtype=float)
     single = xv.ndim == 1
     xv = np.atleast_2d(xv)
     r0 = _row_norms(xv)
-    dn = d.nested()
     # (phi1, phi2, phi3) per angle, drawn in that order
     drawn = _uniform(np.random.default_rng(7), np.array([0.0, 0.0, 0.5]),
                      np.array([2 * math.pi, 2 * math.pi, math.pi - 0.5]), (n_angles, 3))
@@ -456,17 +455,17 @@ def consistency_residual(
     # the five angular factors as one field, axis lam in slice lam, on the
     # angles, their stencil and the nested stencil, and its Q images at the
     # first two
-    stencil = _angle_stencil(angles, dn.step)
+    stencil = _angle_stencil(angles, h)
     g0, g1, g2 = (_weighted(g, _basis(J, range(-J, J + 1), p, ang))
-                  for ang in (angles, stencil, _angle_stencil(stencil, dn.step)))
+                  for ang in (angles, stencil, _angle_stencil(stencil, h)))
     q = _FAMILY["Q"]
-    q0, q1 = _images(g1, angles, dn, q), _images(g2, stencil, dn, q)
+    q0, q1 = _images(g1, angles, h, q), _images(g2, stencil, h, q)
     # the axes (5, 1) against the points (m,): each point is displaced along
     # its own axis, as momentum displaces it, and reads its own row of the
     # potential and its own branch root
     axes = np.arange(5)[:, None]
     dirs = np.eye(5)[axes]
-    dpsi = lambda y: _stencil(test_psi, y, dirs, dn.step)
+    dpsi = lambda y: _stencil(test_psi, y, dirs, h)
     dpsi0 = dpsi(xv)
 
     def inner(psi, dpsi_y, A, G, images):
@@ -476,16 +475,16 @@ def consistency_residual(
         return -1j * (dpsi_y * G) + psi * coupled_q(row, images)
 
     outer = momentum(axes, lambda ys, _: inner(test_psi(ys), dpsi(ys), potential(ys), g0, q0),
-                     potential, xv, angles, dn,
-                     _images(inner(psi0, dpsi0, A0, g1, q1), angles, dn, q))
+                     A0, xv, angles, h,
+                     _images(inner(psi0, dpsi0, A0, g1, q1), angles, h, q))
     # the Q Casimir from the nested pair: the Q images of G's Q images
-    qsq = _casimir(_images(q1, angles, dn, q), "Q")
+    qsq = _casimir(_images(q1, angles, h, q), "Q")
 
     # the reduced radial operator (-i d_lam - a_lam)^2 on Psi, with each
     # axis's branch eigenvalue at every point of its stencil
     a_at = lambda y: np.choose(axes, np.moveaxis(_branch_roots(J, potential(y), branch), -1, 0))
     chi = lambda dpsi_y, a, psi: -1j * dpsi_y - a * psi
-    reduced = (-1j * _stencil(lambda y: chi(dpsi(y), a_at(y), test_psi(y)), xv, dirs, dn.step)
+    reduced = (-1j * _stencil(lambda y: chi(dpsi(y), a_at(y), test_psi(y)), xv, dirs, h)
                - a_vec.T * chi(dpsi0, a_vec.T, psi0))
 
     # one fifth of the shared (Casimir/centrifugal + Coulomb + energy)

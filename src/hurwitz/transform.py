@@ -36,6 +36,7 @@ from .errors import DegenerateFiber, SectionFailed, SingularFiber
 
 __all__ = [
     "GAMMA",
+    "GAMMA_TILDE",
     "AngleCase",
     "CASE_A",
     "CASE_B",
@@ -48,7 +49,7 @@ __all__ = [
     "invariant_products",
 ]
 
-GAMMA = build_gamma()
+GAMMA, GAMMA_TILDE = build_gamma()
 
 
 def _unit_tables(gamma: np.ndarray):
@@ -58,8 +59,8 @@ def _unit_tables(gamma: np.ndarray):
 
 
 # gamma_l xi is a gather: each row of each gamma_l holds one unit entry
-_UNIT_COLS, _UNITS = _unit_tables(GAMMA.gamma)
-assert (np.count_nonzero(GAMMA.gamma, axis=-1) == 1).all() and (np.abs(_UNITS) == 1).all()
+_UNIT_COLS, _UNITS = _unit_tables(GAMMA)
+assert (np.count_nonzero(GAMMA, axis=-1) == 1).all() and (np.abs(_UNITS) == 1).all()
 
 
 def _gamma_xi(xi: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import pytest
 import hurwitz.harness as hz
 from hurwitz.clifford import build_gamma, clifford_residual, fierz_residual
 from hurwitz.harness import SuiteConfig, run_suite
-from hurwitz.opcalc import DiffStrategy
 from hurwitz.separation import (
     consistency_residual,
     det_bisection_roots,
@@ -24,7 +23,7 @@ from hurwitz.separation import (
 from hurwitz.transform import CASE_A, CASE_B, OCTET_CONVENTION
 
 CFG = SuiteConfig()
-G = build_gamma()
+GAMMA, GAMMA_TILDE = build_gamma()
 
 
 def _report(num, name, value, tol, unit=""):
@@ -46,16 +45,16 @@ def _best_of_three(fn):
 
 
 def test_criterion_01_clifford_relations():
-    res = clifford_residual(G)
+    res = clifford_residual(GAMMA)
     _report(1, "clifford anticommutation residual", res, 1e-14)
-    dt = _best_of_three(lambda: clifford_residual(G))
+    dt = _best_of_three(lambda: clifford_residual(GAMMA))
     _report(1, "clifford residual runtime", dt, 1e-3, "s")
 
 
 def test_criterion_02_contraction_identity():
-    res = fierz_residual(G)
+    res = fierz_residual(GAMMA, GAMMA_TILDE)
     _report(2, "contraction identity residual (256 tuples)", res, 1e-12)
-    dt = _best_of_three(lambda: fierz_residual(G))
+    dt = _best_of_three(lambda: fierz_residual(GAMMA, GAMMA_TILDE))
     _report(2, "contraction identity runtime", dt, 1e-2, "s")
     conv = hz.resolved_conventions()
     assert conv["companion_matrix"]["origin"] == "direct"
@@ -69,7 +68,7 @@ def test_criterion_03_norm_identity():
     xi = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) / 2
     from hurwitz.transform import GAMMA
 
-    x = np.einsum("ns,lst,nt->nl", xi.conj(), GAMMA.gamma, xi).real
+    x = np.einsum("ns,lst,nt->nl", xi.conj(), GAMMA, xi).real
     res = float(
         (np.abs(np.linalg.norm(x, axis=1) - np.einsum("ns,ns->n", xi, xi.conj()).real)
          / np.einsum("ns,ns->n", xi, xi.conj()).real).max()
@@ -184,7 +183,6 @@ def test_criterion_11_duality():
 
 def test_criterion_12_separation_consistency():
     rng = np.random.default_rng((CFG.seed, 12))
-    d = DiffStrategy()
     psi = lambda y: np.exp(-np.linalg.norm(y, axis=-1))
     for J, tol in ((0, 1e-4), (1, 1e-3)):
         worst = 0.0
@@ -193,7 +191,7 @@ def test_criterion_12_separation_consistency():
             x = hz.sample_x(rng, case, 0.15, rmin=0.9, rmax=2.0)
             worst = max(
                 worst,
-                consistency_residual(J, 0, psi, x, case, "alternating", d),
+                consistency_residual(J, 0, psi, x, case, "alternating", hz.NESTED_STEP),
             )
         _report(12, f"separation consistency, spin {J} (20 pts)", worst, tol)
     (r,) = hz.run_row(CFG, "consistency_refinement", rng)

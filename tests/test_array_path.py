@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz import gauge, harness, opcalc, separation, transform
-from hurwitz.opcalc import DiffStrategy
 from hurwitz.transform import CASE_A, CASE_B
 
-D = DiffStrategy()
+# the steps the operators run at: first order, second order or nested
+H, H2 = 1e-5, 1e-4
 SRC = pathlib.Path(harness.__file__).parent
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -77,17 +77,17 @@ def _a_field_closed(rng, n, case):
 
 def _a_field_numeric(rng, n, case):
     xi = _xi(rng, n, case)
-    return lambda s: (gauge.a_field_numeric(xi[s], case, D),), 0
+    return lambda s: (gauge.a_field_numeric(xi[s], case, H),), 0
 
 
 def _a_tilde(rng, n, case):
     xi = _xi(rng, n, case)
-    return lambda s: (gauge.a_tilde(xi[s], case, D),), 0
+    return lambda s: (gauge.a_tilde(xi[s], case, H),), 0
 
 
 def _b_functions(rng, n, case):
     xi = _xi(rng, n, case)
-    return lambda s: gauge.b_functions(xi[s], case, D), 0
+    return lambda s: gauge.b_functions(xi[s], case, H), 0
 
 
 def _wigner_d(rng, n, case):
@@ -161,14 +161,15 @@ def _axis_solution_stack(rng, n, case):
 def _apply_euler_op(rng, n, case):
     (J, q, p), phi = _spin(rng), _angles(rng, n)
     field = lambda ang: separation.wigner(J, q, p, ang)
-    return lambda s: (opcalc.apply_euler_op(opcalc.EULER_OPS, field, phi[:, s], D),), -1
+    return lambda s: (opcalc.apply_euler_op(opcalc.EULER_OPS, field, phi[:, s], H),), -1
 
 
 def _identity(which):
     def draw(rng, n, case):
         xi = _xi(rng, n, case)
         field = harness._xphi_field(rng, "gaussian" if rng.integers(2) else "poly")
-        return lambda s: (opcalc.identity_residual(which, case, xi[s], field, D),), 0
+        h = H2 if which == "laplacian_split" else H
+        return lambda s: (opcalc.identity_residual(which, case, xi[s], field, h),), 0
 
     return draw
 
@@ -176,7 +177,7 @@ def _identity(which):
 def _radial_duality(rng, n, case):
     omega = rng.choice([0.5, 1.0, 2.0], n)
     x = harness.sample_x(rng, case, 0.0, rmin=0.8, rmax=2.0, size=n)
-    return lambda s: (opcalc.radial_duality_residual(omega[s], x[s], D),), 0
+    return lambda s: (opcalc.radial_duality_residual(omega[s], x[s], H2),), 0
 
 
 def _effective_terms(rng, n, case):
@@ -190,7 +191,7 @@ def _consistency(rng, n, case):
     x = harness.sample_x(rng, case, 0.15, rmin=0.9, rmax=2.0, size=n)
     psi = harness._radial_field(int(rng.integers(2)))
     return lambda s: (separation.consistency_residual(
-        J, 0, psi, x[s], case, "alternating", D, n_angles=2),), 0
+        J, 0, psi, x[s], case, "alternating", H2, n_angles=2),), 0
 
 
 _PRIMITIVES = {
@@ -267,13 +268,15 @@ def _names(node):
     return {ast.unparse(e) for e in elts}
 
 
-_RECORD_TYPES = re.compile(r"\b(EulerAngles|OscillatorParams|SeparationSolution)\b")
+_RECORD_TYPES = re.compile(r"\b(EulerAngles|OscillatorParams|SeparationSolution|DiffStrategy"
+                           r"|GammaSet|gamma_tilde_origin|step2)\b")
 
 
 def test_no_angle_or_parameter_record_types():
-    # the angles are one (3,) + S array, omega a float or an array and an
-    # axis solution a tuple: no library or tool file names the record types
-    # they replaced or reads a named angle attribute
+    # the angles are one (3,) + S array, omega a float or an array, an axis
+    # solution a tuple, a finite-difference step one float and the Dirac
+    # matrices two arrays: no library or tool file names the record types
+    # they replaced or their fields, or reads a named angle attribute
     paths = sorted(SRC.glob("*.py")) + sorted(TOOLS.glob("*.py"))
     assert len(paths) > len(list(SRC.glob("*.py")))
     hits = [

@@ -62,8 +62,8 @@ def _x_dependent_frame(monkeypatch):
     on the point only through its angles."""
     real = gauge.b_functions
 
-    def b_functions(xi, case, d):
-        bplus, bminus = real(xi, case, d)
+    def b_functions(xi, case, h):
+        bplus, bminus = real(xi, case, h)
         r = np.vecdot(xi, xi).real[..., None]
         return bplus + 1e-4 * r, bminus
 
@@ -164,17 +164,17 @@ def _flipped_branch_sign(monkeypatch):
 def _linear_oscillator_potential(monkeypatch):
     """omega in place of omega^2 in the oscillator's potential term."""
     real = opcalc.oscillator_apply
-    monkeypatch.setattr(opcalc, "oscillator_apply", lambda omega, field, xi, d: real(
-        np.sqrt(omega), field, xi, d))
+    monkeypatch.setattr(opcalc, "oscillator_apply", lambda omega, field, xi, h: real(
+        np.sqrt(omega), field, xi, h))
 
 
 def _flipped_coulomb_term(monkeypatch):
     """The Z/r term of the radial duality entering with the wrong sign: its
     residual written out on a stack, Z = 2 omega and E = -omega^2 / 2."""
 
-    def radial_duality_residual(omega, x, d):
+    def radial_duality_residual(omega, x, h):
         psi = lambda y: np.exp(-omega * _row_norms(y))
-        lap = sum(opcalc._stencil(psi, x, opcalc._AXES, d.step2, order=2))
+        lap = sum(opcalc._stencil(psi, x, opcalc._AXES, h, order=2))
         val = -0.5 * lap + (2.0 * omega / _row_norms(x)) * psi(x)
         return np.abs(val - (-0.5 * omega * omega) * psi(x)) / psi(x)
 
@@ -201,10 +201,9 @@ def _flipped_derivative_sign(monkeypatch):
     wherever the one momentum operator is bound."""
     real = opcalc.momentum
 
-    def momentum(lam, field, potential, xs, phi, d, q_images=None):
-        zero = lambda ys: 0.0 * potential(ys)
-        return (real(lam, field, potential, xs, phi, d, q_images)
-                - 2.0 * real(lam, field, zero, xs, phi, d, q_images))
+    def momentum(lam, field, potential, xs, phi, h, q_images=None):
+        return (real(lam, field, potential, xs, phi, h, q_images)
+                - 2.0 * real(lam, field, 0.0 * potential, xs, phi, h, q_images))
 
     monkeypatch.setattr(opcalc, "momentum", momentum)
     monkeypatch.setattr(separation, "momentum", momentum)
@@ -428,8 +427,8 @@ def _swapped_phase_gradients(monkeypatch):
     in each other's place, wherever they are bound."""
     real = opcalc.fiber_phase_gradients
 
-    def fiber_phase_gradients(xi, case, d):
-        D, Dbar = real(xi, case, d)
+    def fiber_phase_gradients(xi, case, h):
+        D, Dbar = real(xi, case, h)
         return Dbar, D
 
     monkeypatch.setattr(opcalc, "fiber_phase_gradients", fiber_phase_gradients)

@@ -171,6 +171,25 @@ def test_declared_record_ids_match_the_report():
     assert [c.check_id for c in rep.checks] == declared
 
 
+# the records whose operators run at SuiteConfig.fd_step; every other record
+# runs at a fixed step
+FD_STEP_RECORDS = {
+    f"{stem}_{c}"
+    for stem in ("phase_constraint", "derivative_split", "momentum_equivalence",
+                 "gauge_closed_vs_numeric", "frame_x_independence", "gauge_angle_independence")
+    for c in "AB"
+} | {"phase_constraint_A_offsets", "phase_constraint_B_offsets"}
+
+
+def test_fd_step_drives_exactly_the_first_order_records():
+    base, other = (run_suite(SuiteConfig(fd_step=h)).checks for h in (1e-5, 2e-5))
+    assert [c.check_id for c in base] == [c.check_id for c in other]
+    assert len(base) == 50 and len(FD_STEP_RECORDS) == 14
+    # repr spells every float exactly, so an unmoved record is bit-identical
+    moved = {a.check_id for a, b in zip(base, other) if repr(a) != repr(b)}
+    assert moved == FD_STEP_RECORDS
+
+
 def test_run_suite_subset_passes():
     rep = run_suite(SuiteConfig(), only=["clifford", "norm_identity"])
     ids = [c.check_id for c in rep.checks]

@@ -7,7 +7,6 @@ from hurwitz import opcalc
 from hurwitz.errors import PolarSingularity
 from hurwitz.opcalc import (
     EULER_OPS,
-    DiffStrategy,
     apply_euler_op,
     casimir,
     casimir_residual,
@@ -24,9 +23,9 @@ from hurwitz.opcalc import (
     wirtinger_gradients,
     xi_laplacian,
 )
-from hurwitz.gauge import a_field_closed
+from hurwitz.gauge import a_field_closed, a_field_numeric
 from hurwitz.harness import _TEST_OFFSETS, _stack, _xphi_field
-from hurwitz.separation import wigner
+from hurwitz.separation import consistency_residual, wigner
 from hurwitz.transform import (
     CASE_A,
     CASE_B,
@@ -37,8 +36,9 @@ from hurwitz.transform import (
 )
 
 rng = np.random.default_rng(11)
-D = DiffStrategy()
-D3 = DiffStrategy(step=1e-3)
+# the steps the operators run at: first order, second order or nested,
+# and the coarse step of the comparisons with scalar stencils
+H, H2, H3 = 1e-5, 1e-4, 1e-3
 
 
 def random_xi(case=CASE_A, floor=0.15):
@@ -87,16 +87,16 @@ def trig_field():
 def test_plane_wave_eigenfunctions():
     phi = random_angles()
     g1 = lambda p: np.exp(3j * p[0])
-    assert abs(apply_euler_op("T1", g1, phi, D) - 3 * g1(phi)) < 1e-9
+    assert abs(apply_euler_op("T1", g1, phi, H) - 3 * g1(phi)) < 1e-9
     g2 = lambda p: np.exp(-2j * p[1])
-    assert abs(apply_euler_op("Q1", g2, phi, D) + 2 * g2(phi)) < 1e-9
+    assert abs(apply_euler_op("Q1", g2, phi, H) + 2 * g2(phi)) < 1e-9
 
 
 def test_polar_singularity_raised_for_every_operator():
     phi = np.array([0.3, 0.8, 0.0])
     for which in ("T1", "T2", "T3", "Q1", "Q2", "Q3"):
         with pytest.raises(PolarSingularity):
-            apply_euler_op(which, lambda p: 1.0, phi, D)
+            apply_euler_op(which, lambda p: 1.0, phi, H)
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ def test_left_triple_closure(a, b, c):
     for _ in range(10):
         worst = max(
             worst,
-            commutator_residuals([(a, b, (1j, c))], trig_field(), random_angles(), D3)[0],
+            commutator_residuals([(a, b, (1j, c))], trig_field(), random_angles(), H2)[0],
         )
     assert worst < 1e-5
 
@@ -120,7 +120,7 @@ def test_right_triple_closure(a, b, c):
     for _ in range(10):
         worst = max(
             worst,
-            commutator_residuals([(a, b, (1j, c))], trig_field(), random_angles(), D3)[0],
+            commutator_residuals([(a, b, (1j, c))], trig_field(), random_angles(), H2)[0],
         )
     assert worst < 1e-5
 
@@ -130,13 +130,13 @@ def test_left_and_right_triples_commute():
     phi = random_angles()
     for ti in ("T1", "T2", "T3"):
         for qj in ("Q1", "Q2", "Q3"):
-            assert commutator_residuals([(ti, qj, (0.0, None))], f, phi, D3)[0] < 1e-5
+            assert commutator_residuals([(ti, qj, (0.0, None))], f, phi, H2)[0] < 1e-5
 
 
 def test_shared_casimir_on_basis_elements():
     for J, q, p in ((1, 1, 0), (2, -1, 2), (1, 0, -1)):
         f = lambda ph: wigner(J, q, p, ph)
-        assert casimir_residual(f, random_angles(), D3) < 1e-4
+        assert casimir_residual(f, random_angles(), H2) < 1e-4
 
 
 # --- the shared operators against hand-written stencil sums ---------------------
@@ -148,10 +148,10 @@ def test_casimir_matches_nested_unshared_applications_exactly():
         for family in ("T", "Q"):
             # reference: each nested application on fresh, unshared wrappers
             want = sum(
-                apply_euler_op(w, lambda p, w=w: apply_euler_op(w, f, p, D3), phi, D3)
+                apply_euler_op(w, lambda p, w=w: apply_euler_op(w, f, p, H3), phi, H3)
                 for w in (f"{family}1", f"{family}2", f"{family}3")
             )
-            assert casimir(family, f, phi, D3) == want
+            assert casimir(family, f, phi, H3) == want
 
 
 def test_coupled_q_matches_unshared_applications_exactly():
@@ -160,9 +160,9 @@ def test_coupled_q_matches_unshared_applications_exactly():
         phi = random_angles()
         row = rng.uniform(-1.0, 1.0, 3)
         want = sum(
-            row[k] * apply_euler_op(f"Q{k + 1}", f, phi, D3) for k in range(3)
+            row[k] * apply_euler_op(f"Q{k + 1}", f, phi, H3) for k in range(3)
         )
-        assert coupled_q(row, apply_euler_op(EULER_OPS, f, phi, D3)) == want
+        assert coupled_q(row, apply_euler_op(EULER_OPS, f, phi, H3)) == want
 
 
 def test_momentum_matches_hand_written_stencils_exactly():
@@ -173,13 +173,13 @@ def test_momentum_matches_hand_written_stencils_exactly():
         for lam in range(5):
             e = np.zeros(5)
             e[lam] = 1.0
-            der = first_derivative(lambda t: f(x + t * e, phi), D.step)
+            der = first_derivative(lambda t: f(x + t * e, phi), H)
             q = sum(
                 potential(x)[lam, k]
-                * apply_euler_op(f"Q{k + 1}", lambda p: f(x, p), phi, D)
+                * apply_euler_op(f"Q{k + 1}", lambda p: f(x, p), phi, H)
                 for k in range(3)
             )
-            got = momentum(lam, f, potential, x, phi, D)
+            got = momentum(lam, f, potential(x), x, phi, H)
             assert got.shape == ()
             assert got == -1j * der + q
 
@@ -230,11 +230,11 @@ def test_apply_euler_op_matches_scalar_stencils():
         phis = [random_angles() for _ in range(4)]
         batch = np.stack(phis, axis=-1)
         for which in GENERATORS:
-            want = np.array([scalar_op(which, f, D3.step)(p) for p in phis])
-            got = apply_euler_op(which, f, batch, D3)
+            want = np.array([scalar_op(which, f, H3)(p) for p in phis])
+            got = apply_euler_op(which, f, batch, H3)
             assert got.shape == (4,)
             assert np.abs(got - want).max() < FIRST_ORDER_BOUND
-            assert abs(apply_euler_op(which, f, phis[0], D3) - want[0]) < FIRST_ORDER_BOUND
+            assert abs(apply_euler_op(which, f, phis[0], H3) - want[0]) < FIRST_ORDER_BOUND
 
 
 def test_casimir_matches_scalar_nested_stencils():
@@ -243,10 +243,10 @@ def test_casimir_matches_scalar_nested_stencils():
         phi = random_angles()
         for family in ("T", "Q"):
             want = sum(
-                scalar_op(w, scalar_op(w, f, D3.step), D3.step)(phi)
+                scalar_op(w, scalar_op(w, f, H3), H3)(phi)
                 for w in (f"{family}1", f"{family}2", f"{family}3")
             )
-            assert abs(casimir(family, f, phi, D3) - want) < NESTED_BOUND
+            assert abs(casimir(family, f, phi, H3) - want) < NESTED_BOUND
 
 
 def test_coupled_q_matches_scalar_stencils():
@@ -254,8 +254,8 @@ def test_coupled_q_matches_scalar_stencils():
         f = trig_field()
         phi = random_angles()
         row = rng.uniform(-1.0, 1.0, 3)
-        want = sum(row[k] * scalar_op(f"Q{k + 1}", f, D3.step)(phi) for k in range(3))
-        got = coupled_q(row, apply_euler_op(EULER_OPS, f, phi, D3))
+        want = sum(row[k] * scalar_op(f"Q{k + 1}", f, H3)(phi) for k in range(3))
+        got = coupled_q(row, apply_euler_op(EULER_OPS, f, phi, H3))
         assert abs(got - want) < FIRST_ORDER_BOUND
 
 
@@ -264,15 +264,15 @@ def test_momentum_matches_scalar_stencils():
     potential = lambda ys: a_field_closed(ys, CASE_A)
     phi = random_angles()
     for f in (field_gaussian, field_poly):
-        got = momentum(np.arange(5), f, potential, xs, phi, D3)
+        got = momentum(np.arange(5), f, potential(xs), xs, phi, H3)
         assert got.shape == (5, 2)
         for i, x in enumerate(xs):
             A = a_field_closed(x, CASE_A)
             for lam in range(5):
                 e = np.eye(5)[lam]
-                der = first_derivative(lambda t: f(x + t * e, phi), D3.step)
+                der = first_derivative(lambda t: f(x + t * e, phi), H3)
                 q = sum(
-                    A[lam, k] * scalar_op(f"Q{k + 1}", lambda p: f(x, p), D3.step)(phi)
+                    A[lam, k] * scalar_op(f"Q{k + 1}", lambda p: f(x, p), H3)(phi)
                     for k in range(3)
                 )
                 assert abs(got[lam, i] - (-1j * der + q)) < FIRST_ORDER_BOUND
@@ -290,18 +290,18 @@ def test_nested_momentum_matches_scalar_stencils():
         e = np.eye(5)[lam]
 
         def pg(y, p):
-            der = first_derivative(lambda t: g(y + t * e, p), D3.step)
+            der = first_derivative(lambda t: g(y + t * e, p), H3)
             A = a_field_closed(y, CASE_A)
             return -1j * der + sum(
-                A[lam, k] * scalar_op(f"Q{k + 1}", lambda pp: g(y, pp), D3.step)(p)
+                A[lam, k] * scalar_op(f"Q{k + 1}", lambda pp: g(y, pp), H3)(p)
                 for k in range(3)
             )
 
         return pg
 
     for lam in (0, 4):
-        inner = lambda ys, ang: momentum(lam, f, potential, ys, ang, D3)
-        got = momentum(lam, inner, potential, x, phi, D3)
+        inner = lambda ys, ang: momentum(lam, f, potential(ys), ys, ang, H3)
+        got = momentum(lam, inner, potential(x), x, phi, H3)
         want = scalar_p(lam, scalar_p(lam, field_gaussian))(x, phi)
         assert abs(got - want) < NESTED_BOUND
 
@@ -315,7 +315,7 @@ def test_nested_momentum_matches_scalar_stencils():
 # keep the difference far below the 1e-10 bound.
 
 XI_BOUND = 1e-10
-DXI = DiffStrategy(step=1e-3, step2=1e-2)
+XI_H2 = 1e-2
 
 
 def scalar_wirtinger(f, xi, h):
@@ -350,13 +350,13 @@ def complex_space_fields():
 def test_wirtinger_gradients_match_scalar_stencils(name):
     f = complex_space_fields()[name]
     xis = xi_stack(3, seed=1)
-    dh, da = wirtinger_gradients(f, xis, DXI)
+    dh, da = wirtinger_gradients(f, xis, H3)
     assert dh.shape == da.shape == (3, 4)
     for i, xi in enumerate(xis):
-        want_h, want_a = scalar_wirtinger(f, xi, DXI.step)
+        want_h, want_a = scalar_wirtinger(f, xi, H3)
         assert np.abs(dh[i] - want_h).max() < XI_BOUND
         assert np.abs(da[i] - want_a).max() < XI_BOUND
-        one_h, one_a = wirtinger_gradients(f, xi, DXI)
+        one_h, one_a = wirtinger_gradients(f, xi, H3)
         assert np.abs(one_h - dh[i]).max() < XI_BOUND
         assert np.abs(one_a - da[i]).max() < XI_BOUND
 
@@ -365,11 +365,11 @@ def test_wirtinger_gradients_match_scalar_stencils(name):
 def test_xi_laplacian_matches_scalar_stencils(name):
     f = complex_space_fields()[name]
     xis = xi_stack(3, seed=2)
-    lap = xi_laplacian(f, xis, DXI)
+    lap = xi_laplacian(f, xis, XI_H2)
     assert np.shape(lap) == (3,)
     for i, xi in enumerate(xis):
-        assert abs(lap[i] - scalar_xi_laplacian(f, xi, DXI.step2)) < XI_BOUND
-        assert abs(xi_laplacian(f, xi, DXI) - lap[i]) < XI_BOUND
+        assert abs(lap[i] - scalar_xi_laplacian(f, xi, XI_H2)) < XI_BOUND
+        assert abs(xi_laplacian(f, xi, XI_H2) - lap[i]) < XI_BOUND
 
 
 def scalar_phase_gradients(xi, case, h):
@@ -401,10 +401,10 @@ def scalar_phase_gradients(xi, case, h):
 )
 def test_fiber_phase_gradients_match_scalar_stencils(case):
     xis = xi_stack(3, CASE_A if case.tag == "A" else CASE_B, seed=3)
-    got, got_bar = fiber_phase_gradients(xis, case, DXI)
+    got, got_bar = fiber_phase_gradients(xis, case, H3)
     assert got.shape == got_bar.shape == (3, 3, 4)
     for i, xi in enumerate(xis):
-        want, want_bar = scalar_phase_gradients(xi, case, DXI.step)
+        want, want_bar = scalar_phase_gradients(xi, case, H3)
         assert np.abs(got[i] - want).max() < XI_BOUND
         assert np.abs(got_bar[i] - want_bar).max() < XI_BOUND
 
@@ -417,7 +417,7 @@ def test_phase_constraint(case):
     for _ in range(10):
         worst = max(
             worst,
-            identity_residual("phase_constraint", case, random_xi(case), None, D),
+            identity_residual("phase_constraint", case, random_xi(case), None, H),
         )
     assert worst < 1e-6
 
@@ -433,7 +433,7 @@ def test_phase_constraint_insensitive_to_offsets():
     for _ in range(10):
         worst = max(
             worst,
-            identity_residual("phase_constraint", case, random_xi(CASE_A), None, D),
+            identity_residual("phase_constraint", case, random_xi(CASE_A), None, H),
         )
     assert worst < 1e-6
 
@@ -454,13 +454,15 @@ def field_poly(x, phi):
 
 # --- rank padding: momentum against its explicitly broadcast call ---------------
 
-def broadcast_momentum(lam, f, potential, xs, phi, d):
-    """momentum with the points and angles materialised at the batch shape
-    before the call, so that its rank padding has nothing to pad."""
+def broadcast_momentum(lam, f, potential, xs, phi, h):
+    """momentum with the points, their ``potential`` and the angles
+    materialised at the batch shape before the call, so that its rank
+    padding has nothing to pad."""
     batch = np.broadcast_shapes(np.shape(xs)[:-1], phi.shape[1:])
     phi = np.broadcast_to(phi.reshape(phi.shape[:1] + (1,) * (len(batch) + 1 - phi.ndim)
                                       + phi.shape[1:]), (3,) + batch)
-    return momentum(lam, f, potential, np.broadcast_to(xs, batch + (5,)), phi, d)
+    xs = np.broadcast_to(xs, batch + (5,))
+    return momentum(lam, f, potential(xs), xs, phi, h)
 
 
 PADDED_XS = np.array([[0.4, -0.7, 0.2, 0.5, 0.3], [-0.3, 0.6, 0.9, -0.2, 0.1],
@@ -487,16 +489,9 @@ def padded_angles(shape, seed):
 def test_rank_padded_momentum_equals_the_broadcast_call_exactly(f):
     # angles (k, 1) against points (m,), as consistency_residual batches them
     phi = padded_angles((2, 1), seed=3)
-    seen = []
-
-    def potential(ys):
-        seen.append(np.shape(ys))
-        return a_field_closed(ys, CASE_A)
-
-    got = momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
-    # the potential ran at the points' own size, not the batch's
-    assert seen == [(1, 3, 5)]
-    want = broadcast_momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
+    potential = lambda ys: a_field_closed(ys, CASE_A)
+    got = momentum(np.arange(5), f, potential(PADDED_XS), PADDED_XS, phi, H3)
+    want = broadcast_momentum(np.arange(5), f, potential, PADDED_XS, phi, H3)
     assert got.shape == want.shape == (5, 2, 3)
     assert np.array_equal(got, want)
 
@@ -508,11 +503,11 @@ def test_rank_padded_nested_momentum_equals_the_broadcast_call_exactly(angle_sha
     potential = lambda ys: a_field_closed(ys, CASE_A)
     phi = padded_angles(angle_shape, seed=4)
     for lam in (0, 4):
-        inner = lambda ys, ang: momentum(lam, field_poly, potential, ys, ang, D3)
+        inner = lambda ys, ang: momentum(lam, field_poly, potential(ys), ys, ang, H3)
         inner_ref = lambda ys, ang: broadcast_momentum(lam, field_poly, potential,
-                                                       ys, ang, D3)
-        got = momentum(lam, inner, potential, PADDED_XS, phi, D3)
-        want = broadcast_momentum(lam, inner_ref, potential, PADDED_XS, phi, D3)
+                                                       ys, ang, H3)
+        got = momentum(lam, inner, potential(PADDED_XS), PADDED_XS, phi, H3)
+        want = broadcast_momentum(lam, inner_ref, potential, PADDED_XS, phi, H3)
         assert got.shape == want.shape == np.broadcast_shapes((3,), angle_shape)
         assert np.array_equal(got, want)
 
@@ -521,22 +516,22 @@ def test_rank_padded_nested_momentum_equals_the_broadcast_call_exactly(angle_sha
 # The references are the formulas with every generator row formed: the full
 # coefficient table in the product and the sum, and the full nested table.
 
-def full_images(v, phi, d):
+def full_images(v, phi, h):
     """All six images from the field's values ``v`` on the angle stencil."""
     coef = opcalc._coefficients(phi)
-    der = opcalc._angle_derivatives(v, phi, d.step)
+    der = opcalc._angle_derivatives(v, phi, h)
     nt = der.ndim - coef.ndim + 1
     coef = coef.reshape((6,) + (1,) * nt + coef.shape[1:])
     return 1j * (coef * der).sum(axis=nt + 1)
 
 
-def on_stencil(field, phi, d):
-    return field(opcalc._angle_stencil(phi, d.step))
+def on_stencil(field, phi, h):
+    return field(opcalc._angle_stencil(phi, h))
 
 
-def full_nested(field, phi, d):
-    st = opcalc._angle_stencil(phi, d.step)
-    return full_images(full_images(on_stencil(field, st, d), st, d), phi, d)
+def full_nested(field, phi, h):
+    st = opcalc._angle_stencil(phi, h)
+    return full_images(full_images(on_stencil(field, st, h), st, h), phi, h)
 
 
 def assert_same_bits(got, want):
@@ -570,23 +565,23 @@ def row_fields():
 @pytest.mark.parametrize("kind", ["real", "complex", "stacked"])
 def test_image_rows_equal_their_rows_of_the_full_table_bit_for_bit(angles, kind):
     f, phi = row_fields()[kind], ROW_ANGLES[angles]()
-    v = on_stencil(f, phi, D3)
-    full = full_images(v, phi, D3)
+    v = on_stencil(f, phi, H3)
+    full = full_images(v, phi, H3)
     for rows in ([0], [5], [3, 4, 5], slice(3, 6), slice(0, 3), [0, 3, 4, 5], slice(None)):
-        assert_same_bits(opcalc._images(v, phi, D3, rows), full[rows])
+        assert_same_bits(opcalc._images(v, phi, H3, rows), full[rows])
     for k, name in enumerate(EULER_OPS):
-        assert_same_bits(apply_euler_op(name, f, phi, D3), full[k])
-    assert_same_bits(apply_euler_op(("Q3", "T1"), f, phi, D3), full[[5, 0]])
+        assert_same_bits(apply_euler_op(name, f, phi, H3), full[k])
+    assert_same_bits(apply_euler_op(("Q3", "T1"), f, phi, H3), full[[5, 0]])
 
 
 @pytest.mark.parametrize("angles", list(ROW_ANGLES))
 @pytest.mark.parametrize("kind", ["real", "complex", "stacked"])
 def test_family_casimir_equals_the_full_nested_diagonal_bit_for_bit(angles, kind):
     f, phi = row_fields()[kind], ROW_ANGLES[angles]()
-    nested = full_nested(f, phi, D3)
+    nested = full_nested(f, phi, H3)
     for family, k in (("T", 0), ("Q", 3)):
         want = nested[k, k] + nested[k + 1, k + 1] + nested[k + 2, k + 2]
-        assert_same_bits(casimir(family, f, phi, D3), want)
+        assert_same_bits(casimir(family, f, phi, H3), want)
         assert_same_bits(opcalc._casimir(nested, family), want)
 
 
@@ -596,22 +591,21 @@ def test_one_family_commutators_equal_the_full_table_formula_bit_for_bit(angles,
     f, phi = row_fields()["real"], ROW_ANGLES[angles]()
     ops = [f"{family}{k}" for k in (1, 2, 3)]
     relations = [(ops[i], ops[(i + 1) % 3], (1j, ops[(i + 2) % 3])) for i in range(3)]
-    dn = D3.nested()
-    nested, images = full_nested(f, phi, dn), full_images(on_stencil(f, phi, dn), phi, dn)
+    nested, images = full_nested(f, phi, H2), full_images(on_stencil(f, phi, H2), phi, H2)
     ix = EULER_OPS.index
     want = np.array([np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)] - c * images[ix(op)])
                      for a, b, (c, op) in relations])
-    assert_same_bits(commutator_residuals(relations, f, phi, D3), want)
+    assert_same_bits(commutator_residuals(relations, f, phi, H2), want)
 
 
 @pytest.mark.parametrize("f", [field_gaussian, field_poly])
 def test_q_only_momentum_equals_the_six_image_formula_bit_for_bit(monkeypatch, f):
     potential = lambda ys: a_field_closed(ys, CASE_A)
     phi = padded_angles((2, 1), seed=3)
-    got = momentum(np.arange(5), f, potential, PADDED_XS, phi, D3)
+    got = momentum(np.arange(5), f, potential(PADDED_XS), PADDED_XS, phi, H3)
     # every angle image formed, as coupled_q read them before: its last three
-    monkeypatch.setattr(opcalc, "_images", lambda v, phi, d, rows=None: full_images(v, phi, d))
-    assert_same_bits(got, momentum(np.arange(5), f, potential, PADDED_XS, phi, D3))
+    monkeypatch.setattr(opcalc, "_images", lambda v, phi, h, rows=None: full_images(v, phi, h))
+    assert_same_bits(got, momentum(np.arange(5), f, potential(PADDED_XS), PADDED_XS, phi, H3))
 
 
 @pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
@@ -623,14 +617,15 @@ def test_cross_picture_identities(case, which):
     for f in (field_gaussian, field_poly):
         for _ in range(3):
             worst = max(
-                worst, identity_residual(which, case, random_xi(case), f, D)
+                worst, identity_residual(which, case, random_xi(case), f,
+                                         H2 if which == "laplacian_split" else H)
             )
     assert worst < 1e-4
 
 
 # --- laplacian_split: the five axes in one pass ---------------------------------
 
-def laplacian_split_per_axis(case, xi, field, d):
+def laplacian_split_per_axis(case, xi, field, h):
     """The Laplacian split with one outer momentum call per axis on a one-axis
     inner field, summed in axis order: the reference that the five-axis
     evaluation must equal bit for bit."""
@@ -638,15 +633,14 @@ def laplacian_split_per_axis(case, xi, field, d):
     x, phi = forward(xi), extra_angles(xi, case)
     r = _row_norms(x)[()]
     potential = lambda ys: a_field_closed(ys, case)
-    dn = d.nested()
 
     def p_squared(lam):
-        inner = lambda ys, ang: momentum(lam, field, potential, ys, ang, dn)
-        return momentum(lam, inner, potential, x, phi, dn)
+        inner = lambda ys, ang: momentum(lam, field, potential(ys), ys, ang, h)
+        return momentum(lam, inner, potential(x), x, phi, h)
 
     p_sq = sum(p_squared(lam) for lam in range(5))
-    lhs = r * p_sq + casimir("Q", lambda ang: field(x, ang), phi, dn) / r
-    rhs = -xi_laplacian(pullback(field, case), xi, d)
+    lhs = r * p_sq + casimir("Q", lambda ang: field(x, ang), phi, h) / r
+    rhs = -xi_laplacian(pullback(field, case), xi, h)
     return opcalc._rel_max(lhs, rhs, xi.ndim - 1)
 
 
@@ -670,9 +664,9 @@ def test_laplacian_split_equals_the_per_axis_loop_bit_for_bit(case, n, name):
     xi = xi_stack(7, case, seed=21)
     xi = xi[0] if n is None else xi
     field = LAPLACIAN_FIELDS[name](n)
-    for d in (D, DiffStrategy(step=0.08, step2=0.08)):
-        got = identity_residual("laplacian_split", case, xi, field, d)
-        want = laplacian_split_per_axis(case, xi, field, d)
+    for h in (H2, 0.08):
+        got = identity_residual("laplacian_split", case, xi, field, h)
+        want = laplacian_split_per_axis(case, xi, field, h)
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want) == np.shape(xi)[:-1]
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -694,7 +688,7 @@ def test_laplacian_split_evaluates_the_coefficients_once_per_stack(monkeypatch):
 
     monkeypatch.setattr(opcalc, "_coefficients", counted)
     xi = xi_stack(7, CASE_A, seed=21)
-    identity_residual("laplacian_split", CASE_A, xi, LAPLACIAN_FIELDS["xphi"](7), D)
+    identity_residual("laplacian_split", CASE_A, xi, LAPLACIAN_FIELDS["xphi"](7), H2)
     assert sorted(calls, key=len) == [(1, 7), (1, 7), (1, 1, 7), (3, 4, 1, 7)]
 
 
@@ -710,7 +704,7 @@ def test_laplacian_split_displaces_each_axis_along_itself_only():
         return v
 
     xi = xi_stack(7, CASE_A, seed=21)
-    identity_residual("laplacian_split", CASE_A, xi, counted, D)
+    identity_residual("laplacian_split", CASE_A, xi, counted, H2)
     assert (4, 4, 5, 7) in shapes
     assert (4, 5, 4, 5, 7) not in shapes
     # the nested angle stencil, (3, 4, 3, 4) + B, is evaluated once: 1,008 of
@@ -720,7 +714,7 @@ def test_laplacian_split_displaces_each_axis_along_itself_only():
 
 def test_derivative_split_constant_field():
     res = identity_residual(
-        "derivative_split", CASE_A, random_xi(), lambda x, p: 2.5, D
+        "derivative_split", CASE_A, random_xi(), lambda x, p: 2.5, H
     )
     assert res < 1e-11
 
@@ -733,7 +727,7 @@ def test_laplacian_split_on_radial_gaussian():
         for _ in range(3):
             worst = max(
                 worst,
-                identity_residual("laplacian_split", case, random_xi(case), radial, D),
+                identity_residual("laplacian_split", case, random_xi(case), radial, H2),
             )
     assert worst < 1e-4
 
@@ -746,14 +740,41 @@ def test_identity_residuals_shrink_at_fourth_order():
         ("derivative_split", 0.04),
         ("laplacian_split", 0.08),
     ):
-        big = identity_residual(
-            which, CASE_A, xi, field_gaussian, DiffStrategy(step=h, step2=h)
-        )
-        small = identity_residual(
-            which, CASE_A, xi, field_gaussian, DiffStrategy(step=h / 2, step2=h / 2)
-        )
+        big = identity_residual(which, CASE_A, xi, field_gaussian, h)
+        small = identity_residual(which, CASE_A, xi, field_gaussian, h / 2)
         ratios.append(big / small)
     assert min(ratios) >= 8.0
+
+
+# --- the step check ------------------------------------------------------------
+# Every array derivative passes through one stencil combination, which
+# rejects a step outside (0, inf) before it divides by it.
+
+STEP_XI = np.array([0.8 + 0.2j, 0.6 - 0.4j, 0.3 + 0.5j, -0.4 + 0.3j])
+STEP_X, STEP_PHI = forward(STEP_XI), extra_angles(STEP_XI, CASE_A)
+STEP_CALLS = {
+    "wirtinger_gradients": lambda h: wirtinger_gradients(lambda z: z[..., 0], STEP_XI, h),
+    "apply_euler_op": lambda h: apply_euler_op("T1", lambda p: np.cos(p[0]), STEP_PHI, h),
+    "momentum": lambda h: momentum(0, field_gaussian, a_field_closed(STEP_X, CASE_A),
+                                   STEP_X, STEP_PHI, h),
+    "identity_residual[momentum_equivalence]": lambda h: identity_residual(
+        "momentum_equivalence", CASE_A, STEP_XI, field_gaussian, h),
+    "identity_residual[laplacian_split]": lambda h: identity_residual(
+        "laplacian_split", CASE_A, STEP_XI, field_gaussian, h),
+    "consistency_residual": lambda h: consistency_residual(
+        1, 0, lambda y: np.exp(-_row_norms(y)), STEP_X, CASE_A, "alternating", h,
+        n_angles=2),
+    "a_field_numeric": lambda h: a_field_numeric(STEP_XI, CASE_A, h),
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("name", list(STEP_CALLS))
+def test_every_operator_rejects_a_step_outside_zero_to_infinity(name, h):
+    # the displaced points of an infinite or NaN step are NaN, which only
+    # warns on the way to the check
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="step"):
+        STEP_CALLS[name](h)
 
 
 # --- oscillator ----------------------------------------------------------------
@@ -763,7 +784,7 @@ def test_gaussian_eigenfunction_all_frequencies():
         f = lambda z: np.exp(-omega * np.vecdot(z, z).real)
         for _ in range(5):
             xi = random_xi(floor=0.0)
-            got = oscillator_apply(omega, f, xi, D)
+            got = oscillator_apply(omega, f, xi, H2)
             # the eigenvalue Z = 2 omega
             assert abs(got - 2.0 * omega * f(xi)) / abs(f(xi)) < 1e-6
 
@@ -774,7 +795,7 @@ def test_wirtinger_convention_matches_analytic_gaussian():
     omega = 1.3
     f = lambda z: np.exp(-omega * np.vecdot(z, z).real)
     xi = random_xi(floor=0.0)
-    lap = xi_laplacian(f, xi, D)
+    lap = xi_laplacian(f, xi, H2)
     r = float(np.real(xi @ xi.conj()))
     assert abs(lap - (-4 * omega + omega**2 * r) * f(xi)) < 1e-6
 
@@ -782,7 +803,7 @@ def test_wirtinger_convention_matches_analytic_gaussian():
 def test_constant_field_sees_potential_only():
     xi = random_xi(floor=0.0)
     r = float(np.real(xi @ xi.conj()))
-    got = oscillator_apply(1.5, lambda z: 1.0, xi, D)
+    got = oscillator_apply(1.5, lambda z: 1.0, xi, H2)
     assert abs(got - 0.5 * 1.5**2 * r) < 1e-7
 
 
@@ -802,7 +823,7 @@ def test_radial_duality_with_independent_laplacian_oracle():
             lap5 += second_derivative(lambda t: psi(x + t * e), 1e-4)
         analytic = (omega**2 - 4 * omega / r) * psi(x)
         assert abs(lap5 - analytic) / abs(analytic) < 1e-6
-        assert radial_duality_residual(omega, x, D) < 1e-6
+        assert radial_duality_residual(omega, x, H2) < 1e-6
 
 
 def test_energy_frequency_relation():
@@ -810,11 +831,11 @@ def test_energy_frequency_relation():
     # E = -omega^2 / 2: at omega = 2, Z = 4 and E = -2, another Z or E leaves
     # a residual of order one
     x = np.array([0.4, -0.7, 0.2, 0.5, 0.3])
-    assert radial_duality_residual(2.0, x, D) < 1e-6
-    assert radial_duality_residual(np.array([2.0]), x[None], D).shape == (1,)
+    assert radial_duality_residual(2.0, x, H2) < 1e-6
+    assert radial_duality_residual(np.array([2.0]), x[None], H2).shape == (1,)
     xi = np.array([0.3, 0.5j, -0.2, 0.1])
     for omega in (-1.0, 0.0, np.array([1.0, -1.0])):
         with pytest.raises(ValueError):
-            oscillator_apply(omega, lambda z: 1.0, xi, D)
+            oscillator_apply(omega, lambda z: 1.0, xi, H2)
         with pytest.raises(ValueError):
-            radial_duality_residual(omega, x, D)
+            radial_duality_residual(omega, x, H2)

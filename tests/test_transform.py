@@ -72,7 +72,7 @@ def test_forward_on_a_stack_equals_its_rows():
 
 def test_forward_on_a_stack_raises_when_one_row_is_not_real(monkeypatch):
     # a non-Hermitian first form, xi_1* xi_2, is complex only where xi_2 != 0
-    gamma = transform.GAMMA.gamma.copy()
+    gamma = transform.GAMMA.copy()
     gamma[0] = 0.0
     gamma[0, 0, 1] = 1.0
     cols, units = transform._unit_tables(gamma)
@@ -116,7 +116,7 @@ def test_forward_guard_verdicts_equal_the_per_row_test(monkeypatch, x, passes):
 
 def _dense_forms(xi):
     """The reference contraction over both indices of the dense gamma."""
-    return np.einsum("...s,lst,...t->...l", xi.conj(), transform.GAMMA.gamma, xi)
+    return np.einsum("...s,lst,...t->...l", xi.conj(), transform.GAMMA, xi)
 
 
 def _awkward(shape, seed, width):
