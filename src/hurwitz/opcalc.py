@@ -338,9 +338,9 @@ def momentum(
     potential.  The points and angles (behind their component axis) are
     left-padded with unit axes to the rank of that batch, which trails the
     stencils' axes; the batch itself is never materialised, so x-only work
-    (a field's x part) runs at the size of B and angle-only
-    work at the size of S, and the two meet by broadcasting inside the
-    field.  ``field(ys, angles)`` maps base
+    (a field's x part) runs at the size of B and angle-only work at the
+    size of S, and the two meet by broadcasting inside the field.
+    ``field(ys, angles)`` maps base
     points B' + (5,) and angles (3,) + S' to the broadcast shape of B' and S' (a
     field constant in either broadcasts); it is called once on the
     displaced points of all axes and once over the angle stencil, whose
