@@ -14,7 +14,7 @@ class SingularFiber(HurwitzError):
 
 
 class SectionFailed(HurwitzError):
-    """The constructed section did not reproduce the requested point/angles."""
+    """The constructed section did not reproduce the requested angles."""
 
 
 class PolarSingularity(HurwitzError):

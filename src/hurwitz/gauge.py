@@ -123,7 +123,7 @@ def a_field_numeric(
     is the step of every angle gradient.  Raises
     :class:`IllConditionedFrame` when the 2x2 determinant b3+ b2- - b2+ b3-
     of any row falls below ``frame_det_eps``, and propagates
-    :class:`DegenerateFiber` from the angle evaluation.
+    :class:`DegenerateFiber` (angles) and :class:`SingularFiber` (section).
     """
     xi = np.asarray(xi, dtype=complex)
     x = forward(xi)

@@ -482,9 +482,10 @@ def identity_residual(
         # inner momentum's angle side there and the Casimir's inner images
         st = _angle_stencil(phi, h)
         q_st = _images(field(xs, _angle_stencil(st, h)), st, h, q)
-        inner = lambda ys, ang, qs=None: momentum(axes, field, potential(ys), ys, ang, h, qs)
-        outer = momentum(axes, inner, potential(xs), xs, phi, h,
-                         _images(inner(xs, st, q_st), phi, h, q))
+        a_xs = potential(xs)  # the rows of both momenta at xs
+        inner = lambda ys, ang: momentum(axes, field, potential(ys), ys, ang, h)
+        outer = momentum(axes, inner, a_xs, xs, phi, h,
+                         _images(momentum(axes, field, a_xs, xs, st, h, q_st), phi, h, q))
         qsq = _casimir(_images(q_st, phi, h, q), "Q")
         # p^2 summed in axis order, as a running total
         lhs = (r * sum(outer) + qsq / r).reshape(np.shape(r))

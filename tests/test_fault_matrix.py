@@ -1,23 +1,26 @@
-"""Every record must be able to fail: each record id maps to a minimal,
-named fault in the code it verifies, and each fault to the exact set of
-records it fails.  Each check's registry row is run on a fixed generator.
+"""Every record must be able to fail: each record maps to a minimal, named
+fault in the code it verifies, and each fault to the exact set of records
+it fails.  One table holds every fault with the registry rows it runs
+(each on a fixed generator) and the records it must fail, and every
+(record id, case) of the registry appears in some fault's set.
 
-This table covers the six numeric gauge records, which sit near 1e-11
-against a 1e-5 tolerance, the three spin-J ladder records, whose root
-oracles (eigen-solver, determinant recurrence, null vector) each read
-another part of the coupling matrix, and four records evaluated as one
-stack of points or angles (the ladder relation, the alternating branch,
-the oscillator and the radial duality), the six second-order records
-(the Laplacian splits, the separation consistency and the two convergence
-ratios), and the seven algebraic records of the quadratic map and the
-closed-form potential (norm, homogeneity, octet convention, transversality
-and normalization), the seven angle-operator records (the rotor
-closures and cross commutation, the Casimir equality and the spin-J
-eigenrelations), and the eight first-order identity records (the phase
-constraints with and without offsets, the derivative splits and the
-momentum equivalences); in each group a passing record alone shows little.
-One sign of case B's stated closed form is also run over every row, so
-the reflection record, which compares case B with case A, can fail.
+The faults reach the four Clifford records (through the generator and
+companion arrays the rows read), the fiber section's records, the six
+numeric gauge records, which sit near 1e-11 against a 1e-5 tolerance, the
+three spin-J ladder records, whose root oracles (eigen-solver, determinant
+recurrence, null vector) each read another part of the coupling matrix,
+four records evaluated as one stack of points or angles (the ladder
+relation, the alternating branch, the oscillator and the radial duality),
+the six second-order records (the Laplacian splits, the separation
+consistency and the two convergence ratios), the seven algebraic records of
+the quadratic map and the closed-form potential (norm, homogeneity, octet
+convention, transversality and normalization), the seven angle-operator
+records (the rotor closures and cross commutation, the Casimir equality and
+the spin-J eigenrelations), and the eight first-order identity records
+(the phase constraints with and without offsets, the derivative splits and
+the momentum equivalences); in each group a passing record alone shows
+little.  One sign of case B's stated closed form is also run over every
+row, so the reflection record, which compares case B with case A, can fail.
 """
 
 import json
@@ -70,16 +73,6 @@ def _x_dependent_frame(monkeypatch):
     monkeypatch.setattr(gauge, "b_functions", b_functions)
 
 
-# case B's closed-form signs are stated, not derived from case A: the
-# reflection check compares them with case A, and every case-B row that
-# takes the closed potential reads them; run over every registry row
-_REFLECTION_FAULTS = {
-    "closed_sign_B_everywhere": (_flip_closed_sign("B"), {
-        "gauge_reflection_map", "gauge_closed_vs_numeric_B", "gauge_transversality_B",
-        "gauge_normalization_B", "momentum_equivalence_B", "laplacian_split_B"}),
-}
-
-
 _LADDER_CHECKS = ["spectrum_structure", "bisection_cross_check", "null_vector_residual"]
 
 
@@ -110,26 +103,6 @@ def _off_band_entry(monkeypatch):
         return h
 
     monkeypatch.setattr(separation, "build_h", build_h)
-
-
-_FAULTS = {
-    "closed_sign_A": (_flip_closed_sign("A"), {"gauge_closed_vs_numeric_A"}),
-    "closed_sign_B": (_flip_closed_sign("B"), {"gauge_closed_vs_numeric_B"}),
-    "frame_parity_3": (_flip_frame_parity, {
-        "gauge_closed_vs_numeric_A", "gauge_closed_vs_numeric_B",
-        "gauge_angle_independence_A", "gauge_angle_independence_B",
-    }),
-    "x_dependent_frame": (_x_dependent_frame, set(_GAUGE_CHECKS)),
-}
-
-_LADDER_FAULTS = {
-    "uncoupled_recurrence": (_uncoupled_recurrence, {"bisection_cross_check"}),
-    "scaled_roots": (_scaled_roots, set(_LADDER_CHECKS)),
-    # the determinant oracle's band guard is what catches this in the
-    # bisection; the eigen-solver roots do not move
-    "off_band_entry": (_off_band_entry, {"bisection_cross_check",
-                                         "null_vector_residual"}),
-}
 
 
 _STACKED_CHECKS = ["wigner_ladder", "alternating_branch_caseA", "oscillator_gaussian",
@@ -181,15 +154,6 @@ def _flipped_coulomb_term(monkeypatch):
     monkeypatch.setattr(opcalc, "radial_duality_residual", radial_duality_residual)
 
 
-_STACKED_FAULTS = {
-    "flipped_ladder_term": (_flipped_ladder_term, {"wigner_ladder"}),
-    "flipped_branch_sign": (_flipped_branch_sign, {"alternating_branch_caseA"}),
-    "linear_oscillator_potential": (_linear_oscillator_potential,
-                                    {"oscillator_gaussian"}),
-    "flipped_coulomb_term": (_flipped_coulomb_term, {"radial_duality"}),
-}
-
-
 _SECOND_ORDER_CHECKS = ["laplacian_split_A", "laplacian_split_B", "fd_convergence_order",
                         "separation_consistency_J0", "separation_consistency_J1",
                         "consistency_refinement"]
@@ -232,32 +196,8 @@ def _centrifugal_square(monkeypatch):
     monkeypatch.setattr(separation, "_centrifugal", lambda J, r: (J + 1) ** 2 / (2.0 * r * r))
 
 
-# separation_consistency_J0 fails only through a shared scalar term or the
-# momentum itself: at J = 0 the angular factor is constant and both sides
-# cancel term for term
-_SECOND_ORDER_FAULTS = {
-    # the one P_lam that both families square
-    "flipped_derivative_sign": (_flipped_derivative_sign, set(_SECOND_ORDER_CHECKS)),
-    # the potential rows as laplacian_split's outer momentum contracts them,
-    # (5,) + B + (3,)
-    "rolled_laplacian_rows": (_rolled_rows(opcalc, 0), {
-        "laplacian_split_A", "laplacian_split_B", "fd_convergence_order"}),
-    # and as consistency_residual does, ... + (5, m, 3)
-    "rolled_consistency_rows": (_rolled_rows(separation, -3), {
-        "separation_consistency_J1", "consistency_refinement"}),
-    "flipped_casimir": (_flipped_casimir, {
-        "separation_consistency_J1", "consistency_refinement"}),
-    "centrifugal_square": (_centrifugal_square, {
-        "separation_consistency_J0", "separation_consistency_J1",
-        "consistency_refinement"}),
-}
-
-
 _ALGEBRA_ROWS = ["norm_identity", "quadratic_homogeneity", "octet_convention",
                  "gauge_properties_A", "gauge_properties_B"]
-_ALGEBRA_RECORDS = {"norm_identity", "quadratic_homogeneity", "octet_convention",
-                    "gauge_transversality_A", "gauge_normalization_A",
-                    "gauge_transversality_B", "gauge_normalization_B"}
 
 
 def _x5_units(units):
@@ -294,22 +234,6 @@ def _closed_denominator_without_r(monkeypatch):
         return xp, r, denom / r, singular
 
     monkeypatch.setattr(gauge, "_closed_scale", closed_scale)
-
-
-# x5 -> -x5 keeps the norm and every other form: only the octet record,
-# against its witness, sees the turned axis
-_ALGEBRA_FAULTS = {
-    "x5_signs_flipped": (_x5_units([-1, -1, 1, 1]), {"octet_convention"}),
-    "x5_signs_interleaved": (_x5_units([1, -1, 1, -1]),
-                             {"norm_identity", "octet_convention"}),
-    "single_precision_forms": (_single_precision_forms, {
-        "norm_identity", "quadratic_homogeneity", "octet_convention"}),
-    "swapped_closed_sources": (_swapped_closed_sources, {
-        "gauge_transversality_A", "gauge_normalization_A",
-        "gauge_transversality_B", "gauge_normalization_B"}),
-    "closed_denominator_without_r": (_closed_denominator_without_r, {
-        "gauge_normalization_A", "gauge_normalization_B"}),
-}
 
 
 _X5_FAULT_CHILD = """
@@ -383,20 +307,6 @@ def _unconjugated_pair(monkeypatch):
     monkeypatch.setattr(separation, "_basis", basis)
 
 
-# T2 and Q2 each lose the sign of their d/dphi3 coefficient; the Casimir
-# equality reads both triples, the spin-J records the Q triple (and T1,
-# whose row is constant); one-q basis calls never pair a phase
-_ANGULAR_FAULTS = {
-    "flipped_t_coefficient": (_flipped_coefficient(1, 2), {
-        "rotor_closure_T", "rotor_cross_commutation", "casimir_equality"}),
-    "flipped_q_coefficient": (_flipped_coefficient(4, 2), {
-        "rotor_closure_Q", "rotor_cross_commutation", "casimir_equality",
-        "wigner_eigenrelations", "angular_factor_eigen_A", "angular_factor_eigen_B"}),
-    "unconjugated_pair": (_unconjugated_pair, {
-        "wigner_eigenrelations", "angular_factor_eigen_A", "angular_factor_eigen_B"}),
-}
-
-
 _FIRST_ORDER_CHECKS = [f"{stem}_{case.tag}" for case in (CASE_A, CASE_B)
                        for stem in ("phase_constraint", "derivative_split",
                                     "momentum_equivalence")]
@@ -442,123 +352,256 @@ def _swapped_angle_derivatives(monkeypatch):
         real(v, phi, h), [1, 0, 2], axis=-phi.ndim))
 
 
-# the plain phase constraint reads no invariant product, and the offsets
-# enter neither the closed-form potential nor the numeric one's gradients
-_FIRST_ORDER_FAULTS = {
-    "unconjugated_products": (_unconjugated_products, {
+
+
+_CLIFFORD_CHECKS = ["clifford_structure", "clifford_anticommutation", "fierz_identity",
+                    "companion_commutation_table"]
+
+
+def _shifted_gamma5(monkeypatch):
+    """1e-13 I added to the fifth generator, as the rows read it."""
+    gamma = transform.GAMMA.copy()
+    gamma[4] += 1e-13 * np.eye(4)
+    monkeypatch.setattr(transform, "GAMMA", gamma)
+
+
+def _other_companion(monkeypatch):
+    """i g2 g4, another antisymmetric product, in place of the companion i g1 g3."""
+    monkeypatch.setattr(transform, "GAMMA_TILDE", 1j * transform.GAMMA[1] @ transform.GAMMA[3])
+
+
+# the section's own records, and the gauge records that read sections
+_SECTION_ROWS = [f"{stem}_{case.tag}" for case in (CASE_A, CASE_B)
+                 for stem in ("fiber_roundtrip", "section_identity")] + _GAUGE_CHECKS
+
+
+def _scaled_section_norms(monkeypatch):
+    """The row norms r that the fiber section reads scaled by 1 + 1e-6 (no
+    other caller looks the name up in transform), so its base point is off
+    and its angles are not."""
+    real = transform._row_norms
+    monkeypatch.setattr(transform, "_row_norms", lambda x: real(x) * (1.0 + 1e-6))
+
+
+_ALL_ROWS = [row.id for row in harness._registry(SuiteConfig())]
+
+# fault: (apply, the registry rows it runs, the record ids it fails in every
+# case they run in)
+_FAULTS = {
+    # the three Clifford records and the companion's table read exactly 0.0
+    "shifted_gamma5": (_shifted_gamma5, _CLIFFORD_CHECKS, {
+        "clifford_structure", "clifford_anticommutation"}),
+    "other_companion": (_other_companion, _CLIFFORD_CHECKS, {
+        "fierz_identity", "companion_commutation_table"}),
+    # the section checks no base point itself, so its records see the fault;
+    # the gauge rows that call it pass: the frame functions read only its
+    # angles, and gauge_angle_independence rises to ~2e-6 against 1e-5
+    "scaled_section_norms": (_scaled_section_norms, _SECTION_ROWS, {
+        "fiber_roundtrip", "section_identity"}),
+    "closed_sign_A": (_flip_closed_sign("A"), _GAUGE_CHECKS, {"gauge_closed_vs_numeric_A"}),
+    "closed_sign_B": (_flip_closed_sign("B"), _GAUGE_CHECKS, {"gauge_closed_vs_numeric_B"}),
+    "frame_parity_3": (_flip_frame_parity, _GAUGE_CHECKS, {
+        "gauge_closed_vs_numeric_A", "gauge_closed_vs_numeric_B",
+        "gauge_angle_independence_A", "gauge_angle_independence_B",
+    }),
+    "x_dependent_frame": (_x_dependent_frame, _GAUGE_CHECKS, set(_GAUGE_CHECKS)),
+    # case B's closed-form signs are stated, not derived from case A: the
+    # reflection check compares them with case A, and every case-B row that
+    # takes the closed potential reads them; run over every registry row
+    "closed_sign_B_everywhere": (_flip_closed_sign("B"), _ALL_ROWS, {
+        "gauge_reflection_map", "gauge_closed_vs_numeric_B", "gauge_transversality_B",
+        "gauge_normalization_B", "momentum_equivalence_B", "laplacian_split_B"}),
+    "uncoupled_recurrence": (_uncoupled_recurrence, _LADDER_CHECKS, {"bisection_cross_check"}),
+    "scaled_roots": (_scaled_roots, _LADDER_CHECKS, set(_LADDER_CHECKS)),
+    # the determinant oracle's band guard is what catches this in the
+    # bisection; the eigen-solver roots do not move
+    "off_band_entry": (_off_band_entry, _LADDER_CHECKS, {"bisection_cross_check",
+                                                         "null_vector_residual"}),
+    "flipped_ladder_term": (_flipped_ladder_term, _STACKED_CHECKS, {"wigner_ladder"}),
+    "flipped_branch_sign": (_flipped_branch_sign, _STACKED_CHECKS,
+                            {"alternating_branch_caseA"}),
+    "linear_oscillator_potential": (_linear_oscillator_potential, _STACKED_CHECKS,
+                                    {"oscillator_gaussian"}),
+    "flipped_coulomb_term": (_flipped_coulomb_term, _STACKED_CHECKS, {"radial_duality"}),
+    # separation_consistency_J0 fails only through a shared scalar term or the
+    # momentum itself: at J = 0 the angular factor is constant and both sides
+    # cancel term for term; the one P_lam that both families square
+    "flipped_derivative_sign": (_flipped_derivative_sign, _SECOND_ORDER_CHECKS,
+                                set(_SECOND_ORDER_CHECKS)),
+    # the potential rows as laplacian_split's outer momentum contracts them,
+    # (5,) + B + (3,)
+    "rolled_laplacian_rows": (_rolled_rows(opcalc, 0), _SECOND_ORDER_CHECKS, {
+        "laplacian_split_A", "laplacian_split_B", "fd_convergence_order"}),
+    # and as consistency_residual does, ... + (5, m, 3)
+    "rolled_consistency_rows": (_rolled_rows(separation, -3), _SECOND_ORDER_CHECKS, {
+        "separation_consistency_J1", "consistency_refinement"}),
+    "flipped_casimir": (_flipped_casimir, _SECOND_ORDER_CHECKS, {
+        "separation_consistency_J1", "consistency_refinement"}),
+    "centrifugal_square": (_centrifugal_square, _SECOND_ORDER_CHECKS, {
+        "separation_consistency_J0", "separation_consistency_J1",
+        "consistency_refinement"}),
+    # x5 -> -x5 keeps the norm and every other form: only the octet record,
+    # against its witness, sees the turned axis
+    "x5_signs_flipped": (_x5_units([-1, -1, 1, 1]), _ALGEBRA_ROWS, {"octet_convention"}),
+    "x5_signs_interleaved": (_x5_units([1, -1, 1, -1]), _ALGEBRA_ROWS,
+                             {"norm_identity", "octet_convention"}),
+    "single_precision_forms": (_single_precision_forms, _ALGEBRA_ROWS, {
+        "norm_identity", "quadratic_homogeneity", "octet_convention"}),
+    "swapped_closed_sources": (_swapped_closed_sources, _ALGEBRA_ROWS, {
+        "gauge_transversality_A", "gauge_normalization_A",
+        "gauge_transversality_B", "gauge_normalization_B"}),
+    "closed_denominator_without_r": (_closed_denominator_without_r, _ALGEBRA_ROWS, {
+        "gauge_normalization_A", "gauge_normalization_B"}),
+    # T2 and Q2 each lose the sign of their d/dphi3 coefficient; the Casimir
+    # equality reads both triples, the spin-J records the Q triple (and T1,
+    # whose row is constant); one-q basis calls never pair a phase
+    "flipped_t_coefficient": (_flipped_coefficient(1, 2), _ANGULAR_CHECKS, {
+        "rotor_closure_T", "rotor_cross_commutation", "casimir_equality"}),
+    "flipped_q_coefficient": (_flipped_coefficient(4, 2), _ANGULAR_CHECKS, {
+        "rotor_closure_Q", "rotor_cross_commutation", "casimir_equality",
+        "wigner_eigenrelations", "angular_factor_eigen_A", "angular_factor_eigen_B"}),
+    "unconjugated_pair": (_unconjugated_pair, _ANGULAR_CHECKS, {
+        "wigner_eigenrelations", "angular_factor_eigen_A", "angular_factor_eigen_B"}),
+    # the plain phase constraint reads no invariant product, and the offsets
+    # enter neither the closed-form potential nor the numeric one's gradients
+    "unconjugated_products": (_unconjugated_products, _FIRST_ORDER_ROWS, {
         "phase_constraint_A_offsets", "phase_constraint_B_offsets"}),
-    "unconjugated_big_d": (_unconjugated_big_d, {
+    "unconjugated_big_d": (_unconjugated_big_d, _FIRST_ORDER_ROWS, {
         "derivative_split_A", "derivative_split_B",
         "momentum_equivalence_A", "momentum_equivalence_B"}),
-    "swapped_phase_gradients": (_swapped_phase_gradients, {
+    "swapped_phase_gradients": (_swapped_phase_gradients, _FIRST_ORDER_ROWS, {
         "phase_constraint_A", "phase_constraint_A_offsets", "phase_constraint_B",
         "phase_constraint_B_offsets", "derivative_split_A", "derivative_split_B"}),
-    "swapped_angle_derivatives": (_swapped_angle_derivatives, {
+    "swapped_angle_derivatives": (_swapped_angle_derivatives, _FIRST_ORDER_ROWS, {
         "derivative_split_A", "derivative_split_B",
         "momentum_equivalence_A", "momentum_equivalence_B"}),
 }
 
 
+def _records(rows):
+    """The (record id, case) of every record of the given registry rows."""
+    return {(rid, row.case) for row in harness._registry(SuiteConfig()) if row.id in rows
+            for rid in row.record_ids}
+
+
+def _expected(fault):
+    """The (record id, case) pairs a fault must fail: each of its record ids
+    in every case its rows give that id."""
+    _, rows, ids = _FAULTS[fault]
+    keys = {key for key in _records(rows) if key[0] in ids}
+    assert {rid for rid, _ in keys} == ids
+    return keys
+
+
 def _failed(rows):
-    """The ids of the failing records of the given registry rows."""
+    """The (record id, case) of the failing records of the given registry rows."""
     return {
-        rec.check_id for rid in rows
+        (rec.check_id, rec.case) for rid in rows
         for rec in harness.run_row(SuiteConfig(), rid, np.random.default_rng(3))
         if not rec.passed
     }
 
 
-@pytest.mark.parametrize("fault", list(_FAULTS))
+def _on(rows):
+    """The faults that run the row list ``rows``."""
+    return [fault for fault, (_, r, _) in _FAULTS.items() if r == rows]
+
+
+def _fails_exactly_its_records(monkeypatch, fault):
+    apply, rows, _ = _FAULTS[fault]
+    apply(monkeypatch)
+    assert _failed(rows) == _expected(fault)
+
+
+def _covered(rows):
+    """The records failed by the faults on the row list ``rows``."""
+    return set().union(*(_expected(fault) for fault in _on(rows)))
+
+
+@pytest.mark.parametrize("fault", _on(_GAUGE_CHECKS))
 def test_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed(_GAUGE_CHECKS) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
-@pytest.mark.parametrize("fault", list(_REFLECTION_FAULTS))
+@pytest.mark.parametrize("fault", _on(_CLIFFORD_CHECKS))
+def test_clifford_fault_fails_exactly_its_records(monkeypatch, fault):
+    _fails_exactly_its_records(monkeypatch, fault)
+
+
+@pytest.mark.parametrize("fault", _on(_SECTION_ROWS))
+def test_section_fault_fails_exactly_its_records(monkeypatch, fault):
+    _fails_exactly_its_records(monkeypatch, fault)
+
+
+@pytest.mark.parametrize("fault", _on(_ALL_ROWS))
 def test_reflection_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _REFLECTION_FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed([row.id for row in harness._registry(SuiteConfig())]) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
-@pytest.mark.parametrize("fault", list(_LADDER_FAULTS))
+@pytest.mark.parametrize("fault", _on(_LADDER_CHECKS))
 def test_ladder_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _LADDER_FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed(_LADDER_CHECKS) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
-@pytest.mark.parametrize("fault", list(_STACKED_FAULTS))
+@pytest.mark.parametrize("fault", _on(_STACKED_CHECKS))
 def test_stacked_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _STACKED_FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed(_STACKED_CHECKS) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
-@pytest.mark.parametrize("fault", list(_SECOND_ORDER_FAULTS))
+@pytest.mark.parametrize("fault", _on(_SECOND_ORDER_CHECKS))
 def test_second_order_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _SECOND_ORDER_FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed(_SECOND_ORDER_CHECKS) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
-@pytest.mark.parametrize("fault", list(_ALGEBRA_FAULTS))
+@pytest.mark.parametrize("fault", _on(_ALGEBRA_ROWS))
 def test_algebra_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _ALGEBRA_FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed(_ALGEBRA_ROWS) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
-@pytest.mark.parametrize("fault", list(_ANGULAR_FAULTS))
+@pytest.mark.parametrize("fault", _on(_ANGULAR_CHECKS))
 def test_angular_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _ANGULAR_FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed(_ANGULAR_CHECKS) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
-@pytest.mark.parametrize("fault", list(_FIRST_ORDER_FAULTS))
+@pytest.mark.parametrize("fault", _on(_FIRST_ORDER_ROWS))
 def test_first_order_fault_fails_exactly_its_records(monkeypatch, fault):
-    apply, expected = _FIRST_ORDER_FAULTS[fault]
-    apply(monkeypatch)
-    assert _failed(_FIRST_ORDER_ROWS) == expected
+    _fails_exactly_its_records(monkeypatch, fault)
 
 
 def test_unfaulted_records_pass():
-    checks = (_GAUGE_CHECKS + _LADDER_CHECKS + _STACKED_CHECKS + _SECOND_ORDER_CHECKS
-              + _ALGEBRA_ROWS + _ANGULAR_CHECKS + _FIRST_ORDER_ROWS
-              + ["gauge_reflection_map"])
-    assert _failed(checks) == set()
+    assert _failed(_ALL_ROWS) == set()
+
+
+def test_every_record_and_case_has_a_fault():
+    # 50 records under 48 ids: the section records each run in both cases
+    records = _records(_ALL_ROWS)
+    assert len(records) == 50
+    assert set().union(*(_expected(fault) for fault in _FAULTS)) == records
 
 
 def test_every_gauge_record_has_a_fault():
-    assert set().union(*(ids for _, ids in _FAULTS.values())) == set(_GAUGE_CHECKS)
+    assert _covered(_GAUGE_CHECKS) == _records(_GAUGE_CHECKS)
 
 
 def test_every_ladder_record_has_a_fault():
-    assert set().union(*(ids for _, ids in _LADDER_FAULTS.values())) == set(_LADDER_CHECKS)
+    assert _covered(_LADDER_CHECKS) == _records(_LADDER_CHECKS)
 
 
 def test_every_stacked_record_has_a_fault():
-    failed = set().union(*(ids for _, ids in _STACKED_FAULTS.values()))
-    assert failed == set(_STACKED_CHECKS)
+    assert _covered(_STACKED_CHECKS) == _records(_STACKED_CHECKS)
 
 
 def test_every_second_order_record_has_a_fault():
-    failed = set().union(*(ids for _, ids in _SECOND_ORDER_FAULTS.values()))
-    assert failed == set(_SECOND_ORDER_CHECKS)
+    assert _covered(_SECOND_ORDER_CHECKS) == _records(_SECOND_ORDER_CHECKS)
 
 
 def test_every_algebra_record_has_a_fault():
-    failed = set().union(*(ids for _, ids in _ALGEBRA_FAULTS.values()))
-    assert failed == _ALGEBRA_RECORDS
+    assert _covered(_ALGEBRA_ROWS) == _records(_ALGEBRA_ROWS)
 
 
 def test_every_angular_record_has_a_fault():
-    failed = set().union(*(ids for _, ids in _ANGULAR_FAULTS.values()))
-    assert failed == set(_ANGULAR_CHECKS)
+    assert _covered(_ANGULAR_CHECKS) == _records(_ANGULAR_CHECKS)
 
 
 def test_every_first_order_record_has_a_fault():
-    failed = set().union(*(ids for _, ids in _FIRST_ORDER_FAULTS.values()))
-    assert failed == set(_FIRST_ORDER_ROWS)
+    assert _covered(_FIRST_ORDER_ROWS) == _records(_FIRST_ORDER_ROWS)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -140,3 +141,28 @@ def test_a_relative_out_is_written_outside_both_trees(gate_run):
     assert gate_run.after == gate_run.before
     assert sorted(os.listdir(gate_run.out)) == ["change", "parent"]
     assert all(line.split()[1] == "PASS" for line in gate_run.lines)
+
+
+def _in_git_checkout():
+    return subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                          capture_output=True).returncode == 0
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs this repository's git history")
+def test_a_revision_is_exported_and_an_unknown_one_exits_2(monkeypatch, tmp_path, capsys):
+    # run_tree and compare stubbed: no child process runs
+    trees = []
+
+    def run_tree(tree, out):
+        trees.append((tree, os.path.isfile(os.path.join(tree, "src", "hurwitz", "__init__.py"))))
+
+    monkeypatch.setattr(gate, "run_tree", run_tree)
+    monkeypatch.setattr(gate, "compare", lambda old, new: True)
+    assert gate.main(["HEAD", ROOT, "--out", str(tmp_path / "out")]) == 0
+    # the revision is exported into a directory of its own, removed afterwards;
+    # a directory runs in place
+    (exported, has_package), here = trees
+    assert has_package and exported != ROOT and not os.path.exists(exported)
+    assert here == (os.path.abspath(ROOT), True)
+    assert gate.main(["no-such-revision", ROOT]) == 2
+    assert "'no-such-revision' is neither a directory nor a revision" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hurwitz import opcalc
+from hurwitz import gauge, opcalc
 from hurwitz.errors import PolarSingularity
 from hurwitz.opcalc import (
     EULER_OPS,
@@ -678,18 +678,26 @@ def test_laplacian_split_evaluates_the_coefficients_once_per_stack(monkeypatch):
     # the inner momentum there and the Casimir share, with the Casimir's outer
     # images at the angles; the axes (5, 1) against the points (7,) give each
     # a unit axis; one outer and two inner calls per axis made seventeen, a
-    # Casimir of its own five
-    calls = []
+    # Casimir of its own five; the closed-form potential is evaluated once at
+    # the padded points, for the inner momentum on the angle stencil and the
+    # outer momentum's rows, and once at the outer x-stencil
+    calls, closed = [], []
     coefficients = opcalc._coefficients
 
     def counted(phi):
         calls.append(phi.shape[1:])
         return coefficients(phi)
 
+    def counted_closed(x, case):
+        closed.append(np.shape(x))
+        return a_field_closed(x, case)
+
     monkeypatch.setattr(opcalc, "_coefficients", counted)
+    monkeypatch.setattr(gauge, "a_field_closed", counted_closed)
     xi = xi_stack(7, CASE_A, seed=21)
     identity_residual("laplacian_split", CASE_A, xi, LAPLACIAN_FIELDS["xphi"](7), H2)
     assert sorted(calls, key=len) == [(1, 7), (1, 7), (1, 1, 7), (3, 4, 1, 7)]
+    assert closed == [(1, 7, 5), (4, 5, 7, 5)]
 
 
 def test_laplacian_split_displaces_each_axis_along_itself_only():

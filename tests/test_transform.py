@@ -340,11 +340,36 @@ def test_section_round_trip(case):
         assert abs(phi[2] - phi2[2]) < 1e-10
 
 
+def _near_axis(gen, n, t, case):
+    """n base points at rho = t r from the case's singular half-axis, radii
+    log-uniform in [1e-6, 1e6], and n angles with phi3 in [0.15, pi - 0.15]."""
+    r = 10.0 ** gen.uniform(-6.0, 6.0, n)
+    v = gen.standard_normal((n, 4))
+    x = np.empty((n, 5))
+    x[:, :4] = v / np.linalg.norm(v, axis=1)[:, None] * (r * math.sqrt(t * (2.0 - t)))[:, None]
+    x[:, 4] = case.axis_sign * r * (t - 1.0)
+    phi = np.stack([gen.uniform(0, 2 * math.pi, n), gen.uniform(0, 2 * math.pi, n),
+                    gen.uniform(0.15, math.pi - 0.15, n)])
+    return x, phi
+
+
 def test_section_singular_half_axis():
     with pytest.raises(SingularFiber):
         fiber_section(np.array([0, 0, 0, 0, -1.0]), np.array([0.1, 0.2, 1.0]), CASE_A)
     with pytest.raises(SingularFiber):
         fiber_section(np.array([0, 0, 0, 0, 1.0]), np.array([0.1, 0.2, 1.0]), CASE_B)
+    gen = np.random.default_rng(41)
+    for case in (CASE_A, CASE_B):
+        # the base-point error is about 1.6e-16 r / rho: at rho = 1e-6 r it
+        # would reach 1.6e-10, so the domain ends at 5e-6 r
+        x, phi = _near_axis(gen, 1, 1e-6, case)
+        with pytest.raises(SingularFiber):
+            fiber_section(x, phi, case)
+        # just inside the domain every row is within 1e-10 of its base point
+        x, phi = _near_axis(gen, 20000, 1.01 * 5e-6, case)
+        xi = fiber_section(x, phi, case)
+        rel = np.abs(forward(xi) - x).max(axis=-1) / np.linalg.norm(x, axis=1)
+        assert rel.max() < 1e-10
 
 
 def test_section_reproduces_fiber_of_known_point():

@@ -2,7 +2,10 @@
 
     python3 tools/gate.py PARENT_TREE CHANGE_TREE [--out DIR]
 
-For each tree one child process (``PYTHONPATH=TREE/src``) writes
+Each tree is a directory or a git revision of this repository; a revision
+is exported by ``tools/pairs.py``'s ``checkout`` into a temporary
+directory, removed afterwards.  For each tree one child process
+(``PYTHONPATH=TREE/src``) writes
 
 * ``hurwitz verify`` reports of the default suite at seeds 1729, 201 and 7;
 * sweep reports, ``run_suite(sweep_config(s), only=SWEEP_IDS)`` with the
@@ -19,7 +22,8 @@ Each verify pair must then pass ``tools/reportdiff.py`` in drift mode
 export files must be byte-identical.  One line per pair (``ERROR`` when a
 report cannot be read); a verify line ends in ``exact`` when the two
 reports' digests are also equal, else in ``digests differ``.  Exit code 0
-when every pair passes, 1 when one fails, 2 when a tree cannot be run.
+when every pair passes, 1 when one fails, 2 when an argument is neither a
+directory nor a revision or a tree cannot be run.
 The outputs go to ``--out`` (kept) or to a temporary directory (removed).
 """
 
@@ -146,17 +150,26 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         ap.error("give PARENT_TREE and CHANGE_TREE")
+    sys.path.insert(0, HERE)
+    import pairs  # the one git-revision export, shared with the benchmark pairs
+
     # absolute: each child runs with its tree as the working directory
     out = os.path.abspath(args.out or tempfile.mkdtemp(prefix="hurwitz-gate-"))
     dirs = [os.path.join(out, tag) for tag in ("parent", "change")]
     try:
-        for tree, d in zip(args.trees, dirs):
-            shutil.rmtree(d, ignore_errors=True)
-            try:
-                run_tree(os.path.abspath(tree), d)
-            except (OSError, subprocess.CalledProcessError) as exc:
-                print(f"error: {tree}: {exc}", file=sys.stderr)
-                return 2
+        with tempfile.TemporaryDirectory(prefix="hurwitz-gate-trees-") as scratch:
+            for arg, d in zip(args.trees, dirs):
+                try:
+                    tree, _ = pairs.checkout(arg, os.path.join(scratch, os.path.basename(d)))
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
+                shutil.rmtree(d, ignore_errors=True)
+                try:
+                    run_tree(os.path.abspath(tree), d)
+                except (OSError, subprocess.CalledProcessError) as exc:
+                    print(f"error: {arg}: {exc}", file=sys.stderr)
+                    return 2
         return 0 if compare(*dirs) else 1
     finally:
         if not args.out:
