@@ -257,6 +257,12 @@ def sample_xi(
     return np.concatenate(kept)
 
 
+def _angle_triple(uniform, margin: float) -> tuple:
+    """One point's (phi1, phi2, phi3) from the one-value ``uniform``, in
+    :func:`sample_angles`' order and ranges."""
+    return uniform(0.0, TWO_PI), uniform(0.0, TWO_PI), uniform(margin, math.pi - margin)
+
+
 def sample_angles(
     rng: np.random.Generator, margin: float = 0.25, size: Optional[int] = None
 ) -> np.ndarray:
@@ -265,9 +271,7 @@ def sample_angles(
     of n draws exactly what n one-point calls draw, as one (n, 3) array of
     uniforms, whose rows (its ``.T``) are those calls' angles."""
     if size is None:
-        uniform, _ = _scalar_draws(rng)
-        return np.array([uniform(0.0, TWO_PI), uniform(0.0, TWO_PI),
-                         uniform(margin, math.pi - margin)])
+        return np.array(_angle_triple(_scalar_draws(rng)[0], margin))
     lo = np.array([0.0, 0.0, margin])
     hi = np.array([TWO_PI, TWO_PI, math.pi - margin])
     return _uniform(rng, lo, hi, (size, 3)).T
@@ -300,16 +304,19 @@ def sample_x(
                 f"no {n} draws in {budget} clear exclusion_eps={exclusion_eps}"
             )
         need = n - have
-        v = rng.standard_normal((need, 5))
+        x = rng.standard_normal((need, 5))
         # one-point draws keep the bits of the single-draw loop (a test pins it)
-        v /= _row_norms(v)[:, None]
-        x = v * _uniform(rng, rmin, rmax, need)[:, None]
+        x /= _row_norms(x)[:, None]
+        x *= _uniform(rng, rmin, rmax, need)[:, None]
         r = _row_norms(x)
-        x = x[r + case.axis_sign * x[:, 4] > exclusion_eps * r]
+        keep = r + case.axis_sign * x[:, 4] > exclusion_eps * r
+        if not keep.all():
+            x = x[keep]
         kept.append(x)
         drawn += need
         have += len(x)
-    pts = np.concatenate(kept)
+    # a call that one round fills returns that round's array
+    pts = kept[0] if len(kept) == 1 else np.concatenate(kept)
     return pts[0] if size is None else pts
 
 
@@ -320,8 +327,9 @@ class _AnglePoly:
     """1 + sum_t amp_t cos(freq_t . phi + phase_t): a smooth three-mode
     trigonometric polynomial on the angle chart, O(1) amplitude.
 
-    A stack of n polynomials (:meth:`stack`) carries a trailing sample axis
-    on every parameter, which broadcasts against the angles' trailing axis.
+    A stack of n polynomials (:meth:`_Draws.polys`) carries a trailing
+    sample axis on every parameter, which broadcasts against the angles'
+    trailing axis.
     """
 
     amp: np.ndarray  # (3,) + N
@@ -336,22 +344,6 @@ class _AnglePoly:
             total = total + self.amp[t] * np.cos(arg + self.phase[t])
         return 1.0 + total
 
-    @classmethod
-    def stack(cls, polys) -> "_AnglePoly":
-        return cls(*(np.stack(p, axis=-1)
-                     for p in zip(*((g.amp, g.freq, g.phase) for g in polys))))
-
-
-def _angle_poly(rng: np.random.Generator) -> _AnglePoly:
-    """Three terms drawn in turn: amplitude, frequencies, phase."""
-    uniform, integer = _scalar_draws(rng)
-    amp, freq, phase = [], [], []
-    for _ in range(3):
-        amp.append(uniform(0.2, 0.6))
-        freq.append((integer(-2, 3), integer(-2, 3), integer(-2, 3)))
-        phase.append(uniform(0.0, TWO_PI))
-    return _AnglePoly(np.array(amp), np.array(freq, dtype=float), np.array(phase))
-
 
 @dataclass(frozen=True)
 class _XPhiField:
@@ -360,8 +352,8 @@ class _XPhiField:
     times an angle polynomial if ``gaussian``, else (1 + c.x + 0.1 x1 x5)
     times it.
 
-    A stack of n fields (:meth:`stack`) carries a sample axis that is
-    trailing in the values: ``gaussian`` (n,), ``coeff`` (n, 5).
+    A stack of n fields (:meth:`_Draws.fields`) carries a sample axis that
+    is trailing in the values: ``gaussian`` (n,), ``coeff`` (n, 5).
     """
 
     gaussian: np.ndarray  # N, bool
@@ -376,23 +368,59 @@ class _XPhiField:
         poly = 1.0 + np.vecdot(x, self.coeff) + cross * x[..., 0] * x[..., 4]
         return gauss * poly * self.ang(phi)
 
-    @classmethod
-    def stack(cls, fields) -> "_XPhiField":
-        return cls(np.array([f.gaussian for f in fields]),
-                   np.array([f.coeff for f in fields]),
-                   _AnglePoly.stack([f.ang for f in fields]))
+
+class _Draws:
+    """One row's one-value draws from ``rng``, each written as it is drawn
+    into the flat list of its stacked quantity; each stack is built once,
+    after the last draw.  The values and the generator's end state are
+    those of the same draws made one call at a time."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.uniform, self.integer = _scalar_draws(rng)
+        self._angles, self._poly, self._gaussian, self._coeff = [], [], [], []
+
+    def angles(self, margin: float = 0.25) -> None:
+        """One point's angles, as ``sample_angles(rng, margin)`` draws them."""
+        self._angles += _angle_triple(self.uniform, margin)
+
+    def poly(self) -> None:
+        """One angle polynomial: per term its amplitude, three frequencies
+        and phase."""
+        u, k = self.uniform, self.integer
+        for _ in range(3):
+            self._poly += (u(0.2, 0.6), k(-2, 3), k(-2, 3), k(-2, 3), u(0.0, TWO_PI))
+
+    def field(self, gaussian: bool) -> None:
+        """One x-phi field: its five coefficients, then its angle polynomial."""
+        u = self.uniform
+        self._gaussian.append(gaussian)
+        self._coeff += [u(-0.3, 0.3) for _ in range(5)]
+        self.poly()
+
+    def angle_stack(self) -> np.ndarray:
+        """The angles drawn, (3, n)."""
+        return np.array(self._angles).reshape(-1, 3).T.copy()
+
+    def polys(self) -> _AnglePoly:
+        """The angle polynomials drawn (those of the fields included), one
+        stack."""
+        v = np.array(self._poly, dtype=float).reshape(-1, 3, 5).T  # value, term, sample
+        return _AnglePoly(v[0].copy(), v[1:4].transpose(1, 0, 2).copy(), v[4].copy())
+
+    def fields(self) -> _XPhiField:
+        """The x-phi fields drawn, one stack."""
+        return _XPhiField(np.array(self._gaussian), np.array(self._coeff).reshape(-1, 5),
+                          self.polys())
 
 
 def _xphi_field(rng: np.random.Generator, kind: str) -> _XPhiField:
-    coeff = _uniform(rng, -0.3, 0.3, 5)
-    return _XPhiField(np.array(kind == "gaussian"), coeff, _angle_poly(rng))
-
-
-def _stack(fields):
-    """One field of the fields' family whose parameters hold each field's
-    along a sample axis: evaluated on a batch whose last axis is that
-    sample axis, sample i sees field i."""
-    return type(fields[0]).stack(fields)
+    """One x-phi field of ``kind`` ("gaussian" or "poly"), without a sample
+    axis."""
+    draws = _Draws(rng)
+    draws.field(kind == "gaussian")
+    f = draws.fields()
+    return _XPhiField(np.array(kind == "gaussian"), f.coeff[0],
+                      _AnglePoly(f.ang.amp[:, 0], f.ang.freq[..., 0], f.ang.phase[:, 0]))
 
 
 def _groups(keys):
@@ -572,10 +600,17 @@ def _norm_draws(cfg, rng):
 
 
 def _norm_identity(cfg, xi):
-    # np.linalg.norm, not _row_norms: the two differ in the last bit
-    norm_x = np.linalg.norm(transform.forward(xi), axis=1)
-    norm_xi = np.einsum("ns,ns->n", xi, xi.conj()).real
-    return Measured(len(xi), float(np.abs(norm_x - norm_xi).max() / norm_xi.min()))
+    """max | |x| - |xi|^2 | over min |xi|^2, evaluated 2048 points at a time;
+    np.max and np.min fold the blocks' values, so a NaN still fails it."""
+    gaps, lows = [], []
+    for i in range(0, len(xi), 2048):
+        block = xi[i:i + 2048]
+        # np.linalg.norm, not _row_norms: the two differ in the last bit
+        norm_x = np.linalg.norm(transform.forward(block), axis=1)
+        norm_xi = np.einsum("ns,ns->n", block, block.conj()).real
+        gaps.append(np.abs(norm_x - norm_xi).max())
+        lows.append(norm_xi.min())
+    return Measured(len(xi), float(np.max(gaps) / np.min(lows)))
 
 
 def _homogeneity_draws(cfg, rng):
@@ -622,26 +657,34 @@ def _fiber_roundtrip(cfg, draws, case):
 
 
 def _section_draws(cfg, rng, case):
-    return [(sample_x(rng, case, max(cfg.exclusion_eps, 0.1)),
-             sample_angles(rng, margin=0.15)) for _ in range(60)]
+    """60 base points, each followed by its angles: (60, 5) and (3, 60)."""
+    draws, x = _Draws(rng), []
+    for _ in range(60):
+        x.append(sample_x(rng, case, max(cfg.exclusion_eps, 0.1)))
+        draws.angles(0.15)
+    return np.array(x), draws.angle_stack()
 
 
 def _section_identity(cfg, draws, case):
-    x, phi = zip(*draws)
-    x = np.array(x)
-    xi = transform.fiber_section(x, np.stack(phi, axis=-1), case)
+    x, phi = draws
+    xi = transform.fiber_section(x, phi, case)
     return np.abs(transform.forward(xi) - x).max(axis=-1) / _row_norms(x)
 
 
 def _rotor_draws(cfg, rng, **_):
-    return [(_angle_poly(rng), sample_angles(rng)) for _ in range(100)]
+    """100 angle polynomials, each followed by its angles: the polynomials'
+    stack and the angles (3, 100)."""
+    draws = _Draws(rng)
+    for _ in range(100):
+        draws.poly()
+        draws.angles()
+    return draws.polys(), draws.angle_stack()
 
 
 def _rotor_residuals(cfg, draws, relations):
     """Commutator residuals of ``relations``, one test field per sample."""
-    fields, angles = zip(*draws)
-    return opcalc.commutator_residuals(
-        relations, _stack(fields), np.stack(angles, axis=-1), NESTED_STEP).T
+    fields, phi = draws
+    return opcalc.commutator_residuals(relations, fields, phi, NESTED_STEP).T
 
 
 def _closure(family: str) -> list:
@@ -653,20 +696,21 @@ _CROSS = [(f"T{i}", f"Q{j}", (0.0, None)) for i in (1, 2, 3) for j in (1, 2, 3)]
 
 
 def _casimir_draws(cfg, rng):
-    """(angles, field) per sample, even samples a Wigner function of drawn
-    (J, q, p), odd ones an angle polynomial."""
-    _, integer = _scalar_draws(rng)
-    draws = []
+    """100 samples' angles, each followed by its field: per sample the
+    (J, q, p) of a Wigner function (even samples) or None, the angles
+    (3, 100) and the odd samples' angle polynomials as one stack."""
+    draws, keys = _Draws(rng), []
+    integer = draws.integer
     for i in range(100):
-        phi = sample_angles(rng)
+        draws.angles()
         if i % 2 == 0:
             J = integer(0, 3)
             q = integer(-J, J + 1)
-            p = integer(-J, J + 1)
-            draws.append((phi, (J, q, p)))
+            keys.append((J, q, integer(-J, J + 1)))
         else:
-            draws.append((phi, _angle_poly(rng)))
-    return draws
+            keys.append(None)
+            draws.poly()
+    return keys, draws.angle_stack(), draws.polys()
 
 
 def _casimir_residuals(cfg, draws):
@@ -674,16 +718,15 @@ def _casimir_residuals(cfg, draws):
     Wigner functions, each (J, q, p) group on its own samples.  The
     polynomials keep a real call: the stencil's division rounds otherwise
     on complex values."""
-    res = np.empty(len(draws))
-    poly = [i for i, (_, g) in enumerate(draws) if not isinstance(g, tuple)]
-    jqp = [i for i, (_, g) in enumerate(draws) if isinstance(g, tuple)]
-    phi = np.stack([a for a, _ in draws], axis=-1)
+    keys, phi, polys = draws
+    res = np.empty(len(keys))
+    poly = [i for i, key in enumerate(keys) if key is None]
+    jqp = [i for i, key in enumerate(keys) if key is not None]
     if poly:
-        res[poly] = opcalc.casimir_residual(_stack([draws[i][1] for i in poly]),
-                                            phi[:, poly], NESTED_STEP)
+        res[poly] = opcalc.casimir_residual(polys, phi[:, poly], NESTED_STEP)
     if jqp:
         field = _grouped_field([(sub, functools.partial(separation.wigner, *key))
-                                for key, sub in _groups([draws[i][1] for i in jqp])])
+                                for key, sub in _groups([keys[i] for i in jqp])])
         res[jqp] = opcalc.casimir_residual(field, phi[:, jqp], NESTED_STEP)
     return res
 
@@ -695,17 +738,19 @@ def _phase_residuals(cfg, draws, case, with_offsets):
 
 
 def _identity_draws(cfg, rng, case, **_):
-    return [
-        (sample_xi(rng, case, max(cfg.exclusion_eps, 0.15), scale=1.4),
-         _xphi_field(rng, "gaussian" if i % 2 == 0 else "poly"))
-        for i in range(50)
-    ]
+    """50 fiber points, each followed by its x-phi field (Gaussian on even
+    samples): the points (50, 4) and the fields' stack."""
+    draws, xi = _Draws(rng), []
+    for i in range(50):
+        xi.append(sample_xi(rng, case, max(cfg.exclusion_eps, 0.15), scale=1.4))
+        draws.field(i % 2 == 0)
+    return np.array(xi), draws.fields()
 
 
 def _identity_residuals(cfg, draws, case, which):
-    xis, fields = zip(*draws)
+    xi, fields = draws
     h = NESTED_STEP if which == "laplacian_split" else cfg.fd_step
-    return opcalc.identity_residual(which, case, np.array(xis), _stack(fields), h)
+    return opcalc.identity_residual(which, case, xi, fields, h)
 
 
 def _fd_convergence(cfg, _):
@@ -785,40 +830,54 @@ def _frame_x_residuals(cfg, draws, case):
 
 
 def _angle_independence_draws(cfg, rng, case):
-    """A fiber point and a second set of angles per sample."""
-    return [(sample_xi(rng, case, max(cfg.exclusion_eps, 0.15)),
-             sample_angles(rng, margin=0.3)) for _ in range(20)]
+    """20 fiber points, each followed by a second set of angles: (20, 4) and
+    (3, 20)."""
+    draws, xi = _Draws(rng), []
+    for _ in range(20):
+        xi.append(sample_xi(rng, case, max(cfg.exclusion_eps, 0.15)))
+        draws.angles(0.3)
+    return np.array(xi), draws.angle_stack()
 
 
 def _angle_independence_residuals(cfg, draws, case):
     """The numeric potential at each fiber point against that at the point
     with the second angles over the same base point, (n, 5, 3)."""
-    xi, angles = zip(*draws)
-    xi = np.array(xi)
-    xi2 = transform.fiber_section(transform.forward(xi), np.stack(angles, axis=-1), case)
+    xi, angles = draws
+    xi2 = transform.fiber_section(transform.forward(xi), angles, case)
     A1 = gauge.a_field_numeric(xi, case, cfg.fd_step)
     return np.abs(A1 - gauge.a_field_numeric(xi2, case, cfg.fd_step))
 
 
-def _random_column(rng):
-    a = _uniform(rng, -1.2, 1.2, 3)
-    return (float(a[0]), 0.5 * (a[1] - 1j * a[2]), 0.5 * (a[1] + 1j * a[2]))
+def _random_column(uniform) -> tuple:
+    """One potential column (a1, a+, a-) from three one-value uniforms."""
+    a1, a2, a3 = uniform(-1.2, 1.2), uniform(-1.2, 1.2), uniform(-1.2, 1.2)
+    return a1, 0.5 * (a2 - 1j * a3), 0.5 * (a2 + 1j * a3)
+
+
+def _column_stack(cols) -> tuple:
+    """The columns (a1, a+, a-) as three arrays over the columns."""
+    return tuple(map(np.array, zip(*cols)))
 
 
 def _columns(rng, spins, n):
-    """(J, column) draws: ``n`` random columns for each spin J in turn."""
-    return [(J, _random_column(rng)) for J in spins for _ in range(n)]
+    """``n`` random columns for each spin J in turn: the spins per column
+    and the columns' stack."""
+    uniform, _ = _scalar_draws(rng)
+    js = [J for J in spins for _ in range(n)]
+    return js, _column_stack([_random_column(uniform) for _ in js])
 
 
 def _spectrum(cfg, draws):
     """Per column: its roots against the ladder m |A| and against their
     mirror image, one eigen-solve per spin J."""
-    res = np.empty((len(draws), 2))
-    for J, idx in _groups([J for J, _ in draws]):
-        cols = [draws[i][1] for i in idx]
-        s = np.array([math.sqrt(a1 ** 2 + (ap + am).real ** 2
-                                + (1j * (ap - am)).real ** 2) for a1, ap, am in cols])
-        roots = separation.separation_roots(J, tuple(map(np.array, zip(*cols))))
+    js, stack = draws
+    res = np.empty((len(js), 2))
+    for J, idx in _groups(js):
+        cols = tuple(c[idx] for c in stack)
+        # |A| per column in Python scalars, as the columns were drawn
+        s = np.array([math.sqrt(a1 ** 2 + (ap + am).real ** 2 + (1j * (ap - am)).real ** 2)
+                      for a1, ap, am in zip(*(c.tolist() for c in cols))])
+        roots = separation.separation_roots(J, cols)
         expected = np.arange(-J, J + 1) * s[:, None]
         res[idx] = np.stack([np.abs(roots - expected).max(axis=-1),
                              np.abs(roots + roots[:, ::-1]).max(axis=-1)], axis=-1)
@@ -828,9 +887,10 @@ def _spectrum(cfg, draws):
 def _bisection(cfg, draws):
     """Per column: the eigen-solver roots against the determinant
     bisection's, one call of each per spin J."""
-    res = np.empty(len(draws))
-    for J, idx in _groups([J for J, _ in draws]):
-        cols = tuple(map(np.array, zip(*(draws[i][1] for i in idx))))
+    js, stack = draws
+    res = np.empty(len(js))
+    for J, idx in _groups(js):
+        cols = tuple(c[idx] for c in stack)
         eig = separation.separation_roots(J, cols)
         bis = separation.det_bisection_roots(J, cols)
         # a root the oracle missed or split is infinitely far off, as is
@@ -925,24 +985,26 @@ def _wigner_draws(cfg, rng):
 
 
 def _null_draws(cfg, rng):
-    """(J, column, index of the root) per sample."""
-    _, integer = _scalar_draws(rng)
-    draws = []
+    """100 samples of a spin J, a column and the index of a root: the spins,
+    the columns' stack and the indices."""
+    uniform, integer = _scalar_draws(rng)
+    js, cols, ks = [], [], []
     for _ in range(100):
         J = integer(0, cfg.J_max + 1)
-        col = _random_column(rng)
-        draws.append((J, col, integer(0, 2 * J + 1)))
-    return draws
+        js.append(J)
+        cols.append(_random_column(uniform))
+        ks.append(integer(0, 2 * J + 1))
+    return js, _column_stack(cols), ks
 
 
 def _null_vector(cfg, draws):
     """|H g| per sample, g the null vector of its drawn root; one root
     solve, one null-vector solve and one product per spin J."""
-    res = np.empty(len(draws))
-    for J, idx in _groups([J for J, _, _ in draws]):
-        _, cols, k = zip(*(draws[i] for i in idx))
-        col = tuple(map(np.array, zip(*cols)))
-        root = separation.separation_roots(J, col)[np.arange(len(idx)), list(k)]
+    js, stack, ks = draws
+    res = np.empty(len(js))
+    for J, idx in _groups(js):
+        col = tuple(c[idx] for c in stack)
+        root = separation.separation_roots(J, col)[np.arange(len(idx)), [ks[i] for i in idx]]
         g = separation._null_vector(J, col, root)
         hg = (separation.build_h(J, col, root) @ g[..., None])[..., 0]
         res[idx] = separation._norms(hg)

@@ -233,25 +233,29 @@ def _angle_derivatives(v, phi: np.ndarray, h: float) -> np.ndarray:
     return _combine([v[(..., o) + (slice(None),) * nd] for o in range(4)], h)
 
 
-def _images(v, phi: np.ndarray, h: float, rows=slice(None)) -> np.ndarray:
+def _images(v, phi: np.ndarray, h: float, rows=slice(None), coef=None) -> np.ndarray:
     """The generators of ``rows`` (an index into :data:`EULER_OPS` that
     keeps the row axis) at ``phi``, from a field's values ``v`` on its
     stencil, (R,) + T + S: the coefficient table is sliced before its
     product and sum, whose reduction axis keeps its place, so each row is
-    bit for bit that row of all six."""
-    coef = _coefficients(phi)[rows]
+    bit for bit that row of all six.  ``coef`` is the caller's
+    ``_coefficients`` of the same angles, of any padding, else it is built
+    here."""
+    coef = (_coefficients(phi) if coef is None
+            else np.reshape(coef, coef.shape[:2] + phi.shape[1:]))[rows]
     der = _angle_derivatives(v, phi, h)
     nt = der.ndim - coef.ndim + 1
     coef = coef.reshape(coef.shape[:1] + (1,) * nt + coef.shape[1:])
     return 1j * (coef * der).sum(axis=nt + 1)
 
 
-def _nested(field, phi: np.ndarray, h: float, rows=slice(None)) -> np.ndarray:
+def _nested(field, phi: np.ndarray, h: float, rows=slice(None), coef=None) -> np.ndarray:
     """X_a X_b field at ``phi`` for every pair of generators of ``rows``,
     (R, R) + T + S: the outer images of the inner images on the stencil,
-    from one field call on the nested stencil, 144 points per angle."""
+    from one field call on the nested stencil, 144 points per angle.
+    ``coef`` is as :func:`_images` takes it, at ``phi``."""
     st = _angle_stencil(phi, h)
-    return _images(_images(field(_angle_stencil(st, h)), st, h, rows), phi, h, rows)
+    return _images(_images(field(_angle_stencil(st, h)), st, h, rows), phi, h, rows, coef)
 
 
 def apply_euler_op(
@@ -328,6 +332,7 @@ def momentum(
     phi: np.ndarray,
     h: float,
     q_images: np.ndarray | None = None,
+    coef: np.ndarray | None = None,
 ) -> np.ndarray:
     """P_lam f = -i d f/dx_lam + sum_k A[lam, k] Q_k f at (xs, phi).
 
@@ -348,7 +353,8 @@ def momentum(
     unless the caller passes them as ``q_images``: the Q images of
     ``field(xs, .)`` at the padded ``phi``.  ``potential`` holds the
     potential's values at ``xs``, B + (5, 3), and is padded as ``xs`` is.
-    ``h`` is the step of every stencil.
+    ``h`` is the step of every stencil.  ``coef``, the coefficient table of
+    the angles (any padding), spares building it for the Q images.
     """
     lam, xs, phi = _padded(lam, xs, phi)
     potential = np.reshape(potential, (1,) * (xs.ndim + 1 - np.ndim(potential))
@@ -356,7 +362,7 @@ def momentum(
     der = _stencil(lambda ys: field(ys, phi), xs, _AXES[lam], h)
     row = np.choose(lam[..., None], np.moveaxis(potential, -2, 0))
     if q_images is None:
-        q_images = _images(field(xs, _angle_stencil(phi, h)), phi, h, _FAMILY["Q"])
+        q_images = _images(field(xs, _angle_stencil(phi, h)), phi, h, _FAMILY["Q"], coef)
     return -1j * der + coupled_q(row, q_images)
 
 
@@ -367,8 +373,9 @@ def commutator_residuals(relations, field, phi: np.ndarray, h: float):
     of the generators the relations name (one family's closure: its 3 x 3
     block)."""
     rows = sorted({EULER_OPS.index(n) for a, b, (_, op) in relations for n in (a, b, op) if n})
-    nested = _nested(field, phi, h, rows)
-    images = _images(field(_angle_stencil(phi, h)), phi, h, rows)
+    coef = _coefficients(phi)
+    nested = _nested(field, phi, h, rows, coef)
+    images = _images(field(_angle_stencil(phi, h)), phi, h, rows, coef)
     ix = lambda name: rows.index(EULER_OPS.index(name))
     return np.array([
         np.abs(nested[ix(a), ix(b)] - nested[ix(b), ix(a)]
@@ -483,10 +490,12 @@ def identity_residual(
         st = _angle_stencil(phi, h)
         q_st = _images(field(xs, _angle_stencil(st, h)), st, h, q)
         a_xs = potential(xs)  # the rows of both momenta at xs
-        inner = lambda ys, ang: momentum(axes, field, potential(ys), ys, ang, h)
+        # one coefficient table of the angles for every image taken there
+        coef = _coefficients(phi)
+        inner = lambda ys, ang: momentum(axes, field, potential(ys), ys, ang, h, coef=coef)
         outer = momentum(axes, inner, a_xs, xs, phi, h,
-                         _images(momentum(axes, field, a_xs, xs, st, h, q_st), phi, h, q))
-        qsq = _casimir(_images(q_st, phi, h, q), "Q")
+                         _images(momentum(axes, field, a_xs, xs, st, h, q_st), phi, h, q, coef))
+        qsq = _casimir(_images(q_st, phi, h, q, coef), "Q")
         # p^2 summed in axis order, as a running total
         lhs = (r * sum(outer) + qsq / r).reshape(np.shape(r))
         rhs = -xi_laplacian(g, xi, h)

@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import opcalc
 from .errors import SingularAxis
 from .gauge import a_field_closed
 from .opcalc import (
@@ -459,7 +460,9 @@ def consistency_residual(
     g0, g1, g2 = (_weighted(g, _basis(J, range(-J, J + 1), p, ang))
                   for ang in (angles, stencil, _angle_stencil(stencil, h)))
     q = _FAMILY["Q"]
-    q0, q1 = _images(g1, angles, h, q), _images(g2, stencil, h, q)
+    # one coefficient table of the drawn angles for their three images
+    coef = opcalc._coefficients(angles)
+    q0, q1 = _images(g1, angles, h, q, coef), _images(g2, stencil, h, q)
     # the axes (5, 1) against the points (m,): each point is displaced along
     # its own axis, as momentum displaces it, and reads its own row of the
     # potential and its own branch root
@@ -476,9 +479,9 @@ def consistency_residual(
 
     outer = momentum(axes, lambda ys, _: inner(test_psi(ys), dpsi(ys), potential(ys), g0, q0),
                      A0, xv, angles, h,
-                     _images(inner(psi0, dpsi0, A0, g1, q1), angles, h, q))
+                     _images(inner(psi0, dpsi0, A0, g1, q1), angles, h, q, coef))
     # the Q Casimir from the nested pair: the Q images of G's Q images
-    qsq = _casimir(_images(q1, angles, h, q), "Q")
+    qsq = _casimir(_images(q1, angles, h, q, coef), "Q")
 
     # the reduced radial operator (-i d_lam - a_lam)^2 on Psi, with each
     # axis's branch eigenvalue at every point of its stencil

@@ -346,7 +346,8 @@ def fiber_section(x, phi: np.ndarray, case: AngleCase) -> np.ndarray:
     The relative base-point error is about 1.6e-16 r / rho, rho = r + s x5
     the distance from the singular half-axis, so the domain rho > 5e-6 r
     keeps every row within 1e-10 (the suite's section records measure it).
-    Raises :class:`SingularFiber` if any row lies outside that domain and
+    Raises ``ValueError`` if any row's norm is infinite (a NaN row gives
+    NaN), :class:`SingularFiber` if any row lies outside that domain and
     :class:`SectionFailed` if any row's angles (re-checked, mod 2pi for
     phi1 and phi2) miss by more than 1e-10 or land on a degenerate fiber.
     """
@@ -355,6 +356,10 @@ def fiber_section(x, phi: np.ndarray, case: AngleCase) -> np.ndarray:
     xv = np.ascontiguousarray(x, dtype=float)
     r = _row_norms(xv)
     rho = r + case.axis_sign * xv[..., 4]
+    # an infinite norm (an infinite coordinate, or a square that overflows)
+    # would read as rho <= 5e-6 r; a NaN row passes through as NaN
+    if np.count_nonzero(np.isinf(r)):
+        raise ValueError(f"case {case.tag}: a point's norm |x| is not finite (inf)")
     # base-point error ~1.6e-16 r / rho: within 1e-10 beyond rho = 5e-6 r
     if np.count_nonzero((r <= 0.0) | (rho <= 5e-6 * r)):
         raise SingularFiber(f"case {case.tag}: point within 5e-06*r of the singular half-axis")

@@ -454,3 +454,23 @@ def test_no_primitive_call_per_draw():
         and any(isinstance(n, ast.Name) and n.id == "rng" for n in nodes)
     ]
     assert hits == []
+
+
+# A test field made per sample: the object, or the helpers that made one
+_PER_SAMPLE_FIELDS = {"_AnglePoly", "_XPhiField", "_angle_poly", "_xphi_field"}
+
+
+def test_no_test_field_object_per_draw():
+    # a row's draws write each field's parameters into the row's flat lists
+    # and build the stacked field once: no loop of a _*draws function makes
+    # a test field object per sample, to be stacked after the draws
+    tree = ast.parse((SRC / "harness.py").read_text())
+    draws = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and node.name.startswith("_") and node.name.endswith("draws")]
+    assert {"_rotor_draws", "_casimir_draws", "_identity_draws"} <= {fn.name for fn in draws}
+    hits = [
+        f"{fn.name}:{loop.lineno} {sorted(_called(loop) & _PER_SAMPLE_FIELDS)}"
+        for fn in draws for loop in ast.walk(fn)
+        if isinstance(loop, _LOOPS) and _called(loop) & _PER_SAMPLE_FIELDS
+    ]
+    assert hits == []

@@ -165,9 +165,9 @@ def _flipped_derivative_sign(monkeypatch):
     wherever the one momentum operator is bound."""
     real = opcalc.momentum
 
-    def momentum(lam, field, potential, xs, phi, h, q_images=None):
-        return (real(lam, field, potential, xs, phi, h, q_images)
-                - 2.0 * real(lam, field, 0.0 * potential, xs, phi, h, q_images))
+    def momentum(lam, field, potential, xs, phi, h, q_images=None, coef=None):
+        return (real(lam, field, potential, xs, phi, h, q_images, coef)
+                - 2.0 * real(lam, field, 0.0 * potential, xs, phi, h, q_images, coef))
 
     monkeypatch.setattr(opcalc, "momentum", momentum)
     monkeypatch.setattr(separation, "momentum", momentum)

@@ -363,19 +363,19 @@ def _nan_in_second_row(gradients):
 
 
 # Each batched check meets its NaN at one stencil point of sample 2 of its
-# first batch: in the stacked test field (casimir_equality: its stacked
-# angle polynomials), the angular factor, the first angle offset or (after
+# first batch: in the stacked test field (the rotor rows and
+# casimir_equality: their stacked angle polynomials), the angular factor, the first angle offset or (after
 # the value at the points) the radial field.  The gauge checks meet it in
 # one entry of sample 2's angle gradients in their first stacked frame or
 # coupling.
 @pytest.mark.parametrize(
     "module, name, poison, row_id",
     [
-        (harness, "_stack", _nan_in_first_made, "rotor_closure_Q"),
-        (harness, "_stack", _nan_in_first_made, "casimir_equality"),
-        (harness, "_stack", _nan_in_first_made, "laplacian_split_B"),
-        (harness, "_stack", _nan_in_first_made, "momentum_equivalence_A"),
-        (harness, "_stack", _nan_in_first_made, "rotor_cross_commutation"),
+        (harness._Draws, "polys", _nan_in_first_made, "rotor_closure_Q"),
+        (harness._Draws, "polys", _nan_in_first_made, "casimir_equality"),
+        (harness._Draws, "fields", _nan_in_first_made, "laplacian_split_B"),
+        (harness._Draws, "fields", _nan_in_first_made, "momentum_equivalence_A"),
+        (harness._Draws, "polys", _nan_in_first_made, "rotor_cross_commutation"),
         (separation, "angular_factor", _nan_in_sample, "wigner_eigenrelations"),
         (separation, "angular_factor", _nan_in_sample, "angular_factor_eigen_A"),
         (harness, "_TEST_OFFSETS", _nan_in_first_offset, "phase_constraint_B_offsets"),
@@ -402,6 +402,40 @@ _BATCH_CFG = SuiteConfig(samples=10)
 _DRAWN_ROWS = [row for row in harness._registry(_BATCH_CFG) if row.draws]
 
 
+def _count(drawn):
+    """The number of samples in a row's draws: a list's or a sample-first
+    array's length, a test field stack's sample count, a tuple's first
+    part's."""
+    if isinstance(drawn, tuple):
+        return _count(drawn[0])
+    if isinstance(drawn, harness._AnglePoly):
+        return drawn.amp.shape[-1]
+    if isinstance(drawn, harness._XPhiField):
+        return len(drawn.gaussian)
+    return len(drawn)
+
+
+def _one_draw(row, drawn, i, n):
+    """Draw i of the ``n`` in a row's draws, as draws of one sample: a list
+    or a sample-first array sliced, angles (3, n) and a test field stack's
+    parameters sliced on their trailing sample axis, a tuple part by part.
+    casimir_equality's polynomial stack holds its odd samples alone."""
+    if row.id == "casimir_equality":
+        keys, phi, polys = drawn
+        k = keys[:i].count(None)
+        take = slice(k, k + (keys[i] is None))
+        return (keys[i:i + 1], phi[:, i:i + 1],
+                harness._AnglePoly(*(p[..., take] for p in (polys.amp, polys.freq, polys.phase))))
+    if isinstance(drawn, list):
+        return drawn[i:i + 1]
+    if isinstance(drawn, tuple):
+        return tuple(_one_draw(row, d, i, n) for d in drawn)
+    if isinstance(drawn, (harness._AnglePoly, harness._XPhiField)):
+        return type(drawn)(*(_one_draw(row, getattr(drawn, f.name), i, n)
+                             for f in dataclasses.fields(drawn)))
+    return drawn[i:i + 1] if len(drawn) == n else drawn[..., i:i + 1]
+
+
 @pytest.mark.parametrize("row", _DRAWN_ROWS, ids=[row.id for row in _DRAWN_ROWS])
 def test_batched_residuals_equal_one_sample_calls(row):
     # row i of a row's residual array is its evaluation of draw i alone, and
@@ -417,10 +451,11 @@ def test_batched_residuals_equal_one_sample_calls(row):
         # one pre-reduced value over all draws: no per-draw rows to compare
         assert (recs[0].n_samples, recs[0].max_residual) == (out.n, float(out.value))
         return
-    singles = [row.evaluate(cfg, drawn[i:i + 1], **row.kw) for i in range(len(drawn))]
+    n = _count(drawn)
+    singles = [row.evaluate(cfg, _one_draw(row, drawn, i, n), **row.kw) for i in range(n)]
     for k, (rec, batch) in enumerate(zip(recs, batches)):
         single = np.concatenate([s[k] if multi else s for s in singles])
-        assert len(batch) == len(drawn) and np.isfinite(batch).all()
+        assert len(batch) == n and np.isfinite(batch).all()
         assert np.array_equal(batch, single)
         assert rec.n_samples == len(batch)
         assert rec.max_residual == np.max(batch)
@@ -428,6 +463,12 @@ def test_batched_residuals_equal_one_sample_calls(row):
 
 # The one-sample loops that the stacked algebraic checks replaced, kept as
 # references: each draws and evaluates one sample at a time.
+
+def _loop_column(rng):
+    """One potential column as the per-sample loops drew it."""
+    a = harness._uniform(rng, -1.2, 1.2, 3)
+    return (float(a[0]), 0.5 * (a[1] - 1j * a[2]), 0.5 * (a[1] + 1j * a[2]))
+
 
 def _worst_of_samples(cfg, check_id, case, residuals, default_tol, detail=""):
     """The record over per-sample residuals of any shape: the worst of each
@@ -503,7 +544,7 @@ def _loop_spectrum(cfg, rng):
     def residuals():
         for J in range(cfg.J_max + 1):
             for _ in range(20):
-                col = harness._random_column(rng)
+                col = _loop_column(rng)
                 s = math.sqrt(col[0] ** 2 + (col[1] + col[2]).real ** 2
                               + (1j * (col[1] - col[2])).real ** 2)
                 roots = separation.separation_roots(J, col)
@@ -518,7 +559,7 @@ def _loop_bisection(cfg, rng):
     def residuals():
         for J in range(2, min(3, cfg.J_max) + 1):
             for _ in range(6):
-                col = harness._random_column(rng)
+                col = _loop_column(rng)
                 eig = separation.separation_roots(J, col)
                 bis = separation.det_bisection_roots(J, col)
                 yield np.abs(eig - bis) if len(bis) == len(eig) else math.inf
@@ -555,12 +596,21 @@ def test_separation_consistency_j0_is_an_exact_cancellation():
         assert rec.max_residual < 1e-15, (seed, rec.max_residual)
 
 
+def _one_poly(stack, i):
+    """Polynomial i of a stack, without a sample axis."""
+    return harness._AnglePoly(stack.amp[:, i], stack.freq[..., i], stack.phase[:, i])
+
+
 def test_angle_poly_batch_equals_its_rows():
     rng = np.random.default_rng(8)
-    polys = [harness._angle_poly(rng) for _ in range(40)]
+    draws = harness._Draws(rng)
+    for _ in range(40):
+        draws.poly()
+    stack = draws.polys()
+    polys = [_one_poly(stack, i) for i in range(40)]
     angles = [harness.sample_angles(rng) for _ in range(40)]
     batch = np.stack(angles, axis=-1)
-    stacked = harness._stack(polys)(batch)
+    stacked = stack(batch)
     rows = np.array([g(phi) for g, phi in zip(polys, angles)])
     assert np.array_equal(stacked, rows)
     # and one polynomial on a 40-row batch of angles against each angle alone
@@ -902,8 +952,12 @@ def test_bounded_rejects_exactly_the_low_words_below_the_threshold(lo, hi):
 
 def test_angle_poly_draws_what_generator_calls_draw():
     rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    draws = harness._Draws(rng)
     for _ in range(50):
-        poly = harness._angle_poly(rng)
+        draws.poly()
+    stack = draws.polys()
+    for i in range(50):
+        poly = _one_poly(stack, i)
         for t in range(3):
             assert poly.amp[t] == ref.uniform(0.2, 0.6)
             assert poly.freq[t].tolist() == ref.integers(-2, 3, size=3).tolist()

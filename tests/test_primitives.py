@@ -55,13 +55,45 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     # the one-value draws, one call each, whatever the sizes
     header, *rows = fourth.splitlines()
     assert header.split() == ["draw", "us"]
-    assert [row.split()[0] for row in rows] == ["_angle_poly", "sample_angles", "sample_xi",
-                                                "sample_x"]
+    assert [row.split()[0] for row in rows] == ["_rotor_draws", "_identity_draws",
+                                                "sample_angles", "sample_xi", "sample_x"]
     for row in rows:
         assert len(row.split()) == 2 and 0.0 < float(row.split()[1]) < math.inf
 
 
-@pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"]])
+def _against(argv, capsys):
+    """The ``--against`` rows as (entry, size, ratio, iqr)."""
+    assert primitives.main(["--against", *argv]) == 0
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title.startswith("this tree over ")
+    assert header.split() == ["entry", "size", "ratio", "iqr"]
+    return [(name, size, float(ratio), float(iqr))
+            for name, size, ratio, iqr in map(str.split, rows)]
+
+
+def test_primitives_against_head_times_one_entry_at_one_size(capsys):
+    ((name, size, ratio, iqr),) = _against(
+        ["HEAD", "--sizes", "50", "--entries", "forward", "--rounds", "3"], capsys)
+    assert (name, size) == ("forward", "50")
+    assert 0.0 < ratio < math.inf and 0.0 <= iqr < math.inf
+
+
+def test_primitives_against_its_own_tree_reads_each_ratio_near_one(capsys):
+    # the same code under two package names: each median ratio within 3%
+    rows = _against([ROOT, "--sizes", "2000", "--rounds", "11",
+                     "--entries", "a_field_closed,_rotor_draws"], capsys)
+    assert [row[:2] for row in rows] == [("a_field_closed", "2000"), ("_rotor_draws", "-")]
+    for name, _, ratio, _ in rows:
+        assert abs(ratio - 1.0) <= 0.03, (name, ratio)
+
+
+def test_primitives_against_refuses_an_unknown_entry_or_revision(capsys):
+    assert primitives.main(["--against", ROOT, "--entries", "no_such_entry"]) == 2
+    assert primitives.main(["--against", "no-such-revision-xyz"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"],
+                                  ["--rounds", "0"]])
 def test_primitives_rejects_an_empty_sample(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         primitives.main(argv)

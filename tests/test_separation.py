@@ -776,10 +776,11 @@ def test_consistency_equals_the_per_axis_loop_bit_for_bit(J, p):
 
 
 def test_consistency_evaluates_each_table_once_per_stack(monkeypatch):
-    # the generator coefficients: the angular factors' images at the drawn
-    # angles and at their stencil, and the outer images of the five-axis
-    # inner field and of those images (the Casimir's nested pair), twenty-five
-    # with one pass per axis; the closed form: once at the points (the branch
+    # the generator coefficients, one table per angle stack: the drawn
+    # angles' (the angular factors' images there, the outer images of the
+    # five-axis inner field and of the stencil's images, the Casimir's
+    # nested pair) and their stencil's, twenty-five with one pass per axis
+    # and four with one table per image; the closed form: once at the points (the branch
     # roots, the null vectors' columns and the rows of the inner field and
     # the outer momentum there), the inner field at the outer x-stencil and
     # the reduced operator's stencil, thirty-one with one pass per axis
@@ -799,5 +800,5 @@ def test_consistency_evaluates_each_table_once_per_stack(monkeypatch):
     res = consistency_residual(1, 0, harness._radial_field(0), CONSISTENCY_XS, CASE_A,
                                "alternating", H2)
     assert np.all(res < 1e-3)
-    assert sorted(coefficients, key=len) == [(4, 1, 1)] * 3 + [(3, 4, 4, 1, 1)]
+    assert sorted(coefficients, key=len) == [(4, 1, 1), (3, 4, 4, 1, 1)]
     assert closed == [(3, 5), (4, 1, 5, 3, 5), (4, 5, 3, 5)]

@@ -353,6 +353,30 @@ def _near_axis(gen, n, t, case):
     return x, phi
 
 
+_GOOD_X = [0.5, -0.6, 0.3, 0.4, 0.35]
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+@pytest.mark.parametrize("x", [[math.inf, 0.0, 0.0, 0.0, 1.0], [1e300, 1e300, 0.0, 0.0, 1.0]],
+                         ids=["infinite", "overflowing"])
+def test_section_names_a_non_finite_norm(x, case):
+    # an infinite coordinate, or a finite point whose squared norm
+    # overflows, is a ValueError naming the norm, not a point near the
+    # singular half-axis; alone or as one row of a stack
+    phi = np.array([0.1, 0.2, 1.0])
+    for xs, angles in ((np.array(x), phi), (np.array([_GOOD_X, x]), np.stack([phi, phi], -1))):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite") as exc:
+            fiber_section(xs, angles, case)
+        assert type(exc.value) is ValueError
+
+
+def test_section_passes_a_nan_row_through():
+    phi = np.array([0.1, 0.2, 1.0])
+    xi = fiber_section(np.array([[math.nan, 0.0, 0.0, 0.0, 1.0], _GOOD_X]),
+                       np.stack([phi, phi], -1), CASE_A)
+    assert np.isnan(xi[0]).all() and np.isfinite(xi[1]).all()
+
+
 def test_section_singular_half_axis():
     with pytest.raises(SingularFiber):
         fiber_section(np.array([0, 0, 0, 0, -1.0]), np.array([0.1, 0.2, 1.0]), CASE_A)
