@@ -364,8 +364,8 @@ def _nan_in_second_row(gradients):
 
 # Each batched check meets its NaN at one stencil point of sample 2 of its
 # first batch: in the stacked test field (the rotor rows and
-# casimir_equality: their stacked angle polynomials), the angular factor, the first angle offset or (after
-# the value at the points) the radial field.  The gauge checks meet it in
+# casimir_equality: their stacked angle polynomials), the angular factor,
+# the first angle offset or (after the value at the points) the radial field.  The gauge checks meet it in
 # one entry of sample 2's angle gradients in their first stacked frame or
 # coupling.
 @pytest.mark.parametrize(
