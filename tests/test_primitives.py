@@ -79,10 +79,12 @@ def test_primitives_against_head_times_one_entry_at_one_size(capsys):
 
 
 def test_primitives_against_its_own_tree_reads_each_ratio_near_one(capsys):
-    # the same code under two package names: each median ratio within 3%
-    rows = _against([ROOT, "--sizes", "2000", "--rounds", "11",
-                     "--entries", "a_field_closed,_rotor_draws"], capsys)
-    assert [row[:2] for row in rows] == [("a_field_closed", "2000"), ("_rotor_draws", "-")]
+    # the same code under two package names: each median ratio within 3%.
+    # The draw entries: a NumPy-bound entry (a_field_closed at 2,000 points)
+    # can read several percent off in one process, however many rounds
+    rows = _against([ROOT, "--sizes", "50", "--rounds", "15",
+                     "--entries", "_rotor_draws,_identity_draws"], capsys)
+    assert [row[:2] for row in rows] == [("_rotor_draws", "-"), ("_identity_draws", "-")]
     for name, _, ratio, _ in rows:
         assert abs(ratio - 1.0) <= 0.03, (name, ratio)
 
