@@ -372,8 +372,9 @@ class _XPhiField:
 class _Draws:
     """One row's one-value draws from ``rng``, each written as it is drawn
     into the flat list of its stacked quantity; each stack is built once,
-    after the last draw.  The values and the generator's end state are
-    those of the same draws made one call at a time."""
+    after the last draw, C-ordered as ``np.stack`` built the per-sample
+    stacks (a sum rounds by memory order).  The values and the generator's
+    end state are those of the same draws made one call at a time."""
 
     def __init__(self, rng: np.random.Generator):
         self.uniform, self.integer = _scalar_draws(rng)
