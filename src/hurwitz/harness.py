@@ -770,19 +770,28 @@ def _fd_convergence(cfg, _):
 
 
 def _gauge_properties(cfg, pts, case):
-    """Per point: the transversality |x A| and the normalization residual
-    |A^T A - scale 1| of the closed-form potential, (n, 3) and (n, 3, 3).
+    """Per point: the largest transversality entry |x A| and the largest
+    normalization residual entry |A^T A - scale 1| of the closed-form
+    potential, two (n,) arrays.
 
-    Evaluated 2048 points at a time, so the potential's batch-last copy is
-    at most (5, 3, 2048) floats, 240 kB; each block equals its rows of the
-    one-block :func:`_gauge_kernel` bit for bit."""
-    trans, norm = np.empty((len(pts), 3)), np.empty((len(pts), 3, 3))
+    Evaluated 2048 points at a time: each block's residuals from
+    :func:`_gauge_kernel` fold by ``np.max`` into their points' entries (a
+    NaN entry makes its point NaN), so the potential's batch-last copy is at
+    most (5, 3, 2048) floats, 240 kB, and no (n, 3, 3) stack is made; each
+    point's maxima equal those of the one-block kernel bit for bit."""
+    trans, norm = np.empty(len(pts)), np.empty(len(pts))
     for i in range(0, len(pts), 2048):
-        trans[i:i + 2048], norm[i:i + 2048] = _gauge_kernel(pts[i:i + 2048], case)
+        t, g = _gauge_kernel(pts[i:i + 2048], case)
+        np.max(t, axis=0, out=trans[i:i + 2048])
+        np.max(g, axis=(0, 1), out=norm[i:i + 2048])
+        del t, g  # freed before the next block's kernel runs
     return trans, norm
 
 
 def _gauge_kernel(pts, case):
+    """The transversality |x A| (3, n) and the normalization residual
+    |A^T A - scale 1| (3, 3, n) of the closed-form potential at the points
+    (n, 5), the batch axis last."""
     r = np.linalg.norm(pts, axis=1)
     # batch axis last, once: the sums over l run along unit-stride rows
     A = np.moveaxis(gauge.a_field_closed(pts, case), 0, -1).copy()
@@ -792,7 +801,7 @@ def _gauge_kernel(pts, case):
              / (r * r * (r + case.axis_sign * pts[:, 4])))
     # in place: no second (3, 3, n) stack
     gram -= scale * np.eye(3)[..., None]
-    return trans.T, np.moveaxis(np.abs(gram, out=gram), -1, 0)
+    return trans, np.abs(gram, out=gram)
 
 
 def _closed_vs_numeric_residuals(cfg, draws, case, **_):
@@ -925,21 +934,26 @@ def _alternating_branch(cfg, xs):
 
 def _wigner_ladder(cfg, _):
     """The analytic ladder against sqrt((J -+ q)(J +- q + 1)) phi^J_{q+-1,p}
-    (zero off the ladder) on a 20^3 angle grid, one call of each per
-    (J, q, p, sign) on the broadcast grid."""
+    (zero off the ladder) on a 20^3 angle grid, one call of the ladder per
+    (J, q, p, sign) on the broadcast grid.  Per (J, p) each target
+    phi^J_{t,p} is evaluated once, for the two ladders that land on it
+    (q = t -+ 1); the two off-ladder ends stand alone."""
     beta = np.linspace(0.12, math.pi - 0.12, 20)
     phi = np.linspace(0.0, TWO_PI, 20, endpoint=False)
     # three broadcastable rows, never materialised as one (3, 20, 20, 20) array
     grid = (phi[None, None, :], phi[None, :, None], beta[:, None, None])
     maxima = []
     for J in range(min(2, cfg.J_max) + 1):
-        for q in range(-J, J + 1):
-            for p in range(-J, J + 1):
-                for sign in (1, -1):
-                    diff = separation.ladder_apply(sign, J, q, p, grid)
-                    if abs(q + sign) <= J:
-                        coef = math.sqrt((J - sign * q) * (J + sign * q + 1))
-                        diff = diff - coef * separation.wigner(J, q + sign, p, grid)
+        for p in range(-J, J + 1):
+            for sign in (1, -1):
+                end = separation.ladder_apply(sign, J, sign * J, p, grid)
+                maxima.append(np.abs(end).max())
+            for t in range(-J, J + 1):
+                ladders = [(sign, t - sign) for sign in (1, -1) if abs(t - sign) <= J]
+                target = separation.wigner(J, t, p, grid) if ladders else None
+                for sign, q in ladders:
+                    coef = math.sqrt((J - sign * q) * (J + sign * q + 1))
+                    diff = separation.ladder_apply(sign, J, q, p, grid) - coef * target
                     maxima.append(np.abs(diff).max())
     return Measured(len(maxima) * beta.size * phi.size ** 2, np.max(maxima))
 

@@ -627,9 +627,10 @@ def test_gauge_properties_equal_the_batch_first_sums_bit_for_bit(case):
     gram = np.einsum("nlk,nlj->nkj", A, A)
     gram -= ((r - s) / (r * r * (r + s)))[:, None, None] * np.eye(3)
     trans, norm = harness._gauge_properties(cfg, pts, case)
-    assert trans.shape == (len(pts), 3) and norm.shape == (len(pts), 3, 3)
-    assert np.array_equal(trans, np.abs(np.einsum("nl,nlk->nk", pts, A)))
-    assert np.array_equal(norm, np.abs(gram))
+    # each point's largest entry of the batch-first sums
+    assert trans.shape == norm.shape == (len(pts),)
+    assert np.array_equal(trans, np.abs(np.einsum("nl,nlk->nk", pts, A)).max(axis=1))
+    assert np.array_equal(norm, np.abs(gram).max(axis=(1, 2)))
 
 
 @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 20000])
@@ -637,8 +638,10 @@ def test_gauge_properties_equal_the_batch_first_sums_bit_for_bit(case):
 def test_gauge_properties_equal_the_one_block_kernel_bit_for_bit(case, n):
     pts = harness.sample_x(np.random.default_rng(n), case, 1e-3, size=n)
     trans, norm = harness._gauge_properties(SuiteConfig(), pts, case)
-    for blocked, whole in zip((trans, norm), harness._gauge_kernel(pts, case)):
-        assert blocked.shape == whole.shape
+    # the one-block kernel's (3, n) and (3, 3, n) residuals, folded per point
+    t, g = harness._gauge_kernel(pts, case)
+    for blocked, whole in zip((trans, norm), (t.max(axis=0), g.max(axis=(0, 1)))):
+        assert blocked.shape == whole.shape == (n,)
         assert np.array_equal(blocked, whole)
         assert np.array_equal(np.signbit(blocked), np.signbit(whole))
 
@@ -652,8 +655,73 @@ def test_gauge_properties_peak_below_a_megabyte_above_their_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the outputs are 1.92 MB; a whole-stack evaluation peaks 4.2 MB above them
+    # the outputs are 320 kB; a whole-stack evaluation peaks 4.2 MB above them
     assert peak - (trans.nbytes + norm.nbytes) < 1e6
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_gauge_nan_point_in_the_last_block_fails_both_records(monkeypatch, case):
+    # 5,000 points are three blocks; the NaN is the last block's last point
+    monkeypatch.setattr(harness, "sample_x", _nan_in_row(harness.sample_x, -1))
+    records = harness.run_row(SuiteConfig(samples=500), f"gauge_properties_{case}",
+                              np.random.default_rng(3))
+    assert [r.check_id for r in records] == [f"gauge_transversality_{case}",
+                                             f"gauge_normalization_{case}"]
+    for r in records:
+        assert r.passed is False and math.isnan(r.max_residual) and r.n_samples == 5000
+
+
+def test_gauge_fold_keeps_one_nan_entry_of_a_point(monkeypatch):
+    # one NaN entry of the last block's residuals, the point's other entries
+    # finite: the fold gives that point NaN and leaves every other point alone
+    kernel = harness._gauge_kernel
+
+    def poisoned(pts, case):
+        t, g = kernel(pts, case)
+        if len(pts) < 2048:
+            t[1, -1] = g[2, 0, -1] = math.nan
+        return t, g
+
+    pts = harness.sample_x(np.random.default_rng(4), harness.CASE_A, 1e-3, size=5000)
+    trans, norm = harness._gauge_properties(SuiteConfig(), pts, harness.CASE_A)
+    monkeypatch.setattr(harness, "_gauge_kernel", poisoned)
+    nan_trans, nan_norm = harness._gauge_properties(SuiteConfig(), pts, harness.CASE_A)
+    for clean, folded in ((trans, nan_trans), (norm, nan_norm)):
+        assert math.isnan(folded[-1])
+        assert np.array_equal(folded[:-1], clean[:-1])
+
+
+def _loop_wigner_ladder(cfg):
+    """The ladder row as one loop per (J, q, p, sign), its target evaluated
+    per ladder: the reference for the row's one evaluation per target."""
+    beta = np.linspace(0.12, math.pi - 0.12, 20)
+    phi = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
+    grid = (phi[None, None, :], phi[None, :, None], beta[:, None, None])
+    maxima = []
+    for J in range(min(2, cfg.J_max) + 1):
+        for q in range(-J, J + 1):
+            for p in range(-J, J + 1):
+                for sign in (1, -1):
+                    diff = separation.ladder_apply(sign, J, q, p, grid)
+                    if abs(q + sign) <= J:
+                        coef = math.sqrt((J - sign * q) * (J + sign * q + 1))
+                        diff = diff - coef * separation.wigner(J, q + sign, p, grid)
+                    maxima.append(np.abs(diff).max())
+    return harness.Measured(len(maxima) * beta.size * phi.size ** 2, np.max(maxima))
+
+
+@pytest.mark.parametrize("J_max, targets", [(1, 9), (2, 34), (3, 34)])
+def test_wigner_ladder_equals_the_per_ladder_loop(monkeypatch, J_max, targets):
+    cfg = SuiteConfig(J_max=J_max)
+    ref = _loop_wigner_ladder(cfg)
+    calls = []
+    wigner = separation.wigner
+    monkeypatch.setattr(separation, "wigner",
+                        lambda J, q, p, grid: calls.append((J, q, p)) or wigner(J, q, p, grid))
+    got = harness._wigner_ladder(cfg, None)
+    assert got.n == ref.n and np.array_equal(got.value, ref.value)
+    # each target once: every phi^J_{q,p} with J >= 1 that a ladder lands on
+    assert len(calls) == len(set(calls)) == targets
 
 
 @pytest.mark.parametrize("samples", [1, 2000])

@@ -33,11 +33,14 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     # each call's result is allocated in the call, so it is in the peak:
     # forward's x, a float (n, 5) stack, holds 2 kB at 50 points
     assert float(rows[0].split()[6]) >= 2.0
-    # the two second-order residuals at their fixed inputs, whatever the sizes
+    # the two second-order residuals and two sweep rows at their fixed
+    # inputs, whatever the sizes
     header, *rows = second.splitlines()
     assert header.split() == ["residual", "points", "us", "peak_kB"]
     assert [row.split()[:2] for row in rows] == [["consistency_residual", "3"],
-                                                 ["laplacian_split", "7"]]
+                                                 ["laplacian_split", "7"],
+                                                 ["gauge_properties", "20000"],
+                                                 ["wigner_ladder", "8000"]]
     for row in rows:
         assert all(math.isfinite(v) and v > 0.0 for v in map(float, row.split()[2:]))
     # the export table, at the same sizes

@@ -20,11 +20,14 @@ primitives are the eight the ROADMAP names:
 * one ``_stencil`` evaluation: the first derivatives of a Gaussian in |xi|^2
   along the 8 real directions of C^4 (32 displaced copies of each point).
 
-A second table times the two second-order residuals, whose angle stencils
-nest, at fixed inputs with the same columns less the per-point one:
-``consistency_residual`` (J = 1, p = 0, case A, the alternating branch) at
-three base points, and ``laplacian_split`` (case A, one test field of the
-suite's kind) at seven fiber points.
+A second table times four residuals at fixed inputs, with the same columns
+less the per-point one: the two second-order residuals, whose angle
+stencils nest, ``consistency_residual`` (J = 1, p = 0, case A, the
+alternating branch) at three base points and ``laplacian_split`` (case A,
+one test field of the suite's kind) at seven fiber points; and two sweep
+rows, ``gauge_properties`` (the case-A row's per-point residuals) at
+20,000 base points and ``wigner_ladder`` (the row, J up to 2) on its
+20^3-point angle grid.
 
 A third table times the write path: ``fields_cmd`` (case A, its default
 seed) over the benchmark's shell and box regions at the same stack sizes,
@@ -116,22 +119,26 @@ CONSISTENCY_XS = np.array([[0.5, -0.6, 0.3, 0.4, 0.35], [-0.7, 0.2, 0.9, -0.1, 0
 
 def residual_inputs() -> tuple:
     """The second-order residuals' fiber points, test field and radial field,
-    made by this tree from fixed seeds and shared as :func:`points` are."""
+    and the gauge row's base points, made by this tree from fixed seeds and
+    shared as :func:`points` are."""
     harness = hurwitz.harness
     return (harness.sample_xi(np.random.default_rng(7), harness.CASE_A, 0.15, size=7),
-            harness._xphi_field(np.random.default_rng(5), "gaussian"), harness._radial_field(0))
+            harness._xphi_field(np.random.default_rng(5), "gaussian"), harness._radial_field(0),
+            harness.sample_x(np.random.default_rng(3), harness.CASE_A, 1e-3, size=20000))
 
 
 def residuals(inputs: tuple, hz=hurwitz) -> dict:
-    """The two second-order residuals of the package ``hz`` on ``inputs``
+    """The four residuals of the package ``hz`` on ``inputs``
     (:func:`residual_inputs`), (points, call taking no argument)."""
-    CASE_A = hz.transform.CASE_A
-    xi, field, psi = inputs
+    CASE_A, cfg = hz.transform.CASE_A, hz.harness.SuiteConfig()
+    xi, field, psi, x = inputs
     return {
         "consistency_residual": (len(CONSISTENCY_XS), lambda: hz.separation.consistency_residual(
             1, 0, psi, CONSISTENCY_XS, CASE_A, "alternating", 1e-4)),
         "laplacian_split": (len(xi), lambda: hz.opcalc.identity_residual(
             "laplacian_split", CASE_A, xi, field, 1e-4)),
+        "gauge_properties": (len(x), lambda: hz.harness._gauge_properties(cfg, x, CASE_A)),
+        "wigner_ladder": (20 ** 3, lambda: hz.harness._wigner_ladder(cfg, None)),
     }
 
 
