@@ -16,7 +16,7 @@ import os
 import sys
 
 from .errors import ConfigInvalid, HurwitzError
-from .harness import SuiteConfig, fields_cmd, run_suite, separate_cmd
+from .harness import SuiteConfig, _write_text, fields_cmd, run_suite, separate_cmd
 
 
 # built once per process, on first use: each build repeats argparse's
@@ -85,8 +85,7 @@ def _cmd_verify(args) -> int:
     for line in report.summary_lines():
         print(line)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_text(args.json_out, report.to_json() + "\n")
     return 0 if report.passed else 1
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz import gauge, harness, opcalc, separation, transform
+from hurwitz import cli, gauge, harness, opcalc, separation, transform
 from hurwitz.cli import main
 from hurwitz.errors import ConfigInvalid, SingularAxis
 from hurwitz.gauge import a_field_closed
@@ -1198,6 +1199,90 @@ def test_fields_export_peak_stays_near_its_table(tmp_path):
     assert peak < 8e6
 
 
+# --- the output writer ------------------------------------------------------------
+
+def _one_check_verify(monkeypatch):
+    """``hurwitz verify`` over its first check alone, keeping each report the
+    CLI writes."""
+    reports = []
+
+    def run_suite(cfg):
+        reports.append(harness.run_suite(cfg, only=["clifford_structure"]))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    return reports
+
+
+def test_shorter_rewrite_over_a_longer_file_equals_a_fresh_write(tmp_path, monkeypatch):
+    old, fresh = tmp_path / "old.jsonl", tmp_path / "fresh.jsonl"
+    fields_cmd("A", 300, str(old))
+    fields_cmd("A", 5, str(old))
+    fields_cmd("A", 5, str(fresh))
+    assert old.read_bytes() == fresh.read_bytes()
+    x = [0.4, -0.7, 0.2, 0.5, 0.3]
+    separate_cmd(3, 0, "A", x, str(old))
+    separate_cmd(0, 0, "A", x, str(old))
+    separate_cmd(0, 0, "A", x, str(fresh))
+    assert old.read_bytes() == fresh.read_bytes()
+    reports = _one_check_verify(monkeypatch)
+    old.write_bytes(b"~" * 256 * 1024)
+    assert main(["verify", "--json", str(old)]) == 0
+    assert old.read_bytes() == (reports[0].to_json() + "\n").encode()
+
+
+def test_a_raising_writer_leaves_the_bytes_written_before_it(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"~" * 256 * 1024)
+
+    def lines():
+        yield "first\n"
+        raise RuntimeError("mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        harness._write_text(str(out), "head\n", lines())
+    assert out.read_bytes() == b"head\nfirst\n"
+
+
+_WRITING_COMMANDS = {
+    "verify": ["verify", "--json"],
+    "fields": ["fields", "--case", "A", "-n", "5", "--out"],
+    "separate": ["separate", "--j", "1", "--p", "0", "--case", "A",
+                 "--point", "0.4,-0.7,0.2,0.5,0.3", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", list(_WRITING_COMMANDS))
+def test_every_command_writes_a_stream_uncut(monkeypatch, capsys, command):
+    # /dev/null cannot be truncated (ftruncate raises EINVAL)
+    _one_check_verify(monkeypatch)
+    assert main([*_WRITING_COMMANDS[command], "/dev/null"]) == 0
+
+
+@pytest.mark.parametrize("command", list(_WRITING_COMMANDS))
+def test_every_command_keeps_a_symlink_and_the_mode(tmp_path, monkeypatch, capsys, command):
+    _one_check_verify(monkeypatch)
+    target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+    target.write_bytes(b"~" * 256 * 1024)
+    target.chmod(0o604)
+    link.symlink_to(target)
+    assert main([*_WRITING_COMMANDS[command], str(link)]) == 0
+    assert main([*_WRITING_COMMANDS[command], str(fresh)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert stat.S_IMODE(target.stat().st_mode) == 0o604
+    if command != "verify":  # a report carries its own timestamp
+        assert target.read_bytes() == fresh.read_bytes()
+    else:
+        assert json.loads(target.read_text())["checks"] == json.loads(fresh.read_text())["checks"]
+
+
+@pytest.mark.parametrize("command", list(_WRITING_COMMANDS))
+def test_every_command_refuses_a_directory_output(tmp_path, monkeypatch, capsys, command):
+    _one_check_verify(monkeypatch)
+    assert main([*_WRITING_COMMANDS[command], str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+
+
 def test_fields_export_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     fields_cmd("B", 50, str(a), seed=42)
@@ -1234,6 +1319,15 @@ def test_separate_export_spin_zero(tmp_path):
     for rec in recs:
         assert rec["roots"] == [0.0]
         assert rec["a_selected"] == 0.0
+
+
+def test_separate_export_builds_h0_once(tmp_path, monkeypatch):
+    # the roots' and the null vectors' decompositions share one h(0) stack
+    calls = []
+    real = separation.build_h
+    monkeypatch.setattr(separation, "build_h", lambda *a: calls.append(a) or real(*a))
+    separate_cmd(2, 0, "A", [0.4, -0.7, 0.2, 0.5, 0.3], str(tmp_path / "sep.jsonl"))
+    assert len(calls) == 1
 
 
 def test_separate_export_singular_point():

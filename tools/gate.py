@@ -17,6 +17,10 @@ directory, removed afterwards.  For each tree one child process
   both singular half-axes, the first at p = 0 and the others at p = -J
   and p = J) outputs, with everything the commands print.
 
+Before a command runs, its output path is filled with 256 kB of filler,
+longer than every output but the two 5,000-record exports, so a command
+that rewrites a file and leaves a stale tail fails the comparison.
+
 Each verify pair must then pass ``tools/reportdiff.py`` in drift mode
 (its default bound, 0.5 decades), each sweep pair ``--exact``, and the
 export files must be byte-identical.  One line per pair (``ERROR`` when a
@@ -48,9 +52,19 @@ SEPARATE_POINTS = ("0.4,-0.7,0.2,0.5,0.3", "-1.1,0.3,0.8,-0.2,-0.6",
 SEPARATE_BRANCHES = ("alternating", "m=1")
 
 
+def filled(path: str) -> str:
+    """``path``, after writing 256 kB of filler to it: a command that
+    rewrites a file and leaves part of a longer old one behind then fails
+    the byte comparison, which a fresh path could not show."""
+    with open(path, "wb") as fh:
+        fh.write(b"~" * 256 * 1024)
+    return path
+
+
 def write_outputs(out: str) -> None:
     """Write this interpreter's reports and exports into ``out`` (run in the
-    child process, with the tree's ``src`` and ``bench`` on the path)."""
+    child process, with the tree's ``src`` and ``bench`` on the path); each
+    command's output path holds :func:`filled`'s filler before it runs."""
     import workloads
     from hurwitz import cli, harness
 
@@ -59,7 +73,7 @@ def write_outputs(out: str) -> None:
     with contextlib.redirect_stdout(printed):
         for s in VERIFY_SEEDS:
             cli.main(["verify", "--seed", str(s),
-                      "--json", os.path.join(out, f"verify_{s}.json")])
+                      "--json", filled(os.path.join(out, f"verify_{s}.json"))])
         for s in SWEEP_SEEDS:
             report = harness.run_suite(workloads.sweep_config(s),
                                        only=list(workloads.SWEEP_IDS))
@@ -70,10 +84,10 @@ def write_outputs(out: str) -> None:
                 for s in FIELDS_SEEDS:
                     path = os.path.join(out, "export", f"fields_{case}_{i}_{s}.jsonl")
                     cli.main(["fields", "--case", case, "-n", "300", "--region", region,
-                              "--seed", str(s), "--out", path])
+                              "--seed", str(s), "--out", filled(path)])
             path = os.path.join(out, "export", f"fields_{case}_large.jsonl")
             cli.main(["fields", "--case", case, "-n", "5000", "--region", FIELDS_REGIONS[0],
-                      "--seed", "1", "--out", path])
+                      "--seed", "1", "--out", filled(path)])
             for J in range(4):
                 for k, branch in enumerate(SEPARATE_BRANCHES):
                     for i, (point, p) in enumerate(zip(SEPARATE_POINTS, (0, -J, J))):
@@ -81,7 +95,7 @@ def write_outputs(out: str) -> None:
                                             f"separate_{case}_{J}_{k}_{i}.jsonl")
                         cli.main(["separate", "--j", str(J), f"--p={p}", "--case", case,
                                   f"--point={point}", "--branch", branch,
-                                  "--out", path])
+                                  "--out", filled(path)])
     with open(os.path.join(out, "export", "stdout.txt"), "w") as fh:
         fh.write("\n".join(line for line in printed.getvalue().splitlines()
                            if not line.startswith(("PASS", "FAIL"))))
