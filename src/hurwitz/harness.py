@@ -1281,23 +1281,31 @@ def _fields_lines(table: np.ndarray):
 
 def _write_text(out_path: str, head: str, lines=()) -> None:
     """Write ``head``, then the strings of ``lines``, over ``out_path`` from
-    its first byte, and cut a regular file to the length written, also when
-    writing raises.
+    its first byte, and cut a regular file that was not empty to the length
+    written, also when writing raises.
 
     The file is opened without ``O_TRUNC``: truncating a non-empty file
     before rewriting it costs ext4 several times the write (its
-    replace-via-truncate flush), the cut after it does not.  The path keeps
-    its inode, mode, symlink and hard links, as ``open(path, "w")`` keeps
-    them.  Until the cut, a reader sees the new head over the old tail.  A
-    device, FIFO or terminal is written as a stream."""
+    replace-via-truncate flush), the cut after it does not.  A new or empty
+    file has no tail to cut, so it costs one ``fstat`` more than
+    ``open(path, "w")``.  The cut goes through the descriptor, at the
+    offset the kernel has taken, so a flush that raises (a full disk, say)
+    still leaves the new head alone.  The path keeps its inode, mode,
+    symlink and hard links, as ``open(path, "w")`` keeps them.  Until the
+    cut, a reader sees the new head over the old tail.  A device, FIFO or
+    terminal is written as a stream."""
     fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w") as fh:
+        old = os.fstat(fd)
         try:
             fh.write(head)
             fh.writelines(lines)
         finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+            if stat.S_ISREG(old.st_mode) and old.st_size:
+                try:
+                    fh.flush()
+                finally:
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _write_jsonl(out_path: str, records, lines=()) -> None:

@@ -221,7 +221,11 @@ def separation_roots(J: int, col) -> np.ndarray:
     h(a) = h(0) - a I with h(0) Hermitian, so the roots are the (real)
     eigenvalues of h(0); they form the ladder {m |A| : m = -J .. J}.
     """
-    h0 = build_h(J, col, 0.0)
+    return _roots_of(build_h(J, col, 0.0))
+
+
+def _roots_of(h0: np.ndarray) -> np.ndarray:
+    """:func:`separation_roots` of the h(0) stack ``h0``."""
     return np.sort(np.linalg.eigvalsh(h0), axis=-1)
 
 
@@ -293,15 +297,19 @@ def det_bisection_roots(J: int, col):
     return roots[0] if single else roots
 
 
-def _null_vector(J: int, col, root, h0=None) -> np.ndarray:
+def _null_vector(J: int, col, root) -> np.ndarray:
     """The unit null vector of h(root), ordered q = -J .. J: (2J+1,) for one
     column, (m, 2J+1) for a column stack (m,) with one root per column, from
-    one eigen-solve of the stack.  ``h0``, when given, is the caller's
-    ``build_h(J, col, 0.0)``.  A degenerate root (a vanishing column,
+    one eigen-solve of the stack.  A degenerate root (a vanishing column,
     say) gives its first eigenvector within 1e-8.  The phase makes the first
     component above 1e-8 of the max real positive.  Raises ``ValueError``
     where no eigenvalue lies within 1e-8 of the root."""
-    evals, evecs = np.linalg.eigh(build_h(J, col, 0.0) if h0 is None else h0)
+    return _null_vector_of(build_h(J, col, 0.0), root)
+
+
+def _null_vector_of(h0: np.ndarray, root) -> np.ndarray:
+    """:func:`_null_vector` of the h(0) stack ``h0``."""
+    evals, evecs = np.linalg.eigh(h0)
     root = np.asarray(root, dtype=float)
     close = np.abs(evals - root[..., None]) <= 1e-8
     found = close.any(axis=-1)
@@ -347,11 +355,11 @@ def axis_solution(J: int, A: np.ndarray, branch="alternating") -> tuple:
     them.  Solved as one column stack: row lam is the solution of axis lam,
     bit-identical to a one-column solve of that axis, and each potential's
     rows are those of its own call.  One h(0) stack serves both
-    decompositions: the ladders are :func:`separation_roots`' eigenvalues."""
+    decompositions."""
     col = tuple(np.moveaxis(c, 0, -1) for c in potential_columns(A))
     root = _branch_roots(J, A, branch)
     h0 = build_h(J, col, 0.0)
-    return np.sort(np.linalg.eigvalsh(h0), axis=-1), root, _null_vector(J, col, root, h0)
+    return _roots_of(h0), root, _null_vector_of(h0, root)
 
 
 def _branch_roots(J: int, A: np.ndarray, branch) -> np.ndarray:

@@ -1244,6 +1244,31 @@ def test_a_raising_writer_leaves_the_bytes_written_before_it(tmp_path):
     assert out.read_bytes() == b"head\nfirst\n"
 
 
+def test_a_write_that_fails_leaves_no_byte_of_the_old_file(tmp_path):
+    # a file-size limit below the export's length makes the flush of the
+    # buffered export fail with EFBIG, the buffer still holding bytes that
+    # fail again: the cut must not wait on them
+    out, fresh = tmp_path / "out.jsonl", tmp_path / "fresh.jsonl"
+    argv = ["separate", "--j", "3", "--p", "0", "--case", "A",
+            "--point", "0.4,-0.7,0.2,0.5,0.3", "--out"]
+    assert main([*argv, str(fresh)]) == 0
+    limit = 1024
+    assert fresh.stat().st_size > limit
+    out.write_bytes(b"~" * 256 * 1024)
+    child = (
+        "import resource, signal, sys\n"
+        "from hurwitz import cli\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+        f"sys.exit(cli.main({[*argv, str(out)]!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr.startswith("io error: "), proc.stderr
+    assert 0 < out.stat().st_size <= limit
+    assert fresh.read_bytes().startswith(out.read_bytes())
+
+
 _WRITING_COMMANDS = {
     "verify": ["verify", "--json"],
     "fields": ["fields", "--case", "A", "-n", "5", "--out"],

@@ -43,14 +43,17 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
                                                  ["wigner_ladder", "8000"]]
     for row in rows:
         assert all(math.isfinite(v) and v > 0.0 for v in map(float, row.split()[2:]))
-    # the export table: fields at the same sizes, separate at each spin
+    # the export table: fields at the same sizes, separate at each spin,
+    # rewriting one file and then writing a new one each call
     header, *rows = third.splitlines()
     assert header.split() == ["export", "region", "n=1", "us/rec", "peak_kB",
                               "n=50", "us/rec", "peak_kB"]
     rows, separate = rows[:2], rows[2:]
     assert [row.split()[:2] for row in rows] == [["fields_cmd", "shell"],
                                                  ["fields_cmd", "box"]]
-    assert [row.split()[:2] for row in separate] == [["separate_cmd", f"J={J}"]
+    assert [row.split()[:2] for row in separate] == [[name, f"J={J}"]
+                                                     for name in ("separate_cmd",
+                                                                  "separate_cmd[fresh]")
                                                      for J in range(4)]
     for row in separate:
         us, kb = map(float, row.split()[2:])

@@ -34,8 +34,10 @@ seed) over the benchmark's shell and box regions at the same stack sizes,
 in us per requested record and ``peak_kB``, and ``separate_cmd`` (case A,
 p = 0, one base point) at J = 0..3, in us per record of its six and
 ``peak_kB``, whatever the sizes (under ``--against`` its size column is
-J).  Both rows rewrite one existing temporary file, call after call, as
-the benchmark's export workload does.
+J).  These rows rewrite one existing temporary file, call after call, as
+the benchmark's export workload does; ``separate_cmd[fresh]`` repeats the
+``separate_cmd`` rows writing a new path each call, so a writer's cost on
+a file that does not exist yet shows beside its cost on one that does.
 
 A fourth table times the suite's draws, one call each from a generator of
 a fixed seed, in us per call: the ``rotor_closure_*`` and the
@@ -67,6 +69,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import itertools
 import math
 import os
 import statistics
@@ -156,11 +159,19 @@ def exports(n: int, out: str, hz=hurwitz) -> dict:
             for name, region in EXPORT_REGIONS.items()}
 
 
-def separations(out: str, hz=hurwitz) -> dict:
+def separations(path, hz=hurwitz) -> dict:
     """``separate_cmd`` of the package ``hz`` at one base point for each
-    spin J = 0..3, writing ``out``, each a call taking no argument."""
+    spin J = 0..3, writing the path that ``path()`` gives, each a call
+    taking no argument."""
     point = [0.4, -0.7, 0.2, 0.5, 0.3]
-    return {J: lambda J=J: hz.harness.separate_cmd(J, 0, "A", point, out) for J in range(4)}
+    return {J: lambda J=J: hz.harness.separate_cmd(J, 0, "A", point, path()) for J in range(4)}
+
+
+def fresh_paths(out: str):
+    """A call giving ``out`` with a suffix that no call gave before: a path
+    that does not exist yet, each call."""
+    count = itertools.count()
+    return lambda: f"{out}.{next(count)}"
 
 
 def draws(hz=hurwitz) -> dict:
@@ -234,7 +245,9 @@ def entries(stacks: dict, inputs: tuple, out: str, hz=hurwitz) -> list:
     rows += [(name, n, call) for name, (n, call) in residuals(inputs, hz).items()]
     rows += [(f"fields_cmd[{name}]", n, call)
              for n in sizes for name, call in exports(n, out, hz).items()]
-    rows += [("separate_cmd", J, call) for J, call in separations(out, hz).items()]
+    rows += [("separate_cmd", J, call) for J, call in separations(lambda: out, hz).items()]
+    rows += [("separate_cmd[fresh]", J, call)
+             for J, call in separations(fresh_paths(out), hz).items()]
     return rows + [(name, None, call) for name, call in draws(hz).items()]
 
 
@@ -327,7 +340,7 @@ def main(argv=None) -> int:
     for name, (n, call) in residuals(residual_inputs()).items():
         t = per_call_s(call, args.repeat)
         print(f"{name:<22}{n:>7}{t * 1e6:>11.1f}{traced_peak_bytes(call) / 1e3:>10.1f}")
-    print(f"\n{'export':<13}{'region':<7}"
+    print(f"\n{'export':<20}{'region':<7}"
           + "".join(f"{f'n={n} us/rec':>15}{'peak_kB':>10}" for n in sizes))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "fields.jsonl")
@@ -338,11 +351,13 @@ def main(argv=None) -> int:
                 call = calls[n][name]
                 t = per_call_s(call, args.repeat)
                 cells.append(f"{t * 1e6 / n:>15.2f}{traced_peak_bytes(call) / 1e3:>10.1f}")
-            print(f"{'fields_cmd':<13}{name:<7}" + "".join(cells))
-        for J, call in separations(out).items():
-            t = per_call_s(call, args.repeat)
-            print(f"{'separate_cmd':<13}{f'J={J}':<7}{t * 1e6 / 6:>15.2f}"
-                  f"{traced_peak_bytes(call) / 1e3:>10.1f}")
+            print(f"{'fields_cmd':<20}{name:<7}" + "".join(cells))
+        for name, path in (("separate_cmd", lambda: out),
+                           ("separate_cmd[fresh]", fresh_paths(out))):
+            for J, call in separations(path).items():
+                t = per_call_s(call, args.repeat)
+                print(f"{name:<20}{f'J={J}':<7}{t * 1e6 / 6:>15.2f}"
+                      f"{traced_peak_bytes(call) / 1e3:>10.1f}")
     print(f"\n{'draw':<16}{'us':>9}")
     for name, call in draws().items():
         print(f"{name:<16}{per_call_s(call, args.repeat) * 1e6:>9.2f}")
