@@ -50,6 +50,9 @@ CASE_B_REFLECTION = np.array([-1.0, -1.0, -1.0, 1.0, -1.0])
 # fiber point.
 _FRAME_PARITY = np.array([-1.0, -1.0, 1.0])
 
+# Smallest |b3+ b2- - b2+ b3-| that ``a_field_numeric`` solves with.
+FRAME_DET_EPS = 1e-8
+
 
 def b_functions(xi, case: AngleCase, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the frame functions (B_k+, B_k-) from derivatives of the
@@ -100,12 +103,7 @@ def a_tilde(xi, case: AngleCase, h: float) -> np.ndarray:
     return vals.real.copy()
 
 
-def a_field_numeric(
-    xi,
-    case: AngleCase,
-    h: float,
-    frame_det_eps: float = 1e-8,
-) -> np.ndarray:
+def a_field_numeric(xi, case: AngleCase, h: float) -> np.ndarray:
     """Convert the intermediate coupling into the potential numerically.
 
     The conversion runs in the swapped-angle frame: the frame functions are
@@ -122,23 +120,23 @@ def a_field_numeric(
     one point (4,) or a stack B + (4,), giving A of shape B + (5, 3); ``h``
     is the step of every angle gradient.  Raises
     :class:`IllConditionedFrame` when the 2x2 determinant b3+ b2- - b2+ b3-
-    of any row falls below ``frame_det_eps``, and propagates
+    of any row falls below :data:`FRAME_DET_EPS`, and propagates
     :class:`DegenerateFiber` (angles) and :class:`SingularFiber` (section).
     """
     xi = np.asarray(xi, dtype=complex)
     x = forward(xi)
     phi = extra_angles(xi, case)
     at = a_tilde(xi, case, h)
-    return _convert(at, x, phi, case, h, frame_det_eps)
+    return _convert(at, x, phi, case, h)
 
 
-def _convert(at, x, phi, case, h, frame_det_eps):
+def _convert(at, x, phi, case, h):
     bplus, bminus = b_functions(fiber_section(x, phi[[1, 0, 2]], case), case, h)
     # component k of each frame triple, with a trailing axis for the 5 rows
     bp = np.moveaxis(_FRAME_PARITY * bplus, -1, 0)[..., None]
     bm = np.moveaxis(_FRAME_PARITY * bminus, -1, 0)[..., None]
     det = bp[2] * bm[1] - bp[1] * bm[2]
-    if np.count_nonzero(np.abs(det) < frame_det_eps):
+    if np.count_nonzero(np.abs(det) < FRAME_DET_EPS):
         raise IllConditionedFrame(f"frame determinant {np.min(np.abs(det)):.3e}")
     A = np.empty(at.shape)
     A[..., 1] = -(bm[2] * at[..., 0] + bm[1] * at[..., 2]) / det

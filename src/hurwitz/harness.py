@@ -645,8 +645,7 @@ def _xi_draws(cfg, rng, case, eps=0.1, **_):
     return sample_xi(rng, case, max(cfg.exclusion_eps, eps), size=100)
 
 
-def _fiber_roundtrip(cfg, draws, case):
-    xi = np.array(draws)
+def _fiber_roundtrip(cfg, xi, case):
     x = transform.forward(xi)
     phi = transform.extra_angles(xi, case)
     xi2 = transform.fiber_section(x, phi, case)
@@ -736,8 +735,7 @@ def _casimir_residuals(cfg, draws):
 
 def _phase_residuals(cfg, draws, case, with_offsets):
     use = case.with_offsets(_TEST_OFFSETS) if with_offsets else case
-    return opcalc.identity_residual("phase_constraint", use, np.array(draws), None,
-                                    cfg.fd_step)
+    return opcalc.identity_residual("phase_constraint", use, draws, None, cfg.fd_step)
 
 
 def _identity_draws(cfg, rng, case, **_):
@@ -806,8 +804,7 @@ def _gauge_kernel(pts, case):
     return trans, np.abs(gram, out=gram)
 
 
-def _closed_vs_numeric_residuals(cfg, draws, case, **_):
-    xi = np.array(draws)
+def _closed_vs_numeric_residuals(cfg, xi, case, **_):
     numeric = gauge.a_field_numeric(xi, case, cfg.fd_step)
     return np.abs(numeric - gauge.a_field_closed(transform.forward(xi), case))
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hurwitz import gauge
 from hurwitz.errors import IllConditionedFrame, SingularAxis
 from hurwitz.gauge import (
     CASE_B_REFLECTION,
@@ -125,9 +126,10 @@ def test_numeric_potential_angle_independent():
     assert np.abs(A1 - A2).max() < 1e-4
 
 
-def test_frame_determinant_guard():
+def test_frame_determinant_guard(monkeypatch):
+    monkeypatch.setattr(gauge, "FRAME_DET_EPS", 1e9)
     with pytest.raises(IllConditionedFrame):
-        a_field_numeric(random_xi(), CASE_A, H, frame_det_eps=1e9)
+        a_field_numeric(random_xi(), CASE_A, H)
 
 
 @pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
@@ -255,7 +257,8 @@ def test_numeric_stacks_agree_with_one_point_calls(case):
     _assert_rows_close(A, np.array([a_field_numeric(x, case, H) for x in xi]))
 
 
-def test_frame_determinant_guard_on_a_stack():
+def test_frame_determinant_guard_on_a_stack(monkeypatch):
+    monkeypatch.setattr(gauge, "FRAME_DET_EPS", 1e9)
     xi = np.array([random_xi() for _ in range(4)])
     with pytest.raises(IllConditionedFrame):
-        a_field_numeric(xi, CASE_A, H, frame_det_eps=1e9)
+        a_field_numeric(xi, CASE_A, H)

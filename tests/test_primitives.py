@@ -4,7 +4,10 @@ import io
 import math
 import os
 
+import numpy as np
 import pytest
+
+from hurwitz import harness
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -12,65 +15,67 @@ _spec = importlib.util.spec_from_file_location(
 primitives = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(primitives)
 
-NAMES = ["forward", "extra_angles", "fiber_section", "a_field_closed", "a_field_numeric",
-         "wigner_d", "apply_euler_op", "_stencil"]
+FAMILIES = ["forward", "sample_xi", "verify:fiber_roundtrip_A", "sweep:gauge_reflection_map",
+            "draws:rotor_closure_T", "fields_cmd[shell]", "separate_cmd", "separate_cmd[fresh]"]
+
+
+def test_entries_hold_one_entry_per_registry_row_of_each_family(tmp_path):
+    # built, not timed
+    rows = primitives.entries({1: primitives.points(1)}, str(tmp_path / "out.jsonl"))
+    cfg = harness.SuiteConfig()
+    registry = harness._registry(cfg)
+    workloads = primitives.workloads
+
+    def family(prefix):
+        return [(name.split(":")[1], size, units, call) for name, size, units, call in rows
+                if name.startswith(prefix + ":")]
+
+    assert [row[0] for row in family("verify")] == [row.id for row in registry]
+    assert [row[0] for row in family("sweep")] == list(workloads.SWEEP_IDS)
+    assert [row[0] for row in family("draws")] == [row.id for row in registry if row.draws]
+    assert (len(registry), len(workloads.SWEEP_IDS), len(family("draws"))) == (48, 19, 41)
+    ids = [row.id for row in registry]
+    for prefix, samples in (("verify", cfg.samples), ("sweep", workloads.SWEEP_SAMPLES),
+                            ("draws", cfg.samples)):
+        for row_id, size, units, call in family(prefix):
+            # each row's generator starts where run_suite's does for that row
+            row_cfg, rng = call.args[0], call.args[-1]
+            assert (size, units, row_cfg.samples) == (None, 1, samples)
+            assert rng.bit_generator.state == np.random.default_rng(
+                (cfg.seed, ids.index(row_id))).bit_generator.state
+    assert [row[0] for row in rows if ":" not in row[0]] == (
+        ["forward", "extra_angles", "fiber_section", "a_field_closed", "a_field_numeric",
+         "wigner_d", "apply_euler_op", "_stencil", "sample_angles", "sample_xi", "sample_x",
+         "fields_cmd[shell]", "fields_cmd[box]"]
+        + ["separate_cmd"] * 4 + ["separate_cmd[fresh]"] * 4)
 
 
 def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        assert primitives.main(["--repeat", "1", "--sizes", "1,50"]) == 0
-    table, second, third, fourth = printed.getvalue().split("\n\n")
-    header, *rows = table.splitlines()
-    assert header.split() == ["primitive", "n=1", "us", "ns/pt", "peak_kB",
-                              "n=50", "us", "ns/pt", "peak_kB"]
-    assert [row.split()[0] for row in rows] == NAMES
-    for row in rows:
-        us_1, ns_1, kb_1, us_50, ns_50, kb_50 = map(float, row.split()[1:])
-        assert all(math.isfinite(v) and v > 0.0
-                   for v in (us_1, ns_1, kb_1, us_50, ns_50, kb_50))
-        assert ns_1 == pytest.approx(1e3 * us_1, rel=0.02)
+        assert primitives.main(["--rounds", "1", "--sizes", "1,50",
+                                "--entries", ",".join(FAMILIES)]) == 0
+    header, *rows = printed.getvalue().splitlines()
+    assert header.split() == ["entry", "size", "us", "ns/unit", "peak_kB"]
+    table = {(name, size): tuple(map(float, cells))
+             for name, size, *cells in map(str.split, rows)}
+    assert list(table) == [("forward", "1"), ("forward", "50"), ("sample_xi", "1"),
+                           ("verify:fiber_roundtrip_A", "-"),
+                           ("sweep:gauge_reflection_map", "-"),
+                           ("draws:rotor_closure_T", "-"), ("fields_cmd[shell]", "1"),
+                           ("fields_cmd[shell]", "50")] + [
+        (name, str(J)) for name in ("separate_cmd", "separate_cmd[fresh]") for J in range(4)]
+    for (name, size), (us, ns, kb) in table.items():
+        assert all(math.isfinite(v) and v > 0.0 for v in (us, ns, kb))
+        units = 6 if name.startswith("separate_cmd") else 1 if size == "-" else int(size)
+        # us to 0.1, ns to 1: a unit's ns is 1e3 us / units to their rounding
+        assert ns == pytest.approx(1e3 * us / units, abs=50.0 / units + 0.5), name
     # each call's result is allocated in the call, so it is in the peak:
     # forward's x, a float (n, 5) stack, holds 2 kB at 50 points
-    assert float(rows[0].split()[6]) >= 2.0
-    # the two second-order residuals and two sweep rows at their fixed
-    # inputs, whatever the sizes
-    header, *rows = second.splitlines()
-    assert header.split() == ["residual", "points", "us", "peak_kB"]
-    assert [row.split()[:2] for row in rows] == [["consistency_residual", "3"],
-                                                 ["laplacian_split", "7"],
-                                                 ["gauge_properties", "20000"],
-                                                 ["wigner_ladder", "8000"]]
-    for row in rows:
-        assert all(math.isfinite(v) and v > 0.0 for v in map(float, row.split()[2:]))
-    # the export table: fields at the same sizes, separate at each spin,
-    # rewriting one file and then writing a new one each call
-    header, *rows = third.splitlines()
-    assert header.split() == ["export", "region", "n=1", "us/rec", "peak_kB",
-                              "n=50", "us/rec", "peak_kB"]
-    rows, separate = rows[:2], rows[2:]
-    assert [row.split()[:2] for row in rows] == [["fields_cmd", "shell"],
-                                                 ["fields_cmd", "box"]]
-    assert [row.split()[:2] for row in separate] == [[name, f"J={J}"]
-                                                     for name in ("separate_cmd",
-                                                                  "separate_cmd[fresh]")
-                                                     for J in range(4)]
-    for row in separate:
-        us, kb = map(float, row.split()[2:])
-        assert math.isfinite(us) and us > 0.0 and math.isfinite(kb) and kb > 0.0
-    for row in rows:
-        us_1, kb_1, us_50, kb_50 = map(float, row.split()[2:])
-        assert all(math.isfinite(v) and v > 0.0 for v in (us_1, kb_1, us_50, kb_50))
-        # the n-point float table alone holds 22 x 8 x n bytes
-        assert kb_1 >= 22 * 8 * 1 / 1e3
-        assert kb_50 >= 22 * 8 * 50 / 1e3
-    # the one-value draws, one call each, whatever the sizes
-    header, *rows = fourth.splitlines()
-    assert header.split() == ["draw", "us"]
-    assert [row.split()[0] for row in rows] == ["_rotor_draws", "_identity_draws",
-                                                "sample_angles", "sample_xi", "sample_x"]
-    for row in rows:
-        assert len(row.split()) == 2 and 0.0 < float(row.split()[1]) < math.inf
+    assert table["forward", "50"][2] >= 2.0
+    # the n-point float table alone holds 22 x 8 x n bytes
+    for n in (1, 50):
+        assert table["fields_cmd[shell]", str(n)][2] >= 22 * 8 * n / 1e3
 
 
 def _against(argv, capsys):
@@ -95,10 +100,22 @@ def test_primitives_against_its_own_tree_reads_each_ratio_near_one(capsys):
     # The draw entries: a NumPy-bound entry (a_field_closed at 2,000 points)
     # can read several percent off in one process, however many rounds
     rows = _against([ROOT, "--sizes", "50", "--rounds", "15",
-                     "--entries", "_rotor_draws,_identity_draws"], capsys)
-    assert [row[:2] for row in rows] == [("_rotor_draws", "-"), ("_identity_draws", "-")]
+                     "--entries", "draws:rotor_closure_T,draws:laplacian_split_A"], capsys)
+    assert [row[:2] for row in rows] == [("draws:rotor_closure_T", "-"),
+                                         ("draws:laplacian_split_A", "-")]
     for name, _, ratio, _ in rows:
         assert abs(ratio - 1.0) <= 0.03, (name, ratio)
+
+
+def test_primitives_against_prints_an_entry_one_tree_lacks_as_missing(capsys):
+    # a row the change adds, a row it removes and one both trees have
+    call = lambda: None
+    primitives.table({("both", None): (1, call), ("added", None): (1, call)},
+                     {("both", None): (1, call), ("removed", 1): (1, call)}, 1, "REV")
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows] == [["both", "-"], ["added", "-"],
+                                                 ["removed", "1"]]
+    assert rows[1].endswith("missing in REV") and rows[2].endswith("missing in this tree")
 
 
 def test_primitives_against_refuses_an_unknown_entry_or_revision(capsys):
@@ -106,8 +123,12 @@ def test_primitives_against_refuses_an_unknown_entry_or_revision(capsys):
     assert primitives.main(["--against", "no-such-revision-xyz"]) == 2
 
 
-@pytest.mark.parametrize("argv", [["--repeat", "0"], ["--sizes", "0,50"],
-                                  ["--rounds", "0"]])
+def test_primitives_refuses_an_unknown_entry(capsys):
+    assert primitives.main(["--entries", "forward,no_such_entry"]) == 2
+    assert "no_such_entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--sizes", "0,50"], ["--rounds", "0"]])
 def test_primitives_rejects_an_empty_sample(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         primitives.main(argv)
