@@ -1258,22 +1258,61 @@ def _strict_arithmetic(what: str):
         raise ConfigInvalid(f"{what} leaves the float range: {exc}") from exc
 
 
-# A fields record as json.dumps(rec, sort_keys=True) spells it, over one
-# row of fields_cmd's float table: A row-major, the normalization residual,
-# the transversality, then x.  json writes a finite float as float.__repr__
-# does, and so does %r; the table holds only finite values.
-_FIELDS_LINE = ('{"A": [' + ", ".join(["[%r, %r, %r]"] * 5) + '], "props": '
-                '{"normalization_residual": %r, "transversality": %r}, "x": ['
-                + ", ".join(["%r"] * 5) + "]}\n")
 _EXPORT_BLOCK = 2048
+# gauge's closed form pads each point with a zero sixth coordinate: the
+# source index of its tables' x5 row
+_PADDED_ZERO = 5
+_FIELDS_LAYOUTS = {}
 
 
-def _fields_lines(table: np.ndarray):
-    """The table's lines, formatted as they are written; the rows are made
-    Python floats ``_EXPORT_BLOCK`` at a time, so no more than one block is
-    held as Python objects."""
+def _fields_layout(case: AngleCase) -> tuple:
+    """``(ref, flip, templates)`` of a fields record under gauge's live
+    closed-form tables for ``case``, built on first use for each pair of
+    tables' entries, so a patched table gets its own.
+
+    Entry (lam, k) of A is ``sign * q[src]`` with ``sign`` +-1: A holds one
+    magnitude per source j < 5 (the quotient x_j / (r (r + s x5))) and the
+    signed zero ``sign * 0.0`` in each slot of the padded source.  ``ref``
+    is the row-major index in A of each source's first slot and ``flip``
+    whether that slot's sign is negative, so a point's q_j has the sign bit
+    ``signbit(A[ref]) ^ flip``; bit i of its pattern is that of the i-th
+    source.  ``templates[pattern]`` is the record line as
+    json.dumps(rec, sort_keys=True) spells it, with each A slot's ``-``
+    written in, over ``str.format`` fields: the magnitudes |q_j|, the
+    normalization residual, the transversality, then x."""
+    src = gauge._CLOSED_SRC.ravel().tolist()
+    neg = (gauge._CLOSED_SIGN[case.tag].ravel() < 0.0).tolist()
+    key = (tuple(src), tuple(neg))
+    if key not in _FIELDS_LAYOUTS:
+        sources = {j: i for i, j in enumerate(sorted(set(src) - {_PADDED_ZERO}))}
+        ref = [src.index(j) for j in sources]
+        k = len(sources)
+        tail = ('], "props": {{"normalization_residual": {%d}, "transversality": {%d}}}, '
+                '"x": [%s]}}\n' % (k, k + 1, ", ".join("{%d}" % i for i in range(k + 2, k + 7))))
+        templates = []
+        for pattern in range(2 ** k):
+            slots = ["-" * n + "0.0" if j == _PADDED_ZERO
+                     else "-" * (n ^ (pattern >> sources[j] & 1)) + "{%d}" % sources[j]
+                     for j, n in zip(src, neg)]
+            templates.append('{{"A": [' + ", ".join(
+                "[" + ", ".join(slots[i:i + 3]) + "]" for i in range(0, len(slots), 3)) + tail)
+        _FIELDS_LAYOUTS[key] = (np.array(ref), np.array([neg[i] for i in ref]), templates)
+    return _FIELDS_LAYOUTS[key]
+
+
+def _fields_lines(table: np.ndarray, pattern: np.ndarray, templates: list):
+    """The lines of :func:`_fields_table`'s records, formatted as they are
+    written: each row's template filled with the ``repr`` of each of its
+    values.  A magnitude stands in for every A slot of its quotient, which
+    is exact because ``repr(-v)`` is ``'-' + repr(v)`` for every finite
+    ``v >= +0.0``, and json writes a finite float as ``float.__repr__``
+    does; the table is finite (:func:`_strict_arithmetic`).  The rows are
+    made Python floats ``_EXPORT_BLOCK`` at a time, so no more than one
+    block is held as Python objects."""
     for i in range(0, len(table), _EXPORT_BLOCK):
-        yield from map(_FIELDS_LINE.__mod__, map(tuple, table[i:i + _EXPORT_BLOCK].tolist()))
+        block = slice(i, i + _EXPORT_BLOCK)
+        lines = map(templates.__getitem__, pattern[block].tolist())
+        yield from map(str.format, lines, *[map(repr, col) for col in table[block].T.tolist()])
 
 
 def _write_text(out_path: str, head: str, lines=()) -> None:
@@ -1313,25 +1352,31 @@ def _write_jsonl(out_path: str, records, lines=()) -> None:
     _write_text(out_path, "".join([encode(rec) + "\n" for rec in records]), lines)
 
 
-def _fields_table(pts: np.ndarray, case: AngleCase) -> np.ndarray:
-    """One ``(m, 22)`` row per point, in ``_FIELDS_LINE``'s order: the
-    potential A row-major, its normalization residual and transversality,
-    then the point.  Only the table outlives the call."""
+def _fields_table(pts: np.ndarray, case: AngleCase) -> tuple:
+    """The closed-form records of ``pts`` as :func:`_fields_lines` writes
+    them: one ``(m, 11)`` float row per point (the four quotient magnitudes
+    of :func:`_fields_layout`, the normalization residual and transversality
+    of the potential A, then the point), each row's pattern index, and the
+    templates.  Only these outlive the call."""
     A = gauge.a_field_closed(pts, case)
-    table = np.empty((len(pts), 22))
-    table[:, :15] = A.reshape(-1, 15)
+    ref, flip, templates = _fields_layout(case)
+    k = len(ref)
+    table = np.empty((len(pts), k + 7))
+    q = A.reshape(-1, 15)[:, ref]
+    pattern = (np.signbit(q) ^ flip) @ (1 << np.arange(k))
+    np.abs(q, out=table[:, :k])
     # batched matmul rounds as each point's own @ does; einsum sums in
     # another order
     r = _row_norms(pts)
-    np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1, out=table[:, 16])
+    np.abs((pts[:, None, :] @ A)[:, 0]).max(axis=-1, out=table[:, k + 1])
     gram = np.swapaxes(A, -1, -2) @ A
     s = case.axis_sign * pts[:, 4]
     # the diagonal of gram - scale * I; off it scale * 0 is a zero, which
     # leaves |gram| as it is
     gram.reshape(-1, 9)[:, ::4] -= ((r - s) / (r * r * (r + s)))[:, None]
-    np.abs(gram, out=gram).max(axis=(-2, -1), out=table[:, 15])
-    table[:, 17:] = pts
-    return table
+    np.abs(gram, out=gram).max(axis=(-2, -1), out=table[:, k])
+    table[:, k + 2:] = pts
+    return table, pattern, templates
 
 
 def fields_cmd(
@@ -1369,7 +1414,7 @@ def fields_cmd(
         else:
             pts = np.broadcast_to(reg[1], (n, 5))
         singular = gauge.closed_form_singular(pts, case)
-        table = _fields_table(pts[~singular], case)
+        table, pattern, templates = _fields_table(pts[~singular], case)
     meta = {
         "meta": {
             "case": case_tag,
@@ -1380,7 +1425,7 @@ def fields_cmd(
             "seed": seed,
         }
     }
-    _write_jsonl(out_path, [meta], _fields_lines(table))
+    _write_jsonl(out_path, [meta], _fields_lines(table, pattern, templates))
     return meta["meta"]
 
 

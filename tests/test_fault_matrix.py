@@ -33,6 +33,7 @@ import pytest
 from hurwitz import gauge, harness, opcalc, separation, transform
 from hurwitz.harness import CASE_A, CASE_B, SuiteConfig
 from hurwitz.transform import _row_norms
+from test_harness import _fields_reference
 
 _GAUGE_CHECKS = [
     f"{stem}_{case.tag}"
@@ -605,3 +606,14 @@ def test_every_angular_record_has_a_fault():
 
 def test_every_first_order_record_has_a_fault():
     assert _covered(_FIRST_ORDER_ROWS) == _records(_FIRST_ORDER_ROWS)
+
+
+@pytest.mark.parametrize("fault", ["closed_sign_A", "closed_sign_B", "swapped_closed_sources"])
+def test_fields_export_writes_the_faulted_closed_form(tmp_path, monkeypatch, fault):
+    # the writer spells A from gauge's live tables, as a_field_closed reads them
+    _FAULTS[fault][0](monkeypatch)
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    for case in "AB":
+        harness.fields_cmd(case, 300, str(got), region="box:-2,2", seed=11)
+        _fields_reference(case, 300, str(want), "box:-2,2", 11)
+        assert got.read_bytes() == want.read_bytes()

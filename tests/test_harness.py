@@ -1176,13 +1176,42 @@ _EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 2.0, 1e1
 
 def test_fields_lines_spell_the_sorted_json_record():
     values = _EDGE_FLOATS + [-v for v in _EDGE_FLOATS]
-    # every value in every one of the 22 columns
-    rows = [[values[(k + j) % len(values)] for j in range(22)] for k in range(len(values))]
-    want = [json.dumps({"A": [row[i:i + 3] for i in range(0, 15, 3)],
-                        "props": {"transversality": row[16],
-                                  "normalization_residual": row[15]},
-                        "x": row[17:]}, sort_keys=True) + "\n" for row in rows]
-    assert list(harness._fields_lines(np.array(rows))) == want
+    for case in (harness.CASE_A, harness.CASE_B):
+        # closed-form rows: A = sign * q[src], the padded source reading +0.0
+        ref, _, templates = harness._fields_layout(case)
+        src, sign = gauge._CLOSED_SRC, gauge._CLOSED_SIGN[case.tag]
+        table, patterns, want = [], [], []
+        for pattern in range(16):
+            # every value in every quotient (with each sign), prop and x column
+            for k in range(len(values)):
+                row = [values[(k + j) % len(values)] for j in range(11)]
+                q = [math.copysign(v, -1.0 if pattern >> j & 1 else 1.0)
+                     for j, v in enumerate(row[:4])]
+                A = sign * np.array(q + [math.nan, 0.0])[src]
+                table.append([abs(v) for v in q] + row[4:])
+                patterns.append(pattern)
+                want.append(json.dumps({"A": A.tolist(),
+                                        "props": {"normalization_residual": row[4],
+                                                  "transversality": row[5]},
+                                        "x": row[6:]}, sort_keys=True) + "\n")
+        assert len(ref) == 4 and len(templates) == 16
+        assert list(harness._fields_lines(np.array(table), np.array(patterns), templates)) == want
+
+
+def test_fields_export_writes_each_case_signed_zero_as_the_x5_row(tmp_path, monkeypatch):
+    out = tmp_path / "f.jsonl"
+    for case, row in (("A", "[0.0, 0.0, 0.0]"), ("B", "[-0.0, -0.0, -0.0]")):
+        fields_cmd(case, 50, str(out), region="box:-2,2")
+        records = out.read_text().splitlines()[1:]
+        assert len(records) == 50
+        assert all(line.startswith('{"A": [[') and f"], {row}]," in line for line in records)
+    # the x5 row of case B's table reaches the bytes
+    written = out.read_bytes()
+    table = {tag: signs.copy() for tag, signs in gauge._CLOSED_SIGN.items()}
+    table["B"][4, 0] *= -1.0
+    monkeypatch.setattr(gauge, "_CLOSED_SIGN", table)
+    fields_cmd("B", 50, str(out), region="box:-2,2")
+    assert out.read_bytes() == written.replace(b"[-0.0, -0.0, -0.0]", b"[0.0, -0.0, -0.0]")
 
 
 def test_fields_export_peak_stays_near_its_table(tmp_path):

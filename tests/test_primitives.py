@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from hurwitz import harness
+from hurwitz import harness, transform
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -16,7 +16,8 @@ primitives = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(primitives)
 
 FAMILIES = ["forward", "sample_xi", "verify:fiber_roundtrip_A", "sweep:gauge_reflection_map",
-            "draws:rotor_closure_T", "fields_cmd[shell]", "separate_cmd", "separate_cmd[fresh]"]
+            "draws:rotor_closure_T", "fields_cmd[A/shell]", "fields_cmd[B/box]", "separate_cmd",
+            "separate_cmd[fresh]"]
 
 
 def test_entries_hold_one_entry_per_registry_row_of_each_family(tmp_path):
@@ -46,7 +47,7 @@ def test_entries_hold_one_entry_per_registry_row_of_each_family(tmp_path):
     assert [row[0] for row in rows if ":" not in row[0]] == (
         ["forward", "extra_angles", "fiber_section", "a_field_closed", "a_field_numeric",
          "wigner_d", "apply_euler_op", "_stencil", "sample_angles", "sample_xi", "sample_x",
-         "fields_cmd[shell]", "fields_cmd[box]"]
+         "fields_cmd[A/shell]", "fields_cmd[A/box]", "fields_cmd[B/shell]", "fields_cmd[B/box]"]
         + ["separate_cmd"] * 4 + ["separate_cmd[fresh]"] * 4)
 
 
@@ -62,8 +63,9 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     assert list(table) == [("forward", "1"), ("forward", "50"), ("sample_xi", "1"),
                            ("verify:fiber_roundtrip_A", "-"),
                            ("sweep:gauge_reflection_map", "-"),
-                           ("draws:rotor_closure_T", "-"), ("fields_cmd[shell]", "1"),
-                           ("fields_cmd[shell]", "50")] + [
+                           ("draws:rotor_closure_T", "-"), ("fields_cmd[A/shell]", "1"),
+                           ("fields_cmd[B/box]", "1"), ("fields_cmd[A/shell]", "50"),
+                           ("fields_cmd[B/box]", "50")] + [
         (name, str(J)) for name in ("separate_cmd", "separate_cmd[fresh]") for J in range(4)]
     for (name, size), (us, ns, kb) in table.items():
         assert all(math.isfinite(v) and v > 0.0 for v in (us, ns, kb))
@@ -73,9 +75,11 @@ def test_primitives_prints_a_time_per_call_and_per_point_for_every_entry():
     # each call's result is allocated in the call, so it is in the peak:
     # forward's x, a float (n, 5) stack, holds 2 kB at 50 points
     assert table["forward", "50"][2] >= 2.0
-    # the n-point float table alone holds 22 x 8 x n bytes
-    for n in (1, 50):
-        assert table["fields_cmd[shell]", str(n)][2] >= 22 * 8 * n / 1e3
+    # the n-point potential and the written float table, 15 and 11 floats a
+    # point, are held together
+    for name in ("fields_cmd[A/shell]", "fields_cmd[B/box]"):
+        for n in (1, 50):
+            assert table[name, str(n)][2] >= 26 * 8 * n / 1e3
 
 
 def _against(argv, capsys):
@@ -95,16 +99,60 @@ def test_primitives_against_head_times_one_entry_at_one_size(capsys):
     assert 0.0 < ratio < math.inf and 0.0 <= iqr < math.inf
 
 
-def test_primitives_against_its_own_tree_reads_each_ratio_near_one(capsys):
-    # the same code under two package names: each median ratio within 3%.
-    # The draw entries: a NumPy-bound entry (a_field_closed at 2,000 points)
-    # can read several percent off in one process, however many rounds
-    rows = _against([ROOT, "--sizes", "50", "--rounds", "15",
-                     "--entries", "draws:rotor_closure_T,draws:laplacian_split_A"], capsys)
-    assert [row[:2] for row in rows] == [("draws:rotor_closure_T", "-"),
-                                         ("draws:laplacian_split_A", "-")]
-    for name, _, ratio, _ in rows:
-        assert abs(ratio - 1.0) <= 0.03, (name, ratio)
+class _Clock:
+    """A ``time`` whose ``perf_counter`` only the timed calls move: a
+    ``fiber_section`` call of this tree takes 3 ticks (7 in the second loop
+    of a round, which the ratio must not read), one of REV's 2, 3 and 4
+    ticks in turn by round, so a round reads 3/2, 1 or 3/4."""
+
+    TICK = 1 / 256  # one call is one loop: 2 ticks exceed MIN_SAMPLE_S
+
+    def __init__(self):
+        self.now, self.calls = 0.0, []
+
+    def perf_counter(self):
+        return self.now
+
+    def fiber_section(self, transform):
+        def call(x, phi, case):
+            # one warm-up call per side, then two loops a round
+            mine = transform.__name__ == "hurwitz.transform"
+            k, second = divmod(sum(side == mine for side, _, _ in self.calls) - 1, 2)
+            self.now += self.TICK * ((3 + 4 * second) if mine else (2 + k % 3))
+            self.calls.append((mine, transform.__name__, x))
+        return call
+
+
+def test_primitives_against_its_own_tree_reads_each_ratio_near_one(capsys, monkeypatch):
+    # the --against mechanics on a deterministic clock; how closely a tree
+    # agrees with itself on the host's clock is measured outside Tier-1
+    clock = _Clock()
+    monkeypatch.setattr(primitives, "time", clock)
+    monkeypatch.setattr(transform, "fiber_section", clock.fiber_section(transform))
+    load_tree = primitives.load_tree
+
+    def load(src, name):
+        tree = load_tree(src, name)
+        monkeypatch.setattr(tree.transform, "fiber_section", clock.fiber_section(tree.transform))
+        return tree
+
+    monkeypatch.setattr(primitives, "load_tree", load)
+    rounds = 15
+    ((name, size, ratio, iqr),) = _against(
+        [ROOT, "--sizes", "50", "--rounds", str(rounds), "--entries", "fiber_section"], capsys)
+    # both packages, under their own names, on the same arrays
+    mine, names, xs = zip(*clock.calls)
+    (other,) = set(names) - {"hurwitz.transform"}
+    assert other.startswith("hurwitz_against_") and other.endswith(".transform")
+    assert all(x is xs[0] for x in xs) and xs[0].shape == (50, 5)
+    # a warm-up call each, then the rounds in the order ABBA, this tree first
+    # in even rounds
+    abba = [True, False, False, True]
+    assert list(mine) == [True, False] + [
+        side ^ (k % 2 == 1) for k in range(rounds) for side in abba]
+    q1, q2, q3 = primitives.pairs.quartiles([3 / (2 + k % 3) for k in range(rounds)])
+    assert (name, size, ratio, iqr) == ("fiber_section", "50", round(q2, 3), round(q3 - q1, 3))
+    assert (ratio, iqr) == (1.0, 0.75)
 
 
 def test_primitives_against_prints_an_entry_one_tree_lacks_as_missing(capsys):

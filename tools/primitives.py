@@ -10,7 +10,7 @@ points (units: points); one-point ``sample_angles``, ``sample_xi`` and
 ``sweep:<id>`` (each sweep-workload row at its sample count) and
 ``draws:<id>`` (a default row's draws alone), each row's generator seeded
 as ``run_suite`` seeds the row and kept from call to call; and the exports
-``fields_cmd[shell|box]`` at each size and ``separate_cmd`` at J = 0..3,
+``fields_cmd[A|B/shell|box]`` at each size and ``separate_cmd`` at J = 0..3,
 rewriting one file as the export workload does (``separate_cmd[fresh]``: a
 new path each call), whose units are the records written.
 
@@ -112,9 +112,9 @@ def entries(stacks: dict, out: str, hz=hurwitz) -> list:
              ("sample_xi", 1, 1, functools.partial(harness.sample_xi, rng(), CASE_A)),
              ("sample_x", 1, 1, functools.partial(harness.sample_x, rng(), CASE_A))]
     rows += suite_rows(hz)
-    rows += [(f"fields_cmd[{name}]", n, n,
-              functools.partial(harness.fields_cmd, "A", n, out, region=region))
-             for n in stacks for name, region in EXPORT_REGIONS.items()]
+    rows += [(f"fields_cmd[{case}/{name}]", n, n,
+              functools.partial(harness.fields_cmd, case, n, out, region=region))
+             for n in stacks for case in "AB" for name, region in EXPORT_REGIONS.items()]
     fresh = itertools.count()  # a path that no call wrote before
     for name, path in (("separate_cmd", lambda: out),
                        ("separate_cmd[fresh]", lambda: f"{out}.{next(fresh)}")):
