@@ -1266,49 +1266,55 @@ _FIELDS_LAYOUTS = {}
 
 
 def _fields_layout(case: AngleCase) -> tuple:
-    """``(ref, flip, templates)`` of a fields record under gauge's live
+    """``(ref, weight, templates)`` of a fields record under gauge's live
     closed-form tables for ``case``, built on first use for each pair of
     tables' entries, so a patched table gets its own.
 
-    Entry (lam, k) of A is ``sign * q[src]`` with ``sign`` +-1: A holds one
-    magnitude per source j < 5 (the quotient x_j / (r (r + s x5))) and the
-    signed zero ``sign * 0.0`` in each slot of the padded source.  ``ref``
-    is the row-major index in A of each source's first slot and ``flip``
-    whether that slot's sign is negative, so a point's q_j has the sign bit
-    ``signbit(A[ref]) ^ flip``; bit i of its pattern is that of the i-th
-    source.  ``templates[pattern]`` is the record line as
-    json.dumps(rec, sort_keys=True) spells it, with each A slot's ``-``
-    written in, over ``str.format`` fields: the magnitudes |q_j|, the
-    normalization residual, the transversality, then x."""
+    Entry (lam, k) of A is ``sign * q[src]`` with ``sign`` +-1: each slot of
+    a source j < 5 (the quotient x_j / (r (r + s x5))) is + or - the first
+    slot of j, its reference, and each slot of the padded source is the
+    signed zero ``sign * 0.0``.  ``ref`` holds the references' row-major
+    indices in A, and bit i of a point's pattern ``signbit(A[ref]) @ weight``
+    is the sign bit of reference i.  ``templates[pattern]`` is the record
+    line as json.dumps(rec, sort_keys=True) spells it, with each A slot's
+    ``-`` written in, over ``str.format`` fields: the references'
+    magnitudes, the normalization residual, the transversality, then x."""
     src = gauge._CLOSED_SRC.ravel().tolist()
-    neg = (gauge._CLOSED_SIGN[case.tag].ravel() < 0.0).tolist()
-    key = (tuple(src), tuple(neg))
+    sign = gauge._CLOSED_SIGN[case.tag].ravel().tolist()
+    key = tuple(src + sign)
     if key not in _FIELDS_LAYOUTS:
-        sources = {j: i for i, j in enumerate(sorted(set(src) - {_PADDED_ZERO}))}
+        neg = [v < 0.0 for v in sign]
+        sources = sorted(set(src) - {_PADDED_ZERO})
         ref = [src.index(j) for j in sources]
-        k = len(sources)
-        tail = ('], "props": {{"normalization_residual": {%d}, "transversality": {%d}}}, '
-                '"x": [%s]}}\n' % (k, k + 1, ", ".join("{%d}" % i for i in range(k + 2, k + 7))))
+        n_ref = len(ref)
+        fields = ["{%d}" % i for i in range(n_ref + 7)]
+        tail = ('], "props": {{"normalization_residual": %s, "transversality": %s}}, "x": [%s]}}\n'
+                % (fields[n_ref], fields[n_ref + 1], ", ".join(fields[n_ref + 2:])))
         templates = []
-        for pattern in range(2 ** k):
-            slots = ["-" * n + "0.0" if j == _PADDED_ZERO
-                     else "-" * (n ^ (pattern >> sources[j] & 1)) + "{%d}" % sources[j]
-                     for j, n in zip(src, neg)]
+        for pattern in range(2 ** n_ref):
+            slots = []
+            for j, n in zip(src, neg):
+                if j == _PADDED_ZERO:
+                    slots.append("-" * n + "0.0")
+                else:
+                    i = sources.index(j)
+                    slots.append("-" * (n ^ neg[ref[i]] ^ (pattern >> i & 1)) + fields[i])
             templates.append('{{"A": [' + ", ".join(
                 "[" + ", ".join(slots[i:i + 3]) + "]" for i in range(0, len(slots), 3)) + tail)
-        _FIELDS_LAYOUTS[key] = (np.array(ref), np.array([neg[i] for i in ref]), templates)
+        _FIELDS_LAYOUTS[key] = (np.array(ref), 1 << np.arange(n_ref), templates)
     return _FIELDS_LAYOUTS[key]
 
 
 def _fields_lines(table: np.ndarray, pattern: np.ndarray, templates: list):
     """The lines of :func:`_fields_table`'s records, formatted as they are
     written: each row's template filled with the ``repr`` of each of its
-    values.  A magnitude stands in for every A slot of its quotient, which
-    is exact because ``repr(-v)`` is ``'-' + repr(v)`` for every finite
-    ``v >= +0.0``, and json writes a finite float as ``float.__repr__``
-    does; the table is finite (:func:`_strict_arithmetic`).  The rows are
-    made Python floats ``_EXPORT_BLOCK`` at a time, so no more than one
-    block is held as Python objects."""
+    values.  A reference's magnitude stands in for every A slot of its
+    source, which is exact because ``repr(-v)`` is ``'-' + repr(v)`` for
+    every finite ``v >= +0.0``, and json writes a finite float as
+    ``float.__repr__`` does; the table is finite
+    (:func:`_strict_arithmetic`).  The rows are made Python floats
+    ``_EXPORT_BLOCK`` at a time, so no more than one block is held as
+    Python objects."""
     for i in range(0, len(table), _EXPORT_BLOCK):
         block = slice(i, i + _EXPORT_BLOCK)
         lines = map(templates.__getitem__, pattern[block].tolist())
@@ -1354,16 +1360,16 @@ def _write_jsonl(out_path: str, records, lines=()) -> None:
 
 def _fields_table(pts: np.ndarray, case: AngleCase) -> tuple:
     """The closed-form records of ``pts`` as :func:`_fields_lines` writes
-    them: one ``(m, 11)`` float row per point (the four quotient magnitudes
-    of :func:`_fields_layout`, the normalization residual and transversality
-    of the potential A, then the point), each row's pattern index, and the
-    templates.  Only these outlive the call."""
+    them: one ``(m, 11)`` float row per point (the magnitudes of the four
+    references of :func:`_fields_layout`, the normalization residual and
+    transversality of the potential A, then the point), each row's pattern
+    index, and the templates.  Only these outlive the call."""
     A = gauge.a_field_closed(pts, case)
-    ref, flip, templates = _fields_layout(case)
+    ref, weight, templates = _fields_layout(case)
     k = len(ref)
     table = np.empty((len(pts), k + 7))
-    q = A.reshape(-1, 15)[:, ref]
-    pattern = (np.signbit(q) ^ flip) @ (1 << np.arange(k))
+    q = A.reshape(-1, 15).take(ref, axis=1)
+    pattern = np.signbit(q) @ weight
     np.abs(q, out=table[:, :k])
     # batched matmul rounds as each point's own @ does; einsum sums in
     # another order

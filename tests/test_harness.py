@@ -1181,20 +1181,20 @@ def test_fields_lines_spell_the_sorted_json_record():
         ref, _, templates = harness._fields_layout(case)
         src, sign = gauge._CLOSED_SRC, gauge._CLOSED_SIGN[case.tag]
         table, patterns, want = [], [], []
-        for pattern in range(16):
+        for signs in range(16):
             # every value in every quotient (with each sign), prop and x column
             for k in range(len(values)):
                 row = [values[(k + j) % len(values)] for j in range(11)]
-                q = [math.copysign(v, -1.0 if pattern >> j & 1 else 1.0)
+                q = [math.copysign(v, -1.0 if signs >> j & 1 else 1.0)
                      for j, v in enumerate(row[:4])]
                 A = sign * np.array(q + [math.nan, 0.0])[src]
                 table.append([abs(v) for v in q] + row[4:])
-                patterns.append(pattern)
+                patterns.append(int(np.signbit(A.ravel()[ref]) @ (1 << np.arange(4))))
                 want.append(json.dumps({"A": A.tolist(),
                                         "props": {"normalization_residual": row[4],
                                                   "transversality": row[5]},
                                         "x": row[6:]}, sort_keys=True) + "\n")
-        assert len(ref) == 4 and len(templates) == 16
+        assert sorted(src.ravel()[ref]) == [0, 1, 2, 3] and sorted(set(patterns)) == list(range(16))
         assert list(harness._fields_lines(np.array(table), np.array(patterns), templates)) == want
 
 
